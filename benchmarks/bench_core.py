@@ -31,7 +31,14 @@ Measures, for a few sb_mini designs:
   placement.  The XL tier additionally shards the legalizer's row-band
   candidate search across the kernel pool (2/4 workers, bitwise vs
   serial) and hard-asserts the sb_xl_1 full-scale speedups (legalization
-  >= 5x, detailed placement >= 20x per candidate).
+  >= 5x, detailed placement >= 20x per candidate);
+* critical-path extraction and the Eq. 9 pair update, on both tiers:
+  ``report_timing_endpoint(n, 1)`` over every failing endpoint (the
+  vectorized k=1 chase) versus the per-endpoint heap search, and the
+  array-backed ``PinPairSet.update_from_paths`` versus the dict-loop
+  ``_reference_update_from_paths``, both asserted equal in-bench; each row
+  also records the Table I columns (paths, endpoints, pin pairs) and the
+  number of endpoints the chase handed to the heap fallback.
 
 Writes ``benchmarks/results/BENCH_core.json`` (override with ``--out``) so
 successive PRs can track the numbers.
@@ -207,6 +214,81 @@ def _bench_backend(
     return fields
 
 
+def _bench_extraction(name: str, design, cx: np.ndarray, cy: np.ndarray, *, repeat: int) -> dict:
+    """Critical-path extraction and Eq. 9 pair-update rows (shared by both tiers).
+
+    ``report_timing_endpoint(n, 1)`` over every failing endpoint of the
+    seed-0 initial placement (the vectorized chase) is timed against the
+    per-endpoint heap search it replaces, and the array Eq. 9 update against
+    the sequential dict-loop reference; both pairs are asserted equal
+    in-bench (paths bit for bit; pair weights bit for bit, insertion order
+    included).  The pair update runs twice on a fresh set, so both the
+    insert and the accumulate branch are timed.  The Table I columns of
+    the fast extraction are recorded alongside.
+    """
+    from repro.core.pin_attraction import PinPairSet
+    from repro.timing.report import (
+        _worst_endpoints,
+        _worst_paths_to_endpoint,
+        report_timing_endpoint,
+    )
+
+    engine = STAEngine(design)
+    result = engine.update_timing(cx, cy)
+    n = result.num_failing_endpoints
+    extract_seconds, (batch, stats) = _time(
+        lambda: report_timing_endpoint(engine, n, 1, result=result, failing_only=True),
+        repeat=repeat,
+    )
+    endpoints = _worst_endpoints(result, n, failing_only=True)
+    reference_seconds, reference_paths = _time(
+        lambda: [
+            path
+            for endpoint in endpoints
+            for path in _worst_paths_to_endpoint(engine, result, int(endpoint), 1)
+        ],
+        repeat=1,
+    )
+    fast_paths = list(batch)
+    if not (
+        [(p.arcs, p.startpoint, p.endpoint) for p in fast_paths]
+        == [(p.arcs, p.startpoint, p.endpoint) for p in reference_paths]
+        and np.array([p.arrival for p in fast_paths]).tobytes()
+        == np.array([p.arrival for p in reference_paths]).tobytes()
+    ):
+        raise AssertionError(f"{name}: k=1 chase differs from the heap search")
+
+    def pair_update(reference: bool):
+        pairs = PinPairSet()
+        update = pairs._reference_update_from_paths if reference else pairs.update_from_paths
+        paths = reference_paths if reference else batch
+        for _ in range(2):
+            update(paths, engine.graph, result.wns)
+        return pairs
+
+    update_seconds, fast_pairs = _time(lambda: pair_update(False), repeat=repeat)
+    update_reference_seconds, reference_pairs = _time(lambda: pair_update(True), repeat=1)
+    fast_arrays, reference_arrays = fast_pairs.as_arrays(), reference_pairs.as_arrays()
+    if not all(
+        a.tobytes() == b.tobytes() for a, b in zip(fast_arrays, reference_arrays)
+    ):
+        raise AssertionError(f"{name}: array Eq. 9 update differs from the dict loop")
+    return {
+        "extract_ms": round(extract_seconds * 1e3, 3),
+        "extract_reference_ms": round(reference_seconds * 1e3, 3),
+        "extract_speedup": round(reference_seconds / max(extract_seconds, 1e-9), 3),
+        "extract_paths": stats.num_paths,
+        "extract_endpoints": stats.num_endpoints,
+        "extract_pin_pairs": stats.num_pin_pairs,
+        "extract_fallback_endpoints": stats.num_fallback_endpoints,
+        "pair_update_ms": round(update_seconds * 1e3, 3),
+        "pair_update_reference_ms": round(update_reference_seconds * 1e3, 3),
+        "pair_update_speedup": round(
+            update_reference_seconds / max(update_seconds, 1e-9), 3
+        ),
+    }
+
+
 def bench_design(name: str) -> dict:
     build_seconds, design = _time(lambda: load_benchmark(name))
 
@@ -314,6 +396,7 @@ def bench_design(name: str) -> dict:
     # detailed refinement: mini designs can afford the full-recompute
     # reference end to end).
     backend = _bench_backend(name, design, cx, cy, legalize_repeat=3, detailed_repeat=3)
+    extraction = _bench_extraction(name, design, cx, cy, repeat=15)
 
     return {
         "design": name,
@@ -359,6 +442,7 @@ def bench_design(name: str) -> dict:
             gp_traced_seconds / max(gp_plain_seconds, 1e-9) - 1.0, 4
         ),
         **backend,
+        **extraction,
     }
 
 
@@ -514,6 +598,10 @@ def bench_xl_design(name: str, *, scale: float = 1.0) -> dict:
                 f"{row['detailed_speedup']:.2f}x below the "
                 f"{DETAILED_XL_MIN_SPEEDUP:.0f}x floor"
             )
+
+    # Table I at XL: report_timing_endpoint(n, 1) over every failing
+    # endpoint, chase vs heap, plus the Eq. 9 pair update.
+    row.update(_bench_extraction(name, design, cx, cy, repeat=3))
 
     shutdown_kernel_pools()
     return row
@@ -743,17 +831,21 @@ def main(argv=None) -> int:
         )
     else:
         status = 0
-        # Partial runs (--xl-only, or a run without --xl) must not silently
-        # drop the other tier's recorded rows from the baseline.
+        # Partial runs (--xl-only, a run without --xl, or a subset of
+        # --designs / --xl-designs) must not silently drop recorded rows
+        # they did not re-measure from the baseline.
         if out.exists():
             try:
                 prior = json.loads(out.read_text(encoding="utf-8"))
             except json.JSONDecodeError:
                 prior = {}
-            if not rows and prior.get("designs"):
-                payload["designs"] = prior["designs"]
-            if not xl_rows and prior.get("xl_designs"):
-                payload["xl_designs"] = prior["xl_designs"]
+            for key in ("designs", "xl_designs"):
+                fresh_rows = {row["design"]: row for row in payload.get(key, [])}
+                merged = [
+                    fresh_rows.pop(row["design"], row) for row in prior.get(key, [])
+                ] + list(fresh_rows.values())
+                if merged:
+                    payload[key] = merged
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     if args.fresh_out:

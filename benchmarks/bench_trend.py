@@ -15,7 +15,9 @@ Gated rows are the wall-clock numbers the perf gates care about:
 * ``snapshot_rebuild_ms`` — worker-side CompiledDesign rebuild;
 * ``legalize_ms`` / ``detailed_ms`` — back-end walls: array-backed Abacus
   legalization and the delta-HPWL detailed-placement pass (capped at the
-  XL tier; see ``bench_core.DETAILED_XL_CANDIDATES``).
+  XL tier; see ``bench_core.DETAILED_XL_CANDIDATES``);
+* ``extract_ms`` / ``pair_update_ms`` — ``report_timing_endpoint(n, 1)``
+  over every failing endpoint and the Eq. 9 pin-pair update (both tiers).
 
 On top of the baseline diff, every fresh row carrying both ``gp_plain_ms``
 and ``gp_traced_ms`` is checked *pairwise*: the traced run may not exceed
@@ -55,6 +57,8 @@ GATED_FIELDS = (
     "snapshot_rebuild_ms",
     "legalize_ms",
     "detailed_ms",
+    "extract_ms",
+    "pair_update_ms",
 )
 # XL tier (payload key "xl_designs"): only the *serial* hot-path walls are
 # gated.  The kernel-pool speedup fields (congestion_map_speedup_w4, ...)
@@ -65,6 +69,8 @@ XL_GATED_FIELDS = (
     "gp_iter_ms",
     "legalize_ms",
     "detailed_ms",
+    "extract_ms",
+    "pair_update_ms",
 )
 XL_INFO_FIELDS = (
     "congestion_map_speedup_w4",
@@ -74,6 +80,8 @@ XL_INFO_FIELDS = (
     "gp_iter_speedup_w4",
     "legalize_speedup",
     "detailed_speedup",
+    "extract_speedup",
+    "pair_update_speedup",
 )
 # Below this, best-of-N timings are scheduler noise and a relative gate flakes.
 ABS_FLOOR_MS = 0.5

@@ -19,9 +19,10 @@ regenerated directly from a flow run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.timing.report import (
+    PathBatch,
     PathExtractionStats,
     TimingPath,
     report_timing,
@@ -66,7 +67,7 @@ class CriticalPathExtractor:
         result: Optional[STAResult] = None,
         *,
         num_endpoints: Optional[int] = None,
-    ) -> Tuple[List[TimingPath], PathExtractionStats]:
+    ) -> Tuple[Sequence[TimingPath], PathExtractionStats]:
         """Extract critical paths according to the configured policy.
 
         ``num_endpoints`` overrides the automatic "all failing endpoints"
@@ -90,7 +91,7 @@ class CriticalPathExtractor:
                 elapsed_seconds=0.0,
             )
             self.history.append(stats)
-            return [], stats
+            return PathBatch.from_paths([], self.engine.graph), stats
 
         if self.config.mode == "endpoint":
             paths, stats = report_timing_endpoint(

@@ -23,11 +23,16 @@ import numpy as np
 from repro.netlist.core import as_core
 from repro.core.losses import PairLoss, QuadraticLoss
 from repro.timing.graph import TimingGraph
-from repro.timing.report import TimingPath
+from repro.timing.report import PathBatch, TimingPath, pair_keys, split_pair_keys
 
 
 class PinPairSet:
-    """The maintained set ``P`` of critical pin pairs with dynamic weights."""
+    """The maintained set ``P`` of critical pin pairs with dynamic weights.
+
+    Pairs are stored as int64 keys ``(from << 32) | to``
+    (:func:`repro.timing.report.pair_keys`) in insertion order next to a
+    weights array; a sorted copy of the keys serves membership lookups.
+    """
 
     def __init__(
         self,
@@ -36,10 +41,16 @@ class PinPairSet:
         w1: float = 0.2,
         max_weight: Optional[float] = None,
     ) -> None:
+        if not w0 > 0:
+            raise ValueError(f"w0 must be > 0, got {w0}")
+        if not w1 >= 0:
+            raise ValueError(f"w1 must be >= 0, got {w1}")
+        if max_weight is not None and not max_weight >= w0:
+            raise ValueError(f"max_weight must be None or >= w0 ({w0}), got {max_weight}")
         self.w0 = float(w0)
         self.w1 = float(w1)
         self.max_weight = max_weight
-        self._weights: Dict[Tuple[int, int], float] = {}
+        self._assign(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
         # Bumped on every mutation; consumers key derived-array caches on it.
         self._version = 0
 
@@ -48,21 +59,43 @@ class PinPairSet:
         """Monotone counter identifying the current pair-set contents."""
         return self._version
 
+    def _assign(self, keys: np.ndarray, weights: np.ndarray) -> None:
+        """Install new contents.  Arrays are replaced, never mutated, so the
+        ones :meth:`as_arrays` handed out stay valid."""
+        self._keys = keys
+        self._weights = weights
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._order]
+
+    def _positions(self, keys: np.ndarray) -> np.ndarray:
+        """Insertion-order position of each key, ``-1`` where absent."""
+        if self._keys.size == 0:
+            return np.full(keys.size, -1, dtype=np.int64)
+        index = np.searchsorted(self._sorted_keys, keys)
+        clipped = np.minimum(index, self._keys.size - 1)
+        found = self._sorted_keys[clipped] == keys
+        return np.where(found, self._order[clipped], -1)
+
+    def _position(self, pair: Tuple[int, int]) -> int:
+        return int(self._positions(pair_keys(np.array([pair[0]]), np.array([pair[1]])))[0])
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._weights)
+        return int(self._keys.size)
 
     def __contains__(self, pair: Tuple[int, int]) -> bool:
-        return pair in self._weights
+        return self._position(pair) >= 0
 
     def weight(self, pair: Tuple[int, int]) -> float:
-        return self._weights.get(pair, 0.0)
+        position = self._position(pair)
+        return float(self._weights[position]) if position >= 0 else 0.0
 
     def items(self) -> Iterable[Tuple[Tuple[int, int], float]]:
-        return self._weights.items()
+        pin_i, pin_j, weights = self.as_arrays()
+        return list(zip(zip(pin_i.tolist(), pin_j.tolist()), weights.tolist()))
 
     def clear(self) -> None:
-        self._weights.clear()
+        self._assign(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -78,42 +111,95 @@ class PinPairSet:
         worst negative slack at this timing iteration; paths with
         non-negative slack are ignored (positive slacks are disregarded in
         timing metrics, as the paper's Fig. 2 discussion stresses).
+        ``paths`` is a :class:`PathBatch` or any sequence of
+        :class:`TimingPath` (packed into a batch first).
+
+        Array form of :meth:`_reference_update_from_paths`, same bits: a
+        new key's first occurrence sets ``w0``; every other occurrence adds
+        ``w1 * slack / wns`` through unbuffered ``np.add.at``, which folds
+        repeated keys in occurrence order like the sequential loop.  The
+        increments are >= 0, so clamping to ``max_weight`` once at the end
+        equals clamping after every addition.
         """
+        batch = PathBatch.from_paths(paths, graph)
+        wns = min(wns, -1e-12)
+        slack = batch.slack
+        share = slack / wns  # in (0, 1], 1 for the most critical path
+        keys, path_of = batch.pin_pair_keys(graph)
+        critical = ~(slack >= 0)[path_of]
+        keys, path_of = keys[critical], path_of[critical]
+        increments = (self.w1 * share)[path_of]
+
+        position = self._positions(keys)
+        new = np.flatnonzero(position < 0)
+        unique_new, first, inverse = np.unique(
+            keys[new], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        slot = np.empty(order.size, dtype=np.int64)
+        slot[order] = np.arange(self._keys.size, self._keys.size + order.size)
+        position[new] = slot[inverse.reshape(-1)]
+        increment = np.ones(keys.size, dtype=bool)
+        increment[new[first]] = False
+
+        weights = np.concatenate([self._weights, np.full(order.size, self.w0)])
+        touched = position[increment]
+        np.add.at(weights, touched, increments[increment])
+        if self.max_weight is not None:
+            weights[touched] = np.minimum(weights[touched], self.max_weight)
+        self._assign(np.concatenate([self._keys, unique_new[order]]), weights)
+        self._version += 1
+        return int(order.size)
+
+    def _reference_update_from_paths(
+        self,
+        paths: Sequence[TimingPath],
+        graph: TimingGraph,
+        wns: float,
+    ) -> int:
+        """Sequential dict-loop Eq. 9 update (bitwise reference for tests)."""
+        pin_i, pin_j, values = self.as_arrays()
+        weights: Dict[Tuple[int, int], float] = dict(
+            zip(zip(pin_i.tolist(), pin_j.tolist()), values.tolist())
+        )
         wns = min(wns, -1e-12)
         added = 0
         for path in paths:
             slack = path.slack
             if slack >= 0:
                 continue
-            share = slack / wns  # in (0, 1], 1 for the most critical path
+            share = slack / wns
             for pair in path.pin_pairs(graph):
-                if pair not in self._weights:
-                    self._weights[pair] = self.w0
+                if pair not in weights:
+                    weights[pair] = self.w0
                     added += 1
                 else:
-                    updated = self._weights[pair] + self.w1 * share
+                    updated = weights[pair] + self.w1 * share
                     if self.max_weight is not None:
                         updated = min(updated, self.max_weight)
-                    self._weights[pair] = updated
-        self._version += 1
+                    weights[pair] = updated
+        self.set_weights(weights)
         return added
 
     def set_weights(self, weights: Mapping[Tuple[int, int], float]) -> None:
         """Replace the pair set wholesale (used by smoothed baselines)."""
-        self._weights = dict(weights)
+        pairs = np.array(list(weights.keys()), dtype=np.int64).reshape(-1, 2)
+        self._assign(
+            pair_keys(pairs[:, 0], pairs[:, 1]),
+            np.fromiter(weights.values(), dtype=np.float64, count=len(weights)),
+        )
         self._version += 1
 
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(pin_i, pin_j, weight)`` arrays for vectorized evaluation."""
-        if not self._weights:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy(), np.zeros(0, dtype=np.float64)
-        pairs = np.array(list(self._weights.keys()), dtype=np.int64)
-        weights = np.array(list(self._weights.values()), dtype=np.float64)
-        return pairs[:, 0], pairs[:, 1], weights
+        """Return ``(pin_i, pin_j, weight)`` arrays in insertion order.
+
+        The weights array is the set's own (treat it as read-only).
+        """
+        pin_i, pin_j = split_pair_keys(self._keys)
+        return pin_i, pin_j, self._weights
 
     def total_weight(self) -> float:
-        return float(sum(self._weights.values()))
+        return float(sum(self._weights.tolist()))
 
 
 @dataclass

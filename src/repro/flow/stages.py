@@ -41,6 +41,7 @@ from repro.placement.legalization.greedy import GreedyLegalizer
 from repro.route.inflation import InflationConfig, run_inflation_loop
 from repro.route.rudy import CongestionConfig, CongestionEstimator
 from repro.timing.mcmm import CornersSpec, MultiCornerResult, MultiCornerSTA, resolve_corners
+from repro.timing.report import PathBatch
 from repro.timing.sta import STAResult
 from repro.utils.logging import get_logger
 from repro.weighting.net_weighting import MomentumNetWeighting
@@ -208,17 +209,19 @@ class PinPairAttractionStrategy(TimingStrategyBase):
     ) -> STAResult:
         with ctx.profiler.section("timing_analysis"):
             result = self.sta.update_timing(x, y)
-            paths = []
+            corner_paths = []
             for index, extractor in enumerate(self.extractors):
                 corner_result = (
                     result.corner_result(index)
                     if isinstance(result, MultiCornerResult)
                     else result
                 )
-                corner_paths, stats = extractor.extract(corner_result)
-                paths.extend(corner_paths)
+                paths, stats = extractor.extract(corner_result)
+                corner_paths.append(paths)
                 ctx.extraction_stats.append(stats)
         with ctx.profiler.section("weighting"):
+            # MCMM: one Eq. 9 update over every corner's paths, in corner order.
+            paths = PathBatch.concatenate(corner_paths, self.sta.graph)
             self.pairs.update_from_paths(paths, self.sta.graph, result.wns)
             if not self.beta_calibrated and len(self.pairs) > 0:
                 self.calibrate_beta(placer, x, y)

@@ -304,11 +304,6 @@ class GlobalPlacer:
             return self.config.density_weight_init_ratio
         return self.config.density_weight_init_ratio * wl_norm / dens_norm
 
-    def _initial_density_weight(self, x: np.ndarray, y: np.ndarray) -> float:
-        wl = self.wirelength.evaluate(x, y, net_weights=self.net_weights)
-        dens = self.density.evaluate(x, y)
-        return self._derive_density_weight(wl, dens)
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.timing.mcmm import (
     resolve_corners,
 )
 from repro.timing.report import (
+    PathBatch,
     TimingPath,
     report_timing,
     report_timing_endpoint,
@@ -50,6 +51,7 @@ __all__ = [
     "MultiCornerSTA",
     "corner_preset",
     "resolve_corners",
+    "PathBatch",
     "TimingPath",
     "report_timing",
     "report_timing_endpoint",
