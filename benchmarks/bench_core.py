@@ -80,10 +80,11 @@ from repro.timing.constraints import Corner
 from repro.timing.sta import STAEngine
 
 DEFAULT_DESIGNS = ["sb_mini_18", "sb_mini_1", "sb_mini_10", "sb_cong_1"]
-# XL tier: kernel-pool hot-path walls (congestion map, full STA, density
-# splat) serial vs sharded.  Speedup fields are informational-only — they
-# depend on the host's core count — while the serial walls are trend-gated
-# like any other row (see bench_trend.py).
+# XL tier: kernel-pool hot-path walls (congestion map, density splat, GP
+# iteration, legalization) serial vs sharded, plus the serial full-STA wall.
+# Speedup fields are informational-only — they depend on the host's core
+# count — while the serial walls are trend-gated like any other row (see
+# bench_trend.py).
 XL_DESIGNS = ["sb_xl_1", "sb_xl_2"]
 XL_WORKER_COUNTS = (2, 4)
 # Fixed-length GP run for the XL per-iteration rows: long enough to
@@ -493,22 +494,9 @@ def bench_xl_design(name: str, *, scale: float = 1.0) -> dict:
         row[f"congestion_map_speedup_w{workers}"] = round(serial_seconds / seconds, 3)
 
     # Full STA (arrival + required sweeps dominate at XL sizes).
-    constraints = TimingConstraints.from_design(design)
-    serial_sta = STAEngine(design, constraints)
-    serial_seconds, serial_result = _time(
-        lambda: serial_sta.update_timing(), repeat=3
-    )
-    row["sta_full_ms"] = round(serial_seconds * 1e3, 3)
-    for workers in XL_WORKER_COUNTS:
-        sta = STAEngine(design, constraints, workers=workers)
-        seconds, result = _time(lambda: sta.update_timing(), repeat=3)
-        if not (
-            np.array_equal(result.arrival, serial_result.arrival)
-            and np.array_equal(result.required, serial_result.required)
-        ):
-            raise AssertionError(f"{name}: {workers}-worker STA differs from serial")
-        row[f"sta_full_w{workers}_ms"] = round(seconds * 1e3, 3)
-        row[f"sta_full_speedup_w{workers}"] = round(serial_seconds / seconds, 3)
+    sta = STAEngine(design, TimingConstraints.from_design(design))
+    seconds, _ = _time(lambda: sta.update_timing(), repeat=3)
+    row["sta_full_ms"] = round(seconds * 1e3, 3)
 
     # Density splat (the electrostatic placer's per-iteration deposition).
     serial_density = ElectrostaticDensity(design)
@@ -856,7 +844,7 @@ def main(argv=None) -> int:
     if xl_rows:
         xl_header = (
             f"{'xl design':<12} {'cells':>8} {'build':>8} {'rudy s/2/4':>22} "
-            f"{'sta s/2/4':>22} {'splat s/2/4':>22} {'gp it p/l/2/4':>24} "
+            f"{'sta':>8} {'splat s/2/4':>22} {'gp it p/l/2/4':>24} "
             f"{'gp x':>6} {'lg a/r/2/4':>22} {'lg x':>6} {'dp d/r':>14} {'dp x':>6}"
         )
         print(xl_header)
@@ -864,10 +852,6 @@ def main(argv=None) -> int:
             rudy = "/".join(
                 f"{row[key]:.0f}"
                 for key in ("congestion_map_ms", "congestion_map_w2_ms", "congestion_map_w4_ms")
-            )
-            sta = "/".join(
-                f"{row[key]:.0f}"
-                for key in ("sta_full_ms", "sta_full_w2_ms", "sta_full_w4_ms")
             )
             splat = "/".join(
                 f"{row[key]:.0f}"
@@ -889,7 +873,7 @@ def main(argv=None) -> int:
             detailed = f"{row['detailed_ms']:.0f}/{row['detailed_reference_ms']:.0f}"
             print(
                 f"{row['design']:<12} {row['num_instances']:>8} "
-                f"{row['build_ms']:>7.0f}m {rudy:>21}m {sta:>21}m {splat:>21}m "
+                f"{row['build_ms']:>7.0f}m {rudy:>21}m {row['sta_full_ms']:>7.0f}m {splat:>21}m "
                 f"{gp:>23}m {row['gp_plan_speedup']:>5.2f}x {legalize:>21}m "
                 f"{row['legalize_speedup']:>5.2f}x {detailed:>13}m "
                 f"{row['detailed_speedup']:>5.1f}x"

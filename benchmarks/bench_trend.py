@@ -74,7 +74,6 @@ XL_GATED_FIELDS = (
 )
 XL_INFO_FIELDS = (
     "congestion_map_speedup_w4",
-    "sta_full_speedup_w4",
     "density_splat_speedup_w4",
     "gp_plan_speedup",
     "gp_iter_speedup_w4",

@@ -4,13 +4,14 @@
 Runs one XL benchmark (``sb_xl_1``, 100k cells at full scale) end-to-end
 through the ``dreamplace`` preset with ``--kernel-workers`` sharding the
 density splat and the WA-wirelength gradient across pool workers, then
-times the GP inner loop (plan vs legacy vs pooled), a congestion map, and
-a full STA pass — the other pooled hot paths — and prints the walls.
+times the GP inner loop (plan vs legacy vs pooled) and a congestion map —
+the other pooled hot path — and prints the walls.
 
 The kernel pool's contract is *bit-exactness*: any ``--kernel-workers``
 value (including 0, the serial default) produces the same placement, the
 same congestion map, and the same timing report.  This script demonstrates
-that by re-running the congestion and STA passes serially and comparing.
+that by re-running the GP loop and the congestion pass serially and
+comparing.
 
 Worker-count guidance: sharding pays on multi-core hosts once designs pass
 ~50k cells; on small designs or single-core hosts the process round trips
@@ -29,8 +30,6 @@ import numpy as np
 from repro.benchgen.suite import load_benchmark
 from repro.flow import build_flow
 from repro.route.rudy import CongestionConfig, CongestionEstimator
-from repro.timing.constraints import TimingConstraints
-from repro.timing.sta import STAEngine
 
 
 def main() -> None:
@@ -42,7 +41,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--kernel-workers", type=int, default=2,
-        help="kernel-pool workers for density/congestion/STA (0 = serial)",
+        help="kernel-pool workers for GP/congestion/legalization (0 = serial)",
     )
     parser.add_argument(
         "--iterations", type=int, default=100,
@@ -149,26 +148,6 @@ def main() -> None:
     )
     if not exact:
         raise SystemExit("kernel-pool congestion map diverged from serial")
-
-    # Full STA: pooled vs serial, bitwise.
-    constraints = TimingConstraints.from_design(design)
-    t0 = time.perf_counter()
-    pooled_sta = STAEngine(
-        design, constraints, workers=args.kernel_workers
-    ).update_timing()
-    pooled_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    serial_sta = STAEngine(design, constraints).update_timing()
-    serial_wall = time.perf_counter() - t0
-    exact = np.array_equal(pooled_sta.arrival, serial_sta.arrival) and np.array_equal(
-        pooled_sta.required, serial_sta.required
-    )
-    print(
-        f"full STA: {pooled_wall:.2f}s pooled vs {serial_wall:.2f}s serial; "
-        f"bitwise equal: {exact} (wns {pooled_sta.wns:.3f})"
-    )
-    if not exact:
-        raise SystemExit("kernel-pool STA diverged from serial")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ class DifferentiableTDPConfig:
     # MCMM corners spec (None, "fast,typ,slow", or Corner objects).
     corners: Optional[object] = None
     verbose: bool = False
-    # Kernel-pool workers for the density / congestion / STA hot paths
+    # Kernel-pool workers for the GP / congestion / legalization hot paths
     # (0 = serial; see repro.parallel for the bit-exactness guarantee).
     kernel_workers: int = 0
     # Record placement history every N iterations (1 = every iteration;

@@ -75,7 +75,7 @@ class EfficientTDPConfig:
     # Post-processing.
     legalize: bool = True
     verbose: bool = False
-    # Kernel-pool workers for the density / congestion / STA hot paths
+    # Kernel-pool workers for the GP / congestion / legalization hot paths
     # (0 = serial; see repro.parallel for the bit-exactness guarantee).
     kernel_workers: int = 0
     # Record placement history every N iterations (1 = every iteration;

@@ -167,8 +167,8 @@ def _add_common(parser: argparse.ArgumentParser, *, preset: bool = True) -> None
         type=int,
         default=None,
         metavar="N",
-        help="shared-memory kernel-pool workers for the congestion / STA / "
-        "density hot paths (0 = serial, the default; results are "
+        help="shared-memory kernel-pool workers for the GP / congestion / "
+        "legalization hot paths (0 = serial, the default; results are "
         "bit-identical either way)",
     )
     parser.add_argument(

@@ -49,8 +49,9 @@ class FlowContext:
     # MCMM: analysis corners shared by timing and evaluation stages
     # (``None`` = plain single-corner analysis, today's behavior).
     corners: Optional[Tuple[Corner, ...]] = None
-    # Kernel-pool workers for STA level sweeps (0 = serial; see
-    # repro.parallel).  Filled by FlowRunner from the preset config.
+    # Kernel-pool workers for the GP, congestion and legalization kernels
+    # (0 = serial; see repro.parallel).  Filled by FlowRunner from the
+    # preset config.
     kernel_workers: int = 0
     # Positions (set by placement, rewritten by legalization).
     x: Optional[np.ndarray] = None
@@ -97,7 +98,6 @@ class FlowContext:
                     **engine_kwargs,
                 )
             else:
-                engine_kwargs.setdefault("workers", self.kernel_workers)
                 self.sta = STAEngine(self.design, self.constraints, **engine_kwargs)
             return self.sta
         engine = self.sta

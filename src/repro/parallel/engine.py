@@ -4,12 +4,12 @@ The engine generalizes the ``SharedDesignPack`` transport from
 :mod:`repro.netlist.compiled` into a reusable in-flow primitive:
 
 * :class:`KernelPool` — a lazily-started set of long-lived worker processes.
-  Array sets are registered once per consumer (estimator, STA engine,
-  density model) into a single ``multiprocessing.shared_memory`` segment;
+  Array sets are registered once per consumer (estimator, density model,
+  legalizer) into a single ``multiprocessing.shared_memory`` segment;
   workers attach each segment exactly once and every subsequent
   :meth:`KernelPool.run` ships only a kernel name and a handful of index
-  ranges over a pipe.  Mutable arrays (positions, arc delays, sweep state)
-  are rewritten in place by the parent between calls — zero-copy in both
+  ranges over a pipe.  Mutable arrays (positions, per-call terms) are
+  rewritten in place by the parent between calls — zero-copy in both
   directions.
 * :class:`SerialShardRunner` — the same interface executed inline on the
   caller's arrays.  It exists so the sharded code paths can be driven (and

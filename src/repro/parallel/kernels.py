@@ -15,10 +15,9 @@ shard decomposition:
 
 * elementwise arithmetic (per-pin coordinates, per-cell splat weights) —
   trivially identical per element;
-* ``min``/``max`` reductions over fixed index sets (net bounding boxes, STA
-  arrival/required candidates) — IEEE min/max is associative and
-  commutative for the NaN-free inputs these paths produce, so any grouping
-  yields the same bits;
+* ``min``/``max`` reductions over fixed index sets (net bounding boxes) —
+  IEEE min/max is associative and commutative for the NaN-free inputs these
+  paths produce, so any grouping yields the same bits;
 * integer accumulation (pin-density counts) — exact under any summation
   order;
 * per-net sequential folds over *whole* nets (the WA-wirelength
@@ -39,8 +38,6 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 import numpy as np
-
-from repro.timing.graph import csr_gather as _csr_gather
 
 __all__ = ["register_kernel", "get_kernel", "run_kernel", "kernel_names"]
 
@@ -121,51 +118,6 @@ def _pin_bins(a: Dict[str, np.ndarray], args: tuple) -> np.ndarray:
     pu = np.clip(np.floor((px - xl) / bin_w).astype(np.int64), 0, nbx - 1)
     pv = np.clip(np.floor((py - yl) / bin_h).astype(np.int64), 0, nby - 1)
     return np.bincount(pu * nby + pv, minlength=nbx * nby)
-
-
-# ----------------------------------------------------------------------
-# STA level-sweep kernels
-# ----------------------------------------------------------------------
-@register_kernel("sta_forward")
-def _sta_forward(a: Dict[str, np.ndarray], args: tuple) -> int:
-    """Arrival times of ``level_pins[s:e]`` (all pins on one logic level).
-
-    Pin-centric form of the serial arc-centric ``np.maximum.at`` sweep:
-    ``arrival[p] = max(base[p], max over fanin candidates)``.  Pins within a
-    level have no arcs between them, writes are disjoint across shards, and
-    ``max`` is exact — bitwise identical under any split of the level.
-    """
-    s, e = args
-    pins = a["level_pins"][s:e]
-    new = a["base_arrival"][pins].copy()
-    flat, lengths = _csr_gather(a["fanin_offsets"], a["fanin_arcs"], pins)
-    if flat.size:
-        nonzero = lengths > 0
-        candidates = a["arrival"][a["arc_from"][flat]] + a["arc_delay"][flat]
-        reduced = np.maximum.reduceat(
-            candidates, np.cumsum(lengths[nonzero]) - lengths[nonzero]
-        )
-        new[nonzero] = np.maximum(new[nonzero], reduced)
-    a["arrival"][pins] = new
-    return int(pins.size)
-
-
-@register_kernel("sta_backward")
-def _sta_backward(a: Dict[str, np.ndarray], args: tuple) -> int:
-    """Required times of ``level_pins[s:e]`` — mirror of ``sta_forward``."""
-    s, e = args
-    pins = a["level_pins"][s:e]
-    new = a["base_required"][pins].copy()
-    flat, lengths = _csr_gather(a["fanout_offsets"], a["fanout_arcs"], pins)
-    if flat.size:
-        nonzero = lengths > 0
-        candidates = a["required"][a["arc_to"][flat]] - a["arc_delay"][flat]
-        reduced = np.minimum.reduceat(
-            candidates, np.cumsum(lengths[nonzero]) - lengths[nonzero]
-        )
-        new[nonzero] = np.minimum(new[nonzero], reduced)
-    a["required"][pins] = new
-    return int(pins.size)
 
 
 # ----------------------------------------------------------------------

@@ -59,7 +59,7 @@ class RoutabilityConfig:
     target_density: float = 1.0
     seed: int = 0
     verbose: bool = False
-    # Kernel-pool workers for the density / congestion / STA hot paths
+    # Kernel-pool workers for the GP / congestion / legalization hot paths
     # (0 = serial; see repro.parallel for the bit-exactness guarantee).
     kernel_workers: int = 0
     # Record placement history every N iterations (1 = every iteration;
@@ -135,7 +135,7 @@ class RoutabilityGPConfig:
     target_density: float = 1.0
     seed: int = 0
     verbose: bool = False
-    # Kernel-pool workers for the density / congestion / STA hot paths
+    # Kernel-pool workers for the GP / congestion / legalization hot paths
     # (0 = serial; see repro.parallel for the bit-exactness guarantee).
     kernel_workers: int = 0
     # Record placement history every N iterations (1 = every iteration;

@@ -31,6 +31,15 @@ from repro.netlist.core import DesignCore, as_core
 from repro.timing.graph import TimingGraph
 
 
+def stack_corner_rows(rows) -> np.ndarray:
+    """Stack per-corner rows into a ``[num_corners, n]`` array.
+
+    A single row is handed over as a view rather than copied: the
+    single-corner STA pays no stacking cost for its corner axis.
+    """
+    return rows[0][np.newaxis] if len(rows) == 1 else np.stack(rows)
+
+
 @dataclass
 class WireDelayResult:
     """Output of one wire-delay evaluation."""
@@ -153,8 +162,8 @@ class WireRCModel:
         geometry = self._geometry(pin_x, pin_y, net_mask)
         per_corner = [self._combine(geometry, float(scale)) for scale in rc_scales]
         return StackedWireDelayResult(
-            net_load=np.stack([res.net_load for res in per_corner]),
-            sink_delay=np.stack([res.sink_delay for res in per_corner]),
+            net_load=stack_corner_rows([res.net_load for res in per_corner]),
+            sink_delay=stack_corner_rows([res.sink_delay for res in per_corner]),
             net_wirelength=geometry.net_wirelength,
         )
 

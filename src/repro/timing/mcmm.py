@@ -2,30 +2,25 @@
 
 Production timing-driven placement never signs off against a single PVT
 corner: setup is checked across several corners (and constraint modes)
-simultaneously, and the optimizer works on the *merged* worst slack.  This
-module grows the single-corner :class:`repro.timing.sta.STAEngine` along that
-axis while reusing the array-first core, so the corner dimension is just one
-more vectorized axis:
+simultaneously, and the optimizer works on the *merged* worst slack.  The
+corner axis is just one more vectorized axis of the STA engine:
 
 * :class:`repro.timing.constraints.Corner` — one analysis scenario: a wire-RC
   scale, a cell-delay derate, and (optionally) a mode-specific
   :class:`~repro.timing.constraints.TimingConstraints`.
-* :class:`MultiCornerSTA` — stacks arrival/required/slack as
-  ``[num_corners, num_pins]`` arrays and propagates all corners in one
-  level-by-level pass over a **single shared** :class:`TimingGraph`.  The
-  expensive, corner-independent work (graph build, levelization, the wire
-  model's bincount geometry pass, dirty-net detection in incremental mode) is
-  done once; only the cheap RC/derate combine and the per-level reductions
-  pay per corner.
+* :class:`MultiCornerSTA` — defined in :mod:`repro.timing.sta` next to
+  :class:`~repro.timing.sta.STAEngine`, with which it shares the one
+  corner-stacked propagation; re-exported here.
 * :class:`MultiCornerResult` — per-corner WNS/TNS plus the merged
   (worst-over-corners) slack the flow optimizes against.
 
-Exactness contract: corner ``i`` of a multi-corner run is **bitwise
-identical** to a standalone ``STAEngine(design, corner=corners[i])`` in both
-full and incremental mode — the stacked pass executes the same arithmetic per
-corner row (max/min reductions are order-insensitive, and every
-rounding-sensitive product/sum is shared or replayed identically).  With the
-single identity corner the result is bitwise identical to the plain
+This module holds the corner presets, :func:`resolve_corners`, the result
+type and the per-corner engine view used for path extraction.
+
+Exactness contract: every corner row runs the same arithmetic as a
+one-corner engine, so corner ``i`` of a multi-corner run is **bitwise
+identical** to ``MultiCornerSTA(design, corners[i])`` in both full and
+incremental mode, and the single identity corner is bitwise the plain
 ``STAEngine``, which keeps every existing single-corner flow unchanged.
 """
 
@@ -36,19 +31,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.netlist.design import Design
-from repro.timing.constraints import Corner, TimingConstraints
-from repro.timing.delay_model import CellDelayModel, WireRCModel
-from repro.timing.graph import ArcKind, TimingGraph, csr_gather as _csr_gather
-from repro.timing.sta import (
-    _LevelWorklist,
-    _NEG_INF,
-    _POS_INF,
-    STAResult,
-    TimingUpdateStats,
-    boundary_conditions,
-    level_buckets,
-)
+from repro.timing.constraints import Corner
+from repro.timing.sta import MultiCornerSTA, STAResult
+
+__all__ = [
+    "CORNER_PRESETS",
+    "CornersSpec",
+    "MultiCornerResult",
+    "MultiCornerSTA",
+    "corner_preset",
+    "resolve_corners",
+]
 
 # ----------------------------------------------------------------------
 # Named corner presets (CLI ``--corners fast,typ,slow``)
@@ -242,470 +235,3 @@ class _CornerEngineView:
     def update_timing(self, *args, **kwargs) -> STAResult:
         """Run a full multi-corner update and return this corner's slice."""
         return self._parent.update_timing(*args, **kwargs).corner_result(self.index)
-
-
-# ----------------------------------------------------------------------
-# Engine
-# ----------------------------------------------------------------------
-class MultiCornerSTA:
-    """Corner-stacked arrival/required/slack propagation on a shared graph.
-
-    Mirrors the :class:`STAEngine` interface (``update_timing``, ``wns``,
-    ``tns``, ``summary``, incremental mode with ``move_tolerance``) but every
-    annotation carries a leading corner axis.  See the module docstring for
-    the exactness contract.
-    """
-
-    def __init__(
-        self,
-        design: Design,
-        corners: CornersSpec = None,
-        *,
-        default_constraints: Optional[TimingConstraints] = None,
-        graph: Optional[TimingGraph] = None,
-        wire_model: Optional[WireRCModel] = None,
-        incremental: bool = False,
-        move_tolerance: float = 0.0,
-        incremental_rebuild_fraction: float = 0.5,
-    ) -> None:
-        self.design = design
-        self.graph = graph if graph is not None else TimingGraph(design)
-        self.wire_model = wire_model if wire_model is not None else WireRCModel(design)
-        self.cell_model = CellDelayModel(self.graph)
-        self.incremental = incremental
-        self.move_tolerance = float(move_tolerance)
-        self.incremental_rebuild_fraction = float(incremental_rebuild_fraction)
-        self._forward_buckets, self._backward_buckets = level_buckets(self.graph)
-        self.set_corners(corners, default_constraints=default_constraints)
-
-    def set_corners(
-        self,
-        corners: CornersSpec,
-        *,
-        default_constraints: Optional[TimingConstraints] = None,
-    ) -> None:
-        """Swap the analysis corners/modes and invalidate everything they touch.
-
-        The corner-swap analogue of :meth:`STAEngine.set_constraints`:
-        boundary conditions and propagation bases are rebuilt for the new
-        corner set, and every cached annotation is dropped so the next
-        ``update_timing`` runs a full pass.  ``corners`` and ``constraints``
-        are read-only properties for the same reason — rebinding them
-        directly would leave the stacked caches silently stale.
-        """
-        self._corners = resolve_corners(corners)
-        # Mode resolution per corner: its own pinned constraints, then the
-        # engine-level default (e.g. the flow's constraints), then the
-        # design's SDC-derived fields.
-        self._constraints: Tuple[TimingConstraints, ...] = tuple(
-            corner.constraints_for(self.design, default_constraints)
-            for corner in self._corners
-        )
-        for constraints in self._constraints:
-            constraints.validate()
-        self._rc_scales = tuple(corner.wire_rc_scale for corner in self._corners)
-        self._derates = tuple(corner.cell_derate for corner in self._corners)
-
-        self._prepare_boundary_conditions()
-        self._prepare_propagation_bases()
-        self._corner_rows = np.arange(len(self._corners), dtype=np.int64)[:, None]
-
-        self.last_result: Optional[MultiCornerResult] = None
-        self.last_update_stats: Optional[TimingUpdateStats] = None
-        # Incremental caches (populated by the first full update).
-        self._ref_x: Optional[np.ndarray] = None
-        self._ref_y: Optional[np.ndarray] = None
-        self._arc_delay: Optional[np.ndarray] = None
-        self._net_load: Optional[np.ndarray] = None
-        self._sink_delay: Optional[np.ndarray] = None
-        self._arrival: Optional[np.ndarray] = None
-        self._required: Optional[np.ndarray] = None
-        self._views: Dict[int, _CornerEngineView] = {}
-
-    # ------------------------------------------------------------------
-    # Precomputation
-    # ------------------------------------------------------------------
-    @property
-    def corners(self) -> Tuple[Corner, ...]:
-        """The analysis corners (swap via :meth:`set_corners`)."""
-        return self._corners
-
-    @property
-    def constraints(self) -> Tuple[TimingConstraints, ...]:
-        """Per-corner mode constraints (swap via :meth:`set_corners`)."""
-        return self._constraints
-
-    @property
-    def num_corners(self) -> int:
-        return len(self._corners)
-
-    def corner_view(self, index: int) -> _CornerEngineView:
-        """A single-corner engine adapter for reporting/path extraction."""
-        view = self._views.get(index)
-        if view is None:
-            view = _CornerEngineView(self, index)
-            self._views[index] = view
-        return view
-
-    def _prepare_boundary_conditions(self) -> None:
-        """Per-corner boundary values over the (shared) graph pin sets."""
-        source_arrivals: List[np.ndarray] = []
-        endpoint_requireds: List[np.ndarray] = []
-        source_pins = endpoint_pins = None
-        for constraints in self.constraints:
-            pins, arrival, ep_pins, ep_required = boundary_conditions(
-                self.design, self.graph, constraints
-            )
-            source_pins, endpoint_pins = pins, ep_pins
-            source_arrivals.append(arrival)
-            endpoint_requireds.append(ep_required)
-        self.source_pins = source_pins
-        self.endpoint_pins = endpoint_pins
-        self.source_arrival = np.stack(source_arrivals)        # [C, S]
-        self.endpoint_required = np.stack(endpoint_requireds)  # [C, E]
-
-    def _prepare_propagation_bases(self) -> None:
-        graph = self.graph
-        num_corners = len(self.corners)
-        base_arrival = np.full((num_corners, graph.num_pins), _NEG_INF, dtype=np.float64)
-        no_fanin = np.diff(graph.fanin_offsets) == 0
-        base_arrival[:, no_fanin] = 0.0
-        if self.source_pins.size:
-            base_arrival[:, self.source_pins] = self.source_arrival
-        self._base_arrival = base_arrival
-
-        base_required = np.full((num_corners, graph.num_pins), _POS_INF, dtype=np.float64)
-        if self.endpoint_pins.size:
-            base_required[:, self.endpoint_pins] = self.endpoint_required
-        self._base_required = base_required
-
-    # ------------------------------------------------------------------
-    # Timing update
-    # ------------------------------------------------------------------
-    def update_timing(
-        self,
-        x: Optional[np.ndarray] = None,
-        y: Optional[np.ndarray] = None,
-        *,
-        incremental: Optional[bool] = None,
-    ) -> MultiCornerResult:
-        """Run one stacked STA pass over every corner at positions ``(x, y)``."""
-        design = self.design
-        if x is None or y is None:
-            x, y = design.positions()
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-
-        use_incremental = self.incremental if incremental is None else incremental
-        if use_incremental and self._can_update_incrementally():
-            result = self._update_incremental(x, y)
-            if result is not None:
-                self.last_result = result
-                return result
-        return self._update_full(x, y)
-
-    def _can_update_incrementally(self) -> bool:
-        return (
-            self._arc_delay is not None
-            and self._ref_x is not None
-            and self._arrival is not None
-            and self.graph.num_arcs > 0
-        )
-
-    def _stacked_arc_delays(self, net_load: np.ndarray, sink_delay: np.ndarray) -> np.ndarray:
-        """Cell-arc + net-arc delays for every corner, ``[C, num_arcs]``."""
-        graph = self.graph
-        arc_delay = np.stack(
-            [
-                self.cell_model.evaluate(net_load[index], derate=self._derates[index])
-                for index in range(self.num_corners)
-            ]
-        )
-        net_arc_mask = graph.arc_kind == int(ArcKind.NET)
-        arc_delay[:, net_arc_mask] = sink_delay[:, graph.arc_to[net_arc_mask]]
-        return arc_delay
-
-    def _update_full(self, x: np.ndarray, y: np.ndarray) -> MultiCornerResult:
-        graph = self.graph
-        pin_x, pin_y = self.design.pin_positions(x, y)
-
-        wire = self.wire_model.evaluate_stacked(pin_x, pin_y, self._rc_scales)
-        arc_delay = self._stacked_arc_delays(wire.net_load, wire.sink_delay)
-
-        arrival = self._propagate_arrival(arc_delay)
-        required = self._propagate_required(arc_delay)
-
-        # Seed the incremental caches.
-        self._ref_x = x.copy()
-        self._ref_y = y.copy()
-        self._arc_delay = arc_delay
-        self._net_load = wire.net_load
-        self._sink_delay = wire.sink_delay
-        self._arrival = arrival
-        self._required = required
-
-        self.last_update_stats = TimingUpdateStats(
-            mode="full",
-            num_dirty_nets=int(self.wire_model.num_nets),
-            num_dirty_arcs=int(graph.num_arcs),
-            num_forward_pins=int(graph.num_pins),
-            num_backward_pins=int(graph.num_pins),
-        )
-        result = self._assemble_result()
-        self.last_result = result
-        return result
-
-    def _update_incremental(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> Optional[MultiCornerResult]:
-        """Shared dirty-net detection, corner-batched re-propagation.
-
-        Movement detection and the dirty-net frontier are computed **once**
-        (they depend only on positions); the wire geometry pass runs once on
-        the masked nets; only the RC combine and the frontier re-propagation
-        are per-corner — and the latter is batched over the corner axis.
-        Returns ``None`` to request a full rebuild.
-        """
-        design = self.design
-        graph = self.graph
-        arrays = design.arrays
-        tol = self.move_tolerance
-
-        moved = (np.abs(x - self._ref_x) > tol) | (np.abs(y - self._ref_y) > tol)
-        num_moved = int(moved.sum())
-        if num_moved == 0:
-            self.last_update_stats = TimingUpdateStats(
-                mode="incremental", num_moved_instances=0
-            )
-            return self._assemble_result()
-
-        moved_pin_mask = moved[arrays.pin_instance]
-        dirty_net_ids = arrays.pin_net[moved_pin_mask]
-        dirty_net_ids = dirty_net_ids[dirty_net_ids >= 0]
-        net_mask = np.zeros(self.wire_model.num_nets, dtype=bool)
-        net_mask[dirty_net_ids] = True
-        num_dirty_nets = int(net_mask.sum())
-        if num_dirty_nets > self.incremental_rebuild_fraction * max(net_mask.size, 1):
-            return None  # most of the design moved; a full pass is cheaper
-
-        # Copy-on-write, as in the single-corner engine: results handed out
-        # by previous updates must never change after the fact.
-        self._arrival = self._arrival.copy()
-        self._required = self._required.copy()
-        self._arc_delay = self._arc_delay.copy()
-        self._net_load = self._net_load.copy()
-        self._sink_delay = self._sink_delay.copy()
-
-        pin_x, pin_y = design.pin_positions(x, y)
-        wire = self.wire_model.evaluate_stacked(
-            pin_x, pin_y, self._rc_scales, net_mask=net_mask
-        )
-        dirty_pins = self.wire_model.pins_of_nets(net_mask)
-        self._net_load[:, net_mask] = wire.net_load[:, net_mask]
-        self._sink_delay[:, dirty_pins] = wire.sink_delay[:, dirty_pins]
-
-        # Refresh delays of every arc tied to a dirty net, for all corners.
-        net_arc_dirty = (graph.arc_kind == int(ArcKind.NET)) & net_mask[
-            np.maximum(graph.arc_net, 0)
-        ] & (graph.arc_net >= 0)
-        self._arc_delay[:, net_arc_dirty] = self._sink_delay[
-            :, graph.arc_to[net_arc_dirty]
-        ]
-        cell_arc_dirty = np.zeros(0, dtype=np.int64)
-        for index in range(self.num_corners):
-            # The dirty cell-arc set depends only on the net mask, so every
-            # corner returns the same indices; values differ per corner.
-            cell_arc_dirty = self.cell_model.update_subset(
-                self._arc_delay[index],
-                self._net_load[index],
-                net_mask,
-                derate=self._derates[index],
-            )
-        dirty_arcs = np.concatenate([np.nonzero(net_arc_dirty)[0], cell_arc_dirty])
-
-        forward_pins = self._incremental_forward(dirty_arcs)
-        backward_pins = self._incremental_backward(dirty_arcs)
-
-        self._ref_x[moved] = x[moved]
-        self._ref_y[moved] = y[moved]
-
-        self.last_update_stats = TimingUpdateStats(
-            mode="incremental",
-            num_moved_instances=num_moved,
-            num_dirty_nets=num_dirty_nets,
-            num_dirty_arcs=int(dirty_arcs.size),
-            num_forward_pins=forward_pins,
-            num_backward_pins=backward_pins,
-        )
-        return self._assemble_result()
-
-    def _incremental_forward(self, dirty_arcs: np.ndarray) -> int:
-        """Recompute arrivals downstream of dirty arcs, all corners batched.
-
-        The frontier is the union over corners: a pin whose arrival changed
-        in *any* corner re-enters the worklist for all of them.  Recomputing
-        a corner whose value did not change replays the full-fanin formula
-        and reproduces the same bits, so the union costs nothing in
-        exactness (and keeps the worklist bookkeeping single-track).
-        """
-        graph = self.graph
-        arrival = self._arrival
-        arc_delay = self._arc_delay
-        worklist = _LevelWorklist(graph.level, graph.num_pins)
-        if dirty_arcs.size:
-            worklist.mark(graph.arc_to[dirty_arcs])
-        recomputed = 0
-        for lvl in range(1, graph.max_level + 1):
-            idx = worklist.pop(lvl)
-            if idx is None:
-                continue
-            recomputed += int(idx.size)
-            new = self._base_arrival[:, idx].copy()
-            flat, lengths = _csr_gather(graph.fanin_offsets, graph.fanin_arcs, idx)
-            if flat.size:
-                nonzero = lengths > 0
-                candidates = arrival[:, graph.arc_from[flat]] + arc_delay[:, flat]
-                reduced = np.maximum.reduceat(
-                    candidates, np.cumsum(lengths[nonzero]) - lengths[nonzero], axis=1
-                )
-                new[:, nonzero] = np.maximum(new[:, nonzero], reduced)
-            changed = idx[np.any(new != arrival[:, idx], axis=0)]
-            arrival[:, idx] = new
-            if changed.size:
-                out, _ = _csr_gather(graph.fanout_offsets, graph.fanout_arcs, changed)
-                if out.size:
-                    worklist.mark(graph.arc_to[out])
-        return recomputed
-
-    def _incremental_backward(self, dirty_arcs: np.ndarray) -> int:
-        """Recompute required times upstream of dirty arcs, corners batched."""
-        graph = self.graph
-        required = self._required
-        arc_delay = self._arc_delay
-        worklist = _LevelWorklist(graph.level, graph.num_pins)
-        if dirty_arcs.size:
-            worklist.mark(graph.arc_from[dirty_arcs])
-        recomputed = 0
-        for lvl in range(graph.max_level - 1, -1, -1):
-            idx = worklist.pop(lvl)
-            if idx is None:
-                continue
-            recomputed += int(idx.size)
-            new = self._base_required[:, idx].copy()
-            flat, lengths = _csr_gather(graph.fanout_offsets, graph.fanout_arcs, idx)
-            if flat.size:
-                nonzero = lengths > 0
-                candidates = required[:, graph.arc_to[flat]] - arc_delay[:, flat]
-                reduced = np.minimum.reduceat(
-                    candidates, np.cumsum(lengths[nonzero]) - lengths[nonzero], axis=1
-                )
-                new[:, nonzero] = np.minimum(new[:, nonzero], reduced)
-            changed = idx[np.any(new != required[:, idx], axis=0)]
-            required[:, idx] = new
-            if changed.size:
-                inc, _ = _csr_gather(graph.fanin_offsets, graph.fanin_arcs, changed)
-                if inc.size:
-                    worklist.mark(graph.arc_from[inc])
-        return recomputed
-
-    # ------------------------------------------------------------------
-    # Stacked level-by-level propagation
-    # ------------------------------------------------------------------
-    def _propagate_arrival(self, arc_delay: np.ndarray) -> np.ndarray:
-        graph = self.graph
-        arrival = self._base_arrival.copy()
-        rows = self._corner_rows
-        for bucket in self._forward_buckets:
-            if bucket.size == 0:
-                continue
-            candidate = arrival[:, graph.arc_from[bucket]] + arc_delay[:, bucket]
-            np.maximum.at(arrival, (rows, graph.arc_to[bucket][None, :]), candidate)
-        return arrival
-
-    def _propagate_required(self, arc_delay: np.ndarray) -> np.ndarray:
-        graph = self.graph
-        required = self._base_required.copy()
-        rows = self._corner_rows
-        for bucket in self._backward_buckets:
-            if bucket.size == 0:
-                continue
-            candidate = required[:, graph.arc_to[bucket]] - arc_delay[:, bucket]
-            np.minimum.at(required, (rows, graph.arc_from[bucket][None, :]), candidate)
-        return required
-
-    # ------------------------------------------------------------------
-    # Assembly and metrics
-    # ------------------------------------------------------------------
-    def _assemble_result(self) -> MultiCornerResult:
-        arrival = self._arrival
-        required = self._required
-        slack = required - arrival
-        num_corners = self.num_corners
-
-        if self.endpoint_pins.size:
-            endpoint_arrival = arrival[:, self.endpoint_pins]
-            endpoint_slack = self.endpoint_required - endpoint_arrival
-            # Endpoints never reached by any path are ignored (no constraint).
-            reachable = endpoint_arrival > _NEG_INF / 2
-            endpoint_slack = np.where(reachable, endpoint_slack, np.inf)
-        else:
-            endpoint_slack = np.zeros((num_corners, 0))
-
-        corner_wns = np.zeros(num_corners, dtype=np.float64)
-        corner_tns = np.zeros(num_corners, dtype=np.float64)
-        for index in range(num_corners):
-            negative = endpoint_slack[index][endpoint_slack[index] < 0]
-            corner_wns[index] = float(negative.min()) if negative.size else 0.0
-            corner_tns[index] = float(negative.sum()) if negative.size else 0.0
-
-        if endpoint_slack.shape[1]:
-            merged = endpoint_slack.min(axis=0)
-            merged_negative = merged[merged < 0]
-        else:
-            merged_negative = np.zeros(0)
-        wns = float(merged_negative.min()) if merged_negative.size else 0.0
-        tns = float(merged_negative.sum()) if merged_negative.size else 0.0
-
-        return MultiCornerResult(
-            corners=self.corners,
-            arrival=arrival,
-            required=required,
-            slack=slack,
-            arc_delay=self._arc_delay,
-            net_load=self._net_load,
-            endpoint_pins=self.endpoint_pins,
-            endpoint_slack=endpoint_slack,
-            corner_wns=corner_wns,
-            corner_tns=corner_tns,
-            wns=wns,
-            tns=tns,
-        )
-
-    # ------------------------------------------------------------------
-    # Convenience metrics
-    # ------------------------------------------------------------------
-    def wns(self) -> float:
-        self._require_result()
-        return self.last_result.wns  # type: ignore[union-attr]
-
-    def tns(self) -> float:
-        self._require_result()
-        return self.last_result.tns  # type: ignore[union-attr]
-
-    def _require_result(self) -> None:
-        if self.last_result is None:
-            raise RuntimeError("Call update_timing() before querying results")
-
-    def summary(self) -> Dict[str, object]:
-        """Merged headline metrics plus the per-corner breakdown."""
-        self._require_result()
-        result = self.last_result
-        assert result is not None
-        return {
-            "wns": result.wns,
-            "tns": result.tns,
-            "failing_endpoints": result.num_failing_endpoints,
-            "endpoints": int(self.endpoint_pins.size),
-            "corners": [corner.name for corner in self.corners],
-            "per_corner": result.per_corner_summary(),
-        }

@@ -12,6 +12,24 @@ DREAMPlace 4.0: ``update_timing()`` refreshes arrival/required/slack, and the
 report functions in :mod:`repro.timing.report` extract critical paths from the
 annotated graph.
 
+One propagation, two front ends
+-------------------------------
+
+All state carries a leading corner axis: boundary conditions, propagation
+bases, arc delays and the arrival/required annotations are
+``[num_corners, ...]`` arrays over one shared :class:`TimingGraph`.
+:class:`STAEngine` is the single identity corner and hands out plain
+:class:`STAResult` rows; :class:`MultiCornerSTA` (re-exported by
+:mod:`repro.timing.mcmm`, which holds the corner presets and the
+:class:`~repro.timing.mcmm.MultiCornerResult`) runs several PVT corners and
+modes at once.  The corner-independent work (graph build, levelization, the
+wire model's geometry pass, dirty-net detection) is done once per update;
+the full sweep runs the 1-D ``np.maximum.at``/``np.minimum.at`` level sweep
+on each corner row, and the incremental re-propagation batches the rows.
+Every corner row executes the same arithmetic as a one-corner engine, so
+corner ``i`` of a multi-corner run is bitwise identical to
+``MultiCornerSTA(design, corners[i])``.
+
 Incremental mode
 ----------------
 
@@ -37,15 +55,18 @@ move every cell every iteration should keep the default full mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.netlist.design import Design
 from repro.obs import span
 from repro.timing.constraints import Corner, TimingConstraints
-from repro.timing.delay_model import CellDelayModel, WireRCModel
+from repro.timing.delay_model import CellDelayModel, WireRCModel, stack_corner_rows
 from repro.timing.graph import ArcKind, TimingGraph, csr_gather as _csr_gather
+
+if TYPE_CHECKING:
+    from repro.timing.mcmm import CornersSpec, MultiCornerResult, _CornerEngineView
 
 _NEG_INF = -1.0e30
 _POS_INF = 1.0e30
@@ -92,26 +113,23 @@ def boundary_conditions(
     )
 
 
-def level_buckets(graph: TimingGraph) -> tuple:
+def _level_buckets(graph: TimingGraph) -> tuple:
     """Arc indices grouped by sink level (forward) / source level (backward).
 
-    One bucket list per propagation direction; shared by the single-corner
-    and multi-corner engines so the grouping is computed once per graph.
+    Forward buckets run shallowest first, backward buckets deepest first;
+    empty levels are dropped.  Computed once per graph.
     """
     if graph.num_arcs == 0:
         return [], []
     to_level = graph.level[graph.arc_to]
     from_level = graph.level[graph.arc_from]
     max_level = graph.max_level
-    forward = [
-        np.ascontiguousarray(np.nonzero(to_level == lvl)[0], dtype=np.int64)
-        for lvl in range(1, max_level + 1)
-    ]
-    backward = [
-        np.ascontiguousarray(np.nonzero(from_level == lvl)[0], dtype=np.int64)
-        for lvl in range(max_level - 1, -1, -1)
-    ]
-    return forward, backward
+    forward = [np.flatnonzero(to_level == lvl) for lvl in range(1, max_level + 1)]
+    backward = [np.flatnonzero(from_level == lvl) for lvl in range(max_level - 1, -1, -1)]
+    return (
+        [bucket for bucket in forward if bucket.size],
+        [bucket for bucket in backward if bucket.size],
+    )
 
 
 class _LevelWorklist:
@@ -234,58 +252,55 @@ class TimingUpdateStats:
         }
 
 
-class STAEngine:
-    """Arrival/required/slack propagation over a :class:`TimingGraph`."""
+class _CornerStackedSTA:
+    """Corner-stacked propagation shared by :class:`STAEngine` and
+    :class:`MultiCornerSTA`.
 
-    def __init__(
+    The public classes own construction, the constraint/corner swap and the
+    result type; everything between positions and annotations lives here.
+    """
+
+    def _init_engine(
         self,
         design: Design,
-        constraints: Optional[TimingConstraints] = None,
-        *,
-        corner: Optional[Corner] = None,
-        graph: Optional[TimingGraph] = None,
-        wire_model: Optional[WireRCModel] = None,
-        incremental: bool = False,
-        move_tolerance: float = 0.0,
-        incremental_rebuild_fraction: float = 0.5,
-        workers: int = 0,
-        parallel_min_level_size: int = 2048,
-        runner=None,
+        graph: Optional[TimingGraph],
+        wire_model: Optional[WireRCModel],
+        incremental: bool,
+        move_tolerance: float,
+        incremental_rebuild_fraction: float,
     ) -> None:
         self.design = design
-        self.corner = corner
-        if corner is not None:
-            corner.validate()
-            if constraints is None:
-                constraints = corner.constraints
-        self._rc_scale = 1.0 if corner is None else float(corner.wire_rc_scale)
-        self._cell_derate = 1.0 if corner is None else float(corner.cell_derate)
-        self._constraints = (
-            constraints if constraints is not None else TimingConstraints.from_design(design)
-        )
-        self._constraints.validate()
         self.graph = graph if graph is not None else TimingGraph(design)
         self.wire_model = wire_model if wire_model is not None else WireRCModel(design)
         self.cell_model = CellDelayModel(self.graph)
         self.incremental = incremental
         self.move_tolerance = float(move_tolerance)
         self.incremental_rebuild_fraction = float(incremental_rebuild_fraction)
-        # Parallel full-sweep sharding (see repro.parallel): with workers=0
-        # and no injected runner the historical serial propagation runs
-        # untouched.  Levels narrower than ``parallel_min_level_size`` are
-        # swept inline — the per-level dispatch round trip only pays for
-        # itself on wide levels.
-        self.workers = int(workers)
-        self.parallel_min_level_size = max(1, int(parallel_min_level_size))
-        self._runner = runner
-        self._runner_resolved = runner is not None
-        self._pool_block = None
-        self._level_pins: Optional[np.ndarray] = None
-        self._level_pin_offsets: Optional[np.ndarray] = None
+        self._forward_buckets, self._backward_buckets = _level_buckets(self.graph)
+
+    def _configure(
+        self,
+        constraints: Sequence[TimingConstraints],
+        rc_scales: Sequence[float],
+        derates: Sequence[float],
+    ) -> None:
+        """Install one mode and physical derate per corner row.
+
+        Boundary conditions and propagation bases are rebuilt immediately;
+        every cached annotation was computed under the old analysis setup
+        and is dropped, which forces the next ``update_timing`` into a full
+        pass.  Without this, an incremental update after a swap would
+        re-propagate only from moved cells and silently keep stale
+        arrival/required times everywhere else.
+        """
+        for mode in constraints:
+            mode.validate()
+        self._modes: Tuple[TimingConstraints, ...] = tuple(constraints)
+        self._rc_scales = tuple(float(scale) for scale in rc_scales)
+        self._derates = tuple(float(derate) for derate in derates)
         self._prepare_boundary_conditions()
-        self._prepare_level_buckets()
         self._prepare_propagation_bases()
-        self.last_result: Optional[STAResult] = None
+        self.last_result = None
         self.last_update_stats: Optional[TimingUpdateStats] = None
         # Incremental caches (populated by the first full update).
         self._ref_x: Optional[np.ndarray] = None
@@ -297,55 +312,25 @@ class STAEngine:
         self._required: Optional[np.ndarray] = None
 
     @property
-    def constraints(self) -> TimingConstraints:
-        return self._constraints
-
-    @constraints.setter
-    def constraints(self, value: TimingConstraints) -> None:
-        self.set_constraints(value)
-
-    def set_constraints(self, constraints: TimingConstraints) -> None:
-        """Swap the analysis constraints and invalidate everything they touch.
-
-        Boundary conditions (source arrivals, endpoint required times, the
-        propagation bases) are rebuilt immediately; the cached
-        arrival/required annotations were computed under the old constraints
-        and are dropped, which forces the next ``update_timing`` into a full
-        pass.  Without this, an incremental update after a constraints swap
-        would re-propagate only from moved cells and silently keep stale
-        arrival/required times everywhere else.
-        """
-        constraints.validate()
-        self._constraints = constraints
-        self._prepare_boundary_conditions()
-        self._prepare_propagation_bases()
-        # Arc delays and net loads depend only on positions, but the
-        # arrival/required annotations (and anything derived from them) are
-        # stale under the new constraints.
-        self._arrival = None
-        self._required = None
-        self._ref_x = None
-        self._ref_y = None
-        self._arc_delay = None
-        self._net_load = None
-        self._sink_delay = None
-        self.last_result = None
-        self.last_update_stats = None
+    def num_corners(self) -> int:
+        return len(self._modes)
 
     # ------------------------------------------------------------------
     # Precomputation
     # ------------------------------------------------------------------
     def _prepare_boundary_conditions(self) -> None:
-        (
-            self.source_pins,
-            self.source_arrival,
-            self.endpoint_pins,
-            self.endpoint_required,
-        ) = boundary_conditions(self.design, self.graph, self.constraints)
-
-    def _prepare_level_buckets(self) -> None:
-        """Group arcs by the level of their sink (forward) / source (backward)."""
-        self._forward_buckets, self._backward_buckets = level_buckets(self.graph)
+        """Per-corner boundary values over the (shared) graph pin sets."""
+        source_arrivals: List[np.ndarray] = []
+        endpoint_requireds: List[np.ndarray] = []
+        for mode in self._modes:
+            pins, arrival, ep_pins, ep_required = boundary_conditions(
+                self.design, self.graph, mode
+            )
+            self.source_pins, self.endpoint_pins = pins, ep_pins
+            source_arrivals.append(arrival)
+            endpoint_requireds.append(ep_required)
+        self.source_arrival = np.stack(source_arrivals)        # [C, S]
+        self.endpoint_required = np.stack(endpoint_requireds)  # [C, E]
 
     def _prepare_propagation_bases(self) -> None:
         """Initial arrival/required values before any arc is applied.
@@ -356,49 +341,41 @@ class STAEngine:
         the same formula, so both modes agree bit for bit.
         """
         graph = self.graph
-        base_arrival = np.full(graph.num_pins, _NEG_INF, dtype=np.float64)
+        shape = (self.num_corners, graph.num_pins)
+        base_arrival = np.full(shape, _NEG_INF, dtype=np.float64)
         no_fanin = np.diff(graph.fanin_offsets) == 0
-        base_arrival[no_fanin] = 0.0
+        base_arrival[:, no_fanin] = 0.0
         if self.source_pins.size:
-            base_arrival[self.source_pins] = self.source_arrival
+            base_arrival[:, self.source_pins] = self.source_arrival
         self._base_arrival = base_arrival
 
-        base_required = np.full(graph.num_pins, _POS_INF, dtype=np.float64)
+        base_required = np.full(shape, _POS_INF, dtype=np.float64)
         if self.endpoint_pins.size:
-            base_required[self.endpoint_pins] = self.endpoint_required
+            base_required[:, self.endpoint_pins] = self.endpoint_required
         self._base_required = base_required
 
     # ------------------------------------------------------------------
     # Timing update
     # ------------------------------------------------------------------
-    def update_timing(
-        self,
-        x: Optional[np.ndarray] = None,
-        y: Optional[np.ndarray] = None,
-        *,
-        incremental: Optional[bool] = None,
-    ) -> STAResult:
-        """Run an STA pass for instance positions ``(x, y)``.
-
-        When positions are omitted the design's stored positions are used.
-        ``incremental`` overrides the engine-level setting for this call;
-        ``incremental=False`` is the exact fallback that forces a full
-        recompute and refreshes every incremental cache.
-        """
-        design = self.design
+    def _update(
+        self, x: Optional[np.ndarray], y: Optional[np.ndarray], incremental: Optional[bool]
+    ):
+        """One traced STA pass at ``(x, y)``; returns the front end's result."""
         if x is None or y is None:
-            x, y = design.positions()
+            x, y = self.design.positions()
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
 
         use_incremental = self.incremental if incremental is None else incremental
         with span("sta.update_timing", incremental=bool(use_incremental)):
-            if use_incremental and self._can_update_incrementally():
-                result = self._update_incremental(x, y)
-                if result is not None:
-                    self.last_result = result
-                    return result
-            return self._update_full(x, y)
+            if not (
+                use_incremental
+                and self._can_update_incrementally()
+                and self._update_incremental(x, y)
+            ):
+                self._update_full(x, y)
+            self.last_result = self._result()
+        return self.last_result
 
     def _can_update_incrementally(self) -> bool:
         return (
@@ -408,19 +385,25 @@ class STAEngine:
             and self.graph.num_arcs > 0
         )
 
-    def _update_full(self, x: np.ndarray, y: np.ndarray) -> STAResult:
-        design = self.design
+    def _stacked_arc_delays(self, net_load: np.ndarray, sink_delay: np.ndarray) -> np.ndarray:
+        """Cell-arc + net-arc delays for every corner, ``[C, num_arcs]``."""
         graph = self.graph
-        pin_x, pin_y = design.pin_positions(x, y)
-
-        wire = self.wire_model.evaluate(pin_x, pin_y, rc_scale=self._rc_scale)
-        arc_delay = self.cell_model.evaluate(wire.net_load, derate=self._cell_derate)
-        # Net arcs: Elmore delay from driver to this arc's sink pin.
         net_arc_mask = graph.arc_kind == int(ArcKind.NET)
-        arc_delay[net_arc_mask] = wire.sink_delay[graph.arc_to[net_arc_mask]]
+        net_arc_sinks = graph.arc_to[net_arc_mask]
+        rows = []
+        for index in range(self.num_corners):
+            row = self.cell_model.evaluate(net_load[index], derate=self._derates[index])
+            # Net arcs: Elmore delay from driver to this arc's sink pin.
+            row[net_arc_mask] = sink_delay[index][net_arc_sinks]
+            rows.append(row)
+        return stack_corner_rows(rows)
 
-        arrival = self._propagate_arrival(arc_delay)
-        required = self._propagate_required(arc_delay, arrival)
+    def _update_full(self, x: np.ndarray, y: np.ndarray) -> None:
+        graph = self.graph
+        pin_x, pin_y = self.design.pin_positions(x, y)
+
+        wire = self.wire_model.evaluate_stacked(pin_x, pin_y, self._rc_scales)
+        arc_delay = self._stacked_arc_delays(wire.net_load, wire.sink_delay)
 
         # Seed the incremental caches.
         self._ref_x = x.copy()
@@ -428,8 +411,8 @@ class STAEngine:
         self._arc_delay = arc_delay
         self._net_load = wire.net_load
         self._sink_delay = wire.sink_delay
-        self._arrival = arrival
-        self._required = required
+        self._arrival = self._propagate_arrival(arc_delay)
+        self._required = self._propagate_required(arc_delay)
 
         self.last_update_stats = TimingUpdateStats(
             mode="full",
@@ -438,12 +421,15 @@ class STAEngine:
             num_forward_pins=int(graph.num_pins),
             num_backward_pins=int(graph.num_pins),
         )
-        result = self._assemble_result()
-        self.last_result = result
-        return result
 
-    def _update_incremental(self, x: np.ndarray, y: np.ndarray) -> Optional[STAResult]:
-        """Dirty-frontier update; returns ``None`` to request a full rebuild."""
+    def _update_incremental(self, x: np.ndarray, y: np.ndarray) -> bool:
+        """Dirty-frontier update; returns ``False`` to request a full rebuild.
+
+        Movement detection, the dirty-net set, the wire geometry pass and
+        the level worklist are shared by all corners (they depend only on
+        positions); only the RC combine, the delay refresh and the
+        re-propagation arithmetic run once per corner row.
+        """
         design = self.design
         graph = self.graph
         arrays = design.arrays
@@ -455,7 +441,7 @@ class STAEngine:
             self.last_update_stats = TimingUpdateStats(
                 mode="incremental", num_moved_instances=0
             )
-            return self._assemble_result()
+            return True
 
         # Nets touching any moved instance must have their RC re-evaluated.
         moved_pin_mask = moved[arrays.pin_instance]
@@ -465,7 +451,7 @@ class STAEngine:
         net_mask[dirty_net_ids] = True
         num_dirty_nets = int(net_mask.sum())
         if num_dirty_nets > self.incremental_rebuild_fraction * max(net_mask.size, 1):
-            return None  # most of the design moved; a full pass is cheaper
+            return False  # most of the design moved; a full pass is cheaper
 
         # Copy-on-write: results handed out by previous updates must never
         # change after the fact, so each mutating update works on fresh
@@ -477,23 +463,29 @@ class STAEngine:
         self._sink_delay = self._sink_delay.copy()
 
         pin_x, pin_y = design.pin_positions(x, y)
-        wire = self.wire_model.evaluate(
-            pin_x, pin_y, net_mask=net_mask, rc_scale=self._rc_scale
+        wire = self.wire_model.evaluate_stacked(
+            pin_x, pin_y, self._rc_scales, net_mask=net_mask
         )
         dirty_pins = self.wire_model.pins_of_nets(net_mask)
-        self._net_load[net_mask] = wire.net_load[net_mask]
-        self._sink_delay[dirty_pins] = wire.sink_delay[dirty_pins]
-
         # Refresh delays of every arc tied to a dirty net: net arcs inside
         # the net, and cell arcs whose output drives the net.
         net_arc_dirty = (graph.arc_kind == int(ArcKind.NET)) & net_mask[
             np.maximum(graph.arc_net, 0)
         ] & (graph.arc_net >= 0)
-        self._arc_delay[net_arc_dirty] = self._sink_delay[graph.arc_to[net_arc_dirty]]
-        cell_arc_dirty = self.cell_model.update_subset(
-            self._arc_delay, self._net_load, net_mask, derate=self._cell_derate
-        )
-        dirty_arcs = np.concatenate([np.nonzero(net_arc_dirty)[0], cell_arc_dirty])
+        net_arc_sinks = graph.arc_to[net_arc_dirty]
+        for index in range(self.num_corners):
+            net_load = self._net_load[index]
+            sink_delay = self._sink_delay[index]
+            arc_delay = self._arc_delay[index]
+            net_load[net_mask] = wire.net_load[index][net_mask]
+            sink_delay[dirty_pins] = wire.sink_delay[index][dirty_pins]
+            arc_delay[net_arc_dirty] = sink_delay[net_arc_sinks]
+            # The dirty cell-arc set depends only on the net mask, so every
+            # corner returns the same indices; values differ per corner.
+            cell_arcs = self.cell_model.update_subset(
+                arc_delay, net_load, net_mask, derate=self._derates[index]
+            )
+        dirty_arcs = np.concatenate([np.nonzero(net_arc_dirty)[0], cell_arcs])
 
         forward_pins = self._incremental_forward(dirty_arcs)
         backward_pins = self._incremental_backward(dirty_arcs)
@@ -512,18 +504,19 @@ class STAEngine:
             num_forward_pins=forward_pins,
             num_backward_pins=backward_pins,
         )
-        return self._assemble_result()
-
-    # Backwards-compatible alias: the worklist moved to module level so the
-    # multi-corner engine can share it.
-    _LevelWorklist = _LevelWorklist
+        return True
 
     def _incremental_forward(self, dirty_arcs: np.ndarray) -> int:
-        """Recompute arrival times downstream of the dirty arcs."""
+        """Recompute arrivals downstream of dirty arcs, for every corner row.
+
+        The frontier is the union over corners: a pin whose arrival changed
+        in *any* corner re-enters the worklist for all of them.  Recomputing
+        a corner whose value did not change replays the full-fanin formula
+        and reproduces the same bits, so the union costs nothing in
+        exactness (and keeps the worklist bookkeeping single-track).
+        """
         graph = self.graph
-        arrival = self._arrival
-        arc_delay = self._arc_delay
-        worklist = self._LevelWorklist(graph.level, graph.num_pins)
+        worklist = _LevelWorklist(graph.level, graph.num_pins)
         if dirty_arcs.size:
             worklist.mark(graph.arc_to[dirty_arcs])
         recomputed = 0
@@ -532,29 +525,28 @@ class STAEngine:
             if idx is None:
                 continue
             recomputed += int(idx.size)
-            new = self._base_arrival[idx].copy()
             flat, lengths = _csr_gather(graph.fanin_offsets, graph.fanin_arcs, idx)
-            if flat.size:
-                nonzero = lengths > 0
-                candidates = arrival[graph.arc_from[flat]] + arc_delay[flat]
-                reduced = np.maximum.reduceat(
-                    candidates, np.cumsum(lengths[nonzero]) - lengths[nonzero]
-                )
-                new[nonzero] = np.maximum(new[nonzero], reduced)
-            changed = idx[new != arrival[idx]]
-            arrival[idx] = new
-            if changed.size:
-                out, _ = _csr_gather(graph.fanout_offsets, graph.fanout_arcs, changed)
+            nonzero = lengths > 0
+            starts = np.cumsum(lengths[nonzero]) - lengths[nonzero]
+            sources = graph.arc_from[flat]
+            changed = np.zeros(idx.size, dtype=bool)
+            for row, base, delay in zip(self._arrival, self._base_arrival, self._arc_delay):
+                new = base[idx]
+                if flat.size:
+                    reduced = np.maximum.reduceat(row[sources] + delay[flat], starts)
+                    new[nonzero] = np.maximum(new[nonzero], reduced)
+                changed |= new != row[idx]
+                row[idx] = new
+            if changed.any():
+                out, _ = _csr_gather(graph.fanout_offsets, graph.fanout_arcs, idx[changed])
                 if out.size:
                     worklist.mark(graph.arc_to[out])
         return recomputed
 
     def _incremental_backward(self, dirty_arcs: np.ndarray) -> int:
-        """Recompute required times upstream of the dirty arcs."""
+        """Recompute required times upstream of dirty arcs, for every corner row."""
         graph = self.graph
-        required = self._required
-        arc_delay = self._arc_delay
-        worklist = self._LevelWorklist(graph.level, graph.num_pins)
+        worklist = _LevelWorklist(graph.level, graph.num_pins)
         if dirty_arcs.size:
             worklist.mark(graph.arc_from[dirty_arcs])
         recomputed = 0
@@ -563,188 +555,75 @@ class STAEngine:
             if idx is None:
                 continue
             recomputed += int(idx.size)
-            new = self._base_required[idx].copy()
             flat, lengths = _csr_gather(graph.fanout_offsets, graph.fanout_arcs, idx)
-            if flat.size:
-                nonzero = lengths > 0
-                candidates = required[graph.arc_to[flat]] - arc_delay[flat]
-                reduced = np.minimum.reduceat(
-                    candidates, np.cumsum(lengths[nonzero]) - lengths[nonzero]
-                )
-                new[nonzero] = np.minimum(new[nonzero], reduced)
-            changed = idx[new != required[idx]]
-            required[idx] = new
-            if changed.size:
-                inc, _ = _csr_gather(graph.fanin_offsets, graph.fanin_arcs, changed)
+            nonzero = lengths > 0
+            starts = np.cumsum(lengths[nonzero]) - lengths[nonzero]
+            sinks = graph.arc_to[flat]
+            changed = np.zeros(idx.size, dtype=bool)
+            for row, base, delay in zip(self._required, self._base_required, self._arc_delay):
+                new = base[idx]
+                if flat.size:
+                    reduced = np.minimum.reduceat(row[sinks] - delay[flat], starts)
+                    new[nonzero] = np.minimum(new[nonzero], reduced)
+                changed |= new != row[idx]
+                row[idx] = new
+            if changed.any():
+                inc, _ = _csr_gather(graph.fanin_offsets, graph.fanin_arcs, idx[changed])
                 if inc.size:
                     worklist.mark(graph.arc_from[inc])
         return recomputed
 
-    def _assemble_result(self) -> STAResult:
-        arrival = self._arrival
-        required = self._required
-        slack = required - arrival
+    # ------------------------------------------------------------------
+    # Full level-by-level sweeps, one contiguous corner row at a time
+    # ------------------------------------------------------------------
+    def _propagate_arrival(self, arc_delay: np.ndarray) -> np.ndarray:
+        graph = self.graph
+        arrival = self._base_arrival.copy()
+        for row, delay in zip(arrival, arc_delay):
+            for bucket in self._forward_buckets:
+                candidate = row[graph.arc_from[bucket]] + delay[bucket]
+                np.maximum.at(row, graph.arc_to[bucket], candidate)
+        return arrival
 
+    def _propagate_required(self, arc_delay: np.ndarray) -> np.ndarray:
+        graph = self.graph
+        required = self._base_required.copy()
+        for row, delay in zip(required, arc_delay):
+            for bucket in self._backward_buckets:
+                candidate = row[graph.arc_to[bucket]] - delay[bucket]
+                np.minimum.at(row, graph.arc_from[bucket], candidate)
+        return required
+
+    # ------------------------------------------------------------------
+    # Assembly and metrics
+    # ------------------------------------------------------------------
+    def _assemble(self) -> tuple:
+        """``(slack, endpoint_slack, corner_wns, corner_tns)``, corner axis first.
+
+        Mutating updates always start from fresh cache copies (full updates
+        allocate, incremental ones copy-on-write), so results may hand the
+        cached arrays over directly: no later update rewrites them.
+        """
+        arrival = self._arrival
+        slack = self._required - arrival
+        num_corners = self.num_corners
         if self.endpoint_pins.size:
-            endpoint_arrival = arrival[self.endpoint_pins]
+            endpoint_arrival = arrival[:, self.endpoint_pins]
             endpoint_slack = self.endpoint_required - endpoint_arrival
             # Endpoints never reached by any path are ignored (no constraint).
             reachable = endpoint_arrival > _NEG_INF / 2
             endpoint_slack = np.where(reachable, endpoint_slack, np.inf)
         else:
-            endpoint_slack = np.zeros(0)
+            endpoint_slack = np.zeros((num_corners, 0))
 
-        negative = endpoint_slack[endpoint_slack < 0]
-        wns = float(negative.min()) if negative.size else 0.0
-        tns = float(negative.sum()) if negative.size else 0.0
+        corner_wns = np.zeros(num_corners, dtype=np.float64)
+        corner_tns = np.zeros(num_corners, dtype=np.float64)
+        for index in range(num_corners):
+            negative = endpoint_slack[index][endpoint_slack[index] < 0]
+            corner_wns[index] = float(negative.min()) if negative.size else 0.0
+            corner_tns[index] = float(negative.sum()) if negative.size else 0.0
+        return slack, endpoint_slack, corner_wns, corner_tns
 
-        # Mutating updates always start from fresh cache copies (full
-        # updates allocate, incremental ones copy-on-write), so the arrays
-        # can be handed over directly: no later update rewrites them.
-        return STAResult(
-            arrival=arrival,
-            required=required,
-            slack=slack,
-            arc_delay=self._arc_delay,
-            net_load=self._net_load,
-            endpoint_pins=self.endpoint_pins,
-            endpoint_slack=endpoint_slack,
-            wns=wns,
-            tns=tns,
-        )
-
-    def _propagate_arrival(self, arc_delay: np.ndarray) -> np.ndarray:
-        runner = self._get_runner()
-        if runner is not None and self.graph.num_arcs:
-            return self._propagate_parallel(runner, arc_delay, forward=True)
-        graph = self.graph
-        arrival = self._base_arrival.copy()
-        for bucket in self._forward_buckets:
-            if bucket.size == 0:
-                continue
-            candidate = arrival[graph.arc_from[bucket]] + arc_delay[bucket]
-            np.maximum.at(arrival, graph.arc_to[bucket], candidate)
-        return arrival
-
-    def _propagate_required(self, arc_delay: np.ndarray, arrival: np.ndarray) -> np.ndarray:
-        runner = self._get_runner()
-        if runner is not None and self.graph.num_arcs:
-            return self._propagate_parallel(runner, arc_delay, forward=False)
-        graph = self.graph
-        required = self._base_required.copy()
-        for bucket in self._backward_buckets:
-            if bucket.size == 0:
-                continue
-            candidate = required[graph.arc_to[bucket]] - arc_delay[bucket]
-            np.minimum.at(required, graph.arc_from[bucket], candidate)
-        return required
-
-    # ------------------------------------------------------------------
-    # Parallel full sweeps (repro.parallel)
-    # ------------------------------------------------------------------
-    def _get_runner(self):
-        if not self._runner_resolved:
-            self._runner_resolved = True
-            if self.workers > 0:
-                from repro.parallel import get_runner
-
-                self._runner = get_runner(self.workers)
-        return self._runner
-
-    def _prepare_level_pins(self) -> None:
-        """Pins grouped by logic level: one stable sort, CSR-style offsets."""
-        level = self.graph.level
-        self._level_pins = np.argsort(level, kind="stable").astype(np.int64)
-        counts = np.bincount(level, minlength=self.graph.max_level + 1)
-        self._level_pin_offsets = np.concatenate(([0], np.cumsum(counts))).astype(
-            np.int64
-        )
-
-    def _ensure_pool_block(self, runner):
-        if self._pool_block is not None:
-            return self._pool_block
-        if self._level_pins is None:
-            self._prepare_level_pins()
-        graph = self.graph
-        self._pool_block = runner.register(
-            {
-                # Static graph structure.
-                "level_pins": self._level_pins,
-                "fanin_offsets": graph.fanin_offsets,
-                "fanin_arcs": graph.fanin_arcs,
-                "fanout_offsets": graph.fanout_offsets,
-                "fanout_arcs": graph.fanout_arcs,
-                "arc_from": graph.arc_from,
-                "arc_to": graph.arc_to,
-                # Per-sweep state, rewritten by the parent before dispatch
-                # (bases change with constraints, delays with positions).
-                "base_arrival": np.zeros(graph.num_pins, dtype=np.float64),
-                "base_required": np.zeros(graph.num_pins, dtype=np.float64),
-                "arc_delay": np.zeros(graph.num_arcs, dtype=np.float64),
-                "arrival": np.zeros(graph.num_pins, dtype=np.float64),
-                "required": np.zeros(graph.num_pins, dtype=np.float64),
-            }
-        )
-        import weakref
-
-        from repro.route.rudy import _release_block
-
-        weakref.finalize(self, _release_block, runner, self._pool_block)
-        return self._pool_block
-
-    def _propagate_parallel(
-        self, runner, arc_delay: np.ndarray, *, forward: bool
-    ) -> np.ndarray:
-        """Level-synchronous sharded sweep.
-
-        Pins within a level are independent, so each level's pin bucket is
-        split into contiguous shards whose pin-centric max/min reductions
-        (``sta_forward``/``sta_backward`` kernels) write disjoint slices of
-        the shared state — bitwise identical to the serial arc-centric
-        ``np.maximum.at``/``np.minimum.at`` sweep for any shard count.
-        """
-        from repro.parallel import kernels as _parallel_kernels
-        from repro.parallel.engine import split_ranges
-
-        block = self._ensure_pool_block(runner)
-        views = block.views
-        views["arc_delay"][...] = arc_delay
-        if forward:
-            kernel = "sta_forward"
-            views["base_arrival"][...] = self._base_arrival
-            views["arrival"][...] = self._base_arrival
-            state = views["arrival"]
-            levels = range(1, self.graph.max_level + 1)
-        else:
-            kernel = "sta_backward"
-            views["base_required"][...] = self._base_required
-            views["required"][...] = self._base_required
-            state = views["required"]
-            levels = range(self.graph.max_level - 1, -1, -1)
-
-        offsets = self._level_pin_offsets
-        threshold = self.parallel_min_level_size
-        for lvl in levels:
-            start = int(offsets[lvl])
-            end = int(offsets[lvl + 1])
-            width = end - start
-            if width == 0:
-                continue
-            if width < threshold or runner.workers <= 1:
-                # Narrow level: sweep inline on the shared views (same
-                # kernel, same arithmetic — only the transport differs).
-                _parallel_kernels.run_kernel(kernel, views, (start, end))
-            else:
-                tasks = [
-                    (start + a, start + b) for a, b in split_ranges(width, runner.workers)
-                ]
-                runner.run(kernel, [block], tasks)
-        # Private copy: the shared view is rewritten by the next sweep.
-        return state.copy()
-
-    # ------------------------------------------------------------------
-    # Convenience metrics
-    # ------------------------------------------------------------------
     def wns(self) -> float:
         self._require_result()
         return self.last_result.wns  # type: ignore[union-attr]
@@ -757,6 +636,76 @@ class STAEngine:
         if self.last_result is None:
             raise RuntimeError("Call update_timing() before querying results")
 
+
+class STAEngine(_CornerStackedSTA):
+    """Single-corner arrival/required/slack propagation over a :class:`TimingGraph`."""
+
+    def __init__(
+        self,
+        design: Design,
+        constraints: Optional[TimingConstraints] = None,
+        *,
+        graph: Optional[TimingGraph] = None,
+        wire_model: Optional[WireRCModel] = None,
+        incremental: bool = False,
+        move_tolerance: float = 0.0,
+        incremental_rebuild_fraction: float = 0.5,
+    ) -> None:
+        self._init_engine(
+            design, graph, wire_model, incremental, move_tolerance,
+            incremental_rebuild_fraction,
+        )
+        self.set_constraints(
+            constraints if constraints is not None else TimingConstraints.from_design(design)
+        )
+
+    @property
+    def constraints(self) -> TimingConstraints:
+        return self._modes[0]
+
+    @constraints.setter
+    def constraints(self, value: TimingConstraints) -> None:
+        self.set_constraints(value)
+
+    def set_constraints(self, constraints: TimingConstraints) -> None:
+        """Swap the analysis constraints and invalidate everything they touch.
+
+        Boundary conditions are rebuilt immediately and every cached
+        annotation is dropped, so the next ``update_timing`` runs a full
+        pass under the new constraints.
+        """
+        self._configure((constraints,), (1.0,), (1.0,))
+
+    def update_timing(
+        self,
+        x: Optional[np.ndarray] = None,
+        y: Optional[np.ndarray] = None,
+        *,
+        incremental: Optional[bool] = None,
+    ) -> STAResult:
+        """Run an STA pass for instance positions ``(x, y)``.
+
+        When positions are omitted the design's stored positions are used.
+        ``incremental`` overrides the engine-level setting for this call;
+        ``incremental=False`` is the exact fallback that forces a full
+        recompute and refreshes every incremental cache.
+        """
+        return self._update(x, y, incremental)
+
+    def _result(self) -> STAResult:
+        slack, endpoint_slack, corner_wns, corner_tns = self._assemble()
+        return STAResult(
+            arrival=self._arrival[0],
+            required=self._required[0],
+            slack=slack[0],
+            arc_delay=self._arc_delay[0],
+            net_load=self._net_load[0],
+            endpoint_pins=self.endpoint_pins,
+            endpoint_slack=endpoint_slack[0],
+            wns=float(corner_wns[0]),
+            tns=float(corner_tns[0]),
+        )
+
     def summary(self) -> Dict[str, float]:
         self._require_result()
         result = self.last_result
@@ -767,4 +716,128 @@ class STAEngine:
             "failing_endpoints": result.num_failing_endpoints,
             "endpoints": int(self.endpoint_pins.size),
             "clock_period": self.constraints.clock_period,
+        }
+
+
+class MultiCornerSTA(_CornerStackedSTA):
+    """Corner-stacked arrival/required/slack propagation on a shared graph.
+
+    Mirrors the :class:`STAEngine` interface (``update_timing``, ``wns``,
+    ``tns``, ``summary``, incremental mode with ``move_tolerance``) but every
+    annotation carries a leading corner axis and ``update_timing`` returns a
+    :class:`~repro.timing.mcmm.MultiCornerResult`.
+    """
+
+    def __init__(
+        self,
+        design: Design,
+        corners: "CornersSpec" = None,
+        *,
+        default_constraints: Optional[TimingConstraints] = None,
+        graph: Optional[TimingGraph] = None,
+        wire_model: Optional[WireRCModel] = None,
+        incremental: bool = False,
+        move_tolerance: float = 0.0,
+        incremental_rebuild_fraction: float = 0.5,
+    ) -> None:
+        self._init_engine(
+            design, graph, wire_model, incremental, move_tolerance,
+            incremental_rebuild_fraction,
+        )
+        self.set_corners(corners, default_constraints=default_constraints)
+
+    def set_corners(
+        self,
+        corners: "CornersSpec",
+        *,
+        default_constraints: Optional[TimingConstraints] = None,
+    ) -> None:
+        """Swap the analysis corners/modes and invalidate everything they touch.
+
+        The corner-swap analogue of :meth:`STAEngine.set_constraints`:
+        boundary conditions and propagation bases are rebuilt for the new
+        corner set, and every cached annotation is dropped so the next
+        ``update_timing`` runs a full pass.  ``corners`` and ``constraints``
+        are read-only properties for the same reason — rebinding them
+        directly would leave the stacked caches silently stale.
+        """
+        from repro.timing.mcmm import resolve_corners
+
+        self._corners = resolve_corners(corners)
+        # Mode resolution per corner: its own pinned constraints, then the
+        # engine-level default (e.g. the flow's constraints), then the
+        # design's SDC-derived fields.
+        self._configure(
+            [c.constraints_for(self.design, default_constraints) for c in self._corners],
+            [c.wire_rc_scale for c in self._corners],
+            [c.cell_derate for c in self._corners],
+        )
+        self._views: Dict[int, "_CornerEngineView"] = {}
+
+    @property
+    def corners(self) -> Tuple[Corner, ...]:
+        """The analysis corners (swap via :meth:`set_corners`)."""
+        return self._corners
+
+    @property
+    def constraints(self) -> Tuple[TimingConstraints, ...]:
+        """Per-corner mode constraints (swap via :meth:`set_corners`)."""
+        return self._modes
+
+    def corner_view(self, index: int) -> "_CornerEngineView":
+        """A single-corner engine adapter for reporting/path extraction."""
+        from repro.timing.mcmm import _CornerEngineView
+
+        view = self._views.get(index)
+        if view is None:
+            view = _CornerEngineView(self, index)
+            self._views[index] = view
+        return view
+
+    def update_timing(
+        self,
+        x: Optional[np.ndarray] = None,
+        y: Optional[np.ndarray] = None,
+        *,
+        incremental: Optional[bool] = None,
+    ) -> "MultiCornerResult":
+        """Run one stacked STA pass over every corner at positions ``(x, y)``."""
+        return self._update(x, y, incremental)
+
+    def _result(self) -> "MultiCornerResult":
+        from repro.timing.mcmm import MultiCornerResult
+
+        slack, endpoint_slack, corner_wns, corner_tns = self._assemble()
+        if endpoint_slack.shape[1]:
+            merged = endpoint_slack.min(axis=0)
+            merged_negative = merged[merged < 0]
+        else:
+            merged_negative = np.zeros(0)
+        return MultiCornerResult(
+            corners=self.corners,
+            arrival=self._arrival,
+            required=self._required,
+            slack=slack,
+            arc_delay=self._arc_delay,
+            net_load=self._net_load,
+            endpoint_pins=self.endpoint_pins,
+            endpoint_slack=endpoint_slack,
+            corner_wns=corner_wns,
+            corner_tns=corner_tns,
+            wns=float(merged_negative.min()) if merged_negative.size else 0.0,
+            tns=float(merged_negative.sum()) if merged_negative.size else 0.0,
+        )
+
+    def summary(self) -> Dict[str, object]:
+        """Merged headline metrics plus the per-corner breakdown."""
+        self._require_result()
+        result = self.last_result
+        assert result is not None
+        return {
+            "wns": result.wns,
+            "tns": result.tns,
+            "failing_endpoints": result.num_failing_endpoints,
+            "endpoints": int(self.endpoint_pins.size),
+            "corners": [corner.name for corner in self.corners],
+            "per_corner": result.per_corner_summary(),
         }

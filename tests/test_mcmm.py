@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.benchgen import CircuitSpec, generate_circuit, load_benchmark
 from repro.flow.presets import build_flow, preset_names
+from repro.obs import start_tracing, stop_tracing
 from repro.timing import (
     CORNER_PRESETS,
     Corner,
@@ -106,13 +107,13 @@ class TestSingleCornerBitwiseParity:
         assert engine.last_update_stats.mode == "incremental"
 
     def test_derated_corner_matches_corner_engine(self, fresh_small_design):
-        """STAEngine(corner=...) is the single-corner reference for each
-        stacked lane, including physical derates."""
+        """A one-corner engine is the reference for each stacked lane,
+        including physical derates: stacking neighbours changes no bit."""
         design = fresh_small_design
         corner = Corner("hot", wire_rc_scale=1.2, cell_derate=1.15)
-        reference = STAEngine(design, corner=corner).update_timing()
-        result = MultiCornerSTA(design, corner).update_timing()
-        _assert_corner_matches_engine(result, 0, reference)
+        reference = MultiCornerSTA(design, corner).update_timing().corner_result(0)
+        result = MultiCornerSTA(design, ("fast", corner, "slow")).update_timing()
+        _assert_corner_matches_engine(result, 1, reference)
 
 
 class TestMultiCornerSemantics:
@@ -136,7 +137,7 @@ class TestMultiCornerSemantics:
 
     def test_every_corner_matches_standalone_engine(self, design, corners, result):
         for index, corner in enumerate(corners):
-            reference = STAEngine(design, corner=corner).update_timing()
+            reference = MultiCornerSTA(design, corner).update_timing().corner_result(0)
             _assert_corner_matches_engine(result, index, reference)
 
     def test_merged_slack_is_elementwise_min(self, result):
@@ -171,7 +172,7 @@ class TestMultiCornerSemantics:
         paths, stats = report_timing_endpoint(
             view, 4, 1, result=result.corner_result(slow)
         )
-        reference_engine = STAEngine(design, corner=corners[slow])
+        reference_engine = MultiCornerSTA(design, corners[slow]).corner_view(0)
         ref_paths, _ = report_timing_endpoint(
             reference_engine, 4, 1, result=reference_engine.update_timing()
         )
@@ -190,6 +191,19 @@ class TestMultiCornerSemantics:
         _assert_corner_matches_engine(result, 1, reference)
         # The tighter mode can only be equal or worse.
         assert result.corner_wns[1] <= result.corner_wns[0]
+
+
+def test_multi_corner_update_opens_one_sta_span(fresh_small_design):
+    """Both engines go through the one traced update: a three-corner pass
+    shows up as exactly one ``sta.update_timing`` span."""
+    engine = MultiCornerSTA(fresh_small_design, "fast,typ,slow")
+    tracer = start_tracing()
+    try:
+        engine.update_timing()
+    finally:
+        stop_tracing()
+    names = [record.name for record in tracer.records()]
+    assert names.count("sta.update_timing") == 1
 
 
 class TestCornerSwap:
@@ -234,7 +248,7 @@ class TestIncrementalMultiCorner:
         corners = resolve_corners("fast,typ,slow")
         engine = MultiCornerSTA(design, corners, incremental=True, move_tolerance=0.0)
         references = [
-            STAEngine(design, corner=c, incremental=True, move_tolerance=0.0)
+            MultiCornerSTA(design, c, incremental=True, move_tolerance=0.0)
             for c in corners
         ]
         rng = np.random.default_rng(17)
@@ -246,7 +260,9 @@ class TestIncrementalMultiCorner:
             result = engine.update_timing(x, y)
             saw_incremental |= engine.last_update_stats.mode == "incremental"
             for index, reference in enumerate(references):
-                _assert_corner_matches_engine(result, index, reference.update_timing(x, y))
+                _assert_corner_matches_engine(
+                    result, index, reference.update_timing(x, y).corner_result(0)
+                )
         assert saw_incremental
 
     def test_incremental_equals_full_stacked(self, fresh_small_design):
@@ -336,7 +352,7 @@ def test_merged_slack_equals_min_over_single_corner_engines(corners, seed, incre
         design, tuple(corners), incremental=incremental, move_tolerance=0.0
     )
     singles = [
-        STAEngine(design, corner=c, incremental=incremental, move_tolerance=0.0)
+        MultiCornerSTA(design, c, incremental=incremental, move_tolerance=0.0)
         for c in corners
     ]
     rng = np.random.default_rng(seed)
@@ -345,7 +361,7 @@ def test_merged_slack_equals_min_over_single_corner_engines(corners, seed, incre
     for _ in range(2):
         _perturb(design, rng, x, y, max_cells=20)
         stacked = engine.update_timing(x, y)
-        independent = [s.update_timing(x, y) for s in singles]
+        independent = [s.update_timing(x, y).corner_result(0) for s in singles]
         expected_min = np.stack([r.slack for r in independent]).min(axis=0)
         np.testing.assert_array_equal(stacked.merged_slack, expected_min)
         expected_endpoint = np.stack([r.endpoint_slack for r in independent]).min(axis=0)
@@ -430,7 +446,7 @@ class TestFlowThreading:
         corners = resolve_corners("fast,typ,slow")
         report = evaluate_placement(design, corners=corners)
         single_reports = [
-            STAEngine(design, corner=c).update_timing() for c in corners
+            MultiCornerSTA(design, c).update_timing().corner_result(0) for c in corners
         ]
         merged_endpoint = np.stack(
             [r.endpoint_slack for r in single_reports]

@@ -2,11 +2,11 @@
 
 The engine's contract (see ``repro.parallel``) is that sharded hot paths are
 *bitwise* identical to the serial code for any shard count — workers compute
-only order-independent pieces (min/max reductions, integer bincounts,
-per-level STA sweeps) and the parent replays float scatter-adds in canonical
-order.  The hypothesis properties here drive random designs through random
-shard counts and assert exact equality; the pool tests exercise the real
-process workers, including teardown on worker crash (no /dev/shm leak).
+only order-independent pieces (min/max reductions, integer bincounts) and
+the parent replays float scatter-adds in canonical order.  The hypothesis
+properties here drive random designs through random shard counts and assert
+exact equality; the pool tests exercise the real process workers, including
+teardown on worker crash (no /dev/shm leak).
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from repro.parallel import (
 from repro.placement.density import ElectrostaticDensity, auto_bin_count
 from repro.placement.initial import initial_placement
 from repro.route.rudy import CongestionConfig, CongestionEstimator
-from repro.timing.constraints import TimingConstraints
-from repro.timing.sta import STAEngine, _LevelWorklist
+from repro.timing.sta import _LevelWorklist
 
 
 def _shm_entries():
@@ -101,34 +100,6 @@ def test_sharded_rudy_map_bitwise_equals_serial(name, scale, shards, seed):
 @settings(max_examples=12, deadline=None)
 @given(
     name=st.sampled_from(_DESIGN_NAMES),
-    scale=st.sampled_from([0.3, 0.5]),
-    shards=st.integers(1, 8),
-    seed=st.integers(0, 5),
-)
-def test_sharded_sta_bitwise_equals_serial(name, scale, shards, seed):
-    design = _design(name, scale)
-    x, y = initial_placement(design, seed=seed)
-    design.set_positions(x, y)
-    constraints = TimingConstraints.from_design(design)
-    serial = STAEngine(design, constraints).update_timing()
-    sharded = STAEngine(
-        design,
-        constraints,
-        workers=shards,
-        runner=SerialShardRunner(shards),
-        # Force every level through the sharded path.
-        parallel_min_level_size=1,
-    ).update_timing()
-    assert np.array_equal(serial.arrival, sharded.arrival)
-    assert np.array_equal(serial.required, sharded.required)
-    assert np.array_equal(serial.slack, sharded.slack)
-    assert serial.wns == sharded.wns
-    assert serial.tns == sharded.tns
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    name=st.sampled_from(_DESIGN_NAMES),
     scale=st.sampled_from([0.3, 0.5, 0.8]),
     shards=st.integers(1, 8),
     seed=st.integers(0, 5),
@@ -166,11 +137,9 @@ def test_density_area_inflation_keeps_sharded_parity():
 # Real process pool
 # ----------------------------------------------------------------------
 class TestKernelPool:
-    def test_pool_rudy_and_sta_match_serial(self):
+    def test_pool_rudy_matches_serial(self):
         design = _design("sb_mini_1", 0.5)
         x, y = initial_placement(design, seed=1)
-        design.set_positions(x, y)
-        constraints = TimingConstraints.from_design(design)
         before = _shm_entries()
         with KernelPool(2) as pool:
             serial_map = CongestionEstimator(design).estimate(x, y)
@@ -180,37 +149,22 @@ class TestKernelPool:
             assert np.array_equal(serial_map.demand_h, pooled_map.demand_h)
             assert np.array_equal(serial_map.demand_v, pooled_map.demand_v)
             assert np.array_equal(serial_map.pin_density, pooled_map.pin_density)
-
-            serial_sta = STAEngine(design, constraints).update_timing()
-            pooled_sta = STAEngine(
-                design,
-                constraints,
-                workers=2,
-                runner=pool,
-                parallel_min_level_size=1,
-            ).update_timing()
-            assert np.array_equal(serial_sta.arrival, pooled_sta.arrival)
-            assert np.array_equal(serial_sta.required, pooled_sta.required)
         assert _shm_entries() == before
 
     def test_pool_reuse_across_calls_sees_mutations(self):
         """The parent rewrites positions between calls; workers must see them."""
         design = _design()
-        constraints = TimingConstraints.from_design(design)
         with KernelPool(2) as pool:
-            engine = STAEngine(
-                design,
-                constraints,
-                workers=2,
-                runner=pool,
-                parallel_min_level_size=1,
+            estimator = CongestionEstimator(
+                design, CongestionConfig(workers=2), runner=pool
             )
             for seed in (0, 1):
                 x, y = initial_placement(design, seed=seed)
-                pooled = engine.update_timing(x, y)
-                serial = STAEngine(design, constraints).update_timing(x, y)
-                assert np.array_equal(serial.arrival, pooled.arrival)
-                assert serial.wns == pooled.wns
+                pooled = estimator.estimate(x, y)
+                serial = CongestionEstimator(design).estimate(x, y)
+                assert np.array_equal(serial.demand_h, pooled.demand_h)
+                assert np.array_equal(serial.demand_v, pooled.demand_v)
+                assert np.array_equal(serial.pin_density, pooled.pin_density)
 
     def test_worker_exception_tears_down_and_unlinks(self):
         """A kernel raising in a worker poisons the pool and frees /dev/shm."""
@@ -336,21 +290,6 @@ def test_kernel_workers_reaches_congestion_config():
         cfg = cls(kernel_workers=4)
         cfg.congestion.workers = 2
         assert cfg.congestion_config().workers == 2
-
-
-def test_flow_context_threads_workers_into_sta():
-    from repro.flow.context import FlowContext
-    from repro.utils.profiling import RuntimeProfiler
-
-    design = _design()
-    ctx = FlowContext(
-        design=design,
-        constraints=TimingConstraints.from_design(design),
-        profiler=RuntimeProfiler(),
-        kernel_workers=5,
-    )
-    engine = ctx.require_sta()
-    assert engine.workers == 5
 
 
 def test_congestion_config_rejects_negative_workers():
