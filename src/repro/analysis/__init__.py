@@ -7,7 +7,8 @@ depends on:
   accumulation, RNG, time, or I/O (float scatter-adds belong to the
   parent replay, which owns canonical serial order).
 * ``alloc`` — steady-state GP inner-loop functions allocate nothing:
-  no ``np.zeros``-family constructors, no ``out=``-less binary ufuncs.
+  no ``np.zeros``-family constructors, no ``out=``-less binary ufuncs,
+  no ``np.take(out=)`` in the buffering default ``mode="raise"``.
 * ``shm-unlink`` — every ``SharedMemory(create=True)`` is provably
   unlinked on all exit paths.
 * ``ref-parity`` — every ``_reference_*`` implementation has a fast-path

@@ -40,6 +40,7 @@ STEADY_STATE_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "placement/wirelength.py": frozenset(
         {
             "WeightedAverageWirelength.evaluate",
+            "WeightedAverageWirelength._gather",
             "WeightedAverageWirelength._directional",
             "WeightedAverageWirelength._evaluate_pooled",
             "WeightedAverageWirelength._buffer",
@@ -53,12 +54,14 @@ STEADY_STATE_FUNCTIONS: Dict[str, FrozenSet[str]] = {
             "ElectrostaticDensity._splat",
             "ElectrostaticDensity._splat_parallel",
             "ElectrostaticDensity._deposit",
+            "ElectrostaticDensity._stage_geometry",
             "ElectrostaticDensity._solve_field",
             "ElectrostaticDensity._sample_field",
-            "ElectrostaticDensity._corner_indices",
             "ElectrostaticDensity._buffer",
         }
     ),
+    # The per-iteration history HPWL gather.
+    "placement/arena.py": frozenset({"IterationArena.gather_pins"}),
     "placement/nesterov.py": frozenset(
         {
             "NesterovOptimizer.step_once",
@@ -109,6 +112,10 @@ ALLOCATING_CONSTRUCTORS: FrozenSet[str] = frozenset(
 # steady-state bodies — without it each call allocates a fresh result array
 # every iteration.  Unary ufuncs are not enforced (the hot paths stage them
 # through ``out=`` anyway, but e.g. ``np.sqrt`` on a scalar is harmless).
+# ``np.take`` with ``out=`` must also pass a ``mode`` other than the default
+# ``"raise"``, which gathers into a hidden temporary and then copies it into
+# ``out`` — an allocation plus an extra pass per call.  Plan indices are in
+# range by construction, so ``mode="clip"`` never clips.
 OUT_REQUIRED_CALLS: FrozenSet[str] = frozenset(
     {
         "add",

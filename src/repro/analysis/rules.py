@@ -208,7 +208,8 @@ def _kernel_node_findings(
 @register_rule(
     "alloc",
     "steady-state GP inner-loop functions may not call allocating NumPy "
-    "constructors or out=-less binary ufuncs (stage through the arena)",
+    "constructors, out=-less binary ufuncs, or buffered np.take(out=) "
+    "(stage through the arena)",
 )
 def check_alloc(ctx: "ModuleContext") -> List[Finding]:
     registered = contracts.STEADY_STATE_FUNCTIONS.get(ctx.repro_path, frozenset())
@@ -277,7 +278,35 @@ def check_alloc(ctx: "ModuleContext") -> List[Finding]:
                         "fresh result array; stage it through a reused buffer",
                     )
                 )
+            elif (
+                len(chain) == 2
+                and chain[0] in _NUMPY_NAMES
+                and chain[1] == "take"
+                and _buffered_take(node)
+            ):
+                findings.append(
+                    ctx.finding(
+                        "alloc",
+                        node,
+                        f"{qualname}: np.take(out=) in the default "
+                        "mode='raise' gathers into a hidden temporary and "
+                        "copies it into out; pass mode='clip' for in-range "
+                        "plan indices",
+                    )
+                )
     return findings
+
+
+def _buffered_take(call: ast.Call) -> bool:
+    """``np.take`` with ``out=`` whose ``mode=`` is missing or ``"raise"``.
+
+    Like the ``out=`` check, this reads keywords only.  A mode given as a
+    non-literal expression is not flagged (the rule cannot know its value).
+    """
+    if not _has_keyword(call, "out"):
+        return False
+    mode = _keyword_value(call, "mode")
+    return mode is None or (isinstance(mode, ast.Constant) and mode.value == "raise")
 
 
 # ----------------------------------------------------------------------

@@ -125,14 +125,18 @@ def _pin_bins(a: Dict[str, np.ndarray], args: tuple) -> np.ndarray:
 # ----------------------------------------------------------------------
 @register_kernel("density_terms")
 def _density_terms(a: Dict[str, np.ndarray], args: tuple) -> None:
-    """Cloud-in-cell bin indices and weights for movable cells ``[s, e)``.
+    """Cloud-in-cell geometry and weights for movable cells ``[s, e)``.
 
-    Writes ``iu/iv/iu1/iv1`` and the four corner weights ``w00/w10/w01/w11``
-    (the exact expressions from ``ElectrostaticDensity._splat``); the parent
-    replays the ``np.add.at`` deposits in serial order so the grid matches
-    the serial splat bit for bit.
+    Writes each cell's four flat corner indices and corner weights into
+    ``flat_idx``/``flat_w`` (corner-major: slot ``k * n + i`` is corner
+    ``k`` of cell ``i``, the serial splat's layout, with the expressions of
+    ``ElectrostaticDensity._reference_splat``) and its fractional offsets
+    into ``fu``/``fv`` for the field sampler.  The parent runs the deposit
+    ``bincount`` in serial order, so the grid matches the serial splat bit
+    for bit.
     """
     s, e, xl, yl, bin_w, bin_h, nbx, nby = args
+    n = a["movable"].size
     mov = a["movable"][s:e]
     cx = a["x"][mov] + a["half_w"][s:e]
     cy = a["y"][mov] + a["half_h"][s:e]
@@ -142,17 +146,23 @@ def _density_terms(a: Dict[str, np.ndarray], args: tuple) -> None:
     v = np.clip(v, 0.0, nby - 1.0)
     iu = np.floor(u).astype(np.int64)
     iv = np.floor(v).astype(np.int64)
+    iu1 = np.minimum(iu + 1, nbx - 1)
+    iv1 = np.minimum(iv + 1, nby - 1)
     fu = u - iu
     fv = v - iv
     area = a["area"][s:e]
-    a["iu"][s:e] = iu
-    a["iv"][s:e] = iv
-    a["iu1"][s:e] = np.minimum(iu + 1, nbx - 1)
-    a["iv1"][s:e] = np.minimum(iv + 1, nby - 1)
-    a["w00"][s:e] = area * (1 - fu) * (1 - fv)
-    a["w10"][s:e] = area * fu * (1 - fv)
-    a["w01"][s:e] = area * (1 - fu) * fv
-    a["w11"][s:e] = area * fu * fv
+    idx = a["flat_idx"]
+    w = a["flat_w"]
+    idx[s:e] = iu * nby + iv
+    idx[n + s : n + e] = iu1 * nby + iv
+    idx[2 * n + s : 2 * n + e] = iu * nby + iv1
+    idx[3 * n + s : 3 * n + e] = iu1 * nby + iv1
+    w[s:e] = area * (1 - fu) * (1 - fv)
+    w[n + s : n + e] = area * fu * (1 - fv)
+    w[2 * n + s : 2 * n + e] = area * (1 - fu) * fv
+    w[3 * n + s : 3 * n + e] = area * fu * fv
+    a["fu"][s:e] = fu
+    a["fv"][s:e] = fv
     return None
 
 
@@ -167,22 +177,24 @@ def _wa_wirelength(a: Dict[str, np.ndarray], args: tuple) -> None:
     shard boundaries never split a net).  Writes ``per_net_{x,y}[s:e]`` and
     ``pin_grad_{x,y}[lo:hi]``; the parent replays the value sum and the
     pin→instance scatter in canonical order.  All per-net reductions here
-    (``reduceat`` extrema, ``bincount`` folds) see exactly the pins the
-    serial plan path feeds them, in the same order — bitwise identical for
-    any worker count.
+    (``maximum.at``/``minimum.at`` extrema, ``bincount`` folds) see exactly
+    the pins the serial plan path feeds them, in the same order — bitwise
+    identical for any worker count.  The per-net gradient factors are
+    formed once per net exactly as the serial path forms them, and
+    ``weighted=False`` (all-ones net weights) skips the weight multiply.
     """
-    s, e, lo, hi, gamma = args
+    s, e, lo, hi, gamma, weighted = args
     if e <= s:
         return None
     seg = a["seg_id"][lo:hi] - s
-    starts = (a["seg_starts"][s:e] - lo).astype(np.int64)
     pinst = a["pinst"][lo:hi]
-    net_w = a["net_w"][s:e]
     num_local = e - s
     for axis in ("x", "y"):
         c = a[axis][pinst] + a[f"off_{axis}"][lo:hi]
-        cmax = np.maximum.reduceat(c, starts)
-        cmin = np.minimum.reduceat(c, starts)
+        cmax = np.full(num_local, -np.inf)
+        cmin = np.full(num_local, np.inf)
+        np.maximum.at(cmax, seg, c)
+        np.minimum.at(cmin, seg, c)
         exp_pos = np.exp((c - cmax[seg]) / gamma)
         exp_neg = np.exp((cmin[seg] - c) / gamma)
         sum_pos = np.bincount(seg, weights=exp_pos, minlength=num_local)
@@ -193,17 +205,17 @@ def _wa_wirelength(a: Dict[str, np.ndarray], args: tuple) -> None:
             wa_max = np.where(sum_pos > 0, sum_cpos / np.maximum(sum_pos, 1e-300), 0.0)
             wa_min = np.where(sum_neg > 0, sum_cneg / np.maximum(sum_neg, 1e-300), 0.0)
         a[f"per_net_{axis}"][s:e] = wa_max - wa_min
-        sp = sum_pos[seg]
-        sn = sum_neg[seg]
-        scp = sum_cpos[seg]
-        scn = sum_cneg[seg]
-        grad_max = (
-            exp_pos * ((1.0 + c / gamma) * sp - scp / gamma) / np.maximum(sp * sp, 1e-300)
-        )
-        grad_min = (
-            exp_neg * ((1.0 - c / gamma) * sn + scn / gamma) / np.maximum(sn * sn, 1e-300)
-        )
-        a[f"pin_grad_{axis}"][lo:hi] = (grad_max - grad_min) * net_w[seg]
+        c_gamma = c / gamma
+        scp = (sum_cpos / gamma)[seg]
+        scn = (sum_cneg / gamma)[seg]
+        den_pos = np.maximum(sum_pos * sum_pos, 1e-300)[seg]
+        den_neg = np.maximum(sum_neg * sum_neg, 1e-300)[seg]
+        grad_max = exp_pos * ((1.0 + c_gamma) * sum_pos[seg] - scp) / den_pos
+        grad_min = exp_neg * ((1.0 - c_gamma) * sum_neg[seg] + scn) / den_neg
+        pin_grad = grad_max - grad_min
+        if weighted:
+            pin_grad *= a["net_w"][s:e][seg]
+        a[f"pin_grad_{axis}"][lo:hi] = pin_grad
     return None
 
 

@@ -58,12 +58,14 @@ class IterationArena:
 
         Bitwise identical to ``core.pin_positions(x, y)``: ``np.take`` is an
         exact copy and the in-place add rounds identically to the allocating
-        ``x[pin_instance] + pin_offset_x``.
+        ``x[pin_instance] + pin_offset_x``.  ``pin_instance`` is in range by
+        construction, so ``mode="clip"`` never clips; it only keeps NumPy
+        from buffering ``out=`` as the default ``mode="raise"`` does.
         """
         pin_x = self.array("pin_x", core.num_pins)
         pin_y = self.array("pin_y", core.num_pins)
-        np.take(x, core.pin_instance, out=pin_x)
+        np.take(x, core.pin_instance, out=pin_x, mode="clip")
         pin_x += core.pin_offset_x
-        np.take(y, core.pin_instance, out=pin_y)
+        np.take(y, core.pin_instance, out=pin_y, mode="clip")
         pin_y += core.pin_offset_y
         return pin_x, pin_y

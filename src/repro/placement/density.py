@@ -15,12 +15,19 @@ reproduction's synthetic benchmarks:
   rectangle overlap — accurate when cells are small relative to bins, which
   holds for the generated standard-cell designs;
 * fixed terminals (zero-area ports) carry no charge.
+
+Each :meth:`ElectrostaticDensity.evaluate` computes the cell-to-bin
+geometry (corner bins as flat grid indices, fractional offsets) once, in
+the splat, and both field samples reuse it: a flat ``np.take`` of the four
+corners into the deposit's weight slot, free once the deposit ``bincount``
+has run.  The kernel-pool splat writes the same geometry from the workers,
+so both paths share one sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import fft as spfft
@@ -43,6 +50,24 @@ def auto_bin_count(num_movable: int) -> int:
     """
     cells = max(int(num_movable), 1)
     return int(2 ** max(int(np.round(np.log2(np.sqrt(cells / 4.0)))), 4))
+
+
+class BinGeometry(NamedTuple):
+    """Cell-to-bin geometry of the movable cells for one evaluate.
+
+    ``idx``/``w`` are corner-major: slot ``k * n + i`` is corner ``k`` of
+    cell ``i``, corners in the deposit order (u, v), (u+1, v), (u, v+1),
+    (u+1, v+1).  ``w`` holds the deposit weights until the deposit
+    ``bincount`` has run, and is then free for the sampler's corner gather.
+    """
+
+    idx: np.ndarray
+    w: np.ndarray
+    fu: np.ndarray
+    fv: np.ndarray
+    #: 1 - fu and 1 - fv.
+    om_u: np.ndarray
+    om_v: np.ndarray
 
 
 @dataclass
@@ -100,23 +125,34 @@ class ElectrostaticDensity:
         self._terms_dirty = True
 
         # Scatter-plan scratch: flattened corner indices/weights for the
-        # single-bincount splat, plus Poisson-solve work grids (PR 7).
+        # single-bincount splat (the weights slot doubles as the sampler's
+        # corner gather once the deposit is done), plus Poisson-solve work
+        # grids.
         num_movable_cells = self._movable.size
         self._flat_idx = np.empty(4 * num_movable_cells, dtype=np.int64)
         self._flat_w = np.empty(4 * num_movable_cells, dtype=np.float64)
         self._rho = np.empty((self.num_bins_x, self.num_bins_y), dtype=np.float64)
         self._field_u = np.empty_like(self._rho)
         self._field_v = np.empty_like(self._rho)
-        # Corner-index/overflow scratch for the steady-state splat + sample
-        # paths (PR 8: the alloc contract bans per-call astype/minimum
-        # temporaries on the gradient path).
+        # Cell-to-bin geometry scratch for the steady-state serial splat
+        # (the alloc contract bans per-call astype/minimum temporaries on
+        # the gradient path).  ``_frac_u/_frac_v`` hold the bin-space
+        # coordinates and then the fractional offsets fu/fv;
+        # ``_floor_u/_floor_v`` hold the floors while the corner indices are
+        # built and then 1 - fu / 1 - fv (on both splat paths).
         self._iu = np.empty(num_movable_cells, dtype=np.int64)
         self._iv = np.empty(num_movable_cells, dtype=np.int64)
         self._iu1 = np.empty(num_movable_cells, dtype=np.int64)
         self._iv1 = np.empty(num_movable_cells, dtype=np.int64)
+        self._frac_u = np.empty(num_movable_cells, dtype=np.float64)
+        self._frac_v = np.empty(num_movable_cells, dtype=np.float64)
         self._floor_u = np.empty(num_movable_cells, dtype=np.float64)
         self._floor_v = np.empty(num_movable_cells, dtype=np.float64)
         self._over = np.empty_like(self._rho)
+        # Hand-off of the splat's geometry to evaluate's sampler.  Cleared
+        # once taken: in the pooled path it holds views into the shared
+        # block, whose segment cannot close while a view is alive.
+        self._geometry: Optional[BinGeometry] = None
 
         # Optional buffer arena (attached by the placer) backing the
         # per-instance gradient accumulators; standalone callers keep
@@ -184,15 +220,13 @@ class ElectrostaticDensity:
                 "area": np.zeros(num_movable, dtype=np.float64),
                 "half_w": np.zeros(num_movable, dtype=np.float64),
                 "half_h": np.zeros(num_movable, dtype=np.float64),
-                # Worker outputs: bin indices + corner weights per cell.
-                "iu": np.zeros(num_movable, dtype=np.int64),
-                "iv": np.zeros(num_movable, dtype=np.int64),
-                "iu1": np.zeros(num_movable, dtype=np.int64),
-                "iv1": np.zeros(num_movable, dtype=np.int64),
-                "w00": np.zeros(num_movable, dtype=np.float64),
-                "w10": np.zeros(num_movable, dtype=np.float64),
-                "w01": np.zeros(num_movable, dtype=np.float64),
-                "w11": np.zeros(num_movable, dtype=np.float64),
+                # Worker outputs: flat corner indices and weights (corner-
+                # major, like the serial splat's) plus the fractional offsets
+                # the sampler needs.
+                "flat_idx": np.zeros(4 * num_movable, dtype=np.int64),
+                "flat_w": np.zeros(4 * num_movable, dtype=np.float64),
+                "fu": np.zeros(num_movable, dtype=np.float64),
+                "fv": np.zeros(num_movable, dtype=np.float64),
             }
         )
         self._terms_dirty = True
@@ -204,9 +238,10 @@ class ElectrostaticDensity:
         return self._block
 
     def _splat_parallel(self, runner, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Sharded splat: workers compute per-cell indices/weights, the
-        parent replays the four ``np.add.at`` deposits in serial cell order —
-        bitwise identical to the serial splat."""
+        """Sharded splat: workers write each cell's flat corner indices,
+        weights and fractional offsets; the parent runs the deposit
+        ``bincount`` in serial cell order — bitwise identical to the serial
+        splat."""
         from repro.parallel.engine import split_ranges
 
         die = self.core.die
@@ -224,36 +259,27 @@ class ElectrostaticDensity:
             (s, e, *args) for s, e in split_ranges(self._movable.size, runner.workers)
         ]
         runner.run("density_terms", [block], tasks)
-        return self._deposit(
-            views["iu"], views["iv"], views["iu1"], views["iv1"],
-            views["w00"], views["w10"], views["w01"], views["w11"],
+        fu, fv = views["fu"], views["fv"]
+        self._geometry = BinGeometry(
+            views["flat_idx"],
+            views["flat_w"],
+            fu,
+            fv,
+            np.subtract(1.0, fu, out=self._floor_u),
+            np.subtract(1.0, fv, out=self._floor_v),
         )
+        return self._deposit(views["flat_idx"], views["flat_w"])
 
-    def _deposit(self, iu, iv, iu1, iv1, w00, w10, w01, w11) -> np.ndarray:
+    def _deposit(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Replay the four corner deposits as one flat ``bincount``.
 
-        ``np.bincount`` with float weights is a sequential fold in input
-        order, so concatenating the corner contributions in the legacy
-        deposit order (w00, w10, w01, w11) reproduces the four sequential
+        ``idx``/``w`` hold the corners corner-major (all w00 terms, then
+        w10, w01, w11).  ``np.bincount`` with float weights is a sequential
+        fold in input order, so that layout reproduces the four sequential
         ``np.add.at`` calls bit for bit (property-tested against
         ``_reference_splat``).
         """
-        n = iu.size
         nby = self.num_bins_y
-        idx = self._flat_idx
-        w = self._flat_w
-        np.multiply(iu, nby, out=idx[:n])
-        idx[:n] += iv
-        np.multiply(iu1, nby, out=idx[n : 2 * n])
-        idx[n : 2 * n] += iv
-        np.multiply(iu, nby, out=idx[2 * n : 3 * n])
-        idx[2 * n : 3 * n] += iv1
-        np.multiply(iu1, nby, out=idx[3 * n :])
-        idx[3 * n :] += iv1
-        w[:n] = w00
-        w[n : 2 * n] = w10
-        w[2 * n : 3 * n] = w01
-        w[3 * n :] = w11
         flat = np.bincount(idx, weights=w, minlength=self.num_bins_x * nby)
         return flat.reshape(self.num_bins_x, nby)
 
@@ -262,46 +288,78 @@ class ElectrostaticDensity:
         runner = self._get_runner()
         if runner is not None and self._movable.size:
             return self._splat_parallel(runner, x, y)
-        die = self.core.die
-        cx = x[self._movable] + self._half_w
-        cy = y[self._movable] + self._half_h
-        # Continuous bin coordinates of the cell centers.
-        u = (cx - die.xl) / self.bin_w - 0.5
-        v = (cy - die.yl) / self.bin_h - 0.5
-        u = np.clip(u, 0.0, self.num_bins_x - 1.0)
-        v = np.clip(v, 0.0, self.num_bins_y - 1.0)
-        iu, iv, iu1, iv1, fu, fv = self._corner_indices(u, v)
-        return self._deposit(
-            iu, iv, iu1, iv1,
-            self._area * (1 - fu) * (1 - fv),
-            self._area * fu * (1 - fv),
-            self._area * (1 - fu) * fv,
-            self._area * fu * fv,
-        )
+        g = self._geometry = self._stage_geometry(x, y)
+        # Corner weights area*(1-fu)*(1-fv), area*fu*(1-fv), area*(1-fu)*fv
+        # and area*fu*fv, staged with the legacy operand order.
+        n = g.fu.size
+        area = self._area
+        w = g.w
+        w00, w10, w01, w11 = w[:n], w[n : 2 * n], w[2 * n : 3 * n], w[3 * n :]
+        np.multiply(area, g.om_u, out=w00)
+        w00 *= g.om_v
+        np.multiply(area, g.fu, out=w10)
+        w10 *= g.om_v
+        np.multiply(area, g.om_u, out=w01)
+        w01 *= g.fv
+        np.multiply(area, g.fu, out=w11)
+        w11 *= g.fv
+        return self._deposit(g.idx, w)
 
-    def _corner_indices(
-        self, u: np.ndarray, v: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Corner bin indices and fractional offsets, staged through owned
-        buffers.  Bitwise identical to the legacy temporaries: the int-buffer
-        setitem truncates exactly like ``.astype(np.int64)`` on the floored
-        values, the int64→float64 round trip of a floor result is exact (so
-        ``u - floor(u)`` matches ``u - iu``), and integer add/min have no
-        rounding at all.  ``u``/``v`` are consumed in place and returned as
-        the fractional parts."""
+    def _stage_geometry(self, x: np.ndarray, y: np.ndarray) -> BinGeometry:
+        """Serial cell-to-bin geometry, staged through owned buffers.
+
+        Writes the flat corner index of every movable cell and the
+        fractional offsets; the weight slot ``w`` is left for the caller
+        to fill.  Bitwise identical to the reference splat's temporaries:
+        each in-place step is the same IEEE operation on the same operands,
+        the int-buffer setitem truncates exactly like ``.astype(np.int64)``
+        on the floored values, ``u - floor(u)`` matches ``u - iu`` (the
+        int64→float64 round trip of a floor is exact), and integer
+        add/min/multiply have no rounding at all.
+        """
+        die = self.core.die
         iu, iv, iu1, iv1 = self._iu, self._iv, self._iu1, self._iv1
+        fu, fv = self._frac_u, self._frac_v
         floor_u, floor_v = self._floor_u, self._floor_v
-        np.floor(u, out=floor_u)
+        # u = clip((x[movable] + half_w - xl) / bin_w - 0.5, 0, nbx - 1); the
+        # movable indices are in range, so mode="clip" only skips buffering.
+        np.take(x, self._movable, out=fu, mode="clip")
+        fu += self._half_w
+        fu -= die.xl
+        fu /= self.bin_w
+        fu -= 0.5
+        np.clip(fu, 0.0, self.num_bins_x - 1.0, out=fu)
+        np.take(y, self._movable, out=fv, mode="clip")
+        fv += self._half_h
+        fv -= die.yl
+        fv /= self.bin_h
+        fv -= 0.5
+        np.clip(fv, 0.0, self.num_bins_y - 1.0, out=fv)
+        np.floor(fu, out=floor_u)
         iu[...] = floor_u
-        np.floor(v, out=floor_v)
+        np.floor(fv, out=floor_v)
         iv[...] = floor_v
         np.add(iu, 1, out=iu1)
         np.minimum(iu1, self.num_bins_x - 1, out=iu1)
         np.add(iv, 1, out=iv1)
         np.minimum(iv1, self.num_bins_y - 1, out=iv1)
-        np.subtract(u, floor_u, out=u)
-        np.subtract(v, floor_v, out=v)
-        return iu, iv, iu1, iv1, u, v
+        fu -= floor_u
+        fv -= floor_v
+        np.subtract(1.0, fu, out=floor_u)
+        np.subtract(1.0, fv, out=floor_v)
+
+        n = iu.size
+        nby = self.num_bins_y
+        idx = self._flat_idx
+        np.multiply(iu, nby, out=idx[:n])
+        idx[:n] += iv
+        np.multiply(iu1, nby, out=idx[n : 2 * n])
+        idx[n : 2 * n] += iv
+        np.multiply(iu, nby, out=idx[2 * n : 3 * n])
+        idx[2 * n : 3 * n] += iv1
+        np.multiply(iu1, nby, out=idx[3 * n :])
+        idx[3 * n :] += iv1
+        return BinGeometry(idx, self._flat_w, fu, fv, floor_u, floor_v)
 
     def _reference_splat(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Pre-plan splat via four ``np.add.at`` deposits (slow; kept as the
@@ -368,16 +426,50 @@ class ElectrostaticDensity:
         np.negative(ev, out=ev)
         return psi, eu, ev
 
-    def _sample_field(
+    def _sample_field(self, field: np.ndarray, g: BinGeometry) -> np.ndarray:
+        """Bilinear interpolation of a bin-grid field at movable cell centers.
+
+        Samples at the staged geometry ``g`` (after its deposit has run):
+        one flat take of the four corners into the free weight slot, then
+        the legacy per-corner products and left-to-right sum in place —
+        bitwise identical to ``_reference_sample_field``.  Returns a view
+        into the weight slot, valid until the next sample or splat.
+        """
+        n = g.fu.size
+        w = g.w
+        # Corner indices are in range by construction; mode="clip" only
+        # keeps the take from buffering out=.
+        np.take(field.reshape(-1), g.idx, out=w, mode="clip")
+        f00, f10, f01, f11 = w[:n], w[n : 2 * n], w[2 * n : 3 * n], w[3 * n :]
+        f00 *= g.om_u
+        f00 *= g.om_v
+        f10 *= g.fu
+        f10 *= g.om_v
+        f01 *= g.om_u
+        f01 *= g.fv
+        f11 *= g.fu
+        f11 *= g.fv
+        f00 += f10
+        f00 += f01
+        f00 += f11
+        return f00
+
+    def _reference_sample_field(
         self, field: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
-        """Bilinear interpolation of a bin-grid field at movable cell centers."""
+        """Legacy sampler: recomputes the cell geometry and does four 2-D
+        fancy gathers per field (kept as the bitwise reference)."""
         die = self.core.die
         cx = x[self._movable] + self._half_w
         cy = y[self._movable] + self._half_h
         u = np.clip((cx - die.xl) / self.bin_w - 0.5, 0.0, self.num_bins_x - 1.0)
         v = np.clip((cy - die.yl) / self.bin_h - 0.5, 0.0, self.num_bins_y - 1.0)
-        iu, iv, iu1, iv1, fu, fv = self._corner_indices(u, v)
+        iu = np.floor(u).astype(np.int64)
+        iv = np.floor(v).astype(np.int64)
+        iu1 = np.minimum(iu + 1, self.num_bins_x - 1)
+        iv1 = np.minimum(iv + 1, self.num_bins_y - 1)
+        fu = u - iu
+        fv = v - iv
         return (
             field[iu, iv] * (1 - fu) * (1 - fv)
             + field[iu1, iv] * fu * (1 - fv)
@@ -400,7 +492,15 @@ class ElectrostaticDensity:
         them within the iteration; callers that hold results across
         evaluations must copy (same contract as the wirelength model).
         """
+        # The splat stages the cell-to-bin geometry once for both the deposit
+        # and the two field samples.  A substituted splat (the
+        # ``_reference_splat`` test seam) stages none, so stage it here
+        # rather than sample a previous evaluate's geometry.
+        self._geometry = None
         density = self._splat(x, y)
+        geometry, self._geometry = self._geometry, None
+        if geometry is None:
+            geometry = self._stage_geometry(x, y)
         psi, ex, ey = self._solve_field(density)
 
         energy = 0.5 * float(np.sum(density / self.bin_area * psi))
@@ -408,8 +508,13 @@ class ElectrostaticDensity:
         num_instances = self.core.num_instances
         grad_x = self._buffer("density_grad_x", num_instances)
         grad_y = self._buffer("density_grad_y", num_instances)
-        grad_x[self._movable] = -self._area * self._sample_field(ex, x, y)
-        grad_y[self._movable] = -self._area * self._sample_field(ey, x, y)
+        for field, grad in ((ex, grad_x), (ey, grad_y)):
+            # -area * sample: negating the product gives the same bits as
+            # multiplying by the negated area (IEEE sign symmetry).
+            sample = self._sample_field(field, geometry)
+            sample *= self._area
+            np.negative(sample, out=sample)
+            grad[self._movable] = sample
 
         # Staged form of ``np.maximum(density - capacity, 0.0)`` — same
         # subtract-then-clamp rounding, reused grid buffer.
@@ -430,6 +535,7 @@ class ElectrostaticDensity:
     def overflow(self, x: np.ndarray, y: np.ndarray) -> float:
         """Density overflow only (cheaper than a full evaluate when no solve is needed)."""
         density = self._splat(x, y)
+        self._geometry = None
         capacity = self.target_density * self.bin_area
         over = self._over
         np.subtract(density, capacity, out=over)

@@ -268,8 +268,10 @@ class DetailedPlacer:
 
         gx = self._gx_buf[:total]
         gy = self._gy_buf[:total]
-        np.take(pin_x, pin_buf[:total], out=gx)
-        np.take(pin_y, pin_buf[:total], out=gy)
+        # Plan pins are valid pin ids; mode="clip" only keeps the take from
+        # buffering out= (the default mode="raise" always does).
+        np.take(pin_x, pin_buf[:total], out=gx, mode="clip")
+        np.take(pin_y, pin_buf[:total], out=gy, mode="clip")
         xmax = self._xmax_buf[:m]
         xmin = self._xmin_buf[:m]
         ymax = self._ymax_buf[:m]

@@ -68,8 +68,10 @@ class PlacementConfig:
     # XL runs can raise this to cut per-iteration bookkeeping cost; the
     # optimization trajectory is bitwise unaffected.
     history_every: int = 1
-    # Kernel-pool workers for the density splat (0 = serial; see
-    # repro.parallel for the bit-exactness guarantee).
+    # Kernel-pool workers for the GP gradient: they shard the WA
+    # wirelength and the density splat, and set the scipy FFT ``workers``
+    # of the Poisson solve (0 = serial; see repro.parallel for the
+    # bit-exactness guarantee).
     kernel_workers: int = 0
 
 
@@ -127,7 +129,10 @@ class GlobalPlacer:
             workers=self.config.kernel_workers,
         )
         self.objective = PlacementObjective()
-        self.net_weights = np.ones(arrays.num_nets, dtype=np.float64)
+        # Starts as the wirelength model's read-only all-ones array, which
+        # it recognizes by identity and evaluates without the per-pin weight
+        # multiply; set_net_weights replaces it.
+        self.net_weights = self.wirelength.unit_weights
         self.feedback = FeedbackScheduler()
         self.history = PlacementHistory()
 

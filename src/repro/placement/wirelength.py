@@ -25,6 +25,28 @@ order-independent for the NaN-free inputs here.  ``np.add.reduceat`` is
 deliberately **not** used for the float sums — its blocked pairwise
 summation does not reproduce the sequential ``np.add.at`` fold bit for bit.
 
+Per-pin trims (bit-identical)
+-----------------------------
+
+The model is bound by per-pin element passes, so the serial path does as
+few of them as the legacy rounding allows:
+
+* the filtered pin coordinates are gathered directly as
+  ``x[pin_inst] + offset[csr_pins]`` (offsets precomputed in CSR order)
+  instead of gathering every pin and then taking the CSR subset;
+* every ``np.take(..., out=...)`` passes ``mode="clip"`` — the plan indices
+  are in range, and the default ``mode="raise"`` always gathers into a
+  hidden temporary before copying into ``out``;
+* ``c/gamma`` is formed once per axis, and the per-net factors
+  (``sum_c/gamma``, ``max(sum*sum, eps)``) once per net before the gather
+  — the same operation on the same operands as forming them per pin;
+* the all-ones default weights (:attr:`WeightedAverageWirelength.
+  unit_weights`, read-only and recognized by identity) skip the per-pin
+  weight take and multiply, since ``v * 1.0 == v``.
+
+Stacking the x and y axes into one pass of twice the length was measured
+and rejected: the cost is per element, not per call.
+
 With ``workers > 0`` (or an injected runner) the evaluation shards across
 the :mod:`repro.parallel` kernel pool: workers own disjoint *whole-net*
 ranges, compute per-pin gradients and per-net WA values locally, and the
@@ -117,20 +139,25 @@ class WeightedAverageWirelength:
 
         # Scatter plan.  ``csr_net`` is net-major (nondecreasing), so the
         # filtered pins stay net-contiguous: per-net segments are described
-        # by their start offsets, and every pin knows its (compact) segment.
+        # by their bounds (the pooled path's shard ranges), and every pin
+        # knows its (compact) segment.
         valid_counts = counts[self._valid_nets]
-        self._seg_starts = np.zeros(self._valid_nets.size, dtype=np.int64)
-        if self._valid_nets.size:
-            np.cumsum(valid_counts[:-1], out=self._seg_starts[1:])
+        self._seg_bounds = np.zeros(self._valid_nets.size + 1, dtype=np.int64)
+        np.cumsum(valid_counts, out=self._seg_bounds[1:])
         self._seg_id = np.repeat(
             np.arange(self._valid_nets.size, dtype=np.int64), valid_counts
         )
-        # Precomputed pin→instance targets for the bincount scatter, the
-        # pooled path's segment bounds, and the default unit net weights
-        # (shared read-only when the caller passes none).
+        # Precomputed pin→instance targets (the direct coordinate gather and
+        # the bincount scatter) and CSR-ordered pin offsets.
         self._pin_inst = core.pin_instance[self._csr_pins]
-        self._seg_bounds = np.append(self._seg_starts, np.int64(self._csr_pins.size))
-        self._unit_weights = np.ones(self._num_nets, dtype=np.float64)
+        self._off_x = core.pin_offset_x[self._csr_pins]
+        self._off_y = core.pin_offset_y[self._csr_pins]
+        # Default all-ones net weights, read-only so that identity means
+        # "unweighted": evaluations passed this array (or none) skip the
+        # per-pin weight take and multiply, which cannot change a bit
+        # (``w * 1.0 == w``).  GlobalPlacer starts from this array.
+        self.unit_weights = np.ones(self._num_nets, dtype=np.float64)
+        self.unit_weights.flags.writeable = False
 
         # Optional buffer arena (set by the placer).
         self.arena = None
@@ -166,30 +193,29 @@ class WeightedAverageWirelength:
     ) -> WirelengthResult:
         """Smoothed wirelength and its gradient w.r.t. instance positions.
 
-        ``pin_x``/``pin_y`` may carry precomputed absolute pin coordinates
-        (the placer's shared per-iteration gather); when omitted the model
-        gathers them itself.
+        ``pin_x``/``pin_y`` may carry precomputed absolute pin coordinates;
+        when omitted the model gathers the filtered CSR pins directly from
+        the instance positions.
         """
         weights = (
-            self._unit_weights
+            self.unit_weights
             if net_weights is None
             else np.asarray(net_weights, dtype=np.float64)
         )
+        weighted = weights is not self.unit_weights
         runner = self._get_runner()
         if runner is not None and self._csr_pins.size:
-            return self._evaluate_pooled(runner, x, y, weights)
-        if pin_x is None or pin_y is None:
-            if self.arena is not None:
-                pin_x, pin_y = self.arena.gather_pins(self.core, x, y)
-            else:
-                pin_x, pin_y = self.core.pin_positions(x, y)
+            return self._evaluate_pooled(runner, x, y, weights, weighted)
 
-        cx = self._buffer("wl_coord_x", self._csr_pins.size)
-        cy = self._buffer("wl_coord_y", self._csr_pins.size)
-        np.take(pin_x, self._csr_pins, out=cx)
-        np.take(pin_y, self._csr_pins, out=cy)
-        value_x, pin_grad_x = self._directional(cx, weights, axis="x")
-        value_y, pin_grad_y = self._directional(cy, weights, axis="y")
+        c = self._buffer("wl_coord", self._csr_pins.size)
+        self._gather(c, x, pin_x, self._off_x)
+        value_x, pin_grad_x = self._directional(
+            c, weights, axis="x", weighted=weighted
+        )
+        self._gather(c, y, pin_y, self._off_y)
+        value_y, pin_grad_y = self._directional(
+            c, weights, axis="y", weighted=weighted
+        )
 
         grad_x = np.bincount(
             self._pin_inst, weights=pin_grad_x, minlength=self._num_instances
@@ -201,23 +227,49 @@ class WeightedAverageWirelength:
         grad_y[self._fixed_mask] = 0.0
         return WirelengthResult(value=value_x + value_y, grad_x=grad_x, grad_y=grad_y)
 
+    def _gather(
+        self,
+        out: np.ndarray,
+        pos: np.ndarray,
+        pin_pos: Optional[np.ndarray],
+        offsets: np.ndarray,
+    ) -> None:
+        """Filtered-CSR pin coordinates along one axis into ``out``.
+
+        The direct form ``pos[pin_inst] + offset[csr_pins]`` produces the
+        same bits as gathering every pin with ``core.pin_positions`` and
+        then taking the CSR subset: both add the same two operands per pin.
+        """
+        if pin_pos is None:
+            np.take(pos, self._pin_inst, out=out, mode="clip")
+            out += offsets
+        else:
+            np.take(pin_pos, self._csr_pins, out=out, mode="clip")
+
     def _directional(
-        self, c: np.ndarray, net_weights: np.ndarray, *, axis: str = "x"
+        self,
+        c: np.ndarray,
+        net_weights: np.ndarray,
+        *,
+        axis: str = "x",
+        weighted: bool = True,
     ) -> Tuple[float, np.ndarray]:
         """WA wirelength and per-CSR-pin gradient along one axis.
 
         Plan path: per-net extrema and sums over *compact* valid-net arrays
         (``maximum.at``/``minimum.at`` and ``bincount`` keyed by segment id),
         with every per-pin intermediate staged through a reused buffer.
-        Per-entry values are bitwise identical to the legacy full-size
-        net-id formulation; the value is summed over a full-size per-net
-        array so the pairwise summation tree matches the legacy expression
-        exactly.
+        Only the returned pin gradient is per axis; the scratch buffers are
+        shared by both axes.  Per-entry values are bitwise identical to the
+        legacy full-size net-id formulation; the value is summed over a
+        full-size per-net array so the pairwise summation tree matches the
+        legacy expression exactly.  ``weighted=False`` means all-ones net
+        weights, whose multiply is skipped (``v * 1.0 == v``).
         """
         gamma = self.gamma
         seg = self._seg_id
         num_valid = self._valid_nets.size
-        per_net = self._zeros_buffer(f"wl_per_net_{axis}", self._num_nets)
+        per_net = self._zeros_buffer("wl_per_net", self._num_nets)
         if num_valid == 0:
             value = float(np.sum(per_net * net_weights))
             return value, c[:0]
@@ -225,25 +277,28 @@ class WeightedAverageWirelength:
         # Per-net extrema over the compact segment ids.  ``maximum.at`` /
         # ``minimum.at`` outrun ``reduceat`` for these folds, and IEEE
         # min/max are order-independent, so either formulation produces the
-        # same bits (the pooled kernel keeps the reduceat form).
-        cmax = self._buffer(f"wl_cmax_{axis}", num_valid)
-        cmin = self._buffer(f"wl_cmin_{axis}", num_valid)
+        # same bits.
+        cmax = self._buffer("wl_cmax", num_valid)
+        cmin = self._buffer("wl_cmin", num_valid)
         cmax.fill(-np.inf)
         cmin.fill(np.inf)
         np.maximum.at(cmax, seg, c)
         np.minimum.at(cmin, seg, c)
-        exp_pos = self._buffer(f"wl_exp_pos_{axis}", c.size)
-        exp_neg = self._buffer(f"wl_exp_neg_{axis}", c.size)
-        np.take(cmax, seg, out=exp_pos)
+        # Every take below indexes with plan arrays that are in range by
+        # construction; ``mode="clip"`` only stops NumPy from buffering
+        # ``out=`` (the default ``mode="raise"`` always does).
+        exp_pos = self._buffer("wl_exp_pos", c.size)
+        exp_neg = self._buffer("wl_exp_neg", c.size)
+        np.take(cmax, seg, out=exp_pos, mode="clip")
         np.subtract(c, exp_pos, out=exp_pos)
         exp_pos /= gamma
         np.exp(exp_pos, out=exp_pos)
-        np.take(cmin, seg, out=exp_neg)
+        np.take(cmin, seg, out=exp_neg, mode="clip")
         exp_neg -= c
         exp_neg /= gamma
         np.exp(exp_neg, out=exp_neg)
 
-        work = self._buffer(f"wl_work_{axis}", c.size)
+        work = self._buffer("wl_work", c.size)
         np.multiply(c, exp_pos, out=work)
         sum_pos = np.bincount(seg, weights=exp_pos, minlength=num_valid)
         sum_cpos = np.bincount(seg, weights=work, minlength=num_valid)
@@ -255,9 +310,9 @@ class WeightedAverageWirelength:
         # it (maximum → divide into reused buffers, then overwrite the
         # empty-mass entries with the literal 0.0) selects exactly the bits
         # the legacy np.where expression produced.
-        wa_max = self._buffer(f"wl_wa_max_{axis}", num_valid)
-        wa_min = self._buffer(f"wl_wa_min_{axis}", num_valid)
-        den = self._buffer(f"wl_den_{axis}", num_valid)
+        wa_max = self._buffer("wl_wa_max", num_valid)
+        wa_min = self._buffer("wl_wa_min", num_valid)
+        den = self._buffer("wl_den", num_valid)
         np.maximum(sum_pos, 1e-300, out=den)
         np.divide(sum_cpos, den, out=wa_max)
         wa_max[sum_pos <= 0.0] = 0.0
@@ -265,44 +320,49 @@ class WeightedAverageWirelength:
         np.divide(sum_cneg, den, out=wa_min)
         wa_min[sum_neg <= 0.0] = 0.0
         per_net[self._valid_nets] = wa_max - wa_min
-        value = float(np.sum(per_net * net_weights))
+        value = float(np.sum(per_net * net_weights if weighted else per_net))
 
         # Gradient of the WA max/min estimators w.r.t. each pin coordinate,
         # staged through reused buffers.  Every binary op keeps the operand
-        # order of the legacy one-line expression (only the destination
-        # changed), so the rounding — and therefore the bits — match the
-        # ``_reference_directional`` formulation exactly.
-        sums = self._buffer(f"wl_sums_{axis}", c.size)
-        grad = self._buffer(f"wl_grad_{axis}", c.size)
+        # order of the legacy one-line expression, so the rounding — and
+        # therefore the bits — match ``_reference_directional`` exactly.
+        # Per-net factors (``scp/gamma``, ``max(sp*sp, eps)``) are formed
+        # once per net and then gathered: the same elementwise operation on
+        # the same operands as forming them per pin after the gather.
+        sums = self._buffer("wl_sums", c.size)
+        grad = self._buffer("wl_grad", c.size)
+        pin_grad = self._buffer(f"wl_pin_grad_{axis}", c.size)
+        # c/gamma once, shared by (1 + c/gamma) and (1 - c/gamma).
+        np.divide(c, gamma, out=pin_grad)
+        np.add(pin_grad, 1.0, out=grad)
+        np.subtract(1.0, pin_grad, out=pin_grad)
+        sum_cpos /= gamma
+        sum_cneg /= gamma
         # grad_max = exp_pos * ((1 + c/gamma) * sp - scp/gamma) / max(sp*sp, eps)
-        np.divide(c, gamma, out=grad)
-        grad += 1.0
-        np.take(sum_pos, seg, out=sums)
+        np.take(sum_pos, seg, out=sums, mode="clip")
         grad *= sums
-        np.take(sum_cpos, seg, out=work)
-        work /= gamma
+        np.take(sum_cpos, seg, out=work, mode="clip")
         grad -= work
         grad *= exp_pos
-        sums *= sums
-        np.maximum(sums, 1e-300, out=sums)
+        np.multiply(sum_pos, sum_pos, out=den)
+        np.maximum(den, 1e-300, out=den)
+        np.take(den, seg, out=sums, mode="clip")
         grad /= sums
         # grad_min = exp_neg * ((1 - c/gamma) * sn + scn/gamma) / max(sn*sn, eps)
-        pin_grad = self._buffer(f"wl_pin_grad_{axis}", c.size)
-        np.divide(c, gamma, out=pin_grad)
-        np.subtract(1.0, pin_grad, out=pin_grad)
-        np.take(sum_neg, seg, out=sums)
+        np.take(sum_neg, seg, out=sums, mode="clip")
         pin_grad *= sums
-        np.take(sum_cneg, seg, out=work)
-        work /= gamma
+        np.take(sum_cneg, seg, out=work, mode="clip")
         pin_grad += work
         pin_grad *= exp_neg
-        sums *= sums
-        np.maximum(sums, 1e-300, out=sums)
+        np.multiply(sum_neg, sum_neg, out=den)
+        np.maximum(den, 1e-300, out=den)
+        np.take(den, seg, out=sums, mode="clip")
         pin_grad /= sums
         # pin_grad = (grad_max - grad_min) * net_weights[csr_net]
         np.subtract(grad, pin_grad, out=pin_grad)
-        np.take(net_weights, self._csr_net, out=work)
-        pin_grad *= work
+        if weighted:
+            np.take(net_weights, self._csr_net, out=work, mode="clip")
+            pin_grad *= work
         return value, pin_grad
 
     def _zeros_buffer(self, name: str, size: int) -> np.ndarray:
@@ -333,10 +393,9 @@ class WeightedAverageWirelength:
             {
                 # Static plan arrays.
                 "pinst": self._pin_inst,
-                "off_x": core.pin_offset_x[self._csr_pins],
-                "off_y": core.pin_offset_y[self._csr_pins],
+                "off_x": self._off_x,
+                "off_y": self._off_y,
                 "seg_id": self._seg_id,
-                "seg_starts": self._seg_starts,
                 # Mutable per-call inputs.
                 "x": np.zeros(core.num_instances, dtype=np.float64),
                 "y": np.zeros(core.num_instances, dtype=np.float64),
@@ -356,7 +415,12 @@ class WeightedAverageWirelength:
         return self._block
 
     def _evaluate_pooled(
-        self, runner, x: np.ndarray, y: np.ndarray, weights: np.ndarray
+        self,
+        runner,
+        x: np.ndarray,
+        y: np.ndarray,
+        weights: np.ndarray,
+        weighted: bool,
     ) -> WirelengthResult:
         """Sharded WA evaluation: workers own disjoint whole-net ranges and
         compute per-pin gradients + per-net WA values; the parent replays
@@ -368,19 +432,20 @@ class WeightedAverageWirelength:
         views = block.views
         views["x"][...] = x
         views["y"][...] = y
-        views["net_w"][...] = weights[self._valid_nets]
+        if weighted:
+            views["net_w"][...] = weights[self._valid_nets]
         seg_bounds = self._seg_bounds
         tasks = [
-            (s, e, int(seg_bounds[s]), int(seg_bounds[e]), self.gamma)
+            (s, e, int(seg_bounds[s]), int(seg_bounds[e]), self.gamma, weighted)
             for s, e in split_ranges(self._valid_nets.size, runner.workers)
         ]
         runner.run("wa_wirelength", [block], tasks)
 
         values = []
         for axis in ("x", "y"):
-            per_net = self._zeros_buffer(f"wl_per_net_{axis}", self._num_nets)
+            per_net = self._zeros_buffer("wl_per_net", self._num_nets)
             per_net[self._valid_nets] = views[f"per_net_{axis}"]
-            values.append(float(np.sum(per_net * weights)))
+            values.append(float(np.sum(per_net * weights if weighted else per_net)))
         grad_x = np.bincount(
             self._pin_inst, weights=views["pin_grad_x"], minlength=self._num_instances
         )

@@ -73,6 +73,17 @@ class TestAllocDiscipline:
         report = lint("alloc_deco_ok.py")
         assert report.findings == []
 
+    def test_buffered_take_flagged(self):
+        report = lint("alloc_take_bad.py")
+        assert rules_hit(report) == ["alloc"]
+        assert len(report.findings) == 2
+        assert all("mode='raise'" in f.message for f in report.findings)
+        assert sorted(f.line for f in report.findings) == [12, 13]
+
+    def test_unbuffered_take_passes(self):
+        report = lint("alloc_take_ok.py")
+        assert report.findings == []
+
     def test_registry_applies_by_repro_path(self):
         report = lint("alloc_registry")
         assert len(report.findings) == 1

@@ -118,6 +118,30 @@ class TestWirelengthPlan:
         b = model.evaluate(x, y, pin_x=pin_x, pin_y=pin_y)
         assert a.value == b.value
         assert np.array_equal(a.grad_x, b.grad_x)
+        assert np.array_equal(a.grad_y, b.grad_y)
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_unit_weights_skip_is_bitwise_neutral(self, name):
+        # net_weights=None takes the unweighted path (no per-pin weight
+        # multiply); it must match an explicit all-ones array, which takes
+        # the weighted path, bit for bit — serial and sharded.
+        design = _design(name, 0.5)
+        x, y = _positions(design, 5)
+        ones = np.ones(design.num_nets)
+        for runner in (None, SerialShardRunner(3)):
+            model = WeightedAverageWirelength(design, gamma=3.0, runner=runner)
+            a = model.evaluate(x, y)
+            b = model.evaluate(x, y, net_weights=ones)
+            c = model.evaluate(x, y, net_weights=model.unit_weights)
+            for got in (b, c):
+                assert got.value == a.value
+                assert np.array_equal(got.grad_x, a.grad_x)
+                assert np.array_equal(got.grad_y, a.grad_y)
+
+    def test_unit_weights_are_read_only(self):
+        model = WeightedAverageWirelength(_design("sb_mini_4", 0.4))
+        with pytest.raises(ValueError):
+            model.unit_weights[0] = 2.0
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -149,6 +173,78 @@ class TestDensityPlan:
         x, y = _positions(design, seed)
         model = ElectrostaticDensity(design)
         assert np.array_equal(model._splat(x, y), model._reference_splat(x, y))
+
+    @staticmethod
+    def _reference_gradient(model, x, y):
+        """Density gradient through the legacy splat and sampler."""
+        density = model._reference_splat(x, y)
+        _, ex, ey = model._solve_field(density)
+        grad_x = np.zeros(model.core.num_instances)
+        grad_y = np.zeros(model.core.num_instances)
+        grad_x[model._movable] = -model._area * model._reference_sample_field(ex, x, y)
+        grad_y[model._movable] = -model._area * model._reference_sample_field(ey, x, y)
+        return grad_x, grad_y
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        name=st.sampled_from(DESIGNS),
+        scale=st.floats(0.3, 0.8),
+        seed=st.integers(0, 2**31 - 1),
+        shards=st.sampled_from([0, 2, 3]),
+    )
+    def test_sample_field_matches_reference_bitwise(self, name, scale, seed, shards):
+        # The once-per-evaluate geometry and flat-take _sample_field must
+        # reproduce the legacy per-field _reference_sample_field bit for
+        # bit, on the serial splat and on the sharded density_terms path.
+        design = _design(name, scale)
+        x, y = _positions(design, seed)
+        runner = SerialShardRunner(shards) if shards else None
+        model = ElectrostaticDensity(design, runner=runner)
+        got = model.evaluate(x, y)
+        ref_x, ref_y = self._reference_gradient(model, x, y)
+        assert np.array_equal(got.grad_x, ref_x)
+        assert np.array_equal(got.grad_y, ref_y)
+
+    def test_sample_field_direct_pairing(self):
+        # Direct pairing of the staged sampler with its legacy twin on one
+        # field (the evaluate-level test above covers them jointly).
+        design = _design("sb_mini_18", 0.5)
+        x, y = _positions(design, 9)
+        model = ElectrostaticDensity(design)
+        _, ex, _ = model._solve_field(model._splat(x, y))
+        sample = model._sample_field(ex, model._stage_geometry(x, y))
+        assert np.array_equal(sample, model._reference_sample_field(ex, x, y))
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_sampler_reads_fresh_geometry_after_area_scale(self, shards):
+        # set_area_scale moves every cell center; the second evaluate must
+        # sample at the new geometry, not the previous evaluate's.
+        design = _design("sb_cong_1", 0.5)
+        x, y = _positions(design, 4)
+        runner = SerialShardRunner(shards) if shards else None
+        model = ElectrostaticDensity(design, runner=runner)
+        model.evaluate(x, y)
+        scale = np.random.default_rng(4).uniform(1.0, 2.5, design.num_instances)
+        model.set_area_scale(scale)
+        got = model.evaluate(x, y)
+        ref_x, ref_y = self._reference_gradient(model, x, y)
+        assert np.array_equal(got.grad_x, ref_x)
+        assert np.array_equal(got.grad_y, ref_y)
+
+    def test_sampler_reads_fresh_geometry_under_reference_splat(self):
+        # With the legacy splat swapped in (the full-placement parity seam)
+        # nothing stages geometry during the splat; evaluate must stage it
+        # itself instead of sampling the last plan splat's corners.
+        design = _design("sb_mini_18", 0.5)
+        x0, y0 = _positions(design, 1)
+        x, y = _positions(design, 2)
+        model = ElectrostaticDensity(design)
+        model.evaluate(x0, y0)
+        model._splat = model._reference_splat
+        got = model.evaluate(x, y)
+        ref_x, ref_y = self._reference_gradient(model, x, y)
+        assert np.array_equal(got.grad_x, ref_x)
+        assert np.array_equal(got.grad_y, ref_y)
 
     def test_solve_field_matches_legacy_np_gradient(self):
         from scipy import fft as spfft
@@ -272,6 +368,22 @@ class TestInnerLoopBitwise:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
         assert a.hpwl == b.hpwl
+        assert a.history.hpwl == b.history.hpwl
+
+    def test_explicit_unit_net_weights_match_default_run(self):
+        # The default placer evaluates its initial weights without the
+        # per-pin multiply; explicitly set all-ones weights take the
+        # multiply path.  Both trajectories must agree bit for bit.
+        config = PlacementConfig(max_iterations=30, min_iterations=10, seed=0)
+        default = GlobalPlacer(load_benchmark("sb_mini_4", scale=0.4), config)
+        assert default.net_weights is default.wirelength.unit_weights
+        explicit = GlobalPlacer(load_benchmark("sb_mini_4", scale=0.4), config)
+        explicit.set_net_weights(np.ones(explicit.design.num_nets))
+        assert explicit.net_weights is not explicit.wirelength.unit_weights
+        a = default.run()
+        b = explicit.run()
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.y, b.y)
         assert a.history.hpwl == b.history.hpwl
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 4])
