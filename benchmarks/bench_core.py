@@ -28,10 +28,8 @@ Measures, for a few sb_mini designs:
   object-based ``_reference_legalize`` twin, bitwise-asserted in-bench)
   and delta-HPWL detailed placement versus the full-recompute
   ``_reference_refine`` twin, both run from the same seed-0 initial
-  placement.  The XL tier additionally shards the legalizer's row-band
-  candidate search across the kernel pool (2/4 workers, bitwise vs
-  serial) and hard-asserts the sb_xl_1 full-scale speedups (legalization
-  >= 5x, detailed placement >= 20x per candidate);
+  placement.  The XL tier hard-asserts the sb_xl_1 full-scale speedups
+  (legalization >= 5x, detailed placement >= 20x per candidate);
 * critical-path extraction and the Eq. 9 pair update, on both tiers:
   ``report_timing_endpoint(n, 1)`` over every failing endpoint (the
   vectorized k=1 chase) versus the per-endpoint heap search, and the
@@ -80,13 +78,10 @@ from repro.timing.constraints import Corner
 from repro.timing.sta import STAEngine
 
 DEFAULT_DESIGNS = ["sb_mini_18", "sb_mini_1", "sb_mini_10", "sb_cong_1"]
-# XL tier: kernel-pool hot-path walls (congestion map, density splat, GP
-# iteration, legalization) serial vs sharded, plus the serial full-STA wall.
-# Speedup fields are informational-only — they depend on the host's core
-# count — while the serial walls are trend-gated like any other row (see
+# XL tier: hot-path walls (congestion map, density splat, GP iteration,
+# legalization) plus the full-STA wall, trend-gated like any other row (see
 # bench_trend.py).
 XL_DESIGNS = ["sb_xl_1", "sb_xl_2"]
-XL_WORKER_COUNTS = (2, 4)
 # Fixed-length GP run for the XL per-iteration rows: long enough to
 # amortize the first-iteration setup (scatter plans, arena warm-up), short
 # enough to stay time-boxed at full scale.
@@ -127,7 +122,6 @@ def _bench_backend(
     cx: np.ndarray,
     cy: np.ndarray,
     *,
-    worker_counts=(),
     max_candidates=None,
     legalize_repeat: int = 1,
     detailed_repeat: int = 1,
@@ -135,9 +129,8 @@ def _bench_backend(
     """Legalization + detailed-placement rows (shared by both tiers).
 
     Every variant is bitwise-compared in-bench: the array-backed legalizer
-    against its object-based reference twin, each sharded worker count
-    against the serial row bands, and the delta-HPWL refine against the
-    full-recompute reference.  The reference sides run once — they are the
+    against its object-based reference twin, and the delta-HPWL refine
+    against the full-recompute reference.  The reference sides run once — they are the
     slow paths being retired, and best-of-N would only shrink the fast side.
     """
     from repro.placement.detailed import DetailedPlacer
@@ -165,19 +158,6 @@ def _bench_backend(
     fields["legalize_speedup"] = round(
         reference_seconds / max(legalize_seconds, 1e-9), 3
     )
-    for workers in worker_counts:
-        sharded = AbacusLegalizer(design, workers=workers)
-        seconds, result = _time(
-            lambda: sharded.legalize(cx, cy), repeat=legalize_repeat
-        )
-        if not (
-            np.array_equal(result.x, legal.x)
-            and np.array_equal(result.y, legal.y)
-        ):
-            raise AssertionError(
-                f"{name}: {workers}-worker legalization differs from serial"
-            )
-        fields[f"legalize_w{workers}_ms"] = round(seconds * 1e3, 3)
 
     placer = DetailedPlacer(design)
     detailed_seconds, (dx, dy, accepted) = _time(
@@ -448,18 +428,12 @@ def bench_design(name: str) -> dict:
 
 
 def bench_xl_design(name: str, *, scale: float = 1.0) -> dict:
-    """XL-tier hot-path walls: serial vs kernel-pool sharded.
-
-    Parallel passes double as an end-to-end bitwise check: each worker
-    variant's output is compared against the serial result and a mismatch
-    raises (the pool's bit-exactness contract, enforced on real designs).
-    """
+    """XL-tier hot-path walls: congestion map, STA, density splat, GP
+    iteration (plan vs legacy, bitwise-compared), back end and extraction."""
     import os
 
-    from repro.parallel import shutdown_kernel_pools
     from repro.placement.density import ElectrostaticDensity
     from repro.placement.initial import initial_placement
-    from repro.route.rudy import CongestionConfig
     from repro.timing.constraints import TimingConstraints
 
     build_seconds, design = _time(lambda: load_benchmark(name, scale=scale), repeat=1)
@@ -476,22 +450,9 @@ def bench_xl_design(name: str, *, scale: float = 1.0) -> dict:
     }
 
     # Congestion map: one full RUDY/pin-density estimate.
-    serial_est = CongestionEstimator(design)
-    serial_seconds, serial_map = _time(lambda: serial_est.estimate(cx, cy), repeat=3)
-    row["congestion_map_ms"] = round(serial_seconds * 1e3, 3)
-    for workers in XL_WORKER_COUNTS:
-        est = CongestionEstimator(design, CongestionConfig(workers=workers))
-        seconds, result = _time(lambda: est.estimate(cx, cy), repeat=3)
-        if not (
-            np.array_equal(result.demand_h, serial_map.demand_h)
-            and np.array_equal(result.demand_v, serial_map.demand_v)
-            and np.array_equal(result.pin_density, serial_map.pin_density)
-        ):
-            raise AssertionError(
-                f"{name}: {workers}-worker congestion map differs from serial"
-            )
-        row[f"congestion_map_w{workers}_ms"] = round(seconds * 1e3, 3)
-        row[f"congestion_map_speedup_w{workers}"] = round(serial_seconds / seconds, 3)
+    estimator = CongestionEstimator(design)
+    seconds, _ = _time(lambda: estimator.estimate(cx, cy), repeat=3)
+    row["congestion_map_ms"] = round(seconds * 1e3, 3)
 
     # Full STA (arrival + required sweeps dominate at XL sizes).
     sta = STAEngine(design, TimingConstraints.from_design(design))
@@ -499,33 +460,22 @@ def bench_xl_design(name: str, *, scale: float = 1.0) -> dict:
     row["sta_full_ms"] = round(seconds * 1e3, 3)
 
     # Density splat (the electrostatic placer's per-iteration deposition).
-    serial_density = ElectrostaticDensity(design)
-    serial_seconds, serial_grid = _time(lambda: serial_density._splat(cx, cy), repeat=3)
-    row["density_splat_ms"] = round(serial_seconds * 1e3, 3)
-    for workers in XL_WORKER_COUNTS:
-        density = ElectrostaticDensity(design, workers=workers)
-        seconds, grid = _time(lambda: density._splat(cx, cy), repeat=3)
-        if not np.array_equal(grid, serial_grid):
-            raise AssertionError(
-                f"{name}: {workers}-worker density splat differs from serial"
-            )
-        row[f"density_splat_w{workers}_ms"] = round(seconds * 1e3, 3)
-        row[f"density_splat_speedup_w{workers}"] = round(serial_seconds / seconds, 3)
+    density = ElectrostaticDensity(design)
+    seconds, _ = _time(lambda: density._splat(cx, cy), repeat=3)
+    row["density_splat_ms"] = round(seconds * 1e3, 3)
 
     # Global-place iteration wall: fixed-length runs through the plan-based
-    # serial path, the legacy pre-plan inner loop (forced via the kept
+    # path and the legacy pre-plan inner loop (forced via the kept
     # _reference_* helpers: full-size wirelength scatters, four-add.at
-    # density splat, and the per-net-fallback HPWL bookkeeping pass), and
-    # the kernel-pool sharded path.  Every variant's final positions are
-    # bitwise-compared against the serial plan run (the GP inner loop's
-    # bit-exactness contract).
-    def gp_run(*, workers: int = 0, legacy: bool = False):
+    # density splat, and the per-net-fallback HPWL bookkeeping pass).  The
+    # legacy run's final positions are bitwise-compared against the plan
+    # run (the GP inner loop's bit-exactness contract).
+    def gp_run(*, legacy: bool = False):
         config = PlacementConfig(
             max_iterations=GP_XL_ITERS,
             min_iterations=GP_XL_ITERS,
             stop_overflow=0.0,
             seed=0,
-            kernel_workers=workers,
         )
         placer = GlobalPlacer(design, config)
         if legacy:
@@ -550,19 +500,9 @@ def bench_xl_design(name: str, *, scale: float = 1.0) -> dict:
         and np.array_equal(plan_result.y, legacy_result.y)
     ):
         raise AssertionError(f"{name}: plan-based GP differs from legacy path")
-    for workers in XL_WORKER_COUNTS:
-        seconds, result = _time(lambda: gp_run(workers=workers), repeat=1)
-        if not (
-            np.array_equal(result.x, plan_result.x)
-            and np.array_equal(result.y, plan_result.y)
-        ):
-            raise AssertionError(f"{name}: {workers}-worker GP differs from serial")
-        row[f"gp_iter_w{workers}_ms"] = round(seconds / GP_XL_ITERS * 1e3, 3)
-        row[f"gp_iter_speedup_w{workers}"] = round(plan_seconds / seconds, 3)
 
     # Back-end walls: array-backed Abacus vs the object-based reference,
-    # sharded row-band candidates vs serial, and the capped delta-HPWL
-    # refine pair (see DETAILED_XL_CANDIDATES).  sb_xl_1 at full scale is
+    # and the capped delta-HPWL refine pair (see DETAILED_XL_CANDIDATES).  sb_xl_1 at full scale is
     # the PR-10 acceptance gate and hard-asserts its speedup floors.
     row.update(
         _bench_backend(
@@ -570,7 +510,6 @@ def bench_xl_design(name: str, *, scale: float = 1.0) -> dict:
             design,
             cx,
             cy,
-            worker_counts=XL_WORKER_COUNTS,
             max_candidates=DETAILED_XL_CANDIDATES,
         )
     )
@@ -590,8 +529,6 @@ def bench_xl_design(name: str, *, scale: float = 1.0) -> dict:
     # Table I at XL: report_timing_endpoint(n, 1) over every failing
     # endpoint, chase vs heap, plus the Eq. 9 pair update.
     row.update(_bench_extraction(name, design, cx, cy, repeat=3))
-
-    shutdown_kernel_pools()
     return row
 
 
@@ -766,8 +703,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--xl",
         action="store_true",
-        help="also measure the XL tier (kernel-pool serial vs sharded walls "
-        "on sb_xl_1/sb_xl_2)",
+        help="also measure the XL tier (hot-path walls on sb_xl_1/sb_xl_2)",
     )
     parser.add_argument(
         "--xl-only",
@@ -843,38 +779,20 @@ def main(argv=None) -> int:
 
     if xl_rows:
         xl_header = (
-            f"{'xl design':<12} {'cells':>8} {'build':>8} {'rudy s/2/4':>22} "
-            f"{'sta':>8} {'splat s/2/4':>22} {'gp it p/l/2/4':>24} "
-            f"{'gp x':>6} {'lg a/r/2/4':>22} {'lg x':>6} {'dp d/r':>14} {'dp x':>6}"
+            f"{'xl design':<12} {'cells':>8} {'build':>8} {'rudy':>8} "
+            f"{'sta':>8} {'splat':>8} {'gp it p/l':>12} "
+            f"{'gp x':>6} {'lg a/r':>12} {'lg x':>6} {'dp d/r':>14} {'dp x':>6}"
         )
         print(xl_header)
         for row in xl_rows:
-            rudy = "/".join(
-                f"{row[key]:.0f}"
-                for key in ("congestion_map_ms", "congestion_map_w2_ms", "congestion_map_w4_ms")
-            )
-            splat = "/".join(
-                f"{row[key]:.0f}"
-                for key in ("density_splat_ms", "density_splat_w2_ms", "density_splat_w4_ms")
-            )
-            gp = "/".join(
-                f"{row[key]:.0f}"
-                for key in ("gp_iter_ms", "gp_iter_legacy_ms", "gp_iter_w2_ms", "gp_iter_w4_ms")
-            )
-            legalize = "/".join(
-                f"{row[key]:.0f}"
-                for key in (
-                    "legalize_ms",
-                    "legalize_reference_ms",
-                    "legalize_w2_ms",
-                    "legalize_w4_ms",
-                )
-            )
+            gp = f"{row['gp_iter_ms']:.0f}/{row['gp_iter_legacy_ms']:.0f}"
+            legalize = f"{row['legalize_ms']:.0f}/{row['legalize_reference_ms']:.0f}"
             detailed = f"{row['detailed_ms']:.0f}/{row['detailed_reference_ms']:.0f}"
             print(
                 f"{row['design']:<12} {row['num_instances']:>8} "
-                f"{row['build_ms']:>7.0f}m {rudy:>21}m {row['sta_full_ms']:>7.0f}m {splat:>21}m "
-                f"{gp:>23}m {row['gp_plan_speedup']:>5.2f}x {legalize:>21}m "
+                f"{row['build_ms']:>7.0f}m {row['congestion_map_ms']:>7.0f}m "
+                f"{row['sta_full_ms']:>7.0f}m {row['density_splat_ms']:>7.0f}m "
+                f"{gp:>11}m {row['gp_plan_speedup']:>5.2f}x {legalize:>11}m "
                 f"{row['legalize_speedup']:>5.2f}x {detailed:>13}m "
                 f"{row['detailed_speedup']:>5.1f}x"
             )

@@ -60,9 +60,9 @@ GATED_FIELDS = (
     "extract_ms",
     "pair_update_ms",
 )
-# XL tier (payload key "xl_designs"): only the *serial* hot-path walls are
-# gated.  The kernel-pool speedup fields (congestion_map_speedup_w4, ...)
-# depend on the host's core count, so they are reported but never enforced.
+# XL tier (payload key "xl_designs"): the hot-path walls are gated; the
+# speedup fields (plan vs legacy, array vs reference) are reported but never
+# enforced.
 XL_GATED_FIELDS = (
     "congestion_map_ms",
     "sta_full_ms",
@@ -73,10 +73,7 @@ XL_GATED_FIELDS = (
     "pair_update_ms",
 )
 XL_INFO_FIELDS = (
-    "congestion_map_speedup_w4",
-    "density_splat_speedup_w4",
     "gp_plan_speedup",
-    "gp_iter_speedup_w4",
     "legalize_speedup",
     "detailed_speedup",
     "extract_speedup",

@@ -5,11 +5,9 @@ Takes one benchmark design from a seed-0 initial placement through the
 array-backed back-end that PR 10 introduced:
 
 1. **Abacus legalization** — the flat-stack cluster collapse with the
-   ``legalize_rowband`` candidate kernel, compared against the kept
+   ``searchsorted`` nearest-row candidate bands, compared against the kept
    object-based ``_reference_legalize`` twin (bitwise, and the wall-clock
-   ratio is printed).  With ``--kernel-workers > 0`` the row-band candidate
-   search shards across the shared-memory kernel pool and is compared
-   bitwise against the serial run.
+   ratio is printed).
 2. **Detailed placement** — the delta-HPWL adjacent-swap engine versus the
    full-recompute ``_reference_refine`` twin on a capped candidate budget
    (the reference pays a whole-design ``hpwl_per_net`` per candidate), then
@@ -18,7 +16,7 @@ array-backed back-end that PR 10 introduced:
    (``legalize`` + ``detailed_place``), reading the accepted-swap count and
    the legalizer's row-overflow diagnostics from the flow metadata.
 
-Run:  python examples/backend_refine.py [--scale 0.1] [--kernel-workers 2]
+Run:  python examples/backend_refine.py [--scale 0.1]
       (defaults stay smoke-sized; --design sb_xl_1 --scale 1.0 reproduces
       the BENCH_core back-end rows)
 """
@@ -41,11 +39,6 @@ def main() -> None:
     parser.add_argument(
         "--scale", type=float, default=0.1,
         help="cell-count multiplier (default 0.1 = 10k cells; 1.0 = full XL)",
-    )
-    parser.add_argument(
-        "--kernel-workers", type=int, default=2,
-        help="kernel-pool workers for the row-band candidate search "
-        "(0 = serial)",
     )
     parser.add_argument(
         "--max-candidates", type=int, default=2000,
@@ -85,21 +78,6 @@ def main() -> None:
     )
     if not exact:
         raise SystemExit("array-backed legalization diverged from reference")
-
-    if args.kernel_workers > 0:
-        sharded = AbacusLegalizer(design, workers=args.kernel_workers)
-        t0 = time.perf_counter()
-        pooled = sharded.legalize(cx, cy)
-        pooled_wall = time.perf_counter() - t0
-        exact = np.array_equal(pooled.x, legal.x) and np.array_equal(
-            pooled.y, legal.y
-        )
-        print(
-            f"legalize ({args.kernel_workers} workers): "
-            f"{pooled_wall * 1e3:.1f}ms; bitwise equal: {exact}"
-        )
-        if not exact:
-            raise SystemExit("sharded row-band legalization diverged from serial")
 
     # 2. Detailed placement: delta-HPWL engine vs full-recompute reference
     # on the same capped budget, then the uncapped delta pass.
@@ -144,10 +122,7 @@ def main() -> None:
     from repro.flow.runner import FlowRunner
     from repro.flow.stages import DetailedPlaceStage, LegalizeStage
 
-    runner = FlowRunner(
-        [LegalizeStage(), DetailedPlaceStage()],
-        kernel_workers=args.kernel_workers,
-    )
+    runner = FlowRunner([LegalizeStage(), DetailedPlaceStage()])
     core.set_positions(cx, cy)
     result = runner.run(design)
     legalize_meta = result.context.metadata.get("legalization", {})
@@ -158,10 +133,6 @@ def main() -> None:
         f"failed={legalize_meta.get('num_failed')}; "
         f"detailed accepted_swaps={detailed_meta.get('accepted_swaps')}"
     )
-
-    from repro.parallel import shutdown_kernel_pools
-
-    shutdown_kernel_pools()
 
 
 if __name__ == "__main__":

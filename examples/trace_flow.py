@@ -2,13 +2,11 @@
 """Tracing walkthrough: record a flow run as a Perfetto trace + metrics.
 
 Enables the unified tracing subsystem (`repro.obs`), runs the paper's
-Efficient-TDP flow on a synthetic design with a 2-worker kernel pool, and
-shows everything the subsystem produces:
+Efficient-TDP flow on a synthetic design, and shows everything the
+subsystem produces:
 
 * hierarchical spans — ``flow.run`` > ``stage.*`` > ``gp.iteration`` >
-  ``profile.gradient`` / ``kernel.dispatch``, with worker-side kernel spans
-  shipped back over the pool's result channel and re-parented under the
-  dispatch that launched them (lanes ``pool-worker-N``);
+  ``profile.gradient``;
 * user spans — wrap any region with ``span("name", key=value)``;
 * a live listener — a callback invoked as each span finalizes;
 * counters/gauges — aggregated exactly even when the ring buffer drops;
@@ -39,7 +37,6 @@ SETTINGS = dict(
     timing_start_iteration=20,
     min_timing_iterations=20,
     timing_update_interval=10,
-    kernel_workers=2,
 )
 
 
@@ -75,14 +72,14 @@ def main() -> None:
     problems = validate_chrome_trace(payload)
 
     metrics = tracer.metrics()
-    print(f"design: {name}  seed 0  kernel workers {SETTINGS['kernel_workers']}")
+    print(f"design: {name}  seed 0")
     print(f"trace:  {out}  ({len(payload['traceEvents'])} events, "
           f"{len(problems)} validation problems)  -> open in ui.perfetto.dev")
     print(f"spans recorded: {sum(s['count'] for s in metrics['spans'].values())} "
           f"(dropped: {metrics['dropped']})")
     print(f"{'span':<24}{'count':>8}{'total ms':>12}")
     for span_name in ("flow.run", "stage.global_place", "gp.iteration",
-                      "profile.gradient", "kernel.dispatch"):
+                      "profile.gradient"):
         stats = metrics["spans"].get(span_name)
         if stats:
             print(f"{span_name:<24}{stats['count']:>8}"

@@ -1,22 +1,15 @@
 #!/usr/bin/env python3
-"""XL-scale placement with the shared-memory kernel pool.
+"""XL-scale placement: end-to-end wall, GP inner loop and congestion map.
 
 Runs one XL benchmark (``sb_xl_1``, 100k cells at full scale) end-to-end
-through the ``dreamplace`` preset with ``--kernel-workers`` sharding the
-density splat and the WA-wirelength gradient across pool workers, then
-times the GP inner loop (plan vs legacy vs pooled) and a congestion map —
-the other pooled hot path — and prints the walls.
+through the ``dreamplace`` preset, then times the GP inner loop (plan vs
+the kept legacy paths, bitwise-compared) and a congestion map, and prints
+the walls.
 
-The kernel pool's contract is *bit-exactness*: any ``--kernel-workers``
-value (including 0, the serial default) produces the same placement, the
-same congestion map, and the same timing report.  This script demonstrates
-that by re-running the GP loop and the congestion pass serially and
-comparing.
-
-Worker-count guidance: sharding pays on multi-core hosts once designs pass
-~50k cells; on small designs or single-core hosts the process round trips
-cost more than the numpy kernels save.  Start with the machine's physical
-core count and drop to 0 (serial) below ~10k cells.
+``--kernel-workers`` is the thread count of the density model's
+Poisson-solve DCTs.  Each row transform is computed identically, so any
+value (including 0, scipy's default) produces the same placement bit for
+bit; threads pay only on the large bin grids of XL designs.
 
 Run:  python examples/xl_scale.py [--scale 0.1] [--kernel-workers 2]
       (full scale needs a few GB of RAM and a few minutes)
@@ -29,7 +22,7 @@ import numpy as np
 
 from repro.benchgen.suite import load_benchmark
 from repro.flow import build_flow
-from repro.route.rudy import CongestionConfig, CongestionEstimator
+from repro.route.rudy import CongestionEstimator
 
 
 def main() -> None:
@@ -41,7 +34,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--kernel-workers", type=int, default=2,
-        help="kernel-pool workers for GP/congestion/legalization (0 = serial)",
+        help="threads of the density Poisson-solve DCTs (0 = scipy's default)",
     )
     parser.add_argument(
         "--iterations", type=int, default=100,
@@ -57,7 +50,7 @@ def main() -> None:
         f"(generated in {time.perf_counter() - t0:.1f}s)"
     )
 
-    # End-to-end placement with the pooled density splat.
+    # End-to-end placement.
     flow = build_flow(
         "dreamplace",
         kernel_workers=args.kernel_workers,
@@ -66,27 +59,27 @@ def main() -> None:
     t0 = time.perf_counter()
     result = flow.run(design)
     wall = time.perf_counter() - t0
-    print(f"placement ({args.kernel_workers} workers): {wall:.1f}s")
+    print(f"placement ({args.kernel_workers} DCT threads): {wall:.1f}s")
     for key, value in result.summary().items():
         print(f"  {key}: {value}")
 
     x, y = design.positions()
 
-    # GP-iteration wall: plan-based serial gradient vs the kept legacy
-    # (_reference_*) inner loop vs the pooled wa_wirelength kernel, each
-    # re-run over a short fixed-length placement and bitwise-compared.
+    # GP-iteration wall: plan-based gradient vs the kept legacy
+    # (_reference_*) inner loop, each re-run over a short fixed-length
+    # placement and bitwise-compared.
     from repro.netlist.core import as_core
     from repro.placement.global_placer import GlobalPlacer, PlacementConfig
 
     gp_iters = min(args.iterations, 10)
 
-    def gp_run(workers=0, legacy=False):
+    def gp_run(legacy=False):
         config = PlacementConfig(
             max_iterations=gp_iters,
             min_iterations=gp_iters,
             stop_overflow=0.0,
             seed=0,
-            kernel_workers=workers,
+            kernel_workers=args.kernel_workers,
         )
         placer = GlobalPlacer(design, config)
         if legacy:
@@ -116,38 +109,10 @@ def main() -> None:
     )
     if not exact:
         raise SystemExit("plan-based GP inner loop diverged from legacy")
-    if args.kernel_workers > 0:
-        t0 = time.perf_counter()
-        gp_pooled = gp_run(workers=args.kernel_workers)
-        pooled_wall = time.perf_counter() - t0
-        exact = np.array_equal(gp_plan.x, gp_pooled.x) and np.array_equal(
-            gp_plan.y, gp_pooled.y
-        )
-        print(
-            f"GP iteration ({args.kernel_workers} workers): "
-            f"{pooled_wall / gp_iters * 1e3:.1f}ms; bitwise equal: {exact}"
-        )
-        if not exact:
-            raise SystemExit("kernel-pool GP inner loop diverged from serial")
 
-    # Congestion map: pooled vs serial, bitwise.
     t0 = time.perf_counter()
-    pooled = CongestionEstimator(
-        design, CongestionConfig(workers=args.kernel_workers)
-    ).estimate(x, y)
-    pooled_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    serial = CongestionEstimator(design).estimate(x, y)
-    serial_wall = time.perf_counter() - t0
-    exact = np.array_equal(pooled.demand_h, serial.demand_h) and np.array_equal(
-        pooled.demand_v, serial.demand_v
-    )
-    print(
-        f"congestion map: {pooled_wall:.2f}s pooled vs {serial_wall:.2f}s serial; "
-        f"bitwise equal: {exact}"
-    )
-    if not exact:
-        raise SystemExit("kernel-pool congestion map diverged from serial")
+    CongestionEstimator(design).estimate(x, y)
+    print(f"congestion map: {time.perf_counter() - t0:.2f}s")
 
 
 if __name__ == "__main__":

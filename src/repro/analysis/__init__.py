@@ -3,9 +3,6 @@
 Five rules guard the properties the rest of the repo's performance work
 depends on:
 
-* ``kernel-purity`` — worker kernels perform no order-sensitive float
-  accumulation, RNG, time, or I/O (float scatter-adds belong to the
-  parent replay, which owns canonical serial order).
 * ``alloc`` — steady-state GP inner-loop functions allocate nothing:
   no ``np.zeros``-family constructors, no ``out=``-less binary ufuncs,
   no ``np.take(out=)`` in the buffering default ``mode="raise"``.
@@ -14,7 +11,9 @@ depends on:
 * ``ref-parity`` — every ``_reference_*`` implementation has a fast-path
   twin and a test naming both, so golden paths cannot drift untested.
 * ``layering`` — engine packages never import the flow/CLI layer at
-  module scope; worker kernel modules never import the pool engine.
+  module scope.
+* ``raw-timing`` — wall-clock reads go through :mod:`repro.obs`, so the
+  unified tracer sees every measurement.
 
 Run it with ``repro lint-contracts src/`` or ``python -m repro.analysis``.
 Suppress individual findings with ``# contract: allow(<rule>) reason=...``.

@@ -42,7 +42,6 @@ STEADY_STATE_FUNCTIONS: Dict[str, FrozenSet[str]] = {
             "WeightedAverageWirelength.evaluate",
             "WeightedAverageWirelength._gather",
             "WeightedAverageWirelength._directional",
-            "WeightedAverageWirelength._evaluate_pooled",
             "WeightedAverageWirelength._buffer",
             "WeightedAverageWirelength._zeros_buffer",
         }
@@ -52,7 +51,6 @@ STEADY_STATE_FUNCTIONS: Dict[str, FrozenSet[str]] = {
             "ElectrostaticDensity.evaluate",
             "ElectrostaticDensity.overflow",
             "ElectrostaticDensity._splat",
-            "ElectrostaticDensity._splat_parallel",
             "ElectrostaticDensity._deposit",
             "ElectrostaticDensity._stage_geometry",
             "ElectrostaticDensity._solve_field",
@@ -139,40 +137,14 @@ OUT_REQUIRED_CALLS: FrozenSet[str] = frozenset(
 )
 
 # ----------------------------------------------------------------------
-# kernel-purity: order-independent reductions allowed in worker kernels.
-#
-# ``np.maximum.at`` / ``np.minimum.reduceat`` etc. are exact under any shard
-# decomposition (IEEE min/max is associative and commutative for NaN-free
-# input); every other ``ufunc.at`` / ``ufunc.reduceat`` is an
-# order-sensitive float fold that only the parent replay may perform.
-# ----------------------------------------------------------------------
-ORDER_INDEPENDENT_UFUNCS: FrozenSet[str] = frozenset({"maximum", "minimum"})
-
-# Decorator names that mark a function as a worker kernel.
-KERNEL_DECORATORS: FrozenSet[str] = frozenset({"register_kernel"})
-
-# Names whose call inside a kernel means nondeterminism or side effects.
-KERNEL_BANNED_MODULES: FrozenSet[str] = frozenset({"random", "time", "datetime"})
-KERNEL_BANNED_CALLS: FrozenSet[str] = frozenset(
-    {"open", "print", "input", "default_rng", "make_rng", "seed"}
-)
-
-# ----------------------------------------------------------------------
 # layering: package import constraints.
 #
 # Engine-layer packages may not import the flow/CLI layer at module scope
 # (lazy imports inside functions are the sanctioned seam — e.g. the
-# ``route/flow.py`` retrofit helpers); the kernel module may never import
-# the pool engine (workers resolve kernels from the registry precisely so
-# they do not pull in pool machinery).
+# ``route/flow.py`` retrofit helpers).
 # ----------------------------------------------------------------------
 LAYERED_PACKAGES: Tuple[str, ...] = ("netlist", "placement", "timing", "route")
 FORBIDDEN_LAYER_IMPORTS: Tuple[str, ...] = ("repro.flow", "repro.cli")
-
-# path-suffix -> module prefixes it may not import at any scope.
-WORKER_MODULE_FORBIDDEN_IMPORTS: Dict[str, Tuple[str, ...]] = {
-    "parallel/kernels.py": ("repro.parallel.engine",),
-}
 
 # ----------------------------------------------------------------------
 # raw-timing: blessed wall-clock call sites.

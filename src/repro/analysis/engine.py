@@ -196,8 +196,7 @@ def build_parser(prog: str = "repro-lint-contracts") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
         description=(
-            "Contract linter: kernel bit-exactness, arena allocation "
-            "discipline, shared-memory lifecycle, reference parity, "
+            "Contract linter: arena allocation discipline, shared-memory lifecycle, reference parity, "
             "import layering, and raw-timing discipline."
         ),
     )

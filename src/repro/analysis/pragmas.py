@@ -3,7 +3,7 @@
 Pragma syntax (one per line, usually trailing the flagged statement)::
 
     some_call()  # contract: allow(alloc) reason=fallback when no arena is attached
-    # contract: allow(alloc, kernel-purity) reason=shared justification
+    # contract: allow(alloc, layering) reason=shared justification
 
 Rules are comma-separated rule ids; ``reason=`` is **mandatory** — a pragma
 without a reason never suppresses anything and instead produces its own

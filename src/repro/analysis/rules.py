@@ -1,4 +1,4 @@
-"""The six contract-lint rules.
+"""The five contract-lint rules.
 
 Each rule is a callable ``rule(ctx) -> list[Finding]`` over one parsed
 module (:class:`~repro.analysis.engine.ModuleContext`); repo-specific
@@ -6,10 +6,8 @@ registries live in :mod:`repro.analysis.contracts`.  Rules are registered
 into :data:`RULES` via :func:`register_rule` so the engine, the CLI's rule
 listing, and the fixture tests all iterate the same set.
 
-Static-analysis honesty: these checks are *syntactic*.  They cannot prove
-an array is float (so ``kernel-purity`` bans every non-min/max ``ufunc.at``
-in worker kernels, integer or not) and they cannot see allocation hidden
-behind operators (``a * b`` temporaries pass the ``alloc`` rule; only named
+Static-analysis honesty: these checks are *syntactic*.  They cannot see
+allocation hidden behind operators (``a * b`` temporaries pass the ``alloc`` rule; only named
 constructor/ufunc calls are enforced).  The pragma escape hatch plus the
 bitwise property tests cover what the AST cannot.
 """
@@ -80,15 +78,6 @@ def _keyword_value(call: ast.Call, name: str) -> Optional[ast.expr]:
     return None
 
 
-def _subscript_base_name(node: ast.AST) -> Optional[str]:
-    """The root Name of a (possibly nested) subscript target, if any."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _decorator_names(fn: ast.AST) -> Set[str]:
     names: Set[str] = set()
     for deco in getattr(fn, "decorator_list", []):
@@ -131,79 +120,7 @@ def _iter_functions(
 
 
 # ----------------------------------------------------------------------
-# Rule 1: kernel-purity
-# ----------------------------------------------------------------------
-@register_rule(
-    "kernel-purity",
-    "worker kernels may not perform order-sensitive float accumulation, "
-    "RNG, time, or I/O (the parent replay owns float scatter-adds)",
-)
-def check_kernel_purity(ctx: "ModuleContext") -> List[Finding]:
-    findings: List[Finding] = []
-    for qualname, fn in _iter_functions(ctx.tree):
-        if not (_decorator_names(fn) & contracts.KERNEL_DECORATORS):
-            continue
-        params = [a.arg for a in fn.args.args]
-        arrays_param = params[0] if params else None
-        for node in _walk_function_body(fn):
-            findings.extend(
-                _kernel_node_findings(ctx, qualname, node, arrays_param)
-            )
-    return findings
-
-
-def _kernel_node_findings(
-    ctx: "ModuleContext", qualname: str, node: ast.AST, arrays_param: Optional[str]
-) -> List[Finding]:
-    out: List[Finding] = []
-
-    def finding(message: str) -> None:
-        out.append(ctx.finding("kernel-purity", node, f"{qualname}: {message}"))
-
-    if isinstance(node, ast.Call):
-        chain = _attr_chain(node.func)
-        # ufunc.at / ufunc.reduceat with an order-sensitive fold.
-        if len(chain) >= 2 and chain[-1] in {"at", "reduceat"}:
-            ufunc = chain[-2]
-            if ufunc not in contracts.ORDER_INDEPENDENT_UFUNCS:
-                finding(
-                    f"np.{ufunc}.{chain[-1]} is an order-sensitive float fold; "
-                    "workers must leave scatter-adds to the parent replay"
-                )
-        # RNG / nondeterminism / I/O.
-        if chain and chain[0] in _NUMPY_NAMES and "random" in chain:
-            finding("RNG inside a worker kernel breaks bitwise reproducibility")
-        elif chain and chain[0] in contracts.KERNEL_BANNED_MODULES:
-            finding(
-                f"call into the {chain[0]!r} module makes the kernel "
-                "nondeterministic across shard decompositions"
-            )
-        elif len(chain) == 1 and chain[0] in contracts.KERNEL_BANNED_CALLS:
-            finding(f"{chain[0]}() is side-effecting/nondeterministic in a kernel")
-        elif len(chain) >= 2 and chain[-1] in contracts.KERNEL_BANNED_CALLS:
-            finding(f"{'.'.join(chain)}() is nondeterministic in a kernel")
-    elif isinstance(node, ast.AugAssign) and isinstance(
-        node.op, (ast.Add, ast.Sub, ast.Mult)
-    ):
-        target = node.target
-        if isinstance(target, ast.Subscript):
-            base = _subscript_base_name(target)
-            if arrays_param is not None and base == arrays_param:
-                out.append(
-                    ctx.finding(
-                        "kernel-purity",
-                        node,
-                        f"{qualname}: in-place accumulation into the shared "
-                        "array namespace is a cross-shard float fold; write "
-                        "disjoint slices or return partials for the parent "
-                        "to reduce",
-                    )
-                )
-    return out
-
-
-# ----------------------------------------------------------------------
-# Rule 2: alloc (arena / allocation discipline)
+# Rule 1: alloc (arena / allocation discipline)
 # ----------------------------------------------------------------------
 @register_rule(
     "alloc",
@@ -310,7 +227,7 @@ def _buffered_take(call: ast.Call) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Rule 3: shm-unlink (shared-memory lifecycle)
+# Rule 2: shm-unlink (shared-memory lifecycle)
 # ----------------------------------------------------------------------
 _CLEANUP_ATTRS = {"unlink", "close", "_release_segment"}
 
@@ -447,7 +364,7 @@ def _inside_exitstack_registration(stmt: ast.stmt, call: ast.Call) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Rule 4: ref-parity (reference-path / fast-path pairing)
+# Rule 3: ref-parity (reference-path / fast-path pairing)
 # ----------------------------------------------------------------------
 _REFERENCE_PREFIX = "_reference_"
 
@@ -504,13 +421,12 @@ def check_reference_parity(ctx: "ModuleContext") -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule 5: layering (import constraints)
+# Rule 4: layering (import constraints)
 # ----------------------------------------------------------------------
 @register_rule(
     "layering",
     "engine packages (netlist/placement/timing/route) may not import "
-    "repro.flow / repro.cli at module scope; parallel worker modules may "
-    "never import the pool engine",
+    "repro.flow / repro.cli at module scope",
 )
 def check_layering(ctx: "ModuleContext") -> List[Finding]:
     findings: List[Finding] = []
@@ -535,31 +451,11 @@ def check_layering(ctx: "ModuleContext") -> List[Finding]:
                             "sanctioned seam)",
                         )
                     )
-
-    forbidden = contracts.WORKER_MODULE_FORBIDDEN_IMPORTS.get(sub, ())
-    if forbidden:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            for target in _imported_modules(node):
-                if any(
-                    target == banned or target.startswith(banned + ".")
-                    for banned in forbidden
-                ):
-                    findings.append(
-                        ctx.finding(
-                            "layering",
-                            node,
-                            f"worker kernel module imports {target!r}; "
-                            "kernels are resolved by name precisely so "
-                            "workers never load the pool engine",
-                        )
-                    )
     return findings
 
 
 # ----------------------------------------------------------------------
-# Rule 6: raw-timing
+# Rule 5: raw-timing
 # ----------------------------------------------------------------------
 @register_rule(
     "raw-timing",

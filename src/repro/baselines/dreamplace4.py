@@ -47,8 +47,8 @@ class DreamPlace4Config:
     # MCMM corners spec (None, "fast,typ,slow", or Corner objects).
     corners: Optional[object] = None
     verbose: bool = False
-    # Kernel-pool workers for the GP / congestion / legalization hot paths
-    # (0 = serial; see repro.parallel for the bit-exactness guarantee).
+    # Threads of the density model's Poisson-solve DCTs (0 = scipy's
+    # default; placements are bitwise identical for any value).
     kernel_workers: int = 0
     # Record placement history every N iterations (1 = every iteration;
     # the optimization trajectory is bitwise unaffected).

@@ -22,9 +22,9 @@ Everything is drawn in a fixed per-level order from one seeded generator,
 so the same spec always yields the same design.  Generation is O(pins):
 ~2 s for 100k cells, ~6 s for 250k.
 
-The XL designs exist for the kernel-pool benchmarks (congestion / density /
-GP / legalization walls at sizes where sharding pays); they are deliberately
-kept out of the sb_mini table suite.
+The XL designs exist for the XL-tier benchmarks (congestion / density /
+GP / legalization walls at 100k+ cells); they are deliberately kept out of
+the sb_mini table suite.
 """
 
 from __future__ import annotations

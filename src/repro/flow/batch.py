@@ -296,6 +296,26 @@ def _check_job_seed(job: BatchJob) -> None:
         )
 
 
+def resolve_worker_count() -> int:
+    """CPUs actually usable by this process (affinity-aware).
+
+    Prefers ``os.process_cpu_count`` (Python 3.13+), falls back to the
+    scheduler affinity mask, then ``os.cpu_count``.  On shared/CI hosts the
+    affinity mask is the honest number: ``os.cpu_count`` reports the
+    machine, not the cgroup.
+    """
+    probe = getattr(os, "process_cpu_count", None)
+    count: Optional[int] = None
+    if probe is not None:
+        count = probe()
+    else:
+        try:
+            count = len(os.sched_getaffinity(0))
+        except (AttributeError, OSError):  # pragma: no cover - non-Linux
+            count = None
+    return int(count or os.cpu_count() or 1)
+
+
 def _make_executor(kind: str, max_workers: int) -> Executor:
     if kind == "thread":
         return ThreadPoolExecutor(max_workers=max_workers)
@@ -360,8 +380,6 @@ def run_batch(
         # any compute is spent, not after every other job has finished.
         _check_job_seed(job)
     if max_workers is None:
-        from repro.parallel import resolve_worker_count
-
         # Affinity-aware: honors cgroup/sched_setaffinity CPU limits
         # (os.process_cpu_count where available) instead of raw cpu_count.
         max_workers = min(len(jobs), resolve_worker_count())

@@ -167,9 +167,8 @@ def _add_common(parser: argparse.ArgumentParser, *, preset: bool = True) -> None
         type=int,
         default=None,
         metavar="N",
-        help="shared-memory kernel-pool workers for the GP / congestion / "
-        "legalization hot paths (0 = serial, the default; results are "
-        "bit-identical either way)",
+        help="threads of the density model's Poisson-solve DCTs (0 = "
+        "scipy's default; results are bit-identical for any value)",
     )
     parser.add_argument(
         "--set",
@@ -299,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint-contracts",
-        help="run the contract linter (kernel purity, alloc discipline, "
-        "shm lifecycle, ref parity, layering)",
+        help="run the contract linter (alloc discipline, shm lifecycle, "
+        "ref parity, layering, raw timing)",
     )
     lint_p.add_argument(
         "paths", nargs="*", default=["src"], help="files/directories to lint"
@@ -351,11 +350,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.route.flow import add_routability
 
         try:
-            runner = FlowRunner(
-                add_routability(runner.stages),
-                name=runner.name,
-                kernel_workers=runner.kernel_workers,
-            )
+            runner = FlowRunner(add_routability(runner.stages), name=runner.name)
         except ValueError as exc:
             raise SystemExit(f"repro run: {exc}") from exc
     if getattr(args, "congestion_weighting", False) and not any(
@@ -365,9 +360,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         try:
             runner = FlowRunner(
-                add_congestion_weighting(runner.stages),
-                name=runner.name,
-                kernel_workers=runner.kernel_workers,
+                add_congestion_weighting(runner.stages), name=runner.name
             )
         except ValueError as exc:
             raise SystemExit(f"repro run: {exc}") from exc
@@ -375,6 +368,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     tracer = start_tracing() if trace_path else None
     try:
         result = runner.run(design, seed=int(overrides["seed"]))
+    except ValueError as exc:
+        raise SystemExit(f"repro run: {exc}") from exc
     finally:
         if tracer is not None:
             stop_tracing()

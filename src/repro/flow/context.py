@@ -49,10 +49,6 @@ class FlowContext:
     # MCMM: analysis corners shared by timing and evaluation stages
     # (``None`` = plain single-corner analysis, today's behavior).
     corners: Optional[Tuple[Corner, ...]] = None
-    # Kernel-pool workers for the GP, congestion and legalization kernels
-    # (0 = serial; see repro.parallel).  Filled by FlowRunner from the
-    # preset config.
-    kernel_workers: int = 0
     # Positions (set by placement, rewritten by legalization).
     x: Optional[np.ndarray] = None
     y: Optional[np.ndarray] = None

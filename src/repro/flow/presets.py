@@ -89,11 +89,7 @@ def build_flow(preset_name: str, config: Any = None, **overrides: Any) -> FlowRu
     """Build a ready-to-run :class:`FlowRunner` from a preset."""
     preset = get_preset(preset_name)
     cfg = make_config(preset_name, config, **overrides)
-    return FlowRunner(
-        preset.stage_factory(cfg),
-        name=preset_name,
-        kernel_workers=int(getattr(cfg, "kernel_workers", 0) or 0),
-    )
+    return FlowRunner(preset.stage_factory(cfg), name=preset_name)
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +224,7 @@ def _routability_stages(config: Any) -> List[FlowStage]:
     if config.inflate:
         stages.append(
             RoutabilityRepairStage(
-                congestion=config.congestion_config(),
+                congestion=config.congestion,
                 inflation=config.inflation_config(),
                 refine_iterations=config.refine_iterations,
                 placement_config=placement_config,
@@ -236,8 +232,8 @@ def _routability_stages(config: Any) -> List[FlowStage]:
         )
     if config.legalize:
         stages.append(LegalizeStage())
-    stages.append(CongestionStage(config=config.congestion_config()))
-    stages.append(EvaluateStage(corners=config.corners, congestion=config.congestion_config()))
+    stages.append(CongestionStage(config=config.congestion))
+    stages.append(EvaluateStage(corners=config.corners, congestion=config.congestion))
     return stages
 
 
@@ -267,7 +263,7 @@ def _routability_gp_stages(config: Any) -> List[FlowStage]:
     if config.inflate:
         stages.append(
             RoutabilityRepairStage(
-                congestion=config.congestion_config(),
+                congestion=config.congestion,
                 inflation=config.inflation_config(),
                 refine_iterations=config.refine_iterations,
                 placement_config=placement_config,
@@ -275,8 +271,8 @@ def _routability_gp_stages(config: Any) -> List[FlowStage]:
         )
     if config.legalize:
         stages.append(LegalizeStage())
-    stages.append(CongestionStage(config=config.congestion_config()))
-    stages.append(EvaluateStage(corners=config.corners, congestion=config.congestion_config()))
+    stages.append(CongestionStage(config=config.congestion))
+    stages.append(EvaluateStage(corners=config.corners, congestion=config.congestion))
     return stages
 
 

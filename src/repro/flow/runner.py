@@ -110,11 +110,9 @@ class FlowRunner:
         stages: Sequence[FlowStage],
         *,
         name: str = "custom",
-        kernel_workers: int = 0,
     ) -> None:
         self.stages: List[FlowStage] = list(stages)
         self.name = name
-        self.kernel_workers = int(kernel_workers)
         if not self.stages:
             raise ValueError("A flow needs at least one stage")
 
@@ -175,7 +173,6 @@ class FlowRunner:
             profiler=profiler if profiler is not None else RuntimeProfiler(),
             seed=seed,
             corners=resolved_corners,
-            kernel_workers=self.kernel_workers,
         )
         stage_seconds: Dict[str, float] = {}
         start = clock()

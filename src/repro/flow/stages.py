@@ -538,9 +538,7 @@ class LegalizeStage:
     def run(self, ctx: FlowContext) -> None:
         x, y = ctx.positions()
         with ctx.profiler.section("legalization"):
-            legal = AbacusLegalizer(
-                ctx.design, workers=ctx.kernel_workers
-            ).legalize(x, y)
+            legal = AbacusLegalizer(ctx.design).legalize(x, y)
             used_fallback = False
             if not legal.success and self.fallback:
                 logger.warning(
@@ -690,9 +688,7 @@ class RoutabilityRepairStage:
         def legalize_fn(lx: np.ndarray, ly: np.ndarray):
             # Same engine/fallback policy as LegalizeStage, so the loop
             # scores exactly what the flow will later commit to.
-            legal = AbacusLegalizer(
-                design, workers=ctx.kernel_workers
-            ).legalize(lx, ly)
+            legal = AbacusLegalizer(design).legalize(lx, ly)
             if not legal.success:
                 legal = GreedyLegalizer(design).legalize(lx, ly)
             return legal.x, legal.y

@@ -19,7 +19,7 @@ outside this package and ``repro.utils.profiling``).
 """
 
 from .export import chrome_trace, validate_chrome_trace, write_chrome_trace
-from .remote import ChildSpanCollector, adopt_spans, serialize_trace
+from .remote import adopt_spans, serialize_trace
 from .tracer import (
     DEFAULT_CAPACITY,
     SpanRecord,
@@ -38,7 +38,6 @@ __all__ = [
     "Tracer",
     "active_tracer",
     "adopt_spans",
-    "ChildSpanCollector",
     "chrome_trace",
     "clock",
     "serialize_trace",

@@ -4,8 +4,8 @@ The output follows the Trace Event Format ("JSON Object Format" flavour:
 a dict with a ``traceEvents`` list), which both ``chrome://tracing`` and
 https://ui.perfetto.dev load directly.  Every span becomes one complete
 ("X") event with microsecond timestamps relative to the tracer epoch;
-track assignments (main thread, worker threads, adopted pool-worker and
-batch-job lanes) become thread rows via ``M`` metadata events.
+track assignments (main thread, worker threads, adopted batch-job
+lanes) become thread rows via ``M`` metadata events.
 
 ``validate_chrome_trace`` is the schema check CI's trace-smoke step runs
 (via ``python -m repro.obs trace.json``) so a malformed export fails the
@@ -37,7 +37,7 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
     """Render the tracer's records as a Chrome trace-event JSON object."""
     records = tracer.records()
     # Stable lane numbering: "main" is tid 0, then lanes in first-appearance
-    # order.  Adopted lanes carry string names ("pool-worker-1", ...).
+    # order.  Adopted lanes carry string names ("batch-job-1", ...).
     tids: Dict[str, int] = {"main": 0}
     events: List[Dict[str, Any]] = []
     for record in records:

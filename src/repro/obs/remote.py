@@ -1,13 +1,12 @@
 """Cross-process span collection: record locally, ship, re-parent.
 
-KernelPool workers and process-executor batch jobs cannot write into the
-dispatching process's tracer, and their ``perf_counter`` epochs are
+Process-executor batch jobs cannot write into the dispatching process's
+tracer, and their ``perf_counter`` epochs are
 unrelated to the parent's.  The protocol here keeps the hot path simple:
 
-* the child records spans into its own collector/tracer (absolute local
-  clock values);
-* :func:`serialize_trace` / :meth:`ChildSpanCollector.payload` flatten
-  them to plain tuples with *relative* start times (child epoch
+* the child records spans into its own tracer (absolute local clock
+  values);
+* :func:`serialize_trace` flattens them to plain tuples with *relative* start times (child epoch
   subtracted) so the payload is picklable over the existing Pipe/result
   channel;
 * :func:`adopt_spans` replays the payload into the parent tracer with
@@ -26,7 +25,7 @@ from typing import Any, Dict, Optional, Union
 
 from .tracer import SpanRecord, Tracer
 
-__all__ = ["ChildSpanCollector", "serialize_trace", "adopt_spans"]
+__all__ = ["serialize_trace", "adopt_spans"]
 
 #: Payload schema version, bumped if the tuple layout changes.
 PAYLOAD_VERSION = 1
@@ -56,30 +55,6 @@ def serialize_trace(tracer: Tracer) -> Dict[str, Any]:
     }
 
 
-class ChildSpanCollector:
-    """Worker-side recorder: a private tracer plus payload serialization.
-
-    KernelPool workers build one per "run" message when the parent asked
-    for tracing, wrap each kernel task in :meth:`span`, and send
-    :meth:`payload` back piggybacked on the result tuple.
-    """
-
-    def __init__(self, capacity: int = 65_536) -> None:
-        self.tracer = Tracer(capacity=capacity)
-
-    def span(self, name: str, **attrs: Any):
-        return self.tracer.span(name, **attrs)
-
-    def counter(self, name: str, value: float = 1.0) -> None:
-        self.tracer.counter(name, value)
-
-    def gauge(self, name: str, value: float) -> None:
-        self.tracer.gauge(name, value)
-
-    def payload(self) -> Dict[str, Any]:
-        return serialize_trace(self.tracer)
-
-
 def adopt_spans(
     tracer: Tracer,
     payload: Optional[Dict[str, Any]],
@@ -93,7 +68,7 @@ def adopt_spans(
     ``parent_id`` is the dispatching span's id (shipped roots hang under
     it); ``base`` is the absolute clock value child-relative times are
     rebased onto (normally the dispatch span's ``start``); ``track`` names
-    the lane the adopted spans render on ("pool-worker-0", "batch-job-2").
+    the lane the adopted spans render on (e.g. "batch-job-2").
     """
     if not payload:
         return 0

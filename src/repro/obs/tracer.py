@@ -22,8 +22,8 @@ Design constraints, in order:
   newest spans once ``capacity`` is reached (so ancestors survive and the
   trace stays well-formed) but keeps exact aggregate metrics and a
   ``dropped`` count regardless.
-* **No repro imports.**  ``repro.utils.profiling``, ``parallel.engine``
-  and the layered packages (netlist/placement/timing/route) all import
+* **No repro imports.**  ``repro.utils.profiling`` and the layered
+  packages (netlist/placement/timing/route) all import
   this module; it must stay stdlib-only to keep the import graph acyclic.
 """
 
@@ -64,7 +64,7 @@ class SpanRecord:
     ``start`` is an absolute :func:`clock` timestamp; ``dur`` is seconds
     (``-1.0`` while the span is still open).  ``track`` is either an
     integer thread ident (local spans) or a string lane name assigned by
-    cross-process adoption (``"pool-worker-0"``, ``"batch-job-3"``).
+    cross-process adoption (e.g. ``"batch-job-3"``).
     """
 
     __slots__ = ("span_id", "parent_id", "name", "start", "dur", "track", "attrs")

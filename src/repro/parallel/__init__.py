@@ -1,34 +1,18 @@
-"""Shared-memory parallel kernel engine (serial-exact sharded hot paths).
+"""Inert stand-ins for the removed shared-memory kernel pool.
 
-See :mod:`repro.parallel.engine` for the pool and runner interfaces and
-:mod:`repro.parallel.kernels` for the shard kernels and the bit-exactness
-contract they follow.
+``benchmarks/flow`` still imports these two names; this module exists only
+until a benchmark change drops those imports, and then it goes too.
 """
 
-from repro.parallel.engine import (
-    KernelPool,
-    KernelPoolError,
-    SerialShardRunner,
-    ShardBlock,
-    get_kernel_pool,
-    get_runner,
-    resolve_worker_count,
-    shutdown_kernel_pools,
-    split_ranges,
-)
-from repro.parallel.kernels import kernel_names, register_kernel, run_kernel
+__all__ = ["KernelPool", "shutdown_kernel_pools"]
 
-__all__ = [
-    "KernelPool",
-    "KernelPoolError",
-    "SerialShardRunner",
-    "ShardBlock",
-    "get_kernel_pool",
-    "get_runner",
-    "kernel_names",
-    "register_kernel",
-    "resolve_worker_count",
-    "run_kernel",
-    "shutdown_kernel_pools",
-    "split_ranges",
-]
+
+def shutdown_kernel_pools() -> None:
+    """No-op: there are no pools to shut down."""
+
+
+class KernelPool:
+    """Never constructed; ``run`` is kept as a span target for the benchmark."""
+
+    def run(self, *args, **kwargs):
+        raise RuntimeError("the kernel pool was removed")

@@ -20,8 +20,7 @@ Each :meth:`ElectrostaticDensity.evaluate` computes the cell-to-bin
 geometry (corner bins as flat grid indices, fractional offsets) once, in
 the splat, and both field samples reuse it: a flat ``np.take`` of the four
 corners into the deposit's weight slot, free once the deposit ``bincount``
-has run.  The kernel-pool splat writes the same geometry from the workers,
-so both paths share one sampler.
+has run.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ class ElectrostaticDensity:
         num_bins_y: Optional[int] = None,
         target_density: float = 1.0,
         workers: int = 0,
-        runner=None,
     ) -> None:
         arrays = as_core(design)
         self.core = arrays
@@ -115,14 +113,8 @@ class ElectrostaticDensity:
         self._half_h = arrays.inst_height[self._movable] * 0.5
         self._total_movable_area = float(self._area.sum())
 
-        # Parallel splat sharding (repro.parallel); workers=0 keeps the
-        # serial path.  ``_terms_dirty`` tracks when the per-cell geometry
-        # arrays in the shared block need a rewrite (area inflation).
+        # Thread count of the Poisson-solve DCTs (0 = scipy's default).
         self.workers = int(workers)
-        self._runner = runner
-        self._runner_resolved = runner is not None
-        self._block = None
-        self._terms_dirty = True
 
         # Scatter-plan scratch: flattened corner indices/weights for the
         # single-bincount splat (the weights slot doubles as the sampler's
@@ -139,7 +131,7 @@ class ElectrostaticDensity:
         # the gradient path).  ``_frac_u/_frac_v`` hold the bin-space
         # coordinates and then the fractional offsets fu/fv;
         # ``_floor_u/_floor_v`` hold the floors while the corner indices are
-        # built and then 1 - fu / 1 - fv (on both splat paths).
+        # built and then 1 - fu / 1 - fv.
         self._iu = np.empty(num_movable_cells, dtype=np.int64)
         self._iv = np.empty(num_movable_cells, dtype=np.int64)
         self._iu1 = np.empty(num_movable_cells, dtype=np.int64)
@@ -149,9 +141,8 @@ class ElectrostaticDensity:
         self._floor_u = np.empty(num_movable_cells, dtype=np.float64)
         self._floor_v = np.empty(num_movable_cells, dtype=np.float64)
         self._over = np.empty_like(self._rho)
-        # Hand-off of the splat's geometry to evaluate's sampler.  Cleared
-        # once taken: in the pooled path it holds views into the shared
-        # block, whose segment cannot close while a view is alive.
+        # Hand-off of the splat's geometry to evaluate's sampler, cleared
+        # once taken.
         self._geometry: Optional[BinGeometry] = None
 
         # Optional buffer arena (attached by the placer) backing the
@@ -194,82 +185,8 @@ class ElectrostaticDensity:
         self._half_w = arrays.inst_width[self._movable] * 0.5 * side
         self._half_h = arrays.inst_height[self._movable] * 0.5 * side
         self._total_movable_area = float(self._area.sum())
-        self._terms_dirty = True
 
     # ------------------------------------------------------------------
-    def _get_runner(self):
-        if not self._runner_resolved:
-            self._runner_resolved = True
-            if self.workers > 0:
-                from repro.parallel import get_runner
-
-                self._runner = get_runner(self.workers)
-        return self._runner
-
-    def _ensure_block(self, runner):
-        if self._block is not None:
-            return self._block
-        arrays = self.core
-        num_movable = self._movable.size
-        self._block = runner.register(
-            {
-                "movable": self._movable,
-                # Mutable per-call inputs.
-                "x": np.zeros(arrays.num_instances, dtype=np.float64),
-                "y": np.zeros(arrays.num_instances, dtype=np.float64),
-                "area": np.zeros(num_movable, dtype=np.float64),
-                "half_w": np.zeros(num_movable, dtype=np.float64),
-                "half_h": np.zeros(num_movable, dtype=np.float64),
-                # Worker outputs: flat corner indices and weights (corner-
-                # major, like the serial splat's) plus the fractional offsets
-                # the sampler needs.
-                "flat_idx": np.zeros(4 * num_movable, dtype=np.int64),
-                "flat_w": np.zeros(4 * num_movable, dtype=np.float64),
-                "fu": np.zeros(num_movable, dtype=np.float64),
-                "fv": np.zeros(num_movable, dtype=np.float64),
-            }
-        )
-        self._terms_dirty = True
-        import weakref
-
-        from repro.route.rudy import _release_block
-
-        weakref.finalize(self, _release_block, runner, self._block)
-        return self._block
-
-    def _splat_parallel(self, runner, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Sharded splat: workers write each cell's flat corner indices,
-        weights and fractional offsets; the parent runs the deposit
-        ``bincount`` in serial cell order — bitwise identical to the serial
-        splat."""
-        from repro.parallel.engine import split_ranges
-
-        die = self.core.die
-        block = self._ensure_block(runner)
-        views = block.views
-        views["x"][...] = x
-        views["y"][...] = y
-        if self._terms_dirty:
-            views["area"][...] = self._area
-            views["half_w"][...] = self._half_w
-            views["half_h"][...] = self._half_h
-            self._terms_dirty = False
-        args = (die.xl, die.yl, self.bin_w, self.bin_h, self.num_bins_x, self.num_bins_y)
-        tasks = [
-            (s, e, *args) for s, e in split_ranges(self._movable.size, runner.workers)
-        ]
-        runner.run("density_terms", [block], tasks)
-        fu, fv = views["fu"], views["fv"]
-        self._geometry = BinGeometry(
-            views["flat_idx"],
-            views["flat_w"],
-            fu,
-            fv,
-            np.subtract(1.0, fu, out=self._floor_u),
-            np.subtract(1.0, fv, out=self._floor_v),
-        )
-        return self._deposit(views["flat_idx"], views["flat_w"])
-
     def _deposit(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Replay the four corner deposits as one flat ``bincount``.
 
@@ -285,9 +202,6 @@ class ElectrostaticDensity:
 
     def _splat(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Cloud-in-cell deposition of movable cell areas onto the bin grid."""
-        runner = self._get_runner()
-        if runner is not None and self._movable.size:
-            return self._splat_parallel(runner, x, y)
         g = self._geometry = self._stage_geometry(x, y)
         # Corner weights area*(1-fu)*(1-fv), area*fu*(1-fv), area*(1-fu)*fv
         # and area*fu*fv, staged with the legacy operand order.

@@ -68,10 +68,9 @@ class PlacementConfig:
     # XL runs can raise this to cut per-iteration bookkeeping cost; the
     # optimization trajectory is bitwise unaffected.
     history_every: int = 1
-    # Kernel-pool workers for the GP gradient: they shard the WA
-    # wirelength and the density splat, and set the scipy FFT ``workers``
-    # of the Poisson solve (0 = serial; see repro.parallel for the
-    # bit-exactness guarantee).
+    # Threads of the density model's Poisson-solve DCTs (scipy's FFT
+    # ``workers``; 0 = scipy's default).  Each row transform is computed
+    # identically, so placements are bitwise identical for any value.
     kernel_workers: int = 0
 
 
@@ -117,10 +116,10 @@ class GlobalPlacer:
         self.config = config if config is not None else PlacementConfig()
         self.profiler = profiler if profiler is not None else RuntimeProfiler()
         arrays = design.arrays
+        if self.config.kernel_workers < 0:
+            raise ValueError("kernel_workers must be >= 0")
 
-        self.wirelength = WeightedAverageWirelength(
-            design, workers=self.config.kernel_workers
-        )
+        self.wirelength = WeightedAverageWirelength(design)
         self.density = ElectrostaticDensity(
             design,
             num_bins_x=self.config.num_bins_x,

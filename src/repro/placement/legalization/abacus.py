@@ -22,15 +22,12 @@ positions are bitwise identical).
 
 The per-cell candidate search no longer ``argsort``s all row distances for
 every cell.  ``row_y`` is sorted ascending (rows are built bottom-up), so
-the ``legalize_rowband`` kernel seeds a two-pointer expansion with
+:func:`_legalize_rowband` seeds a two-pointer expansion with
 ``searchsorted`` and emits the ``max_candidate_rows`` nearest rows per cell
 in increasing |row_y - y| order.  Tie-break: equidistant rows resolve to the
 *lower* row index, matching a stable argsort of the distances (the
 ``_reference_legalize`` twin uses exactly that, and the parity suite asserts
-bitwise equality).  With ``workers > 0`` the candidate bands shard across
-the :mod:`repro.parallel` kernel pool — the band computation is elementwise
-per cell, so any worker count (including 0, serial) yields identical bands,
-and the parent replays the order-sensitive sequential insertion itself.
+bitwise equality).
 
 ``_reference_legalize`` keeps the original object-based implementation as
 the bitwise twin for property tests and the legalization benches.
@@ -48,25 +45,60 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.netlist.core import Row, as_core
 from repro.obs import span
-from repro.parallel.kernels import run_kernel
 
 # Rightmost-edge tolerance for the row-overflow check (same magnitude the
 # geometry tests use for die/site assertions).
 _OVERFLOW_TOL = 1e-6
 
 
-def _release_block(runner, block) -> None:
-    """weakref.finalize hook: free a consumer's shared block when it dies."""
-    try:
-        runner.release(block)
-    except Exception:  # pragma: no cover - pool already shut down
-        pass
+def _legalize_rowband(row_y: np.ndarray, cell_y: np.ndarray, k: int) -> np.ndarray:
+    """Flat ``(n*k,)`` int32 nearest-row candidate bands for ``cell_y``.
+
+    For each cell (in the legalizer's x-sorted processing order) this emits
+    the ``k`` placement rows nearest to the cell's desired y, in increasing
+    |row_y - y| order — the row band Abacus walks when it looks for a row
+    with free capacity.  ``row_y`` is sorted ascending (rows are built
+    bottom-up), so a ``searchsorted`` seed plus a two-pointer expansion
+    replaces the all-rows ``argsort`` of the reference path.
+
+    Tie-break (documented, parity-tested): when a cell sits exactly midway
+    between two rows the *lower* row index is emitted first — the same
+    order a stable argsort of ``|row_y - y|`` produces.  Slots past the row
+    count (``k > num_rows``) are filled with ``-1``.
+    """
+    num_rows = int(row_y.size)
+    m = int(cell_y.size)
+    out = np.empty(m * k, dtype=np.int32)
+    # searchsorted(left): row_y[hi-1] < y <= row_y[hi], so the band starts
+    # at the tightest bracketing pair (lo, hi) = (hi-1, hi).
+    hi = np.searchsorted(row_y, cell_y, side="left").astype(np.int64)
+    lo = hi - 1
+    slots = np.arange(m, dtype=np.int64) * k
+    for j in range(k):
+        lo_valid = lo >= 0
+        hi_valid = hi < num_rows
+        # |row_y - y| without np.abs: the pointers never cross, so the
+        # bracketing differences are the nonnegative distances directly.
+        d_lo = np.where(lo_valid, cell_y - row_y[np.where(lo_valid, lo, 0)], np.inf)
+        d_hi = np.where(
+            hi_valid, row_y[np.where(hi_valid, hi, num_rows - 1)] - cell_y, np.inf
+        )
+        # <= : equidistant rows resolve to the lower index (stable order).
+        take_lo = d_lo <= d_hi
+        exhausted = ~lo_valid & ~hi_valid
+        choice = np.where(take_lo, lo, hi)
+        choice[exhausted] = -1
+        out[slots + j] = choice
+        advance = ~exhausted
+        lo = np.where(take_lo & advance, lo - 1, lo)
+        hi = np.where(~take_lo & advance, hi + 1, hi)
+    return out
 
 
 @dataclass
@@ -124,11 +156,6 @@ class AbacusLegalizer:
     silent placement failures on overfilled dies (cells abandoned at their
     illegal global-placement positions) for measurable row overflow, which
     is then surfaced via ``num_overfull_rows``.
-
-    ``workers``/``runner`` shard the per-cell candidate-row bands across the
-    kernel pool (see the module docstring); the sequential cluster insertion
-    always runs in the parent, so results are bitwise identical for any
-    worker count.
     """
 
     def __init__(
@@ -138,66 +165,15 @@ class AbacusLegalizer:
         site_aligned: bool = True,
         max_candidate_rows: int = 24,
         capacity_slack: float = 0.0,
-        workers: int = 0,
-        runner=None,
     ) -> None:
         self.core = as_core(design)
         self.site_aligned = site_aligned
         self.max_candidate_rows = max_candidate_rows
         self.capacity_slack = float(capacity_slack)
-        self.workers = int(workers)
-        self._runner_override = runner
-        self._runner = None
-        self._runner_resolved = False
         self.rows = self.core.rows()
         if not self.rows:
             raise ValueError("Design has no placement rows (die too short?)")
         self._row_y = np.array([r.y for r in self.rows], dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    # Candidate row bands (the parallel seam)
-    # ------------------------------------------------------------------
-    def _get_runner(self):
-        """The kernel runner (``None`` = serial), resolved lazily once."""
-        if not self._runner_resolved:
-            if self._runner_override is not None:
-                self._runner = self._runner_override
-            else:
-                from repro.parallel import get_runner
-
-                self._runner = get_runner(self.workers)
-            self._runner_resolved = True
-        return self._runner
-
-    def _candidate_bands(self, cell_y: np.ndarray, k: int) -> np.ndarray:
-        """Flat ``(n*k,)`` int32 nearest-row bands for the ordered cells.
-
-        Serial and sharded paths run the same ``legalize_rowband`` kernel —
-        the work is elementwise per cell, so the bands are bitwise
-        identical for any worker count.
-        """
-        n = int(cell_y.size)
-        cand = np.empty(n * k, dtype=np.int32)
-        runner = self._get_runner()
-        if runner is None or n == 0:
-            run_kernel(
-                "legalize_rowband",
-                {"row_y": self._row_y, "cell_y": cell_y, "cand_rows": cand},
-                (0, n, k),
-            )
-            return cand
-        from repro.parallel.engine import split_ranges
-
-        block = runner.register(
-            {"row_y": self._row_y, "cell_y": cell_y, "cand_rows": cand}
-        )
-        try:
-            tasks = [(s, e, k) for s, e in split_ranges(n, runner.workers)]
-            runner.run("legalize_rowband", [block], tasks)
-            # Private copy: the shared segment dies with the block release.
-            return block.views["cand_rows"].copy()
-        finally:
-            _release_block(runner, block)
 
     # ------------------------------------------------------------------
     # Array-backed hot path
@@ -228,15 +204,9 @@ class AbacusLegalizer:
         n = int(order.size)
         k = min(self.max_candidate_rows, num_rows)
 
-        runner = self._get_runner()
-        with span(
-            "legalize.abacus",
-            cells=n,
-            rows=num_rows,
-            parallel=runner is not None,
-        ):
-            with span("legalize.candidates", parallel=runner is not None):
-                cand = self._candidate_bands(y[order], k).reshape(n, k).tolist()
+        with span("legalize.abacus", cells=n, rows=num_rows):
+            with span("legalize.candidates"):
+                cand = _legalize_rowband(self._row_y, y[order], k).reshape(n, k).tolist()
 
             # Per-row flat stacks: cluster weight/width/q + first-cell slot,
             # plus the row's cell-order buffer.  Capacities grow by doubling;

@@ -47,13 +47,6 @@ few of them as the legacy rounding allows:
 Stacking the x and y axes into one pass of twice the length was measured
 and rejected: the cost is per element, not per call.
 
-With ``workers > 0`` (or an injected runner) the evaluation shards across
-the :mod:`repro.parallel` kernel pool: workers own disjoint *whole-net*
-ranges, compute per-pin gradients and per-net WA values locally, and the
-parent replays the instance scatter and the value sum in canonical order —
-bitwise identical to serial for any worker count (same contract as the
-density splat).
-
 Every entry point takes either a :class:`repro.netlist.Design` or a bare
 :class:`repro.netlist.core.DesignCore` — the smooth model never touches the
 object netlist.
@@ -106,10 +99,8 @@ class WeightedAverageWirelength:
     :class:`repro.placement.global_placer.GlobalPlacer` does the same through
     :meth:`set_gamma`.
 
-    ``workers``/``runner`` select the kernel-pool sharded evaluation
-    (``workers=0``, the default, keeps the serial plan path); ``arena`` may
-    be set to an :class:`repro.placement.arena.IterationArena` to reuse the
-    per-pin work buffers across evaluations.
+    ``arena`` may be set to an :class:`repro.placement.arena.IterationArena`
+    to reuse the per-pin work buffers across evaluations.
     """
 
     def __init__(
@@ -117,8 +108,6 @@ class WeightedAverageWirelength:
         design,
         *,
         gamma: float = 5.0,
-        workers: int = 0,
-        runner=None,
     ) -> None:
         core = as_core(design)
         self.core = core
@@ -138,12 +127,9 @@ class WeightedAverageWirelength:
         self._fixed_mask = ~core.movable_mask
 
         # Scatter plan.  ``csr_net`` is net-major (nondecreasing), so the
-        # filtered pins stay net-contiguous: per-net segments are described
-        # by their bounds (the pooled path's shard ranges), and every pin
-        # knows its (compact) segment.
+        # filtered pins stay net-contiguous and every pin knows its
+        # (compact) segment.
         valid_counts = counts[self._valid_nets]
-        self._seg_bounds = np.zeros(self._valid_nets.size + 1, dtype=np.int64)
-        np.cumsum(valid_counts, out=self._seg_bounds[1:])
         self._seg_id = np.repeat(
             np.arange(self._valid_nets.size, dtype=np.int64), valid_counts
         )
@@ -161,12 +147,6 @@ class WeightedAverageWirelength:
 
         # Optional buffer arena (set by the placer).
         self.arena = None
-
-        # Kernel-pool sharding state (mirrors ElectrostaticDensity).
-        self.workers = int(workers)
-        self._runner = runner
-        self._runner_resolved = runner is not None
-        self._block = None
 
     def set_gamma(self, gamma: float) -> None:
         if gamma <= 0:
@@ -203,10 +183,6 @@ class WeightedAverageWirelength:
             else np.asarray(net_weights, dtype=np.float64)
         )
         weighted = weights is not self.unit_weights
-        runner = self._get_runner()
-        if runner is not None and self._csr_pins.size:
-            return self._evaluate_pooled(runner, x, y, weights, weighted)
-
         c = self._buffer("wl_coord", self._csr_pins.size)
         self._gather(c, x, pin_x, self._off_x)
         value_x, pin_grad_x = self._directional(
@@ -370,93 +346,6 @@ class WeightedAverageWirelength:
             return self.arena.zeros(name, size)
         # contract: allow(alloc) reason=fallback for standalone calls with no arena attached
         return np.zeros(size, dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    # Kernel-pool sharded path
-    # ------------------------------------------------------------------
-    def _get_runner(self):
-        if not self._runner_resolved:
-            self._runner_resolved = True
-            if self.workers > 0:
-                from repro.parallel import get_runner
-
-                self._runner = get_runner(self.workers)
-        return self._runner
-
-    def _ensure_block(self, runner):
-        if self._block is not None:
-            return self._block
-        num_pins = self._csr_pins.size
-        num_valid = self._valid_nets.size
-        core = self.core
-        self._block = runner.register(
-            {
-                # Static plan arrays.
-                "pinst": self._pin_inst,
-                "off_x": self._off_x,
-                "off_y": self._off_y,
-                "seg_id": self._seg_id,
-                # Mutable per-call inputs.
-                "x": np.zeros(core.num_instances, dtype=np.float64),
-                "y": np.zeros(core.num_instances, dtype=np.float64),
-                "net_w": np.zeros(num_valid, dtype=np.float64),
-                # Worker outputs.
-                "pin_grad_x": np.zeros(num_pins, dtype=np.float64),
-                "pin_grad_y": np.zeros(num_pins, dtype=np.float64),
-                "per_net_x": np.zeros(num_valid, dtype=np.float64),
-                "per_net_y": np.zeros(num_valid, dtype=np.float64),
-            }
-        )
-        import weakref
-
-        from repro.route.rudy import _release_block
-
-        weakref.finalize(self, _release_block, runner, self._block)
-        return self._block
-
-    def _evaluate_pooled(
-        self,
-        runner,
-        x: np.ndarray,
-        y: np.ndarray,
-        weights: np.ndarray,
-        weighted: bool,
-    ) -> WirelengthResult:
-        """Sharded WA evaluation: workers own disjoint whole-net ranges and
-        compute per-pin gradients + per-net WA values; the parent replays
-        the value sum and the instance scatter in canonical order — bitwise
-        identical to the serial plan path for any worker count."""
-        from repro.parallel.engine import split_ranges
-
-        block = self._ensure_block(runner)
-        views = block.views
-        views["x"][...] = x
-        views["y"][...] = y
-        if weighted:
-            views["net_w"][...] = weights[self._valid_nets]
-        seg_bounds = self._seg_bounds
-        tasks = [
-            (s, e, int(seg_bounds[s]), int(seg_bounds[e]), self.gamma, weighted)
-            for s, e in split_ranges(self._valid_nets.size, runner.workers)
-        ]
-        runner.run("wa_wirelength", [block], tasks)
-
-        values = []
-        for axis in ("x", "y"):
-            per_net = self._zeros_buffer("wl_per_net", self._num_nets)
-            per_net[self._valid_nets] = views[f"per_net_{axis}"]
-            values.append(float(np.sum(per_net * weights if weighted else per_net)))
-        grad_x = np.bincount(
-            self._pin_inst, weights=views["pin_grad_x"], minlength=self._num_instances
-        )
-        grad_y = np.bincount(
-            self._pin_inst, weights=views["pin_grad_y"], minlength=self._num_instances
-        )
-        grad_x[self._fixed_mask] = 0.0
-        grad_y[self._fixed_mask] = 0.0
-        return WirelengthResult(
-            value=values[0] + values[1], grad_x=grad_x, grad_y=grad_y
-        )
 
     # ------------------------------------------------------------------
     # Legacy reference path (kept for the bitwise property tests)

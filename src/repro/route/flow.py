@@ -59,8 +59,8 @@ class RoutabilityConfig:
     target_density: float = 1.0
     seed: int = 0
     verbose: bool = False
-    # Kernel-pool workers for the GP / congestion / legalization hot paths
-    # (0 = serial; see repro.parallel for the bit-exactness guarantee).
+    # Threads of the density model's Poisson-solve DCTs (0 = scipy's
+    # default; placements are bitwise identical for any value).
     kernel_workers: int = 0
     # Record placement history every N iterations (1 = every iteration;
     # the optimization trajectory is bitwise unaffected).
@@ -91,16 +91,6 @@ class RoutabilityConfig:
             kernel_workers=self.kernel_workers,
             history_every=self.history_every,
         )
-
-    def congestion_config(self) -> CongestionConfig:
-        """The congestion sub-config with ``kernel_workers`` threaded in.
-
-        An explicit ``congestion.workers`` wins; the flat ``kernel_workers``
-        knob only fills the default so one CLI flag drives every hot path.
-        """
-        if self.kernel_workers and not self.congestion.workers:
-            return dataclasses.replace(self.congestion, workers=self.kernel_workers)
-        return self.congestion
 
     def inflation_config(self) -> InflationConfig:
         """The sub-config with any flat-field overrides applied on top."""
@@ -135,8 +125,8 @@ class RoutabilityGPConfig:
     target_density: float = 1.0
     seed: int = 0
     verbose: bool = False
-    # Kernel-pool workers for the GP / congestion / legalization hot paths
-    # (0 = serial; see repro.parallel for the bit-exactness guarantee).
+    # Threads of the density model's Poisson-solve DCTs (0 = scipy's
+    # default; placements are bitwise identical for any value).
     kernel_workers: int = 0
     # Record placement history every N iterations (1 = every iteration;
     # the optimization trajectory is bitwise unaffected).
@@ -187,16 +177,6 @@ class RoutabilityGPConfig:
             history_every=self.history_every,
         )
 
-    def congestion_config(self) -> CongestionConfig:
-        """The congestion sub-config with ``kernel_workers`` threaded in.
-
-        An explicit ``congestion.workers`` wins; the flat ``kernel_workers``
-        knob only fills the default so one CLI flag drives every hot path.
-        """
-        if self.kernel_workers and not self.congestion.workers:
-            return dataclasses.replace(self.congestion, workers=self.kernel_workers)
-        return self.congestion
-
     def inflation_config(self) -> InflationConfig:
         overrides = {
             key: value
@@ -227,7 +207,7 @@ class RoutabilityGPConfig:
         slots: List[tuple] = [
             (
                 CongestionNetWeighting(
-                    self.congestion_config(),
+                    self.congestion,
                     max_boost=self.congestion_max_boost,
                     saturation_overflow=self.congestion_saturation,
                 ),

@@ -48,14 +48,6 @@ __all__ = [
 ]
 
 
-def _release_block(runner, block) -> None:
-    """weakref.finalize hook: free a consumer's shared block when it dies."""
-    try:
-        runner.release(block)
-    except Exception:  # pragma: no cover - pool already torn down
-        pass
-
-
 @dataclass
 class CongestionConfig:
     """Knobs of the RUDY congestion model.
@@ -85,10 +77,6 @@ class CongestionConfig:
     # Reporting.
     top_k_hotspots: int = 10
     ace_fractions: Tuple[float, ...] = (0.005, 0.01, 0.02, 0.05)
-    # Kernel-pool workers for the map build; 0 (the default) keeps the
-    # serial path.  Sharded results are bitwise-identical to serial — see
-    # :mod:`repro.parallel.kernels` for the exactness contract.
-    workers: int = 0
 
     def validate(self) -> None:
         if self.tracks_per_row <= 0:
@@ -99,8 +87,6 @@ class CongestionConfig:
             raise ValueError("pin_wire_length must be non-negative")
         if self.max_net_degree < 2:
             raise ValueError("max_net_degree must be at least 2")
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
 
 
 @dataclass
@@ -242,22 +228,11 @@ class CongestionEstimator:
         self,
         design,
         config: Optional[CongestionConfig] = None,
-        *,
-        runner=None,
     ) -> None:
         core = as_core(design)
         self.core: DesignCore = core
         self.config = config if config is not None else CongestionConfig()
         self.config.validate()
-        # Parallel sharding: a runner override (tests) or the shared kernel
-        # pool once ``config.workers > 0``; both resolved lazily so plain
-        # serial construction never touches the pool machinery.
-        self._runner_override = runner
-        self._runner = None
-        self._runner_resolved = runner is not None
-        if runner is not None:
-            self._runner = runner
-        self._block = None
         die = core.die
         nbx, nby = self.config.num_bins_x, self.config.num_bins_y
         if nbx is None or nby is None:
@@ -293,7 +268,6 @@ class CongestionEstimator:
         # skipped clock-class nets).
         active_csr_mask = self._net_active[core.csr_net]
         self._csr_pins = core.net_pin_index[active_csr_mask]
-        self._csr_net = core.csr_net[active_csr_mask]
         self._active_ids = np.nonzero(self._net_active)[0]
         # Active nets are contiguous segments of ``_csr_pins``; these offsets
         # (one row per active net) drive the segmented min/max reductions.
@@ -306,113 +280,6 @@ class CongestionEstimator:
     def active_net_ids(self) -> np.ndarray:
         """Net ids the estimator models (degree within ``[2, max_net_degree]``)."""
         return self._active_ids
-
-    # ------------------------------------------------------------------
-    # Parallel sharding support
-    # ------------------------------------------------------------------
-    def _get_runner(self):
-        if not self._runner_resolved:
-            self._runner_resolved = True
-            if self.config.workers > 0:
-                from repro.parallel import get_runner
-
-                self._runner = get_runner(self.config.workers)
-        return self._runner
-
-    def _ensure_block(self, runner):
-        """Register the estimator's shared array namespace (once per runner)."""
-        if self._block is not None:
-            return self._block
-        core = self.core
-        num_active = self._active_ids.size
-        self._block = runner.register(
-            {
-                # Mutable per-call inputs (rewritten before each dispatch).
-                "x": np.zeros(core.num_instances, dtype=np.float64),
-                "y": np.zeros(core.num_instances, dtype=np.float64),
-                # Static connectivity.
-                "pin_instance": core.pin_instance,
-                "pin_offset_x": core.pin_offset_x,
-                "pin_offset_y": core.pin_offset_y,
-                "csr_pins": self._csr_pins,
-                "active_csr_offsets": self._active_csr_offsets,
-                # Worker outputs.
-                "bbox_xmin": np.zeros(num_active, dtype=np.float64),
-                "bbox_xmax": np.zeros(num_active, dtype=np.float64),
-                "bbox_ymin": np.zeros(num_active, dtype=np.float64),
-                "bbox_ymax": np.zeros(num_active, dtype=np.float64),
-            }
-        )
-        import weakref
-
-        weakref.finalize(self, _release_block, runner, self._block)
-        return self._block
-
-    def _estimate_parallel(self, runner, x: np.ndarray, y: np.ndarray) -> CongestionResult:
-        """Sharded map build: workers reduce bboxes and count pins, the
-        parent replays the (order-sensitive) RUDY splat in serial net order —
-        bitwise identical to :meth:`estimate`'s serial pipeline."""
-        from repro.parallel.engine import split_ranges
-
-        core = self.core
-        die = core.die
-        shape = (self.num_bins_x, self.num_bins_y)
-        block = self._ensure_block(runner)
-        views = block.views
-        views["x"][...] = x
-        views["y"][...] = y
-
-        bbox_tasks = split_ranges(self._active_ids.size, runner.workers)
-        runner.run("rudy_bbox", [block], bbox_tasks)
-        pin_args = (
-            self.num_bins_x,
-            self.num_bins_y,
-            die.xl,
-            die.yl,
-            self.bin_w,
-            self.bin_h,
-        )
-        pin_tasks = [
-            (s, e, *pin_args) for s, e in split_ranges(core.num_pins, runner.workers)
-        ]
-        pin_counts = runner.run("pin_bins", [block], pin_tasks)
-
-        # Private copies: the shared views are rewritten by the next call.
-        xmin = views["bbox_xmin"].copy()
-        xmax = views["bbox_xmax"].copy()
-        ymin = views["bbox_ymin"].copy()
-        ymax = views["bbox_ymax"].copy()
-
-        ix0, ix1 = self._bin_range(xmin, xmax, die.xl, self.bin_w, self.num_bins_x)
-        iy0, iy1 = self._bin_range(ymin, ymax, die.yl, self.bin_h, self.num_bins_y)
-        ncov = ((ix1 - ix0 + 1) * (iy1 - iy0 + 1)).astype(np.float64)
-        weight = core.net_weight[self._active_ids]
-        demand_h = self._splat(shape, ix0, ix1, iy0, iy1, weight * (xmax - xmin) / ncov)
-        demand_v = self._splat(shape, ix0, ix1, iy0, iy1, weight * (ymax - ymin) / ncov)
-
-        # Integer partials sum exactly in any order.
-        flat_pins = np.zeros(self.num_bins_x * self.num_bins_y, dtype=np.int64)
-        for partial in pin_counts:
-            flat_pins += partial
-        pin_density = flat_pins.reshape(shape).astype(np.float64)
-
-        if self.config.pin_wire_length > 0:
-            pin_demand = 0.5 * self.config.pin_wire_length * pin_density
-            demand_h = demand_h + pin_demand
-            demand_v = demand_v + pin_demand
-
-        return CongestionResult(
-            demand_h=demand_h,
-            demand_v=demand_v,
-            capacity_h=self.capacity_h,
-            capacity_v=self.capacity_v,
-            pin_density=pin_density,
-            bin_w=self.bin_w,
-            bin_h=self.bin_h,
-            die_xl=die.xl,
-            die_yl=die.yl,
-            net_bboxes=(xmin, xmax, ymin, ymax),
-        )
 
     # ------------------------------------------------------------------
     def net_bboxes(
@@ -509,14 +376,10 @@ class CongestionEstimator:
         core = self.core
         if x is None or y is None:
             x, y = core.x, core.y
-        runner = self._get_runner()
-        if runner is not None:
-            with span("congestion.estimate", parallel=True):
-                return self._estimate_parallel(runner, x, y)
         with span("congestion.estimate"):
-            return self._estimate_serial(x, y)
+            return self._estimate(x, y)
 
-    def _estimate_serial(self, x: np.ndarray, y: np.ndarray) -> CongestionResult:
+    def _estimate(self, x: np.ndarray, y: np.ndarray) -> CongestionResult:
         core = self.core
         die = core.die
         shape = (self.num_bins_x, self.num_bins_y)

@@ -2,9 +2,8 @@
 
 PR 10's contract mirrors PR 7's: every back-end rewrite is *bitwise*
 neutral.  The array-backed ``AbacusLegalizer.legalize`` must match the
-object-based ``_reference_legalize`` twin bit for bit, the
-``legalize_rowband`` kernel must produce identical candidate bands for any
-shard count (serial, sharded, real pool), and the delta-HPWL
+object-based ``_reference_legalize`` twin bit for bit, the nearest-row
+candidate bands must follow the stable-argsort row order, and the delta-HPWL
 ``DetailedPlacer.refine`` must take exactly the decisions of the
 full-recompute ``_reference_refine`` twin.  The row-overflow bugfix and the
 stale-order detailed-placement fix are pinned here too.
@@ -13,7 +12,6 @@ stale-order detailed-placement fix are pinned here too.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,11 +19,9 @@ from repro.benchgen.suite import load_benchmark
 from repro.flow.runner import FlowRunner
 from repro.flow.stages import DetailedPlaceStage, LegalizeStage
 from repro.netlist import Design, make_generic_library
-from repro.parallel import KernelPool, SerialShardRunner
-from repro.parallel.kernels import run_kernel
 from repro.placement.detailed import DetailedPlacer
 from repro.placement.initial import initial_placement
-from repro.placement.legalization.abacus import AbacusLegalizer
+from repro.placement.legalization.abacus import AbacusLegalizer, _legalize_rowband
 from repro.placement.wirelength import total_hpwl
 
 DESIGNS = ("sb_mini_18", "sb_mini_4", "sb_cong_1")
@@ -84,30 +80,9 @@ class TestAbacusParity:
 
 
 # ----------------------------------------------------------------------
-# Sharded row-band dispatch ≡ serial, any worker count
+# Nearest-row candidate bands
 # ----------------------------------------------------------------------
-class TestRowbandSharding:
-    @settings(max_examples=8, deadline=None)
-    @given(
-        name=st.sampled_from(DESIGNS),
-        seed=st.integers(0, 2**31 - 1),
-        shards=st.integers(1, 8),
-    )
-    def test_serial_shards_match(self, name, seed, shards):
-        design = _design(name, 0.4)
-        x, y = _positions(design, seed)
-        base = AbacusLegalizer(design).legalize(x, y)
-        sharded = AbacusLegalizer(design, runner=SerialShardRunner(shards)).legalize(x, y)
-        _assert_same_result(sharded, base)
-
-    def test_real_pool_matches(self):
-        design = _design("sb_mini_18", 0.4)
-        x, y = _positions(design, 5)
-        base = AbacusLegalizer(design).legalize(x, y)
-        with KernelPool(2) as pool:
-            pooled = AbacusLegalizer(design, runner=pool).legalize(x, y)
-        _assert_same_result(pooled, base)
-
+class TestRowband:
     def test_band_order_is_stable_argsort_with_midpoint_ties(self):
         # Documented tie-break: a cell exactly midway between two rows gets
         # the lower row first — the order a stable argsort of |row_y - y|
@@ -115,12 +90,7 @@ class TestRowbandSharding:
         row_y = np.arange(8, dtype=np.float64) * 10.0
         cell_y = np.array([15.0, 35.0, 0.0, 79.0, 41.0, -3.0, 100.0])
         k = 5
-        cand = np.empty(cell_y.size * k, dtype=np.int32)
-        run_kernel(
-            "legalize_rowband",
-            {"row_y": row_y, "cell_y": cell_y, "cand_rows": cand},
-            (0, int(cell_y.size), k),
-        )
+        cand = _legalize_rowband(row_y, cell_y, k)
         for i, yy in enumerate(cell_y):
             expect = np.argsort(np.abs(row_y - yy), kind="stable")[:k]
             assert np.array_equal(cand[i * k : (i + 1) * k], expect.astype(np.int32))
@@ -128,13 +98,7 @@ class TestRowbandSharding:
     def test_band_pads_with_minus_one_when_rows_run_out(self):
         row_y = np.array([0.0, 10.0])
         cell_y = np.array([4.0])
-        k = 4
-        cand = np.empty(k, dtype=np.int32)
-        run_kernel(
-            "legalize_rowband",
-            {"row_y": row_y, "cell_y": cell_y, "cand_rows": cand},
-            (0, 1, k),
-        )
+        cand = _legalize_rowband(row_y, cell_y, 4)
         assert cand.tolist() == [0, 1, -1, -1]
 
 
@@ -286,13 +250,3 @@ class TestBackendStages:
         meta = result.context.metadata["detailed_place"]
         assert meta["accepted_swaps"] > 0
         assert result.context.metadata["legalization"]["num_overfull_rows"] == 0
-
-    def test_legalize_stage_threads_kernel_workers(self):
-        design = _design("sb_mini_18", 0.4)
-        x, y = initial_placement(design, seed=0)
-        serial = AbacusLegalizer(design).legalize(x, y)
-        design.set_positions(x, y)
-        runner = FlowRunner([LegalizeStage()], kernel_workers=2)
-        result = runner.run(design)
-        assert np.array_equal(result.x, serial.x)
-        assert np.array_equal(result.y, serial.y)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.flow.batch import BatchJob, run_batch
+from repro.flow.batch import BatchJob, resolve_worker_count, run_batch
 from repro.flow.cli import _parse_overrides, _parse_value, main
 
 # Keep the designs tiny so the whole module stays fast.
@@ -130,6 +130,25 @@ class TestRunBatch:
             run_batch(_fast_jobs()[:1], executor="fork_bomb")
 
 
+def test_resolve_worker_count_positive():
+    assert resolve_worker_count() >= 1
+
+
+def test_batch_reports_worker_resolution():
+    job = BatchJob(
+        design="sb_mini_18",
+        preset="dreamplace",
+        scale=0.2,
+        overrides={"max_iterations": 5},
+    )
+    auto = run_batch([job])
+    assert auto.as_dict()["workers_source"] == "auto"
+    assert 1 <= auto.max_workers <= resolve_worker_count()
+    explicit = run_batch([job], max_workers=2)
+    assert explicit.as_dict()["workers_source"] == "explicit"
+    assert explicit.max_workers == 2
+
+
 class TestCLIParsing:
     def test_parse_value_types(self):
         assert _parse_value("3") == 3
@@ -188,6 +207,13 @@ class TestCLICommands:
     def test_unknown_corner_preset_exits(self):
         with pytest.raises(SystemExit, match="corners"):
             main(["run", "sb_mini_18", "--corners", "nonsense"])
+
+    def test_negative_kernel_workers_exits(self):
+        with pytest.raises(SystemExit, match="kernel_workers must be >= 0"):
+            main([
+                "run", "sb_mini_18", "--preset", "dreamplace", "--scale", "0.2",
+                "--kernel-workers", "-1",
+            ])
 
     def test_corners_via_set_rejected(self):
         with pytest.raises(SystemExit, match="--corners"):

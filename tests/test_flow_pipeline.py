@@ -91,6 +91,25 @@ class TestPresets:
         stages = build_stages("efficient_tdp", legalize=False, **FAST)
         assert not any(isinstance(s, LegalizeStage) for s in stages)
 
+    def test_kernel_workers_threads_through_presets(self):
+        # Every preset forwards kernel_workers to its global placers (the
+        # main one and the routability refine), where it becomes the
+        # density model's DCT thread count.
+        from repro.benchgen import load_benchmark
+        from repro.placement.global_placer import GlobalPlacer
+
+        design = load_benchmark("sb_mini_18", scale=0.2)
+        for preset in preset_names():
+            stages = build_stages(preset, kernel_workers=3)
+            configs = [s.config for s in stages if isinstance(s, GlobalPlaceStage)]
+            configs += [
+                s.placement_config for s in stages
+                if getattr(s, "placement_config", None) is not None
+            ]
+            assert configs, f"{preset}: no global-placement stage"
+            for config in configs:
+                assert GlobalPlacer(design, config).density.workers == 3
+
 
 class TestFlowRunner:
     def test_runner_requires_stages(self):

@@ -3,9 +3,9 @@
 PR 7's contract is that every rewrite of the global-place gradient pipeline
 is *bitwise* neutral: the plan-based wirelength/density paths must match the
 legacy ``np.add.at`` / ``np.maximum.at`` reference paths (kept as
-``_reference_*`` helpers) bit for bit, the ``wa_wirelength`` kernel must
-match the serial plan for any worker count, and the arena/optimizer buffer
-reuse must not change a single bit of the optimization trajectory.
+``_reference_*`` helpers) bit for bit, and the arena/optimizer buffer reuse
+and the DCT thread count must not change a single bit of the optimization
+trajectory.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from repro.benchgen.suite import load_benchmark
 from repro.core.pin_attraction import PinAttractionObjective, PinPairSet
-from repro.parallel import KernelPool, SerialShardRunner
 from repro.placement.arena import IterationArena
-from repro.placement.density import ElectrostaticDensity
+from repro.placement.density import ElectrostaticDensity, auto_bin_count
 from repro.placement.global_placer import GlobalPlacer, PlacementConfig
 from repro.placement.initial import initial_placement
 from repro.placement.objective import PlacementObjective
@@ -124,19 +123,18 @@ class TestWirelengthPlan:
     def test_unit_weights_skip_is_bitwise_neutral(self, name):
         # net_weights=None takes the unweighted path (no per-pin weight
         # multiply); it must match an explicit all-ones array, which takes
-        # the weighted path, bit for bit — serial and sharded.
+        # the weighted path, bit for bit.
         design = _design(name, 0.5)
         x, y = _positions(design, 5)
         ones = np.ones(design.num_nets)
-        for runner in (None, SerialShardRunner(3)):
-            model = WeightedAverageWirelength(design, gamma=3.0, runner=runner)
-            a = model.evaluate(x, y)
-            b = model.evaluate(x, y, net_weights=ones)
-            c = model.evaluate(x, y, net_weights=model.unit_weights)
-            for got in (b, c):
-                assert got.value == a.value
-                assert np.array_equal(got.grad_x, a.grad_x)
-                assert np.array_equal(got.grad_y, a.grad_y)
+        model = WeightedAverageWirelength(design, gamma=3.0)
+        a = model.evaluate(x, y)
+        b = model.evaluate(x, y, net_weights=ones)
+        c = model.evaluate(x, y, net_weights=model.unit_weights)
+        for got in (b, c):
+            assert got.value == a.value
+            assert np.array_equal(got.grad_x, a.grad_x)
+            assert np.array_equal(got.grad_y, a.grad_y)
 
     def test_unit_weights_are_read_only(self):
         model = WeightedAverageWirelength(_design("sb_mini_4", 0.4))
@@ -190,16 +188,14 @@ class TestDensityPlan:
         name=st.sampled_from(DESIGNS),
         scale=st.floats(0.3, 0.8),
         seed=st.integers(0, 2**31 - 1),
-        shards=st.sampled_from([0, 2, 3]),
     )
-    def test_sample_field_matches_reference_bitwise(self, name, scale, seed, shards):
+    def test_sample_field_matches_reference_bitwise(self, name, scale, seed):
         # The once-per-evaluate geometry and flat-take _sample_field must
         # reproduce the legacy per-field _reference_sample_field bit for
-        # bit, on the serial splat and on the sharded density_terms path.
+        # bit.
         design = _design(name, scale)
         x, y = _positions(design, seed)
-        runner = SerialShardRunner(shards) if shards else None
-        model = ElectrostaticDensity(design, runner=runner)
+        model = ElectrostaticDensity(design)
         got = model.evaluate(x, y)
         ref_x, ref_y = self._reference_gradient(model, x, y)
         assert np.array_equal(got.grad_x, ref_x)
@@ -215,14 +211,12 @@ class TestDensityPlan:
         sample = model._sample_field(ex, model._stage_geometry(x, y))
         assert np.array_equal(sample, model._reference_sample_field(ex, x, y))
 
-    @pytest.mark.parametrize("shards", [0, 2])
-    def test_sampler_reads_fresh_geometry_after_area_scale(self, shards):
+    def test_sampler_reads_fresh_geometry_after_area_scale(self):
         # set_area_scale moves every cell center; the second evaluate must
         # sample at the new geometry, not the previous evaluate's.
         design = _design("sb_cong_1", 0.5)
         x, y = _positions(design, 4)
-        runner = SerialShardRunner(shards) if shards else None
-        model = ElectrostaticDensity(design, runner=runner)
+        model = ElectrostaticDensity(design)
         model.evaluate(x, y)
         scale = np.random.default_rng(4).uniform(1.0, 2.5, design.num_instances)
         model.set_area_scale(scale)
@@ -304,52 +298,22 @@ class TestExtraTermPlans:
 
 
 # ----------------------------------------------------------------------
-# Sharded WA kernel
+# auto_bin_count: existing tiers pinned, XL unclamped
 # ----------------------------------------------------------------------
-class TestWirelengthKernel:
-    @settings(max_examples=12, deadline=None)
-    @given(
-        name=st.sampled_from(DESIGNS),
-        scale=st.floats(0.3, 0.7),
-        gamma=st.floats(0.5, 20.0),
-        shards=st.integers(1, 8),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_sharded_matches_serial_bitwise(self, name, scale, gamma, shards, seed):
-        design = _design(name, scale)
-        x, y = _positions(design, seed)
-        weights = np.random.default_rng(seed).uniform(0.25, 4.0, design.num_nets)
-        serial = WeightedAverageWirelength(design, gamma=gamma)
-        sharded = WeightedAverageWirelength(
-            design, gamma=gamma, workers=shards, runner=SerialShardRunner(shards)
-        )
-        a = serial.evaluate(x, y, net_weights=weights)
-        b = sharded.evaluate(x, y, net_weights=weights)
-        assert a.value == b.value
-        assert np.array_equal(a.grad_x, b.grad_x)
-        assert np.array_equal(a.grad_y, b.grad_y)
-
-    def test_gamma_change_reaches_workers(self):
-        design = _design("sb_mini_4", 0.5)
-        x, y = _positions(design, 1)
-        serial = WeightedAverageWirelength(design, gamma=2.0)
-        sharded = WeightedAverageWirelength(design, runner=SerialShardRunner(3))
-        sharded.set_gamma(2.0)
-        a = serial.evaluate(x, y)
-        b = sharded.evaluate(x, y)
-        assert a.value == b.value and np.array_equal(a.grad_x, b.grad_x)
-
-    def test_real_pool_matches_serial_bitwise(self):
-        design = _design("sb_mini_18", 0.4)
-        x, y = _positions(design, 2)
-        serial = WeightedAverageWirelength(design, gamma=4.0).evaluate(x, y)
-        with KernelPool(2) as pool:
-            pooled = WeightedAverageWirelength(design, gamma=4.0, runner=pool).evaluate(
-                x, y
-            )
-        assert pooled.value == serial.value
-        assert np.array_equal(pooled.grad_x, serial.grad_x)
-        assert np.array_equal(pooled.grad_y, serial.grad_y)
+@pytest.mark.parametrize(
+    "cells,expected",
+    [
+        (700, 16),  # sb_mini_18
+        (900, 16),  # sb_mini_1
+        (2000, 16),  # sb_mini_10
+        (4000, 32),
+        (100_000, 128),  # sb_xl_1
+        (250_000, 256),  # sb_xl_2
+        (1_000_000, 512),  # 1M tier: the old clamp froze this at 256
+    ],
+)
+def test_auto_bin_count_tiers(cells, expected):
+    assert auto_bin_count(cells) == expected
 
 
 # ----------------------------------------------------------------------
@@ -386,19 +350,28 @@ class TestInnerLoopBitwise:
         assert np.array_equal(a.y, b.y)
         assert a.history.hpwl == b.history.hpwl
 
-    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-    def test_full_placement_sharded_matches_serial(self, shards):
-        config = PlacementConfig(max_iterations=30, min_iterations=10, seed=0)
-        serial = GlobalPlacer(load_benchmark("sb_mini_4", scale=0.4), config).run()
-        placer = GlobalPlacer(load_benchmark("sb_mini_4", scale=0.4), config)
-        runner = SerialShardRunner(shards)
-        placer.wirelength._runner = runner
-        placer.wirelength._runner_resolved = True
-        placer.density._runner = runner
-        placer.density._runner_resolved = True
-        sharded = placer.run()
-        assert np.array_equal(serial.x, sharded.x)
-        assert np.array_equal(serial.y, sharded.y)
+    def test_kernel_workers_is_bitwise_neutral(self):
+        # kernel_workers only threads the Poisson-solve DCTs; each row
+        # transform is computed identically, so the run is bit-identical.
+        def run(workers):
+            config = PlacementConfig(
+                max_iterations=30, min_iterations=10, seed=0, kernel_workers=workers
+            )
+            placer = GlobalPlacer(load_benchmark("sb_mini_4"), config)
+            assert placer.density.workers == workers
+            return placer.run()
+
+        serial, threaded = run(0), run(2)
+        assert np.array_equal(serial.x, threaded.x)
+        assert np.array_equal(serial.y, threaded.y)
+        assert serial.history.hpwl == threaded.history.hpwl
+
+    def test_kernel_workers_validation(self):
+        with pytest.raises(ValueError, match="kernel_workers"):
+            GlobalPlacer(
+                load_benchmark("sb_mini_4", scale=0.3),
+                PlacementConfig(max_iterations=1, kernel_workers=-1),
+            )
 
     def test_history_every_is_trajectory_neutral(self):
         base = GlobalPlacer(

@@ -3,9 +3,12 @@ fallback flag, and update statistics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchgen import benchmark_names, load_benchmark
 from repro.timing import STAEngine
+from repro.timing.sta import _LevelWorklist
 
 
 def _assert_results_equal(full, inc, atol=0.0):
@@ -258,3 +261,44 @@ class TestSTAResultMemoization:
         )
         with pytest.raises(KeyError):
             result.endpoint_slack_of(next(iter(non_endpoint)))
+
+
+# ----------------------------------------------------------------------
+# Level worklist: argsort grouping == the old per-level masking
+# ----------------------------------------------------------------------
+def _mark_reference(level, num_pins, seen, pins):
+    """The pre-refactor mark(): np.unique + per-level boolean masks."""
+    fresh = pins[~seen[pins]]
+    if fresh.size == 0:
+        return {}, seen
+    seen = seen.copy()
+    seen[fresh] = True
+    out = {}
+    for lvl in np.unique(level[fresh]):
+        out[int(lvl)] = fresh[level[fresh] == lvl]
+    return out, seen
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_worklist_mark_matches_reference_grouping(data):
+    num_pins = data.draw(st.integers(2, 200))
+    max_level = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
+    level = rng.integers(0, max_level + 1, size=num_pins).astype(np.int64)
+    worklist = _LevelWorklist(level, num_pins)
+    ref_seen = np.zeros(num_pins, dtype=bool)
+    for _ in range(data.draw(st.integers(1, 4))):
+        pins = rng.integers(0, num_pins, size=data.draw(st.integers(0, 60)))
+        pins = pins.astype(np.int64)
+        _, ref_seen = _mark_reference(level, num_pins, ref_seen, pins)
+        worklist.mark(pins)
+        assert np.array_equal(worklist.seen, ref_seen)
+    # Popping each level yields exactly the reference's unique pins per level.
+    for lvl in range(max_level + 1):
+        popped = worklist.pop(lvl)
+        marked = np.nonzero(ref_seen & (level == lvl))[0]
+        if popped is None:
+            assert marked.size == 0
+        else:
+            assert np.array_equal(np.sort(popped), marked)

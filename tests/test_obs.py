@@ -2,8 +2,8 @@
 
 Covers the span core (nesting, parent links, ring-buffer loss accounting),
 the Chrome-trace exporter and its validator, the cross-process shipping
-protocol (KernelPool workers and process-executor batch jobs re-parented
-under their dispatch spans), failure cleanup (a traced stage raising must
+protocol (process-executor batch jobs re-parented under their dispatch
+spans), failure cleanup (a traced stage raising must
 not leak /dev/shm segments or a stuck global tracer), bitwise invariance
 of placement under tracing, and the CLI ``--trace`` / ``trace`` wiring.
 """
@@ -22,12 +22,12 @@ from repro.flow.cli import main as cli_main
 from repro.flow.presets import build_flow
 from repro.flow.runner import FlowRunner
 from repro.obs import (
-    ChildSpanCollector,
     Tracer,
     active_tracer,
     adopt_spans,
     chrome_trace,
     clock,
+    serialize_trace,
     span,
     start_tracing,
     stop_tracing,
@@ -36,9 +36,6 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.tracer import _NOOP_SPAN
-from repro.parallel import KernelPool, KernelPoolError
-from repro.placement.initial import initial_placement
-from repro.route.rudy import CongestionConfig, CongestionEstimator
 
 
 def _shm_entries():
@@ -86,11 +83,11 @@ class TestTracerCore:
         root = tracer.begin("dispatch")
         t0 = clock()
         record = tracer.record_complete(
-            "kernel.sum", t0, 0.25, parent=root, track="pool-worker-1"
+            "kernel.sum", t0, 0.25, parent=root, track="batch-job-1"
         )
         tracer.end(root)
         assert record.parent_id == root.span_id
-        assert record.track == "pool-worker-1"
+        assert record.track == "batch-job-1"
         assert record.dur == 0.25
 
     def test_out_of_order_end_finalizes_both(self):
@@ -170,7 +167,7 @@ class TestChromeExport:
                 pass
         root = tracer.begin("dispatch")
         tracer.record_complete(
-            "kernel.sum", root.start, 0.001, parent=root, track="pool-worker-0"
+            "kernel.sum", root.start, 0.001, parent=root, track="batch-job-0"
         )
         tracer.end(root)
         return tracer
@@ -195,8 +192,8 @@ class TestChromeExport:
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
         assert lanes["main"] == 0
-        assert "pool-worker-0" in lanes
-        assert events["kernel.sum"]["tid"] == lanes["pool-worker-0"]
+        assert "batch-job-0" in lanes
+        assert events["kernel.sum"]["tid"] == lanes["batch-job-0"]
         # Aggregate metrics travel in otherData.
         assert payload["otherData"]["spans"]["outer"]["count"] == 1
         out = tmp_path / "trace.json"
@@ -221,12 +218,12 @@ class TestChromeExport:
 # ----------------------------------------------------------------------
 class TestSpanAdoption:
     def test_collector_payload_reparents_under_dispatch(self):
-        collector = ChildSpanCollector()
-        with collector.span("kernel.outer", task=0):
-            with collector.span("kernel.step"):
+        child = Tracer()
+        with child.span("kernel.outer", task=0):
+            with child.span("kernel.step"):
                 pass
-        collector.counter("worker.tasks")
-        payload = collector.payload()
+        child.counter("worker.tasks")
+        payload = serialize_trace(child)
 
         parent = Tracer()
         dispatch = parent.begin("kernel.dispatch")
@@ -235,7 +232,7 @@ class TestSpanAdoption:
             payload,
             parent_id=dispatch.span_id,
             base=dispatch.start,
-            track="pool-worker-3",
+            track="batch-job-3",
         )
         parent.end(dispatch)
         assert adopted == 2
@@ -245,7 +242,7 @@ class TestSpanAdoption:
         # Root re-parented under the dispatch span; internal links remapped.
         assert outer.parent_id == dispatch.span_id
         assert step.parent_id == outer.span_id
-        assert outer.track == "pool-worker-3"
+        assert outer.track == "batch-job-3"
         assert outer.start >= dispatch.start
         # Fresh ids: no collision with the parent's own id space.
         ids = [r.span_id for r in parent.records()]
@@ -256,56 +253,6 @@ class TestSpanAdoption:
         parent = Tracer()
         assert adopt_spans(parent, None, parent_id=1, base=0.0, track="x") == 0
         assert parent.records() == []
-
-
-# ----------------------------------------------------------------------
-# KernelPool: traced pooled run == untraced serial run, spans re-parented
-# ----------------------------------------------------------------------
-class TestKernelPoolTracing:
-    def test_traced_pool_bitwise_and_reparented(self):
-        design = load_benchmark("sb_mini_1", scale=0.5)
-        x, y = initial_placement(design, seed=1)
-        serial_map = CongestionEstimator(design).estimate(x, y)
-        before = _shm_entries()
-        tracer = start_tracing()
-        try:
-            with KernelPool(2) as pool:
-                pooled_map = CongestionEstimator(
-                    design, CongestionConfig(workers=2), runner=pool
-                ).estimate(x, y)
-        finally:
-            stop_tracing()
-        assert _shm_entries() == before
-        assert np.array_equal(serial_map.demand_h, pooled_map.demand_h)
-        assert np.array_equal(serial_map.demand_v, pooled_map.demand_v)
-        assert np.array_equal(serial_map.pin_density, pooled_map.pin_density)
-
-        spans = _by_name(tracer)
-        dispatch_ids = {r.span_id for r in spans["kernel.dispatch"]}
-        worker_spans = [
-            r
-            for r in tracer.records()
-            if r.name.startswith("kernel.") and r.name != "kernel.dispatch"
-        ]
-        assert worker_spans, "expected worker-side kernel spans"
-        assert all(r.parent_id in dispatch_ids for r in worker_spans)
-        tracks = {r.track for r in worker_spans}
-        assert tracks <= {"pool-worker-0", "pool-worker-1"}
-
-    def test_traced_worker_failure_closes_dispatch_span_and_unlinks(self):
-        before = _shm_entries()
-        tracer = start_tracing()
-        try:
-            pool = KernelPool(2)
-            block = pool.register({"data": np.arange(8, dtype=np.float64)})
-            with pytest.raises(KernelPoolError):
-                pool.run("_selftest_fail", [block], [(0, 8)])
-        finally:
-            stop_tracing()
-        assert pool.closed
-        assert _shm_entries() == before
-        dispatches = _by_name(tracer).get("kernel.dispatch", [])
-        assert dispatches and all(r.dur >= 0.0 for r in dispatches)
 
 
 # ----------------------------------------------------------------------
@@ -383,11 +330,7 @@ class TestTracedFailureCleanup:
     def test_stage_exception_finalizes_spans_and_keeps_shm_clean(self):
         design = load_benchmark("sb_mini_18", scale=0.2)
         flow = build_flow("dreamplace", max_iterations=5, kernel_workers=2)
-        runner = FlowRunner(
-            list(flow.stages[:1]) + [_BoomStage()],
-            name="boom-flow",
-            kernel_workers=2,
-        )
+        runner = FlowRunner(list(flow.stages[:1]) + [_BoomStage()], name="boom-flow")
         before = _shm_entries()
         tracer = start_tracing()
         try:
