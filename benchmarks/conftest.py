@@ -14,21 +14,23 @@ from typing import Dict
 
 import pytest
 
-from repro.baselines import (
-    DifferentiableTDPBaseline,
-    DreamPlace4Baseline,
-    DreamPlaceBaseline,
-)
 from repro.benchgen import benchmark_names, load_benchmark
-from repro.core import EfficientTDPConfig, EfficientTDPlacer
-from repro.placement import PlacementConfig
+from repro.flow import build_flow
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 # The designs every cross-method table uses (the full sb_mini suite).
 SUITE = benchmark_names()
 
-METHODS = ["DREAMPlace", "DREAMPlace 4.0", "Differentiable-TDP", "Efficient-TDP (ours)"]
+# Table II method -> (flow preset, config overrides).  DREAMPlace records
+# TNS/WNS every 15 iterations for the Fig. 5 trajectories.
+METHOD_FLOWS = {
+    "DREAMPlace": ("dreamplace", {"max_iterations": 450, "seed": 1, "record_timing_every": 15}),
+    "DREAMPlace 4.0": ("dreamplace4", {}),
+    "Differentiable-TDP": ("differentiable_tdp", {}),
+    "Efficient-TDP (ours)": ("efficient_tdp", {}),
+}
+METHODS = list(METHOD_FLOWS)
 
 
 def results_dir() -> str:
@@ -52,20 +54,10 @@ def save_text(name: str, text: str) -> str:
 
 def run_method(method: str, design_name: str):
     """Run one placer flow on a freshly generated copy of ``design_name``."""
-    design = load_benchmark(design_name)
-    if method == "DREAMPlace":
-        flow = DreamPlaceBaseline(
-            design, PlacementConfig(max_iterations=450, seed=1), record_timing_every=15
-        )
-    elif method == "DREAMPlace 4.0":
-        flow = DreamPlace4Baseline(design)
-    elif method == "Differentiable-TDP":
-        flow = DifferentiableTDPBaseline(design)
-    elif method == "Efficient-TDP (ours)":
-        flow = EfficientTDPlacer(design, EfficientTDPConfig())
-    else:
+    if method not in METHOD_FLOWS:
         raise ValueError(f"Unknown method {method!r}")
-    return flow.run()
+    preset, overrides = METHOD_FLOWS[method]
+    return build_flow(preset, **overrides).run(load_benchmark(design_name))
 
 
 @pytest.fixture(scope="session")

@@ -14,18 +14,17 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import save_json, save_text
-from repro.baselines import DreamPlaceBaseline
 from repro.benchgen import load_benchmark
 from repro.core import SinglePathOptimizer
 from repro.evaluation import format_table
-from repro.placement import PlacementConfig
+from repro.flow import build_flow
 
 
 @pytest.fixture(scope="module")
 def coarse_design():
     # The paper uses superblue16 for this figure; sb_mini_16 is its stand-in.
     design = load_benchmark("sb_mini_16")
-    DreamPlaceBaseline(design, PlacementConfig(max_iterations=200, seed=1)).run()
+    build_flow("dreamplace", max_iterations=200, seed=1).run(design)
     return design
 
 

@@ -17,17 +17,16 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import save_json, save_text
-from repro.baselines import DreamPlaceBaseline
 from repro.benchgen import load_benchmark
 from repro.evaluation import format_table
-from repro.placement import PlacementConfig
+from repro.flow import build_flow
 from repro.timing import STAEngine, report_timing, report_timing_endpoint
 
 
 @pytest.fixture(scope="module")
 def coarse_placement_engine():
     design = load_benchmark("sb_mini_1")
-    DreamPlaceBaseline(design, PlacementConfig(max_iterations=450, seed=1)).run()
+    build_flow("dreamplace", max_iterations=450, seed=1).run(design)
     engine = STAEngine(design)
     engine.update_timing()
     return engine

@@ -11,10 +11,9 @@ Run:  python examples/path_extraction_study.py [benchmark_name]
 
 import sys
 
-from repro.baselines import DreamPlaceBaseline
 from repro.benchgen import benchmark_names, load_benchmark
 from repro.evaluation import format_table
-from repro.placement import PlacementConfig
+from repro.flow import build_flow
 from repro.timing import STAEngine, report_timing, report_timing_endpoint
 
 
@@ -24,7 +23,7 @@ def main() -> None:
         raise SystemExit(f"unknown benchmark {name!r}; choose from {benchmark_names()}")
 
     design = load_benchmark(name)
-    DreamPlaceBaseline(design, PlacementConfig(max_iterations=450, seed=1)).run()
+    build_flow("dreamplace", max_iterations=450, seed=1).run(design)
 
     engine = STAEngine(design)
     result = engine.update_timing()

@@ -18,11 +18,12 @@ through one composition seam:
 * :class:`~repro.feedback.timing.TimingCriticalityWeighting` and
   :class:`~repro.feedback.congestion.CongestionNetWeighting` — the two
   shipped composable signals;
-* :class:`~repro.feedback.timing.StrategyFeedback` — adapter that runs the
-  legacy timing strategies through the scheduler bit-identically.
+* :mod:`repro.feedback.timing` — also the self-applying timing feedbacks
+  of the Table II methods (pin pairs, momentum net weighting, smoothed pin
+  pairs, recording).
 
-Flow integration lives in :class:`repro.flow.stages.FeedbackWeightStage`
-and the ``routability-gp`` preset.
+Flow integration lives in :class:`repro.flow.stages.FeedbackWeightStage`,
+which every feedback-driven preset schedules its feedbacks through.
 """
 
 from repro.feedback.base import FeedbackCadence, FeedbackUpdate, PlacementFeedback
@@ -34,7 +35,13 @@ from repro.feedback.scheduler import (
     FeedbackSlot,
     feedback_record,
 )
-from repro.feedback.timing import StrategyFeedback, TimingCriticalityWeighting
+from repro.feedback.timing import (
+    MomentumNetWeighting,
+    PinPairAttraction,
+    SmoothPinPairAttraction,
+    TimingCriticalityWeighting,
+    TimingRecorder,
+)
 
 __all__ = [
     "CallbackFeedback",
@@ -43,9 +50,12 @@ __all__ = [
     "FeedbackScheduler",
     "FeedbackSlot",
     "FeedbackUpdate",
+    "MomentumNetWeighting",
+    "PinPairAttraction",
     "PlacementFeedback",
-    "StrategyFeedback",
+    "SmoothPinPairAttraction",
     "TimingCriticalityWeighting",
+    "TimingRecorder",
     "WeightComposer",
     "WeightComposerConfig",
     "feedback_record",

@@ -4,9 +4,8 @@ Global placement is a fixed-point iteration; everything "timing-driven",
 "routability-driven", or "X-driven" about a flow is a *feedback* folded into
 that iteration: periodically analyze the current positions, derive per-net
 weight adjustments (or extra objective terms), and let the placer keep
-going.  Before this module the repository had two parallel code paths for
-that idea — timing strategies wired through raw placer callbacks, and a
-separate post-place inflation loop — which could not compose.
+going.  Timing-driven schemes and congestion weighting are all
+feedbacks, so they compose on one scheduler.
 
 A :class:`PlacementFeedback` is the common shape:
 
@@ -20,7 +19,8 @@ A :class:`PlacementFeedback` is the common shape:
   current ``(x, y)`` and return a :class:`FeedbackUpdate` carrying an
   optional per-net *weight proposal* (a multiplicative boost, ``>= 1``) plus
   scalar metrics for the trajectory.  Feedbacks that mutate the placer
-  directly (legacy strategies, raw callbacks) return proposal-free updates.
+  directly (self-applying timing feedbacks, raw callbacks) return
+  proposal-free updates.
 * :meth:`~PlacementFeedback.finalize` — publish summary state once the
   placement loop ends.
 

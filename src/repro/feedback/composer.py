@@ -2,8 +2,8 @@
 
 Every weighting feedback proposes a multiplicative per-net boost (``>= 1``):
 timing criticality proposes ``1 + boost * criticality``, congestion proposes
-``1 + boost * overflow_score``.  The composer owns what used to be private
-to each strategy — momentum, clamping, normalization — so the signals share
+``1 + boost * overflow_score``.  The composer owns what would otherwise be
+private to each signal — momentum, clamping, normalization — so the signals share
 one dynamic range instead of fighting over ``placer.set_net_weights``:
 
 * proposals are combined **multiplicatively** (log-additively), so a net
@@ -13,7 +13,8 @@ one dynamic range instead of fighting over ``placer.set_net_weights``:
 * one **shared momentum** state smooths the composed target over updates:
   ``w <- decay*w + (1-decay)*target`` where ``target`` is the proposal
   product itself.  The target is *absolute*, not compounded onto the
-  current weights (the legacy DREAMPlace-4.0 strategy compounds; measured
+  current weights (the self-applying DREAMPlace-4.0 ``net_weight`` feedback
+  compounds; measured
   on the congestion-stressed design, compounding a congestion signal
   ratchets every hot net to the clamp within a few updates and wrecks the
   post-legalization placement).  Tracking the absolute target keeps the

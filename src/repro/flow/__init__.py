@@ -10,9 +10,9 @@ framework.  The pieces:
   a ``name`` and ``run(ctx)``.
 * :class:`~repro.flow.runner.FlowRunner` — executes an ordered stage list
   over a design and returns a :class:`~repro.flow.runner.FlowResult`.
-* :mod:`~repro.flow.stages` — the concrete stages and timing strategies.
+* :mod:`~repro.flow.stages` — the concrete stages.
 * :mod:`~repro.flow.presets` — named stage compositions (the Table II
-  methods) and the ``build_flow`` helper.
+  methods), their config classes, and the ``build_flow`` helper.
 * :mod:`~repro.flow.batch` — run many designs concurrently and aggregate a
   :class:`~repro.flow.batch.BatchReport`.
 * :mod:`~repro.flow.cli` — the ``repro`` command-line entry point
@@ -24,32 +24,37 @@ Stage registry
 Stages self-register by name via the :func:`~repro.flow.stage.register_stage`
 class decorator, so flows can be assembled declaratively::
 
+    from repro.feedback import FeedbackCadence
+    from repro.feedback.timing import PinPairAttraction
     from repro.flow import available_stages, create_stage, FlowRunner
 
     available_stages()
-    # ['evaluate', 'global_place', 'legalize', 'timing_weight']
+    # ['congestion', 'detailed_place', 'evaluate', 'feedback_weight', ...]
 
     runner = FlowRunner([
-        create_stage("timing_weight", strategy="pin_pair",
-                     start_iteration=100, interval=10),
+        create_stage("feedback_weight", slots=[
+            (PinPairAttraction(), FeedbackCadence(start=100, interval=10)),
+        ]),
         create_stage("global_place"),
         create_stage("legalize"),
         create_stage("evaluate"),
     ])
     result = runner.run(design)
 
-``timing_weight`` accepts a strategy instance or one of the registered
-strategy names:
+``feedback_weight`` schedules :mod:`repro.feedback` components, among them
+the timing feedbacks of :mod:`repro.feedback.timing`:
 
-* ``pin_pair``    — the paper's critical-path extraction + Eq. 9 pin pairs;
-* ``net_weight``  — DREAMPlace 4.0-style momentum net weighting;
-* ``smooth_pair`` — Differentiable-TDP-style smoothed pin attraction;
-* ``record``      — observe-only TNS/WNS trajectory recording.
+* ``PinPairAttraction``       — the paper's critical-path extraction + Eq. 9
+  pin pairs;
+* ``MomentumNetWeighting``    — DREAMPlace 4.0-style momentum net weighting;
+* ``SmoothPinPairAttraction`` — Differentiable-TDP-style smoothed pin
+  attraction;
+* ``TimingRecorder``          — observe-only TNS/WNS trajectory recording.
 
-Ordering convention: configuration stages (``timing_weight``) come *before*
-``global_place`` in the stage list because they hook into the placement loop
-via :attr:`FlowContext.placer_hooks`; post-processing stages (``legalize``,
-``evaluate``) come after.
+Ordering convention: configuration stages (``feedback_weight``) come
+*before* ``global_place`` in the stage list because they hook into the
+placement loop via :attr:`FlowContext.placer_hooks`; post-processing stages
+(``legalize``, ``evaluate``) come after.
 
 Flow presets
 ------------
@@ -79,14 +84,12 @@ from repro.flow.stages import (
     FeedbackWeightStage,
     GlobalPlaceStage,
     LegalizeStage,
-    MomentumNetWeightStrategy,
-    PinPairAttractionStrategy,
-    RecordTimingStrategy,
-    SmoothPinPairStrategy,
-    TimingWeightStage,
-    make_strategy,
 )
 from repro.flow.presets import (
+    DifferentiableTDPConfig,
+    DreamPlace4Config,
+    DreamPlaceConfig,
+    EfficientTDPConfig,
     FlowPreset,
     build_flow,
     build_stages,
@@ -109,12 +112,10 @@ __all__ = [
     "FeedbackWeightStage",
     "GlobalPlaceStage",
     "LegalizeStage",
-    "TimingWeightStage",
-    "PinPairAttractionStrategy",
-    "MomentumNetWeightStrategy",
-    "SmoothPinPairStrategy",
-    "RecordTimingStrategy",
-    "make_strategy",
+    "DifferentiableTDPConfig",
+    "DreamPlace4Config",
+    "DreamPlaceConfig",
+    "EfficientTDPConfig",
     "FlowPreset",
     "build_flow",
     "build_stages",

@@ -324,10 +324,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _build_run(args: argparse.Namespace, command: str):
+    """The design, preset flow (with ``--routability`` /
+    ``--congestion-weighting`` retrofits) and seed of one ``run``-style command.
+
+    The retrofits guard on what the flow already contains, not on preset
+    names, so the flags are no-ops (instead of duplicating stages or slots)
+    on presets that ship the behavior — e.g. --routability on
+    routability-gp.  Bad overrides and refused retrofits exit 1 with one
+    line.
+    """
     from repro.benchgen.suite import load_benchmark
+    from repro.feedback.congestion import CongestionNetWeighting
     from repro.flow.presets import build_flow
     from repro.flow.runner import FlowRunner
+    from repro.flow.stages import FeedbackWeightStage, RoutabilityRepairStage
+    from repro.route.flow import add_congestion_weighting, add_routability
 
     _check_designs([args.design])
     overrides = _apply_corners(args, _parse_overrides(args.overrides))
@@ -337,37 +349,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     design = load_benchmark(args.design, scale=args.scale)
     try:
         runner = build_flow(args.preset, **overrides)
-    except AttributeError as exc:
-        raise SystemExit(f"repro run: {exc}") from exc
-    from repro.flow.stages import FeedbackWeightStage, RoutabilityRepairStage
+        stages = list(runner.stages)
+        if getattr(args, "routability", False) and not any(
+            isinstance(stage, RoutabilityRepairStage) for stage in stages
+        ):
+            stages = add_routability(stages)
+        if getattr(args, "congestion_weighting", False) and not any(
+            isinstance(feedback, CongestionNetWeighting)
+            for stage in stages
+            if isinstance(stage, FeedbackWeightStage)
+            for feedback, _ in stage.slots
+        ):
+            stages = add_congestion_weighting(stages)
+    except (AttributeError, ValueError) as exc:
+        raise SystemExit(f"repro {command}: {exc}") from exc
+    return design, FlowRunner(stages, name=runner.name), int(overrides["seed"])
 
-    # Guard on what the flow already contains, not on preset names, so the
-    # flags are no-ops (instead of duplicating stages) on presets that ship
-    # the behavior — e.g. --routability on routability-gp.
-    if getattr(args, "routability", False) and not any(
-        isinstance(stage, RoutabilityRepairStage) for stage in runner.stages
-    ):
-        from repro.route.flow import add_routability
 
-        try:
-            runner = FlowRunner(add_routability(runner.stages), name=runner.name)
-        except ValueError as exc:
-            raise SystemExit(f"repro run: {exc}") from exc
-    if getattr(args, "congestion_weighting", False) and not any(
-        isinstance(stage, FeedbackWeightStage) for stage in runner.stages
-    ):
-        from repro.route.flow import add_congestion_weighting
-
-        try:
-            runner = FlowRunner(
-                add_congestion_weighting(runner.stages), name=runner.name
-            )
-        except ValueError as exc:
-            raise SystemExit(f"repro run: {exc}") from exc
+def _cmd_run(args: argparse.Namespace) -> int:
+    design, runner, seed = _build_run(args, "run")
     trace_path = _trace_destination(args, f"{args.design}_{args.preset}")
     tracer = start_tracing() if trace_path else None
     try:
-        result = runner.run(design, seed=int(overrides["seed"]))
+        result = runner.run(design, seed=seed)
     except ValueError as exc:
         raise SystemExit(f"repro run: {exc}") from exc
     finally:
@@ -421,7 +425,7 @@ def _profile_payload(
     feedback = result.context.metadata.get("feedback")
     if feedback and feedback.get("calls"):
         # Per-feedback breakdown: wall seconds and firings of every
-        # scheduled placement feedback (timing strategies, congestion
+        # scheduled placement feedback (timing feedbacks, congestion
         # weighting, raw callbacks), accumulated across the main placement
         # and any refine placements.
         payload["feedback"] = {
@@ -574,48 +578,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_congestion(args: argparse.Namespace) -> int:
-    from repro.benchgen.suite import load_benchmark
-    from repro.flow.presets import build_flow
-    from repro.flow.runner import FlowRunner
     from repro.flow.stages import CongestionStage, EvaluateStage
-    from repro.route.flow import add_routability
 
-    _check_designs([args.design])
-    overrides = _apply_corners(args, _parse_overrides(args.overrides))
-    overrides.setdefault("seed", args.seed)
-    if getattr(args, "kernel_workers", None) is not None:
-        overrides.setdefault("kernel_workers", args.kernel_workers)
-    design = load_benchmark(args.design, scale=args.scale)
-    try:
-        runner = build_flow(args.preset, **overrides)
-    except AttributeError as exc:
-        raise SystemExit(f"repro congestion: {exc}") from exc
-    from repro.flow.stages import FeedbackWeightStage, RoutabilityRepairStage
-
-    stages = list(runner.stages)
-    if args.routability and not any(
-        isinstance(stage, RoutabilityRepairStage) for stage in stages
-    ):
-        try:
-            stages = add_routability(stages)
-        except ValueError as exc:
-            raise SystemExit(f"repro congestion: {exc}") from exc
-    if args.congestion_weighting and not any(
-        isinstance(stage, FeedbackWeightStage) for stage in stages
-    ):
-        from repro.route.flow import add_congestion_weighting
-
-        try:
-            stages = add_congestion_weighting(stages)
-        except ValueError as exc:
-            raise SystemExit(f"repro congestion: {exc}") from exc
-    if not any(isinstance(stage, CongestionStage) for stage in stages):
-        stages.append(CongestionStage())
-        for stage in stages:
+    design, runner, seed = _build_run(args, "congestion")
+    if not any(isinstance(stage, CongestionStage) for stage in runner.stages):
+        runner.stages.append(CongestionStage())
+        for stage in runner.stages:
             if isinstance(stage, EvaluateStage):
                 stage.congestion = True
-    runner = FlowRunner(stages, name=runner.name)
-    result = runner.run(design, seed=int(overrides["seed"]))
+    result = runner.run(design, seed=seed)
 
     congestion = dict(result.context.metadata.get("congestion", {}))
     congestion.pop("hotspots", None)

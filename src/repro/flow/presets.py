@@ -22,11 +22,29 @@ makes the CLI's ``--set key=value`` safe.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.path_extraction import ExtractionConfig
+from repro.feedback.base import FeedbackCadence, PlacementFeedback
+from repro.feedback.timing import (
+    MomentumNetWeighting,
+    PinPairAttraction,
+    SmoothPinPairAttraction,
+    TimingRecorder,
+)
 from repro.flow.runner import FlowRunner
 from repro.flow.stage import FlowStage
+from repro.flow.stages import (
+    CongestionStage,
+    EvaluateStage,
+    FeedbackWeightStage,
+    GlobalPlaceStage,
+    LegalizeStage,
+    RoutabilityRepairStage,
+)
+from repro.placement.global_placer import PlacementConfig, ScheduleConfig
+from repro.route.flow import RoutabilityConfig, RoutabilityGPConfig
 
 
 @dataclass(frozen=True)
@@ -93,132 +111,158 @@ def build_flow(preset_name: str, config: Any = None, **overrides: Any) -> FlowRu
 
 
 # ----------------------------------------------------------------------
-# Shipped presets.  Config classes live next to their legacy flow classes
-# and are imported lazily to keep the package import graph acyclic.
+# Preset configs
 # ----------------------------------------------------------------------
-def _efficient_tdp_config() -> Any:
-    from repro.core.placer import EfficientTDPConfig
+@dataclass
+class TimingScheduleConfig(ScheduleConfig):
+    """The schedule of the timing-driven presets.
 
-    return EfficientTDPConfig()
+    Timing feedback starts at ``timing_start_iteration`` and repeats every
+    ``timing_update_interval`` placement iterations (``m``); placement runs
+    at least ``min_timing_iterations`` past the start.
+    """
+
+    timing_start_iteration: int = 150
+    min_timing_iterations: int = 120
+    timing_update_interval: int = 15
+    # MCMM analysis corners: None (single-corner), a preset string such as
+    # "fast,typ,slow", or a sequence of Corner objects.  Timing feedback
+    # then optimizes against the merged (worst-over-corners) slack.
+    corners: Optional[object] = None
+
+    def placement_config(self) -> PlacementConfig:
+        config = super().placement_config()
+        config.min_iterations = self.timing_start_iteration + self.min_timing_iterations
+        return config
 
 
-def _efficient_tdp_stages(config: Any) -> List[FlowStage]:
-    from repro.flow.stages import (
-        EvaluateStage,
-        GlobalPlaceStage,
-        LegalizeStage,
-        PinPairAttractionStrategy,
-        TimingWeightStage,
+@dataclass
+class EfficientTDPConfig(TimingScheduleConfig):
+    """The paper's flow (Fig. 1): path extraction feeding pin pairs.
+
+    Hyper-parameter defaults follow Sec. IV: ``beta = 2.5e-5`` (with an
+    automatic rescaling because the absolute value is engine-specific),
+    ``m = 15``, ``w0 = 10``, ``w1 = 0.2``.
+    """
+
+    beta: float = 2.5e-5
+    beta_mode: str = "auto"        # "auto": rescale beta against the WL gradient
+    beta_auto_ratio: float = 4.0   # per-pair attraction force vs per-cell WL force
+    w0: float = 10.0
+    w1: float = 0.2
+    loss: str = "quadratic"
+    extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
+    # STA engine mode between timing iterations (exact with tolerance 0).
+    incremental_sta: bool = False
+    sta_move_tolerance: float = 0.0
+    legalize: bool = True
+
+
+@dataclass
+class DreamPlace4Config(TimingScheduleConfig):
+    """DREAMPlace 4.0-style momentum net weighting (Eq. 5).
+
+    Also the paper's "w/o Path Extraction" ablation arm.  The weighting
+    aggressiveness is calibrated so the baseline lands in the operating
+    envelope DREAMPlace 4.0 itself reports (~6% HPWL overhead on the
+    contest designs); larger boosts trade HPWL for TNS aggressively on the
+    small synthetic suite.
+    """
+
+    momentum_decay: float = 0.75
+    max_boost: float = 0.75
+    max_weight: float = 6.0
+
+
+@dataclass
+class DifferentiableTDPConfig(TimingScheduleConfig):
+    """Differentiable-TDP-style smoothed, path-free pin attraction.
+
+    In the spirit of Guo & Lin (DAC'22): every net arc participates (no
+    explicit extraction) with a smoothed timing metric, trading accuracy for
+    differentiability.
+    """
+
+    temperature: float = 0.25
+    criticality_threshold: float = 0.05
+    attraction_ratio: float = 0.15
+
+
+@dataclass
+class DreamPlaceConfig(PlacementConfig):
+    """Placement config plus the optional TNS/WNS recording interval."""
+
+    record_timing_every: Optional[int] = None
+    # MCMM corners spec (None, "fast,typ,slow", or Corner objects); affects
+    # timing recording and evaluation (placement itself is timing-free).
+    corners: Optional[object] = None
+
+
+# ----------------------------------------------------------------------
+# Shipped presets
+# ----------------------------------------------------------------------
+def _timing_stages(
+    config: TimingScheduleConfig, feedback: PlacementFeedback, *, legalize: bool = True
+) -> List[FlowStage]:
+    """``feedback_weight -> global_place [-> legalize] -> evaluate``."""
+    cadence = FeedbackCadence(
+        start=config.timing_start_iteration, interval=config.timing_update_interval
     )
-
     stages: List[FlowStage] = [
-        TimingWeightStage(
-            PinPairAttractionStrategy(
-                extraction=config.extraction,
-                w0=config.w0,
-                w1=config.w1,
-                loss=config.loss,
-                beta=config.beta,
-                beta_mode=config.beta_mode,
-                beta_auto_ratio=config.beta_auto_ratio,
-                verbose=config.verbose,
-                sta_incremental=config.incremental_sta,
-                sta_move_tolerance=config.sta_move_tolerance,
-            ),
-            start_iteration=config.timing_start_iteration,
-            interval=config.timing_update_interval,
-            corners=config.corners,
-        ),
+        FeedbackWeightStage([(feedback, cadence)], corners=config.corners),
         GlobalPlaceStage(config.placement_config()),
     ]
-    if config.legalize:
+    if legalize:
         stages.append(LegalizeStage())
     stages.append(EvaluateStage(corners=config.corners))
     return stages
 
 
-def _dreamplace_config() -> Any:
-    from repro.baselines.dreamplace import DreamPlaceConfig
-
-    return DreamPlaceConfig()
-
-
-def _dreamplace_stages(config: Any) -> List[FlowStage]:
-    from repro.flow.stages import (
-        EvaluateStage,
-        GlobalPlaceStage,
-        LegalizeStage,
-        RecordTimingStrategy,
-        TimingWeightStage,
+def _efficient_tdp_stages(config: EfficientTDPConfig) -> List[FlowStage]:
+    feedback = PinPairAttraction(
+        extraction=config.extraction,
+        w0=config.w0,
+        w1=config.w1,
+        loss=config.loss,
+        beta=config.beta,
+        beta_mode=config.beta_mode,
+        beta_auto_ratio=config.beta_auto_ratio,
+        verbose=config.verbose,
+        sta_incremental=config.incremental_sta,
+        sta_move_tolerance=config.sta_move_tolerance,
     )
+    return _timing_stages(config, feedback, legalize=config.legalize)
 
+
+def _dreamplace_stages(config: DreamPlaceConfig) -> List[FlowStage]:
+    corners = getattr(config, "corners", None)
     stages: List[FlowStage] = []
     if getattr(config, "record_timing_every", None):
-        stages.append(
-            TimingWeightStage(
-                RecordTimingStrategy(),
-                start_iteration=0,
-                interval=config.record_timing_every,
-                corners=getattr(config, "corners", None),
-            )
-        )
-    stages.extend(
-        [
-            GlobalPlaceStage(config),
-            LegalizeStage(),
-            EvaluateStage(corners=getattr(config, "corners", None)),
-        ]
-    )
+        cadence = FeedbackCadence(start=0, interval=config.record_timing_every)
+        stages.append(FeedbackWeightStage([(TimingRecorder(), cadence)], corners=corners))
+    stages.extend([GlobalPlaceStage(config), LegalizeStage(), EvaluateStage(corners=corners)])
     return stages
 
 
-def _dreamplace4_config() -> Any:
-    from repro.baselines.dreamplace4 import DreamPlace4Config
-
-    return DreamPlace4Config()
-
-
-def _dreamplace4_stages(config: Any) -> List[FlowStage]:
-    from repro.flow.stages import (
-        EvaluateStage,
-        GlobalPlaceStage,
-        LegalizeStage,
-        MomentumNetWeightStrategy,
-        TimingWeightStage,
+def _dreamplace4_stages(config: DreamPlace4Config) -> List[FlowStage]:
+    feedback = MomentumNetWeighting(
+        momentum_decay=config.momentum_decay,
+        max_boost=config.max_boost,
+        max_weight=config.max_weight,
     )
-
-    return [
-        TimingWeightStage(
-            MomentumNetWeightStrategy(
-                momentum_decay=config.momentum_decay,
-                max_boost=config.max_boost,
-                max_weight=config.max_weight,
-            ),
-            start_iteration=config.timing_start_iteration,
-            interval=config.timing_update_interval,
-            corners=config.corners,
-        ),
-        GlobalPlaceStage(config.placement_config()),
-        LegalizeStage(),
-        EvaluateStage(corners=config.corners),
-    ]
+    return _timing_stages(config, feedback)
 
 
-def _routability_config() -> Any:
-    from repro.route.flow import RoutabilityConfig
-
-    return RoutabilityConfig()
-
-
-def _routability_stages(config: Any) -> List[FlowStage]:
-    from repro.flow.stages import (
-        CongestionStage,
-        EvaluateStage,
-        GlobalPlaceStage,
-        LegalizeStage,
-        RoutabilityRepairStage,
+def _differentiable_tdp_stages(config: DifferentiableTDPConfig) -> List[FlowStage]:
+    feedback = SmoothPinPairAttraction(
+        temperature=config.temperature,
+        criticality_threshold=config.criticality_threshold,
+        attraction_ratio=config.attraction_ratio,
     )
+    return _timing_stages(config, feedback)
 
+
+def _routability_stages(config: RoutabilityConfig) -> List[FlowStage]:
     placement_config = config.placement_config()
     stages: List[FlowStage] = [GlobalPlaceStage(placement_config)]
     if config.inflate:
@@ -237,82 +281,16 @@ def _routability_stages(config: Any) -> List[FlowStage]:
     return stages
 
 
-def _routability_gp_config() -> Any:
-    from repro.route.flow import RoutabilityGPConfig
-
-    return RoutabilityGPConfig()
-
-
-def _routability_gp_stages(config: Any) -> List[FlowStage]:
-    from repro.flow.stages import (
-        CongestionStage,
-        EvaluateStage,
-        FeedbackWeightStage,
-        GlobalPlaceStage,
-        LegalizeStage,
-        RoutabilityRepairStage,
-    )
-
-    placement_config = config.placement_config()
-    stages: List[FlowStage] = [
-        FeedbackWeightStage(
-            config.feedback_slots(), composer=config.composer_config()
-        ),
-        GlobalPlaceStage(placement_config),
-    ]
-    if config.inflate:
-        stages.append(
-            RoutabilityRepairStage(
-                congestion=config.congestion,
-                inflation=config.inflation_config(),
-                refine_iterations=config.refine_iterations,
-                placement_config=placement_config,
-            )
-        )
-    if config.legalize:
-        stages.append(LegalizeStage())
-    stages.append(CongestionStage(config=config.congestion))
-    stages.append(EvaluateStage(corners=config.corners, congestion=config.congestion))
-    return stages
-
-
-def _differentiable_tdp_config() -> Any:
-    from repro.baselines.differentiable_tdp import DifferentiableTDPConfig
-
-    return DifferentiableTDPConfig()
-
-
-def _differentiable_tdp_stages(config: Any) -> List[FlowStage]:
-    from repro.flow.stages import (
-        EvaluateStage,
-        GlobalPlaceStage,
-        LegalizeStage,
-        SmoothPinPairStrategy,
-        TimingWeightStage,
-    )
-
-    return [
-        TimingWeightStage(
-            SmoothPinPairStrategy(
-                temperature=config.temperature,
-                criticality_threshold=config.criticality_threshold,
-                attraction_ratio=config.attraction_ratio,
-            ),
-            start_iteration=config.timing_start_iteration,
-            interval=config.timing_update_interval,
-            corners=config.corners,
-        ),
-        GlobalPlaceStage(config.placement_config()),
-        LegalizeStage(),
-        EvaluateStage(corners=config.corners),
-    ]
+def _routability_gp_stages(config: RoutabilityGPConfig) -> List[FlowStage]:
+    weighting = FeedbackWeightStage(config.feedback_slots(), composer=config.composer_config())
+    return [weighting, *_routability_stages(config)]
 
 
 register_preset(
     FlowPreset(
         name="efficient_tdp",
         description="Efficient-TDP (ours): critical path extraction + pin-pair attraction",
-        config_factory=_efficient_tdp_config,
+        config_factory=EfficientTDPConfig,
         stage_factory=_efficient_tdp_stages,
     )
 )
@@ -320,7 +298,7 @@ register_preset(
     FlowPreset(
         name="dreamplace",
         description="DREAMPlace-style wirelength/density placement (no timing feedback)",
-        config_factory=_dreamplace_config,
+        config_factory=DreamPlaceConfig,
         stage_factory=_dreamplace_stages,
     )
 )
@@ -328,7 +306,7 @@ register_preset(
     FlowPreset(
         name="dreamplace4",
         description="DREAMPlace 4.0-style momentum net weighting",
-        config_factory=_dreamplace4_config,
+        config_factory=DreamPlace4Config,
         stage_factory=_dreamplace4_stages,
     )
 )
@@ -336,7 +314,7 @@ register_preset(
     FlowPreset(
         name="differentiable_tdp",
         description="Differentiable-TDP-style smoothed pin attraction",
-        config_factory=_differentiable_tdp_config,
+        config_factory=DifferentiableTDPConfig,
         stage_factory=_differentiable_tdp_stages,
     )
 )
@@ -347,7 +325,7 @@ register_preset(
             "Routability-driven placement: RUDY congestion maps feeding a "
             "congestion-driven cell-inflation loop"
         ),
-        config_factory=_routability_config,
+        config_factory=RoutabilityConfig,
         stage_factory=_routability_stages,
     )
 )
@@ -359,7 +337,7 @@ register_preset(
             "weighting composed inside the placement loop, inflation as "
             "post-place cleanup"
         ),
-        config_factory=_routability_gp_config,
+        config_factory=RoutabilityGPConfig,
         stage_factory=_routability_gp_stages,
     )
 )

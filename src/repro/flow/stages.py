@@ -1,15 +1,15 @@
-"""Concrete flow stages and the timing-feedback strategies they host.
+"""Concrete flow stages.
 
-The four stages re-express the monolithic Efficient-TDP flow (Fig. 1 of the
-paper) as composable steps:
+The stages re-express the Efficient-TDP flow (Fig. 1 of the paper) and its
+baselines as composable steps:
 
-* :class:`TimingWeightStage` — configures periodic timing feedback.  It runs
-  *before* global placement in the stage list because timing feedback hooks
-  into the placement loop: the stage builds its STA engine and objective and
-  registers a placer hook; the hook attaches objective terms and the
-  per-iteration callback when :class:`GlobalPlaceStage` constructs the
-  placer.  The actual strategy (path extraction + pin pairs, momentum net
-  weighting, smoothed pin weighting, or record-only) is pluggable.
+* :class:`FeedbackWeightStage` — schedules in-loop feedbacks (timing: path
+  extraction + pin pairs, momentum net weighting, smoothed pin pairs,
+  recording; congestion net weighting; see :mod:`repro.feedback`).  It runs
+  *before* global placement in the stage list because feedback hooks into
+  the placement loop: the stage prepares each feedback against the flow
+  context and registers a placer hook that schedules it when
+  :class:`GlobalPlaceStage` constructs the placer.
 * :class:`GlobalPlaceStage` — nonlinear wirelength/density placement.
 * :class:`LegalizeStage` — Abacus with automatic greedy fallback.
 * :class:`EvaluateStage` — shared HPWL/TNS/WNS scoring.
@@ -20,18 +20,13 @@ by name (see :mod:`repro.flow.presets` and the ``repro`` CLI).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Type
+from typing import Optional
 
 import numpy as np
 
-from repro.core.losses import LinearLoss, make_loss
-from repro.core.path_extraction import CriticalPathExtractor, ExtractionConfig
-from repro.core.pin_attraction import PinAttractionObjective, PinPairSet
 from repro.evaluation.evaluator import Evaluator
 from repro.feedback.base import FeedbackCadence, PlacementFeedback
 from repro.feedback.composer import WeightComposer, WeightComposerConfig
-from repro.feedback.timing import StrategyFeedback
 from repro.flow.context import FlowContext
 from repro.flow.stage import register_stage
 from repro.placement.detailed import DetailedPlacer
@@ -40,396 +35,10 @@ from repro.placement.legalization.abacus import AbacusLegalizer
 from repro.placement.legalization.greedy import GreedyLegalizer
 from repro.route.inflation import InflationConfig, run_inflation_loop
 from repro.route.rudy import CongestionConfig, CongestionEstimator
-from repro.timing.mcmm import CornersSpec, MultiCornerResult, MultiCornerSTA, resolve_corners
-from repro.timing.report import PathBatch
-from repro.timing.sta import STAResult
+from repro.timing.mcmm import CornersSpec, resolve_corners
 from repro.utils.logging import get_logger
-from repro.weighting.net_weighting import MomentumNetWeighting
-from repro.weighting.pin_weighting import smooth_pin_pair_weights
 
 logger = get_logger("flow.stages")
-
-
-def calibrate_attraction_weight(
-    placer: GlobalPlacer,
-    attraction: PinAttractionObjective,
-    num_pairs: int,
-    ratio: float,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> bool:
-    """Scale the attraction weight so the *average per-pair* force is
-    ``ratio`` times the *average per-cell* wirelength force.
-
-    The paper's absolute ``beta = 2.5e-5`` is tied to DREAMPlace's internal
-    gradient scaling; reproducing the relative strength of the two forces is
-    what transfers across engines.  Normalizing per pair / per cell keeps
-    the calibration independent of how many pairs have been extracted so
-    far.  Both the pin-pair and the smoothed strategies calibrate through
-    this one helper so their comparison is about *which* pins are
-    attracted, not about force magnitudes.  Returns True once calibrated.
-    """
-    wl = placer.wirelength.evaluate(x, y, net_weights=placer.net_weights)
-    wl_norm = float(np.abs(wl.grad_x).sum() + np.abs(wl.grad_y).sum())
-    num_movable = max(int(placer.design.arrays.movable_mask.sum()), 1)
-    pp_norm = attraction.gradient_norm(x, y)
-    num_pairs = max(num_pairs, 1)
-    if pp_norm > 1e-12 and wl_norm > 1e-12:
-        attraction.weight = ratio * (wl_norm / num_movable) / (pp_norm / num_pairs)
-        logger.debug("calibrated attraction weight to %.3e", attraction.weight)
-        return True
-    return False
-
-
-def merged_result(result: "STAResult | MultiCornerResult") -> STAResult:
-    """Single-corner view of a timing result.
-
-    Multi-corner results collapse to their pessimistic merge (per-pin worst
-    slack over corners) — the quantity MCMM-aware timing feedback optimizes;
-    single-corner results pass through unchanged.
-    """
-    return result.merged if isinstance(result, MultiCornerResult) else result
-
-
-# ----------------------------------------------------------------------
-# Timing-feedback strategies
-# ----------------------------------------------------------------------
-@dataclass
-class TimingStrategyBase:
-    """Common plumbing of all timing-feedback strategies.
-
-    Subclasses implement :meth:`update`; the base class handles the shared
-    post-update work (momentum reset after an objective change, TNS/WNS
-    trajectory recording for Fig. 5).
-    """
-
-    # Use the engine's incremental mode between timing iterations.
-    sta_incremental: bool = False
-    sta_move_tolerance: float = 0.0
-
-    resets_momentum = True
-    records_history = True
-
-    def prepare(self, ctx: FlowContext) -> None:  # pragma: no cover - default
-        """Build engine/objective state before the placer exists."""
-
-    def attach(self, placer: GlobalPlacer, ctx: FlowContext) -> None:
-        """Attach objective terms to the freshly constructed placer."""
-
-    def update(
-        self,
-        placer: GlobalPlacer,
-        ctx: FlowContext,
-        iteration: int,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> STAResult:
-        raise NotImplementedError
-
-    def on_timing_iteration(
-        self,
-        placer: GlobalPlacer,
-        ctx: FlowContext,
-        iteration: int,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> None:
-        result = self.update(placer, ctx, iteration, x, y)
-        ctx.sta_result = result
-        if self.resets_momentum:
-            # The objective just changed; momentum accumulated under the
-            # previous objective is stale and can destabilize Nesterov.
-            placer.reset_optimizer_momentum()
-        if self.records_history:
-            placer.history.record_extra("tns", iteration, result.tns)
-            placer.history.record_extra("wns", iteration, result.wns)
-
-    def _engine_kwargs(self) -> Dict[str, object]:
-        return {
-            "incremental": self.sta_incremental,
-            "move_tolerance": self.sta_move_tolerance,
-        }
-
-
-@dataclass
-class PinPairAttractionStrategy(TimingStrategyBase):
-    """The paper's strategy: critical path extraction feeding pin pairs.
-
-    Every timing iteration runs STA, extracts critical paths with
-    ``report_timing_endpoint(n, k)``, applies the Eq. 9 pin-pair weight
-    update, and (once, in ``beta_mode="auto"``) calibrates the attraction
-    strength against the wirelength gradient.
-    """
-
-    extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
-    w0: float = 10.0
-    w1: float = 0.2
-    loss: str = "quadratic"
-    beta: float = 2.5e-5
-    beta_mode: str = "auto"
-    beta_auto_ratio: float = 4.0
-    verbose: bool = False
-
-    def prepare(self, ctx: FlowContext) -> None:
-        with ctx.profiler.section("io"):
-            self.sta = ctx.require_sta(**self._engine_kwargs())
-            # One extractor per corner: critical paths are corner-specific
-            # (a path failing only at the slow corner must still attract its
-            # pins), so MCMM extraction walks every corner's annotations and
-            # pools the pin pairs.  Single-corner flows keep one extractor.
-            if isinstance(self.sta, MultiCornerSTA):
-                self.extractors = [
-                    CriticalPathExtractor(self.sta.corner_view(index), self.extraction)
-                    for index in range(self.sta.num_corners)
-                ]
-            else:
-                self.extractors = [CriticalPathExtractor(self.sta, self.extraction)]
-            self.extractor = self.extractors[0]
-            self.pairs = PinPairSet(w0=self.w0, w1=self.w1)
-            self.attraction = PinAttractionObjective(
-                ctx.design,
-                self.pairs,
-                loss=make_loss(self.loss),
-                beta=self.beta,
-            )
-        ctx.pin_pairs = self.pairs
-        self.beta_calibrated = self.beta_mode != "auto"
-        self.timing_rounds = 0
-
-    def attach(self, placer: GlobalPlacer, ctx: FlowContext) -> None:
-        placer.add_objective_term(self.attraction)
-
-    def update(
-        self,
-        placer: GlobalPlacer,
-        ctx: FlowContext,
-        iteration: int,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> STAResult:
-        with ctx.profiler.section("timing_analysis"):
-            result = self.sta.update_timing(x, y)
-            corner_paths = []
-            for index, extractor in enumerate(self.extractors):
-                corner_result = (
-                    result.corner_result(index)
-                    if isinstance(result, MultiCornerResult)
-                    else result
-                )
-                paths, stats = extractor.extract(corner_result)
-                corner_paths.append(paths)
-                ctx.extraction_stats.append(stats)
-        with ctx.profiler.section("weighting"):
-            # MCMM: one Eq. 9 update over every corner's paths, in corner order.
-            paths = PathBatch.concatenate(corner_paths, self.sta.graph)
-            self.pairs.update_from_paths(paths, self.sta.graph, result.wns)
-            if not self.beta_calibrated and len(self.pairs) > 0:
-                self.calibrate_beta(placer, x, y)
-        self.timing_rounds += 1
-        if self.verbose:
-            logger.info(
-                "timing iter %d: tns=%.1f wns=%.1f pairs=%d",
-                iteration,
-                result.tns,
-                result.wns,
-                len(self.pairs),
-            )
-        return result
-
-    def calibrate_beta(self, placer: GlobalPlacer, x: np.ndarray, y: np.ndarray) -> None:
-        if calibrate_attraction_weight(
-            placer, self.attraction, len(self.pairs), self.beta_auto_ratio, x, y
-        ):
-            self.beta_calibrated = True
-
-
-@dataclass
-class MomentumNetWeightStrategy(TimingStrategyBase):
-    """DREAMPlace 4.0-style momentum net weighting (Eq. 5)."""
-
-    momentum_decay: float = 0.75
-    max_boost: float = 0.75
-    max_weight: float = 6.0
-
-    def prepare(self, ctx: FlowContext) -> None:
-        with ctx.profiler.section("io"):
-            self.sta = ctx.require_sta(**self._engine_kwargs())
-        self.weighting = MomentumNetWeighting(
-            decay=self.momentum_decay,
-            max_boost=self.max_boost,
-            max_weight=self.max_weight,
-        )
-
-    def update(
-        self,
-        placer: GlobalPlacer,
-        ctx: FlowContext,
-        iteration: int,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> STAResult:
-        with ctx.profiler.section("timing_analysis"):
-            result = self.sta.update_timing(x, y)
-        with ctx.profiler.section("weighting"):
-            new_weights = self.weighting.update(
-                ctx.design, merged_result(result), placer.net_weights
-            )
-            placer.set_net_weights(new_weights)
-        return result
-
-
-@dataclass
-class SmoothPinPairStrategy(TimingStrategyBase):
-    """Differentiable-TDP-style smoothed, path-free pin-pair attraction."""
-
-    temperature: float = 0.25
-    criticality_threshold: float = 0.05
-    attraction_ratio: float = 0.15
-
-    def prepare(self, ctx: FlowContext) -> None:
-        with ctx.profiler.section("io"):
-            self.sta = ctx.require_sta(**self._engine_kwargs())
-        self.pairs = PinPairSet()
-        self.attraction = PinAttractionObjective(
-            ctx.design, self.pairs, loss=LinearLoss(), beta=1.0
-        )
-        self.calibrated = False
-        ctx.pin_pairs = self.pairs
-
-    def attach(self, placer: GlobalPlacer, ctx: FlowContext) -> None:
-        placer.add_objective_term(self.attraction)
-
-    def update(
-        self,
-        placer: GlobalPlacer,
-        ctx: FlowContext,
-        iteration: int,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> STAResult:
-        with ctx.profiler.section("timing_analysis"):
-            result = self.sta.update_timing(x, y)
-        with ctx.profiler.section("weighting"):
-            weights = smooth_pin_pair_weights(
-                ctx.design,
-                self.sta.graph,
-                merged_result(result),
-                temperature=self.temperature,
-                threshold=self.criticality_threshold,
-            )
-            self.pairs.set_weights(weights)
-            if not self.calibrated and weights:
-                self.calibrated = calibrate_attraction_weight(
-                    placer, self.attraction, len(self.pairs), self.attraction_ratio, x, y
-                )
-        return result
-
-
-@dataclass
-class RecordTimingStrategy(TimingStrategyBase):
-    """Pure observation: run STA and record TNS/WNS, change nothing."""
-
-    resets_momentum = False
-
-    def prepare(self, ctx: FlowContext) -> None:
-        self.sta = ctx.require_sta(**self._engine_kwargs())
-
-    def update(
-        self,
-        placer: GlobalPlacer,
-        ctx: FlowContext,
-        iteration: int,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> STAResult:
-        return self.sta.update_timing(x, y)
-
-
-STRATEGIES: Dict[str, Type[TimingStrategyBase]] = {
-    "pin_pair": PinPairAttractionStrategy,
-    "net_weight": MomentumNetWeightStrategy,
-    "smooth_pair": SmoothPinPairStrategy,
-    "record": RecordTimingStrategy,
-}
-
-
-def make_strategy(name: str, **options: object) -> TimingStrategyBase:
-    """Instantiate a timing strategy by registry name."""
-    try:
-        cls = STRATEGIES[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"Unknown timing strategy {name!r}; available: {', '.join(sorted(STRATEGIES))}"
-        ) from exc
-    return cls(**options)  # type: ignore[arg-type]
-
-
-# ----------------------------------------------------------------------
-# Stages
-# ----------------------------------------------------------------------
-@register_stage("timing_weight")
-class TimingWeightStage:
-    """Periodic timing feedback into the placement loop.
-
-    ``strategy`` is a :class:`TimingStrategyBase` instance or a registry name
-    (``pin_pair`` / ``net_weight`` / ``smooth_pair`` / ``record``).  The
-    schedule follows the paper: feedback starts at ``start_iteration`` and
-    repeats every ``interval`` placement iterations (``m``).
-    """
-
-    name = "timing_weight"
-
-    def __init__(
-        self,
-        strategy: "TimingStrategyBase | str" = "pin_pair",
-        *,
-        start_iteration: int = 150,
-        interval: int = 15,
-        corners: CornersSpec = None,
-        **strategy_options: object,
-    ) -> None:
-        if isinstance(strategy, str):
-            strategy = make_strategy(strategy, **strategy_options)
-        elif strategy_options:
-            raise ValueError("strategy_options are only valid with a strategy name")
-        self.strategy = strategy
-        self.start_iteration = int(start_iteration)
-        self.interval = int(interval)
-        self.corners = corners
-
-    def run(self, ctx: FlowContext) -> None:
-        if ctx.placer is not None:
-            raise ValueError(
-                "timing_weight must come before global_place in the stage "
-                "list: it hooks into the placement loop via placer hooks, "
-                "so after placement has run it would be a silent no-op"
-            )
-        if self.corners is not None and ctx.corners is None:
-            # Stage-level corners publish to the context so every later
-            # timing consumer (shared engine, evaluation) sees the same set;
-            # a runner-level ``corners=`` wins when both are given.
-            ctx.corners = resolve_corners(self.corners)
-        self.strategy.prepare(ctx)
-        ctx.placer_hooks.append(self._attach)
-
-    def _strategy_name(self) -> str:
-        for name, cls in STRATEGIES.items():
-            if type(self.strategy) is cls:
-                return name
-        return type(self.strategy).__name__
-
-    def _attach(self, placer: GlobalPlacer, ctx: FlowContext) -> None:
-        self.strategy.attach(placer, ctx)
-        record = ctx.feedback_record()
-        placer.feedback.bind(
-            trajectory=record["trajectory"],
-            seconds=record["seconds"],
-            calls=record["calls"],
-        )
-        placer.add_feedback(
-            StrategyFeedback(self.strategy, ctx, name=self._strategy_name()),
-            FeedbackCadence(start=self.start_iteration, interval=self.interval),
-        )
 
 
 @register_stage("feedback_weight")
@@ -447,7 +56,14 @@ class FeedbackWeightStage:
 
     This stage is the composition seam: timing criticality, congestion
     penalty, and any future signal (density, IR drop, ECO deltas) ride the
-    same scheduler and merge through the same composer.
+    same scheduler and merge through the same composer.  Self-applying
+    timing feedbacks (pin pairs, momentum net weighting) ride the same
+    scheduler without proposing, so the composer never sees them.
+
+    ``corners`` publishes MCMM analysis corners to the context before the
+    feedbacks build their STA engine, so every later timing consumer
+    (shared engine, evaluation) sees the same set; a runner-level
+    ``corners=`` wins when both are given.
     """
 
     name = "feedback_weight"
@@ -457,6 +73,7 @@ class FeedbackWeightStage:
         slots: "list[tuple[PlacementFeedback, FeedbackCadence | None]]",
         *,
         composer: Optional[WeightComposerConfig] = None,
+        corners: CornersSpec = None,
     ) -> None:
         if not slots:
             raise ValueError("feedback_weight needs at least one feedback slot")
@@ -468,6 +85,7 @@ class FeedbackWeightStage:
             composer if composer is not None else WeightComposerConfig()
         )
         self.composer: Optional[WeightComposer] = None
+        self.corners = corners
 
     def run(self, ctx: FlowContext) -> None:
         if ctx.placer is not None:
@@ -475,6 +93,8 @@ class FeedbackWeightStage:
                 "feedback_weight must come before global_place in the stage "
                 "list: it hooks into the placement loop via placer hooks"
             )
+        if self.corners is not None and ctx.corners is None:
+            ctx.corners = resolve_corners(self.corners)
         for feedback, _ in self.slots:
             feedback.prepare(ctx)
         # Fresh composed-weight state per flow run; shared across every

@@ -75,6 +75,38 @@ class PlacementConfig:
 
 
 @dataclass
+class ScheduleConfig:
+    """The placement schedule every flow preset config shares.
+
+    Preset configs extend it with their own knobs; the flat fields are what
+    the CLI's ``--set key=value`` addresses.
+    """
+
+    max_iterations: int = 450
+    stop_overflow: float = 0.08
+    target_density: float = 1.0
+    seed: int = 0
+    verbose: bool = False
+    # Threads of the density model's Poisson-solve DCTs (0 = scipy's
+    # default; placements are bitwise identical for any value).
+    kernel_workers: int = 0
+    # Record placement history every N iterations (1 = every iteration;
+    # the optimization trajectory is bitwise unaffected).
+    history_every: int = 1
+
+    def placement_config(self) -> PlacementConfig:
+        return PlacementConfig(
+            max_iterations=self.max_iterations,
+            stop_overflow=self.stop_overflow,
+            target_density=self.target_density,
+            seed=self.seed,
+            verbose=self.verbose,
+            kernel_workers=self.kernel_workers,
+            history_every=self.history_every,
+        )
+
+
+@dataclass
 class PlacementHistory:
     """Per-iteration metrics recorded during a run (drives Fig. 5)."""
 

@@ -2,7 +2,7 @@
 
 Two presets live here:
 
-* ``routability`` — the PR-4 shape: congestion acts *after* placement via
+* ``routability`` — congestion acts *after* placement via
   the cell-inflation repair loop::
 
       global_place -> routability_repair -> legalize -> congestion -> evaluate
@@ -17,9 +17,8 @@ Two presets live here:
 :func:`add_routability` retrofits the inflation loop onto any already-built
 stage list (the CLI's ``--routability`` flag); :func:`add_congestion_
 weighting` retrofits the in-loop congestion net weighting (the CLI's
-``--congestion-weighting`` flag) by inserting a
-:class:`~repro.flow.stages.FeedbackWeightStage` before the first
-global-placement stage.
+``--congestion-weighting`` flag) as one more slot of the flow's
+:class:`~repro.flow.stages.FeedbackWeightStage`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import List, Optional
 from repro.feedback.base import FeedbackCadence
 from repro.feedback.composer import WeightComposerConfig
 from repro.feedback.congestion import CongestionNetWeighting
-from repro.placement.global_placer import PlacementConfig
+from repro.placement.global_placer import ScheduleConfig
 from repro.route.inflation import InflationConfig
 from repro.route.rudy import CongestionConfig
 
@@ -45,26 +44,14 @@ __all__ = [
 
 
 @dataclass
-class RoutabilityConfig:
+class RoutabilityConfig(ScheduleConfig):
     """Configuration of the ``routability`` preset.
 
-    Placement knobs mirror :class:`PlacementConfig`; the congestion and
-    inflation knobs are grouped in their own sub-configs so ``--set`` style
-    overrides address the flat, flow-level fields.
+    The placement schedule comes from :class:`ScheduleConfig`; the
+    congestion and inflation knobs are grouped in their own sub-configs so
+    ``--set`` style overrides address the flat, flow-level fields.
     """
 
-    # Placement engine schedule.
-    max_iterations: int = 450
-    stop_overflow: float = 0.08
-    target_density: float = 1.0
-    seed: int = 0
-    verbose: bool = False
-    # Threads of the density model's Poisson-solve DCTs (0 = scipy's
-    # default; placements are bitwise identical for any value).
-    kernel_workers: int = 0
-    # Record placement history every N iterations (1 = every iteration;
-    # the optimization trajectory is bitwise unaffected).
-    history_every: int = 1
     # Inflation loop.  The flat fields exist so ``--set`` style overrides can
     # address the common knobs; ``None`` means "defer to self.inflation",
     # so an explicitly provided InflationConfig is honored in full.
@@ -80,17 +67,6 @@ class RoutabilityConfig:
     corners: Optional[object] = None
     # Post-processing.
     legalize: bool = True
-
-    def placement_config(self) -> PlacementConfig:
-        return PlacementConfig(
-            max_iterations=self.max_iterations,
-            stop_overflow=self.stop_overflow,
-            target_density=self.target_density,
-            seed=self.seed,
-            verbose=self.verbose,
-            kernel_workers=self.kernel_workers,
-            history_every=self.history_every,
-        )
 
     def inflation_config(self) -> InflationConfig:
         """The sub-config with any flat-field overrides applied on top."""
@@ -109,28 +85,16 @@ class RoutabilityConfig:
 
 
 @dataclass
-class RoutabilityGPConfig:
+class RoutabilityGPConfig(RoutabilityConfig):
     """Configuration of the ``routability-gp`` preset.
 
     Composes two in-loop weighting feedbacks — congestion (RUDY overflow
     under each net's bbox) and timing criticality — through one
-    :class:`~repro.feedback.composer.WeightComposer`, then runs the PR-4
-    inflation loop as post-place cleanup.  Flat fields keep every knob
-    addressable by the CLI's ``--set key=value``.
+    :class:`~repro.feedback.composer.WeightComposer`, then runs the
+    ``routability`` preset's inflation loop as post-place cleanup.  Flat
+    fields keep every knob addressable by the CLI's ``--set key=value``.
     """
 
-    # Placement engine schedule.
-    max_iterations: int = 450
-    stop_overflow: float = 0.08
-    target_density: float = 1.0
-    seed: int = 0
-    verbose: bool = False
-    # Threads of the density model's Poisson-solve DCTs (0 = scipy's
-    # default; placements are bitwise identical for any value).
-    kernel_workers: int = 0
-    # Record placement history every N iterations (1 = every iteration;
-    # the optimization trajectory is bitwise unaffected).
-    history_every: int = 1
     # Congestion net weighting: cadence (warmup / every-K / cooldown) and
     # proposal shape.
     congestion_start: int = 100
@@ -152,44 +116,6 @@ class RoutabilityGPConfig:
     momentum_decay: float = 0.75
     max_weight: float = 6.0
     max_target_boost: Optional[float] = 4.0
-    # Post-place inflation cleanup (the PR-4 loop).
-    inflate: bool = True
-    inflation_rounds: Optional[int] = None
-    overflow_target: Optional[float] = None
-    max_hpwl_growth: Optional[float] = None
-    refine_iterations: int = 150
-    # Congestion model shared by weighting, repair, and reporting.
-    congestion: CongestionConfig = field(default_factory=CongestionConfig)
-    inflation: InflationConfig = field(default_factory=InflationConfig)
-    # MCMM analysis corners (None = single corner).
-    corners: Optional[object] = None
-    # Post-processing.
-    legalize: bool = True
-
-    def placement_config(self) -> PlacementConfig:
-        return PlacementConfig(
-            max_iterations=self.max_iterations,
-            stop_overflow=self.stop_overflow,
-            target_density=self.target_density,
-            seed=self.seed,
-            verbose=self.verbose,
-            kernel_workers=self.kernel_workers,
-            history_every=self.history_every,
-        )
-
-    def inflation_config(self) -> InflationConfig:
-        overrides = {
-            key: value
-            for key, value in (
-                ("max_rounds", self.inflation_rounds),
-                ("overflow_target", self.overflow_target),
-                ("max_hpwl_growth", self.max_hpwl_growth),
-            )
-            if value is not None
-        }
-        cfg = dataclasses.replace(self.inflation, **overrides)
-        cfg.validate()
-        return cfg
 
     def composer_config(self) -> WeightComposerConfig:
         cfg = WeightComposerConfig(
@@ -245,18 +171,15 @@ def add_congestion_weighting(
 ) -> List[object]:
     """Retrofit in-loop congestion net weighting onto an existing stage list.
 
-    Returns a new stage list with a
-    :class:`~repro.flow.stages.FeedbackWeightStage` scheduling a
-    :class:`~repro.feedback.congestion.CongestionNetWeighting` inserted
-    before the first global-placement stage (raises if the flow has none).
-    The original list is not modified.
+    Returns a new stage list in which a
+    :class:`~repro.feedback.congestion.CongestionNetWeighting` slot is
+    scheduled by the flow's feedback stage: appended to a copy of an
+    existing :class:`~repro.flow.stages.FeedbackWeightStage`, or in a new one
+    inserted before the first global-placement stage (raises if the flow has
+    none).  The original list and its stages are not modified.
     """
-    from repro.flow.stages import (
-        FeedbackWeightStage,
-        GlobalPlaceStage,
-        MomentumNetWeightStrategy,
-        TimingWeightStage,
-    )
+    from repro.feedback.timing import MomentumNetWeighting
+    from repro.flow.stages import FeedbackWeightStage, GlobalPlaceStage
 
     place_positions = [
         i for i, stage in enumerate(stages) if isinstance(stage, GlobalPlaceStage)
@@ -266,37 +189,35 @@ def add_congestion_weighting(
             "--congestion-weighting requires a flow with a global_place "
             "stage (the weighting feedback runs inside the placement loop)"
         )
-    for stage in stages:
-        # A legacy strategy that *applies* net weights itself (momentum net
-        # weighting) and the composer would silently clobber each other's
-        # weight vector; refuse instead of corrupting both signals.  The
-        # pin-pair strategies attach objective terms, not net weights, so
-        # they compose fine.
-        if isinstance(stage, TimingWeightStage) and isinstance(
-            stage.strategy, MomentumNetWeightStrategy
-        ):
+    slot = (
+        CongestionNetWeighting(
+            congestion, max_boost=max_boost, saturation_overflow=saturation_overflow
+        ),
+        FeedbackCadence(start=start, interval=interval),
+    )
+    out: List[object] = list(stages)
+    for index, stage in enumerate(out):
+        if not isinstance(stage, FeedbackWeightStage):
+            continue
+        # Momentum net weighting *applies* net weights itself; it and the
+        # composer would silently clobber each other's weight vector, so
+        # refuse instead of corrupting both signals.  The pin-pair feedbacks
+        # attach objective terms, not net weights, so they compose fine.
+        if any(isinstance(feedback, MomentumNetWeighting) for feedback, _ in stage.slots):
             raise ValueError(
-                "--congestion-weighting cannot compose with the legacy "
-                "momentum net-weighting strategy (both own the net-weight "
+                "--congestion-weighting cannot compose with the self-applying "
+                "momentum net-weighting feedback (both own the net-weight "
                 "vector and would overwrite each other); use the "
                 "routability-gp preset, which composes timing criticality "
                 "and congestion through one WeightComposer"
             )
-    weighting = FeedbackWeightStage(
-        [
-            (
-                CongestionNetWeighting(
-                    congestion,
-                    max_boost=max_boost,
-                    saturation_overflow=saturation_overflow,
-                ),
-                FeedbackCadence(start=start, interval=interval),
-            )
-        ],
-        composer=composer,
-    )
-    out: List[object] = list(stages)
-    out.insert(place_positions[0], weighting)
+        merged = copy.copy(stage)
+        merged.slots = [*stage.slots, slot]
+        if composer is not None:
+            merged.composer_config = composer
+        out[index] = merged
+        return out
+    out.insert(place_positions[0], FeedbackWeightStage([slot], composer=composer))
     return out
 
 

@@ -394,6 +394,34 @@ class TestCLICommands:
                 "--set", "max_iterations=40", "--congestion-weighting",
             ])
 
+    def test_congestion_weighting_on_timing_preset(self, tmp_path):
+        """The flag adds a congestion slot next to the preset's pin-pair
+        feedback (one feedback stage) instead of going silent."""
+        out = tmp_path / "tdp_weighted.json"
+        code = main([
+            "run", "sb_mini_18", "--preset", "efficient_tdp", "--scale", "0.4",
+            "--set", "max_iterations=300", "--set", "timing_start_iteration=40",
+            "--set", "min_timing_iterations=60", "--set", "timing_update_interval=10",
+            "--congestion-weighting", "--profile", "--json", str(out),
+        ])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        # Recorded before the timing presets moved onto the feedback stage.
+        assert payload["hpwl"] == pytest.approx(10777.45641025641, rel=1e-9)
+        assert payload["tns"] == pytest.approx(-82.08725696953155, rel=1e-9)
+        profile = json.loads((tmp_path / "tdp_weighted.profile.json").read_text())
+        assert set(profile["feedback"]["calls"]) == {"pin_pair", "congestion"}
+        assert profile["stage_seconds"].keys() >= {"feedback_weight", "global_place"}
+
+    def test_bad_timing_knob_exits_with_one_line(self):
+        with pytest.raises(SystemExit, match="beta_mode must be 'auto' or 'literal'") as exc:
+            main([
+                "run", "sb_mini_18", "--preset", "efficient_tdp", "--scale", "0.2",
+                "--set", "beta_mode=atuo",
+            ])
+        # A string exit code prints as one line and exits with status 1.
+        assert isinstance(exc.value.code, str)
+
     def test_profile_with_json_stdout_names_profile_after_run(
         self, tmp_path, capsys, monkeypatch
     ):

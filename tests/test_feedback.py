@@ -36,6 +36,7 @@ from repro.feedback import (
     WeightComposerConfig,
 )
 from repro.flow.presets import build_flow, build_stages, get_preset
+from repro.flow.runner import FlowRunner
 from repro.flow.stage import create_stage
 from repro.flow.stages import FeedbackWeightStage
 from repro.placement.global_placer import GlobalPlacer, PlacementConfig
@@ -446,8 +447,8 @@ class TestFeedbackFlowIntegration:
         assert result.summary()["feedback_updates"] == len(record["trajectory"])
 
     def test_timing_weight_presets_record_trajectory(self, fresh_small_design):
-        """The legacy strategies ride the scheduler: trajectory rows appear
-        for the pre-existing presets without changing their math."""
+        """The timing presets' feedbacks ride the scheduler: trajectory rows
+        appear for them too."""
         result = build_flow(
             "dreamplace4",
             max_iterations=40,
@@ -474,18 +475,50 @@ class TestFeedbackFlowIntegration:
         assert any(isinstance(s, GlobalPlaceStage) for s in out)
 
     def test_add_congestion_weighting_rejects_self_applying_strategy(self):
-        """Composing with a strategy that owns the net-weight vector itself
+        """Composing with a feedback that owns the net-weight vector itself
         (momentum net weighting) would clobber both signals: refuse."""
         from repro.route.flow import add_congestion_weighting
 
         stages = build_stages("dreamplace4", max_iterations=40)
         with pytest.raises(ValueError, match="momentum net-weighting"):
             add_congestion_weighting(stages)
-        # Objective-term strategies (pin pairs) compose fine.
+        # Objective-term feedbacks (pin pairs) compose fine: the congestion
+        # slot joins a copy of the flow's one feedback stage.
         stages = build_stages("efficient_tdp", max_iterations=40)
-        assert any(
-            s.name == "feedback_weight" for s in add_congestion_weighting(stages)
+        out = add_congestion_weighting(stages)
+        weighting = [s for s in out if s.name == "feedback_weight"]
+        assert len(weighting) == 1
+        assert [f.name for f, _ in weighting[0].slots] == ["pin_pair", "congestion"]
+        assert [f.name for f, _ in stages[0].slots] == ["pin_pair"]
+
+    def test_congestion_weighting_on_timing_preset_matches_golden(self):
+        """Recorded before the pin-pair feedback and the congestion slot
+        shared one feedback stage: same positions, both signals fire."""
+        from repro.route.flow import add_congestion_weighting
+
+        stages = build_stages(
+            "efficient_tdp",
+            max_iterations=300,
+            timing_start_iteration=40,
+            min_timing_iterations=60,
+            timing_update_interval=10,
         )
+        result = FlowRunner(add_congestion_weighting(stages)).run(
+            load_benchmark("sb_mini_18", scale=0.4), seed=0
+        )
+        assert result.evaluation.hpwl == pytest.approx(10777.45641025641, rel=1e-9)
+        assert result.evaluation.wns == pytest.approx(-18.188029285861035, rel=1e-9)
+        assert float(np.sum(result.x)) == pytest.approx(24454.46153846154, rel=1e-9)
+        assert float(np.sum(result.y)) == pytest.approx(24831.46153846154, rel=1e-9)
+        assert float(np.dot(result.x, np.arange(result.x.size))) == pytest.approx(
+            3629897.3846153845, rel=1e-9
+        )
+        trajectory = result.context.metadata["feedback"]["trajectory"]
+        assert len(trajectory) == 14
+        assert {name for row in trajectory for name in row["fired"]} == {
+            "pin_pair",
+            "congestion",
+        }
 
     def test_retired_slot_proposal_is_released(self, fresh_small_design):
         """After a slot's cooldown boundary its cached proposal leaves the
@@ -503,6 +536,28 @@ class TestFeedbackFlowIntegration:
         # With the retiring proposal dropped after iteration 10, ~30 further
         # composes at decay 0.75 pull the weights back to ~1.
         assert placer.net_weights.max() < 1.01
+
+
+class TestTimingKnobValidation:
+    """Bad timing knobs fail when the flow is built, naming field and bound
+    (``--set`` assigns fields after construction, so the feedback
+    constructors are where the values are checked)."""
+
+    def test_beta_mode_rejected(self):
+        with pytest.raises(ValueError, match="beta_mode must be 'auto' or 'literal'"):
+            build_flow("efficient_tdp", beta_mode="atuo")
+        build_flow("efficient_tdp", beta_mode="literal")
+
+    def test_momentum_decay_rejected(self):
+        with pytest.raises(ValueError, match=r"momentum_decay must be within \[0, 1\]"):
+            build_flow("dreamplace4", momentum_decay=1.5)
+        with pytest.raises(ValueError, match="momentum_decay"):
+            build_flow("dreamplace4", momentum_decay=-0.1)
+
+    def test_temperature_rejected(self):
+        for bad in (-0.25, 0.0):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                build_flow("differentiable_tdp", temperature=bad)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """The flow pipeline subsystem: stage registry, runner, presets, legalization
 fallback, and beta auto-calibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core import EfficientTDPConfig, EfficientTDPlacer
+from repro.feedback import FeedbackCadence
+from repro.feedback.timing import MomentumNetWeighting, PinPairAttraction
 from repro.flow import (
+    EfficientTDPConfig,
     FlowRunner,
     available_stages,
     build_flow,
@@ -17,10 +21,9 @@ from repro.flow import (
 )
 from repro.flow.stages import (
     EvaluateStage,
+    FeedbackWeightStage,
     GlobalPlaceStage,
     LegalizeStage,
-    PinPairAttractionStrategy,
-    TimingWeightStage,
 )
 from repro.netlist import Design, make_generic_library
 
@@ -32,25 +35,72 @@ FAST = dict(
 )
 
 
+# The ``--set`` keys of every preset config (dataclass field names), as
+# recorded before the preset configs shared a schedule base.
+_PRESET_CONFIG_KEYS = {
+    "differentiable_tdp": {
+        "attraction_ratio", "corners", "criticality_threshold", "history_every",
+        "kernel_workers", "max_iterations", "min_timing_iterations", "seed",
+        "stop_overflow", "target_density", "temperature", "timing_start_iteration",
+        "timing_update_interval", "verbose",
+    },
+    "dreamplace": {
+        "corners", "density_weight_growth", "density_weight_init_ratio",
+        "density_weight_max", "gamma_base_bins", "history_every", "kernel_workers",
+        "log_every", "max_iterations", "min_iterations", "num_bins_x", "num_bins_y",
+        "record_timing_every", "seed", "stop_overflow", "target_density", "verbose",
+    },
+    "dreamplace4": {
+        "corners", "history_every", "kernel_workers", "max_boost", "max_iterations",
+        "max_weight", "min_timing_iterations", "momentum_decay", "seed",
+        "stop_overflow", "target_density", "timing_start_iteration",
+        "timing_update_interval", "verbose",
+    },
+    "efficient_tdp": {
+        "beta", "beta_auto_ratio", "beta_mode", "corners", "extraction",
+        "history_every", "incremental_sta", "kernel_workers", "legalize", "loss",
+        "max_iterations", "min_timing_iterations", "seed", "sta_move_tolerance",
+        "stop_overflow", "target_density", "timing_start_iteration",
+        "timing_update_interval", "verbose", "w0", "w1",
+    },
+    "routability": {
+        "congestion", "corners", "history_every", "inflate", "inflation",
+        "inflation_rounds", "kernel_workers", "legalize", "max_hpwl_growth",
+        "max_iterations", "overflow_target", "refine_iterations", "seed",
+        "stop_overflow", "target_density", "verbose",
+    },
+    "routability-gp": {
+        "congestion", "congestion_end", "congestion_interval", "congestion_max_boost",
+        "congestion_saturation", "congestion_start", "corners", "history_every",
+        "inflate", "inflation", "inflation_rounds", "kernel_workers", "legalize",
+        "max_hpwl_growth", "max_iterations", "max_target_boost", "max_weight",
+        "momentum_decay", "overflow_target", "refine_iterations", "seed",
+        "stop_overflow", "target_density", "timing", "timing_criticality_threshold",
+        "timing_interval", "timing_max_boost", "timing_start", "verbose",
+    },
+}
+
+
 class TestStageRegistry:
     def test_all_core_stages_registered(self):
-        assert {"global_place", "timing_weight", "legalize", "evaluate"} <= set(
+        assert {"feedback_weight", "global_place", "legalize", "evaluate"} <= set(
             available_stages()
         )
 
     def test_create_stage_by_name(self):
         stage = create_stage("legalize")
         assert stage.name == "legalize"
-        stage = create_stage("timing_weight", strategy="net_weight", interval=5)
-        assert stage.interval == 5
+        cadence = FeedbackCadence(start=10, interval=5)
+        stage = create_stage("feedback_weight", slots=[(MomentumNetWeighting(), cadence)])
+        assert stage.slots[0][1].interval == 5
 
     def test_unknown_stage_raises(self):
         with pytest.raises(KeyError, match="Unknown stage"):
             create_stage("no_such_stage")
 
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(KeyError, match="Unknown timing strategy"):
-            create_stage("timing_weight", strategy="no_such_strategy")
+    def test_feedback_stage_needs_slots(self):
+        with pytest.raises(ValueError, match="at least one feedback slot"):
+            create_stage("feedback_weight", slots=[])
 
 
 class TestPresets:
@@ -64,6 +114,12 @@ class TestPresets:
             "routability-gp",
         }
 
+    def test_preset_config_keys_pinned(self):
+        assert set(preset_names()) == set(_PRESET_CONFIG_KEYS)
+        for name, keys in _PRESET_CONFIG_KEYS.items():
+            config = get_preset(name).default_config()
+            assert {f.name for f in dataclasses.fields(config)} == keys, name
+
     def test_preset_descriptions(self):
         for name in preset_names():
             assert get_preset(name).description
@@ -75,7 +131,7 @@ class TestPresets:
     def test_build_stages_shapes(self):
         stages = build_stages("efficient_tdp", **FAST)
         assert [type(s) for s in stages] == [
-            TimingWeightStage,
+            FeedbackWeightStage,
             GlobalPlaceStage,
             LegalizeStage,
             EvaluateStage,
@@ -124,25 +180,36 @@ class TestFlowRunner:
         assert summary["overlap_area"] == pytest.approx(0.0, abs=1e-6)
         assert "pin_pairs" in summary
         assert set(result.stage_seconds) == {
-            "timing_weight",
+            "feedback_weight",
             "global_place",
             "legalize",
             "evaluate",
         }
 
-    def test_matches_legacy_placer_exactly(self, small_spec):
+    def test_matches_hand_assembled_stages_exactly(self, small_spec):
+        """The preset is exactly its documented stage composition."""
         from repro.benchgen import generate_circuit
 
         config = EfficientTDPConfig(**FAST)
-        legacy = EfficientTDPlacer(generate_circuit(small_spec), config).run()
+        cadence = FeedbackCadence(
+            start=config.timing_start_iteration, interval=config.timing_update_interval
+        )
+        hand = FlowRunner(
+            [
+                create_stage("feedback_weight", slots=[(PinPairAttraction(), cadence)]),
+                GlobalPlaceStage(config.placement_config()),
+                LegalizeStage(),
+                EvaluateStage(),
+            ]
+        ).run(generate_circuit(small_spec))
         pipeline = build_flow("efficient_tdp", config).run(
             generate_circuit(small_spec), seed=config.seed
         )
-        assert pipeline.evaluation.hpwl == legacy.evaluation.hpwl
-        assert pipeline.evaluation.tns == legacy.evaluation.tns
-        assert pipeline.evaluation.wns == legacy.evaluation.wns
-        np.testing.assert_array_equal(pipeline.x, legacy.x)
-        np.testing.assert_array_equal(pipeline.y, legacy.y)
+        assert pipeline.evaluation.hpwl == hand.evaluation.hpwl
+        assert pipeline.evaluation.tns == hand.evaluation.tns
+        assert pipeline.evaluation.wns == hand.evaluation.wns
+        np.testing.assert_array_equal(pipeline.x, hand.x)
+        np.testing.assert_array_equal(pipeline.y, hand.y)
 
     def test_incremental_sta_flow_matches_full(self, small_spec):
         """The pipelined flow with incremental STA reproduces the exact flow."""
@@ -198,13 +265,13 @@ class TestLegalizationFallback:
         assert meta["num_failed"] > 0
 
     def test_full_flow_survives_overfull_design(self):
-        config = EfficientTDPConfig(
+        result = build_flow(
+            "efficient_tdp",
             max_iterations=30,
             timing_start_iteration=10,
             min_timing_iterations=10,
             timing_update_interval=10,
-        )
-        result = EfficientTDPlacer(_overfull_design(), config).run()
+        ).run(_overfull_design())
         # The flow completes and evaluates even though Abacus failed.
         assert result.evaluation.hpwl > 0
 
@@ -225,42 +292,42 @@ class TestLegalizationFallback:
         assert meta["num_failed"] > 0
 
 
+def _pin_pair_feedback(runner: FlowRunner) -> PinPairAttraction:
+    (stage,) = [s for s in runner.stages if isinstance(s, FeedbackWeightStage)]
+    (feedback,) = [f for f, _ in stage.slots if isinstance(f, PinPairAttraction)]
+    return feedback
+
+
 class TestBetaCalibration:
     def test_auto_mode_calibrates_once(self, small_spec):
         from repro.benchgen import generate_circuit
 
-        config = EfficientTDPConfig(beta_mode="auto", **FAST)
-        flow = EfficientTDPlacer(generate_circuit(small_spec), config)
-        assert isinstance(flow.strategy, PinPairAttractionStrategy)
-        assert flow.strategy.beta_mode == "auto"
-        flow.run()
-        assert flow.strategy.beta_calibrated
+        flow = build_flow("efficient_tdp", beta_mode="auto", **FAST)
+        feedback = _pin_pair_feedback(flow)
+        assert feedback.beta_mode == "auto"
+        flow.run(generate_circuit(small_spec))
+        assert feedback.beta_calibrated
         # Calibration rescales the attraction strength away from the paper's
         # engine-specific literal.
-        assert flow.strategy.attraction.weight != config.beta
-        assert flow.strategy.attraction.weight > 0
+        assert feedback.attraction.weight != EfficientTDPConfig().beta
+        assert feedback.attraction.weight > 0
 
     def test_literal_mode_keeps_beta(self, small_spec):
         from repro.benchgen import generate_circuit
 
-        config = EfficientTDPConfig(beta_mode="literal", beta=3e-4, **FAST)
-        flow = EfficientTDPlacer(generate_circuit(small_spec), config)
-        flow.run()
-        assert flow.strategy.beta_calibrated  # literal mode never recalibrates
-        assert flow.strategy.attraction.weight == config.beta
+        flow = build_flow("efficient_tdp", beta_mode="literal", beta=3e-4, **FAST)
+        feedback = _pin_pair_feedback(flow)
+        flow.run(generate_circuit(small_spec))
+        assert feedback.beta_calibrated  # literal mode never recalibrates
+        assert feedback.attraction.weight == 3e-4
 
     def test_calibration_ratio_scales_weight(self, small_spec):
         from repro.benchgen import generate_circuit
 
-        low = EfficientTDPlacer(
-            generate_circuit(small_spec),
-            EfficientTDPConfig(beta_auto_ratio=1.0, **FAST),
-        )
-        high = EfficientTDPlacer(
-            generate_circuit(small_spec),
-            EfficientTDPConfig(beta_auto_ratio=8.0, **FAST),
-        )
-        low.run()
-        high.run()
-        assert low.strategy.beta_calibrated and high.strategy.beta_calibrated
-        assert high.strategy.attraction.weight > low.strategy.attraction.weight
+        low = build_flow("efficient_tdp", beta_auto_ratio=1.0, **FAST)
+        high = build_flow("efficient_tdp", beta_auto_ratio=8.0, **FAST)
+        low.run(generate_circuit(small_spec))
+        high.run(generate_circuit(small_spec))
+        low, high = _pin_pair_feedback(low), _pin_pair_feedback(high)
+        assert low.beta_calibrated and high.beta_calibrated
+        assert high.attraction.weight > low.attraction.weight

@@ -10,6 +10,10 @@ preset and the synthetic generator must reproduce them:
   code at recording time; asserted here with a tight relative tolerance so
   a BLAS/FFT library swap does not flake CI while any semantic change
   (different RNG stream, different default code path) still fails loudly;
+* a second, longer schedule on the same design whose late timing firings
+  see failing endpoints, so the feedback math actually runs (the fast
+  schedule above sees WNS = 0 at every firing): metrics, pin-pair counts
+  and the trajectory's fired feedback names;
 * SHA-256 checksums over the generator's output arrays — these involve only
   elementwise IEEE arithmetic and the versioned-stable NumPy ``Generator``
   stream, so they are asserted exactly.
@@ -66,6 +70,53 @@ _PRESET_GOLDEN = {
         "x_sum": 24258.46153846154,
         "y_sum": 25971.46153846154,
         "x_dot": 3580267.3846153845,
+    },
+}
+
+# Long enough that the last timing firings see failing endpoints.
+_FEEDBACK_SCHEDULE = dict(
+    max_iterations=300,
+    timing_start_iteration=40,
+    min_timing_iterations=60,
+    timing_update_interval=10,
+)
+
+# Recorded on sb_mini_18 scale 0.4, seed 0, before the timing presets'
+# feedbacks moved onto the feedback_weight stage.  "fired" is the set of
+# trajectory feedback names and "updates" the number of trajectory rows.
+_FEEDBACK_GOLDEN = {
+    "efficient_tdp": {
+        "hpwl": 10649.516666666666,
+        "tns": -69.44524099319722,
+        "wns": -18.243066292259925,
+        "x_sum": 24356.46153846154,
+        "y_sum": 24831.46153846154,
+        "x_dot": 3608593.3846153845,
+        "pin_pairs": 37,
+        "fired": ["pin_pair"],
+        "updates": 14,
+    },
+    "dreamplace4": {
+        "hpwl": 10406.071794871796,
+        "tns": -62.25841224141095,
+        "wns": -13.311089042127719,
+        "x_sum": 24290.46153846154,
+        "y_sum": 24891.46153846154,
+        "x_dot": 3579069.3846153845,
+        "pin_pairs": 0,
+        "fired": ["net_weight"],
+        "updates": 14,
+    },
+    "differentiable_tdp": {
+        "hpwl": 10299.794871794871,
+        "tns": -100.62778685538285,
+        "wns": -20.07664265885313,
+        "x_sum": 24260.46153846154,
+        "y_sum": 24975.46153846154,
+        "x_dot": 3572703.3846153845,
+        "pin_pairs": 50,
+        "fired": ["smooth_pair"],
+        "updates": 13,
     },
 }
 
@@ -153,3 +204,65 @@ class TestPresetRegressionTraced:
         )
         # The run actually traced: the GP loop produced iteration spans.
         assert "gp.iteration" in tracer.metrics()["spans"]
+
+
+def _assert_matches(result, golden) -> None:
+    ev = result.evaluation
+    assert ev.hpwl == pytest.approx(golden["hpwl"], rel=1e-9)
+    assert ev.tns == pytest.approx(golden["tns"], rel=1e-9)
+    assert ev.wns == pytest.approx(golden["wns"], rel=1e-9)
+    assert float(np.sum(result.x)) == pytest.approx(golden["x_sum"], rel=1e-9)
+    assert float(np.sum(result.y)) == pytest.approx(golden["y_sum"], rel=1e-9)
+    assert float(np.dot(result.x, np.arange(result.x.size))) == pytest.approx(
+        golden["x_dot"], rel=1e-9
+    )
+
+
+def _trajectory(result):
+    return result.context.metadata.get("feedback", {}).get("trajectory", [])
+
+
+class TestFeedbackRegression:
+    """Goldens on a schedule where the timing feedback math really runs."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        out = {}
+        for preset in sorted(_FEEDBACK_GOLDEN):
+            design = load_benchmark("sb_mini_18", scale=0.4)
+            out[preset] = build_flow(preset, **_FEEDBACK_SCHEDULE).run(design, seed=0)
+        return out
+
+    @pytest.mark.parametrize("preset", sorted(_FEEDBACK_GOLDEN))
+    def test_preset_matches_feedback_golden(self, results, preset):
+        result = results[preset]
+        golden = _FEEDBACK_GOLDEN[preset]
+        _assert_matches(result, golden)
+        pairs = result.context.pin_pairs
+        assert (len(pairs) if pairs is not None else 0) == golden["pin_pairs"]
+        trajectory = _trajectory(result)
+        assert len(trajectory) == golden["updates"]
+        assert sorted({name for row in trajectory for name in row["fired"]}) == golden["fired"]
+
+    def test_presets_differ_pairwise(self, results):
+        digests = {
+            preset: hashlib.sha256(result.x.tobytes() + result.y.tobytes()).hexdigest()
+            for preset, result in results.items()
+        }
+        assert len(set(digests.values())) == len(digests), digests
+
+    def test_recording_timing_leaves_dreamplace_unchanged(self):
+        plain = build_flow("dreamplace", max_iterations=300).run(
+            load_benchmark("sb_mini_18", scale=0.4), seed=0
+        )
+        recorded = build_flow(
+            "dreamplace", max_iterations=300, record_timing_every=10
+        ).run(load_benchmark("sb_mini_18", scale=0.4), seed=0)
+        np.testing.assert_array_equal(recorded.x, plain.x)
+        np.testing.assert_array_equal(recorded.y, plain.y)
+        assert recorded.evaluation.tns == plain.evaluation.tns
+        assert not _trajectory(plain)
+        trajectory = _trajectory(recorded)
+        assert len(trajectory) == 16
+        assert all(row["fired"] == ["record"] for row in trajectory)
+        assert "tns" in recorded.history.extra
