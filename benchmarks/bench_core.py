@@ -70,7 +70,7 @@ from repro.benchgen.suite import load_benchmark
 from repro.feedback import CongestionNetWeighting, FeedbackCadence
 from repro.netlist.compiled import compile_design
 from repro.netlist.core import as_core
-from repro.obs import start_tracing, stop_tracing
+from repro.obs import run_tracer, start_tracing, stop_tracing
 from repro.placement.global_placer import GlobalPlacer, PlacementConfig
 from repro.route.rudy import CongestionEstimator
 from repro.timing.mcmm import MultiCornerSTA
@@ -369,9 +369,16 @@ def bench_design(name: str) -> dict:
     ):
         raise AssertionError(f"{name}: traced GP run differs from untraced")
 
-    gp_weighted_seconds, (weighted_placer, _) = _time(lambda: gp_run(True), repeat=2)
-    gp_updates = int(weighted_placer.feedback.calls.get("congestion", 0))
-    gp_update_seconds = weighted_placer.feedback.seconds.get("congestion", 0.0)
+    # The weighted run records into a run tracer, as inside a flow; its
+    # ``feedback.congestion`` span totals are the attributed update cost.
+    def gp_weighted_run():
+        with run_tracer() as tracer:
+            gp_run(True)
+        return tracer.metrics()["spans"].get("feedback.congestion", {})
+
+    gp_weighted_seconds, congestion = _time(gp_weighted_run, repeat=2)
+    gp_updates = int(congestion.get("count", 0))
+    gp_update_seconds = congestion.get("seconds", 0.0)
 
     # Back-end walls from the same seed-0 initial placement (uncapped
     # detailed refinement: mini designs can afford the full-recompute
@@ -407,7 +414,7 @@ def bench_design(name: str) -> dict:
         # spent inside congestion-weighting updates over the weighted run's
         # wall.  A whole-run wall difference would gate scheduler jitter
         # (two ~0.5s runs differ by several percent under CI load); the
-        # per-feedback accounting measures exactly the cost being budgeted.
+        # feedback span total measures exactly the cost being budgeted.
         "gp_weighting_overhead": round(
             gp_update_seconds / max(gp_weighted_seconds, 1e-9), 4
         ),

@@ -52,6 +52,14 @@ def save_text(name: str, text: str) -> str:
     return path
 
 
+def scores(result) -> dict:
+    """The evaluation report of a flow result without its run-timing metrics,
+    so the committed table files change only when the scores do."""
+    report = result.evaluation.as_dict()
+    report.pop("trace_metrics", None)
+    return report
+
+
 def run_method(method: str, design_name: str):
     """Run one placer flow on a freshly generated copy of ``design_name``."""
     if method not in METHOD_FLOWS:

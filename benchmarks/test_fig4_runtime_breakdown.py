@@ -23,14 +23,11 @@ def test_fig4_runtime_breakdown(suite_results, benchmark):
     ours = suite_results[design]["Efficient-TDP (ours)"]
 
     def collect():
+        # Both flows' components are normalized by the baseline's wall.
         reference = dmp4.runtime_seconds
-        return (
-            dmp4.profiler.normalized_breakdown(
-                reference_total=reference, total_elapsed=dmp4.runtime_seconds
-            ),
-            ours.profiler.normalized_breakdown(
-                reference_total=reference, total_elapsed=ours.runtime_seconds
-            ),
+        return tuple(
+            {name: seconds / reference for name, seconds in run.breakdown().items()}
+            for run in (dmp4, ours)
         )
 
     dmp4_shares, ours_shares = benchmark.pedantic(collect, rounds=1, iterations=1)

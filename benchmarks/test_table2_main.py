@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import METHODS, SUITE, save_json, save_text
+from benchmarks.conftest import METHODS, SUITE, save_json, save_text, scores
 from repro.evaluation import average_ratio, format_table
 
 OURS = "Efficient-TDP (ours)"
@@ -62,7 +62,7 @@ def test_table2_main_comparison(suite_results, benchmark):
         {
             "per_design": {
                 design: {
-                    method: suite_results[design][method].evaluation.as_dict()
+                    method: scores(suite_results[design][method])
                     for method in METHODS
                 }
                 for design in SUITE

@@ -21,7 +21,7 @@ from typing import Dict
 
 import pytest
 
-from benchmarks.conftest import save_json, save_text
+from benchmarks.conftest import save_json, save_text, scores
 from repro.benchgen import benchmark_names, load_benchmark
 from repro.core import ExtractionConfig
 from repro.evaluation import average_ratio, format_table
@@ -107,7 +107,7 @@ def test_table3_ablation(ablation_results, benchmark):
             "designs": ABLATION_DESIGNS,
             "average_ratio": {"tns": avg_tns, "wns": avg_wns},
             "per_design": {
-                design: {arm: ablation_results[design][arm].evaluation.as_dict() for arm in ARMS}
+                design: {arm: scores(ablation_results[design][arm]) for arm in ARMS}
                 for design in ABLATION_DESIGNS
             },
         },

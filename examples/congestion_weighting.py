@@ -51,11 +51,15 @@ def main() -> None:
     for label, a, b in rows:
         print(f"{label:>22} {a:>15.3f} {b:>15.3f}")
 
-    record = gp.context.metadata["feedback"]
+    # Every feedback firing is a ``feedback.<name>`` span of the run.
+    spans = gp.context.metadata["trace_metrics"]["spans"]
     print("\nper-feedback runtime (seconds across main + refine placements):")
-    for name, seconds in sorted(record["seconds"].items()):
-        calls = record["calls"].get(name, 0)
-        print(f"  {name:<12} {seconds:8.3f}s over {calls:>3d} updates")
+    for span_name, stats in spans.items():
+        if span_name.startswith("feedback."):
+            name = span_name[len("feedback."):]
+            print(f"  {name:<12} {stats['seconds']:8.3f}s over {stats['count']:>3d} updates")
+
+    record = gp.context.metadata["feedback"]
 
     print("\nfeedback trajectory (iteration: fired -> metrics):")
     for row in record["trajectory"][:12]:

@@ -1,24 +1,29 @@
 #!/usr/bin/env python3
 """Tracing walkthrough: record a flow run as a Perfetto trace + metrics.
 
-Enables the unified tracing subsystem (`repro.obs`), runs the paper's
-Efficient-TDP flow on a synthetic design, and shows everything the
-subsystem produces:
+Enables the process-wide tracer of the unified tracing subsystem
+(`repro.obs`), runs the paper's Efficient-TDP flow on a synthetic design,
+and shows everything the subsystem produces:
 
 * hierarchical spans — ``flow.run`` > ``stage.*`` > ``gp.iteration`` >
   ``profile.gradient``;
 * user spans — wrap any region with ``span("name", key=value)``;
 * a live listener — a callback invoked as each span finalizes;
 * counters/gauges — aggregated exactly even when the ring buffer drops;
-* a Chrome trace-event JSON file that loads in https://ui.perfetto.dev.
+* a Chrome trace-event JSON file that loads in https://ui.perfetto.dev;
+* the run's own metrics — every flow run records into its own run tracer
+  (traced or not), so ``result.stage_seconds`` and ``result.breakdown()``
+  are available on any run.
 
 Tracing performs no array arithmetic, so the placement is bitwise
 identical to an untraced run (asserted at the end).
 
-Run:  python examples/trace_flow.py
+Run:  python examples/trace_flow.py [TRACE_JSON]   (default: trace.json)
       (or, with the package installed:
        repro run sb_mini_18 --preset efficient_tdp --trace trace.json)
 """
+
+import sys
 
 import numpy as np
 
@@ -44,8 +49,11 @@ def main() -> None:
     name = "sb_mini_18"
     design = load_benchmark(name, scale=0.4)
 
-    # Reference run with tracing OFF: span()/counter() are no-ops here.
+    # Reference run with the process tracer OFF: only the run's own tracer
+    # records, and its metrics travel with the result.
     untraced = build_flow("efficient_tdp", **SETTINGS).run(design, seed=0)
+    components = {k: round(v, 3) for k, v in sorted(untraced.breakdown().items())}
+    print(f"untraced run: {untraced.runtime_seconds:.3f}s, components {components}")
 
     tracer = start_tracing()
 
@@ -66,7 +74,7 @@ def main() -> None:
     finally:
         stop_tracing()
 
-    out = "trace.json"
+    out = sys.argv[1] if len(sys.argv) > 1 else "trace.json"
     write_chrome_trace(out, tracer)
     payload = chrome_trace(tracer)
     problems = validate_chrome_trace(payload)

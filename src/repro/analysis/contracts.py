@@ -152,10 +152,9 @@ FORBIDDEN_LAYER_IMPORTS: Tuple[str, ...] = ("repro.flow", "repro.cli")
 # Every other module must route timing through :mod:`repro.obs` —
 # ``clock()`` for durations, ``span()`` for traced sections — so the
 # unified tracer is the single source of where-did-the-time-go truth.
-# ``obs/`` owns the clock; ``utils/profiling.py`` keeps its raw Timer as
-# the documented no-tracer fallback path.
+# ``obs/`` owns the clock.
 # ----------------------------------------------------------------------
-TIMING_ALLOWED_PATHS: Tuple[str, ...] = ("obs/", "utils/profiling.py")
+TIMING_ALLOWED_PATHS: Tuple[str, ...] = ("obs/",)
 
 # ``time.<name>()`` calls (and their ``from time import`` forms) that count
 # as raw wall-clock reads.  ``time.sleep`` is deliberately absent: sleeping

@@ -460,7 +460,7 @@ def check_layering(ctx: "ModuleContext") -> List[Finding]:
 @register_rule(
     "raw-timing",
     "raw wall-clock reads (time.perf_counter / time.time / ...) are banned "
-    "outside repro.obs and repro.utils.profiling; use repro.obs.clock() "
+    "outside repro.obs; use repro.obs.clock() "
     "or span() so the unified tracer sees the measurement",
 )
 def check_raw_timing(ctx: "ModuleContext") -> List[Finding]:

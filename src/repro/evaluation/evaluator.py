@@ -55,9 +55,9 @@ class EvaluationReport:
     # which feedbacks fired, and their WNS / peak-overflow / weight-norm
     # metrics.  None for plain evaluations.
     feedback_trajectory: Optional[List[Dict[str, Any]]] = field(default=None)
-    # Aggregate tracing metrics (repro.obs Tracer.metrics() snapshot taken
-    # by the evaluation stage): per-span seconds/counts plus counters and
-    # gauges.  None when the run was not traced.
+    # Aggregate tracing metrics (the run tracer's Tracer.metrics() snapshot,
+    # attached by FlowRunner.run): per-span seconds/counts plus counters and
+    # gauges.  None for evaluations made outside a flow run.
     trace_metrics: Optional[Dict[str, Any]] = field(default=None)
 
     def as_dict(self) -> Dict[str, Any]:

@@ -14,9 +14,10 @@ placement iteration.  It owns everything the feedback components must not:
   are cached per slot, so a slot on a slower cadence keeps contributing its
   last opinion while faster slots fire — neither signal starves between its
   own firings;
-* **accounting** — per-feedback wall-clock seconds, call counts, and the
-  per-update trajectory rows (iteration, WNS, peak overflow, weight norm)
-  that ``repro run --profile`` and the evaluation report surface.
+* **accounting** — the per-update trajectory rows (iteration, WNS, peak
+  overflow, weight norm) that ``repro run --profile`` and the evaluation
+  report surface.  Every firing runs inside a ``feedback.<name>`` span, so
+  per-feedback seconds and calls are the run tracer's span totals.
 
 Raw per-iteration callbacks (``placer.add_callback``) ride through the same
 scheduler as :class:`CallbackFeedback` slots with the every-iteration
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro.feedback.base import FeedbackCadence, FeedbackUpdate, PlacementFeedback
 from repro.feedback.composer import WeightComposer
-from repro.obs import clock, span
+from repro.obs import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.placement.global_placer import GlobalPlacer
@@ -82,12 +83,10 @@ def feedback_record(ctx: Any) -> Dict[str, Any]:
 
     Stored in ``ctx.metadata["feedback"]`` so the main placement run and any
     warm-started refine runs (routability repair) accumulate into the same
-    trajectory/seconds containers, and so the CLI/evaluation layers can read
-    it without holding a placer.
+    trajectory, and so the CLI/evaluation layers can read it without
+    holding a placer.
     """
-    return ctx.metadata.setdefault(
-        "feedback", {"trajectory": [], "seconds": {}, "calls": {}}
-    )
+    return ctx.metadata.setdefault("feedback", {"trajectory": []})
 
 
 class FeedbackScheduler:
@@ -97,8 +96,6 @@ class FeedbackScheduler:
         self.slots: List[FeedbackSlot] = []
         self.composer = composer
         self.trajectory: List[Dict[str, Any]] = []
-        self.seconds: Dict[str, float] = {}
-        self.calls: Dict[str, int] = {}
         self._last_proposals: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -121,10 +118,8 @@ class FeedbackScheduler:
         *,
         composer: Optional[WeightComposer] = None,
         trajectory: Optional[List[Dict[str, Any]]] = None,
-        seconds: Optional[Dict[str, float]] = None,
-        calls: Optional[Dict[str, int]] = None,
     ) -> None:
-        """Share composer / accounting containers across placer instances.
+        """Share the composer / trajectory across placer instances.
 
         Refine placements (the inflation loop) construct fresh placers, each
         with its own scheduler; binding them to the flow-level containers
@@ -134,10 +129,6 @@ class FeedbackScheduler:
             self.composer = composer
         if trajectory is not None:
             self.trajectory = trajectory
-        if seconds is not None:
-            self.seconds = seconds
-        if calls is not None:
-            self.calls = calls
 
     @property
     def has_slots(self) -> bool:
@@ -169,12 +160,8 @@ class FeedbackScheduler:
                     self._last_proposals.pop(slot.feedback.name, None)
                 continue
             feedback = slot.feedback
-            start = clock()
             with span(f"feedback.{feedback.name}", i=iteration):
                 update = feedback.update(placer, iteration, x, y)
-            elapsed = clock() - start
-            self.seconds[feedback.name] = self.seconds.get(feedback.name, 0.0) + elapsed
-            self.calls[feedback.name] = self.calls.get(feedback.name, 0) + 1
             if update is None:
                 continue
             fired.append(feedback.name)

@@ -37,6 +37,7 @@ from repro.core.path_extraction import CriticalPathExtractor, ExtractionConfig
 from repro.core.pin_attraction import PinAttractionObjective, PinPairSet
 from repro.feedback.base import FeedbackUpdate, PlacementFeedback
 from repro.netlist.design import Design
+from repro.obs import span
 from repro.timing.graph import ArcKind, TimingGraph
 from repro.timing.mcmm import MultiCornerResult
 from repro.timing.report import PathBatch
@@ -185,7 +186,7 @@ class _TimingFeedback(PlacementFeedback):
 
     def prepare(self, ctx: Any) -> None:
         self.ctx = ctx
-        with ctx.profiler.section("io"):
+        with span("profile.io"):
             self.sta = ctx.require_sta(
                 incremental=self.sta_incremental,
                 move_tolerance=self.sta_move_tolerance,
@@ -216,12 +217,11 @@ class _TimingFeedback(PlacementFeedback):
                 f"{type(self).__name__}.update before prepare(): the feedback "
                 "needs the flow's shared STA engine"
             )
-        ctx = self.ctx
-        with ctx.profiler.section("timing_analysis"):
+        with span("profile.timing_analysis"):
             result = self.analyze(x, y)
-        with ctx.profiler.section("weighting"):
+        with span("profile.weighting"):
             proposal = self.respond(placer, result, x, y)
-        ctx.sta_result = result
+        self.ctx.sta_result = result
         if proposal is None and self.resets_momentum:
             placer.reset_optimizer_momentum()
         placer.history.record_extra("tns", iteration, result.tns)
@@ -272,7 +272,7 @@ class PinPairAttraction(_TimingFeedback):
 
     def prepare(self, ctx: Any) -> None:
         super().prepare(ctx)
-        with ctx.profiler.section("io"):
+        with span("profile.io"):
             # One extractor per corner: critical paths are corner-specific
             # (a path failing only at the slow corner must still attract its
             # pins), so MCMM extraction walks every corner's annotations and

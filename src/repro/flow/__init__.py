@@ -5,7 +5,7 @@ framework.  The pieces:
 
 * :class:`~repro.flow.context.FlowContext` — the shared state one run
   accumulates: design, constraints, positions, STA engine/result, pin pairs,
-  extraction statistics, profiler, placement history, evaluation report.
+  extraction statistics, placement history, evaluation report.
 * :class:`~repro.flow.stage.FlowStage` — the stage protocol: any object with
   a ``name`` and ``run(ctx)``.
 * :class:`~repro.flow.runner.FlowRunner` — executes an ordered stage list

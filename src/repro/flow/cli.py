@@ -406,7 +406,13 @@ def _profile_path(args: argparse.Namespace) -> str:
 def _profile_payload(
     args: argparse.Namespace, result, summary: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Per-stage wall-clock plus the profiler's component breakdown."""
+    """Per-stage, per-component, per-feedback and per-gradient-term walls.
+
+    Every number is a projection of the run tracer's span metrics, which
+    the payload also carries whole under ``trace``.
+    """
+    metrics = result.context.metadata["trace_metrics"]
+    spans = metrics["spans"]
     payload = {
         "design": args.design,
         "flow": summary.get("flow"),
@@ -416,39 +422,31 @@ def _profile_payload(
             name: round(seconds, 6) for name, seconds in result.stage_seconds.items()
         },
         "components": {
-            name: round(seconds, 6)
-            for name, seconds in result.profiler.breakdown(
-                total_elapsed=result.runtime_seconds
-            ).items()
+            name: round(seconds, 6) for name, seconds in result.breakdown().items()
         },
     }
-    feedback = result.context.metadata.get("feedback")
-    if feedback and feedback.get("calls"):
-        # Per-feedback breakdown: wall seconds and firings of every
-        # scheduled placement feedback (timing feedbacks, congestion
-        # weighting, raw callbacks), accumulated across the main placement
-        # and any refine placements.
+    # Every scheduled placement feedback (timing feedbacks, congestion
+    # weighting, raw callbacks) fires inside a ``feedback.<name>`` span,
+    # across the main placement and any refine placements.
+    feedback = {
+        name[len("feedback."):]: entry
+        for name, entry in spans.items()
+        if name.startswith("feedback.")
+    }
+    if feedback:
         payload["feedback"] = {
-            "seconds": {
-                name: round(seconds, 6)
-                for name, seconds in feedback["seconds"].items()
-            },
-            "calls": dict(feedback["calls"]),
-            "updates": len(feedback.get("trajectory", [])),
+            "seconds": {name: round(e["seconds"], 6) for name, e in feedback.items()},
+            "calls": {name: e["count"] for name, e in feedback.items()},
+            "updates": len(result.context.metadata.get("feedback", {}).get("trajectory", [])),
         }
-    gradient = result.context.metadata.get("gradient_terms")
-    if gradient:
-        # Per-term gradient breakdown (wirelength/density/extra/scatter
-        # seconds inside the placer's gradient evaluations) so regressions
-        # in any one term stay attributable.
+    # Per-term gradient walls (the ``gp.*`` spans inside the placer's
+    # gradient evaluations) keep regressions in any one term attributable.
+    if "gp.wirelength" in spans:
         payload["gradient_terms"] = {
-            name: round(seconds, 6) for name, seconds in gradient.items()
+            term: round(spans[f"gp.{term}"]["seconds"], 6)
+            for term in ("wirelength", "density", "extra", "scatter")
         }
-    trace_metrics = result.context.metadata.get("trace_metrics")
-    if trace_metrics:
-        # Aggregate span metrics (per-span seconds/counts, counters,
-        # gauges) from the unified tracing layer when the run was traced.
-        payload["trace"] = trace_metrics
+    payload["trace"] = metrics
     return payload
 
 

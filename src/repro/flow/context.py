@@ -19,7 +19,6 @@ from repro.netlist.design import Design
 from repro.timing.constraints import Corner, TimingConstraints
 from repro.timing.mcmm import MultiCornerResult, MultiCornerSTA
 from repro.timing.sta import STAEngine, STAResult
-from repro.utils.profiling import RuntimeProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.pin_attraction import PinPairSet
@@ -44,7 +43,6 @@ class FlowContext:
 
     design: Design
     constraints: TimingConstraints
-    profiler: RuntimeProfiler
     seed: int = 0
     # MCMM: analysis corners shared by timing and evaluation stages
     # (``None`` = plain single-corner analysis, today's behavior).
@@ -114,19 +112,6 @@ class FlowContext:
                 f"settings {conflicts}"
             )
         return self.sta
-
-    def feedback_record(self) -> Dict[str, Any]:
-        """The run-wide feedback accounting record (created on first use).
-
-        One ``{"trajectory": [...], "seconds": {...}, "calls": {...}}`` dict
-        per flow run, shared by every placer the run constructs (the main
-        global place and any routability-repair refines), so per-update
-        trajectory rows and per-feedback runtimes accumulate in one place.
-        Lives in ``metadata["feedback"]`` for JSON-friendly reporting.
-        """
-        from repro.feedback.scheduler import feedback_record
-
-        return feedback_record(self)
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
         """Current cell positions, falling back to the design's stored ones."""

@@ -10,17 +10,21 @@ import numpy as np
 from repro.flow.context import FlowContext
 from repro.flow.stage import FlowStage
 from repro.netlist.design import Design
-from repro.obs import active_tracer, clock, span
+from repro.obs import run_tracer, span
 from repro.timing.constraints import TimingConstraints
 from repro.utils.logging import get_logger
-from repro.utils.profiling import RuntimeProfiler
 
 logger = get_logger("flow.runner")
 
 
 @dataclass
 class FlowResult:
-    """Outcome of one :meth:`FlowRunner.run` call."""
+    """Outcome of one :meth:`FlowRunner.run` call.
+
+    ``runtime_seconds`` (the ``flow.run`` span) and ``stage_seconds`` (the
+    ``stage.<name>`` spans) are projections of the run tracer's metrics,
+    kept in ``context.metadata["trace_metrics"]``.
+    """
 
     context: FlowContext
     runtime_seconds: float
@@ -50,9 +54,21 @@ class FlowResult:
     def history(self):
         return self.context.history
 
-    @property
-    def profiler(self) -> RuntimeProfiler:
-        return self.context.profiler
+    def breakdown(self) -> Dict[str, float]:
+        """Fig. 4 runtime components in seconds.
+
+        Each ``profile.<component>`` span total is one component; the part
+        of the run wall no component accounts for goes to ``others``.
+        """
+        spans = self.context.metadata["trace_metrics"]["spans"]
+        components = {
+            name[len("profile."):]: entry["seconds"]
+            for name, entry in spans.items()
+            if name.startswith("profile.")
+        }
+        unaccounted = max(0.0, self.runtime_seconds - sum(components.values()))
+        components["others"] = components.get("others", 0.0) + unaccounted
+        return components
 
     def summary(self) -> dict:
         """Flat dict of the headline metrics (JSON-friendly)."""
@@ -101,7 +117,8 @@ class FlowRunner:
     """Run an ordered list of stages over a design.
 
     The runner owns no placement logic itself: it builds the
-    :class:`FlowContext`, executes each stage in order, and times them.
+    :class:`FlowContext` and executes each stage in order, recording the
+    run into its own tracer (:func:`repro.obs.run_tracer`).
     Compose stages directly or via :mod:`repro.flow.presets`.
     """
 
@@ -130,7 +147,6 @@ class FlowRunner:
         constraints: Optional[TimingConstraints] = None,
         corners=None,
         seed: Optional[int] = None,
-        profiler: Optional[RuntimeProfiler] = None,
     ) -> FlowResult:
         """Execute every stage and return the accumulated result.
 
@@ -170,34 +186,28 @@ class FlowRunner:
                 if constraints is not None
                 else TimingConstraints.from_design(design)
             ),
-            profiler=profiler if profiler is not None else RuntimeProfiler(),
             seed=seed,
             corners=resolved_corners,
         )
-        stage_seconds: Dict[str, float] = {}
-        start = clock()
-        with span("flow.run", flow=self.name, design=design.name, seed=seed):
-            for stage in self.stages:
-                stage_start = clock()
-                logger.debug("flow %s: running stage %s", self.name, stage.name)
-                with span(f"stage.{stage.name}"):
-                    stage.run(ctx)
-                stage_seconds[stage.name] = (
-                    stage_seconds.get(stage.name, 0.0) + clock() - stage_start
-                )
-        runtime = clock() - start
-        tracer = active_tracer()
-        if tracer is not None:
-            # Snapshot the aggregate span metrics now that the flow.run and
-            # stage spans have closed; the flat where-did-the-time-go view
-            # travels with the scores (EvaluationReport / --profile).
-            snapshot = tracer.metrics()
-            ctx.metadata["trace_metrics"] = snapshot
-            if ctx.evaluation is not None:
-                ctx.evaluation.trace_metrics = snapshot
+        with run_tracer() as tracer:
+            with span("flow.run", flow=self.name, design=design.name, seed=seed):
+                for stage in self.stages:
+                    logger.debug("flow %s: running stage %s", self.name, stage.name)
+                    with span(f"stage.{stage.name}"):
+                        stage.run(ctx)
+        # The flat where-did-the-time-go view travels with the scores
+        # (EvaluationReport / --profile); every timing below projects it.
+        metrics = tracer.metrics()
+        ctx.metadata["trace_metrics"] = metrics
+        if ctx.evaluation is not None:
+            ctx.evaluation.trace_metrics = metrics
+        spans = metrics["spans"]
         return FlowResult(
             context=ctx,
-            runtime_seconds=runtime,
-            stage_seconds=stage_seconds,
+            runtime_seconds=spans["flow.run"]["seconds"],
+            stage_seconds={
+                stage.name: spans[f"stage.{stage.name}"]["seconds"]
+                for stage in self.stages
+            },
             flow_name=self.name,
         )

@@ -27,8 +27,10 @@ import numpy as np
 from repro.evaluation.evaluator import Evaluator
 from repro.feedback.base import FeedbackCadence, PlacementFeedback
 from repro.feedback.composer import WeightComposer, WeightComposerConfig
+from repro.feedback.scheduler import feedback_record
 from repro.flow.context import FlowContext
 from repro.flow.stage import register_stage
+from repro.obs import span
 from repro.placement.detailed import DetailedPlacer
 from repro.placement.global_placer import GlobalPlacer, PlacementConfig
 from repro.placement.legalization.abacus import AbacusLegalizer
@@ -49,7 +51,7 @@ class FeedbackWeightStage:
     fires every iteration).  The stage prepares every feedback against the
     flow context, builds a fresh :class:`WeightComposer` per run, and
     registers a placer hook that (a) binds the placer's scheduler to the
-    run-wide composer/trajectory/runtime containers and (b) schedules the
+    run-wide composer and trajectory and (b) schedules the
     feedback slots.  Because the binding happens per constructed placer,
     warm-started refine placements (the routability-repair loop) continue
     the same composed weight state instead of restarting from ones.
@@ -100,14 +102,12 @@ class FeedbackWeightStage:
         # Fresh composed-weight state per flow run; shared across every
         # placer the run constructs.
         self.composer = WeightComposer(config=self.composer_config)
-        record = ctx.feedback_record()
+        record = feedback_record(ctx)
 
         def hook(placer: GlobalPlacer, ctx: FlowContext) -> None:
             placer.feedback.bind(
                 composer=self.composer,
                 trajectory=record["trajectory"],
-                seconds=record["seconds"],
-                calls=record["calls"],
             )
             if self.composer.initialized:
                 # Warm-started refine placements resume from the composed
@@ -129,8 +129,8 @@ class GlobalPlaceStage:
         self.config = config if config is not None else PlacementConfig()
 
     def run(self, ctx: FlowContext) -> None:
-        with ctx.profiler.section("io"):
-            placer = GlobalPlacer(ctx.design, self.config, profiler=ctx.profiler)
+        with span("profile.io"):
+            placer = GlobalPlacer(ctx.design, self.config)
             for hook in ctx.placer_hooks:
                 hook(placer, ctx)
         ctx.placer = placer
@@ -139,11 +139,6 @@ class GlobalPlaceStage:
         ctx.history = placement.history
         ctx.x = placement.x
         ctx.y = placement.y
-        # Per-term gradient walls (wirelength/density/extra/scatter) for the
-        # --profile report; accumulated across refine placements too.
-        terms = ctx.metadata.setdefault("gradient_terms", {})
-        for name, seconds in placer.gradient_seconds.items():
-            terms[name] = terms.get(name, 0.0) + seconds
 
 
 @register_stage("legalize")
@@ -157,7 +152,7 @@ class LegalizeStage:
 
     def run(self, ctx: FlowContext) -> None:
         x, y = ctx.positions()
-        with ctx.profiler.section("legalization"):
+        with span("profile.legalization"):
             legal = AbacusLegalizer(ctx.design).legalize(x, y)
             used_fallback = False
             if not legal.success and self.fallback:
@@ -198,7 +193,7 @@ class DetailedPlaceStage:
 
     def run(self, ctx: FlowContext) -> None:
         x, y = ctx.positions()
-        with ctx.profiler.section("detailed_place"):
+        with span("profile.detailed_place"):
             placer = DetailedPlacer(ctx.design, max_passes=self.max_passes)
             rx, ry, accepted = placer.refine(x, y)
             ctx.x, ctx.y = rx, ry
@@ -225,7 +220,7 @@ class CongestionStage:
         self.config = config
 
     def run(self, ctx: FlowContext) -> None:
-        with ctx.profiler.section("congestion"):
+        with span("profile.congestion"):
             estimator = CongestionEstimator(ctx.design, self.config)
             x, y = ctx.positions()
             result = estimator.estimate(x, y)
@@ -295,14 +290,11 @@ class RoutabilityRepairStage:
         refine_config = self._refine_config(ctx)
 
         def place_fn(x0: np.ndarray, y0: np.ndarray, area_scale: np.ndarray):
-            placer = GlobalPlacer(design, refine_config, profiler=ctx.profiler)
+            placer = GlobalPlacer(design, refine_config)
             placer.density.set_area_scale(area_scale)
             for hook in ctx.placer_hooks:
                 hook(placer, ctx)
             result = placer.run(x0, y0)
-            terms = ctx.metadata.setdefault("gradient_terms", {})
-            for name, seconds in placer.gradient_seconds.items():
-                terms[name] = terms.get(name, 0.0) + seconds
             return result.x, result.y
 
         def legalize_fn(lx: np.ndarray, ly: np.ndarray):
@@ -314,7 +306,7 @@ class RoutabilityRepairStage:
             return legal.x, legal.y
 
         x, y = ctx.positions()
-        with ctx.profiler.section("routability"):
+        with span("profile.routability"):
             outcome = run_inflation_loop(
                 design,
                 place_fn,
@@ -366,7 +358,7 @@ class EvaluateStage:
         self.congestion = congestion
 
     def run(self, ctx: FlowContext) -> None:
-        with ctx.profiler.section("io"):
+        with span("profile.io"):
             corners = ctx.corners
             if corners is None and self.corners is not None:
                 corners = resolve_corners(self.corners)

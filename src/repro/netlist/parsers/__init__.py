@@ -7,6 +7,7 @@ inspected, edited, and read back, mirroring the LEF/DEF/.v/.lib/.sdc flow in
 Fig. 1 of the paper.
 """
 
+from repro.netlist.parsers.errors import ParseError
 from repro.netlist.parsers.lef import parse_lef, parse_lef_file
 from repro.netlist.parsers.liberty import parse_liberty, parse_liberty_file
 from repro.netlist.parsers.def_ import parse_def, parse_def_file
@@ -15,6 +16,7 @@ from repro.netlist.parsers.sdc import parse_sdc, parse_sdc_file, apply_sdc
 from repro.netlist.parsers.bookshelf import parse_bookshelf_pl, parse_bookshelf_nodes
 
 __all__ = [
+    "ParseError",
     "parse_lef",
     "parse_lef_file",
     "parse_liberty",

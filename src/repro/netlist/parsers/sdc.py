@@ -11,6 +11,8 @@ Supported commands::
 The parsed constraints can be applied to a :class:`repro.netlist.Design` with
 :func:`apply_sdc`, which fills ``design.clock_period`` and the per-port
 ``input_delays`` / ``output_delays`` maps consumed by the STA engine.
+Other commands are ignored; a malformed supported command raises
+:class:`~repro.netlist.parsers.errors.ParseError`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.netlist.design import Design
+from repro.netlist.parsers.errors import ParseError
 
 
 @dataclass
@@ -44,7 +47,7 @@ def parse_sdc_file(path: str) -> SDCConstraints:
 def parse_sdc(text: str) -> SDCConstraints:
     """Parse SDC text into an :class:`SDCConstraints` object."""
     constraints = SDCConstraints()
-    for raw_line in text.splitlines():
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -52,13 +55,15 @@ def parse_sdc(text: str) -> SDCConstraints:
         if not tokens:
             continue
         command = tokens[0]
-        if command == "create_clock":
-            _parse_create_clock(tokens[1:], constraints)
-        elif command == "set_input_delay":
-            _parse_io_delay(tokens[1:], constraints, is_input=True)
-        elif command == "set_output_delay":
-            _parse_io_delay(tokens[1:], constraints, is_input=False)
-        # Other commands are silently ignored.
+        try:
+            if command == "create_clock":
+                _parse_create_clock(tokens[1:], constraints)
+            elif command == "set_input_delay":
+                _parse_io_delay(tokens[1:], constraints, is_input=True)
+            elif command == "set_output_delay":
+                _parse_io_delay(tokens[1:], constraints, is_input=False)
+        except ValueError as exc:
+            raise ParseError(lineno, f"{command}: {exc}") from None
     return constraints
 
 
@@ -118,6 +123,8 @@ def _parse_create_clock(tokens: List[str], constraints: SDCConstraints) -> None:
     i = 0
     while i < len(tokens):
         token = tokens[i]
+        if token in ("-name", "-period") and i + 1 == len(tokens):
+            raise ValueError(f"{token} needs a value")
         if token == "-name":
             constraints.clock_name = tokens[i + 1]
             i += 2
@@ -155,10 +162,12 @@ def _parse_io_delay(tokens: List[str], constraints: SDCConstraints, *, is_input:
             try:
                 delay = float(token)
             except ValueError:
-                pass
+                # Unsupported flags are skipped; a bare word is a bad delay.
+                if not token.startswith("-"):
+                    raise ValueError(f"delay {token!r} is not a number") from None
             i += 1
     if delay is None:
-        return
+        raise ValueError("no delay value")
     if apply_to_all or targets is None:
         if is_input:
             constraints.default_input_delay = delay

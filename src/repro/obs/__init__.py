@@ -13,9 +13,12 @@ Quick start::
     write_chrome_trace("trace.json", tracer)   # load in ui.perfetto.dev
 
 ``span(...)`` is free when no tracer is active, so instrumentation stays
-inline in hot loops.  ``clock()`` is the repo's blessed monotonic clock
-(the ``raw-timing`` contract rule bans direct ``time.perf_counter`` use
-outside this package and ``repro.utils.profiling``).
+inline in hot loops.  Every ``FlowRunner.run`` records into its own
+:func:`run_tracer`, which forwards to the process tracer above when one is
+active; stage walls, the Fig. 4 breakdown and ``--profile`` are projections
+of that run tracer's ``metrics()``.  ``clock()`` is the repo's blessed
+monotonic clock (the ``raw-timing`` contract rule bans direct
+``time.perf_counter`` use outside this package).
 """
 
 from .export import chrome_trace, validate_chrome_trace, write_chrome_trace
@@ -26,6 +29,7 @@ from .tracer import (
     Tracer,
     active_tracer,
     clock,
+    run_tracer,
     span,
     start_tracing,
     stop_tracing,
@@ -40,6 +44,7 @@ __all__ = [
     "adopt_spans",
     "chrome_trace",
     "clock",
+    "run_tracer",
     "serialize_trace",
     "span",
     "start_tracing",

@@ -1,19 +1,21 @@
 """In-process hierarchical span tracer with counters and gauges.
 
-The tracer is the single clock-owning component of the repo: every other
-module times work either through :func:`clock` (a raw monotonic timestamp
-for code that keeps legacy ``seconds`` accounting alive) or through
-:func:`span` (a context manager that records a named, attributed interval
-into the active tracer's ring buffer).  The contract-lint rule
-``raw-timing`` enforces this — ``time.perf_counter()`` outside
-``repro.obs`` / ``repro.utils.profiling`` is a finding.
+The tracer is the single clock-owning component and the only timing
+ledger of the repo: every other module times work either through
+:func:`clock` (a raw monotonic timestamp for intervals handed to
+:meth:`Tracer.record_complete`) or through :func:`span` (a context manager
+that records a named, attributed interval into the active tracer's ring
+buffer).  The contract-lint rule ``raw-timing`` enforces this —
+``time.perf_counter()`` outside ``repro.obs`` is a finding.  Each flow run
+records into its own :func:`run_tracer`, which forwards to the opt-in
+process tracer (:func:`start_tracing`) when one is active.
 
 Design constraints, in order:
 
 * **Disabled means free.**  ``span(...)`` with no active tracer returns a
   shared no-op context manager without allocating; ``active_tracer()`` is
-  a single module-global read.  The global-placement inner loop calls both
-  every iteration, so the disabled path must not show up in profiles.
+  a thread-local and a module-global read.  The global-placement inner
+  loop calls both every iteration.
 * **Enabled means cheap.**  One span is two ``perf_counter`` calls, one
   dict merge, and an append — no I/O, no string formatting.  The
   ≤3% traced-GP-iteration budget in ``benchmarks/bench_core.py`` gates
@@ -22,9 +24,8 @@ Design constraints, in order:
   newest spans once ``capacity`` is reached (so ancestors survive and the
   trace stays well-formed) but keeps exact aggregate metrics and a
   ``dropped`` count regardless.
-* **No repro imports.**  ``repro.utils.profiling`` and the layered
-  packages (netlist/placement/timing/route) all import
-  this module; it must stay stdlib-only to keep the import graph acyclic.
+* **No repro imports.**  The layered packages (netlist/placement/timing/
+  route) all import this module; it must stay stdlib-only.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import itertools
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Union
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -41,14 +43,15 @@ __all__ = [
     "Tracer",
     "active_tracer",
     "clock",
+    "run_tracer",
     "span",
     "start_tracing",
     "stop_tracing",
     "tracing_enabled",
 ]
 
-#: Monotonic float-seconds clock shared by the whole repo.  Code that keeps
-#: legacy ``seconds`` fields (RuntimeProfiler, gradient_seconds, stage walls)
+#: Monotonic float-seconds clock shared by the whole repo.  Code that
+#: measures an interval itself (to record it with ``record_complete``)
 #: calls this instead of ``time.perf_counter`` so the raw-timing contract
 #: rule has exactly one blessed call site.
 clock = time.perf_counter
@@ -158,6 +161,9 @@ class Tracer:
         self._gauges: Dict[str, float] = {}
         self._listeners: List[Callable[[SpanRecord], None]] = []
         self.dropped = 0
+        # Tracer that finalized spans, counters and gauges forward to (a run
+        # tracer's process tracer; see run_tracer).
+        self._parent: Optional[Tracer] = None
 
     # ------------------------------------------------------------------ ids
     def new_id(self) -> int:
@@ -172,6 +178,25 @@ class Tracer:
         return stack
 
     # ---------------------------------------------------------------- spans
+    def _record(
+        self,
+        name: str,
+        parent: Any,
+        start: float,
+        dur: float,
+        track: Union[int, str],
+        attrs: Optional[Dict[str, Any]],
+        kwattrs: Dict[str, Any],
+    ) -> SpanRecord:
+        if parent is _UNSET:
+            stack = self._stack()
+            parent = stack[-1].span_id if stack else None
+        elif isinstance(parent, SpanRecord):
+            parent = parent.span_id
+        if kwattrs:
+            attrs = dict(attrs, **kwattrs) if attrs else kwattrs
+        return SpanRecord(next(self._ids), parent, name, start, dur, track, attrs)
+
     def begin(
         self,
         name: str,
@@ -186,25 +211,10 @@ class Tracer:
         override — batch jobs use this to hang worker-thread spans under
         the dispatching ``batch.run`` span.
         """
-        stack = self._stack()
-        if parent is _UNSET:
-            parent_id = stack[-1].span_id if stack else None
-        elif isinstance(parent, SpanRecord):
-            parent_id = parent.span_id
-        else:
-            parent_id = parent
-        if kwattrs:
-            attrs = dict(attrs, **kwattrs) if attrs else kwattrs
-        record = SpanRecord(
-            next(self._ids),
-            parent_id,
-            name,
-            clock(),
-            -1.0,
-            threading.get_ident(),
-            attrs,
+        record = self._record(
+            name, parent, clock(), -1.0, threading.get_ident(), attrs, kwattrs
         )
-        stack.append(record)
+        self._stack().append(record)
         return record
 
     def end(self, handle: Optional[SpanRecord]) -> float:
@@ -237,28 +247,13 @@ class Tracer:
     ) -> SpanRecord:
         """Record an already-measured interval (start/dur in clock seconds).
 
-        Hot loops that must keep their own ``clock()`` deltas alive for
-        legacy accounting (``gradient_seconds``) use this so the same
-        measurement feeds both views without a second pair of clock reads.
+        Hot loops that time several consecutive pieces (the GP gradient
+        terms) use this so each boundary costs one clock read instead of
+        a begin/end pair per piece.
         """
-        if parent is _UNSET:
-            stack = self._stack()
-            parent_id = stack[-1].span_id if stack else None
-        elif isinstance(parent, SpanRecord):
-            parent_id = parent.span_id
-        else:
-            parent_id = parent
-        if kwattrs:
-            attrs = dict(attrs, **kwattrs) if attrs else kwattrs
-        record = SpanRecord(
-            next(self._ids),
-            parent_id,
-            name,
-            start,
-            dur,
-            threading.get_ident() if track is None else track,
-            attrs,
-        )
+        if track is None:
+            track = threading.get_ident()
+        record = self._record(name, parent, start, dur, track, attrs, kwattrs)
         self._finalize(record)
         return record
 
@@ -273,6 +268,8 @@ class Tracer:
                 self.dropped += 1
         for listener in self._listeners:
             listener(record)
+        if self._parent is not None:
+            self._parent._finalize(record)
 
     def adopt(self, record: SpanRecord) -> None:
         """Append a pre-built record (cross-process adoption path)."""
@@ -282,10 +279,14 @@ class Tracer:
     def counter(self, name: str, value: float = 1.0) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0.0) + value
+        if self._parent is not None:
+            self._parent.counter(name, value)
 
     def gauge(self, name: str, value: float) -> None:
         with self._lock:
             self._gauges[name] = float(value)
+        if self._parent is not None:
+            self._parent.gauge(name, value)
 
     def merge_metrics(
         self,
@@ -344,15 +345,45 @@ class Tracer:
 # ---------------------------------------------------------------------------
 
 _ACTIVE: Optional[Tracer] = None
+# Per-thread run binding (see run_tracer); wins over the process tracer.
+_RUN = threading.local()
 
 
 def active_tracer() -> Optional[Tracer]:
-    """The process-wide tracer, or ``None`` when tracing is disabled."""
-    return _ACTIVE
+    """The calling thread's run tracer, else the process-wide tracer.
+
+    ``None`` when neither is active.  Test the result with ``is None``:
+    an empty tracer is falsy (``len() == 0``).
+    """
+    tracer = getattr(_RUN, "tracer", None)
+    return _ACTIVE if tracer is None else tracer
 
 
 def tracing_enabled() -> bool:
+    """Whether the process-wide tracer (``start_tracing``) is active."""
     return _ACTIVE is not None
+
+
+@contextmanager
+def run_tracer() -> Iterator[Tracer]:
+    """Bind a fresh tracer to the calling thread for the ``with`` body.
+
+    Spans, counters and gauges recorded on this thread go to the bound
+    tracer.  It forwards them to the process tracer active at entry (if
+    any), sharing its span ids and parent stacks, so the process trace
+    keeps the ids and nesting it would have recorded itself.  Concurrent
+    runs on different threads keep separate totals.
+    """
+    tracer = Tracer()
+    process = _ACTIVE
+    if process is not None:
+        tracer._ids, tracer._stacks, tracer._parent = process._ids, process._stacks, process
+    previous = getattr(_RUN, "tracer", None)
+    _RUN.tracer = tracer
+    try:
+        yield tracer
+    finally:
+        _RUN.tracer = previous
 
 
 def start_tracing(capacity: int = DEFAULT_CAPACITY) -> Tracer:
@@ -380,11 +411,13 @@ def stop_tracing() -> Optional[Tracer]:
 def span(name: str, **attrs: Any) -> Union[_ActiveSpan, _NoopSpan]:
     """Record a span around the ``with`` body on the active tracer.
 
-    With tracing disabled this returns a shared no-op context manager; the
-    call costs one global read plus the (empty-most-of-the-time) kwargs
-    dict, which is what lets hot loops leave ``span(...)`` calls inline.
+    The run tracer bound to the calling thread wins over the process
+    tracer.  With neither active this returns a shared no-op context
+    manager; the call costs the ``active_tracer()`` lookup plus the
+    (empty-most-of-the-time) kwargs dict, which is what lets hot loops
+    leave ``span(...)`` calls inline.
     """
-    tracer = _ACTIVE
+    tracer = active_tracer()
     if tracer is None:
         return _NOOP_SPAN
     return _ActiveSpan(tracer, name, attrs or None)

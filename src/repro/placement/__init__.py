@@ -17,7 +17,7 @@ from repro.placement.density import ElectrostaticDensity, DensityResult
 from repro.placement.nesterov import NesterovOptimizer
 from repro.placement.initial import initial_placement
 from repro.placement.objective import ObjectiveTerm, PlacementObjective
-from repro.placement.global_placer import GlobalPlacer, PlacementConfig, PlacementHistory
+from repro.placement.global_placer import GlobalPlacer, PlacementConfig, PlacementDiverged, PlacementHistory
 from repro.placement.legalization.abacus import AbacusLegalizer
 from repro.placement.legalization.greedy import GreedyLegalizer
 from repro.placement.detailed import DetailedPlacer
@@ -34,6 +34,7 @@ __all__ = [
     "PlacementObjective",
     "GlobalPlacer",
     "PlacementConfig",
+    "PlacementDiverged",
     "PlacementHistory",
     "AbacusLegalizer",
     "GreedyLegalizer",

@@ -22,6 +22,7 @@ over an every-iteration feedback slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -38,11 +39,14 @@ from repro.placement.nesterov import NesterovOptimizer
 from repro.placement.objective import ObjectiveTerm, PlacementObjective
 from repro.placement.wirelength import WeightedAverageWirelength, total_hpwl
 from repro.utils.logging import get_logger
-from repro.utils.profiling import RuntimeProfiler
 
 logger = get_logger("placement.global")
 
 IterationCallback = Callable[["GlobalPlacer", int, np.ndarray, np.ndarray], None]
+
+
+class PlacementDiverged(ValueError):
+    """A non-finite gradient or position, named with its GP iteration."""
 
 
 @dataclass
@@ -141,12 +145,9 @@ class GlobalPlacer:
         self,
         design: Design,
         config: Optional[PlacementConfig] = None,
-        *,
-        profiler: Optional[RuntimeProfiler] = None,
     ) -> None:
         self.design = design
         self.config = config if config is not None else PlacementConfig()
-        self.profiler = profiler if profiler is not None else RuntimeProfiler()
         arrays = design.arrays
         if self.config.kernel_workers < 0:
             raise ValueError("kernel_workers must be >= 0")
@@ -176,17 +177,10 @@ class GlobalPlacer:
         self._fixed_mask = ~arrays.movable_mask
 
         # Iteration arena: reused work buffers for the gradient pipeline
-        # (shared with the wirelength model); per-term gradient walls for
-        # ``repro run --profile`` attribution.
+        # (shared with the wirelength model).
         self.arena = IterationArena()
         self.wirelength.arena = self.arena
         self.density.arena = self.arena
-        self.gradient_seconds: Dict[str, float] = {
-            "wirelength": 0.0,
-            "density": 0.0,
-            "extra": 0.0,
-            "scatter": 0.0,
-        }
         self._density_weight_pending = False
 
         self.density_weight = 0.0
@@ -272,22 +266,18 @@ class GlobalPlacer:
         Returns arena-owned buffers that are reused on the next call; the
         optimizer copies what it keeps.  The staged in-place combine is
         bitwise identical to the allocating sum it replaced (IEEE ``+`` and
-        ``*`` are commutative bit for bit).  Per-term walls accumulate into
-        ``gradient_seconds`` with plain ``clock()`` deltas — the profiler's
-        "gradient" section keeps the aggregate, and with tracing active the
-        same deltas are re-emitted as ``gp.*`` spans (one clock read feeds
-        both views, so the legacy dict and the trace agree exactly).
+        ``*`` are commutative bit for bit).  The evaluation is a
+        ``profile.gradient`` span holding one ``gp.*`` span per term, all
+        recorded from one clock read per boundary.  A non-finite gradient
+        raises :class:`PlacementDiverged` before it can move a cell.
         """
-        seconds = self.gradient_seconds
         tracer = active_tracer()
-        with self.profiler.section("gradient"):
+        with span("profile.gradient"):
             t0 = clock()
             wl = self.wirelength.evaluate(x, y, net_weights=self.net_weights)
             t1 = clock()
-            seconds["wirelength"] += t1 - t0
             dens = self.density.evaluate(x, y)
             t2 = clock()
-            seconds["density"] += t2 - t1
             if self._density_weight_pending:
                 # Folded first-iteration bootstrap: derive the initial
                 # density multiplier from this evaluation instead of running
@@ -305,7 +295,6 @@ class GlobalPlacer:
                 out_y=arena.array("extra_gy", num_instances),
             )
             t3 = clock()
-            seconds["extra"] += t3 - t2
             grad_x = arena.array("grad_x", num_instances)
             grad_y = arena.array("grad_y", num_instances)
             np.multiply(dens.grad_x, self.density_weight, out=grad_x)
@@ -323,14 +312,36 @@ class GlobalPlacer:
             grad_x[self._fixed_mask] = 0.0
             grad_y[self._fixed_mask] = 0.0
             t4 = clock()
-            seconds["scatter"] += t4 - t3
             if tracer is not None:
                 tracer.record_complete("gp.wirelength", t0, t1 - t0)
                 tracer.record_complete("gp.density", t1, t2 - t1)
                 tracer.record_complete("gp.extra", t2, t3 - t2)
                 tracer.record_complete("gp.scatter", t3, t4 - t3)
+        if not math.isfinite(grad_x.sum() + grad_y.sum()):
+            raise self._diverged(
+                (
+                    ("wirelength gradient", wl.grad_x, wl.grad_y),
+                    ("density gradient", dens.grad_x, dens.grad_y),
+                    ("extra objective-term gradient", extra_gx, extra_gy),
+                )
+            )
         self._last_density_result = dens
         return grad_x, grad_y
+
+    def _diverged(self, quantities) -> PlacementDiverged:
+        """The error naming the first non-finite ``(name, x, y)`` quantity."""
+        name = next(
+            (
+                label
+                for label, qx, qy in quantities
+                if not (np.isfinite(qx).all() and np.isfinite(qy).all())
+            ),
+            "preconditioned gradient",
+        )
+        return PlacementDiverged(
+            f"global placement diverged at iteration {self._iteration}: "
+            f"non-finite {name}"
+        )
 
     def _derive_density_weight(self, wl, dens) -> float:
         """Initial density multiplier from one (wl, density) evaluation."""
@@ -359,6 +370,9 @@ class GlobalPlacer:
         if x0 is None or y0 is None:
             x0, y0 = initial_placement(design, seed=config.seed)
         x, y = clamp_to_die(design, np.asarray(x0, float), np.asarray(y0, float))
+        self._iteration = 0
+        if not math.isfinite(x.sum() + y.sum()):
+            raise self._diverged((("initial positions", x, y),))
 
         self._update_gamma(1.0)
         # The initial density weight is derived inside iteration 1's gradient
@@ -386,6 +400,7 @@ class GlobalPlacer:
         iteration = 0
         for iteration in range(1, config.max_iterations + 1):
             with span("gp.iteration", i=iteration):
+                self._iteration = iteration
                 x, y = optimizer.step_once(self._gradient)
                 # In-place clamp: the returned arrays are the optimizer's
                 # major solution, freshly allocated this iteration, so
@@ -410,19 +425,18 @@ class GlobalPlacer:
                         config.density_weight_max,
                     )
 
-                with self.profiler.section("others"):
-                    if iteration % config.history_every == 0:
-                        pin_x, pin_y = self.arena.gather_pins(core, x, y)
-                        hpwl = core.total_hpwl(x, y, pin_x=pin_x, pin_y=pin_y)
-                        self.history.iterations.append(iteration)
-                        self.history.hpwl.append(hpwl)
-                        self.history.overflow.append(overflow)
-                        self.history.density_weight.append(self.density_weight)
-                        self.history.objective.append(hpwl)
-                        tracer = active_tracer()
-                        if tracer is not None:
-                            tracer.gauge("gp.overflow", overflow)
-                            tracer.gauge("gp.hpwl", hpwl)
+                if iteration % config.history_every == 0:
+                    pin_x, pin_y = self.arena.gather_pins(core, x, y)
+                    hpwl = core.total_hpwl(x, y, pin_x=pin_x, pin_y=pin_y)
+                    self.history.iterations.append(iteration)
+                    self.history.hpwl.append(hpwl)
+                    self.history.overflow.append(overflow)
+                    self.history.density_weight.append(self.density_weight)
+                    self.history.objective.append(hpwl)
+                    tracer = active_tracer()
+                    if tracer is not None:
+                        tracer.gauge("gp.overflow", overflow)
+                        tracer.gauge("gp.hpwl", hpwl)
 
                 self.feedback.dispatch(self, iteration, x, y)
 

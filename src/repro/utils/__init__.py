@@ -1,8 +1,7 @@
-"""Shared utilities: geometry helpers, RNG handling, profiling, logging."""
+"""Shared utilities: geometry helpers, RNG handling, logging."""
 
 from repro.utils.geometry import BoundingBox, Rect, manhattan_distance, euclidean_distance
 from repro.utils.rng import make_rng
-from repro.utils.profiling import RuntimeProfiler, Timer
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -11,7 +10,5 @@ __all__ = [
     "manhattan_distance",
     "euclidean_distance",
     "make_rng",
-    "RuntimeProfiler",
-    "Timer",
     "get_logger",
 ]

@@ -185,13 +185,17 @@ class TestRawTiming:
     def test_blessed_repro_paths_are_exempt(self, tmp_path):
         body = "import time\n\ndef t():\n    return time.perf_counter()\n"
         blessed_obs = tmp_path / "repro" / "obs" / "tracer.py"
-        blessed_prof = tmp_path / "repro" / "utils" / "profiling.py"
+        # ``repro.obs`` is the only blessed path: the old profiling module
+        # is as banned as any other.
+        banned_prof = tmp_path / "repro" / "utils" / "profiling.py"
         banned = tmp_path / "repro" / "flow" / "runner.py"
-        for path in (blessed_obs, blessed_prof, banned):
+        for path in (blessed_obs, banned_prof, banned):
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(body, encoding="utf-8")
         report = run_lint([str(tmp_path)], rules=["raw-timing"])
-        assert [f.file for f in report.findings] == [str(banned)]
+        assert sorted(f.file for f in report.findings) == sorted(
+            [str(banned), str(banned_prof)]
+        )
 
 
 # ----------------------------------------------------------------------

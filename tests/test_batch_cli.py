@@ -422,6 +422,21 @@ class TestCLICommands:
         # A string exit code prints as one line and exits with status 1.
         assert isinstance(exc.value.code, str)
 
+    def test_profile_parts_fit_their_totals(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "run", "sb_mini_18", "--preset", "efficient_tdp", "--scale", "0.2",
+            "--set", "max_iterations=40", "--profile",
+        ])
+        assert code == 0
+        profile = json.loads((tmp_path / "sb_mini_18_efficient_tdp.profile.json").read_text())
+        # runtime_sec is rounded to 3 decimals, the parts to 6.
+        assert sum(profile["stage_seconds"].values()) <= profile["runtime_sec"] + 5e-4
+        gradient_terms = profile["gradient_terms"]
+        assert set(gradient_terms) == {"wirelength", "density", "extra", "scatter"}
+        assert sum(gradient_terms.values()) <= profile["components"]["gradient"] + 1e-5
+        assert profile["trace"]["spans"]["gp.iteration"]["count"] == 40
+
     def test_profile_with_json_stdout_names_profile_after_run(
         self, tmp_path, capsys, monkeypatch
     ):

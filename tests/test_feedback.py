@@ -39,6 +39,7 @@ from repro.flow.presets import build_flow, build_stages, get_preset
 from repro.flow.runner import FlowRunner
 from repro.flow.stage import create_stage
 from repro.flow.stages import FeedbackWeightStage
+from repro.obs import run_tracer
 from repro.placement.global_placer import GlobalPlacer, PlacementConfig
 from repro.placement.initial import initial_placement
 from repro.route import CongestionConfig, CongestionEstimator
@@ -202,11 +203,13 @@ class TestSchedulerInPlacer:
         )
         fb = _RecordingFeedback("probe")
         placer.add_feedback(fb, FeedbackCadence(start=10, interval=5, end=20))
-        placer.run()
+        with run_tracer() as tracer:
+            placer.run()
         assert fb.fired == [10, 15, 20]
         assert fb.finalized == 1
-        assert placer.feedback.calls["probe"] == 3
-        assert placer.feedback.seconds["probe"] >= 0.0
+        probe = tracer.metrics()["spans"]["feedback.probe"]
+        assert probe["count"] == 3
+        assert probe["seconds"] >= 0.0
 
     def test_proposals_reach_net_weights(self, fresh_small_design):
         design = fresh_small_design
@@ -344,12 +347,10 @@ class TestTimingCriticalityWeighting:
     def _context(self, design):
         from repro.flow.context import FlowContext
         from repro.timing.constraints import TimingConstraints
-        from repro.utils.profiling import RuntimeProfiler
 
         return FlowContext(
             design=design,
             constraints=TimingConstraints.from_design(design),
-            profiler=RuntimeProfiler(),
         )
 
     def test_proposal_bounds_and_threshold(self, fresh_small_design):
@@ -429,8 +430,9 @@ class TestFeedbackFlowIntegration:
         ctx = result.context
         record = ctx.metadata["feedback"]
         assert record["trajectory"], "in-loop feedback never fired"
-        assert "congestion" in record["calls"] and "timing" in record["calls"]
-        assert all(sec >= 0.0 for sec in record["seconds"].values())
+        spans = ctx.metadata["trace_metrics"]["spans"]
+        assert spans["feedback.congestion"]["seconds"] >= 0.0
+        assert spans["feedback.timing"]["seconds"] >= 0.0
         congestion_rows = [
             row for row in record["trajectory"] if "congestion" in row["fired"]
         ]
@@ -593,5 +595,5 @@ class TestInLoopWeightingAcceptance:
         assert ours.congestion_peak_overflow < base.congestion_peak_overflow
         assert ours.hpwl <= 1.02 * base.hpwl
         # And the composition actually happened: both signals fired.
-        record = gp.context.metadata["feedback"]
-        assert "timing" in record["calls"] and "congestion" in record["calls"]
+        spans = gp.context.metadata["trace_metrics"]["spans"]
+        assert "feedback.timing" in spans and "feedback.congestion" in spans

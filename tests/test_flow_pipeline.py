@@ -186,6 +186,36 @@ class TestFlowRunner:
             "evaluate",
         }
 
+    def test_timings_are_projections_of_the_run_metrics(self, fresh_small_design):
+        result = build_flow("efficient_tdp", **FAST).run(fresh_small_design, seed=0)
+        metrics = result.context.metadata["trace_metrics"]
+        assert result.evaluation.trace_metrics is metrics
+        spans = metrics["spans"]
+        assert result.runtime_seconds == spans["flow.run"]["seconds"]
+        # Stage walls in execution order, each its stage span's total.
+        assert list(result.stage_seconds) == [
+            "feedback_weight", "global_place", "legalize", "evaluate"
+        ]
+        for name, seconds in result.stage_seconds.items():
+            assert seconds == spans[f"stage.{name}"]["seconds"]
+        assert sum(result.stage_seconds.values()) <= result.runtime_seconds
+
+    def test_breakdown_includes_others(self, fresh_small_design):
+        result = build_flow("efficient_tdp", **FAST).run(fresh_small_design, seed=0)
+        breakdown = result.breakdown()
+        assert breakdown["others"] >= 0.0
+        assert {"io", "gradient", "timing_analysis", "weighting", "legalization"} <= set(
+            breakdown
+        )
+        spans = result.context.metadata["trace_metrics"]["spans"]
+        assert breakdown["gradient"] == spans["profile.gradient"]["seconds"]
+
+    def test_breakdown_sums_to_runtime(self, fresh_small_design):
+        result = build_flow("dreamplace", max_iterations=60).run(fresh_small_design, seed=0)
+        # No profile span nests in another here, so the components (others
+        # included) partition the run wall.
+        assert sum(result.breakdown().values()) == pytest.approx(result.runtime_seconds)
+
     def test_matches_hand_assembled_stages_exactly(self, small_spec):
         """The preset is exactly its documented stage composition."""
         from repro.benchgen import generate_circuit
@@ -250,13 +280,11 @@ class TestLegalizationFallback:
     def test_abacus_failure_triggers_greedy(self):
         from repro.flow.context import FlowContext
         from repro.timing import TimingConstraints
-        from repro.utils.profiling import RuntimeProfiler
 
         design = _overfull_design()
         ctx = FlowContext(
             design=design,
             constraints=TimingConstraints.from_design(design),
-            profiler=RuntimeProfiler(),
         )
         LegalizeStage().run(ctx)
         meta = ctx.metadata["legalization"]
@@ -278,13 +306,11 @@ class TestLegalizationFallback:
     def test_fallback_disabled_keeps_abacus_result(self):
         from repro.flow.context import FlowContext
         from repro.timing import TimingConstraints
-        from repro.utils.profiling import RuntimeProfiler
 
         design = _overfull_design()
         ctx = FlowContext(
             design=design,
             constraints=TimingConstraints.from_design(design),
-            profiler=RuntimeProfiler(),
         )
         LegalizeStage(fallback=False).run(ctx)
         meta = ctx.metadata["legalization"]

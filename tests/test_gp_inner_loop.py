@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from repro.benchgen.suite import load_benchmark
 from repro.core.pin_attraction import PinAttractionObjective, PinPairSet
+from repro.obs import run_tracer
 from repro.placement.arena import IterationArena
 from repro.placement.density import ElectrostaticDensity, auto_bin_count
-from repro.placement.global_placer import GlobalPlacer, PlacementConfig
+from repro.placement.global_placer import GlobalPlacer, PlacementConfig, PlacementDiverged
 from repro.placement.initial import initial_placement
 from repro.placement.objective import PlacementObjective
 from repro.placement.wirelength import WeightedAverageWirelength
@@ -418,15 +419,19 @@ class TestInnerLoopBitwise:
             load_benchmark("sb_mini_4", scale=0.3),
             PlacementConfig(max_iterations=3, min_iterations=3, seed=0),
         )
-        placer.run()
-        assert set(placer.gradient_seconds) == {
-            "wirelength",
-            "density",
-            "extra",
-            "scatter",
-        }
-        assert all(v >= 0.0 for v in placer.gradient_seconds.values())
-        assert placer.gradient_seconds["wirelength"] > 0.0
+        with run_tracer() as tracer:
+            placer.run()
+        spans = tracer.metrics()["spans"]
+        terms = ("wirelength", "density", "extra", "scatter")
+        assert all(spans[f"gp.{term}"]["count"] == 3 for term in terms)
+        assert all(spans[f"gp.{term}"]["seconds"] >= 0.0 for term in terms)
+        assert spans["gp.wirelength"]["seconds"] > 0.0
+        # The terms nest inside each gradient evaluation's span.
+        assert spans["profile.gradient"]["count"] == 3
+        assert (
+            sum(spans[f"gp.{term}"]["seconds"] for term in terms)
+            <= spans["profile.gradient"]["seconds"]
+        )
 
     def test_optimizer_does_not_alias_reused_gradient_buffers(self):
         """grad_fn may return the same buffers every call (the arena does);
@@ -485,3 +490,41 @@ class TestInnerLoopBitwise:
         for old_x, old_y, snap_x, snap_y in seen[:-1]:
             assert np.array_equal(old_x, snap_x)
             assert np.array_equal(old_y, snap_y)
+
+
+class _NaNFromCall:
+    """Extra objective term whose gradient turns NaN from call ``bad_call``."""
+
+    weight = 1.0
+
+    def __init__(self, bad_call: int) -> None:
+        self.bad_call = bad_call
+        self.calls = 0
+
+    def evaluate(self, x, y):
+        self.calls += 1
+        value = np.nan if self.calls >= self.bad_call else 0.0
+        return value, np.full_like(x, value), np.zeros_like(y)
+
+
+class TestDivergence:
+    def test_nan_extra_term_raises_located_error(self):
+        design = load_benchmark("sb_mini_4", scale=0.3)
+        placer = GlobalPlacer(
+            design, PlacementConfig(max_iterations=20, min_iterations=20, seed=0)
+        )
+        term = _NaNFromCall(bad_call=5)
+        placer.add_objective_term(term)
+        with pytest.raises(PlacementDiverged, match="iteration 5: non-finite extra"):
+            placer.run()
+        # One gradient evaluation per iteration: the error fired on the
+        # iteration whose gradient went bad, before any cell moved on it.
+        assert term.calls == 5
+
+    def test_non_finite_initial_positions_raise(self):
+        design = load_benchmark("sb_mini_4", scale=0.3)
+        placer = GlobalPlacer(design, PlacementConfig(max_iterations=3, seed=0))
+        x0, y0 = initial_placement(design, seed=0)
+        x0[design.core.movable_index[0]] = np.nan
+        with pytest.raises(PlacementDiverged, match="iteration 0: non-finite initial positions"):
+            placer.run(x0, y0)

@@ -1,6 +1,8 @@
 """Observability subsystem tests.
 
 Covers the span core (nesting, parent links, ring-buffer loss accounting),
+the per-run tracers every flow run records into (thread binding,
+forwarding to the process tracer, separate totals for concurrent runs),
 the Chrome-trace exporter and its validator, the cross-process shipping
 protocol (process-executor batch jobs re-parented under their dispatch
 spans), failure cleanup (a traced stage raising must
@@ -11,6 +13,9 @@ of placement under tracing, and the CLI ``--trace`` / ``trace`` wiring.
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +32,7 @@ from repro.obs import (
     adopt_spans,
     chrome_trace,
     clock,
+    run_tracer,
     serialize_trace,
     span,
     start_tracing,
@@ -154,6 +160,87 @@ class TestTracerCore:
         assert [r.name for r in stopped.records()] == ["work"]
         assert not tracing_enabled()
         assert stop_tracing() is None
+
+
+# ----------------------------------------------------------------------
+# Run tracers: one per FlowRunner.run, forwarding to the process tracer
+# ----------------------------------------------------------------------
+class _BarrierStage:
+    """Holds each run until every concurrent run has started."""
+
+    name = "barrier"
+
+    def __init__(self, barrier: threading.Barrier) -> None:
+        self.barrier = barrier
+
+    def run(self, ctx):
+        self.barrier.wait(timeout=60)
+
+
+class TestRunTracer:
+    def test_binding_wins_and_is_restored(self):
+        assert active_tracer() is None
+        with run_tracer() as tracer:
+            # An empty tracer is falsy; the binding is still there.
+            assert active_tracer() is tracer and len(tracer) == 0
+            with span("work"):
+                pass
+        assert active_tracer() is None
+        assert span("work") is _NOOP_SPAN
+        assert tracer.metrics()["spans"]["work"]["count"] == 1
+
+    def test_forwards_spans_ids_and_gauges_to_process_tracer(self):
+        process = start_tracing()
+        try:
+            with span("outer") as outer:
+                with run_tracer() as run:
+                    with span("inner"):
+                        active_tracer().gauge("g", 2.0)
+        finally:
+            stop_tracing()
+        inner = _by_name(process)["inner"][0]
+        assert inner.parent_id == outer.span_id
+        assert run.records() == [inner]
+        assert process.metrics()["gauges"]["g"] == 2.0
+        assert "outer" not in run.metrics()["spans"]
+
+    def test_concurrent_run_tracers_forward_without_losing_spans(self):
+        process = start_tracing()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def work(_):
+            with run_tracer() as run:
+                for _ in range(2000):
+                    with span("tick"):
+                        pass
+            return run.metrics()["spans"]["tick"]["count"]
+
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                counts = list(pool.map(work, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+            stop_tracing()
+        assert counts == [2000] * 8
+        assert process.metrics()["spans"]["tick"]["count"] == 16000
+        ids = [record.span_id for record in process.records()]
+        assert len(set(ids)) == len(ids)
+
+    def test_concurrent_runs_keep_separate_totals(self):
+        barrier = threading.Barrier(2)
+
+        def run(iterations):
+            flow = build_flow("dreamplace", max_iterations=iterations)
+            runner = FlowRunner([_BarrierStage(barrier), *flow.stages])
+            return runner.run(load_benchmark("sb_mini_18", scale=0.15), seed=0)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            short, long = pool.map(run, (10, 20))
+        for result, iterations in ((short, 10), (long, 20)):
+            spans = result.evaluation.trace_metrics["spans"]
+            assert spans["gp.iteration"]["count"] == iterations
+            assert spans["flow.run"]["count"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +451,8 @@ class TestBitwiseInvariance:
         assert np.array_equal(plain.x, traced.x)
         assert np.array_equal(plain.y, traced.y)
         assert plain.evaluation.hpwl == traced.evaluation.hpwl
-        # The traced run carries the aggregate snapshot; the plain one doesn't.
-        assert plain.evaluation.trace_metrics is None
+        # Both runs carry their own run tracer's aggregate snapshot.
+        assert plain.evaluation.trace_metrics["spans"]["gp.iteration"]["count"] == 15
         snapshot = traced.evaluation.trace_metrics
         assert snapshot is not None
         assert "gp.iteration" in snapshot["spans"]

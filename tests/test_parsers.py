@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netlist.parsers import (
+    ParseError,
     apply_sdc,
     parse_def,
     parse_lef,
@@ -231,3 +232,35 @@ class TestBookshelf:
         applied = apply_bookshelf_pl(tiny_design, placements)
         assert applied == 1
         assert tiny_design.instance("u1").x == 42.0
+
+
+class TestMalformedInput:
+    """Malformed rows raise a located ParseError instead of being dropped."""
+
+    def test_pl_non_numeric_coordinate(self):
+        text = "UCLA pl 1.0\n\nu1 10 20 : N\nu2 1O 20 : N\n"
+        with pytest.raises(ParseError, match="non-numeric x y") as exc:
+            parse_bookshelf_pl(text)
+        assert exc.value.line == 4
+
+    def test_nodes_short_and_non_numeric_rows(self):
+        header = "UCLA nodes 1.0\nNumNodes : 2\n"
+        with pytest.raises(ParseError, match="expected 'name width height'") as exc:
+            parse_bookshelf_nodes(header + "u1 2 12\nu2 2\n")
+        assert exc.value.line == 4
+        with pytest.raises(ParseError, match="non-numeric width height") as exc:
+            parse_bookshelf_nodes(header + "u1 2 twelve\n")
+        assert exc.value.line == 3
+
+    def test_sdc_non_numeric_delay(self):
+        text = "create_clock -name clk -period 800\nset_input_delay 5O -clock clk [get_ports in0]\n"
+        with pytest.raises(ParseError, match="set_input_delay: delay '5O' is not a number") as exc:
+            parse_sdc(text)
+        assert exc.value.line == 2
+        assert str(exc.value).startswith("line 2: ")
+
+    def test_sdc_create_clock_period_without_value(self):
+        with pytest.raises(ParseError, match="-period needs a value") as exc:
+            parse_sdc("# clock\ncreate_clock -name clk -period\n")
+        assert exc.value.line == 2
+        assert isinstance(exc.value, ValueError)

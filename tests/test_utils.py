@@ -1,13 +1,11 @@
-"""Unit tests for repro.utils (rng, profiling, logging)."""
+"""Unit tests for repro.utils (rng, logging)."""
 
 import logging
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils.logging import get_logger, set_verbosity
-from repro.utils.profiling import RuntimeProfiler, Timer
 from repro.utils.rng import derive_seed, make_rng, spawn_rng
 
 
@@ -40,74 +38,6 @@ class TestRng:
     def test_derive_seed_range(self):
         seed = derive_seed(make_rng(5))
         assert 0 <= seed < 2**31
-
-
-class TestTimer:
-    def test_accumulates(self):
-        timer = Timer("t")
-        timer.start()
-        time.sleep(0.01)
-        elapsed = timer.stop()
-        assert elapsed > 0
-        assert timer.total >= elapsed
-        assert timer.calls == 1
-
-    def test_double_start_raises(self):
-        timer = Timer("t")
-        timer.start()
-        with pytest.raises(RuntimeError):
-            timer.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer("t").stop()
-
-
-class TestRuntimeProfiler:
-    def test_section_records_time(self):
-        profiler = RuntimeProfiler()
-        with profiler.section("gradient"):
-            time.sleep(0.01)
-        assert profiler.total("gradient") > 0
-
-    def test_breakdown_includes_others(self):
-        profiler = RuntimeProfiler()
-        with profiler.section("io"):
-            pass
-        breakdown = profiler.breakdown()
-        assert "others" in breakdown
-        assert breakdown["others"] >= 0
-
-    def test_normalized_breakdown_sums_close_to_one(self):
-        profiler = RuntimeProfiler()
-        with profiler.section("io"):
-            time.sleep(0.005)
-        normalized = profiler.normalized_breakdown()
-        assert 0.9 <= sum(normalized.values()) <= 1.1
-
-    def test_normalized_breakdown_with_reference(self):
-        profiler = RuntimeProfiler()
-        profiler.add("io", 1.0)
-        normalized = profiler.normalized_breakdown(reference_total=2.0)
-        assert normalized["io"] == pytest.approx(0.5)
-
-    def test_bad_reference_raises(self):
-        with pytest.raises(ValueError):
-            RuntimeProfiler().normalized_breakdown(reference_total=0.0)
-
-    def test_merge(self):
-        a = RuntimeProfiler()
-        b = RuntimeProfiler()
-        a.add("weighting", 1.0)
-        b.add("weighting", 2.0)
-        a.merge(b)
-        assert a.total("weighting") == pytest.approx(3.0)
-
-    def test_add_manual(self):
-        profiler = RuntimeProfiler()
-        profiler.add("legalization", 0.25)
-        profiler.add("legalization", 0.25)
-        assert profiler.total("legalization") == pytest.approx(0.5)
 
 
 class TestLogging:
