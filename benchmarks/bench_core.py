@@ -275,6 +275,7 @@ def bench_design(name: str) -> dict:
 
     compile_seconds, compiled = _time(lambda: compile_design(design))
     snapshot_pickle_seconds, snapshot_blob = _time(lambda: pickle.dumps(compiled))
+    design.instances  # noqa: B018 - build the lazy object graph that this row pickles
     design_pickle_seconds, design_blob = _time(lambda: pickle.dumps(design))
     rebuild_seconds, _ = _time(lambda: pickle.loads(snapshot_blob).to_design())
 

@@ -28,18 +28,31 @@ bit-identical):
   routability-driven placement papers stress.
 
 The same seed always yields the same design, so experiments are reproducible.
+
+Both generators (this one and :func:`repro.benchgen.xl.generate_xl_circuit`)
+emit arrays, not objects: they draw the driver of every gate input, and
+:func:`build_generated_design` lays out the instance table and the net CSR
+(a stable sort of the connections by net, so every net lists its pins in
+connect order, driver first) as a
+:class:`~repro.netlist.compiled.CompiledDesign` and finishes through its
+``to_design``.  No ``Instance`` / ``PinRef`` / ``Net`` object exists until
+code asks for one.  This generator's per-gate weighted draw is still O(n^2)
+(every gate weighs every earlier signal), but its weights are two table
+lookups rather than per-gate ``exp`` / ``pow`` calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.netlist.design import Design
-from repro.netlist.library import Library, make_generic_library
+from repro.netlist.compiled import CompiledDesign
+from repro.netlist.design import Design, port_cell
+from repro.netlist.library import CellType, Library, PinDirection, make_generic_library
+from repro.utils.geometry import Rect
 from repro.utils.rng import make_rng
 
 # Combinational masters the generator draws from, with sampling weights
@@ -83,10 +96,20 @@ class CircuitSpec:
             raise ValueError("sequential_fraction must be in (0, 0.9)")
         if self.logic_depth < 1:
             raise ValueError("logic_depth must be >= 1")
+        if self.num_primary_inputs < 0:
+            raise ValueError(f"num_primary_inputs must be >= 0, got {self.num_primary_inputs}")
+        if self.num_primary_outputs < 0:
+            raise ValueError(
+                f"num_primary_outputs must be >= 0, got {self.num_primary_outputs}"
+            )
+        if self.fanout_alpha < 0.1:
+            raise ValueError(f"fanout_alpha must be >= 0.1, got {self.fanout_alpha}")
         if not 0.05 < self.utilization <= 0.95:
             raise ValueError("utilization must be in (0.05, 0.95]")
         if self.clock_tightness <= 0:
             raise ValueError("clock_tightness must be positive")
+        if self.io_delay_fraction < 0:
+            raise ValueError(f"io_delay_fraction must be >= 0, got {self.io_delay_fraction}")
         if self.aspect_ratio <= 0:
             raise ValueError("aspect_ratio must be positive")
         if not 0.0 <= self.hub_fraction < 1.0:
@@ -107,87 +130,16 @@ def generate_circuit(
     num_ff = max(2, int(round(spec.num_cells * spec.sequential_fraction)))
     num_comb = max(4, spec.num_cells - num_ff)
 
-    gate_names = [name for name, _ in _GATE_CHOICES]
+    gate_cells = [lib.cell(name) for name, _ in _GATE_CHOICES]
     gate_probs = np.array([w for _, w in _GATE_CHOICES], dtype=np.float64)
     gate_probs /= gate_probs.sum()
-    comb_cells = rng.choice(gate_names, size=num_comb, p=gate_probs)
+    comb_gate = rng.choice(len(gate_cells), size=num_comb, p=gate_probs)
 
-    # ------------------------------------------------------------------
-    # Floorplan sizing.
-    # ------------------------------------------------------------------
+    # Floorplan sizing (a sequential float sum, which fixes the die bits).
+    gate_areas = [cell.area for cell in gate_cells]
     total_area = float(
-        sum(lib.cell(c).area for c in comb_cells) + num_ff * lib.cell("DFF_X1").area
+        sum(gate_areas[g] for g in comb_gate.tolist()) + num_ff * lib.cell("DFF_X1").area
     )
-    row_height = lib.cell("DFF_X1").height
-    die_side = math.sqrt(total_area / spec.utilization)
-    # aspect_ratio stretches width and shrinks height at constant area;
-    # sqrt(1.0) == 1.0 keeps the classic designs bit-identical.
-    aspect = math.sqrt(spec.aspect_ratio)
-    die_height = math.ceil(die_side / aspect / row_height) * row_height
-    die_width = math.ceil(die_side * aspect)
-    design = Design(
-        spec.name,
-        die=(0.0, 0.0, float(die_width), float(die_height)),
-        library=lib,
-        row_height=row_height,
-        site_width=1.0,
-    )
-
-    # ------------------------------------------------------------------
-    # Ports.
-    # ------------------------------------------------------------------
-    boundary = _boundary_positions(
-        die_width, die_height, spec.num_primary_inputs + spec.num_primary_outputs + 1
-    )
-    cursor = 0
-    design.add_port("clk", "input", x=boundary[cursor][0], y=boundary[cursor][1])
-    cursor += 1
-    pi_names: List[str] = []
-    for i in range(spec.num_primary_inputs):
-        name = f"in{i}"
-        design.add_port(name, "input", x=boundary[cursor][0], y=boundary[cursor][1])
-        pi_names.append(name)
-        cursor += 1
-    po_names: List[str] = []
-    for i in range(spec.num_primary_outputs):
-        name = f"out{i}"
-        design.add_port(name, "output", x=boundary[cursor][0], y=boundary[cursor][1])
-        po_names.append(name)
-        cursor += 1
-
-    # ------------------------------------------------------------------
-    # Instances.
-    # ------------------------------------------------------------------
-    center = (die_width * 0.5, die_height * 0.5)
-    ff_names = [f"ff{i}" for i in range(num_ff)]
-    for name in ff_names:
-        design.add_instance(name, "DFF_X1", x=center[0], y=center[1])
-    comb_names = [f"g{i}" for i in range(num_comb)]
-    for name, cell in zip(comb_names, comb_cells):
-        design.add_instance(name, str(cell), x=center[0], y=center[1])
-
-    # ------------------------------------------------------------------
-    # Nets.  Every driver (PI, FF/Q, gate output) owns one net.
-    # ------------------------------------------------------------------
-    clock_net = design.add_net("clknet")
-    design.connect(clock_net, "clk")
-    for name in ff_names:
-        design.connect(clock_net, name, "ck")
-
-    # Driver pool entries: (net_name, level).  Level 0 = registers and PIs.
-    driver_levels: List[int] = []
-    driver_nets: List[str] = []
-
-    for name in pi_names:
-        net = design.add_net(f"n_{name}")
-        design.connect(net, name)
-        driver_nets.append(net.name)
-        driver_levels.append(0)
-    for name in ff_names:
-        net = design.add_net(f"n_{name}_q")
-        design.connect(net, name, "q")
-        driver_nets.append(net.name)
-        driver_levels.append(0)
 
     # Assign each combinational gate a level in [1, logic_depth], weighted so
     # deeper levels have slightly fewer gates (cone-shaped logic).
@@ -198,85 +150,247 @@ def generate_circuit(
     )
     order = np.argsort(comb_levels, kind="stable")
 
-    driver_levels_arr = np.array(driver_levels, dtype=np.int64)
-    fanout_counts = np.zeros(len(driver_nets), dtype=np.float64)
+    # Driver signals, indexed in creation order: PIs, FF outputs, then the
+    # gate outputs in ``order``.  Levels are therefore non-decreasing, so a
+    # gate at level L may pick from the first ``num_level0 + level_start[L]``
+    # drivers (never none: there are at least two flip-flops).
+    num_level0 = spec.num_primary_inputs + num_ff
+    num_drivers = num_level0 + num_comb
+    driver_levels = np.zeros(num_drivers, dtype=np.int64)
+    driver_levels[num_level0:] = comb_levels[order]
+    level_start = np.searchsorted(
+        driver_levels[num_level0:], np.arange(spec.logic_depth + 2), side="left"
+    )
+    fanout_counts = np.zeros(num_drivers, dtype=np.int64)
+    fanins = np.array([len(cell.input_pins) for cell in gate_cells], dtype=np.int64)
+    gate_fanin = fanins[comb_gate].tolist()
+
+    # Selection weights are table lookups: the level-gap preference
+    # exp(-0.9 * (gap - 1)) (strong for the previous level, decaying for
+    # older ones) times the preferential-attachment factor
+    # (1 + fanout)**exponent (existing fan-out raises the odds).
+    gap_weight = np.exp(-0.9 * np.arange(spec.logic_depth, dtype=np.float64))
+    fanout_weight = (1.0 + np.arange(sum(gate_fanin) + 1, dtype=np.float64)) ** (
+        1.0 / spec.fanout_alpha - 1.0
+    )
 
     # Hub signals for the congestion-stressed variant: a fixed set of
     # level-0 drivers (PIs and register outputs, evenly sampled) that gate
     # inputs across every level share with probability ``hub_fraction``.
     hub_pool: Optional[np.ndarray] = None
     if spec.hub_fraction > 0.0:
-        num_level0 = len(driver_nets)
         count = min(spec.hub_count, num_level0)
         hub_pool = np.unique(np.linspace(0, num_level0 - 1, count).astype(np.int64))
 
-    input_pins_by_cell: Dict[str, List[str]] = {}
-    for gate_name, _ in _GATE_CHOICES:
-        cell = lib.cell(gate_name)
-        input_pins_by_cell[gate_name] = [p.name for p in cell.input_pins]
+    sources: List[int] = []
+    for level in range(1, spec.logic_depth + 1):
+        eligible = np.arange(num_level0 + level_start[level])
+        level_weight = gap_weight[level - 1 - driver_levels[eligible]]
+        for idx in order[level_start[level]:level_start[level + 1]].tolist():
+            weights = level_weight * fanout_weight[fanout_counts[: eligible.size]]
+            chosen = _choose_drivers(rng, eligible, weights, gate_fanin[idx])
+            if hub_pool is not None:
+                # Reroute a fraction of the inputs to shared hub signals; the
+                # extra RNG draws happen only on this (stress) path, so the
+                # classic designs keep their exact generation stream.
+                take_hub = rng.random(len(chosen)) < spec.hub_fraction
+                if np.any(take_hub):
+                    hubs = iter(rng.choice(hub_pool, size=int(take_hub.sum())))
+                    chosen = [
+                        int(next(hubs)) if is_hub else driver
+                        for driver, is_hub in zip(chosen, take_hub)
+                    ]
+            for driver_idx in chosen:
+                fanout_counts[driver_idx] += 1
+            sources.extend(chosen)
 
-    for idx in order:
-        gate = comb_names[int(idx)]
-        cell_name = str(comb_cells[int(idx)])
-        level = int(comb_levels[int(idx)])
-        out_net = design.add_net(f"n_{gate}")
-        design.connect(out_net, gate, "o")
-        inputs = input_pins_by_cell[cell_name]
-        chosen = _choose_drivers(
-            rng,
-            driver_levels_arr,
-            fanout_counts,
-            level,
-            len(inputs),
-            spec.fanout_alpha,
-        )
-        if hub_pool is not None:
-            # Reroute a fraction of the inputs to shared hub signals; the
-            # extra RNG draws happen only on this (stress) path, so the
-            # classic designs keep their exact generation stream.
-            take_hub = rng.random(len(chosen)) < spec.hub_fraction
-            if np.any(take_hub):
-                hubs = iter(rng.choice(hub_pool, size=int(take_hub.sum())))
-                chosen = [
-                    int(next(hubs)) if is_hub else driver
-                    for driver, is_hub in zip(chosen, take_hub)
-                ]
-        for pin_name, driver_idx in zip(inputs, chosen):
-            design.connect(driver_nets[driver_idx], gate, pin_name)
-            fanout_counts[driver_idx] += 1.0
-        # Register the new driver.
-        driver_nets.append(out_net.name)
-        driver_levels_arr = np.append(driver_levels_arr, level)
-        fanout_counts = np.append(fanout_counts, 0.0)
-
-    # ------------------------------------------------------------------
     # Capture: flip-flop D pins and primary outputs take deep signals.
-    # ------------------------------------------------------------------
-    deep_pool = np.nonzero(driver_levels_arr >= max(1, spec.logic_depth - 2))[0]
+    deep_pool = np.nonzero(driver_levels >= max(1, spec.logic_depth - 2))[0]
     if deep_pool.size == 0:
-        deep_pool = np.arange(len(driver_nets))
-    for name in ff_names:
-        driver_idx = int(rng.choice(deep_pool))
-        design.connect(driver_nets[driver_idx], name, "d")
-        fanout_counts[driver_idx] += 1.0
-    for name in po_names:
-        driver_idx = int(rng.choice(deep_pool))
-        design.connect(driver_nets[driver_idx], name)
-        fanout_counts[driver_idx] += 1.0
+        deep_pool = np.arange(num_drivers)
+    captures = [
+        int(rng.choice(deep_pool)) for _ in range(num_ff + spec.num_primary_outputs)
+    ]
 
-    design.finalize()
+    return build_generated_design(
+        spec,
+        lib,
+        total_area=total_area,
+        num_ff=num_ff,
+        gate_cells=gate_cells,
+        comb_gate=comb_gate,
+        order=order,
+        sources=np.array(sources, dtype=np.int64),
+        captures=np.array(captures, dtype=np.int64),
+    )
 
-    # ------------------------------------------------------------------
-    # Clock constraint.
-    # ------------------------------------------------------------------
-    period = _estimate_clock_period(design, lib, spec)
-    design.clock_period = period
-    design.clock_name = "clk"
-    design.clock_port = "clk"
+
+def _choose_drivers(
+    rng: np.random.Generator,
+    eligible: np.ndarray,
+    weights: np.ndarray,
+    count: int,
+) -> List[int]:
+    """Pick ``count`` distinct driver signals among ``eligible``.
+
+    ``weights`` (one per eligible driver, normalized here) prefer signals at
+    the immediately preceding level (building long chains) and, with
+    strength controlled by ``fanout_alpha``, signals that already have
+    fan-out (building shared, high-fan-out nets).
+    """
+    weights /= weights.sum()
+    take = min(count, eligible.size)
+    chosen = rng.choice(eligible, size=take, replace=False, p=weights)
+    result = [int(c) for c in chosen]
+    while len(result) < count:
+        result.append(int(rng.choice(eligible)))
+    return result
+
+
+def build_generated_design(
+    spec: CircuitSpec,
+    lib: Library,
+    *,
+    total_area: float,
+    num_ff: int,
+    gate_cells: Sequence[CellType],
+    comb_gate: np.ndarray,
+    order: np.ndarray,
+    sources: np.ndarray,
+    captures: np.ndarray,
+) -> Design:
+    """Lay out one generated netlist as arrays and build its design.
+
+    Shared by both generators.  Instances are the clock port, the PI
+    ports ``in*``, the PO ports ``out*``, the flip-flops ``ff*`` and the
+    gates ``g*`` (gate ``i`` has master ``gate_cells[comb_gate[i]]``).
+    Driver ``d`` indexes the signals PIs, FF outputs, then the gate outputs
+    in ``order``; it owns net ``d + 1`` (net 0 is the clock).
+    ``sources[k]`` drives the ``k``-th gate input, gates taken in ``order``
+    and pins in input-pin order; ``captures`` drive the FF ``d`` pins, then
+    the POs.  Every net lists its driver first, then its sinks in that
+    order (a stable sort of the connections by net), which is the order
+    the object API's ``connect`` calls used to produce.
+    """
+    num_pi, num_po = spec.num_primary_inputs, spec.num_primary_outputs
+    num_comb = comb_gate.size
+    dff = lib.cell("DFF_X1")
+
+    # Floorplan: die area from the cell area and utilization.
+    row_height = dff.height
+    die_side = math.sqrt(total_area / spec.utilization)
+    # aspect_ratio stretches width and shrinks height at constant area;
+    # sqrt(1.0) == 1.0 keeps the classic designs bit-identical.
+    aspect = math.sqrt(spec.aspect_ratio)
+    die_height = math.ceil(die_side / aspect / row_height) * row_height
+    die_width = math.ceil(die_side * aspect)
+    die = Rect(0.0, 0.0, float(die_width), float(die_height))
+
+    # Instance table; masters are numbered [PI port, PO port, DFF, gates...].
+    masters = [port_cell(PinDirection.INPUT), port_cell(PinDirection.OUTPUT), dff, *gate_cells]
+    first_ff = 1 + num_pi + num_po
+    first_gate = first_ff + num_ff
+    num_instances = first_gate + num_comb
+    inst_master = np.concatenate([
+        np.zeros(1 + num_pi, dtype=np.int64),
+        np.ones(num_po, dtype=np.int64),
+        np.full(num_ff, 2, dtype=np.int64),
+        3 + comb_gate.astype(np.int64),
+    ])
+    pin_count = np.array([len(m.pins) for m in masters], dtype=np.int64)
+    inst_pin_offsets = np.zeros(num_instances + 1, dtype=np.int64)
+    np.cumsum(pin_count[inst_master], out=inst_pin_offsets[1:])
+    port_pins = inst_pin_offsets[:first_ff]
+    ff_pins = inst_pin_offsets[first_ff:first_gate]
+    gate_pins = inst_pin_offsets[first_gate:num_instances]
+
+    def local(cell: CellType, *names: str) -> List[int]:
+        pin_names = list(cell.pins)
+        return [pin_names.index(name) for name in names]
+
+    # Gate pins as offsets from the gate's first pin: the output, then the
+    # inputs in input-pin order (one padded row per gate master).
+    fanins = np.array([len(c.input_pins) for c in gate_cells], dtype=np.int64)
+    out_local = np.array([local(c, "o")[0] for c in gate_cells], dtype=np.int64)
+    in_local = np.zeros((len(gate_cells), int(fanins.max())), dtype=np.int64)
+    for g, cell in enumerate(gate_cells):
+        in_local[g, : fanins[g]] = local(cell, *(p.name for p in cell.input_pins))
+    gate_fanin = fanins[comb_gate[order]]
+    sink_gate = np.repeat(order, gate_fanin)
+    sink_k = np.arange(sink_gate.size) - np.repeat(np.cumsum(gate_fanin) - gate_fanin, gate_fanin)
+    sink_pins = gate_pins[sink_gate] + in_local[comb_gate[sink_gate], sink_k]
+    ck, q, d = local(dff, "ck", "q", "d")
+
+    # Connections in connect order: the clock net, every driver, the gate
+    # inputs, then the FF D pins and the POs.
+    driver_pins = np.concatenate([
+        port_pins[1:1 + num_pi], ff_pins + q, gate_pins[order] + out_local[comb_gate[order]]
+    ])
+    num_drivers = driver_pins.size
+    event_net = np.concatenate([
+        np.zeros(1 + num_ff, dtype=np.int64),
+        np.arange(1, num_drivers + 1, dtype=np.int64),
+        sources + 1,
+        captures + 1,
+    ])
+    event_pin = np.concatenate([
+        port_pins[:1], ff_pins + ck, driver_pins, sink_pins, ff_pins + d, port_pins[1 + num_pi:]
+    ])
+    net_pin_offsets = np.zeros(num_drivers + 2, dtype=np.int64)
+    np.cumsum(np.bincount(event_net, minlength=num_drivers + 1), out=net_pin_offsets[1:])
+
+    # Cell masters in first-appearance order, as an incrementally built
+    # design's core numbers them.
+    used, first_use = np.unique(inst_master, return_index=True)
+    used = used[np.argsort(first_use)]
+    renumber = np.zeros(len(masters), dtype=np.int64)
+    renumber[used] = np.arange(used.size)
+
+    # Ports sit on the die boundary; cells start at the die center.
+    x = np.full(num_instances, die_width * 0.5, dtype=np.float64)
+    y = np.full(num_instances, die_height * 0.5, dtype=np.float64)
+    boundary = _boundary_positions(die_width, die_height, 1 + num_pi + num_po)
+    x[:first_ff], y[:first_ff] = np.array(boundary, dtype=np.float64).reshape(-1, 2).T
+    inst_fixed = np.zeros(num_instances, dtype=bool)
+    inst_fixed[:first_ff] = True
+
+    pi_names = [f"in{i}" for i in range(num_pi)]
+    po_names = [f"out{i}" for i in range(num_po)]
+    ff_names = [f"ff{i}" for i in range(num_ff)]
+    gate_names = [f"g{i}" for i in range(num_comb)]
+    period = _estimate_clock_period(die, lib, spec)
     io_delay = spec.io_delay_fraction * period
-    design.input_delays = {name: io_delay for name in pi_names}
-    design.output_delays = {name: io_delay for name in po_names}
-    return design
+    return CompiledDesign(
+        name=spec.name,
+        die=(die.xl, die.yl, die.xh, die.yh),
+        row_height=row_height,
+        site_width=1.0,
+        clock_period=period,
+        clock_name="clk",
+        clock_port="clk",
+        input_delays={name: io_delay for name in pi_names},
+        output_delays={name: io_delay for name in po_names},
+        corners=None,
+        library=lib,
+        cell_types=tuple(masters[m] for m in used),
+        instance_names=("clk", *pi_names, *po_names, *ff_names, *gate_names),
+        net_names=(
+            "clknet",
+            *(f"n_{name}" for name in pi_names),
+            *(f"n_{name}_q" for name in ff_names),
+            *(f"n_g{i}" for i in order.tolist()),
+        ),
+        orientations=None,
+        x=x,
+        y=y,
+        inst_cell_id=renumber[inst_master],
+        inst_fixed=inst_fixed,
+        inst_is_port=inst_fixed.copy(),
+        inst_pin_offsets=inst_pin_offsets,
+        net_pin_offsets=net_pin_offsets,
+        net_pin_index=event_pin[np.argsort(event_net, kind="stable")],
+        net_weight=np.ones(num_drivers + 1, dtype=np.float64),
+    ).to_design()
 
 
 def _boundary_positions(width: float, height: float, count: int) -> List[Tuple[float, float]]:
@@ -296,38 +410,7 @@ def _boundary_positions(width: float, height: float, count: int) -> List[Tuple[f
     return positions
 
 
-def _choose_drivers(
-    rng: np.random.Generator,
-    driver_levels: np.ndarray,
-    fanout_counts: np.ndarray,
-    gate_level: int,
-    count: int,
-    fanout_alpha: float,
-) -> List[int]:
-    """Pick ``count`` distinct driver signals from levels below ``gate_level``.
-
-    Preference goes to signals at the immediately preceding level (building
-    long chains) and, with probability controlled by ``fanout_alpha``, to
-    signals that already have fan-out (building shared, high-fan-out nets).
-    """
-    eligible = np.nonzero(driver_levels < gate_level)[0]
-    if eligible.size == 0:
-        eligible = np.arange(driver_levels.size)
-    level_gap = gate_level - driver_levels[eligible]
-    # Strong preference for the previous level, exponential decay for older.
-    weights = np.exp(-0.9 * (level_gap - 1).astype(np.float64))
-    # Preferential attachment: existing fan-out increases selection odds.
-    weights *= (1.0 + fanout_counts[eligible]) ** (1.0 / max(fanout_alpha, 0.1) - 1.0)
-    weights /= weights.sum()
-    take = min(count, eligible.size)
-    chosen = rng.choice(eligible, size=take, replace=False, p=weights)
-    result = [int(c) for c in chosen]
-    while len(result) < count:
-        result.append(int(rng.choice(eligible)))
-    return result
-
-
-def _estimate_clock_period(design: Design, lib: Library, spec: CircuitSpec) -> float:
+def _estimate_clock_period(die: Rect, lib: Library, spec: CircuitSpec) -> float:
     """Clock period = tightness * estimated critical path delay.
 
     The estimate assumes an average combinational stage delay (intrinsic plus
@@ -337,7 +420,7 @@ def _estimate_clock_period(design: Design, lib: Library, spec: CircuitSpec) -> f
     placement, matching the always-violating ICCAD-2015 benchmarks.
     """
     typical_load = 2.0 * lib.cell("NAND2_X1").pin("a").capacitance
-    avg_net_len = 0.12 * (design.die.width + design.die.height)
+    avg_net_len = 0.12 * (die.width + die.height)
     wire_cap = lib.wire_capacitance_per_unit * avg_net_len
     wire_res = lib.wire_resistance_per_unit * avg_net_len
     stage_cell = lib.cell("NAND2_X1").arcs[0]

@@ -19,8 +19,12 @@ cloud captured by FF data pins and POs) with per-level vectorized draws:
   gate inputs.
 
 Everything is drawn in a fixed per-level order from one seeded generator,
-so the same spec always yields the same design.  Generation is O(pins):
-~2 s for 100k cells, ~6 s for 250k.
+so the same spec always yields the same design.  Generation is O(pins) and
+array-only: the draws give the driver of every gate input, and
+:func:`repro.benchgen.synthetic.build_generated_design` turns them into the
+instance table and net CSR of a snapshot and builds the design from it.
+That takes about 0.2 s for 100k cells and 0.5 s for 250k (2-core x86_64
+host, python 3.11).
 
 The XL designs exist for the XL-tier benchmarks (congestion / density /
 GP / legalization walls at 100k+ cells); they are deliberately kept out of
@@ -29,7 +33,6 @@ the sb_mini table suite.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -37,8 +40,7 @@ import numpy as np
 from repro.benchgen.synthetic import (
     _GATE_CHOICES,
     CircuitSpec,
-    _boundary_positions,
-    _estimate_clock_period,
+    build_generated_design,
 )
 from repro.netlist.design import Design
 from repro.netlist.library import Library, make_generic_library
@@ -78,97 +80,34 @@ def generate_xl_circuit(
     num_ff = max(2, int(round(spec.num_cells * spec.sequential_fraction)))
     num_comb = max(4, spec.num_cells - num_ff)
 
-    gate_names = [name for name, _ in _GATE_CHOICES]
+    gate_cells = [lib.cell(name) for name, _ in _GATE_CHOICES]
     gate_probs = np.array([w for _, w in _GATE_CHOICES], dtype=np.float64)
     gate_probs /= gate_probs.sum()
-    comb_cell_ids = rng.choice(len(gate_names), size=num_comb, p=gate_probs)
+    comb_cell_ids = rng.choice(len(gate_cells), size=num_comb, p=gate_probs)
 
-    gate_areas = np.array([lib.cell(g).area for g in gate_names], dtype=np.float64)
-    gate_num_inputs = np.array(
-        [len(lib.cell(g).input_pins) for g in gate_names], dtype=np.int64
-    )
-    input_pin_names: List[List[str]] = [
-        [p.name for p in lib.cell(g).input_pins] for g in gate_names
-    ]
-
-    # ------------------------------------------------------------------
-    # Floorplan (same sizing rule as the classic generator).
-    # ------------------------------------------------------------------
+    gate_areas = np.array([cell.area for cell in gate_cells], dtype=np.float64)
+    gate_num_inputs = np.array([len(cell.input_pins) for cell in gate_cells], dtype=np.int64)
     total_area = float(
         gate_areas[comb_cell_ids].sum() + num_ff * lib.cell("DFF_X1").area
     )
-    row_height = lib.cell("DFF_X1").height
-    die_side = math.sqrt(total_area / spec.utilization)
-    aspect = math.sqrt(spec.aspect_ratio)
-    die_height = math.ceil(die_side / aspect / row_height) * row_height
-    die_width = math.ceil(die_side * aspect)
-    design = Design(
-        spec.name,
-        die=(0.0, 0.0, float(die_width), float(die_height)),
-        library=lib,
-        row_height=row_height,
-        site_width=1.0,
-    )
-
-    # ------------------------------------------------------------------
-    # Ports and instances.
-    # ------------------------------------------------------------------
-    boundary = _boundary_positions(
-        die_width, die_height, spec.num_primary_inputs + spec.num_primary_outputs + 1
-    )
-    cursor = 0
-    design.add_port("clk", "input", x=boundary[cursor][0], y=boundary[cursor][1])
-    cursor += 1
-    pi_names: List[str] = []
-    for i in range(spec.num_primary_inputs):
-        name = f"in{i}"
-        design.add_port(name, "input", x=boundary[cursor][0], y=boundary[cursor][1])
-        pi_names.append(name)
-        cursor += 1
-    po_names: List[str] = []
-    for i in range(spec.num_primary_outputs):
-        name = f"out{i}"
-        design.add_port(name, "output", x=boundary[cursor][0], y=boundary[cursor][1])
-        po_names.append(name)
-        cursor += 1
-
-    center_x, center_y = die_width * 0.5, die_height * 0.5
-    ff_names = [f"ff{i}" for i in range(num_ff)]
-    dff = lib.cell("DFF_X1")
-    for name in ff_names:
-        design.add_instance(name, dff, x=center_x, y=center_y)
-    comb_names = [f"g{i}" for i in range(num_comb)]
-    gate_cells = [lib.cell(g) for g in gate_names]
-    for name, cid in zip(comb_names, comb_cell_ids):
-        design.add_instance(name, gate_cells[cid], x=center_x, y=center_y)
-
-    clock_net = design.add_net("clknet")
-    design.connect(clock_net, "clk")
-    for name in ff_names:
-        design.connect(clock_net, name, "ck")
 
     # ------------------------------------------------------------------
     # Level structure.  Signals are indexed by creation order:
-    # [PIs, FF outputs, then gate outputs grouped by level 1..depth].
+    # [PIs, FF outputs, then gate outputs grouped by level 1..depth], so
+    # the signal at (level, index-within-level) is driver
+    # ``level_base[level] + index``.
     # ------------------------------------------------------------------
     depth = spec.logic_depth
     level_weights = np.linspace(1.0, 0.6, depth)
     level_weights /= level_weights.sum()
     comb_levels = rng.choice(np.arange(1, depth + 1), size=num_comb, p=level_weights)
     order = np.argsort(comb_levels, kind="stable")
+    sorted_levels = comb_levels[order]
 
     num_level0 = spec.num_primary_inputs + num_ff
-    level0_nets = [design.add_net(f"n_{n}") for n in pi_names] + [
-        design.add_net(f"n_{n}_q") for n in ff_names
-    ]
-    for name, net in zip(pi_names, level0_nets):
-        design.connect(net, name)
-    for name, net in zip(ff_names, level0_nets[len(pi_names):]):
-        design.connect(net, name, "q")
-
-    # Per-level signal tables: net objects in creation order, so a
-    # (level, index-within-level) pair addresses one driver.
-    nets_by_level: List[List] = [level0_nets]
+    level_start = np.searchsorted(sorted_levels, np.arange(depth + 2), side="left")
+    level_base = num_level0 + level_start[: depth + 1]
+    level_base[0] = 0
     counts = np.zeros(depth + 1, dtype=np.int64)
     counts[0] = num_level0
 
@@ -180,23 +119,14 @@ def generate_xl_circuit(
 
     # Power-law exponent: density of picks over within-level index i falls
     # as i^(1/q - 1); q > 1 concentrates fan-out on early signals.
-    q = 1.0 + 1.0 / max(spec.fanout_alpha, 0.1)
+    q = 1.0 + 1.0 / spec.fanout_alpha
 
     gap_decay = np.exp(-0.9 * np.arange(depth, dtype=np.float64))
 
+    # Driver of every gate input, gates in ``order`` and pins in input order.
+    sources: List[np.ndarray] = []
     for level in range(1, depth + 1):
-        members = order[np.searchsorted(comb_levels[order], level, side="left"):
-                        np.searchsorted(comb_levels[order], level, side="right")]
-        # Register this level's output nets first so the tables stay aligned
-        # even when a level has no gates.
-        level_nets = []
-        for idx in members:
-            gate = comb_names[int(idx)]
-            net = design.add_net(f"n_{gate}")
-            design.connect(net, gate, "o")
-            level_nets.append(net)
-        nets_by_level.append(level_nets)
-
+        members = order[level_start[level]:level_start[level + 1]]
         if members.size == 0:
             continue
         fanins = gate_num_inputs[comb_cell_ids[members]]
@@ -222,18 +152,8 @@ def generate_xl_circuit(
                 src_level[take_hub] = 0
                 src_idx[take_hub] = hubs
 
-        # Connect: tight loop over precomputed picks (O(pins)).
-        pos = 0
-        sl = src_level.tolist()
-        si = src_idx.tolist()
-        for idx in members:
-            cid = int(comb_cell_ids[idx])
-            gate = comb_names[int(idx)]
-            for pin_name in input_pin_names[cid]:
-                design.connect(nets_by_level[sl[pos]][si[pos]], gate, pin_name)
-                pos += 1
-
-        counts[level] = len(level_nets)
+        sources.append(level_base[src_level] + src_idx)
+        counts[level] = members.size
 
     # ------------------------------------------------------------------
     # Capture: FF data pins and POs take deep signals.
@@ -243,20 +163,19 @@ def generate_xl_circuit(
     ]
     if not deep_levels:
         deep_levels = [lvl for lvl in range(depth + 1) if counts[lvl] > 0]
-    deep_nets = [net for lvl in deep_levels for net in nets_by_level[lvl]]
-    picks = rng.integers(0, len(deep_nets), size=num_ff + spec.num_primary_outputs)
-    for name, pick in zip(ff_names, picks[:num_ff]):
-        design.connect(deep_nets[int(pick)], name, "d")
-    for name, pick in zip(po_names, picks[num_ff:]):
-        design.connect(deep_nets[int(pick)], name)
+    deep = np.concatenate(
+        [level_base[lvl] + np.arange(counts[lvl], dtype=np.int64) for lvl in deep_levels]
+    )
+    picks = rng.integers(0, deep.size, size=num_ff + spec.num_primary_outputs)
 
-    design.finalize()
-
-    period = _estimate_clock_period(design, lib, spec)
-    design.clock_period = period
-    design.clock_name = "clk"
-    design.clock_port = "clk"
-    io_delay = spec.io_delay_fraction * period
-    design.input_delays = {name: io_delay for name in pi_names}
-    design.output_delays = {name: io_delay for name in po_names}
-    return design
+    return build_generated_design(
+        spec,
+        lib,
+        total_area=total_area,
+        num_ff=num_ff,
+        gate_cells=gate_cells,
+        comb_gate=comb_cell_ids,
+        order=order,
+        sources=np.concatenate(sources) if sources else np.zeros(0, dtype=np.int64),
+        captures=deep[picks],
+    )

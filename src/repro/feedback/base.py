@@ -120,3 +120,6 @@ class PlacementFeedback:
 
     def finalize(self, placer: "GlobalPlacer") -> None:  # pragma: no cover
         """Publish summary state once the placement loop ends."""
+
+    def release(self) -> None:  # pragma: no cover - default no-op
+        """Drop references to the finished flow run (its context)."""

@@ -192,6 +192,12 @@ class _TimingFeedback(PlacementFeedback):
                 move_tolerance=self.sta_move_tolerance,
             )
 
+    def release(self) -> None:
+        # The context owns the placer, which owns this feedback: keeping
+        # the context would make every finished run a reference cycle.
+        self.ctx = None
+        self.sta = None
+
     def analyze(self, x: np.ndarray, y: np.ndarray) -> "STAResult | MultiCornerResult":
         return self.sta.update_timing(x, y)
 

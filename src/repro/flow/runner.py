@@ -189,12 +189,24 @@ class FlowRunner:
             seed=seed,
             corners=resolved_corners,
         )
-        with run_tracer() as tracer:
-            with span("flow.run", flow=self.name, design=design.name, seed=seed):
-                for stage in self.stages:
-                    logger.debug("flow %s: running stage %s", self.name, stage.name)
-                    with span(f"stage.{stage.name}"):
-                        stage.run(ctx)
+        try:
+            with run_tracer() as tracer:
+                with span("flow.run", flow=self.name, design=design.name, seed=seed):
+                    for stage in self.stages:
+                        logger.debug("flow %s: running stage %s", self.name, stage.name)
+                        with span(f"stage.{stage.name}"):
+                            stage.run(ctx)
+        finally:
+            # The run is over: drop the wiring that points back at this
+            # context (placer hooks close over their stages, and a stage's
+            # optional ``finish`` releases what it holds of the run), so a
+            # finished run forms no reference cycle and is freed with its
+            # result instead of at the next full garbage collection.
+            ctx.placer_hooks.clear()
+            for stage in self.stages:
+                finish = getattr(stage, "finish", None)
+                if finish is not None:
+                    finish(ctx)
         # The flat where-did-the-time-go view travels with the scores
         # (EvaluationReport / --profile); every timing below projects it.
         metrics = tracer.metrics()

@@ -118,6 +118,11 @@ class FeedbackWeightStage:
 
         ctx.placer_hooks.append(hook)
 
+    def finish(self, ctx: FlowContext) -> None:
+        """Release the feedbacks' hold on the finished run."""
+        for feedback, _ in self.slots:
+            feedback.release()
+
 
 @register_stage("global_place")
 class GlobalPlaceStage:

@@ -7,7 +7,8 @@ Public API:
 * :class:`Design`, :class:`Instance`, :class:`Net`, :class:`PinRef`, :class:`Row` —
   flat gate-level design with floorplan and placement state.
 * :class:`DesignCore` — the array-first core every compute layer reads
-  (``Instance``/``Net`` are index-backed views onto it after ``finalize()``).
+  (``Instance``/``Net`` are index-backed views onto it after ``finalize()``;
+  on array-built designs they are created on first use).
 * :class:`CompiledDesign` / :func:`compile_design` — frozen, picklable,
   array-only snapshots for shipping designs across processes (with an
   opt-in :class:`SharedDesignPack` shared-memory transport).
@@ -26,7 +27,7 @@ from repro.netlist.library import (
     make_generic_library,
 )
 from repro.netlist.core import DesignCore, Row, as_core
-from repro.netlist.design import Design, DesignArrays, Instance, Net, PinRef
+from repro.netlist.design import Design, Instance, Net, PinRef
 from repro.netlist.compiled import (
     CompiledDesign,
     SharedDesignHandle,
@@ -42,7 +43,6 @@ __all__ = [
     "TimingArcSpec",
     "make_generic_library",
     "Design",
-    "DesignArrays",
     "DesignCore",
     "as_core",
     "CompiledDesign",

@@ -12,24 +12,27 @@ no circular references.  It serves two jobs:
   read-only arrays in :mod:`multiprocessing.shared_memory`, so workers on
   the same host attach instead of receiving a copy.
 
-Reconstruction (:meth:`CompiledDesign.to_design`) replays the normal design
-construction API in the recorded order, so the rebuilt design is
-index-for-index and bit-for-bit identical to the original: same instance,
-pin, and net indices, same CSR pin ordering, same positions.
+Reconstruction (:meth:`CompiledDesign.to_design`) builds the
+:class:`repro.netlist.core.DesignCore` straight from the snapshot's tables
+(:meth:`DesignCore.from_tables`) and wraps it with its name tables
+(:meth:`Design.from_core`), so the rebuilt design is index-for-index and
+bit-for-bit identical to the original: same instance, pin, and net indices,
+same CSR pin ordering, same positions.  No ``Instance``/``PinRef``/``Net``
+object is created until code asks for one.  The benchmark generators emit
+their designs the same way: they fill a snapshot and call ``to_design``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclasses_fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.netlist.design import (
-    PORT_INPUT_CELL_NAME,
-    Design,
-)
-from repro.netlist.library import CellType, Library, PinDirection
+from repro.netlist.core import DesignCore
+from repro.netlist.design import Design
+from repro.netlist.library import CellType, Library
+from repro.utils.geometry import Rect
 
 # Snapshot attributes holding NumPy arrays (the shared-memory payload).
 _ARRAY_FIELDS: Tuple[str, ...] = (
@@ -134,77 +137,50 @@ class CompiledDesign:
     # Reconstruction
     # ------------------------------------------------------------------
     def to_design(self) -> Design:
-        """Rebuild a finalized :class:`Design` identical to the compiled one."""
-        design = Design(
-            self.name,
-            die=self.die,
-            library=self.library,
+        """Build a finalized :class:`Design` identical to the compiled one.
+
+        Every array is copied, so the design never aliases the snapshot
+        (whose arrays may be read-only shared-memory views).
+        """
+        core = DesignCore.from_tables(
+            name=self.name,
+            die=Rect(*self.die),
             row_height=self.row_height,
             site_width=self.site_width,
+            wire_resistance_per_unit=self.library.wire_resistance_per_unit,
+            wire_capacitance_per_unit=self.library.wire_capacitance_per_unit,
+            cell_types=self.cell_types,
+            inst_cell_id=np.array(self.inst_cell_id, dtype=np.int64),
+            x=np.array(self.x, dtype=np.float64),
+            y=np.array(self.y, dtype=np.float64),
+            inst_fixed=np.array(self.inst_fixed, dtype=bool),
+            inst_is_port=np.array(self.inst_is_port, dtype=bool),
+            net_pin_offsets=np.array(self.net_pin_offsets, dtype=np.int64),
+            net_pin_index=np.array(self.net_pin_index, dtype=np.int64),
+            net_weight=np.array(self.net_weight, dtype=np.float64),
         )
-        orientations = self.orientations
-        x = self.x
-        y = self.y
-        fixed = self.inst_fixed
-        is_port = self.inst_is_port
-        cell_ids = self.inst_cell_id
-        for i, inst_name in enumerate(self.instance_names):
-            cell = self.cell_types[cell_ids[i]]
-            if is_port[i]:
-                direction = (
-                    PinDirection.INPUT
-                    if cell.name == PORT_INPUT_CELL_NAME
-                    else PinDirection.OUTPUT
-                )
-                design.add_port(inst_name, direction, x=x[i], y=y[i])
-            else:
-                design.add_instance(
-                    inst_name,
-                    cell,
-                    x=x[i],
-                    y=y[i],
-                    fixed=bool(fixed[i]),
-                    orientation=orientations[i] if orientations is not None else "N",
-                )
-
-        net_objs = [design.add_net(net_name) for net_name in self.net_names]
-
-        # Pin index -> (owner instance, local pin name): pins of instance i
-        # are the contiguous block inst_pin_offsets[i]:inst_pin_offsets[i+1]
-        # in the master's pin-declaration order.
-        pin_owner = (
-            np.searchsorted(self.inst_pin_offsets, self.net_pin_index, side="right") - 1
+        if not np.array_equal(core.inst_pin_offsets, self.inst_pin_offsets) or (
+            core.num_pins
+            and np.bincount(core.net_pin_index, minlength=core.num_pins).max() > 1
+        ):
+            raise RuntimeError(
+                f"CompiledDesign {self.name}: the snapshot's pin/net layout is "
+                "inconsistent (pin offsets differ from the cell masters', or a pin "
+                "sits on two nets)"
+            )
+        design = Design.from_core(
+            core,
+            self.library,
+            instance_names=self.instance_names,
+            net_names=self.net_names,
+            orientations=self.orientations,
         )
-        pin_names_by_cell: List[List[str]] = [
-            list(cell.pins.keys()) for cell in self.cell_types
-        ]
-        instances = design.instances
-        offsets = self.net_pin_offsets
-        for e, net in enumerate(net_objs):
-            for k in range(int(offsets[e]), int(offsets[e + 1])):
-                pin_index = int(self.net_pin_index[k])
-                owner = int(pin_owner[k])
-                local = pin_index - int(self.inst_pin_offsets[owner])
-                pin_name = pin_names_by_cell[int(cell_ids[owner])][local]
-                design.connect(net, instances[owner], pin_name)
-
         design.clock_period = self.clock_period
         design.clock_name = self.clock_name
         design.clock_port = self.clock_port
         design.input_delays = dict(self.input_delays)
         design.output_delays = dict(self.output_delays)
         design.corners = self.corners
-        design.finalize()
-
-        core = design.core
-        if core.num_pins != self.num_pins or not np.array_equal(
-            core.net_pin_index, self.net_pin_index
-        ):
-            raise RuntimeError(
-                f"CompiledDesign {self.name}: reconstruction produced a different "
-                "pin/net layout than the snapshot records"
-            )
-        core.net_weight[:] = self.net_weight
         return design
 
 
@@ -219,11 +195,6 @@ def compile_design(design: Design) -> CompiledDesign:
         from repro.timing.mcmm import resolve_corners
 
         corners = resolve_corners(corners)
-    orientations: Optional[Tuple[str, ...]] = tuple(
-        inst.orientation for inst in design.instances
-    )
-    if all(o == "N" for o in orientations):
-        orientations = None  # the common case costs nothing in the pickle
     die = design.die
     return CompiledDesign(
         name=design.name,
@@ -238,9 +209,10 @@ def compile_design(design: Design) -> CompiledDesign:
         corners=corners,
         library=design.library,
         cell_types=core.cell_types,
-        instance_names=tuple(inst.name for inst in design.instances),
-        net_names=tuple(net.name for net in design.nets),
-        orientations=orientations,
+        instance_names=design.instance_names,
+        net_names=design.net_names,
+        # None when every instance is "N": the common case costs nothing.
+        orientations=design.orientations,
         x=core.x.copy(),
         y=core.y.copy(),
         inst_cell_id=core.inst_cell_id,

@@ -1,11 +1,14 @@
 """Array-first design core: the single source of truth for design state.
 
 :class:`DesignCore` owns every per-instance / per-pin / per-net quantity as a
-contiguous NumPy array.  After :meth:`repro.netlist.design.Design.finalize`,
-the Python objects (``Instance``, ``PinRef``, ``Net``) become thin
-index-backed *views* onto these arrays — writing ``inst.x`` writes
-``core.x[inst.index]`` and vice versa — so every compute layer (placement,
-STA, evaluation) reads and writes flat arrays with no object-graph traffic.
+contiguous NumPy array.  :meth:`DesignCore.from_tables` is its one
+constructor from the instance and net tables; it serves both array-built
+designs (generators, :meth:`repro.netlist.compiled.CompiledDesign.to_design`)
+and :meth:`DesignCore.from_design` (incrementally built designs).  The
+Python objects (``Instance``, ``PinRef``, ``Net``) are thin index-backed
+*views* onto these arrays — writing ``inst.x`` writes ``core.x[inst.index]``
+and vice versa — so every compute layer (placement, STA, evaluation) reads
+and writes flat arrays with no object-graph traffic.
 
 The core is deliberately object-free on the hot paths: positions, pin
 positions, HPWL, and utilization are O(1) views or single vectorized kernels.
@@ -17,7 +20,8 @@ Array layout
 ------------
 
 Instances, pins, and nets are indexed consistently with
-``Design.instances`` / ``Design.pins`` / ``Design.nets``.  Pins of instance
+``Design.instances`` / ``Design.pins`` / ``Design.nets`` (and the name
+tables ``Design.instance_names`` / ``Design.net_names``).  Pins of instance
 ``i`` are the contiguous range ``inst_pin_offsets[i]:inst_pin_offsets[i+1]``
 (in the cell master's pin-declaration order).  The pins of net ``e`` are
 ``net_pin_index[net_pin_offsets[e]:net_pin_offsets[e+1]]`` (CSR layout, in
@@ -182,14 +186,108 @@ class DesignCore:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_design(cls, design: "Design") -> "DesignCore":
-        """One-time conversion of a design's object graph into flat arrays.
+    def from_tables(
+        cls,
+        *,
+        name: str,
+        die: Rect,
+        row_height: float,
+        site_width: float,
+        wire_resistance_per_unit: float,
+        wire_capacitance_per_unit: float,
+        cell_types: Tuple["CellType", ...],
+        inst_cell_id: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+        inst_fixed: np.ndarray,
+        inst_is_port: np.ndarray,
+        net_pin_offsets: np.ndarray,
+        net_pin_index: np.ndarray,
+        net_weight: np.ndarray,
+    ) -> "DesignCore":
+        """Build a core from its instance and net tables.
 
-        This is the only place the object graph is walked; every later query
-        is a pure array operation.
+        Every per-instance geometry field and every per-pin field is
+        gathered from small per-cell-type tables through ``inst_cell_id``:
+        the pins of instance ``i`` are its master's pins in declaration
+        order, so pin ``p`` is row ``p - inst_pin_offsets[i]`` of its
+        master's pin table.  ``pin_net`` inverts the net CSR.  The arrays
+        are adopted as given (no copy when the dtype already matches).
+        """
+        cell_types = tuple(cell_types)
+        inst_cell_id = np.asarray(inst_cell_id, dtype=np.int64)
+        num_instances = inst_cell_id.size
+
+        pin_count = np.array([len(c.pins) for c in cell_types], dtype=np.int64)
+        lib_pins = [pin for cell in cell_types for pin in cell.pins.values()]
+        cell_pin_start = np.cumsum(pin_count) - pin_count
+        inst_pin_count = pin_count[inst_cell_id]
+        inst_pin_offsets = np.zeros(num_instances + 1, dtype=np.int64)
+        np.cumsum(inst_pin_count, out=inst_pin_offsets[1:])
+        num_pins = int(inst_pin_offsets[-1])
+        pin_instance = np.repeat(np.arange(num_instances, dtype=np.int64), inst_pin_count)
+        # Row of every pin in the flattened master pin table.
+        lib_row = np.arange(num_pins, dtype=np.int64) + (
+            cell_pin_start[inst_cell_id] - inst_pin_offsets[:-1]
+        )[pin_instance]
+
+        def per_cell(values, dtype) -> np.ndarray:
+            return np.array(values, dtype=dtype)[inst_cell_id]
+
+        def per_pin(values, dtype) -> np.ndarray:
+            return np.array(values, dtype=dtype)[lib_row]
+
+        net_pin_offsets = np.asarray(net_pin_offsets, dtype=np.int64)
+        net_pin_index = np.asarray(net_pin_index, dtype=np.int64)
+        csr_net = np.repeat(
+            np.arange(net_pin_offsets.size - 1, dtype=np.int64), np.diff(net_pin_offsets)
+        )
+        pin_net = np.full(num_pins, -1, dtype=np.int64)
+        pin_net[net_pin_index] = csr_net
+        is_output = [p.is_output for p in lib_pins]
+
+        core = cls(
+            name=name,
+            die=die,
+            row_height=row_height,
+            site_width=site_width,
+            wire_resistance_per_unit=wire_resistance_per_unit,
+            wire_capacitance_per_unit=wire_capacitance_per_unit,
+            x=x,
+            y=y,
+            inst_width=per_cell([c.width for c in cell_types], np.float64),
+            inst_height=per_cell([c.height for c in cell_types], np.float64),
+            inst_fixed=inst_fixed,
+            inst_is_port=inst_is_port,
+            inst_is_sequential=per_cell([c.is_sequential for c in cell_types], bool),
+            inst_cell_id=inst_cell_id,
+            inst_pin_offsets=inst_pin_offsets,
+            cell_types=cell_types,
+            pin_instance=pin_instance,
+            pin_offset_x=per_pin([p.offset_x for p in lib_pins], np.float64),
+            pin_offset_y=per_pin([p.offset_y for p in lib_pins], np.float64),
+            pin_net=pin_net,
+            pin_capacitance=per_pin([p.capacitance for p in lib_pins], np.float64),
+            pin_is_driver=per_pin(is_output, bool),
+            pin_is_clock=per_pin([p.is_clock for p in lib_pins], bool),
+            pin_is_input=per_pin([p.is_input for p in lib_pins], bool),
+            pin_is_output=per_pin(is_output, bool),
+            net_pin_offsets=net_pin_offsets,
+            net_pin_index=net_pin_index,
+            net_weight=net_weight,
+        )
+        core._csr_net = csr_net
+        return core
+
+    @classmethod
+    def from_design(cls, design: "Design") -> "DesignCore":
+        """Collect an incrementally built design's instance and net tables.
+
+        Only the cell master, position, fixedness and port flag of every
+        instance and the pin list and weight of every net are read from the
+        objects; :meth:`from_tables` derives everything else.
         """
         insts = design.instances
-        pins = design.pins
         nets = design.nets
 
         cell_ids: dict = {}
@@ -204,52 +302,26 @@ class DesignCore:
                 cell_types.append(inst.cell)
             inst_cell_id[i] = cid
 
-        inst_pin_offsets = np.zeros(len(insts) + 1, dtype=np.int64)
-        for inst in insts:
-            inst_pin_offsets[inst.index + 1] = len(inst.cell.pins)
-        np.cumsum(inst_pin_offsets, out=inst_pin_offsets)
-
         offsets = np.zeros(len(nets) + 1, dtype=np.int64)
-        for net in nets:
-            offsets[net.index + 1] = len(net.pins)
-        np.cumsum(offsets, out=offsets)
-        index = np.zeros(int(offsets[-1]), dtype=np.int64)
-        cursor = offsets[:-1].copy()
-        for net in nets:
-            for pin in net.pins:
-                index[cursor[net.index]] = pin.index
-                cursor[net.index] += 1
+        np.cumsum(np.array([len(net.pins) for net in nets], dtype=np.int64), out=offsets[1:])
 
-        return cls(
+        return cls.from_tables(
             name=design.name,
             die=design.die,
             row_height=design.row_height,
             site_width=design.site_width,
             wire_resistance_per_unit=design.library.wire_resistance_per_unit,
             wire_capacitance_per_unit=design.library.wire_capacitance_per_unit,
+            cell_types=tuple(cell_types),
+            inst_cell_id=inst_cell_id,
             x=np.array([i.x for i in insts], dtype=np.float64),
             y=np.array([i.y for i in insts], dtype=np.float64),
-            inst_width=np.array([i.width for i in insts], dtype=np.float64),
-            inst_height=np.array([i.height for i in insts], dtype=np.float64),
             inst_fixed=np.array([i.fixed for i in insts], dtype=bool),
             inst_is_port=np.array([i.is_port for i in insts], dtype=bool),
-            inst_is_sequential=np.array([i.is_sequential for i in insts], dtype=bool),
-            inst_cell_id=inst_cell_id,
-            inst_pin_offsets=inst_pin_offsets,
-            cell_types=tuple(cell_types),
-            pin_instance=np.array([p.instance.index for p in pins], dtype=np.int64),
-            pin_offset_x=np.array([p.lib_pin.offset_x for p in pins], dtype=np.float64),
-            pin_offset_y=np.array([p.lib_pin.offset_y for p in pins], dtype=np.float64),
-            pin_net=np.array(
-                [p.net.index if p.net is not None else -1 for p in pins], dtype=np.int64
-            ),
-            pin_capacitance=np.array([p.capacitance for p in pins], dtype=np.float64),
-            pin_is_driver=np.array([p.is_driver for p in pins], dtype=bool),
-            pin_is_clock=np.array([p.lib_pin.is_clock for p in pins], dtype=bool),
-            pin_is_input=np.array([p.lib_pin.is_input for p in pins], dtype=bool),
-            pin_is_output=np.array([p.lib_pin.is_output for p in pins], dtype=bool),
             net_pin_offsets=offsets,
-            net_pin_index=index,
+            net_pin_index=np.array(
+                [pin.index for net in nets for pin in net.pins], dtype=np.int64
+            ),
             net_weight=np.array([n.weight for n in nets], dtype=np.float64),
         )
 

@@ -9,16 +9,28 @@ subsystem:
   library timing arcs;
 * parsers/writers translate between on-disk formats and this model.
 
-A design is built incrementally (``add_instance`` / ``add_net`` / ``connect``)
-and then :meth:`Design.finalize` freezes it, validating connectivity and
-building the :class:`repro.netlist.core.DesignCore` — the array-first single
-source of truth.  After finalize, ``Instance``/``PinRef``/``Net`` are thin
+The :class:`repro.netlist.core.DesignCore` is the array-first single source
+of truth.  A design gets one in either of two ways:
+
+* **incrementally** (parsers, tests): ``add_instance`` / ``add_net`` /
+  ``connect`` build the object graph, and :meth:`Design.finalize` validates
+  connectivity, freezes the topology and collects the core from it;
+* **from arrays** (the benchmark generators and
+  :meth:`repro.netlist.compiled.CompiledDesign.to_design`):
+  :meth:`Design.from_core` wraps a ready core plus its name tables.  No
+  ``Instance`` / ``PinRef`` / ``Net`` object exists until code asks for
+  ``instances``, ``nets``, ``pins``, a name lookup or ``pin()``; the first
+  such access builds all of them at once and caches them.
+
+Either way, after finalization ``Instance``/``PinRef``/``Net`` are thin
 index-backed views: reading or writing ``inst.x`` reads or writes
 ``core.x[inst.index]``, so bulk operations (``positions``, ``set_positions``,
 ``total_hpwl``, pin positions) are O(1) views or single vectorized kernels
-with no per-object Python loops.  Cell positions remain mutable after
-finalization (placement would be pointless otherwise) but the netlist
-topology does not.
+with no per-object Python loops.  Counts, :meth:`Design.summary` and the
+name tables (:attr:`Design.instance_names`, :attr:`Design.net_names`) read
+the arrays and never build the views.  Cell positions remain
+mutable after finalization (placement would be pointless otherwise) but the
+netlist topology does not.
 """
 
 from __future__ import annotations
@@ -33,7 +45,6 @@ from repro.utils.geometry import Rect
 
 __all__ = [
     "Design",
-    "DesignArrays",
     "DesignCore",
     "Instance",
     "Net",
@@ -47,8 +58,14 @@ _PORT_INPUT.add_pin(LibraryPin("o", PinDirection.OUTPUT, capacitance=0.0))
 _PORT_OUTPUT = CellType("__PORT_OUT__", width=0.0, height=0.0)
 _PORT_OUTPUT.add_pin(LibraryPin("i", PinDirection.INPUT, capacitance=0.01))
 
-PORT_INPUT_CELL_NAME = _PORT_INPUT.name
-PORT_OUTPUT_CELL_NAME = _PORT_OUTPUT.name
+
+def port_cell(direction: PinDirection) -> CellType:
+    """Master of a top-level port of ``direction``.
+
+    From the netlist's point of view an *input* port drives a net, so its
+    single pin is an output pin (and vice versa).
+    """
+    return _PORT_INPUT if direction is PinDirection.INPUT else _PORT_OUTPUT
 
 
 class Instance:
@@ -265,9 +282,14 @@ class Design:
         self._row_height = float(row_height)
         self._site_width = float(site_width)
 
-        self.instances: List[Instance] = []
-        self.nets: List[Net] = []
-        self.pins: List[PinRef] = []
+        # Object views.  None on an array-built design until first use; the
+        # name tables below then hold the names (see from_core).
+        self._instances: Optional[List[Instance]] = []
+        self._nets: Optional[List[Net]] = []
+        self._pins: Optional[List[PinRef]] = []
+        self._instance_names: Tuple[str, ...] = ()
+        self._net_names: Tuple[str, ...] = ()
+        self._orientations: Optional[Tuple[str, ...]] = None
 
         self._instance_by_name: Dict[str, Instance] = {}
         self._net_by_name: Dict[str, Net] = {}
@@ -287,6 +309,43 @@ class Design:
         # snapshots so batch workers rebuild the same analysis setup; flows
         # fall back to these when no corners are configured explicitly.
         self.corners: Optional[Tuple[object, ...]] = None
+
+    @classmethod
+    def from_core(
+        cls,
+        core: DesignCore,
+        library: Library,
+        *,
+        instance_names: Tuple[str, ...],
+        net_names: Tuple[str, ...],
+        orientations: Optional[Tuple[str, ...]] = None,
+    ) -> "Design":
+        """Wrap an array-built core in a finalized design.
+
+        ``orientations`` is None when every instance is ``"N"``.  The
+        object views are built on first use; multi-driver nets are
+        rejected here, as :meth:`finalize` rejects them.
+        """
+        if len(instance_names) != core.num_instances or len(net_names) != core.num_nets:
+            raise ValueError(
+                f"Design {core.name}: {len(instance_names)} instance / {len(net_names)} "
+                f"net names for {core.num_instances} instances / {core.num_nets} nets"
+            )
+        design = cls(
+            core.name,
+            die=core.die,
+            library=library,
+            row_height=core.row_height,
+            site_width=core.site_width,
+        )
+        design._instances = design._nets = design._pins = None
+        design._instance_names = tuple(instance_names)
+        design._net_names = tuple(net_names)
+        design._orientations = orientations
+        design._core = core
+        design._check_single_drivers(core)
+        design._finalized = True
+        return design
 
     # ------------------------------------------------------------------
     # Floorplan parameters (synced to the core so its rows cache can
@@ -321,6 +380,61 @@ class Design:
         self._site_width = float(value)
         if self._core is not None:
             self._core.set_floorplan(site_width=self._site_width)
+
+    # ------------------------------------------------------------------
+    # Object views
+    # ------------------------------------------------------------------
+    @property
+    def instances(self) -> List[Instance]:
+        self._ensure_views()
+        return self._instances
+
+    @property
+    def nets(self) -> List[Net]:
+        self._ensure_views()
+        return self._nets
+
+    @property
+    def pins(self) -> List[PinRef]:
+        self._ensure_views()
+        return self._pins
+
+    @property
+    def views_built(self) -> bool:
+        """True once the ``Instance`` / ``Net`` / ``PinRef`` objects exist."""
+        return self._instances is not None
+
+    def _ensure_views(self) -> None:
+        """Create every index-backed view of an array-built design, once."""
+        if self._instances is not None:
+            return
+        core = self._core
+        self._instances, self._nets, self._pins = [], [], []
+        cell_types = core.cell_types
+        orientations = self._orientations or ("N",) * core.num_instances
+        for name, cell_id, is_port, orientation in zip(
+            self._instance_names,
+            core.inst_cell_id.tolist(),
+            core.inst_is_port.tolist(),
+            orientations,
+        ):
+            inst = Instance(name, cell_types[cell_id], orientation=orientation, is_port=is_port)
+            inst._core = core
+            self._register_instance(inst)
+        pins = self._pins
+        pin_index = core.net_pin_index.tolist()
+        bounds = core.net_pin_offsets.tolist()
+        for index, name in enumerate(self._net_names):
+            net = Net(name)
+            net.index = index
+            net._core = core
+            net.pins = [pins[p] for p in pin_index[bounds[index]:bounds[index + 1]]]
+            for pin in net.pins:
+                pin.net = net
+            self._nets.append(net)
+            self._net_by_name[name] = net
+        self._instance_names = self._net_names = ()
+        self._orientations = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -365,22 +479,19 @@ class Design:
             if isinstance(direction, PinDirection)
             else PinDirection.from_string(direction)
         )
-        # From the netlist's point of view an *input* port drives a net, so
-        # its single pin is an output pin (and vice versa).
-        master = _PORT_INPUT if direction is PinDirection.INPUT else _PORT_OUTPUT
-        inst = Instance(name, master, x=x, y=y, fixed=True, is_port=True)
+        inst = Instance(name, port_cell(direction), x=x, y=y, fixed=True, is_port=True)
         self._register_instance(inst)
         return inst
 
     def _register_instance(self, inst: Instance) -> None:
-        inst.index = len(self.instances)
-        self.instances.append(inst)
+        inst.index = len(self._instances)
+        self._instances.append(inst)
         self._instance_by_name[inst.name] = inst
         pin_map: Dict[str, PinRef] = {}
         for lib_pin in inst.cell.pins.values():
             pin = PinRef(inst, lib_pin)
-            pin.index = len(self.pins)
-            self.pins.append(pin)
+            pin.index = len(self._pins)
+            self._pins.append(pin)
             pin_map[lib_pin.name] = pin
         self._pins_by_instance[inst.name] = pin_map
 
@@ -389,8 +500,8 @@ class Design:
         if name in self._net_by_name:
             raise ValueError(f"Duplicate net name {name!r}")
         net = Net(name)
-        net.index = len(self.nets)
-        self.nets.append(net)
+        net.index = len(self._nets)
+        self._nets.append(net)
         self._net_by_name[name] = net
         return net
 
@@ -428,12 +539,14 @@ class Design:
     # Lookup
     # ------------------------------------------------------------------
     def instance(self, name: str) -> Instance:
+        self._ensure_views()
         try:
             return self._instance_by_name[name]
         except KeyError as exc:
             raise KeyError(f"Design {self.name} has no instance {name!r}") from exc
 
     def net(self, name: str) -> Net:
+        self._ensure_views()
         try:
             return self._net_by_name[name]
         except KeyError as exc:
@@ -441,6 +554,7 @@ class Design:
 
     def pin(self, instance_name: str, pin_name: str | None = None) -> PinRef:
         """Look up a pin by ``inst`` + ``pin`` names or by ``"inst/pin"``."""
+        self._ensure_views()
         if pin_name is None:
             if "/" in instance_name:
                 instance_name, pin_name = instance_name.rsplit("/", 1)
@@ -452,10 +566,34 @@ class Design:
         return self._pins_by_instance[instance_name][pin_name]
 
     def has_instance(self, name: str) -> bool:
+        self._ensure_views()
         return name in self._instance_by_name
 
     def has_net(self, name: str) -> bool:
+        self._ensure_views()
         return name in self._net_by_name
+
+    @property
+    def instance_names(self) -> Tuple[str, ...]:
+        """Instance names in index order (never builds the views)."""
+        if self._instances is None:
+            return self._instance_names
+        return tuple(inst.name for inst in self._instances)
+
+    @property
+    def net_names(self) -> Tuple[str, ...]:
+        """Net names in index order (never builds the views)."""
+        if self._nets is None:
+            return self._net_names
+        return tuple(net.name for net in self._nets)
+
+    @property
+    def orientations(self) -> Optional[Tuple[str, ...]]:
+        """Instance orientations in index order; None when all are ``"N"``."""
+        if self._instances is None:
+            return self._orientations
+        orientations = tuple(inst.orientation for inst in self._instances)
+        return None if all(o == "N" for o in orientations) else orientations
 
     @property
     def ports(self) -> List[Instance]:
@@ -472,21 +610,21 @@ class Design:
 
     @property
     def num_instances(self) -> int:
-        return len(self.instances)
+        return self._core.num_instances if self._core is not None else len(self._instances)
 
     @property
     def num_movable(self) -> int:
         if self._core is not None:
             return int(self._core.movable_index.size)
-        return sum(1 for i in self.instances if not i.fixed)
+        return sum(1 for i in self._instances if not i.fixed)
 
     @property
     def num_nets(self) -> int:
-        return len(self.nets)
+        return self._core.num_nets if self._core is not None else len(self._nets)
 
     @property
     def num_pins(self) -> int:
-        return len(self.pins)
+        return self._core.num_pins if self._core is not None else len(self._pins)
 
     # ------------------------------------------------------------------
     # Finalization and the array core
@@ -500,20 +638,26 @@ class Design:
         """
         if self._finalized:
             return self
-        for net in self.nets:
-            drivers = [p for p in net.pins if p.is_driver]
-            if len(drivers) > 1:
-                names = ", ".join(p.full_name for p in drivers)
-                raise ValueError(f"Net {net.name} has multiple drivers: {names}")
-        self._finalized = True
         core = DesignCore.from_design(self)
+        self._check_single_drivers(core)
         self._core = core
+        self._finalized = True
         # Flip the objects into view mode (one-time pass at finalize).
-        for inst in self.instances:
+        for inst in self._instances:
             inst._core = core
-        for net in self.nets:
+        for net in self._nets:
             net._core = core
         return self
+
+    def _check_single_drivers(self, core: DesignCore) -> None:
+        """Reject nets of ``core`` with more than one driver pin."""
+        driven = core.csr_net[core.pin_is_driver[core.net_pin_index]]
+        bad = np.flatnonzero(np.bincount(driven, minlength=core.num_nets) > 1)
+        if bad.size:
+            self._ensure_views()  # error path: name the pins through the views
+            net = self._nets[int(bad[0])]
+            names = ", ".join(p.full_name for p in net.pins if p.is_driver)
+            raise ValueError(f"Net {net.name} has multiple drivers: {names}")
 
     @property
     def finalized(self) -> bool:
@@ -528,15 +672,15 @@ class Design:
 
     @property
     def arrays(self) -> DesignCore:
-        """Alias of :attr:`core`, kept for the pre-core ``DesignArrays`` API."""
+        """Alias of :attr:`core`."""
         return self.core
 
     def positions(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return instance lower-left coordinates as two float arrays."""
         if self._core is not None:
             return self._core.positions()
-        x = np.array([i.x for i in self.instances], dtype=np.float64)
-        y = np.array([i.y for i in self.instances], dtype=np.float64)
+        x = np.array([i.x for i in self._instances], dtype=np.float64)
+        y = np.array([i.y for i in self._instances], dtype=np.float64)
         return x, y
 
     def set_positions(self, x: Sequence[float], y: Sequence[float]) -> None:
@@ -548,9 +692,9 @@ class Design:
             return
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if x.shape != (len(self.instances),) or y.shape != (len(self.instances),):
+        if x.shape != (len(self._instances),) or y.shape != (len(self._instances),):
             raise ValueError("Position arrays must have one entry per instance")
-        for inst, xi, yi in zip(self.instances, x, y):
+        for inst, xi, yi in zip(self._instances, x, y):
             if not inst.fixed:
                 inst.x = float(xi)
                 inst.y = float(yi)
@@ -583,28 +727,31 @@ class Design:
         """Total movable + fixed cell area divided by die area."""
         if self._core is not None:
             return self._core.utilization()
-        total_area = sum(i.area for i in self.instances if not i.is_port)
+        total_area = sum(i.area for i in self._instances if not i.is_port)
         return total_area / self._die.area if self._die.area > 0 else 0.0
 
     def total_hpwl(self) -> float:
         """Half-perimeter wirelength summed over all nets at current positions."""
         if self._core is not None:
             return self._core.total_hpwl()
-        return sum(net.hpwl() for net in self.nets)
+        return sum(net.hpwl() for net in self._nets)
 
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, float]:
         """Compact description used in logs and experiment reports."""
+        core = self.core
+        is_cell = ~core.inst_is_port
+        num_cells = int(is_cell.sum())
         return {
             "name": self.name,
             "num_instances": self.num_instances,
-            "num_cells": len(self.cells),
-            "num_ports": len(self.ports),
+            "num_cells": num_cells,
+            "num_ports": self.num_instances - num_cells,
             "num_nets": self.num_nets,
             "num_pins": self.num_pins,
-            "num_sequential": sum(1 for i in self.cells if i.is_sequential),
+            "num_sequential": int((core.inst_is_sequential & is_cell).sum()),
             "die_width": self.die.width,
             "die_height": self.die.height,
             "utilization": round(self.utilization(), 4),
@@ -613,18 +760,6 @@ class Design:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Design({self.name}, cells={len(self.cells)}, nets={self.num_nets}, "
+            f"Design({self.name}, instances={self.num_instances}, nets={self.num_nets}, "
             f"pins={self.num_pins})"
         )
-
-
-def DesignArrays(design: Design) -> DesignCore:
-    """Backwards-compatible constructor for the pre-core ``DesignArrays`` API.
-
-    The vectorized view used to be a separate class built from a design;
-    the :class:`DesignCore` *is* that view now (``design.arrays`` /
-    ``design.core`` after ``finalize()``).  This shim keeps the old
-    ``DesignArrays(design)`` call shape working by building a fresh core
-    from the design's current state.
-    """
-    return DesignCore.from_design(design)

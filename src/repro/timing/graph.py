@@ -106,8 +106,9 @@ class TimingGraph:
         clock_mask[csr_net[sink_is_clock]] = True
 
         clock_port = self.design.clock_port
-        if clock_port is not None and self.design.has_instance(clock_port):
-            port_index = self.design.instance(clock_port).index
+        names = self.design.instance_names
+        if clock_port in names:
+            port_index = names.index(clock_port)
             if core.inst_is_port[port_index]:
                 has_driver = driver_pin >= 0
                 driven_by_port = has_driver & (

@@ -82,12 +82,15 @@ def boundary_conditions(
     on the constraints — multi-corner analysis calls this once per corner and
     stacks the values over identical pin sets.
     """
+    core = design.core
+    pin_port = core.inst_is_port[core.pin_instance]
+    names = design.instance_names
+
     source_pins: List[int] = []
     source_arrival: List[float] = []
     for pin_index in graph.startpoints:
-        pin = design.pins[pin_index]
-        if pin.instance.is_port:
-            arrival = constraints.input_delay(pin.instance.name)
+        if pin_port[pin_index]:
+            arrival = constraints.input_delay(names[core.pin_instance[pin_index]])
         else:
             arrival = 0.0  # ideal clock at flip-flop clock pins
         source_pins.append(pin_index)
@@ -97,9 +100,8 @@ def boundary_conditions(
     endpoint_required: List[float] = []
     period = constraints.clock_period
     for pin_index in graph.endpoints:
-        pin = design.pins[pin_index]
-        if pin.instance.is_port:
-            required = period - constraints.output_delay(pin.instance.name)
+        if pin_port[pin_index]:
+            required = period - constraints.output_delay(names[core.pin_instance[pin_index]])
         else:
             required = period - constraints.setup_time
         endpoint_pins.append(pin_index)

@@ -20,6 +20,22 @@ class TestCircuitSpec:
         with pytest.raises(ValueError):
             CircuitSpec(clock_tightness=0.0)
 
+    def test_negative_primary_inputs_rejected(self):
+        with pytest.raises(ValueError, match="num_primary_inputs must be >= 0"):
+            CircuitSpec(num_primary_inputs=-1)
+
+    def test_negative_primary_outputs_rejected(self):
+        with pytest.raises(ValueError, match="num_primary_outputs must be >= 0"):
+            CircuitSpec(num_primary_outputs=-2)
+
+    def test_fanout_alpha_below_floor_rejected(self):
+        with pytest.raises(ValueError, match="fanout_alpha must be >= 0.1"):
+            CircuitSpec(fanout_alpha=0.05)
+
+    def test_negative_io_delay_fraction_rejected(self):
+        with pytest.raises(ValueError, match="io_delay_fraction must be >= 0"):
+            CircuitSpec(io_delay_fraction=-0.1)
+
 
 class TestGenerator:
     def test_deterministic(self, small_spec):

@@ -173,6 +173,9 @@ class TestSnapshotRoundTrip:
             )
 
     def test_snapshot_at_least_10x_smaller_than_object_graph(self, design, compiled):
+        # A generated design creates its object views on first use; build
+        # them so the comparison is against the full object graph.
+        assert design.instances and design.views_built
         compiled_size = len(pickle.dumps(compiled))
         design_size = len(pickle.dumps(design))
         assert compiled_size * 10 <= design_size, (

@@ -51,6 +51,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             design.connect("n2", "u1", "a")
 
+    def test_finalize_rejects_multi_driver_net(self, library):
+        design = Design("d", die=(0, 0, 100, 96), library=library)
+        design.add_instance("u1", "INV_X1")
+        design.add_instance("u2", "INV_X1")
+        design.add_net("n1")
+        design.connect("n1", "u1", "o")
+        design.connect("n1", "u2", "o")
+        with pytest.raises(ValueError, match="Net n1 has multiple drivers: u1/o, u2/o"):
+            design.finalize()
+        assert not design.finalized
+
     def test_connect_unknown_pin_raises(self, library):
         design = Design("d", die=(0, 0, 100, 96), library=library)
         design.add_instance("u1", "INV_X1")
