@@ -19,7 +19,7 @@ regenerated directly from a flow run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.timing.report import (
     PathBatch,
@@ -60,7 +60,6 @@ class CriticalPathExtractor:
     def __init__(self, engine: STAEngine, config: Optional[ExtractionConfig] = None) -> None:
         self.engine = engine
         self.config = config if config is not None else ExtractionConfig()
-        self.history: List[PathExtractionStats] = []
 
     def extract(
         self,
@@ -71,8 +70,8 @@ class CriticalPathExtractor:
         """Extract critical paths according to the configured policy.
 
         ``num_endpoints`` overrides the automatic "all failing endpoints"
-        choice of ``n``.  The call's statistics are appended to
-        :attr:`history` so a flow accumulates its Table I data as it runs.
+        choice of ``n``.  Flows collect the returned statistics in
+        ``FlowContext.extraction_stats`` (the Table I data).
         """
         if result is None:
             result = self.engine.last_result or self.engine.update_timing()
@@ -90,7 +89,6 @@ class CriticalPathExtractor:
                 num_pin_pairs=0,
                 elapsed_seconds=0.0,
             )
-            self.history.append(stats)
             return PathBatch.from_paths([], self.engine.graph), stats
 
         if self.config.mode == "endpoint":
@@ -109,10 +107,4 @@ class CriticalPathExtractor:
                 failing_only=True,
                 max_paths_per_endpoint=32,
             )
-        self.history.append(stats)
         return paths, stats
-
-    @property
-    def total_extraction_time(self) -> float:
-        """Accumulated wall-clock seconds spent extracting paths."""
-        return sum(s.elapsed_seconds for s in self.history)

@@ -9,9 +9,9 @@ through one composition seam:
   (``prepare`` / ``attach`` / ``update`` / ``finalize``);
 * :class:`~repro.feedback.base.FeedbackCadence` — warmup / every-K /
   cooldown firing windows;
-* :class:`~repro.feedback.scheduler.FeedbackScheduler` — owned by the
-  global placer; dispatches slots on cadence, applies composed weights,
-  and keeps per-feedback runtime + trajectory accounting;
+* :class:`~repro.feedback.scheduler.FeedbackScheduler` — one per flow run,
+  adopted by every global placer of the run; dispatches slots on cadence,
+  applies composed weights, and keeps the feedback trajectory;
 * :class:`~repro.feedback.composer.WeightComposer` — merges several per-net
   weight proposals (timing criticality x congestion penalty) with shared
   momentum, clamping, and log-proportional normalization;
@@ -29,12 +29,7 @@ which every feedback-driven preset schedules its feedbacks through.
 from repro.feedback.base import FeedbackCadence, FeedbackUpdate, PlacementFeedback
 from repro.feedback.composer import WeightComposer, WeightComposerConfig
 from repro.feedback.congestion import CongestionNetWeighting
-from repro.feedback.scheduler import (
-    CallbackFeedback,
-    FeedbackScheduler,
-    FeedbackSlot,
-    feedback_record,
-)
+from repro.feedback.scheduler import FeedbackScheduler, FeedbackSlot
 from repro.feedback.timing import (
     MomentumNetWeighting,
     PinPairAttraction,
@@ -44,7 +39,6 @@ from repro.feedback.timing import (
 )
 
 __all__ = [
-    "CallbackFeedback",
     "CongestionNetWeighting",
     "FeedbackCadence",
     "FeedbackScheduler",
@@ -58,5 +52,4 @@ __all__ = [
     "TimingRecorder",
     "WeightComposer",
     "WeightComposerConfig",
-    "feedback_record",
 ]

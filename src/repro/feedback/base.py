@@ -14,13 +14,13 @@ A :class:`PlacementFeedback` is the common shape:
   with the :class:`~repro.flow.context.FlowContext`.
 * :meth:`~PlacementFeedback.attach` — hook objective terms onto a freshly
   constructed placer (pin-pair attraction does; net-weighting feedbacks
-  don't need to).
+  don't need to); called for every placer of the run.
 * :meth:`~PlacementFeedback.update` — the per-firing body: analyze the
   current ``(x, y)`` and return a :class:`FeedbackUpdate` carrying an
   optional per-net *weight proposal* (a multiplicative boost, ``>= 1``) plus
   scalar metrics for the trajectory.  Feedbacks that mutate the placer
-  directly (self-applying timing feedbacks, raw callbacks) return
-  proposal-free updates.
+  directly (the self-applying timing feedbacks) return proposal-free
+  updates, and observers may return ``None``.
 * :meth:`~PlacementFeedback.finalize` — publish summary state once the
   placement loop ends.
 
@@ -51,8 +51,7 @@ class FeedbackCadence:
 
     A slot fires at iteration ``i`` when ``i >= start`` (warmup over),
     ``(i - start) % interval == 0`` (every K iterations), and ``i <= end``
-    when a cooldown boundary is set.  The default fires every iteration,
-    which is the raw-callback compatibility cadence.
+    when a cooldown boundary is set.  The default fires every iteration.
     """
 
     start: int = 0
@@ -120,6 +119,3 @@ class PlacementFeedback:
 
     def finalize(self, placer: "GlobalPlacer") -> None:  # pragma: no cover
         """Publish summary state once the placement loop ends."""
-
-    def release(self) -> None:  # pragma: no cover - default no-op
-        """Drop references to the finished flow run (its context)."""

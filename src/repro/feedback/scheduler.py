@@ -1,14 +1,18 @@
 """Cadenced dispatch of placement feedbacks inside the placer loop.
 
-The :class:`FeedbackScheduler` is owned by
-:class:`~repro.placement.global_placer.GlobalPlacer` and invoked once per
-placement iteration.  It owns everything the feedback components must not:
+A flow run owns one :class:`FeedbackScheduler`: the ``feedback_weight``
+stage builds it and every :class:`~repro.placement.global_placer.GlobalPlacer`
+the run constructs (the main placement and any warm-started refine
+placements) adopts it through :meth:`FeedbackScheduler.start` and calls
+:meth:`~FeedbackScheduler.dispatch` once per iteration.  A placer built
+without one gets a fresh, empty scheduler.  The scheduler owns everything the
+feedback components must not:
 
 * **cadence** — each slot pairs a feedback with a
   :class:`~repro.feedback.base.FeedbackCadence` (warmup / every-K /
   cooldown) and only fires when the cadence says so;
 * **composition** — weight proposals from fired slots are merged by the
-  shared :class:`~repro.feedback.composer.WeightComposer` and applied via
+  run's :class:`~repro.feedback.composer.WeightComposer` and applied via
   ``placer.set_net_weights`` in one place (with one momentum reset), instead
   of every feedback clobbering the weight vector independently.  Proposals
   are cached per slot, so a slot on a slower cadence keeps contributing its
@@ -18,56 +22,23 @@ placement iteration.  It owns everything the feedback components must not:
   overflow, weight norm) that ``repro run --profile`` and the evaluation
   report surface.  Every firing runs inside a ``feedback.<name>`` span, so
   per-feedback seconds and calls are the run tracer's span totals.
-
-Raw per-iteration callbacks (``placer.add_callback``) ride through the same
-scheduler as :class:`CallbackFeedback` slots with the every-iteration
-cadence, which is what makes the legacy hook API a thin compatibility shim
-rather than a second dispatch path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.feedback.base import FeedbackCadence, FeedbackUpdate, PlacementFeedback
+from repro.feedback.base import FeedbackCadence, PlacementFeedback
 from repro.feedback.composer import WeightComposer
 from repro.obs import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.placement.global_placer import GlobalPlacer
 
-__all__ = ["CallbackFeedback", "FeedbackSlot", "FeedbackScheduler", "feedback_record"]
-
-
-class CallbackFeedback(PlacementFeedback):
-    """Compatibility shim: a raw per-iteration callback as a feedback slot.
-
-    The callback mutates the placer directly (or just observes), so the slot
-    never proposes weights and never forces a momentum reset of its own.
-    """
-
-    resets_momentum = False
-
-    def __init__(
-        self,
-        fn: Callable[["GlobalPlacer", int, np.ndarray, np.ndarray], None],
-        name: str = "callback",
-    ) -> None:
-        self.fn = fn
-        self.name = name
-
-    def update(
-        self,
-        placer: "GlobalPlacer",
-        iteration: int,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> Optional[FeedbackUpdate]:
-        self.fn(placer, iteration, x, y)
-        return None
+__all__ = ["FeedbackSlot", "FeedbackScheduler"]
 
 
 @dataclass
@@ -78,19 +49,8 @@ class FeedbackSlot:
     cadence: FeedbackCadence
 
 
-def feedback_record(ctx: Any) -> Dict[str, Any]:
-    """The flow-level feedback accounting record (shared across placers).
-
-    Stored in ``ctx.metadata["feedback"]`` so the main placement run and any
-    warm-started refine runs (routability repair) accumulate into the same
-    trajectory, and so the CLI/evaluation layers can read it without
-    holding a placer.
-    """
-    return ctx.metadata.setdefault("feedback", {"trajectory": []})
-
-
 class FeedbackScheduler:
-    """Dispatch scheduled feedback slots for one placer (see module doc)."""
+    """Dispatch scheduled feedback slots for one flow run (see module doc)."""
 
     def __init__(self, composer: Optional[WeightComposer] = None) -> None:
         self.slots: List[FeedbackSlot] = []
@@ -113,26 +73,19 @@ class FeedbackScheduler:
         self.slots.append(slot)
         return slot
 
-    def bind(
-        self,
-        *,
-        composer: Optional[WeightComposer] = None,
-        trajectory: Optional[List[Dict[str, Any]]] = None,
-    ) -> None:
-        """Share the composer / trajectory across placer instances.
+    def start(self, placer: "GlobalPlacer") -> None:
+        """Adopt a freshly constructed placer.
 
-        Refine placements (the inflation loop) construct fresh placers, each
-        with its own scheduler; binding them to the flow-level containers
-        keeps one continuous weight state and one trajectory per run.
+        A warm-started refine placement resumes from the composed weights
+        instead of resetting every net to 1, so one run keeps one weight
+        state and one trajectory; the cached proposals of the previous
+        placer are forgotten.  Every slot then attaches its objective terms.
         """
-        if composer is not None:
-            self.composer = composer
-        if trajectory is not None:
-            self.trajectory = trajectory
-
-    @property
-    def has_slots(self) -> bool:
-        return bool(self.slots)
+        self._last_proposals.clear()
+        if self.composer is not None and self.composer.initialized:
+            placer.set_net_weights(self.composer.weights.copy())
+        for slot in self.slots:
+            slot.feedback.attach(placer)
 
     # ------------------------------------------------------------------
     # Per-iteration dispatch

@@ -181,22 +181,19 @@ class _TimingFeedback(PlacementFeedback):
     def __init__(self, *, sta_incremental: bool = False, sta_move_tolerance: float = 0.0) -> None:
         self.sta_incremental = bool(sta_incremental)
         self.sta_move_tolerance = float(sta_move_tolerance)
-        self.ctx: Any = None
+        self.design: Optional[Design] = None
         self.sta = None
 
     def prepare(self, ctx: Any) -> None:
-        self.ctx = ctx
+        # Hold what the firings need, never the context itself: the context
+        # owns this feedback (through its scheduler), and a reference back
+        # would keep every finished run alive until a cyclic collection.
+        self.design = ctx.design
         with span("profile.io"):
             self.sta = ctx.require_sta(
                 incremental=self.sta_incremental,
                 move_tolerance=self.sta_move_tolerance,
             )
-
-    def release(self) -> None:
-        # The context owns the placer, which owns this feedback: keeping
-        # the context would make every finished run a reference cycle.
-        self.ctx = None
-        self.sta = None
 
     def analyze(self, x: np.ndarray, y: np.ndarray) -> "STAResult | MultiCornerResult":
         return self.sta.update_timing(x, y)
@@ -227,7 +224,6 @@ class _TimingFeedback(PlacementFeedback):
             result = self.analyze(x, y)
         with span("profile.weighting"):
             proposal = self.respond(placer, result, x, y)
-        self.ctx.sta_result = result
         if proposal is None and self.resets_momentum:
             placer.reset_optimizer_momentum()
         placer.history.record_extra("tns", iteration, result.tns)
@@ -295,6 +291,7 @@ class PinPairAttraction(_TimingFeedback):
                 ctx.design, self.pairs, loss=make_loss(self.loss), beta=self.beta
             )
         ctx.pin_pairs = self.pairs
+        self.extraction_stats = ctx.extraction_stats
         self.beta_calibrated = self.beta_mode != "auto"
 
     def attach(self, placer: "GlobalPlacer") -> None:
@@ -309,7 +306,7 @@ class PinPairAttraction(_TimingFeedback):
             )
             paths, stats = extractor.extract(corner_result)
             self._corner_paths.append(paths)
-            self.ctx.extraction_stats.append(stats)
+            self.extraction_stats.append(stats)
         return result
 
     def respond(self, placer, result, x, y) -> None:
@@ -373,7 +370,7 @@ class MomentumNetWeighting(_TimingFeedback):
 
     def respond(self, placer, result, x, y) -> None:
         placer.set_net_weights(
-            self.next_weights(self.ctx.design, merged_result(result), placer.net_weights)
+            self.next_weights(self.design, merged_result(result), placer.net_weights)
         )
         return None
 
@@ -416,7 +413,7 @@ class SmoothPinPairAttraction(_TimingFeedback):
 
     def respond(self, placer, result, x, y) -> None:
         weights = smooth_pin_pair_weights(
-            self.ctx.design,
+            self.design,
             self.sta.graph,
             merged_result(result),
             temperature=self.temperature,
@@ -470,7 +467,7 @@ class TimingCriticalityWeighting(_TimingFeedback):
         self.criticality_threshold = float(criticality_threshold)
 
     def respond(self, placer, result, x, y) -> np.ndarray:
-        criticality = net_criticality(self.ctx.design, merged_result(result))
+        criticality = net_criticality(self.design, merged_result(result))
         if self.criticality_threshold > 0.0:
             criticality[criticality < self.criticality_threshold] = 0.0
         return 1.0 + self.max_boost * criticality

@@ -51,10 +51,10 @@ the timing feedbacks of :mod:`repro.feedback.timing`:
   attraction;
 * ``TimingRecorder``          — observe-only TNS/WNS trajectory recording.
 
-Ordering convention: configuration stages (``feedback_weight``) come
-*before* ``global_place`` in the stage list because they hook into the
-placement loop via :attr:`FlowContext.placer_hooks`; post-processing stages
-(``legalize``, ``evaluate``) come after.
+Ordering convention: the one ``feedback_weight`` stage comes *before*
+``global_place`` in the stage list because it builds the run's feedback
+scheduler (:attr:`FlowContext.feedback`), which every placer of the run
+adopts; post-processing stages (``legalize``, ``evaluate``) come after.
 
 Flow presets
 ------------

@@ -426,7 +426,7 @@ def _profile_payload(
         },
     }
     # Every scheduled placement feedback (timing feedbacks, congestion
-    # weighting, raw callbacks) fires inside a ``feedback.<name>`` span,
+    # weighting) fires inside a ``feedback.<name>`` span,
     # across the main placement and any refine placements.
     feedback = {
         name[len("feedback."):]: entry

@@ -2,27 +2,32 @@
 
 A :class:`FlowContext` is created once per :meth:`FlowRunner.run` and handed
 to every stage in order.  Stages communicate exclusively through it: the
-global placement stage publishes positions and history, the timing-weight
-stage publishes the shared STA engine, pin-pair set, and extraction
-statistics, legalization rewrites the positions, and evaluation attaches the
-final report.  Anything not worth a dedicated field goes into ``metadata``.
+``feedback_weight`` stage publishes the run's feedback scheduler, and its
+timing feedbacks the shared STA engine, pin-pair set and extraction
+statistics; the global placement stage publishes positions and history,
+legalization rewrites the positions, and evaluation attaches the final
+report.  Anything not worth a dedicated field goes into ``metadata``.
+
+Nothing the context holds refers back to it, so a finished run is freed by
+reference counting as soon as its result is dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.netlist.design import Design
 from repro.timing.constraints import Corner, TimingConstraints
-from repro.timing.mcmm import MultiCornerResult, MultiCornerSTA
-from repro.timing.sta import STAEngine, STAResult
+from repro.timing.mcmm import MultiCornerSTA
+from repro.timing.sta import STAEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.pin_attraction import PinPairSet
     from repro.evaluation.evaluator import EvaluationReport
+    from repro.feedback.scheduler import FeedbackScheduler
     from repro.placement.global_placer import (
         GlobalPlacer,
         PlacementHistory,
@@ -30,11 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     )
     from repro.route.rudy import CongestionResult
     from repro.timing.report import PathExtractionStats
-
-# A hook applied to the GlobalPlacer right after construction, before the
-# placement loop starts.  Timing stages use hooks to attach objective terms
-# and per-iteration callbacks without owning the placer.
-PlacerHook = Callable[["GlobalPlacer", "FlowContext"], None]
 
 
 @dataclass
@@ -55,7 +55,6 @@ class FlowContext:
     history: Optional["PlacementHistory"] = None
     evaluation: Optional["EvaluationReport"] = None
     sta: Optional[Union[STAEngine, MultiCornerSTA]] = None
-    sta_result: Optional[Union[STAResult, MultiCornerResult]] = None
     # Routability: the most recent congestion estimate of the placement
     # (published by the congestion / routability-repair stages), plus the
     # exact position arrays it was estimated from — stages rebind rather
@@ -65,9 +64,10 @@ class FlowContext:
     congestion_xy: Optional[Tuple[np.ndarray, np.ndarray]] = None
     pin_pairs: Optional["PinPairSet"] = None
     extraction_stats: List["PathExtractionStats"] = field(default_factory=list)
-    # Wiring between configuration stages and the placement stage.
+    # Wiring between the feedback stage and the placement stages: every
+    # placer the run constructs adopts this one scheduler.
     placer: Optional["GlobalPlacer"] = None
-    placer_hooks: List[PlacerHook] = field(default_factory=list)
+    feedback: Optional["FeedbackScheduler"] = None
     # Free-form stage outputs (legalization diagnostics, CLI echoes, ...).
     metadata: Dict[str, Any] = field(default_factory=dict)
 

@@ -6,10 +6,10 @@ baselines as composable steps:
 * :class:`FeedbackWeightStage` — schedules in-loop feedbacks (timing: path
   extraction + pin pairs, momentum net weighting, smoothed pin pairs,
   recording; congestion net weighting; see :mod:`repro.feedback`).  It runs
-  *before* global placement in the stage list because feedback hooks into
+  *before* global placement in the stage list because feedback runs inside
   the placement loop: the stage prepares each feedback against the flow
-  context and registers a placer hook that schedules it when
-  :class:`GlobalPlaceStage` constructs the placer.
+  context and publishes the run's one feedback scheduler as
+  ``ctx.feedback``, which every placer the run constructs adopts.
 * :class:`GlobalPlaceStage` — nonlinear wirelength/density placement.
 * :class:`LegalizeStage` — Abacus with automatic greedy fallback.
 * :class:`EvaluateStage` — shared HPWL/TNS/WNS scoring.
@@ -27,7 +27,7 @@ import numpy as np
 from repro.evaluation.evaluator import Evaluator
 from repro.feedback.base import FeedbackCadence, PlacementFeedback
 from repro.feedback.composer import WeightComposer, WeightComposerConfig
-from repro.feedback.scheduler import feedback_record
+from repro.feedback.scheduler import FeedbackScheduler
 from repro.flow.context import FlowContext
 from repro.flow.stage import register_stage
 from repro.obs import span
@@ -49,12 +49,13 @@ class FeedbackWeightStage:
 
     ``slots`` is a list of ``(feedback, cadence)`` pairs (cadence ``None``
     fires every iteration).  The stage prepares every feedback against the
-    flow context, builds a fresh :class:`WeightComposer` per run, and
-    registers a placer hook that (a) binds the placer's scheduler to the
-    run-wide composer and trajectory and (b) schedules the
-    feedback slots.  Because the binding happens per constructed placer,
-    warm-started refine placements (the routability-repair loop) continue
-    the same composed weight state instead of restarting from ones.
+    flow context and builds the run's one
+    :class:`~repro.feedback.scheduler.FeedbackScheduler` (with a fresh
+    :class:`WeightComposer`), published as ``ctx.feedback``; its trajectory
+    is ``ctx.metadata["feedback"]["trajectory"]``.  Every placer of the run
+    adopts that scheduler, so warm-started refine placements (the
+    routability-repair loop) continue the same composed weight state
+    instead of restarting from ones.
 
     This stage is the composition seam: timing criticality, congestion
     penalty, and any future signal (density, IR drop, ECO deltas) ride the
@@ -86,42 +87,28 @@ class FeedbackWeightStage:
         self.composer_config = (
             composer if composer is not None else WeightComposerConfig()
         )
-        self.composer: Optional[WeightComposer] = None
         self.corners = corners
 
     def run(self, ctx: FlowContext) -> None:
         if ctx.placer is not None:
             raise ValueError(
                 "feedback_weight must come before global_place in the stage "
-                "list: it hooks into the placement loop via placer hooks"
+                "list: the placer adopts the feedback scheduler it builds"
+            )
+        if ctx.feedback is not None:
+            raise ValueError(
+                "a flow takes one feedback_weight stage: schedule every "
+                "feedback as a slot of it"
             )
         if self.corners is not None and ctx.corners is None:
             ctx.corners = resolve_corners(self.corners)
         for feedback, _ in self.slots:
             feedback.prepare(ctx)
-        # Fresh composed-weight state per flow run; shared across every
-        # placer the run constructs.
-        self.composer = WeightComposer(config=self.composer_config)
-        record = feedback_record(ctx)
-
-        def hook(placer: GlobalPlacer, ctx: FlowContext) -> None:
-            placer.feedback.bind(
-                composer=self.composer,
-                trajectory=record["trajectory"],
-            )
-            if self.composer.initialized:
-                # Warm-started refine placements resume from the composed
-                # weights instead of resetting every net to 1.
-                placer.set_net_weights(self.composer.weights.copy())
-            for feedback, cadence in self.slots:
-                placer.add_feedback(feedback, cadence)
-
-        ctx.placer_hooks.append(hook)
-
-    def finish(self, ctx: FlowContext) -> None:
-        """Release the feedbacks' hold on the finished run."""
-        for feedback, _ in self.slots:
-            feedback.release()
+        scheduler = FeedbackScheduler(WeightComposer(config=self.composer_config))
+        for feedback, cadence in self.slots:
+            scheduler.add(feedback, cadence)
+        ctx.feedback = scheduler
+        ctx.metadata["feedback"] = {"trajectory": scheduler.trajectory}
 
 
 @register_stage("global_place")
@@ -135,9 +122,7 @@ class GlobalPlaceStage:
 
     def run(self, ctx: FlowContext) -> None:
         with span("profile.io"):
-            placer = GlobalPlacer(ctx.design, self.config)
-            for hook in ctx.placer_hooks:
-                hook(placer, ctx)
+            placer = GlobalPlacer(ctx.design, self.config, feedback=ctx.feedback)
         ctx.placer = placer
         placement = placer.run()
         ctx.placement = placement
@@ -295,10 +280,8 @@ class RoutabilityRepairStage:
         refine_config = self._refine_config(ctx)
 
         def place_fn(x0: np.ndarray, y0: np.ndarray, area_scale: np.ndarray):
-            placer = GlobalPlacer(design, refine_config)
+            placer = GlobalPlacer(design, refine_config, feedback=ctx.feedback)
             placer.density.set_area_scale(area_scale)
-            for hook in ctx.placer_hooks:
-                hook(placer, ctx)
             result = placer.run(x0, y0)
             return result.x, result.y
 

@@ -11,25 +11,26 @@ adjusted by net-weighting timing-driven flows (Eq. 5).
 
 A flow hooks into the engine through scheduled *placement feedbacks*
 (:mod:`repro.feedback`): each feedback slot pairs an analysis component with
-a firing cadence, and the engine's :class:`~repro.feedback.scheduler.
-FeedbackScheduler` dispatches them once per iteration.  This is how the
-timing-driven placers run STA every ``m`` iterations, update net weights or
-pin-pair weights, and record TNS/WNS trajectories (Fig. 5) without the
+a firing cadence, and a :class:`~repro.feedback.scheduler.FeedbackScheduler`
+dispatches them once per iteration.  A flow run passes its one scheduler as
+``GlobalPlacer(..., feedback=...)``; a placer built without one gets an
+empty scheduler that :meth:`GlobalPlacer.add_feedback` fills.  This is how
+the timing-driven placers run STA every ``m`` iterations, update net weights
+or pin-pair weights, and record TNS/WNS trajectories (Fig. 5) without the
 engine knowing anything about timing — and how congestion weighting merges
-into the same loop.  The legacy ``add_callback`` API remains as a thin shim
-over an every-iteration feedback slot.
+into the same loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.feedback.base import FeedbackCadence, PlacementFeedback
-from repro.feedback.scheduler import CallbackFeedback, FeedbackScheduler, FeedbackSlot
+from repro.feedback.scheduler import FeedbackScheduler, FeedbackSlot
 from repro.netlist.design import Design
 from repro.obs import active_tracer, clock, span
 from repro.placement.arena import IterationArena
@@ -41,8 +42,6 @@ from repro.placement.wirelength import WeightedAverageWirelength, total_hpwl
 from repro.utils.logging import get_logger
 
 logger = get_logger("placement.global")
-
-IterationCallback = Callable[["GlobalPlacer", int, np.ndarray, np.ndarray], None]
 
 
 class PlacementDiverged(ValueError):
@@ -145,6 +144,8 @@ class GlobalPlacer:
         self,
         design: Design,
         config: Optional[PlacementConfig] = None,
+        *,
+        feedback: Optional[FeedbackScheduler] = None,
     ) -> None:
         self.design = design
         self.config = config if config is not None else PlacementConfig()
@@ -165,7 +166,7 @@ class GlobalPlacer:
         # it recognizes by identity and evaluates without the per-pin weight
         # multiply; set_net_weights replaces it.
         self.net_weights = self.wirelength.unit_weights
-        self.feedback = FeedbackScheduler()
+        self.feedback = feedback if feedback is not None else FeedbackScheduler()
         self.history = PlacementHistory()
 
         # Preconditioner: pins per instance + density_weight * area.
@@ -187,6 +188,7 @@ class GlobalPlacer:
         self._gamma_bin = max(self.density.bin_w, self.density.bin_h)
         self._last_overflow = 1.0
         self._optimizer: Optional[NesterovOptimizer] = None
+        self.feedback.start(self)
 
     # ------------------------------------------------------------------
     # Flow hooks
@@ -205,15 +207,6 @@ class GlobalPlacer:
         slot = self.feedback.add(feedback, cadence)
         feedback.attach(self)
         return slot
-
-    def add_callback(self, callback: IterationCallback) -> None:
-        """Register a per-iteration hook ``callback(placer, iteration, x, y)``.
-
-        Compatibility shim over :meth:`add_feedback`: the callback becomes an
-        every-iteration :class:`~repro.feedback.scheduler.CallbackFeedback`
-        slot on the scheduler.
-        """
-        self.add_feedback(CallbackFeedback(callback))
 
     def set_net_weights(self, weights: np.ndarray) -> None:
         """Replace the per-net wirelength weights (net-weighting TDP flows).

@@ -774,7 +774,6 @@ class MultiCornerSTA(_CornerStackedSTA):
             [c.wire_rc_scale for c in self._corners],
             [c.cell_derate for c in self._corners],
         )
-        self._views: Dict[int, "_CornerEngineView"] = {}
 
     @property
     def corners(self) -> Tuple[Corner, ...]:
@@ -787,14 +786,14 @@ class MultiCornerSTA(_CornerStackedSTA):
         return self._modes
 
     def corner_view(self, index: int) -> "_CornerEngineView":
-        """A single-corner engine adapter for reporting/path extraction."""
+        """A new single-corner engine adapter for reporting/path extraction.
+
+        Views are not cached: a view refers to this engine, and a cache of
+        them here would make every engine a reference cycle.
+        """
         from repro.timing.mcmm import _CornerEngineView
 
-        view = self._views.get(index)
-        if view is None:
-            view = _CornerEngineView(self, index)
-            self._views[index] = view
-        return view
+        return _CornerEngineView(self, index)
 
     def update_timing(
         self,

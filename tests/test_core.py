@@ -227,15 +227,6 @@ class TestCriticalPathExtractor:
         _, stats = extractor.extract(result)
         assert stats.num_endpoints <= 3
 
-    def test_history_accumulates(self, fresh_small_design):
-        engine = STAEngine(fresh_small_design)
-        result = engine.update_timing()
-        extractor = CriticalPathExtractor(engine)
-        extractor.extract(result)
-        extractor.extract(result)
-        assert len(extractor.history) == 2
-        assert extractor.total_extraction_time >= 0
-
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ExtractionConfig(mode="bogus")

@@ -8,8 +8,8 @@ Covers:
   zero-overflow congestion map the composition reduces to the pure-timing
   weights;
 * :class:`FeedbackScheduler` dispatch inside a real ``GlobalPlacer`` run
-  (cadenced firing, proposal caching across interleaved cadences, the
-  ``add_callback`` compat shim, per-feedback runtime accounting);
+  (cadenced firing, proposal caching across interleaved cadences,
+  per-feedback runtime accounting);
 * ``GlobalPlacer.set_net_weights`` input validation (satellite);
 * :class:`CongestionNetWeighting` SAT scoring against a naive per-net loop;
 * the ``routability-gp`` preset shape, trajectory/report plumbing, and the
@@ -239,18 +239,6 @@ class TestSchedulerInPlacer:
         # With decay 0.75 over 21 composes, weights approach 4.
         assert placer.net_weights[0] > 3.9
         assert len(slow.fired) == 1 and len(fast.fired) == 21
-
-    def test_add_callback_shim_rides_scheduler(self, fresh_small_design):
-        placer = GlobalPlacer(
-            fresh_small_design, PlacementConfig(max_iterations=10, seed=0)
-        )
-        seen = []
-        placer.add_callback(lambda p, i, x, y: seen.append(i))
-        assert placer.feedback.has_slots
-        placer.run()
-        assert seen == list(range(1, 11))
-        # Raw callbacks never appear in the trajectory (no metrics).
-        assert placer.feedback.trajectory == []
 
 
 class TestSetNetWeightsValidation:

@@ -253,6 +253,78 @@ class TestFlowRunner:
         assert inc.evaluation.wns == pytest.approx(base.evaluation.wns, abs=1e-9)
         assert inc.evaluation.hpwl == pytest.approx(base.evaluation.hpwl, rel=1e-12)
 
+    def test_second_feedback_stage_rejected(self, fresh_small_design):
+        """The run has one feedback scheduler; a second feedback stage would
+        silently replace the first one's slots."""
+        cadence = FeedbackCadence(start=5, interval=5)
+        stages = [
+            FeedbackWeightStage([(MomentumNetWeighting(), cadence)]),
+            FeedbackWeightStage([(PinPairAttraction(), cadence)]),
+            GlobalPlaceStage(),
+        ]
+        with pytest.raises(ValueError, match="one feedback_weight stage"):
+            FlowRunner(stages).run(fresh_small_design)
+
+
+_TDP_WINDOW = dict(
+    max_iterations=60,
+    timing_start_iteration=20,
+    min_timing_iterations=20,
+    timing_update_interval=10,
+)
+
+
+@pytest.mark.parametrize(
+    "preset, design_name, scale, overrides",
+    [
+        ("efficient_tdp", "sb_mini_18", 0.25, _TDP_WINDOW),
+        ("efficient_tdp", "sb_mini_18", 0.25, dict(_TDP_WINDOW, corners="fast,slow")),
+        ("dreamplace4", "sb_mini_18", 0.15, _TDP_WINDOW),
+        (
+            "routability-gp",
+            "sb_cong_1",
+            0.3,
+            dict(
+                max_iterations=60,
+                refine_iterations=20,
+                congestion_start=10,
+                congestion_interval=10,
+                timing_start=20,
+                timing_interval=20,
+            ),
+        ),
+    ],
+    ids=["efficient_tdp", "efficient_tdp-mcmm", "dreamplace4", "routability-gp"],
+)
+def test_finished_run_is_freed_by_refcount(preset, design_name, scale, overrides):
+    """A finished run forms no reference cycle: dropping its result frees
+    the context and its STA engine with the cyclic collector disabled."""
+    import gc
+    import weakref
+
+    from repro.benchgen import load_benchmark
+
+    design = load_benchmark(design_name, scale=scale)
+    gc.collect()
+    gc.disable()
+    try:
+        # The flow is not kept: its feedbacks hold their last run's STA
+        # engine until the stages themselves are dropped.
+        result = build_flow(preset, **overrides).run(design)
+        summary = result.summary()
+        assert summary["feedback_updates"] > 0
+        if preset == "efficient_tdp":
+            assert summary["pin_pairs"] > 0
+        if preset == "routability-gp":
+            assert summary["inflation_rounds"] > 0  # refine placers ran
+        context = weakref.ref(result.context)
+        sta = weakref.ref(result.context.sta)
+        del result
+        assert context() is None
+        assert sta() is None
+    finally:
+        gc.enable()
+
 
 def _overfull_design():
     """More cell width than the die's rows can hold: Abacus must fail."""

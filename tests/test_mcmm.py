@@ -417,7 +417,7 @@ class TestFlowThreading:
         ).run(design)
         ctx = result.context
         assert isinstance(ctx.sta, MultiCornerSTA)
-        assert isinstance(ctx.sta_result, MultiCornerResult)
+        assert isinstance(ctx.sta.last_result, MultiCornerResult)
         report = result.evaluation
         assert set(report.per_corner) == {"fast", "typ", "slow"}
         # Headline metrics are the merged (worst-over-corner) values.

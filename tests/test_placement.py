@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.feedback import PlacementFeedback
 from repro.placement import (
     AbacusLegalizer,
     DetailedPlacer,
@@ -304,7 +305,12 @@ class TestGlobalPlacer:
     def test_callback_invoked(self, fresh_small_design):
         placer = GlobalPlacer(fresh_small_design, PlacementConfig(max_iterations=30, seed=0))
         seen = []
-        placer.add_callback(lambda p, i, x, y: seen.append(i))
+
+        class Probe(PlacementFeedback):
+            def update(self, placer, iteration, x, y):
+                seen.append(iteration)
+
+        placer.add_feedback(Probe())
         placer.run()
         assert seen == list(range(1, 31))
 
