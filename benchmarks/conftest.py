@@ -23,12 +23,14 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 SUITE = benchmark_names()
 
 # Table II method -> (flow preset, config overrides).  DREAMPlace records
-# TNS/WNS every 15 iterations for the Fig. 5 trajectories.
+# TNS/WNS every 15 iterations for the Fig. 5 trajectories; DREAMPlace 4.0
+# and ours record placement history at every iteration (flows default to
+# every 10th), since Fig. 5 plots each one.
 METHOD_FLOWS = {
     "DREAMPlace": ("dreamplace", {"max_iterations": 450, "seed": 1, "record_timing_every": 15}),
-    "DREAMPlace 4.0": ("dreamplace4", {}),
+    "DREAMPlace 4.0": ("dreamplace4", {"history_every": 1}),
     "Differentiable-TDP": ("differentiable_tdp", {}),
-    "Efficient-TDP (ours)": ("efficient_tdp", {}),
+    "Efficient-TDP (ours)": ("efficient_tdp", {"history_every": 1}),
 }
 METHODS = list(METHOD_FLOWS)
 

@@ -97,7 +97,7 @@ def main() -> None:
     if metrics["gauges"]:
         final_hpwl = metrics["gauges"].get("gp.hpwl")
         if final_hpwl is not None:
-            print(f"gp.hpwl gauge (last GP iteration): {final_hpwl:.1f}")
+            print(f"gp.hpwl gauge (final GP HPWL): {final_hpwl:.1f}")
 
     # The bit-exactness contract: tracing never perturbs the placement.
     assert np.array_equal(untraced.x, traced.x)

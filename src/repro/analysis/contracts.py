@@ -63,6 +63,9 @@ STEADY_STATE_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "placement/nesterov.py": frozenset(
         {
             "NesterovOptimizer.step_once",
+            "NesterovOptimizer._evaluate",
+            "NesterovOptimizer._momentum",
+            "NesterovOptimizer._advance",
             "NesterovOptimizer._bb_step",
             "NesterovOptimizer._take_ref",
             "NesterovOptimizer.reset_momentum",

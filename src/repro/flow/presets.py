@@ -192,6 +192,9 @@ class DifferentiableTDPConfig(TimingScheduleConfig):
 class DreamPlaceConfig(PlacementConfig):
     """Placement config plus the optional TNS/WNS recording interval."""
 
+    # The flow-level history cadence of ScheduleConfig (direct GlobalPlacer
+    # users keep PlacementConfig's every-iteration default).
+    history_every: int = 10
     record_timing_every: Optional[int] = None
     # MCMM corners spec (None, "fast,typ,slow", or Corner objects); affects
     # timing recording and evaluation (placement itself is timing-free).

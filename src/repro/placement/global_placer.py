@@ -38,7 +38,7 @@ from repro.placement.density import ElectrostaticDensity
 from repro.placement.initial import clamp_to_die, initial_placement
 from repro.placement.nesterov import NesterovOptimizer
 from repro.placement.objective import ObjectiveTerm, PlacementObjective
-from repro.placement.wirelength import WeightedAverageWirelength, total_hpwl
+from repro.placement.wirelength import WeightedAverageWirelength
 from repro.utils.logging import get_logger
 
 logger = get_logger("placement.global")
@@ -67,9 +67,9 @@ class PlacementConfig:
     seed: int = 0
     verbose: bool = False
     log_every: int = 50
-    # Record history (HPWL, overflow, ...) every N iterations (default: all).
-    # XL runs can raise this to cut per-iteration bookkeeping cost; the
-    # optimization trajectory is bitwise unaffected.
+    # Record history (HPWL, overflow, ...) every N iterations (default: all;
+    # preset flows default to 10).  HPWL is computed only on history
+    # iterations; the optimization trajectory is bitwise unaffected.
     history_every: int = 1
     # Threads of the density model's Poisson-solve DCTs (scipy's FFT
     # ``workers``; 0 = scipy's default).  Each row transform is computed
@@ -93,9 +93,10 @@ class ScheduleConfig:
     # Threads of the density model's Poisson-solve DCTs (0 = scipy's
     # default; placements are bitwise identical for any value).
     kernel_workers: int = 0
-    # Record placement history every N iterations (1 = every iteration;
-    # the optimization trajectory is bitwise unaffected).
-    history_every: int = 1
+    # Record placement history every N iterations (1 = every iteration, as
+    # the Fig. 5 trajectories use; the optimization trajectory is bitwise
+    # unaffected).
+    history_every: int = 10
 
     def placement_config(self) -> PlacementConfig:
         return PlacementConfig(
@@ -116,7 +117,6 @@ class PlacementHistory:
     iterations: List[int] = field(default_factory=list)
     hpwl: List[float] = field(default_factory=list)
     overflow: List[float] = field(default_factory=list)
-    objective: List[float] = field(default_factory=list)
     density_weight: List[float] = field(default_factory=list)
     extra: Dict[str, List[Tuple[int, float]]] = field(default_factory=dict)
 
@@ -176,6 +176,14 @@ class GlobalPlacer:
         self._inst_area = arrays.inst_area
         self._movable_mask = arrays.movable_mask
         self._fixed_mask = ~arrays.movable_mask
+        # Per-instance die bounds of the in-loop clamp: the movable bounds
+        # are clamp_to_die's, and fixed instances get infinite bounds.
+        die = arrays.die
+        movable = self._movable_mask
+        self._lower_x = np.where(movable, die.xl, -np.inf)
+        self._upper_x = np.where(movable, die.xh - arrays.inst_width, np.inf)
+        self._lower_y = np.where(movable, die.yl, -np.inf)
+        self._upper_y = np.where(movable, die.yh - arrays.inst_height, np.inf)
 
         # Iteration arena: reused work buffers for the gradient pipeline
         # (shared with the wirelength model).
@@ -336,6 +344,18 @@ class GlobalPlacer:
             f"non-finite {name}"
         )
 
+    def _clip_to_die(self, x: np.ndarray, y: np.ndarray) -> None:
+        """``clamp_to_die(design, x, y, copy=False)``, bit for bit, as two
+        whole-vector clips against the precomputed per-instance bounds."""
+        np.clip(x, self._lower_x, self._upper_x, out=x)
+        np.clip(y, self._lower_y, self._upper_y, out=y)
+
+    def _hpwl(self, x: np.ndarray, y: np.ndarray) -> float:
+        """HPWL at ``(x, y)``, gathered through the arena's pin buffers."""
+        core = self.design.arrays
+        pin_x, pin_y = self.arena.gather_pins(core, x, y)
+        return core.total_hpwl(x, y, pin_x=pin_x, pin_y=pin_y)
+
     def _derive_density_weight(self, wl, dens) -> float:
         """Initial density multiplier from one (wl, density) evaluation."""
         wl_norm = float(np.abs(wl.grad_x).sum() + np.abs(wl.grad_y).sum())
@@ -386,9 +406,7 @@ class GlobalPlacer:
         )
         self._optimizer = optimizer
 
-        core = design.arrays
         overflow = 1.0
-        hpwl = total_hpwl(design, x, y)
         converged = False
         iteration = 0
         for iteration in range(1, config.max_iterations + 1):
@@ -398,9 +416,8 @@ class GlobalPlacer:
                 # In-place clamp: the returned arrays are the optimizer's
                 # major solution, freshly allocated this iteration, so
                 # clipping them directly keeps optimizer state and loop state
-                # in sync without a copy (values identical to the copying
-                # clamp).
-                clamp_to_die(design, x, y, copy=False)
+                # in sync without a copy.
+                self._clip_to_die(x, y)
 
                 dens = self._last_density_result
                 overflow = dens.overflow
@@ -418,18 +435,16 @@ class GlobalPlacer:
                         config.density_weight_max,
                     )
 
-                if iteration % config.history_every == 0:
-                    pin_x, pin_y = self.arena.gather_pins(core, x, y)
-                    hpwl = core.total_hpwl(x, y, pin_x=pin_x, pin_y=pin_y)
+                # Nothing in the loop reads HPWL (the stopping rule, gamma
+                # and the density schedule read overflow), so it is computed
+                # only for the history and the log line.
+                recorded = iteration % config.history_every == 0
+                if recorded:
+                    hpwl = self._hpwl(x, y)
                     self.history.iterations.append(iteration)
                     self.history.hpwl.append(hpwl)
                     self.history.overflow.append(overflow)
                     self.history.density_weight.append(self.density_weight)
-                    self.history.objective.append(hpwl)
-                    tracer = active_tracer()
-                    if tracer is not None:
-                        tracer.gauge("gp.overflow", overflow)
-                        tracer.gauge("gp.hpwl", hpwl)
 
                 self.feedback.dispatch(self, iteration, x, y)
 
@@ -437,7 +452,7 @@ class GlobalPlacer:
                 logger.info(
                     "iter %4d  hpwl %.4e  overflow %.3f  lambda %.3e",
                     iteration,
-                    hpwl,
+                    hpwl if recorded else self._hpwl(x, y),
                     overflow,
                     self.density_weight,
                 )
@@ -446,11 +461,11 @@ class GlobalPlacer:
                 converged = True
                 break
 
-        if iteration % config.history_every != 0:
-            # Last iteration skipped bookkeeping; the result still reports
-            # the final HPWL.
-            hpwl = total_hpwl(design, x, y)
-
+        hpwl = self._hpwl(x, y)
+        tracer = active_tracer()
+        if tracer is not None:
+            tracer.gauge("gp.overflow", overflow)
+            tracer.gauge("gp.hpwl", hpwl)
         self.feedback.finalize(self)
         design.set_positions(x, y)
         return PlacementResult(

@@ -56,8 +56,8 @@ def clamp_to_die(
     """Clip movable instances so their footprint stays inside the die.
 
     With ``copy=False`` the inputs are clipped in place (same values bit for
-    bit; the placer's inner loop uses this to avoid re-allocating the
-    position arrays every iteration).
+    bit).  The placer's inner loop clips against per-instance bounds it
+    precomputes instead, with the same values.
     """
     core = as_core(design)
     die = core.die

@@ -17,7 +17,10 @@ iteration arena does exactly that); the owned ``prev_grad`` copies make that
 safe.  All replacements are bitwise-neutral: ``np.copyto`` + in-place
 arithmetic produce the same bits as the allocating expressions they
 replaced, and the BB inner products run over one contiguous ``2n`` buffer
-exactly like the legacy ``np.concatenate`` form.
+exactly like the legacy ``np.concatenate`` form.  The update itself runs
+over whole vectors through owned scratch buffers and then restores the
+fixed entries, which matches the boolean-mask form
+(:meth:`NesterovOptimizer._reference_step_once`) bit for bit.
 """
 
 from __future__ import annotations
@@ -83,6 +86,11 @@ class NesterovOptimizer:
         self._prev_grad_y = np.empty(n, dtype=np.float64)
         self._bb_dx = np.empty(2 * n, dtype=np.float64)
         self._bb_dg = np.empty(2 * n, dtype=np.float64)
+        # The update runs over whole vectors, staged through these owned
+        # buffers; the fixed entries are then restored from this index.
+        self._fixed_index = np.flatnonzero(~movable_mask)
+        self._scratch_x = np.empty(n, dtype=np.float64)
+        self._scratch_y = np.empty(n, dtype=np.float64)
 
     # ------------------------------------------------------------------
     def _bb_step(
@@ -122,24 +130,61 @@ class NesterovOptimizer:
         The returned arrays are freshly allocated each call (they escape to
         the caller); the gradient arrays from ``grad_fn`` are treated as
         borrowed and copied into owned state.
+
+        The update runs over whole vectors and then restores the fixed
+        entries exactly.  Each movable entry is the same IEEE operation on
+        the same operands as :meth:`_reference_step_once` (``*`` commutes
+        bit for bit), so the two agree bitwise even when ``grad_fn`` returns
+        nonzero values at fixed entries.
         """
         state = self.state
+        fixed = self._fixed_index
+        scratch_x = self._scratch_x
+        scratch_y = self._scratch_y
+        grad_x, grad_y = self._evaluate(grad_fn)
+
+        np.multiply(grad_x, self.step, out=scratch_x)
+        np.multiply(grad_y, self.step, out=scratch_y)
+        # contract: allow(alloc) reason=the new major escapes to the caller (history, result) and must stay fresh
+        new_major_x = np.subtract(state.reference_x, scratch_x)
+        # contract: allow(alloc) reason=the new major escapes to the caller (history, result) and must stay fresh
+        new_major_y = np.subtract(state.reference_y, scratch_y)
+        new_major_x[fixed] = state.reference_x[fixed]
+        new_major_y[fixed] = state.reference_y[fixed]
+
+        beta, next_momentum = self._momentum()
+        new_reference_x = self._take_ref(self._ref_pool_x, new_major_x)
+        new_reference_y = self._take_ref(self._ref_pool_y, new_major_y)
+        np.subtract(new_major_x, state.major_x, out=scratch_x)
+        np.subtract(new_major_y, state.major_y, out=scratch_y)
+        scratch_x *= beta
+        scratch_y *= beta
+        np.add(new_major_x, scratch_x, out=new_reference_x)
+        np.add(new_major_y, scratch_y, out=new_reference_y)
+        new_reference_x[fixed] = new_major_x[fixed]
+        new_reference_y[fixed] = new_major_y[fixed]
+
+        self._advance(
+            grad_x, grad_y, new_major_x, new_major_y,
+            new_reference_x, new_reference_y, next_momentum,
+        )
+        return new_major_x, new_major_y
+
+    def _reference_step_once(
+        self,
+        grad_fn: GradientFn,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The boolean-mask form of :meth:`step_once` (the parity golden)."""
+        state = self.state
         mask = self.movable_mask
+        grad_x, grad_y = self._evaluate(grad_fn)
 
-        grad_x, grad_y = grad_fn(state.reference_x, state.reference_y)
-        self.step = self._bb_step(state.reference_x, state.reference_y, grad_x, grad_y)
-
-        # contract: allow(alloc) reason=the new major escapes to the caller (history, result) and must stay fresh
         new_major_x = state.reference_x.copy()
-        # contract: allow(alloc) reason=the new major escapes to the caller (history, result) and must stay fresh
         new_major_y = state.reference_y.copy()
         new_major_x[mask] -= self.step * grad_x[mask]
         new_major_y[mask] -= self.step * grad_y[mask]
 
-        # Nesterov momentum coefficient sequence a_{k+1} = (1+sqrt(4a_k^2+1))/2.
-        next_momentum = 0.5 * (1.0 + np.sqrt(4.0 * state.momentum**2 + 1.0))
-        beta = (state.momentum - 1.0) / next_momentum
-
+        beta, next_momentum = self._momentum()
         new_reference_x = self._take_ref(self._ref_pool_x, new_major_x)
         new_reference_y = self._take_ref(self._ref_pool_y, new_major_y)
         np.copyto(new_reference_x, new_major_x)
@@ -147,9 +192,39 @@ class NesterovOptimizer:
         new_reference_x[mask] += beta * (new_major_x[mask] - state.major_x[mask])
         new_reference_y[mask] += beta * (new_major_y[mask] - state.major_y[mask])
 
-        # Rotate: the outgoing prev buffers are free again, the evaluated
-        # reference becomes prev, and the owned gradient copies become the
-        # BB history for the next iteration.
+        self._advance(
+            grad_x, grad_y, new_major_x, new_major_y,
+            new_reference_x, new_reference_y, next_momentum,
+        )
+        return new_major_x, new_major_y
+
+    def _evaluate(self, grad_fn: GradientFn) -> Tuple[np.ndarray, np.ndarray]:
+        """The gradient at the reference solution; sets the BB step."""
+        state = self.state
+        grad_x, grad_y = grad_fn(state.reference_x, state.reference_y)
+        self.step = self._bb_step(state.reference_x, state.reference_y, grad_x, grad_y)
+        return grad_x, grad_y
+
+    def _momentum(self) -> Tuple[float, float]:
+        """``(beta, a_{k+1})`` of the Nesterov coefficient sequence
+        ``a_{k+1} = (1 + sqrt(4 a_k^2 + 1)) / 2``."""
+        next_momentum = 0.5 * (1.0 + np.sqrt(4.0 * self.state.momentum**2 + 1.0))
+        return (self.state.momentum - 1.0) / next_momentum, next_momentum
+
+    def _advance(
+        self,
+        grad_x: np.ndarray,
+        grad_y: np.ndarray,
+        new_major_x: np.ndarray,
+        new_major_y: np.ndarray,
+        new_reference_x: np.ndarray,
+        new_reference_y: np.ndarray,
+        next_momentum: float,
+    ) -> None:
+        """Rotate: the outgoing prev buffers are free again, the evaluated
+        reference becomes prev, and the owned gradient copies become the
+        BB history for the next iteration."""
+        state = self.state
         if state.prev_x is not None:
             self._ref_pool_x.append(state.prev_x)
             self._ref_pool_y.append(state.prev_y)
@@ -165,7 +240,6 @@ class NesterovOptimizer:
         state.reference_y = new_reference_y
         state.momentum = next_momentum
         self.iteration += 1
-        return new_major_x, new_major_y
 
     def reset_momentum(self) -> None:
         """Restart momentum (used when the objective changes, e.g. when the

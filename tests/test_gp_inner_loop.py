@@ -528,3 +528,112 @@ class TestDivergence:
         x0[design.core.movable_index[0]] = np.nan
         with pytest.raises(PlacementDiverged, match="iteration 0: non-finite initial positions"):
             placer.run(x0, y0)
+
+
+# ----------------------------------------------------------------------
+# Lean loop: mask-free Nesterov update, bounds clip, HPWL on a cadence
+# ----------------------------------------------------------------------
+def _bits(a):
+    """The raw IEEE bits of a float64 array (tells -0.0 from 0.0)."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestLeanLoopBitwise:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 48),
+        mask_kind=st.sampled_from(("random", "all_fixed", "all_movable")),
+        seed=st.integers(0, 2**31 - 1),
+        steps=st.integers(1, 8),
+        reset_at=st.integers(0, 8),
+    )
+    def test_step_once_matches_reference_step_once(
+        self, n, mask_kind, seed, steps, reset_at
+    ):
+        from repro.placement.nesterov import NesterovOptimizer
+
+        rng = np.random.default_rng(seed)
+        if mask_kind == "random":
+            mask = rng.random(n) < 0.7
+        else:
+            mask = np.full(n, mask_kind == "all_movable")
+        x0 = rng.uniform(-50.0, 150.0, n)
+        y0 = rng.uniform(-50.0, 150.0, n)
+        # Coefficients make the gradient depend on the positions; it is
+        # nonzero at fixed entries too, which both forms must ignore.
+        a, b, c = rng.normal(0.0, 0.3, (3, n))
+
+        def grad(x, y):
+            return a * x + b * y + c, b * x - a * y + 0.5 * c
+
+        fast = NesterovOptimizer(x0, y0, movable_mask=mask, min_step=0.01, max_step=20.0)
+        ref = NesterovOptimizer(x0, y0, movable_mask=mask, min_step=0.01, max_step=20.0)
+        for k in range(steps):
+            if k == reset_at:
+                fast.reset_momentum()
+                ref.reset_momentum()
+            fx, fy = fast.step_once(grad)
+            rx, ry = ref._reference_step_once(grad)
+            assert np.array_equal(_bits(fx), _bits(rx))
+            assert np.array_equal(_bits(fy), _bits(ry))
+            assert np.array_equal(_bits(fast.state.reference_x), _bits(ref.state.reference_x))
+            assert np.array_equal(_bits(fast.state.reference_y), _bits(ref.state.reference_y))
+            assert fast.step == ref.step
+            assert fast.state.momentum == ref.state.momentum
+            # Fixed entries never move.
+            assert np.array_equal(_bits(fx[~mask]), _bits(x0[~mask]))
+            assert np.array_equal(_bits(fy[~mask]), _bits(y0[~mask]))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_bounds_clip_matches_clamp_to_die(self, seed):
+        from repro.placement.initial import clamp_to_die
+
+        design = load_benchmark("sb_mini_4", scale=0.3)
+        core = design.arrays
+        die = core.die
+        fixed = np.flatnonzero(~core.movable_mask)
+        movable = core.movable_index
+        assert fixed.size and movable.size
+        # One movable cell wider (and taller) than the die.
+        core.inst_width[movable[0]] = 1.5 * die.width
+        core.inst_height[movable[0]] = 1.5 * die.height
+        placer = GlobalPlacer(design, PlacementConfig(max_iterations=1))
+
+        rng = np.random.default_rng(seed)
+        n = core.num_instances
+        x = rng.uniform(die.xl - 0.5 * die.width, die.xh + 0.5 * die.width, n)
+        y = rng.uniform(die.yl - 0.5 * die.height, die.yh + 0.5 * die.height, n)
+        # A fixed cell outside the die keeps its position.
+        x[fixed[0]] = die.xl - 40.0
+        y[fixed[0]] = die.yh + 40.0
+        x[movable[1]] = -0.0
+        want_x, want_y = clamp_to_die(design, x, y)
+        placer._clip_to_die(x, y)
+        assert np.array_equal(_bits(x), _bits(want_x))
+        assert np.array_equal(_bits(y), _bits(want_y))
+        assert x[fixed[0]] == die.xl - 40.0
+        assert x[movable[0]] == die.xh - 1.5 * die.width
+
+    def test_flow_records_history_every_10_and_final_hpwl(self):
+        from repro.flow import build_flow
+        from repro.placement.wirelength import total_hpwl
+
+        design = load_benchmark("sb_mini_18", scale=0.25)
+        flow = build_flow(
+            "efficient_tdp",
+            max_iterations=65,
+            timing_start_iteration=20,
+            min_timing_iterations=20,
+            timing_update_interval=10,
+        )
+        result = flow.run(design)
+        placement = result.context.placement
+        assert placement.iterations == 65
+        assert placement.history.iterations == list(range(10, 61, 10))
+        assert len(placement.history.hpwl) == 6
+        assert placement.hpwl == total_hpwl(design, placement.x, placement.y)
+        # The gauge is the final GP HPWL, not the last recorded one.
+        gauges = result.context.metadata["trace_metrics"]["gauges"]
+        assert gauges["gp.hpwl"] == placement.hpwl
+        assert placement.hpwl != placement.history.hpwl[-1]
