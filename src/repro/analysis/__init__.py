@@ -1,13 +1,11 @@
 """Contract-lint engine: AST-enforced invariants for the placement stack.
 
-Five rules guard the properties the rest of the repo's performance work
+Four rules guard the properties the rest of the repo's performance work
 depends on:
 
 * ``alloc`` — steady-state GP inner-loop functions allocate nothing:
   no ``np.zeros``-family constructors, no ``out=``-less binary ufuncs,
   no ``np.take(out=)`` in the buffering default ``mode="raise"``.
-* ``shm-unlink`` — every ``SharedMemory(create=True)`` is provably
-  unlinked on all exit paths.
 * ``ref-parity`` — every ``_reference_*`` implementation has a fast-path
   twin and a test naming both, so golden paths cannot drift untested.
 * ``layering`` — engine packages never import the flow/CLI layer at

@@ -196,7 +196,7 @@ def build_parser(prog: str = "repro-lint-contracts") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
         description=(
-            "Contract linter: arena allocation discipline, shared-memory lifecycle, reference parity, "
+            "Contract linter: arena allocation discipline, reference parity, "
             "import layering, and raw-timing discipline."
         ),
     )

@@ -1,4 +1,4 @@
-"""The five contract-lint rules.
+"""The four contract-lint rules.
 
 Each rule is a callable ``rule(ctx) -> list[Finding]`` over one parsed
 module (:class:`~repro.analysis.engine.ModuleContext`); repo-specific
@@ -227,144 +227,7 @@ def _buffered_take(call: ast.Call) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Rule 2: shm-unlink (shared-memory lifecycle)
-# ----------------------------------------------------------------------
-_CLEANUP_ATTRS = {"unlink", "close", "_release_segment"}
-
-
-@register_rule(
-    "shm-unlink",
-    "every SharedMemory(create=True) must reach unlink() on all exit paths "
-    "(try/finally, context manager, or ExitStack)",
-)
-def check_shm_lifecycle(ctx: "ModuleContext") -> List[Finding]:
-    findings: List[Finding] = []
-    _scan_shm_block(ctx, list(ctx.tree.body), try_guard=False, findings=findings)
-    return findings
-
-
-def _creates_shared_memory(node: ast.AST) -> Optional[ast.Call]:
-    """The SharedMemory(create=True) call inside ``node``, if any."""
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if not isinstance(sub, ast.Call):
-            continue
-        chain = _attr_chain(sub.func)
-        if not chain or chain[-1] != "SharedMemory":
-            continue
-        create = _keyword_value(sub, "create")
-        if isinstance(create, ast.Constant) and create.value is True:
-            return sub
-    return None
-
-
-def _try_has_cleanup(node: ast.Try) -> bool:
-    """True when any handler or the finally block performs unlink cleanup."""
-    cleanup_scopes: List[ast.AST] = list(node.finalbody)
-    cleanup_scopes.extend(node.handlers)
-    for scope in cleanup_scopes:
-        for sub in ast.walk(scope):
-            if isinstance(sub, ast.Call):
-                chain = _attr_chain(sub.func)
-                if chain and chain[-1] in _CLEANUP_ATTRS:
-                    return True
-    return False
-
-
-def _with_is_managed(item: ast.withitem) -> bool:
-    """True when the with-item manages the segment (context manager or
-    ExitStack registration)."""
-    return _creates_shared_memory(item.context_expr) is not None
-
-
-def _scan_shm_block(
-    ctx: "ModuleContext",
-    statements: Sequence[ast.stmt],
-    *,
-    try_guard: bool,
-    findings: List[Finding],
-) -> None:
-    for index, stmt in enumerate(statements):
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _scan_shm_block(ctx, stmt.body, try_guard=False, findings=findings)
-            continue
-        if isinstance(stmt, ast.ClassDef):
-            _scan_shm_block(ctx, stmt.body, try_guard=False, findings=findings)
-            continue
-        if isinstance(stmt, ast.Try):
-            guarded = try_guard or _try_has_cleanup(stmt)
-            _scan_shm_block(ctx, stmt.body, try_guard=guarded, findings=findings)
-            for handler in stmt.handlers:
-                _scan_shm_block(
-                    ctx, handler.body, try_guard=try_guard, findings=findings
-                )
-            _scan_shm_block(ctx, stmt.orelse, try_guard=guarded, findings=findings)
-            _scan_shm_block(
-                ctx, stmt.finalbody, try_guard=try_guard, findings=findings
-            )
-            continue
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            managed = any(_with_is_managed(item) for item in stmt.items)
-            enter_calls = any(
-                isinstance(item.context_expr, ast.Call)
-                and _attr_chain(item.context_expr.func)
-                and _attr_chain(item.context_expr.func)[-1]
-                in {"ExitStack", "closing"}
-                for item in stmt.items
-            )
-            _scan_shm_block(
-                ctx,
-                stmt.body,
-                try_guard=try_guard or enter_calls,
-                findings=findings,
-            )
-            if managed:
-                continue
-        if isinstance(stmt, (ast.If, ast.For, ast.While)):
-            _scan_shm_block(ctx, stmt.body, try_guard=try_guard, findings=findings)
-            _scan_shm_block(ctx, stmt.orelse, try_guard=try_guard, findings=findings)
-            continue
-
-        call = _creates_shared_memory(stmt)
-        if call is None:
-            continue
-        if try_guard:
-            continue
-        # Creation inside an ExitStack registration (enter_context/callback)
-        # is considered managed.
-        if _inside_exitstack_registration(stmt, call):
-            continue
-        # Accept the canonical "create, then immediately guard" shape: the
-        # next sibling statement is a try whose handlers/finally clean up.
-        next_stmt = statements[index + 1] if index + 1 < len(statements) else None
-        if isinstance(next_stmt, ast.Try) and _try_has_cleanup(next_stmt):
-            continue
-        findings.append(
-            ctx.finding(
-                "shm-unlink",
-                call,
-                "SharedMemory(create=True) is not provably unlinked on every "
-                "exit path; wrap the segment in try/finally (unlink in the "
-                "handler), a context manager, or an ExitStack",
-            )
-        )
-
-
-def _inside_exitstack_registration(stmt: ast.stmt, call: ast.Call) -> bool:
-    for sub in ast.walk(stmt):
-        if not isinstance(sub, ast.Call):
-            continue
-        chain = _attr_chain(sub.func)
-        if chain and chain[-1] in {"enter_context", "callback", "push"}:
-            for arg in ast.walk(sub):
-                if arg is call:
-                    return True
-    return False
-
-
-# ----------------------------------------------------------------------
-# Rule 3: ref-parity (reference-path / fast-path pairing)
+# Rule 2: ref-parity (reference-path / fast-path pairing)
 # ----------------------------------------------------------------------
 _REFERENCE_PREFIX = "_reference_"
 
@@ -421,7 +284,7 @@ def check_reference_parity(ctx: "ModuleContext") -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule 4: layering (import constraints)
+# Rule 3: layering (import constraints)
 # ----------------------------------------------------------------------
 @register_rule(
     "layering",
@@ -455,7 +318,7 @@ def check_layering(ctx: "ModuleContext") -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule 5: raw-timing
+# Rule 4: raw-timing
 # ----------------------------------------------------------------------
 @register_rule(
     "raw-timing",

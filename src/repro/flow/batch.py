@@ -14,17 +14,13 @@ How the design reaches each worker is controlled by ``ship``:
   snapshots it into a :class:`repro.netlist.CompiledDesign` (array-only, no
   object graph, ~10-30x smaller than pickling the design), and ships the
   snapshot; workers rebuild the design index-for-index identical.
-* ``"shared"`` — like ``"compiled"``, but the snapshot's read-only arrays
-  are placed in ``multiprocessing.shared_memory``; workers attach instead of
-  receiving a copy.  Opt-in, same results bit for bit.
 
-Results are identical across all ship modes and both executors — the
+Results are identical across both ship modes and both executors — the
 snapshot round-trip is exact, and every flow is deterministic given its seed.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import traceback
@@ -33,12 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.benchgen.suite import load_benchmark
-from repro.netlist.compiled import (
-    CompiledDesign,
-    SharedDesignHandle,
-    SharedDesignPack,
-    compile_design,
-)
+from repro.netlist.compiled import CompiledDesign, compile_design
 from repro.obs import (
     active_tracer,
     adopt_spans,
@@ -51,7 +42,7 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("flow.batch")
 
-SHIP_MODES = ("generate", "compiled", "shared")
+SHIP_MODES = ("generate", "compiled")
 
 
 @dataclass
@@ -197,27 +188,20 @@ class BatchReport:
         )
 
 
-def _materialize_design(job: BatchJob, payload):
-    """Turn a job's shipped payload (or its name) into a fresh design."""
+def _materialize_design(job: BatchJob, payload: Optional[CompiledDesign]):
+    """Rebuild the job's shipped snapshot, or regenerate its benchmark."""
     if payload is None:
         return load_benchmark(job.design, scale=job.scale)
-    if isinstance(payload, CompiledDesign):
-        return payload.to_design()
-    if isinstance(payload, SharedDesignHandle):
-        loaded = payload.load()
-        try:
-            return loaded.compiled.to_design()
-        finally:
-            loaded.close()
-    raise TypeError(f"Unsupported batch payload type {type(payload).__name__}")
+    return payload.to_design()
 
 
-def run_job(job: BatchJob, payload=None, trace_parent=None) -> BatchItemResult:
+def run_job(
+    job: BatchJob, payload: Optional[CompiledDesign] = None, trace_parent=None
+) -> BatchItemResult:
     """Execute one batch job in the current process/thread.
 
     ``payload`` optionally carries the design as a :class:`CompiledDesign`
-    snapshot or a :class:`SharedDesignHandle`; without it the benchmark is
-    regenerated from its spec.
+    snapshot; without it the benchmark is regenerated from its spec.
 
     ``trace_parent`` is the dispatching ``batch.run`` span id when the batch
     is being traced.  Thread-executor workers share the parent's tracer and
@@ -325,29 +309,18 @@ def _make_executor(kind: str, max_workers: int) -> Executor:
 
 
 def _build_payloads(
-    jobs: Sequence[BatchJob], ship: str, cleanup: contextlib.ExitStack
-) -> List[Optional[object]]:
-    """Compile each unique (design, scale) once and map it onto the jobs.
-
-    Shared-memory packs are registered on ``cleanup`` the moment they are
-    created, so their segments are closed **and unlinked** no matter where a
-    later failure happens — a benchmark that fails to build, a worker that
-    raises mid-batch, or the executor itself going down.
-    """
-    payloads: List[Optional[object]] = [None] * len(jobs)
+    jobs: Sequence[BatchJob], ship: str
+) -> List[Optional[CompiledDesign]]:
+    """Compile each unique (design, scale) once and map it onto the jobs."""
+    payloads: List[Optional[CompiledDesign]] = [None] * len(jobs)
     if ship == "generate":
         return payloads
-    compiled_cache: Dict[Tuple[str, float], object] = {}
+    compiled_cache: Dict[Tuple[str, float], CompiledDesign] = {}
     for position, job in enumerate(jobs):
         key = (job.design, job.scale)
         payload = compiled_cache.get(key)
         if payload is None:
-            snapshot = compile_design(load_benchmark(job.design, scale=job.scale))
-            if ship == "shared":
-                pack = cleanup.enter_context(SharedDesignPack(snapshot))
-                payload = pack.handle
-            else:
-                payload = snapshot
+            payload = compile_design(load_benchmark(job.design, scale=job.scale))
             compiled_cache[key] = payload
         payloads[position] = payload
     return payloads
@@ -366,8 +339,7 @@ def run_batch(
     workers (jobs are plain dataclasses, so they pickle cleanly).  ``ship``
     selects how designs reach workers (see the module docstring): with
     ``"compiled"`` each unique design is built once in the parent and shipped
-    as an array-only snapshot; ``"shared"`` additionally moves the snapshot
-    arrays into shared memory.
+    as an array-only snapshot.
     """
     jobs = list(jobs)
     workers_source = "auto" if max_workers is None else "explicit"
@@ -397,14 +369,9 @@ def run_batch(
         )
     parents = [None if batch_handle is None else batch_handle.span_id] * len(jobs)
     try:
-        # ExitStack guarantees close()+unlink() of every shared-memory pack
-        # on any exit path: normal completion, a failing payload build, or a
-        # worker exception that escapes the pool (no /dev/shm segment may
-        # leak).
-        with contextlib.ExitStack() as cleanup:
-            payloads = _build_payloads(jobs, ship, cleanup)
-            with _make_executor(executor, max_workers) as pool:
-                items = list(pool.map(run_job, jobs, payloads, parents))
+        payloads = _build_payloads(jobs, ship)
+        with _make_executor(executor, max_workers) as pool:
+            items = list(pool.map(run_job, jobs, payloads, parents))
     finally:
         if tracer is not None:
             tracer.end(batch_handle)

@@ -8,8 +8,8 @@ Five subcommands over the flow pipeline:
   congestion metrics to any preset);
 * ``repro batch D1 D2 ...`` — run many designs concurrently (``--all`` for
   the whole sb_mini suite, ``--seeds N`` for seed replicates,
-  ``--ship compiled|shared`` to build each design once and ship array
-  snapshots to the workers);
+  ``--ship compiled`` to build each design once and ship an array
+  snapshot to the workers);
 * ``repro compare DESIGN``  — run every preset on one design, side by side;
 * ``repro sweep DESIGN --param loss --values quadratic,linear`` — sweep one
   config field of a preset;
@@ -235,9 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ship",
         default="generate",
         choices=list(SHIP_MODES),
-        help="how designs reach workers: regenerate per worker (default), "
-        "ship a compiled array snapshot, or share snapshot arrays via "
-        "shared memory",
+        help="how designs reach workers: regenerate per worker (default) "
+        "or ship a compiled array snapshot",
     )
     _add_trace_flag(batch_p)
     _add_common(batch_p)
@@ -245,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser(
         "trace",
         help="run a preset with tracing enabled and export a Perfetto/Chrome "
-        "trace of the whole flow (stages, GP iterations, kernel dispatches)",
+        "trace of the whole flow (stages, GP iterations, feedback calls)",
     )
     trace_p.add_argument("design", help="benchmark name")
     trace_p.add_argument(
@@ -298,8 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint-contracts",
-        help="run the contract linter (alloc discipline, shm lifecycle, "
-        "ref parity, layering, raw timing)",
+        help="run the contract linter (alloc discipline, ref parity, "
+        "layering, raw timing)",
     )
     lint_p.add_argument(
         "paths", nargs="*", default=["src"], help="files/directories to lint"

@@ -10,8 +10,7 @@ Public API:
   (``Instance``/``Net`` are index-backed views onto it after ``finalize()``;
   on array-built designs they are created on first use).
 * :class:`CompiledDesign` / :func:`compile_design` — frozen, picklable,
-  array-only snapshots for shipping designs across processes (with an
-  opt-in :class:`SharedDesignPack` shared-memory transport).
+  array-only snapshots for shipping designs across processes.
 * :func:`make_generic_library` — small generic library used by the synthetic
   benchmarks and tests.
 * Parsers/writers for simplified LEF/DEF/Verilog/Liberty/SDC/Bookshelf views
@@ -28,12 +27,7 @@ from repro.netlist.library import (
 )
 from repro.netlist.core import DesignCore, Row, as_core
 from repro.netlist.design import Design, Instance, Net, PinRef
-from repro.netlist.compiled import (
-    CompiledDesign,
-    SharedDesignHandle,
-    SharedDesignPack,
-    compile_design,
-)
+from repro.netlist.compiled import CompiledDesign, compile_design
 
 __all__ = [
     "CellType",
@@ -46,8 +40,6 @@ __all__ = [
     "DesignCore",
     "as_core",
     "CompiledDesign",
-    "SharedDesignHandle",
-    "SharedDesignPack",
     "compile_design",
     "Instance",
     "Net",

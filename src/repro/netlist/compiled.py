@@ -3,14 +3,9 @@
 A :class:`CompiledDesign` is a picklable snapshot of a finalized
 :class:`repro.netlist.design.Design`: flat NumPy arrays plus name tables and
 the (small) cell library — no ``Instance``/``PinRef``/``Net`` object graph,
-no circular references.  It serves two jobs:
-
-* **cheap shipping** — pickling a snapshot is an order of magnitude smaller
-  and faster than pickling the full object graph, so the batch runner can
-  build a design once in the parent and fan it out to process workers;
-* **zero-copy sharing** — :class:`SharedDesignPack` places the snapshot's
-  read-only arrays in :mod:`multiprocessing.shared_memory`, so workers on
-  the same host attach instead of receiving a copy.
+no circular references.  Pickling a snapshot is an order of magnitude
+smaller and faster than pickling the full object graph, so the batch runner
+can build a design once in the parent and fan it out to process workers.
 
 Reconstruction (:meth:`CompiledDesign.to_design`) builds the
 :class:`repro.netlist.core.DesignCore` straight from the snapshot's tables
@@ -24,7 +19,7 @@ their designs the same way: they fill a snapshot and call ``to_design``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclasses_fields, replace
+from dataclasses import dataclass, fields as dataclasses_fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -34,7 +29,7 @@ from repro.netlist.design import Design
 from repro.netlist.library import CellType, Library
 from repro.utils.geometry import Rect
 
-# Snapshot attributes holding NumPy arrays (the shared-memory payload).
+# Snapshot attributes holding NumPy arrays.
 _ARRAY_FIELDS: Tuple[str, ...] = (
     "x",
     "y",
@@ -56,7 +51,7 @@ def _rebuild_compiled(blob: bytes) -> "CompiledDesign":
     state = pickle.loads(zlib.decompress(blob))
     for name in _ARRAY_FIELDS:
         arr = state[name]
-        if arr is not None and arr.dtype == np.int32:
+        if arr.dtype == np.int32:
             state[name] = arr.astype(np.int64)
     return CompiledDesign(**state)
 
@@ -108,10 +103,9 @@ class CompiledDesign:
         }
         for name in _ARRAY_FIELDS:
             arr = state[name]
-            if (
-                arr is not None
-                and arr.dtype == np.int64
-                and (arr.size == 0 or (arr.min() >= np.iinfo(np.int32).min and arr.max() <= np.iinfo(np.int32).max))
+            if arr.dtype == np.int64 and (
+                arr.size == 0
+                or (arr.min() >= np.iinfo(np.int32).min and arr.max() <= np.iinfo(np.int32).max)
             ):
                 state[name] = arr.astype(np.int32)
         blob = zlib.compress(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL), 6)
@@ -129,18 +123,16 @@ class CompiledDesign:
     def num_pins(self) -> int:
         return int(self.inst_pin_offsets[-1])
 
-    def array_nbytes(self) -> int:
-        """Total byte size of the array payload."""
-        return sum(getattr(self, name).nbytes for name in _ARRAY_FIELDS)
-
     # ------------------------------------------------------------------
     # Reconstruction
     # ------------------------------------------------------------------
     def to_design(self) -> Design:
         """Build a finalized :class:`Design` identical to the compiled one.
 
-        Every array is copied, so the design never aliases the snapshot
-        (whose arrays may be read-only shared-memory views).
+        Every array is copied, so the design never aliases the snapshot:
+        :func:`compile_design` shares the source design's index arrays, and
+        thread-executor batch jobs all rebuild from one snapshot, so a
+        placement run must not write through to either.
         """
         core = DesignCore.from_tables(
             name=self.name,
@@ -224,137 +216,3 @@ def compile_design(design: Design) -> CompiledDesign:
         net_weight=core.net_weight.copy(),
     )
 
-
-# ----------------------------------------------------------------------
-# Shared-memory transport (opt-in)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _ArraySpec:
-    dtype: str
-    shape: Tuple[int, ...]
-    offset: int
-
-
-@dataclass(frozen=True)
-class SharedDesignHandle:
-    """Small picklable ticket a worker uses to attach a shared snapshot."""
-
-    shm_name: str
-    specs: Dict[str, _ArraySpec]
-    payload: CompiledDesign  # snapshot with the array fields stripped to None
-
-    def load(self) -> "LoadedSharedDesign":
-        """Attach the shared block and materialize a zero-copy snapshot.
-
-        The returned object must be kept alive (and then closed) while the
-        snapshot's arrays are in use — they are views into the shared block.
-        """
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=self.shm_name)
-        try:
-            arrays: Dict[str, np.ndarray] = {}
-            for name, spec in self.specs.items():
-                count = int(np.prod(spec.shape)) if spec.shape else 1
-                arr = np.frombuffer(
-                    shm.buf, dtype=np.dtype(spec.dtype), count=count, offset=spec.offset
-                ).reshape(spec.shape)
-                arr.flags.writeable = False
-                arrays[name] = arr
-            return LoadedSharedDesign(replace(self.payload, **arrays), shm)
-        except BaseException:
-            # Don't leave the worker-side mapping open on a failed attach.
-            # Drop every numpy view first: close() refuses while buffer
-            # exports are alive.
-            arr = None
-            arrays = None  # type: ignore[assignment]
-            shm.close()
-            raise
-
-
-class LoadedSharedDesign:
-    """A shared snapshot attached in this process; close after use."""
-
-    def __init__(self, compiled: CompiledDesign, shm) -> None:
-        self.compiled = compiled
-        self._shm = shm
-
-    def close(self) -> None:
-        if self._shm is not None:
-            # Drop the numpy views before closing the mapping (required on
-            # CPython: memoryview exports keep the buffer pinned).
-            self.compiled = None  # type: ignore[assignment]
-            self._shm.close()
-            self._shm = None
-
-    def __enter__(self) -> CompiledDesign:
-        return self.compiled
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class SharedDesignPack:
-    """Parent-side owner of one snapshot's shared-memory block.
-
-    Usage::
-
-        with SharedDesignPack(compile_design(design)) as pack:
-            pool.submit(worker, pack.handle)   # handle pickles in O(names)
-            ...
-        # block is closed + unlinked on exit, even if a worker raised
-
-    ``close()`` (or leaving the ``with`` block) both closes the mapping and
-    unlinks the segment, so no ``/dev/shm`` entry outlives the pack — the
-    batch runner keeps every pack it creates inside an ``ExitStack`` for the
-    same reason.  Construction is exception-safe: if copying the arrays into
-    the fresh segment fails, the segment is unlinked before the error
-    propagates.
-    """
-
-    def __init__(self, compiled: CompiledDesign) -> None:
-        from multiprocessing import shared_memory
-
-        specs: Dict[str, _ArraySpec] = {}
-        offset = 0
-        for name in _ARRAY_FIELDS:
-            arr = getattr(compiled, name)
-            # Align each array to 8 bytes so typed views stay aligned.
-            offset = (offset + 7) & ~7
-            specs[name] = _ArraySpec(arr.dtype.str, tuple(arr.shape), offset)
-            offset += arr.nbytes
-        self._shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        try:
-            for name in _ARRAY_FIELDS:
-                arr = getattr(compiled, name)
-                spec = specs[name]
-                dest = np.frombuffer(
-                    self._shm.buf, dtype=arr.dtype, count=arr.size, offset=spec.offset
-                ).reshape(arr.shape)
-                dest[...] = arr
-            self.handle = SharedDesignHandle(
-                shm_name=self._shm.name,
-                specs=specs,
-                payload=replace(compiled, **{name: None for name in _ARRAY_FIELDS}),
-            )
-        except BaseException:
-            # Never leak a half-initialized segment: nobody else holds the
-            # name yet, so close + unlink here is the only cleanup chance.
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Release the shared block (close + unlink). Idempotent."""
-        if self._shm is not None:
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-            self._shm = None
-
-    def __enter__(self) -> "SharedDesignPack":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

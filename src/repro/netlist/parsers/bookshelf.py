@@ -61,7 +61,12 @@ def parse_bookshelf_pl(text: str) -> Dict[str, Tuple[float, float, bool]]:
 
 def parse_bookshelf_pl_file(path: str) -> Dict[str, Tuple[float, float, bool]]:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_bookshelf_pl(handle.read())
+        text = handle.read()
+    try:
+        return parse_bookshelf_pl(text)
+    except ParseError as exc:
+        exc.path = path
+        raise
 
 
 def apply_bookshelf_pl(design: Design, placements: Dict[str, Tuple[float, float, bool]]) -> int:

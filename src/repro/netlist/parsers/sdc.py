@@ -41,7 +41,12 @@ class SDCConstraints:
 
 def parse_sdc_file(path: str) -> SDCConstraints:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_sdc(handle.read())
+        text = handle.read()
+    try:
+        return parse_sdc(text)
+    except ParseError as exc:
+        exc.path = path
+        raise
 
 
 def parse_sdc(text: str) -> SDCConstraints:

@@ -107,21 +107,7 @@ class TestPragmas:
 
 
 # ----------------------------------------------------------------------
-# Rule 2: shm-unlink
-# ----------------------------------------------------------------------
-class TestShmLifecycle:
-    def test_unpaired_create_flagged(self):
-        report = lint("shm_bad.py")
-        assert rules_hit(report) == ["shm-unlink"]
-        assert len(report.findings) == 2
-
-    def test_guarded_creates_pass(self):
-        report = lint("shm_ok.py")
-        assert report.findings == []
-
-
-# ----------------------------------------------------------------------
-# Rule 3: ref-parity
+# Rule 2: ref-parity
 # ----------------------------------------------------------------------
 class TestReferenceParity:
     def test_orphan_and_untested_flagged(self):
@@ -143,7 +129,7 @@ class TestReferenceParity:
 
 
 # ----------------------------------------------------------------------
-# Rule 4: layering
+# Rule 3: layering
 # ----------------------------------------------------------------------
 class TestLayering:
     def test_module_scope_flow_import_and_engine_import_flagged(self):
@@ -162,7 +148,7 @@ class TestLayering:
 
 
 # ----------------------------------------------------------------------
-# Rule 5: raw-timing
+# Rule 4: raw-timing
 # ----------------------------------------------------------------------
 class TestRawTiming:
     def test_flags_every_spelling(self):
@@ -214,7 +200,6 @@ class TestEngine:
             "layering",
             "raw-timing",
             "ref-parity",
-            "shm-unlink",
         )
 
     def test_unknown_rule_rejected(self):
@@ -288,7 +273,7 @@ class TestCli:
         ok = cli_main(
             [
                 "lint-contracts",
-                str(FIXTURES / "shm_ok.py"),
+                str(FIXTURES / "alloc_take_ok.py"),
                 "--tests-dir",
                 "",
                 "--quiet",
@@ -297,7 +282,7 @@ class TestCli:
         bad = cli_main(
             [
                 "lint-contracts",
-                str(FIXTURES / "shm_bad.py"),
+                str(FIXTURES / "alloc_take_bad.py"),
                 "--tests-dir",
                 "",
                 "--quiet",

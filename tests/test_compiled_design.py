@@ -14,11 +14,7 @@ import pytest
 from repro.benchgen import generate_circuit, load_benchmark, load_compiled
 from repro.flow.batch import BatchJob, run_batch
 from repro.flow.presets import build_flow, preset_names
-from repro.netlist import (
-    CompiledDesign,
-    SharedDesignPack,
-    compile_design,
-)
+from repro.netlist import CompiledDesign, compile_design
 
 FAST = dict(
     max_iterations=60,
@@ -183,22 +179,6 @@ class TestSnapshotRoundTrip:
             f"{design_size}B - ratio {design_size / compiled_size:.1f}x < 10x"
         )
 
-    def test_shared_memory_round_trip(self, design, compiled):
-        pack = SharedDesignPack(compiled)
-        try:
-            handle = pickle.loads(pickle.dumps(pack.handle))
-            loaded = handle.load()
-            try:
-                rebuilt = loaded.compiled.to_design()
-                np.testing.assert_array_equal(rebuilt.core.x, design.core.x)
-                np.testing.assert_array_equal(
-                    rebuilt.core.net_pin_index, design.core.net_pin_index
-                )
-            finally:
-                loaded.close()
-        finally:
-            pack.close()
-
     def test_load_compiled_matches_load_benchmark(self):
         rebuilt = load_compiled("sb_mini_4", scale=0.3).to_design()
         fresh = load_benchmark("sb_mini_4", scale=0.3)
@@ -267,57 +247,23 @@ class TestBatchShipParity:
         assert thread.ship == "compiled"
         assert _summaries(thread) == _summaries(process)
 
-    def test_shared_memory_ship_matches_generate(self):
+    def test_compiled_ship_matches_generate(self):
         generate = run_batch(self._jobs(), max_workers=4, ship="generate")
-        shared = run_batch(self._jobs(), max_workers=4, ship="shared")
-        assert _summaries(generate) == _summaries(shared)
+        compiled = run_batch(self._jobs(), max_workers=4, ship="compiled")
+        assert _summaries(generate) == _summaries(compiled)
 
     def test_unknown_ship_mode_rejected(self):
         with pytest.raises(ValueError, match="ship"):
             run_batch(self._jobs()[:1], ship="carrier_pigeon")
+        with pytest.raises(ValueError, match="ship"):
+            run_batch(self._jobs()[:1], ship="shared")
 
 
-def _shm_entries():
-    """Names currently present under /dev/shm (empty set if unsupported)."""
-    from pathlib import Path
+class TestCompiledShipFailures:
+    """Failures around shipped snapshots stay contained and located."""
 
-    root = Path("/dev/shm")
-    if not root.exists():  # pragma: no cover - non-Linux
-        return set()
-    return {entry.name for entry in root.iterdir()}
-
-
-class TestSharedDesignPackLifecycle:
-    """No /dev/shm segment may outlive its batch, on any failure path."""
-
-    @pytest.fixture()
-    def compiled(self):
-        return compile_design(load_benchmark("sb_mini_18", scale=0.2))
-
-    def test_context_manager_closes_and_unlinks(self, compiled):
-        before = _shm_entries()
-        with SharedDesignPack(compiled) as pack:
-            created = _shm_entries() - before
-            assert len(created) == 1  # the segment exists while open
-            assert pack.handle.shm_name.lstrip("/") in created
-        assert _shm_entries() == before
-        pack.close()  # idempotent after __exit__
-
-    def test_init_failure_leaves_no_segment(self, compiled, monkeypatch):
-        import repro.netlist.compiled as compiled_mod
-
-        before = _shm_entries()
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected frombuffer failure")
-
-        monkeypatch.setattr(compiled_mod.np, "frombuffer", boom)
-        with pytest.raises(RuntimeError, match="injected"):
-            SharedDesignPack(compiled)
-        assert _shm_entries() == before
-
-    def test_failing_stage_does_not_leak_segments(self):
-        """A worker raising mid-batch must not leak the shipped segments."""
+    def test_failing_stage_is_contained(self):
+        """A worker raising mid-batch is reported per job, not raised."""
         import repro.flow.presets as presets_mod
 
         class _BoomStage:
@@ -332,35 +278,31 @@ class TestSharedDesignPackLifecycle:
         presets_mod.register_preset(
             presets_mod.FlowPreset(
                 name="__boom__",
-                description="failing stage (lifecycle test)",
+                description="failing stage (containment test)",
                 config_factory=_BoomConfig,
                 stage_factory=lambda config: [_BoomStage()],
             )
         )
         try:
-            before = _shm_entries()
             jobs = [
                 BatchJob(design="sb_mini_18", preset="__boom__", scale=0.2),
                 BatchJob(design="sb_mini_4", preset="__boom__", scale=0.2),
             ]
-            report = run_batch(jobs, max_workers=2, executor="thread", ship="shared")
+            report = run_batch(jobs, max_workers=2, executor="thread", ship="compiled")
             assert report.num_failed == 2
             assert "injected stage failure" in report.items[0].error
-            assert _shm_entries() == before
         finally:
             del presets_mod._PRESETS["__boom__"]
 
-    def test_payload_build_failure_closes_earlier_packs(self):
-        """A benchmark failing to build mid-payload must close packs already
-        created for earlier jobs."""
-        before = _shm_entries()
+    def test_payload_build_failure_raises(self):
+        """A benchmark failing to build mid-payload fails the whole batch
+        with its own error, after earlier jobs' snapshots were built."""
         jobs = [
             BatchJob(design="sb_mini_18", preset="dreamplace", scale=0.2),
             BatchJob(design="__no_such_design__"),
         ]
         with pytest.raises(KeyError, match="Unknown benchmark"):
-            run_batch(jobs, max_workers=2, ship="shared")
-        assert _shm_entries() == before
+            run_batch(jobs, max_workers=2, ship="compiled")
 
 
 class TestCornerSpecsInSnapshot:
@@ -380,18 +322,3 @@ class TestCornerSpecsInSnapshot:
         snapshot = compile_design(design)
         assert snapshot.corners is None
         assert snapshot.to_design().corners is None
-
-    def test_shared_handle_payload_carries_corners(self):
-        from repro.timing import resolve_corners
-
-        design = load_benchmark("sb_mini_18", scale=0.2)
-        design.corners = "fast,typ,slow"
-        with SharedDesignPack(compile_design(design)) as pack:
-            handle = pickle.loads(pickle.dumps(pack.handle))
-            loaded = handle.load()
-            try:
-                assert loaded.compiled.corners == resolve_corners("fast,typ,slow")
-                rebuilt = loaded.compiled.to_design()
-                assert rebuilt.corners == resolve_corners("fast,typ,slow")
-            finally:
-                loaded.close()

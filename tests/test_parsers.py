@@ -13,7 +13,8 @@ from repro.netlist.parsers import (
     parse_bookshelf_pl,
     parse_bookshelf_nodes,
 )
-from repro.netlist.parsers.bookshelf import apply_bookshelf_pl
+from repro.netlist.parsers.bookshelf import apply_bookshelf_pl, parse_bookshelf_pl_file
+from repro.netlist.parsers.sdc import parse_sdc_file
 from repro.netlist.writers import (
     write_bookshelf_nodes,
     write_bookshelf_pl,
@@ -264,3 +265,17 @@ class TestMalformedInput:
             parse_sdc("# clock\ncreate_clock -name clk -period\n")
         assert exc.value.line == 2
         assert isinstance(exc.value, ValueError)
+
+    def test_file_entry_points_name_the_file(self, tmp_path):
+        pl = tmp_path / "bad.pl"
+        pl.write_text("UCLA pl 1.0\nu1 10 20 : N\nu2 1O 20 : N\n")
+        with pytest.raises(ParseError, match="non-numeric x y") as exc:
+            parse_bookshelf_pl_file(str(pl))
+        assert exc.value.path == str(pl)
+        assert str(exc.value).startswith(f"{pl}:3: ")
+        sdc = tmp_path / "bad.sdc"
+        sdc.write_text("create_clock -name clk -period 800\nset_output_delay x -clock clk [all_outputs]\n")
+        with pytest.raises(ParseError, match="set_output_delay") as exc:
+            parse_sdc_file(str(sdc))
+        assert exc.value.path == str(sdc)
+        assert str(exc.value).startswith(f"{sdc}:2: ")
