@@ -473,11 +473,11 @@ def bench_xl_design(name: str, *, scale: float = 1.0) -> dict:
     row["density_splat_ms"] = round(seconds * 1e3, 3)
 
     # Global-place iteration wall: fixed-length runs through the plan-based
-    # path and the legacy pre-plan inner loop (forced via the kept
-    # _reference_* helpers: full-size wirelength scatters, four-add.at
-    # density splat, and the per-net-fallback HPWL bookkeeping pass).  The
-    # legacy run's final positions are bitwise-compared against the plan
-    # run (the GP inner loop's bit-exactness contract).
+    # path and the allocating reference inner loop (forced via the kept
+    # _reference_* helpers: the CSR-order np.add.at wirelength, the
+    # four-add.at density splat, and the per-net-fallback HPWL bookkeeping
+    # pass).  The reference run's final positions are bitwise-compared
+    # against the plan run (the GP inner loop's bit-exactness contract).
     def gp_run(*, legacy: bool = False):
         config = PlacementConfig(
             max_iterations=GP_XL_ITERS,

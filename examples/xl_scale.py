@@ -3,8 +3,8 @@
 
 Runs one XL benchmark (``sb_xl_1``, 100k cells at full scale) end-to-end
 through the ``dreamplace`` preset, then times the GP inner loop (plan vs
-the kept legacy paths, bitwise-compared) and a congestion map, and prints
-the walls.
+the kept allocating reference paths, bitwise-compared) and a congestion
+map, and prints the walls.
 
 ``--kernel-workers`` is the thread count of the density model's
 Poisson-solve DCTs.  Each row transform is computed identically, so any
@@ -65,9 +65,11 @@ def main() -> None:
 
     x, y = design.positions()
 
-    # GP-iteration wall: plan-based gradient vs the kept legacy
-    # (_reference_*) inner loop, each re-run over a short fixed-length
-    # placement and bitwise-compared.
+    # GP-iteration wall: plan-based gradient vs the kept allocating
+    # reference (_reference_*) inner loop: the CSR-order np.add.at
+    # wirelength, the four-add.at density splat and the per-net-fallback
+    # HPWL pass, each re-run over a short fixed-length placement and
+    # bitwise-compared.
     from repro.netlist.core import as_core
     from repro.placement.global_placer import GlobalPlacer, PlacementConfig
 

@@ -41,7 +41,12 @@ STEADY_STATE_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         {
             "WeightedAverageWirelength.evaluate",
             "WeightedAverageWirelength._gather",
+            "WeightedAverageWirelength._to_instances",
             "WeightedAverageWirelength._directional",
+            "WeightedAverageWirelength._reduce",
+            "WeightedAverageWirelength._spread",
+            "WeightedAverageWirelength._factors",
+            "WeightedAverageWirelength._pin_block",
             "WeightedAverageWirelength._buffer",
             "WeightedAverageWirelength._zeros_buffer",
         }

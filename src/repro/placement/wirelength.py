@@ -4,48 +4,69 @@ The WA model (Hsu, Chang, Balabanov, DAC'11) approximates the max/min of the
 pin coordinates of a net with log-sum-exp-style weighted averages controlled
 by a smoothing parameter ``gamma``; it is the wirelength model used by
 DREAMPlace and therefore by every placer in this library.  Values and
-gradients are computed for all nets at once from the design core's CSR
-net-to-pin arrays, then pin gradients are accumulated onto instances.
+gradients are computed for all nets at once, then pin gradients are
+accumulated onto instances.
 
-Scatter plans (PR 7)
---------------------
+Slot-major pin layout
+---------------------
 
-The hot path no longer walks full-size per-net arrays or re-derives the
-valid-pin filter per call.  ``__init__`` builds a *scatter plan* once — the
-filtered CSR pin list is net-contiguous (the CSR expansion is net-major), so
-compact segment ids drive the per-net extrema (``np.maximum.at`` over the
-valid-net-sized arrays), the per-net sums and the pin→instance accumulation
-run through ``np.bincount``, and all per-pin intermediates stage through
-reused arena buffers instead of fresh temporaries.
+``__init__`` builds a plan once per design.  Nets with at least two pins
+are split by degree: for a row count ``K``, nets of degree > ``K`` form the
+*tail*, and the others, sorted by degree (descending), are the *row nets*.
+Row ``k < K`` holds the ``k``-th pin of every row net of degree > ``k``: a
+contiguous run of the per-pin arrays whose nets are a prefix of the per-net
+arrays.  The per-net folds over the row pins are ``K`` elementwise
+``maximum`` / ``minimum`` / ``add`` calls on prefix slices, and the per-net
+→ per-pin broadcasts are ``K`` elementwise calls against prefix slices; no
+``ufunc.at``, ``bincount`` or ``take`` touches a row pin.  The tail keeps
+the CSR scatter path (``maximum.at``, ``bincount`` and ``take`` by compact
+segment id).  A row costs a dozen calls per axis whatever its length, and
+a row pin costs less than a tail pin, so ``K`` maximizes the row pins minus
+:data:`ROW_COST_PINS` per row.  A row holds at most one pin per net, so a
+design with no more than :data:`ROW_COST_PINS` nets is all tail.  Every
+per-pin and per-net buffer comes from the arena.
 
-Bit-exactness: ``np.bincount`` with float weights is a sequential fold in
-input order, exactly like ``np.add.at`` (property-tested against the
-``_reference_*`` legacy paths kept below), and IEEE min/max is
-order-independent for the NaN-free inputs here.  ``np.add.reduceat`` is
-deliberately **not** used for the float sums — its blocked pairwise
-summation does not reproduce the sequential ``np.add.at`` fold bit for bit.
+Formula
+-------
 
-Per-pin trims (bit-identical)
------------------------------
+Per axis, in coordinates shifted by each net's extremes::
 
-The model is bound by per-pin element passes, so the serial path does as
-few of them as the legacy rounding allows:
+    u = c - cmax              v = cmin - c
+    ep = exp(u * (1/gamma))   en = exp(v * (1/gamma))
+    S+ = sum(ep)   U = sum(u * ep)   S- = sum(en)   W = sum(v * en)
+    A = w (1 - U / (gamma S+)) / S+     B = w / (gamma S+)
+    C = w (1 - W / (gamma S-)) / S-     D = w / (gamma S-)
+    value = sum over nets of (cmax + U / S+) - (cmin - W / S-)
+    pin gradient = ep (A + B u) - en (C + D v)
 
-* the filtered pin coordinates are gathered directly as
-  ``x[pin_inst] + offset[csr_pins]`` (offsets precomputed in CSR order)
-  instead of gathering every pin and then taking the CSR subset;
-* every ``np.take(..., out=...)`` passes ``mode="clip"`` — the plan indices
-  are in range, and the default ``mode="raise"`` always gathers into a
-  hidden temporary before copying into ``out``;
-* ``c/gamma`` is formed once per axis, and the per-net factors
-  (``sum_c/gamma``, ``max(sum*sum, eps)``) once per net before the gather
-  — the same operation on the same operands as forming them per pin;
-* the all-ones default weights (:attr:`WeightedAverageWirelength.
-  unit_weights`, read-only and recognized by identity) skip the per-pin
-  weight take and multiply, since ``v * 1.0 == v``.
+The net weight ``w`` folds into the per-net factors, so no per-pin weight
+is gathered.  The extreme pin of a net contributes ``exp(0) = 1``, so
+``S+`` and ``S-`` are at least 1 and need no division guard.
 
-Stacking the x and y axes into one pass of twice the length was measured
-and rejected: the cost is per element, not per call.
+Bit-exactness
+-------------
+
+``_reference_evaluate`` / ``_reference_directional`` compute the same
+formula in plain, allocating CSR form (``np.maximum.at``, ``np.bincount``,
+fancy-index gathers), and the plan path reproduces them bit for bit
+(property-tested in every plan regime):
+
+* each elementwise operation sees the same operands in the same order;
+* row folds start from ``0.0`` (``-inf`` / ``inf`` for the extrema) and
+  add one row at a time, which is ``np.bincount``'s sequential fold in CSR
+  order, signed zeros included; IEEE min/max is order-independent for the
+  NaN-free inputs here;
+* pin gradients go back to CSR order through the inverse slot permutation
+  before the ``np.bincount`` fold onto instances;
+* each axis's value is summed over a full per-net array, as the reference
+  does.
+
+``np.add.reduceat`` is deliberately **not** used for the float sums: its
+blocked pairwise summation does not reproduce the sequential fold.
+Stacking the x and y axes into one ``(2, n)`` pass was measured and
+rejected: a call on a ``(2, m)`` row view costs as much as two calls on
+``m``-long rows, and the stacked kernel was slower on 10k- and 25k-cell
+designs.
 
 Every entry point takes either a :class:`repro.netlist.Design` or a bare
 :class:`repro.netlist.core.DesignCore` — the smooth model never touches the
@@ -55,11 +76,19 @@ object netlist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.netlist.core import as_core
+
+#: The fixed cost of one WA pin row, in pins taken off the scatter path: a
+#: row is a dozen elementwise calls per axis whatever its length, and each
+#: pin it holds saves the difference between a scatter and a contiguous
+#: operation.  Measured by timing ``evaluate`` at every row count on
+#: 700- to 25k-cell designs (x86_64, 2 cores, numpy 2.4): rows lose on the
+#: 700-2,000-cell designs and win from about 10k pins up.
+ROW_COST_PINS = 1000
 
 
 def hpwl_per_net(
@@ -111,7 +140,7 @@ class WeightedAverageWirelength:
     ) -> None:
         core = as_core(design)
         self.core = core
-        self.gamma = float(gamma)
+        self.set_gamma(gamma)
         counts = np.diff(core.net_pin_offsets)
         # Only nets with at least two pins contribute wirelength.  The pin
         # filter is the O(P) per-pin count lookup, not an O(P log N)
@@ -125,22 +154,12 @@ class WeightedAverageWirelength:
         self._num_instances = core.num_instances
         self._movable_mask = core.movable_mask
         self._fixed_mask = ~core.movable_mask
-
-        # Scatter plan.  ``csr_net`` is net-major (nondecreasing), so the
-        # filtered pins stay net-contiguous and every pin knows its
-        # (compact) segment.
-        valid_counts = counts[self._valid_nets]
-        self._seg_id = np.repeat(
-            np.arange(self._valid_nets.size, dtype=np.int64), valid_counts
-        )
-        # Precomputed pin→instance targets (the direct coordinate gather and
-        # the bincount scatter) and CSR-ordered pin offsets.
+        # CSR-ordered pin→instance targets of the gradient fold.
         self._pin_inst = core.pin_instance[self._csr_pins]
-        self._off_x = core.pin_offset_x[self._csr_pins]
-        self._off_y = core.pin_offset_y[self._csr_pins]
+        self._build_slot_plan(counts[self._valid_nets])
         # Default all-ones net weights, read-only so that identity means
         # "unweighted": evaluations passed this array (or none) skip the
-        # per-pin weight take and multiply, which cannot change a bit
+        # per-net weight take and multiplies, which cannot change a bit
         # (``w * 1.0 == w``).  GlobalPlacer starts from this array.
         self.unit_weights = np.ones(self._num_nets, dtype=np.float64)
         self.unit_weights.flags.writeable = False
@@ -148,19 +167,97 @@ class WeightedAverageWirelength:
         # Optional buffer arena (set by the placer).
         self.arena = None
 
+    def _build_slot_plan(self, degree: np.ndarray) -> None:
+        """Lay the filtered CSR pins out as rows (slot-major) plus a tail.
+
+        ``degree`` is the pin count of each valid net, in valid-net order.
+        Nets of degree > ``K`` form the tail.  The other nets, sorted by
+        degree (descending, stable), are the row nets: row ``k < K`` holds
+        the ``k``-th CSR pin of every row net of degree > ``k``, a prefix of
+        the row nets.  Slots are the rows back to back, then the tail pins
+        in CSR order; per-net arrays hold the row nets, then the tail nets
+        in net order.
+        """
+        num_valid = degree.size
+        # K rows hold every pin of the nets of degree <= K; K maximizes
+        # those pins minus ROW_COST_PINS per row (the first maximum, so 0
+        # when no row count gains).
+        per_degree = np.bincount(degree, minlength=1)
+        degrees = np.arange(per_degree.size)
+        gain = np.cumsum(degrees * per_degree) - degrees * ROW_COST_PINS
+        num_rows = int(np.argmax(gain))
+        in_tail = degree > num_rows
+        row_nets = np.nonzero(~in_tail)[0]
+        row_nets = row_nets[np.argsort(-degree[row_nets], kind="stable")]
+        tail_nets = np.nonzero(in_tail)[0]
+        # Row k covers the row nets of degree > k: a prefix, since they are
+        # sorted by degree.
+        row_size = row_nets.size - np.cumsum(
+            np.bincount(degree[row_nets], minlength=num_rows + 1)
+        )[:num_rows]
+        row_start = np.concatenate(([0], np.cumsum(row_size)))
+        num_row_pins = int(row_start[-1])
+        # Position of each valid net's first pin in the filtered CSR list.
+        net_start = np.concatenate(([0], np.cumsum(degree)[:-1]))
+        slot_row = np.repeat(np.arange(num_rows, dtype=np.int64), row_size)
+        slot_rank = np.arange(num_row_pins, dtype=np.int64) - row_start[slot_row]
+        row_slots = net_start[row_nets[slot_rank]] + slot_row
+        # Tail pins keep CSR order, so their compact segment ids feed the
+        # sequential-fold scatters exactly as the whole CSR list would.
+        seg = np.repeat(np.arange(num_valid, dtype=np.int64), degree)
+        tail_pins = np.nonzero(in_tail[seg])[0]
+        self._tail_seg = (np.cumsum(in_tail) - 1)[seg[tail_pins]]
+
+        # Filtered-CSR position of every slot, and the inverse permutation
+        # that takes slot-ordered values back to CSR order.
+        slot_order = np.concatenate((row_slots, tail_pins))
+        self._slot_inverse = np.empty_like(slot_order)
+        self._slot_inverse[slot_order] = np.arange(slot_order.size, dtype=np.int64)
+        self._slot_pins = self._csr_pins[slot_order]
+        self._slot_inst = self._pin_inst[slot_order]
+        self._slot_off_x = self.core.pin_offset_x[self._slot_pins]
+        self._slot_off_y = self.core.pin_offset_y[self._slot_pins]
+        self._slot_nets = self._valid_nets[np.concatenate((row_nets, tail_nets))]
+        # (pin slots, per-net prefix) of every row, and of the tail.
+        self._rows = tuple(
+            (slice(int(start), int(start + size)), slice(0, int(size)))
+            for start, size in zip(row_start[:-1], row_size)
+        )
+        self._tail = (
+            (slice(num_row_pins, slot_order.size), slice(row_nets.size, num_valid))
+            if tail_nets.size
+            else None
+        )
+
     def set_gamma(self, gamma: float) -> None:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        self.gamma = float(gamma)
+        """Set the smoothing parameter; it must be finite and positive."""
+        gamma = float(gamma)
+        if not (np.isfinite(gamma) and gamma > 0.0):
+            raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
+        self.gamma = gamma
 
     # ------------------------------------------------------------------
-    # Plan-based serial path
+    # Slot-plan serial path
     # ------------------------------------------------------------------
-    def _buffer(self, name: str, size: int) -> np.ndarray:
+    def _buffer(self, name: str, shape: Union[int, Tuple[int, int]]) -> np.ndarray:
         if self.arena is not None:
-            return self.arena.array(name, size)
+            return self.arena.array(name, shape)
         # contract: allow(alloc) reason=fallback for standalone calls with no arena attached
-        return np.empty(size, dtype=np.float64)
+        return np.empty(shape, dtype=np.float64)
+
+    def _zeros_buffer(self, name: str, size: int) -> np.ndarray:
+        if self.arena is not None:
+            return self.arena.zeros(name, size)
+        # contract: allow(alloc) reason=fallback for standalone calls with no arena attached
+        return np.zeros(size, dtype=np.float64)
+
+    def _pin_block(self) -> np.ndarray:
+        """Per-pin work rows: coordinate, u, v, exp_pos, exp_neg, work, grad.
+
+        One arena buffer for all of them: a row view costs less than an
+        arena lookup, and the kernel runs on small designs too.
+        """
+        return self._buffer("wl_pins", (7, self._slot_pins.size))
 
     def evaluate(
         self,
@@ -174,7 +271,7 @@ class WeightedAverageWirelength:
         """Smoothed wirelength and its gradient w.r.t. instance positions.
 
         ``pin_x``/``pin_y`` may carry precomputed absolute pin coordinates;
-        when omitted the model gathers the filtered CSR pins directly from
+        when omitted the model gathers the slot-ordered pins directly from
         the instance positions.
         """
         weights = (
@@ -183,22 +280,13 @@ class WeightedAverageWirelength:
             else np.asarray(net_weights, dtype=np.float64)
         )
         weighted = weights is not self.unit_weights
-        c = self._buffer("wl_coord", self._csr_pins.size)
-        self._gather(c, x, pin_x, self._off_x)
-        value_x, pin_grad_x = self._directional(
-            c, weights, axis="x", weighted=weighted
-        )
-        self._gather(c, y, pin_y, self._off_y)
-        value_y, pin_grad_y = self._directional(
-            c, weights, axis="y", weighted=weighted
-        )
-
-        grad_x = np.bincount(
-            self._pin_inst, weights=pin_grad_x, minlength=self._num_instances
-        )
-        grad_y = np.bincount(
-            self._pin_inst, weights=pin_grad_y, minlength=self._num_instances
-        )
+        c = self._pin_block()[0]
+        self._gather(c, x, pin_x, self._slot_off_x)
+        value_x, pin_grad = self._directional(c, weights, weighted=weighted)
+        grad_x = self._to_instances(pin_grad)
+        self._gather(c, y, pin_y, self._slot_off_y)
+        value_y, pin_grad = self._directional(c, weights, weighted=weighted)
+        grad_y = self._to_instances(pin_grad)
         grad_x[self._fixed_mask] = 0.0
         grad_y[self._fixed_mask] = 0.0
         return WirelengthResult(value=value_x + value_y, grad_x=grad_x, grad_y=grad_y)
@@ -210,145 +298,183 @@ class WeightedAverageWirelength:
         pin_pos: Optional[np.ndarray],
         offsets: np.ndarray,
     ) -> None:
-        """Filtered-CSR pin coordinates along one axis into ``out``.
+        """Slot-ordered pin coordinates along one axis into ``out``.
 
-        The direct form ``pos[pin_inst] + offset[csr_pins]`` produces the
-        same bits as gathering every pin with ``core.pin_positions`` and
-        then taking the CSR subset: both add the same two operands per pin.
+        The direct form ``pos[slot_inst] + offset[slot_pins]`` adds the same
+        two operands per pin as ``core.pin_positions`` does.  Plan indices
+        are in range by construction; ``mode="clip"`` only stops NumPy from
+        buffering ``out=`` (the default ``mode="raise"`` always does).
         """
         if pin_pos is None:
-            np.take(pos, self._pin_inst, out=out, mode="clip")
+            np.take(pos, self._slot_inst, out=out, mode="clip")
             out += offsets
         else:
-            np.take(pin_pos, self._csr_pins, out=out, mode="clip")
+            np.take(pin_pos, self._slot_pins, out=out, mode="clip")
+
+    def _to_instances(self, pin_grad: np.ndarray) -> np.ndarray:
+        """Slot-ordered pin gradients summed onto instances in CSR pin order.
+
+        With no rows the slot order is the CSR order, and the take back
+        through the inverse permutation would copy ``pin_grad`` unchanged.
+        """
+        if self._rows:
+            csr_grad = self._pin_block()[5]
+            np.take(pin_grad, self._slot_inverse, out=csr_grad, mode="clip")
+            pin_grad = csr_grad
+        return np.bincount(self._pin_inst, weights=pin_grad, minlength=self._num_instances)
 
     def _directional(
         self,
         c: np.ndarray,
         net_weights: np.ndarray,
         *,
-        axis: str = "x",
         weighted: bool = True,
     ) -> Tuple[float, np.ndarray]:
-        """WA wirelength and per-CSR-pin gradient along one axis.
+        """WA wirelength and per-slot gradient along one axis.
 
-        Plan path: per-net extrema and sums over *compact* valid-net arrays
-        (``maximum.at``/``minimum.at`` and ``bincount`` keyed by segment id),
-        with every per-pin intermediate staged through a reused buffer.
-        Only the returned pin gradient is per axis; the scratch buffers are
-        shared by both axes.  Per-entry values are bitwise identical to the
-        legacy full-size net-id formulation; the value is summed over a
-        full-size per-net array so the pairwise summation tree matches the
-        legacy expression exactly.  ``weighted=False`` means all-ones net
-        weights, whose multiply is skipped (``v * 1.0 == v``).
+        ``c`` holds the slot-ordered pin coordinates.  Per-net arrays are in
+        slot-net order (row nets, then tail nets).  Every per-pin and
+        per-net buffer is reused through the arena and shared by both axes;
+        the returned gradient is overwritten by the next call.
+        ``weighted=False`` means all-ones net weights, whose take and
+        multiplies are skipped (``v * 1.0 == v``).
         """
-        gamma = self.gamma
-        seg = self._seg_id
-        num_valid = self._valid_nets.size
+        num_valid = self._slot_nets.size
         per_net = self._zeros_buffer("wl_per_net", self._num_nets)
         if num_valid == 0:
             value = float(np.sum(per_net * net_weights))
             return value, c[:0]
+        _, u, v, exp_pos, exp_neg, work, grad = self._pin_block()
+        nets = self._buffer("wl_nets", (11, num_valid))
+        cmax, cmin, sum_pos, sum_u, sum_neg, sum_v, fa, fb, fc, fd, w = nets
+        scratch = self._buffer("wl_tail", self._tail_seg.size)
 
-        # Per-net extrema over the compact segment ids.  ``maximum.at`` /
-        # ``minimum.at`` outrun ``reduceat`` for these folds, and IEEE
-        # min/max are order-independent, so either formulation produces the
-        # same bits.
-        cmax = self._buffer("wl_cmax", num_valid)
-        cmin = self._buffer("wl_cmin", num_valid)
-        cmax.fill(-np.inf)
-        cmin.fill(np.inf)
-        np.maximum.at(cmax, seg, c)
-        np.minimum.at(cmin, seg, c)
-        # Every take below indexes with plan arrays that are in range by
-        # construction; ``mode="clip"`` only stops NumPy from buffering
-        # ``out=`` (the default ``mode="raise"`` always does).
-        exp_pos = self._buffer("wl_exp_pos", c.size)
-        exp_neg = self._buffer("wl_exp_neg", c.size)
-        np.take(cmax, seg, out=exp_pos, mode="clip")
-        np.subtract(c, exp_pos, out=exp_pos)
-        exp_pos /= gamma
+        self._reduce(np.maximum, c, cmax, -np.inf)
+        self._reduce(np.minimum, c, cmin, np.inf)
+        # Shifted coordinates u = c - cmax <= 0 and v = cmin - c <= 0.
+        self._spread(np.subtract, c, cmax, u, scratch)
+        self._spread(np.subtract, c, cmin, v, scratch, net_first=True)
+        inv_gamma = 1.0 / self.gamma
+        np.multiply(u, inv_gamma, out=exp_pos)
         np.exp(exp_pos, out=exp_pos)
-        np.take(cmin, seg, out=exp_neg, mode="clip")
-        exp_neg -= c
-        exp_neg /= gamma
+        np.multiply(v, inv_gamma, out=exp_neg)
         np.exp(exp_neg, out=exp_neg)
 
-        work = self._buffer("wl_work", c.size)
-        np.multiply(c, exp_pos, out=work)
-        sum_pos = np.bincount(seg, weights=exp_pos, minlength=num_valid)
-        sum_cpos = np.bincount(seg, weights=work, minlength=num_valid)
-        np.multiply(c, exp_neg, out=work)
-        sum_neg = np.bincount(seg, weights=exp_neg, minlength=num_valid)
-        sum_cneg = np.bincount(seg, weights=work, minlength=num_valid)
+        # Per-net sums S+ = sum(ep), U = sum(u*ep), S- = sum(en), W = sum(v*en).
+        self._reduce(np.add, exp_pos, sum_pos, 0.0)
+        np.multiply(u, exp_pos, out=work)
+        self._reduce(np.add, work, sum_u, 0.0)
+        self._reduce(np.add, exp_neg, sum_neg, 0.0)
+        np.multiply(v, exp_neg, out=work)
+        self._reduce(np.add, work, sum_v, 0.0)
 
-        # max(sum, 1e-300) keeps the division finite everywhere, so staging
-        # it (maximum → divide into reused buffers, then overwrite the
-        # empty-mass entries with the literal 0.0) selects exactly the bits
-        # the legacy np.where expression produced.
-        wa_max = self._buffer("wl_wa_max", num_valid)
-        wa_min = self._buffer("wl_wa_min", num_valid)
-        den = self._buffer("wl_den", num_valid)
-        np.maximum(sum_pos, 1e-300, out=den)
-        np.divide(sum_cpos, den, out=wa_max)
-        wa_max[sum_pos <= 0.0] = 0.0
-        np.maximum(sum_neg, 1e-300, out=den)
-        np.divide(sum_cneg, den, out=wa_min)
-        wa_min[sum_neg <= 0.0] = 0.0
-        per_net[self._valid_nets] = wa_max - wa_min
-        value = float(np.sum(per_net * net_weights if weighted else per_net))
-
-        # Gradient of the WA max/min estimators w.r.t. each pin coordinate,
-        # staged through reused buffers.  Every binary op keeps the operand
-        # order of the legacy one-line expression, so the rounding — and
-        # therefore the bits — match ``_reference_directional`` exactly.
-        # Per-net factors (``scp/gamma``, ``max(sp*sp, eps)``) are formed
-        # once per net and then gathered: the same elementwise operation on
-        # the same operands as forming them per pin after the gather.
-        sums = self._buffer("wl_sums", c.size)
-        grad = self._buffer("wl_grad", c.size)
-        pin_grad = self._buffer(f"wl_pin_grad_{axis}", c.size)
-        # c/gamma once, shared by (1 + c/gamma) and (1 - c/gamma).
-        np.divide(c, gamma, out=pin_grad)
-        np.add(pin_grad, 1.0, out=grad)
-        np.subtract(1.0, pin_grad, out=pin_grad)
-        sum_cpos /= gamma
-        sum_cneg /= gamma
-        # grad_max = exp_pos * ((1 + c/gamma) * sp - scp/gamma) / max(sp*sp, eps)
-        np.take(sum_pos, seg, out=sums, mode="clip")
-        grad *= sums
-        np.take(sum_cpos, seg, out=work, mode="clip")
-        grad -= work
-        grad *= exp_pos
-        np.multiply(sum_pos, sum_pos, out=den)
-        np.maximum(den, 1e-300, out=den)
-        np.take(den, seg, out=sums, mode="clip")
-        grad /= sums
-        # grad_min = exp_neg * ((1 - c/gamma) * sn + scn/gamma) / max(sn*sn, eps)
-        np.take(sum_neg, seg, out=sums, mode="clip")
-        pin_grad *= sums
-        np.take(sum_cneg, seg, out=work, mode="clip")
-        pin_grad += work
-        pin_grad *= exp_neg
-        np.multiply(sum_neg, sum_neg, out=den)
-        np.maximum(den, 1e-300, out=den)
-        np.take(den, seg, out=sums, mode="clip")
-        pin_grad /= sums
-        # pin_grad = (grad_max - grad_min) * net_weights[csr_net]
-        np.subtract(grad, pin_grad, out=pin_grad)
+        # Per-net factors A = w(1 - U/(gS+))/S+, B = w/(gS+), and C, D
+        # likewise from S- and W.  The extreme pin of a net contributes
+        # exp(0) = 1, so S+ and S- are at least 1: no division guard.
         if weighted:
-            np.take(net_weights, self._csr_net, out=work, mode="clip")
-            pin_grad *= work
-        return value, pin_grad
+            np.take(net_weights, self._slot_nets, out=w, mode="clip")
+        else:
+            w = 1.0
+        self._factors(sum_pos, sum_u, w, fa, fb, weighted)
+        self._factors(sum_neg, sum_v, w, fc, fd, weighted)
 
-    def _zeros_buffer(self, name: str, size: int) -> np.ndarray:
-        if self.arena is not None:
-            return self.arena.zeros(name, size)
-        # contract: allow(alloc) reason=fallback for standalone calls with no arena attached
-        return np.zeros(size, dtype=np.float64)
+        # Per-net value (cmax + U/S+) - (cmin - W/S-), summed over the full
+        # per-net array like the reference.
+        np.divide(sum_u, sum_pos, out=sum_u)
+        sum_u += cmax
+        np.divide(sum_v, sum_neg, out=sum_v)
+        np.subtract(cmin, sum_v, out=sum_v)
+        sum_u -= sum_v
+        per_net[self._slot_nets] = sum_u
+        if weighted:
+            per_net *= net_weights
+        value = float(np.sum(per_net))
+
+        # Pin gradient ep(A + B u) - en(C + D v).
+        self._spread(np.multiply, u, fb, grad, scratch)
+        self._spread(np.add, grad, fa, grad, scratch)
+        grad *= exp_pos
+        self._spread(np.multiply, v, fd, work, scratch)
+        self._spread(np.add, work, fc, work, scratch)
+        work *= exp_neg
+        grad -= work
+        return value, grad
+
+    def _reduce(self, op, pin_vals: np.ndarray, out: np.ndarray, seed: float) -> None:
+        """Per-net fold of ``pin_vals`` with ``op`` (add, maximum or minimum).
+
+        Row nets fold row by row from ``seed``: ``out[:m] = op(out[:m],
+        row)``.  For ``np.add`` the seed 0.0 makes this the sequential
+        CSR-order fold of ``np.bincount``, signed zeros included; IEEE min
+        and max are order-independent.  Tail nets take the CSR scatter path.
+        """
+        rows = self._rows
+        if rows:
+            pins, nets = rows[0]
+            op(pin_vals[pins], seed, out=out[nets])
+            for pins, nets in rows[1:]:
+                op(out[nets], pin_vals[pins], out=out[nets])
+        if self._tail is not None:
+            pins, nets = self._tail
+            if op is np.add:
+                out[nets] = np.bincount(
+                    self._tail_seg, weights=pin_vals[pins], minlength=nets.stop - nets.start
+                )
+            else:
+                tail = out[nets]
+                tail.fill(seed)
+                op.at(tail, self._tail_seg, pin_vals[pins])
+
+    def _spread(
+        self,
+        op,
+        pin_vals: np.ndarray,
+        net_vals: np.ndarray,
+        out: np.ndarray,
+        scratch: np.ndarray,
+        *,
+        net_first: bool = False,
+    ) -> None:
+        """``out = op(pin, net)`` per slot, with its net's per-net value.
+
+        ``net_first`` swaps the operands to ``op(net, pin)``.  Rows pair a
+        pin run with a per-net prefix; tail pins gather their nets' values
+        into ``scratch`` first (``out`` may alias ``pin_vals``).
+        """
+        if net_first:
+            for pins, nets in self._rows:
+                op(net_vals[nets], pin_vals[pins], out=out[pins])
+        else:
+            for pins, nets in self._rows:
+                op(pin_vals[pins], net_vals[nets], out=out[pins])
+        if self._tail is not None:
+            pins, nets = self._tail
+            np.take(net_vals[nets], self._tail_seg, out=scratch, mode="clip")
+            if net_first:
+                op(scratch, pin_vals[pins], out=out[pins])
+            else:
+                op(pin_vals[pins], scratch, out=out[pins])
+
+    def _factors(
+        self,
+        total: np.ndarray,
+        moment: np.ndarray,
+        w,
+        scale: np.ndarray,
+        slope: np.ndarray,
+        weighted: bool,
+    ) -> None:
+        """Gradient factors ``w(1 - M/(g S))/S`` and ``w/(g S)`` per net."""
+        np.multiply(total, self.gamma, out=slope)
+        np.divide(moment, slope, out=scale)
+        np.subtract(1.0, scale, out=scale)
+        if weighted:
+            scale *= w
+        scale /= total
+        np.divide(w, slope, out=slope)
 
     # ------------------------------------------------------------------
-    # Legacy reference path (kept for the bitwise property tests)
+    # Reference path (kept for the bitwise property tests)
     # ------------------------------------------------------------------
     def _reference_evaluate(
         self,
@@ -359,7 +485,7 @@ class WeightedAverageWirelength:
         pin_x: Optional[np.ndarray] = None,
         pin_y: Optional[np.ndarray] = None,
     ) -> WirelengthResult:
-        """Pre-plan evaluation via ``np.add.at``/``np.maximum.at`` (slow)."""
+        """The same formula in plain CSR order with ``np.add.at`` (slow)."""
         if pin_x is None or pin_y is None:
             pin_x, pin_y = self.core.pin_positions(x, y)
         weights = (
@@ -382,38 +508,34 @@ class WeightedAverageWirelength:
     def _reference_directional(
         self, coord: np.ndarray, net_weights: np.ndarray
     ) -> Tuple[float, np.ndarray]:
-        """Legacy WA value/gradient along one axis (unbuffered scatters)."""
+        """WA value and per-CSR-pin gradient along one axis (allocating)."""
         gamma = self.gamma
-        pins = self._csr_pins
-        nets = self._csr_net
-        num_nets = self._num_nets
-        c = coord[pins]
+        valid = self._valid_nets
+        # Compact per-net ids: the valid nets in net order.
+        seg = np.searchsorted(valid, self._csr_net)
+        c = coord[self._csr_pins]
+        w = net_weights[valid]
 
-        # Stabilize exponentials per net.
-        cmax = np.full(num_nets, -np.inf)
-        cmin = np.full(num_nets, np.inf)
-        np.maximum.at(cmax, nets, c)
-        np.minimum.at(cmin, nets, c)
-        exp_pos = np.exp((c - cmax[nets]) / gamma)
-        exp_neg = np.exp((cmin[nets] - c) / gamma)
+        cmax = np.full(valid.size, -np.inf)
+        cmin = np.full(valid.size, np.inf)
+        np.maximum.at(cmax, seg, c)
+        np.minimum.at(cmin, seg, c)
+        u = c - cmax[seg]
+        v = cmin[seg] - c
+        exp_pos = np.exp(u * (1.0 / gamma))
+        exp_neg = np.exp(v * (1.0 / gamma))
+        sum_pos = np.bincount(seg, weights=exp_pos, minlength=valid.size)
+        sum_neg = np.bincount(seg, weights=exp_neg, minlength=valid.size)
+        sum_u = np.bincount(seg, weights=u * exp_pos, minlength=valid.size)
+        sum_v = np.bincount(seg, weights=v * exp_neg, minlength=valid.size)
 
-        sum_pos = np.bincount(nets, weights=exp_pos, minlength=num_nets)
-        sum_neg = np.bincount(nets, weights=exp_neg, minlength=num_nets)
-        sum_cpos = np.bincount(nets, weights=c * exp_pos, minlength=num_nets)
-        sum_cneg = np.bincount(nets, weights=c * exp_neg, minlength=num_nets)
-
-        with np.errstate(invalid="ignore", divide="ignore"):
-            wa_max = np.where(sum_pos > 0, sum_cpos / np.maximum(sum_pos, 1e-300), 0.0)
-            wa_min = np.where(sum_neg > 0, sum_cneg / np.maximum(sum_neg, 1e-300), 0.0)
-        per_net = wa_max - wa_min
+        per_net = np.zeros(self._num_nets, dtype=np.float64)
+        per_net[valid] = (cmax + sum_u / sum_pos) - (cmin - sum_v / sum_neg)
         value = float(np.sum(per_net * net_weights))
 
-        # Gradient of the WA max/min estimators w.r.t. each pin coordinate.
-        sp = sum_pos[nets]
-        sn = sum_neg[nets]
-        scp = sum_cpos[nets]
-        scn = sum_cneg[nets]
-        grad_max = exp_pos * ((1.0 + c / gamma) * sp - scp / gamma) / np.maximum(sp * sp, 1e-300)
-        grad_min = exp_neg * ((1.0 - c / gamma) * sn + scn / gamma) / np.maximum(sn * sn, 1e-300)
-        pin_grad = (grad_max - grad_min) * net_weights[nets]
+        fa = w * (1.0 - sum_u / (sum_pos * gamma)) / sum_pos
+        fb = w / (sum_pos * gamma)
+        fc = w * (1.0 - sum_v / (sum_neg * gamma)) / sum_neg
+        fd = w / (sum_neg * gamma)
+        pin_grad = exp_pos * (u * fb[seg] + fa[seg]) - exp_neg * (v * fd[seg] + fc[seg])
         return value, pin_grad

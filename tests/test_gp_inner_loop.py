@@ -10,6 +10,8 @@ trajectory.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.placement.density import ElectrostaticDensity, auto_bin_count
 from repro.placement.global_placer import GlobalPlacer, PlacementConfig, PlacementDiverged
 from repro.placement.initial import initial_placement
 from repro.placement.objective import PlacementObjective
+from repro.placement import wirelength
 from repro.placement.wirelength import WeightedAverageWirelength
 
 DESIGNS = ("sb_mini_18", "sb_mini_4", "sb_cong_1")
@@ -78,20 +81,24 @@ class TestWirelengthPlan:
         assert np.array_equal(model._csr_net, core.csr_net[isin_mask])
         assert np.array_equal(model._valid_nets, valid_nets)
 
-    def test_directional_matches_reference_directional_bitwise(self):
-        # Direct pairing of the staged axis kernel with its legacy twin
-        # (the whole-evaluate parity test above covers them only jointly).
+    def test_directional_matches_reference_directional_bitwise(self, monkeypatch):
+        # Direct pairing of the slot-order axis kernel with its reference
+        # twin (the whole-evaluate parity test above covers them only
+        # jointly), on a plan with both rows and a tail.
+        monkeypatch.setattr(wirelength, "ROW_COST_PINS", 32)
         design = _design("sb_mini_18", 0.5)
         x, y = _positions(design, 7)
         model = WeightedAverageWirelength(design, gamma=3.0)
+        assert model._rows and model._tail is not None
         weights = np.random.default_rng(7).uniform(0.25, 4.0, design.num_nets)
         pin_x, pin_y = design.arrays.pin_positions(x, y)
         for coord in (pin_x, pin_y):
-            c = coord[model._csr_pins]
-            value, grad = model._directional(c, weights, axis="x")
+            c = coord[model._slot_pins]
+            value, grad = model._directional(c, weights)
             ref_value, ref_grad = model._reference_directional(coord, weights)
             assert value == ref_value
-            assert np.array_equal(grad, ref_grad)
+            # Slot order back to CSR order.
+            assert np.array_equal(grad[model._slot_inverse], ref_grad)
 
     def test_arena_reuse_is_bitwise_neutral_and_allocation_free(self):
         design = _design("sb_mini_4", 0.5)
@@ -142,6 +149,18 @@ class TestWirelengthPlan:
         with pytest.raises(ValueError):
             model.unit_weights[0] = 2.0
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_constructor_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match=f"got {gamma!r}"):
+            WeightedAverageWirelength(_design("sb_mini_4", 0.3), gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, -2.5, float("nan"), float("-inf")])
+    def test_set_gamma_rejects_bad_gamma(self, gamma):
+        model = WeightedAverageWirelength(_design("sb_mini_4", 0.3), gamma=2.0)
+        with pytest.raises(ValueError, match=f"got {gamma!r}"):
+            model.set_gamma(gamma)
+        assert model.gamma == 2.0
+
     @settings(max_examples=12, deadline=None)
     @given(
         name=st.sampled_from(DESIGNS),
@@ -158,6 +177,248 @@ class TestWirelengthPlan:
         plan = core.hpwl_per_net(x, y)
         ref = core._reference_hpwl_per_net(x, y)
         assert np.array_equal(plan, ref)
+
+
+# ----------------------------------------------------------------------
+# Slot plan: rows (slot-major pins) plus the CSR tail
+# ----------------------------------------------------------------------
+#: ROW_COST_PINS per plan regime: every slot a row, rows plus a tail, and
+#: all tail (more than any test design's pin count).
+REGIMES = {"all_rows": 1, "rows_and_tail": 32, "tail_only": 10**9}
+
+
+def _regime_model(design, regime, **kwargs):
+    with mock.patch.object(wirelength, "ROW_COST_PINS", REGIMES[regime]):
+        model = WeightedAverageWirelength(design, **kwargs)
+    degree = np.diff(design.arrays.net_pin_offsets)[model._valid_nets]
+    if regime == "all_rows":
+        assert len(model._rows) == degree.max() and model._tail is None
+    elif regime == "rows_and_tail":
+        assert model._rows and model._tail is not None
+    else:
+        assert not model._rows and model._tail is not None
+    return model
+
+
+def _dac11_evaluate(model, x, y, net_weights):
+    """Independent oracle: the DAC'11 WA expression in absolute coordinates.
+
+    This is the formula the model used before the shifted-coordinate
+    rewrite, kept here verbatim as a numerical (not bitwise) reference.
+    """
+    core = model.core
+    gamma = model.gamma
+    pins = model._csr_pins
+    nets = model._csr_net
+    num_nets = core.num_nets
+    value = 0.0
+    grads = []
+    for coord in core.pin_positions(x, y):
+        c = coord[pins]
+        cmax = np.full(num_nets, -np.inf)
+        cmin = np.full(num_nets, np.inf)
+        np.maximum.at(cmax, nets, c)
+        np.minimum.at(cmin, nets, c)
+        exp_pos = np.exp((c - cmax[nets]) / gamma)
+        exp_neg = np.exp((cmin[nets] - c) / gamma)
+        sum_pos = np.bincount(nets, weights=exp_pos, minlength=num_nets)
+        sum_neg = np.bincount(nets, weights=exp_neg, minlength=num_nets)
+        sum_cpos = np.bincount(nets, weights=c * exp_pos, minlength=num_nets)
+        sum_cneg = np.bincount(nets, weights=c * exp_neg, minlength=num_nets)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            wa_max = np.where(sum_pos > 0, sum_cpos / np.maximum(sum_pos, 1e-300), 0.0)
+            wa_min = np.where(sum_neg > 0, sum_cneg / np.maximum(sum_neg, 1e-300), 0.0)
+        value += float(np.sum((wa_max - wa_min) * net_weights))
+        sp = sum_pos[nets]
+        sn = sum_neg[nets]
+        scp = sum_cpos[nets]
+        scn = sum_cneg[nets]
+        grad_max = exp_pos * ((1.0 + c / gamma) * sp - scp / gamma) / np.maximum(sp * sp, 1e-300)
+        grad_min = exp_neg * ((1.0 - c / gamma) * sn + scn / gamma) / np.maximum(sn * sn, 1e-300)
+        pin_grad = (grad_max - grad_min) * net_weights[nets]
+        grad = np.zeros(core.num_instances)
+        np.add.at(grad, core.pin_instance[pins], pin_grad)
+        grad[~core.movable_mask] = 0.0
+        grads.append(grad)
+    return value, grads[0], grads[1]
+
+
+class TestSlotPlan:
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_every_valid_pin_appears_once(self, name, regime):
+        model = _regime_model(_design(name, 0.5), regime)
+        slot_pins = model._slot_pins
+        assert np.unique(slot_pins).size == slot_pins.size
+        assert np.array_equal(np.sort(slot_pins), np.sort(model._csr_pins))
+        assert np.array_equal(slot_pins[model._slot_inverse], model._csr_pins)
+        assert np.array_equal(np.sort(model._slot_nets), model._valid_nets)
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_rows_are_prefixes_of_degree_sorted_nets(self, name, regime):
+        design = _design(name, 0.5)
+        core = design.arrays
+        model = _regime_model(design, regime)
+        degree = np.diff(core.net_pin_offsets)[model._slot_nets]
+        num_row_nets = model._tail[1].start if model._tail else model._slot_nets.size
+        row_degree = degree[:num_row_nets]
+        assert np.all(np.diff(row_degree) <= 0)
+        start = 0
+        for k, (pins, nets) in enumerate(model._rows):
+            # Row k: slot k of every row net of degree > k, back to back.
+            assert pins.start == start
+            assert nets == slice(0, np.count_nonzero(row_degree > k))
+            first = core.net_pin_offsets[model._slot_nets[nets]]
+            assert np.array_equal(model._slot_pins[pins], core.net_pin_index[first + k])
+            start = pins.stop
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_row_count_maximizes_pins_moved_per_row_cost(self, name, regime):
+        design = _design(name, 0.5)
+        model = _regime_model(design, regime)
+        degree = np.diff(design.arrays.net_pin_offsets)[model._valid_nets]
+        cost = REGIMES[regime]
+        gains = [int(degree[degree <= k].sum()) - k * cost for k in range(degree.max() + 1)]
+        assert len(model._rows) == gains.index(max(gains))
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_nets_above_the_row_count_form_the_tail(self, name, regime):
+        design = _design(name, 0.5)
+        core = design.arrays
+        model = _regime_model(design, regime)
+        num_rows = len(model._rows)
+        degree = np.diff(core.net_pin_offsets)
+        valid = model._valid_nets
+        if model._tail is None:
+            assert np.all(degree[valid] <= num_rows)
+            return
+        pins, nets = model._tail
+        tail_nets = model._slot_nets[nets]
+        assert np.array_equal(tail_nets, valid[degree[valid] > num_rows])
+        assert np.all(degree[model._slot_nets[: nets.start]] <= num_rows)
+        # Tail pins keep CSR order: each tail net's pins, in net order.
+        want = np.concatenate([core.net_pins(int(n)) for n in tail_nets])
+        assert np.array_equal(model._slot_pins[pins], want)
+
+    def test_design_with_few_nets_has_no_rows(self):
+        # A row holds at most one pin per net, so it cannot pay for itself
+        # on a design with no more than ROW_COST_PINS nets.
+        design = _design("sb_mini_18", 0.3)
+        model = WeightedAverageWirelength(design)
+        assert model._valid_nets.size <= wirelength.ROW_COST_PINS
+        assert model._rows == () and model._tail is not None
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        name=st.sampled_from(DESIGNS),
+        scale=st.floats(0.3, 0.8),
+        gamma=st.floats(0.5, 25.0),
+        seed=st.integers(0, 2**31 - 1),
+        weighted=st.booleans(),
+    )
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_plan_matches_reference_bitwise_in_every_regime(
+        self, regime, name, scale, gamma, seed, weighted
+    ):
+        design = _design(name, scale)
+        x, y = _positions(design, seed)
+        model = _regime_model(design, regime, gamma=gamma)
+        weights = None
+        if weighted:
+            weights = np.random.default_rng(seed).uniform(0.25, 4.0, design.num_nets)
+        plan = model.evaluate(x, y, net_weights=weights)
+        ref = model._reference_evaluate(x, y, net_weights=weights)
+        assert plan.value == ref.value
+        assert np.array_equal(plan.grad_x, ref.grad_x)
+        assert np.array_equal(plan.grad_y, ref.grad_y)
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_arena_reuse_is_bitwise_neutral_in_every_regime(self, regime):
+        design = _design("sb_mini_4", 0.5)
+        x, y = _positions(design, 7)
+        weights = np.random.default_rng(7).uniform(0.25, 4.0, design.num_nets)
+        bare = _regime_model(design, regime, gamma=3.0)
+        pooled = _regime_model(design, regime, gamma=3.0)
+        pooled.arena = IterationArena()
+        for net_weights in (None, weights):
+            expect = bare.evaluate(x, y, net_weights=net_weights)
+            for _ in range(3):
+                got = pooled.evaluate(x, y, net_weights=net_weights)
+                assert got.value == expect.value
+                assert np.array_equal(got.grad_x, expect.grad_x)
+                assert np.array_equal(got.grad_y, expect.grad_y)
+        steady = pooled.arena.allocations
+        pooled.evaluate(x, y)
+        pooled.evaluate(x, y, net_weights=weights)
+        assert pooled.arena.allocations == steady
+
+    def test_xl_design_matches_reference_and_reuses_arena(self):
+        # Unpatched ROW_COST_PINS on a 10k-cell design: real rows and tail.
+        design = _design("sb_xl_1", 0.1)
+        x, y = _positions(design, 3)
+        weights = np.random.default_rng(3).uniform(0.25, 4.0, design.num_nets)
+        model = WeightedAverageWirelength(design, gamma=4.0)
+        model.arena = IterationArena()
+        assert len(model._rows) >= 2 and model._tail is not None
+        assert model._tail[0].start > 0.5 * model._slot_pins.size  # row pins
+        for net_weights in (None, weights):
+            ref = model._reference_evaluate(x, y, net_weights=net_weights)
+            for _ in range(2):
+                got = model.evaluate(x, y, net_weights=net_weights)
+                assert got.value == ref.value
+                assert np.array_equal(got.grad_x, ref.grad_x)
+                assert np.array_equal(got.grad_y, ref.grad_y)
+        steady = model.arena.allocations
+        model.evaluate(x, y, net_weights=weights)
+        assert model.arena.allocations == steady
+
+
+class TestWirelengthOracle:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        name=st.sampled_from(DESIGNS),
+        gamma=st.floats(0.05, 50.0),
+        seed=st.integers(0, 2**31 - 1),
+        weighted=st.booleans(),
+    )
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_matches_dac11_formula(self, regime, name, gamma, seed, weighted):
+        design = _design(name, 0.5)
+        x, y = _positions(design, seed)
+        model = _regime_model(design, regime, gamma=gamma)
+        weights = np.ones(design.num_nets)
+        if weighted:
+            weights = np.random.default_rng(seed).uniform(0.25, 4.0, design.num_nets)
+        got = model.evaluate(x, y, net_weights=weights if weighted else None)
+        value, grad_x, grad_y = _dac11_evaluate(model, x, y, weights)
+        scale = max(np.abs(grad_x).max(), np.abs(grad_y).max())
+        assert np.abs(got.grad_x - grad_x).max() <= 1e-8 * scale
+        assert np.abs(got.grad_y - grad_y).max() <= 1e-8 * scale
+        assert abs(got.value - value) <= 1e-8 * abs(value)
+
+    def test_gradient_matches_central_differences(self):
+        design = _design("sb_xl_1", 0.1)
+        x, y = _positions(design, 2)
+        model = WeightedAverageWirelength(design, gamma=5.0)
+        assert model._rows and model._tail is not None
+        got = model.evaluate(x, y)
+        rng = np.random.default_rng(2)
+        pins = np.bincount(design.arrays.pin_instance, minlength=design.num_instances)
+        candidates = design.arrays.movable_index[pins[design.arrays.movable_index] > 0]
+        step = 1e-3
+        for inst in rng.choice(candidates, size=8, replace=False):
+            for pos, grad in ((x, got.grad_x), (y, got.grad_y)):
+                keep = pos[inst]
+                pos[inst] = keep + step
+                up = model.evaluate(x, y).value
+                pos[inst] = keep - step
+                down = model.evaluate(x, y).value
+                pos[inst] = keep
+                numeric = (up - down) / (2.0 * step)
+                assert abs(numeric - grad[inst]) <= 1e-5 * max(1.0, abs(grad[inst]))
 
 
 class TestDensityPlan:
