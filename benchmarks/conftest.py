@@ -3,7 +3,9 @@
 The expensive part — running every placer on every sb_mini design — is done
 once per pytest session and reused by the Table II / Table IV / Fig. 4 /
 Fig. 5 benchmarks.  Results (tables and machine-readable JSON) are written to
-``benchmarks/results/``.
+``benchmarks/results/``; wall-clock results, which change on every run, go
+to the git-ignored ``benchmarks/results/wallclock/`` so a test run leaves
+the tracked files untouched unless a score moves.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.benchgen import benchmark_names, load_benchmark
 from repro.flow import build_flow
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+WALLCLOCK_DIR = os.path.join(RESULTS_DIR, "wallclock")
 
 # The designs every cross-method table uses (the full sb_mini suite).
 SUITE = benchmark_names()
@@ -35,20 +38,21 @@ METHOD_FLOWS = {
 METHODS = list(METHOD_FLOWS)
 
 
-def results_dir() -> str:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    return RESULTS_DIR
+def results_dir(wallclock: bool = False) -> str:
+    directory = WALLCLOCK_DIR if wallclock else RESULTS_DIR
+    os.makedirs(directory, exist_ok=True)
+    return directory
 
 
-def save_json(name: str, payload) -> str:
-    path = os.path.join(results_dir(), name)
+def save_json(name: str, payload, *, wallclock: bool = False) -> str:
+    path = os.path.join(results_dir(wallclock), name)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
     return path
 
 
-def save_text(name: str, text: str) -> str:
-    path = os.path.join(results_dir(), name)
+def save_text(name: str, text: str, *, wallclock: bool = False) -> str:
+    path = os.path.join(results_dir(wallclock), name)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     return path

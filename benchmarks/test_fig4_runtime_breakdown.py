@@ -4,7 +4,8 @@ Regenerates the paper's component breakdown for ``sb_mini_1``: the share of
 total runtime spent in IO, gradient computation, timing analysis, weighting,
 legalization, and others, for the net-weighting baseline and for the proposed
 flow, both normalized by the baseline's total runtime (as the paper
-normalizes by DREAMPlace 4.0's 615 s).
+normalizes by DREAMPlace 4.0's 615 s).  Every number is wall-clock, so the
+results go to the untracked ``benchmarks/results/wallclock/``.
 """
 
 from __future__ import annotations
@@ -54,10 +55,11 @@ def test_fig4_runtime_breakdown(suite_results, benchmark):
         title=f"Fig. 4 — runtime breakdown for {design}, normalized by DREAMPlace 4.0 total",
     )
     print("\n" + table)
-    save_text("fig4_runtime_breakdown.txt", table)
+    save_text("fig4_runtime_breakdown.txt", table, wallclock=True)
     save_json(
         "fig4_runtime_breakdown.json",
         {"design": design, "dreamplace4": dmp4_shares, "ours": ours_shares},
+        wallclock=True,
     )
 
     # Timing analysis + weighting must be a visible share of both timing-driven

@@ -36,9 +36,22 @@ emit arrays, not objects: they draw the driver of every gate input, and
 connect order, driver first) as a
 :class:`~repro.netlist.compiled.CompiledDesign` and finishes through its
 ``to_design``.  No ``Instance`` / ``PinRef`` / ``Net`` object exists until
-code asks for one.  This generator's per-gate weighted draw is still O(n^2)
-(every gate weighs every earlier signal), but its weights are two table
-lookups rather than per-gate ``exp`` / ``pow`` calls.
+code asks for one.
+
+Every gate here weighs every earlier signal, and :func:`_weighted_draw`
+picks its distinct drivers by replaying ``Generator.choice(...,
+replace=False, p=...)`` on the same stream: uniforms against the
+normalized CDF, picks kept in first-occurrence order, redraws for the
+remainder after zeroing the picked weights.  It skips ``choice``'s
+per-call overhead (validation, ``np.unique``, the copy of ``p``), so what
+is left per gate is one O(n) ``cumsum`` and a few small numpy calls.  The
+gate masters and levels come from the same CDF draw with replacement
+(:func:`_sample`), and the hub and capture draws are batched ``integers``
+calls.  Designs therefore depend only on numpy's ``random``,
+``integers``, ``cumsum`` and ``searchsorted``, not on ``choice``'s private
+implementation.  The snapshot digests in ``tests/test_array_design.py``
+and the parity suite in ``tests/test_benchgen_draws.py`` (against numpy's
+``choice`` and a copy of the ``choice``-based generator loop) pin them.
 """
 
 from __future__ import annotations
@@ -133,7 +146,7 @@ def generate_circuit(
     gate_cells = [lib.cell(name) for name, _ in _GATE_CHOICES]
     gate_probs = np.array([w for _, w in _GATE_CHOICES], dtype=np.float64)
     gate_probs /= gate_probs.sum()
-    comb_gate = rng.choice(len(gate_cells), size=num_comb, p=gate_probs)
+    comb_gate = _sample(rng, gate_probs, num_comb)
 
     # Floorplan sizing (a sequential float sum, which fixes the die bits).
     gate_areas = [cell.area for cell in gate_cells]
@@ -145,9 +158,7 @@ def generate_circuit(
     # deeper levels have slightly fewer gates (cone-shaped logic).
     level_weights = np.linspace(1.0, 0.6, spec.logic_depth)
     level_weights /= level_weights.sum()
-    comb_levels = rng.choice(
-        np.arange(1, spec.logic_depth + 1), size=num_comb, p=level_weights
-    )
+    comb_levels = 1 + _sample(rng, level_weights, num_comb)
     order = np.argsort(comb_levels, kind="stable")
 
     # Driver signals, indexed in creation order: PIs, FF outputs, then the
@@ -160,8 +171,7 @@ def generate_circuit(
     driver_levels[num_level0:] = comb_levels[order]
     level_start = np.searchsorted(
         driver_levels[num_level0:], np.arange(spec.logic_depth + 2), side="left"
-    )
-    fanout_counts = np.zeros(num_drivers, dtype=np.int64)
+    ).tolist()
     fanins = np.array([len(cell.input_pins) for cell in gate_cells], dtype=np.int64)
     gate_fanin = fanins[comb_gate].tolist()
 
@@ -173,6 +183,9 @@ def generate_circuit(
     fanout_weight = (1.0 + np.arange(sum(gate_fanin) + 1, dtype=np.float64)) ** (
         1.0 / spec.fanout_alpha - 1.0
     )
+    # Per driver: its fan-out so far and its attachment factor at that count.
+    fanout_counts = [0] * num_drivers
+    attach_weight = np.full(num_drivers, fanout_weight[0])
 
     # Hub signals for the congestion-stressed variant: a fixed set of
     # level-0 drivers (PIs and register outputs, evenly sampled) that gate
@@ -184,33 +197,33 @@ def generate_circuit(
 
     sources: List[int] = []
     for level in range(1, spec.logic_depth + 1):
-        eligible = np.arange(num_level0 + level_start[level])
-        level_weight = gap_weight[level - 1 - driver_levels[eligible]]
+        eligible = num_level0 + level_start[level]
+        level_weight = gap_weight[level - 1 - driver_levels[:eligible]]
         for idx in order[level_start[level]:level_start[level + 1]].tolist():
-            weights = level_weight * fanout_weight[fanout_counts[: eligible.size]]
-            chosen = _choose_drivers(rng, eligible, weights, gate_fanin[idx])
+            fanin = gate_fanin[idx]
+            weights = level_weight * attach_weight[:eligible]
+            chosen = _weighted_draw(rng, weights, min(fanin, eligible))
+            if fanin > eligible:
+                chosen += rng.integers(0, eligible, fanin - eligible).tolist()
             if hub_pool is not None:
                 # Reroute a fraction of the inputs to shared hub signals; the
                 # extra RNG draws happen only on this (stress) path, so the
                 # classic designs keep their exact generation stream.
-                take_hub = rng.random(len(chosen)) < spec.hub_fraction
-                if np.any(take_hub):
-                    hubs = iter(rng.choice(hub_pool, size=int(take_hub.sum())))
-                    chosen = [
-                        int(next(hubs)) if is_hub else driver
-                        for driver, is_hub in zip(chosen, take_hub)
-                    ]
+                take_hub = np.flatnonzero(rng.random(fanin) < spec.hub_fraction).tolist()
+                if take_hub:
+                    hubs = hub_pool[rng.integers(0, hub_pool.size, len(take_hub))]
+                    for slot, hub in zip(take_hub, hubs.tolist()):
+                        chosen[slot] = hub
             for driver_idx in chosen:
                 fanout_counts[driver_idx] += 1
+                attach_weight[driver_idx] = fanout_weight[fanout_counts[driver_idx]]
             sources.extend(chosen)
 
     # Capture: flip-flop D pins and primary outputs take deep signals.
     deep_pool = np.nonzero(driver_levels >= max(1, spec.logic_depth - 2))[0]
     if deep_pool.size == 0:
         deep_pool = np.arange(num_drivers)
-    captures = [
-        int(rng.choice(deep_pool)) for _ in range(num_ff + spec.num_primary_outputs)
-    ]
+    captures = deep_pool[rng.integers(0, deep_pool.size, num_ff + spec.num_primary_outputs)]
 
     return build_generated_design(
         spec,
@@ -221,30 +234,43 @@ def generate_circuit(
         comb_gate=comb_gate,
         order=order,
         sources=np.array(sources, dtype=np.int64),
-        captures=np.array(captures, dtype=np.int64),
+        captures=captures,
     )
 
 
-def _choose_drivers(
-    rng: np.random.Generator,
-    eligible: np.ndarray,
-    weights: np.ndarray,
-    count: int,
-) -> List[int]:
-    """Pick ``count`` distinct driver signals among ``eligible``.
+def _sample(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """``size`` indices drawn with replacement with probabilities ``p``, as
+    ``rng.choice(p.size, size, p=p)`` draws them."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
 
-    ``weights`` (one per eligible driver, normalized here) prefer signals at
-    the immediately preceding level (building long chains) and, with
-    strength controlled by ``fanout_alpha``, signals that already have
-    fan-out (building shared, high-fan-out nets).
+
+def _weighted_draw(rng: np.random.Generator, weights: np.ndarray, k: int) -> List[int]:
+    """``k`` distinct indices drawn with probability proportional to ``weights``.
+
+    Replays ``rng.choice(weights.size, k, replace=False, p=weights /
+    weights.sum())`` on the same stream, without its per-call overhead:
+    draw ``k`` uniforms against the normalized CDF, keep the distinct picks
+    in first-occurrence order, then zero their weights and redraw only the
+    remainder.  ``weights`` (non-negative; overwritten) must be finite with
+    at least ``k`` positive entries after normalization, or this raises
+    ``ValueError`` as ``choice`` does.
     """
-    weights /= weights.sum()
-    take = min(count, eligible.size)
-    chosen = rng.choice(eligible, size=take, replace=False, p=weights)
-    result = [int(c) for c in chosen]
-    while len(result) < count:
-        result.append(int(rng.choice(eligible)))
-    return result
+    total = weights.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"weights must be finite with a positive sum, got sum {total}")
+    p = np.divide(weights, total, out=weights)
+    picks: List[int] = []
+    while True:
+        picks.extend(dict.fromkeys(_sample(rng, p, k - len(picks)).tolist()))
+        if len(picks) == k:
+            return picks
+        # A pick always lands on a positive entry, so fewer than k distinct
+        # picks means duplicates, and only then can positives run short.
+        p[picks] = 0.0
+        if np.count_nonzero(p > 0.0) < k - len(picks):
+            raise ValueError(f"fewer than {k} positive weights")
 
 
 def build_generated_design(

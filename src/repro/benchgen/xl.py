@@ -2,10 +2,10 @@
 
 The classic :func:`repro.benchgen.synthetic.generate_circuit` picks every
 gate's drivers with a per-gate weighted draw over all earlier signals —
-faithful preferential attachment, but O(n^2) and minutes-slow past ~20k
-cells.  :func:`generate_xl_circuit` builds the same pipelined-random-logic
-shape (level-0 PIs and register outputs feeding a leveled combinational
-cloud captured by FF data pins and POs) with per-level vectorized draws:
+faithful preferential attachment, but O(n^2): about 1.6 s at 20k cells.
+:func:`generate_xl_circuit` builds the same pipelined-random-logic shape
+(level-0 PIs and register outputs feeding a leveled combinational cloud
+captured by FF data pins and POs) with per-level vectorized draws:
 
 * source *level* per gate input: the same exp(-0.9 * (gap - 1)) preference
   for the immediately preceding level;

@@ -345,8 +345,8 @@ def _build_run(args: argparse.Namespace, command: str):
     overrides.setdefault("seed", args.seed)
     if getattr(args, "kernel_workers", None) is not None:
         overrides.setdefault("kernel_workers", args.kernel_workers)
-    design = load_benchmark(args.design, scale=args.scale)
     try:
+        design = load_benchmark(args.design, scale=args.scale)
         runner = build_flow(args.preset, **overrides)
         stages = list(runner.stages)
         if getattr(args, "routability", False) and not any(

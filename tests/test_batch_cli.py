@@ -215,6 +215,11 @@ class TestCLICommands:
                 "--kernel-workers", "-1",
             ])
 
+    def test_zero_scale_exits(self):
+        # A string SystemExit code is printed and exits with status 1.
+        with pytest.raises(SystemExit, match="scale must be finite and positive, got 0.0"):
+            main(["run", "sb_mini_18", "--scale", "0"])
+
     def test_corners_via_set_rejected(self):
         with pytest.raises(SystemExit, match="--corners"):
             main([

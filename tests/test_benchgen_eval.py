@@ -108,6 +108,11 @@ class TestSuite:
         with pytest.raises(KeyError):
             load_benchmark("superblue999")
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
+    def test_load_rejects_bad_scale(self, scale):
+        with pytest.raises(ValueError, match=f"scale must be finite and positive, got {scale!r}"):
+            load_benchmark("sb_mini_18", scale=scale)
+
     def test_load_with_scale(self):
         design = load_benchmark("sb_mini_18", scale=0.5)
         full = SB_MINI_SUITE["sb_mini_18"].num_cells
