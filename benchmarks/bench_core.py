@@ -5,8 +5,7 @@ Measures, for a few sb_mini designs:
 * design build time (synthetic generation + finalize);
 * ``CompiledDesign`` snapshot: compile time, pickle size/time versus pickling
   the full object graph, and worker-side rebuild (``to_design``) time;
-* STA update cost: full pass versus incremental pass after a small
-  perturbation (1% of movable cells moved);
+* STA update cost: one full pass on the generated placement;
 * multi-corner (MCMM) STA wall time for 1/2/4 corners — engine construction
   plus the first full update, i.e. what a flow pays to stand the analysis
   up — and the resulting 4-corner/single-corner ratio (the graph build and
@@ -279,25 +278,10 @@ def bench_design(name: str) -> dict:
     design_pickle_seconds, design_blob = _time(lambda: pickle.dumps(design))
     rebuild_seconds, _ = _time(lambda: pickle.loads(snapshot_blob).to_design())
 
-    engine = STAEngine(design, incremental=True)
+    engine = STAEngine(design)
     # Sub-millisecond timings gate CI, so take the best of many repetitions
     # to keep scheduler noise out of the recorded numbers.
-    full_seconds, _ = _time(lambda: engine.update_timing(incremental=False), repeat=25)
-
-    # Perturb 1% of movable cells and measure the incremental re-propagation.
-    core = design.core
-    rng = np.random.default_rng(0)
-    movable = core.movable_index
-    num_moved = max(1, movable.size // 100)
-    moved = rng.choice(movable, size=num_moved, replace=False)
-
-    def incremental_pass():
-        x, y = core.positions()
-        x[moved] += rng.uniform(-5.0, 5.0, size=moved.size)
-        y[moved] += rng.uniform(-5.0, 5.0, size=moved.size)
-        return engine.update_timing(x, y)
-
-    incremental_seconds, _ = _time(incremental_pass)
+    full_seconds, _ = _time(engine.update_timing, repeat=25)
 
     # Multi-corner STA: construction + first full update, sharing one graph
     # across corners.  Single-corner wall time uses the same measurement on
@@ -401,7 +385,6 @@ def bench_design(name: str) -> dict:
         "pickle_size_ratio": round(len(design_blob) / len(snapshot_blob), 2),
         "snapshot_rebuild_ms": round(rebuild_seconds * 1e3, 3),
         "sta_full_ms": round(full_seconds * 1e3, 3),
-        "sta_incremental_1pct_ms": round(incremental_seconds * 1e3, 3),
         "sta_single_wall_ms": round(single_wall_seconds * 1e3, 3),
         "mcmm_wall_ms": {str(count): value for count, value in mcmm_ms.items()},
         "mcmm_4c_over_1c": round(
@@ -808,7 +791,7 @@ def main(argv=None) -> int:
 
     header = (
         f"{'design':<12} {'build':>8} {'compile':>8} {'pickle':>8} {'rebuild':>8} "
-        f"{'ratio':>6} {'sta full':>9} {'sta incr':>9} {'mcmm 1/2/4c':>20} {'4c/1c':>6} "
+        f"{'ratio':>6} {'sta full':>9} {'mcmm 1/2/4c':>20} {'4c/1c':>6} "
         f"{'rudy map':>9} {'gp+cong':>8} {'trace':>7} {'lg ms':>7} {'lg x':>6} "
         f"{'dp ms':>7} {'dp x':>6}"
     )
@@ -820,7 +803,7 @@ def main(argv=None) -> int:
             f"{row['design']:<12} {row['build_ms']:>7.1f}m {row['compile_ms']:>7.2f}m "
             f"{row['snapshot_pickle_ms']:>7.2f}m {row['snapshot_rebuild_ms']:>7.1f}m "
             f"{row['pickle_size_ratio']:>5.1f}x {row['sta_full_ms']:>8.2f}m "
-            f"{row['sta_incremental_1pct_ms']:>8.2f}m {mcmm_text:>19}m "
+            f"{mcmm_text:>19}m "
             f"{row['mcmm_4c_over_1c']:>5.2f}x {row['congestion_map_ms']:>8.2f}m "
             f"{row['gp_weighting_overhead']:>7.1%} {row['gp_tracing_overhead']:>6.1%} "
             f"{row['legalize_ms']:>6.2f}m {row['legalize_speedup']:>5.1f}x "

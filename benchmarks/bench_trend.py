@@ -8,7 +8,7 @@ tolerance (default 10%).
 
 Gated rows are the wall-clock numbers the perf gates care about:
 
-* ``sta_full_ms`` / ``sta_incremental_1pct_ms`` — STA inner-loop cost;
+* ``sta_full_ms`` — STA inner-loop cost;
 * ``congestion_map_ms`` — RUDY map build (routability inner loop);
 * ``gp_plain_ms`` / ``gp_congestion_weighted_ms`` — fixed-length global
   placement without / with in-loop congestion weighting;
@@ -50,7 +50,6 @@ from pathlib import Path
 
 GATED_FIELDS = (
     "sta_full_ms",
-    "sta_incremental_1pct_ms",
     "congestion_map_ms",
     "gp_plain_ms",
     "gp_congestion_weighted_ms",

@@ -31,7 +31,7 @@ setup(
     description=(
         "Reproduction of 'Timing-Driven Global Placement by Efficient Critical "
         "Path Extraction' (DATE 2025): composable placement flows, vectorized "
-        "STA with incremental updates, and a concurrent multi-design runner"
+        "corner-stacked STA, and a concurrent multi-design runner"
     ),
     long_description=_long_description(),
     long_description_content_type="text/markdown",

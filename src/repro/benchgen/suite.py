@@ -101,6 +101,12 @@ def available_design_names() -> List[str]:
     return benchmark_names() + congestion_benchmark_names() + xl_benchmark_names()
 
 
+def check_scale(scale: float) -> None:
+    """Reject a benchmark size multiplier that is not finite and positive."""
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+
+
 def load_benchmark(
     name: str,
     *,
@@ -115,8 +121,7 @@ def load_benchmark(
     """
     from repro.benchgen.xl import XL_SUITE, generate_xl_circuit
 
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    check_scale(scale)
     spec = SB_MINI_SUITE.get(name) or CONGESTION_SUITE.get(name) or XL_SUITE.get(name)
     if spec is None:
         raise KeyError(

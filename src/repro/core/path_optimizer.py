@@ -46,39 +46,18 @@ class PathOptimizationResult:
 class SinglePathOptimizer:
     """Optimize the cells of one timing path under a pin-pair distance loss.
 
-    The study's STA queries move only the handful of instances on one path,
-    which is exactly the incremental engine's best case: with
-    ``incremental=True`` (the default) every ``update_timing`` after the
-    first seeds from the cached annotations and re-propagates only the dirty
-    frontier.  ``move_tolerance`` stays 0, so the results are bitwise
-    identical to the full recompute (see the parity test).
+    Every slack query is one full STA pass of ``engine`` (a plain
+    :class:`STAEngine` of the design unless one is given).
     """
 
-    def __init__(
-        self,
-        design: Design,
-        engine: Optional[STAEngine] = None,
-        *,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, design: Design, engine: Optional[STAEngine] = None) -> None:
         self.design = design
         self.engine = engine if engine is not None else STAEngine(design)
-        self.incremental = bool(incremental)
-
-    def _update_timing(self, x=None, y=None):
-        """STA update routed through the incremental path when enabled.
-
-        The per-call override works on any engine: a full pass (which seeds
-        the incremental caches) runs automatically the first time.
-        """
-        if self.incremental:
-            return self.engine.update_timing(x, y, incremental=True)
-        return self.engine.update_timing(x, y)
 
     # ------------------------------------------------------------------
     def worst_path(self) -> TimingPath:
         """The single most critical path of the current placement."""
-        self._update_timing()
+        self.engine.update_timing()
         paths, _ = report_timing(self.engine, 1)
         if not paths:
             raise RuntimeError("Design has no constrained timing paths")
@@ -124,9 +103,7 @@ class SinglePathOptimizer:
         with a die-relative step size and simple halving on non-decrease.
 
         ``track_slack_every=N`` additionally samples the path's slack every
-        ``N`` gradient iterations (an STA update per sample — affordable
-        because only the path's instances are dirty, so the incremental
-        engine re-propagates a tiny frontier).
+        ``N`` gradient iterations (one STA update per sample).
         """
         loss_obj = loss if isinstance(loss, PairLoss) else make_loss(loss)
         design = self.design
@@ -136,7 +113,7 @@ class SinglePathOptimizer:
         x, y = design.positions()
         x = x.copy()
         y = y.copy()
-        before = self._update_timing(x, y)
+        before = self.engine.update_timing(x, y)
         slack_before = self._path_slack(path, before)
         length_before = self.path_wirelength(path, x, y)
 
@@ -201,7 +178,7 @@ class SinglePathOptimizer:
             y[movable] = np.clip(y[movable], die.yl, die.yh - arrays.inst_height[movable])
 
             if track_slack_every > 0 and iteration % track_slack_every == 0:
-                sampled = self._update_timing(x, y)
+                sampled = self.engine.update_timing(x, y)
                 slack_history.append((iteration, self._path_slack(path, sampled)))
 
             if value > previous_value - tolerance:
@@ -210,11 +187,11 @@ class SinglePathOptimizer:
                     break
             previous_value = value
 
-        after = self._update_timing(x, y)
+        after = self.engine.update_timing(x, y)
         slack_after = self._path_slack(path, after)
         length_after = self.path_wirelength(path, x, y)
         # Restore the engine's cached timing to the design's stored placement.
-        self._update_timing()
+        self.engine.update_timing()
         return PathOptimizationResult(
             loss_name=loss_obj.name,
             slack_before=slack_before,

@@ -178,9 +178,7 @@ class _TimingFeedback(PlacementFeedback):
     because the objective just changed under the accumulated momentum.
     """
 
-    def __init__(self, *, sta_incremental: bool = False, sta_move_tolerance: float = 0.0) -> None:
-        self.sta_incremental = bool(sta_incremental)
-        self.sta_move_tolerance = float(sta_move_tolerance)
+    def __init__(self) -> None:
         self.design: Optional[Design] = None
         self.sta = None
 
@@ -190,10 +188,7 @@ class _TimingFeedback(PlacementFeedback):
         # would keep every finished run alive until a cyclic collection.
         self.design = ctx.design
         with span("profile.io"):
-            self.sta = ctx.require_sta(
-                incremental=self.sta_incremental,
-                move_tolerance=self.sta_move_tolerance,
-            )
+            self.sta = ctx.require_sta()
 
     def analyze(self, x: np.ndarray, y: np.ndarray) -> "STAResult | MultiCornerResult":
         return self.sta.update_timing(x, y)
@@ -257,12 +252,10 @@ class PinPairAttraction(_TimingFeedback):
         beta_mode: str = "auto",
         beta_auto_ratio: float = 4.0,
         verbose: bool = False,
-        sta_incremental: bool = False,
-        sta_move_tolerance: float = 0.0,
     ) -> None:
         if beta_mode not in ("auto", "literal"):
             raise ValueError(f"beta_mode must be 'auto' or 'literal', got {beta_mode!r}")
-        super().__init__(sta_incremental=sta_incremental, sta_move_tolerance=sta_move_tolerance)
+        super().__init__()
         self.extraction = extraction if extraction is not None else ExtractionConfig()
         self.w0 = w0
         self.w1 = w1
@@ -352,12 +345,10 @@ class MomentumNetWeighting(_TimingFeedback):
         momentum_decay: float = 0.75,
         max_boost: float = 0.75,
         max_weight: float = 6.0,
-        sta_incremental: bool = False,
-        sta_move_tolerance: float = 0.0,
     ) -> None:
         if not 0.0 <= momentum_decay <= 1.0:
             raise ValueError(f"momentum_decay must be within [0, 1], got {momentum_decay}")
-        super().__init__(sta_incremental=sta_incremental, sta_move_tolerance=sta_move_tolerance)
+        super().__init__()
         self.momentum_decay = momentum_decay
         self.max_boost = max_boost
         self.max_weight = max_weight
@@ -391,12 +382,10 @@ class SmoothPinPairAttraction(_TimingFeedback):
         temperature: float = 0.25,
         criticality_threshold: float = 0.05,
         attraction_ratio: float = 0.15,
-        sta_incremental: bool = False,
-        sta_move_tolerance: float = 0.0,
     ) -> None:
         if temperature <= 0.0:
             raise ValueError(f"temperature must be positive, got {temperature}")
-        super().__init__(sta_incremental=sta_incremental, sta_move_tolerance=sta_move_tolerance)
+        super().__init__()
         self.temperature = temperature
         self.criticality_threshold = criticality_threshold
         self.attraction_ratio = attraction_ratio
@@ -451,14 +440,12 @@ class TimingCriticalityWeighting(_TimingFeedback):
         *,
         max_boost: float = 0.75,
         criticality_threshold: float = 0.0,
-        sta_incremental: bool = False,
-        sta_move_tolerance: float = 0.0,
     ) -> None:
         if max_boost < 0.0:
             raise ValueError("max_boost must be non-negative")
         if not 0.0 <= criticality_threshold < 1.0:
             raise ValueError("criticality_threshold must be within [0, 1)")
-        super().__init__(sta_incremental=sta_incremental, sta_move_tolerance=sta_move_tolerance)
+        super().__init__()
         self.max_boost = float(max_boost)
         # Nets below the threshold propose exactly 1: composing timing with
         # congestion is a fight over the same HPWL budget, and boosting the

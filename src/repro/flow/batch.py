@@ -28,7 +28,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.benchgen.suite import load_benchmark
+from repro.benchgen.suite import check_scale, load_benchmark
 from repro.netlist.compiled import CompiledDesign, compile_design
 from repro.obs import (
     active_tracer,
@@ -351,6 +351,10 @@ def run_batch(
         # Validate up front: a malformed job should fail the batch before
         # any compute is spent, not after every other job has finished.
         _check_job_seed(job)
+        try:
+            check_scale(job.scale)
+        except ValueError as exc:
+            raise ValueError(f"BatchJob {job.resolved_label()}: {exc}") from None
     if max_workers is None:
         # Affinity-aware: honors cgroup/sched_setaffinity CPU limits
         # (os.process_cpu_count where available) instead of raw cpu_count.

@@ -44,7 +44,7 @@ import json
 import sys
 from typing import Any, Dict, Optional, Sequence
 
-from repro.benchgen.suite import available_design_names, benchmark_names
+from repro.benchgen.suite import available_design_names, benchmark_names, check_scale
 from repro.flow.batch import SHIP_MODES, BatchJob, run_batch
 from repro.flow.presets import preset_names
 from repro.obs import start_tracing, stop_tracing, write_chrome_trace
@@ -99,6 +99,13 @@ def _check_designs(names: Sequence[str]) -> None:
             f"unknown benchmark(s) {', '.join(unknown)}; "
             f"available: {', '.join(available_design_names())}"
         )
+
+
+def _check_scale(command: str, scale: float) -> None:
+    try:
+        check_scale(scale)
+    except ValueError as exc:
+        raise SystemExit(f"repro {command}: {exc}") from exc
 
 
 def _emit_json(payload: Any, path: Optional[str]) -> None:
@@ -454,6 +461,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not designs:
         raise SystemExit("repro batch: name at least one design or pass --all")
     _check_designs(designs)
+    _check_scale("batch", args.scale)
     overrides = _apply_corners(args, _parse_overrides(args.overrides))
     jobs = [
         BatchJob(
@@ -487,6 +495,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.flow.presets import get_preset
 
     _check_designs([args.design])
+    _check_scale("compare", args.scale)
     overrides = _apply_corners(args, _parse_overrides(args.overrides))
     jobs = []
     applied_keys = set()
@@ -525,6 +534,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.flow.presets import get_preset
 
     _check_designs([args.design])
+    _check_scale("sweep", args.scale)
     overrides = _apply_corners(args, _parse_overrides(args.overrides))
     default_config = get_preset(args.preset).default_config()
     if args.param != "seed" and not hasattr(default_config, args.param):

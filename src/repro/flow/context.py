@@ -71,46 +71,21 @@ class FlowContext:
     # Free-form stage outputs (legalization diagnostics, CLI echoes, ...).
     metadata: Dict[str, Any] = field(default_factory=dict)
 
-    def require_sta(self, **engine_kwargs: Any) -> "STAEngine | MultiCornerSTA":
+    def require_sta(self) -> "STAEngine | MultiCornerSTA":
         """Return the flow-wide STA engine, creating it on first use.
 
         All timing stages share one engine so the timing graph is built once
         per run.  With :attr:`corners` set the shared engine is a
         :class:`MultiCornerSTA` (the flow then optimizes against merged
         slack); otherwise it is the plain single-corner :class:`STAEngine`.
-        ``engine_kwargs`` (e.g. ``incremental=True``) apply to the creating
-        call; a later caller requesting *different* settings than the engine
-        was created with raises instead of being silently handed a
-        mismatched engine.
         """
         if self.sta is None:
             if self.corners is not None:
                 self.sta = MultiCornerSTA(
-                    self.design,
-                    self.corners,
-                    default_constraints=self.constraints,
-                    **engine_kwargs,
+                    self.design, self.corners, default_constraints=self.constraints
                 )
             else:
-                self.sta = STAEngine(self.design, self.constraints, **engine_kwargs)
-            return self.sta
-        engine = self.sta
-        effective = {
-            "incremental": engine.incremental,
-            "move_tolerance": engine.move_tolerance,
-            "incremental_rebuild_fraction": engine.incremental_rebuild_fraction,
-        }
-        conflicts = {
-            key: value
-            for key, value in engine_kwargs.items()
-            if key in effective and effective[key] != value
-        }
-        if conflicts:
-            raise ValueError(
-                "The flow's shared STA engine is configured with "
-                f"{effective}; a later stage requested incompatible "
-                f"settings {conflicts}"
-            )
+                self.sta = STAEngine(self.design, self.constraints)
         return self.sta
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:

@@ -152,9 +152,6 @@ class EfficientTDPConfig(TimingScheduleConfig):
     w1: float = 0.2
     loss: str = "quadratic"
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
-    # STA engine mode between timing iterations (exact with tolerance 0).
-    incremental_sta: bool = False
-    sta_move_tolerance: float = 0.0
     legalize: bool = True
 
 
@@ -231,8 +228,6 @@ def _efficient_tdp_stages(config: EfficientTDPConfig) -> List[FlowStage]:
         beta_mode=config.beta_mode,
         beta_auto_ratio=config.beta_auto_ratio,
         verbose=config.verbose,
-        sta_incremental=config.incremental_sta,
-        sta_move_tolerance=config.sta_move_tolerance,
     )
     return _timing_stages(config, feedback, legalize=config.legalize)
 

@@ -74,19 +74,18 @@ class _WireGeometry:
     once and reuses it for every corner's :meth:`WireRCModel._combine`.
     """
 
-    csr_pins: np.ndarray        # selected CSR pin indices (net_mask applied)
-    csr_net: np.ndarray         # net id per selected CSR entry
+    csr_net: np.ndarray         # net id per CSR entry
     cx: np.ndarray              # [num_nets] star-center x
     cy: np.ndarray              # [num_nets] star-center y
-    seg_len: np.ndarray         # per selected CSR entry: Manhattan segment length
+    seg_len: np.ndarray         # per CSR entry: Manhattan segment length
     pin_cap_sum: np.ndarray     # [num_nets] total pin capacitance
     net_wirelength: np.ndarray  # [num_nets] total star wirelength
     has_driver: np.ndarray      # [num_nets] bool
     driver_cap: np.ndarray      # [num_nets] driver pin capacitance (0 if none)
     driver_seg_len: np.ndarray  # [num_nets] driver-to-center segment length
-    sink_pins: np.ndarray       # selected sink pin indices
-    sink_nets: np.ndarray       # net id per selected sink
-    sink_seg_len: np.ndarray    # sink-to-center segment length per selected sink
+    sink_pins: np.ndarray       # sink pin indices
+    sink_nets: np.ndarray       # net id per sink
+    sink_seg_len: np.ndarray    # sink-to-center segment length per sink
 
 
 class WireRCModel:
@@ -118,40 +117,26 @@ class WireRCModel:
         self._driver_pin = core.net_driver_pin
         self._pin_count = np.bincount(self._csr_net, minlength=self._num_nets)
 
-    @property
-    def num_nets(self) -> int:
-        return self._num_nets
-
-    def pins_of_nets(self, net_mask: np.ndarray) -> np.ndarray:
-        """Pin indices belonging to any net selected by ``net_mask``."""
-        return self._csr_pins[net_mask[self._csr_net]]
-
     def evaluate(
         self,
         pin_x: np.ndarray,
         pin_y: np.ndarray,
         *,
-        net_mask: Optional[np.ndarray] = None,
         rc_scale: float = 1.0,
     ) -> WireDelayResult:
         """Compute loads and Elmore sink delays for pin positions ``(pin_x, pin_y)``.
 
-        With ``net_mask`` only the selected nets are evaluated (the returned
-        arrays are full-size but meaningful only for masked nets and their
-        pins); per-net values are bitwise identical to an unmasked pass, which
-        is what makes the incremental STA mode exact.  ``rc_scale`` scales
-        both per-unit resistance and capacitance (PVT corner derating); the
-        identity scale multiplies by exactly 1.0 and therefore changes no bit.
+        ``rc_scale`` scales both per-unit resistance and capacitance (PVT
+        corner derating); the identity scale multiplies by exactly 1.0 and
+        therefore changes no bit.
         """
-        return self._combine(self._geometry(pin_x, pin_y, net_mask), rc_scale)
+        return self._combine(self._geometry(pin_x, pin_y), rc_scale)
 
     def evaluate_stacked(
         self,
         pin_x: np.ndarray,
         pin_y: np.ndarray,
         rc_scales,
-        *,
-        net_mask: Optional[np.ndarray] = None,
     ) -> StackedWireDelayResult:
         """Evaluate several RC corners at once, sharing the geometry pass.
 
@@ -159,7 +144,7 @@ class WireRCModel:
         :meth:`evaluate` call with the same ``rc_scale`` — the per-corner
         combine executes the same arithmetic on the shared geometry.
         """
-        geometry = self._geometry(pin_x, pin_y, net_mask)
+        geometry = self._geometry(pin_x, pin_y)
         per_corner = [self._combine(geometry, float(scale)) for scale in rc_scales]
         return StackedWireDelayResult(
             net_load=stack_corner_rows([res.net_load for res in per_corner]),
@@ -167,20 +152,11 @@ class WireRCModel:
             net_wirelength=geometry.net_wirelength,
         )
 
-    def _geometry(
-        self,
-        pin_x: np.ndarray,
-        pin_y: np.ndarray,
-        net_mask: Optional[np.ndarray],
-    ) -> _WireGeometry:
+    def _geometry(self, pin_x: np.ndarray, pin_y: np.ndarray) -> _WireGeometry:
         """Position-dependent, RC-independent quantities (the bincount pass)."""
         csr_pins = self._csr_pins
         csr_net = self._csr_net
         num_nets = self._num_nets
-        if net_mask is not None:
-            selected = net_mask[csr_net]
-            csr_pins = csr_pins[selected]
-            csr_net = csr_net[selected]
 
         # Star center: centroid of the net's pins.
         count = np.maximum(self._pin_count, 1)
@@ -206,7 +182,6 @@ class WireRCModel:
 
         sink_mask = ~self._pin_is_driver[csr_pins]
         return _WireGeometry(
-            csr_pins=csr_pins,
             csr_net=csr_net,
             cx=cx,
             cy=cy,
@@ -298,34 +273,3 @@ class CellDelayModel:
             arc_delay[local_idx] = spec.delay(float(load[local_idx]))
         delays[self._cell_arc_indices] = arc_delay * derate
         return delays
-
-    def update_subset(
-        self,
-        delays: np.ndarray,
-        net_load: np.ndarray,
-        net_mask: np.ndarray,
-        *,
-        derate: float = 1.0,
-    ) -> np.ndarray:
-        """Refresh in ``delays`` the cell arcs driving a masked net.
-
-        Returns the (graph-level) indices of the arcs that were recomputed.
-        Values match :meth:`evaluate` exactly for the touched arcs.
-        """
-        if self._cell_arc_indices.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        dirty_local = (self._driven_net >= 0) & net_mask[np.maximum(self._driven_net, 0)]
-        local_idx = np.nonzero(dirty_local)[0]
-        if local_idx.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        load = net_load[self._driven_net[local_idx]]
-        arc_delay = self._intrinsic[local_idx] + self._slope[local_idx] * load
-        for table_local, spec in self._table_arcs:
-            if dirty_local[table_local]:
-                position = int(np.searchsorted(local_idx, table_local))
-                arc_delay[position] = spec.delay(
-                    float(net_load[self._driven_net[table_local]])
-                )
-        arc_indices = self._cell_arc_indices[local_idx]
-        delays[arc_indices] = arc_delay * derate
-        return arc_indices

@@ -19,9 +19,9 @@ type and the per-corner engine view used for path extraction.
 
 Exactness contract: every corner row runs the same arithmetic as a
 one-corner engine, so corner ``i`` of a multi-corner run is **bitwise
-identical** to ``MultiCornerSTA(design, corners[i])`` in both full and
-incremental mode, and the single identity corner is bitwise the plain
-``STAEngine``, which keeps every existing single-corner flow unchanged.
+identical** to ``MultiCornerSTA(design, corners[i])``, and the single
+identity corner is bitwise the plain ``STAEngine``, which keeps every
+existing single-corner flow unchanged.
 """
 
 from __future__ import annotations

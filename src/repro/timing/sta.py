@@ -23,33 +23,15 @@ bases, arc delays and the arrival/required annotations are
 :mod:`repro.timing.mcmm`, which holds the corner presets and the
 :class:`~repro.timing.mcmm.MultiCornerResult`) runs several PVT corners and
 modes at once.  The corner-independent work (graph build, levelization, the
-wire model's geometry pass, dirty-net detection) is done once per update;
-the full sweep runs the 1-D ``np.maximum.at``/``np.minimum.at`` level sweep
-on each corner row, and the incremental re-propagation batches the rows.
+wire model's geometry pass) is done once per update, and the 1-D
+``np.maximum.at``/``np.minimum.at`` level sweep runs on each corner row.
 Every corner row executes the same arithmetic as a one-corner engine, so
 corner ``i`` of a multi-corner run is bitwise identical to
 ``MultiCornerSTA(design, corners[i])``.
 
-Incremental mode
-----------------
-
-When constructed with ``incremental=True`` the engine keeps the previous
-update's positions, delays, and arrival/required annotations.  On the next
-``update_timing`` it detects which instances moved beyond ``move_tolerance``,
-re-evaluates wire and cell delays only for the nets those instances touch,
-and re-propagates arrival/required times only from the dirty frontier,
-level by level.  With ``move_tolerance=0`` the incremental result is exactly
-(bitwise) the full recompute; a positive tolerance trades bounded staleness
-for fewer net re-evaluations.  ``update_timing(..., incremental=False)`` is
-the exact fallback: it forces a full recompute and reseeds every cache, and
-the engine falls back on its own whenever the dirty-net fraction exceeds
-``incremental_rebuild_fraction``.
-
-Cost model: the sparse re-propagation pays a fixed per-logic-level overhead
-(a handful of small numpy calls per touched level), so it wins once designs
-reach roughly 10k cells or when repeated queries move little or nothing;
-below that the fully vectorized full pass is already faster.  Flows that
-move every cell every iteration should keep the default full mode.
+Every update is one full corner-stacked pass: the placement loop re-times
+after iterations that move every movable cell, so there is no unchanged
+region an incremental timer could reuse.
 """
 
 from __future__ import annotations
@@ -63,7 +45,7 @@ from repro.netlist.design import Design
 from repro.obs import span
 from repro.timing.constraints import Corner, TimingConstraints
 from repro.timing.delay_model import CellDelayModel, WireRCModel, stack_corner_rows
-from repro.timing.graph import ArcKind, TimingGraph, csr_gather as _csr_gather
+from repro.timing.graph import ArcKind, TimingGraph
 
 if TYPE_CHECKING:
     from repro.timing.mcmm import CornersSpec, MultiCornerResult, _CornerEngineView
@@ -134,54 +116,6 @@ def _level_buckets(graph: TimingGraph) -> tuple:
     )
 
 
-class _LevelWorklist:
-    """Dirty pins bucketed by level, deduplicated with a seen mask.
-
-    Keeps the frontier sparse: clean levels cost one dict probe, and no
-    per-level scan over the whole pin array is ever needed.
-    """
-
-    __slots__ = ("level", "seen", "pending")
-
-    def __init__(self, level: np.ndarray, num_pins: int) -> None:
-        self.level = level
-        self.seen = np.zeros(num_pins, dtype=bool)
-        self.pending: Dict[int, List[np.ndarray]] = {}
-
-    def mark(self, pins: np.ndarray) -> None:
-        fresh = pins[~self.seen[pins]]
-        if fresh.size == 0:
-            return
-        # Single grouping pass: one stable sort on the composite
-        # (level, pin) key dedupes and orders simultaneously, replacing the
-        # ``np.unique`` + per-level boolean-mask loop (which rescanned the
-        # whole fresh set once per distinct level).  Buckets come out
-        # identical: levels ascending, pins sorted and unique within each.
-        levels = self.level[fresh]
-        key = levels * np.int64(self.seen.size) + fresh
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        keep = np.empty(key.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(key[1:], key[:-1], out=keep[1:])
-        fresh = fresh[order[keep]]
-        levels = levels[order[keep]]
-        self.seen[fresh] = True
-        boundary = np.empty(levels.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(levels[1:], levels[:-1], out=boundary[1:])
-        starts = np.nonzero(boundary)[0]
-        ends = np.append(starts[1:], levels.size)
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            self.pending.setdefault(int(levels[s]), []).append(fresh[s:e])
-
-    def pop(self, lvl: int) -> Optional[np.ndarray]:
-        chunks = self.pending.pop(lvl, None)
-        if not chunks:
-            return None
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-
 @dataclass
 class STAResult:
     """Snapshot of one timing update."""
@@ -232,28 +166,6 @@ class STAResult:
         return float(self.endpoint_slack[position])
 
 
-@dataclass
-class TimingUpdateStats:
-    """Bookkeeping of one ``update_timing`` call (incremental diagnostics)."""
-
-    mode: str                     # "full" or "incremental"
-    num_moved_instances: int = 0
-    num_dirty_nets: int = 0
-    num_dirty_arcs: int = 0
-    num_forward_pins: int = 0     # pins whose arrival was recomputed
-    num_backward_pins: int = 0    # pins whose required was recomputed
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "mode": self.mode,
-            "moved_instances": self.num_moved_instances,
-            "dirty_nets": self.num_dirty_nets,
-            "dirty_arcs": self.num_dirty_arcs,
-            "forward_pins": self.num_forward_pins,
-            "backward_pins": self.num_backward_pins,
-        }
-
-
 class _CornerStackedSTA:
     """Corner-stacked propagation shared by :class:`STAEngine` and
     :class:`MultiCornerSTA`.
@@ -267,17 +179,11 @@ class _CornerStackedSTA:
         design: Design,
         graph: Optional[TimingGraph],
         wire_model: Optional[WireRCModel],
-        incremental: bool,
-        move_tolerance: float,
-        incremental_rebuild_fraction: float,
     ) -> None:
         self.design = design
         self.graph = graph if graph is not None else TimingGraph(design)
         self.wire_model = wire_model if wire_model is not None else WireRCModel(design)
         self.cell_model = CellDelayModel(self.graph)
-        self.incremental = incremental
-        self.move_tolerance = float(move_tolerance)
-        self.incremental_rebuild_fraction = float(incremental_rebuild_fraction)
         self._forward_buckets, self._backward_buckets = _level_buckets(self.graph)
 
     def _configure(
@@ -288,12 +194,9 @@ class _CornerStackedSTA:
     ) -> None:
         """Install one mode and physical derate per corner row.
 
-        Boundary conditions and propagation bases are rebuilt immediately;
-        every cached annotation was computed under the old analysis setup
-        and is dropped, which forces the next ``update_timing`` into a full
-        pass.  Without this, an incremental update after a swap would
-        re-propagate only from moved cells and silently keep stale
-        arrival/required times everywhere else.
+        Boundary conditions and propagation bases are rebuilt immediately,
+        and the last result, computed under the old analysis setup, is
+        dropped.
         """
         for mode in constraints:
             mode.validate()
@@ -303,15 +206,6 @@ class _CornerStackedSTA:
         self._prepare_boundary_conditions()
         self._prepare_propagation_bases()
         self.last_result = None
-        self.last_update_stats: Optional[TimingUpdateStats] = None
-        # Incremental caches (populated by the first full update).
-        self._ref_x: Optional[np.ndarray] = None
-        self._ref_y: Optional[np.ndarray] = None
-        self._arc_delay: Optional[np.ndarray] = None
-        self._net_load: Optional[np.ndarray] = None
-        self._sink_delay: Optional[np.ndarray] = None
-        self._arrival: Optional[np.ndarray] = None
-        self._required: Optional[np.ndarray] = None
 
     @property
     def num_corners(self) -> int:
@@ -337,10 +231,9 @@ class _CornerStackedSTA:
     def _prepare_propagation_bases(self) -> None:
         """Initial arrival/required values before any arc is applied.
 
-        Full propagation computes ``arrival[p] = max(base[p], max over fanin
+        Propagation computes ``arrival[p] = max(base[p], max over fanin
         candidates)`` and ``required[p] = min(base[p], min over fanout
-        candidates)``; the incremental recompute of a single pin uses exactly
-        the same formula, so both modes agree bit for bit.
+        candidates)``.
         """
         graph = self.graph
         shape = (self.num_corners, graph.num_pins)
@@ -359,33 +252,21 @@ class _CornerStackedSTA:
     # ------------------------------------------------------------------
     # Timing update
     # ------------------------------------------------------------------
-    def _update(
-        self, x: Optional[np.ndarray], y: Optional[np.ndarray], incremental: Optional[bool]
-    ):
+    def _update(self, x: Optional[np.ndarray], y: Optional[np.ndarray]):
         """One traced STA pass at ``(x, y)``; returns the front end's result."""
         if x is None or y is None:
             x, y = self.design.positions()
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-
-        use_incremental = self.incremental if incremental is None else incremental
-        with span("sta.update_timing", incremental=bool(use_incremental)):
-            if not (
-                use_incremental
-                and self._can_update_incrementally()
-                and self._update_incremental(x, y)
-            ):
-                self._update_full(x, y)
+        with span("sta.update_timing", corners=self.num_corners):
+            pin_x, pin_y = self.design.pin_positions(x, y)
+            wire = self.wire_model.evaluate_stacked(pin_x, pin_y, self._rc_scales)
+            self._net_load = wire.net_load
+            self._arc_delay = self._stacked_arc_delays(wire.net_load, wire.sink_delay)
+            self._arrival = self._propagate_arrival(self._arc_delay)
+            self._required = self._propagate_required(self._arc_delay)
             self.last_result = self._result()
         return self.last_result
-
-    def _can_update_incrementally(self) -> bool:
-        return (
-            self._arc_delay is not None
-            and self._ref_x is not None
-            and self._arrival is not None
-            and self.graph.num_arcs > 0
-        )
 
     def _stacked_arc_delays(self, net_load: np.ndarray, sink_delay: np.ndarray) -> np.ndarray:
         """Cell-arc + net-arc delays for every corner, ``[C, num_arcs]``."""
@@ -399,181 +280,6 @@ class _CornerStackedSTA:
             row[net_arc_mask] = sink_delay[index][net_arc_sinks]
             rows.append(row)
         return stack_corner_rows(rows)
-
-    def _update_full(self, x: np.ndarray, y: np.ndarray) -> None:
-        graph = self.graph
-        pin_x, pin_y = self.design.pin_positions(x, y)
-
-        wire = self.wire_model.evaluate_stacked(pin_x, pin_y, self._rc_scales)
-        arc_delay = self._stacked_arc_delays(wire.net_load, wire.sink_delay)
-
-        # Seed the incremental caches.
-        self._ref_x = x.copy()
-        self._ref_y = y.copy()
-        self._arc_delay = arc_delay
-        self._net_load = wire.net_load
-        self._sink_delay = wire.sink_delay
-        self._arrival = self._propagate_arrival(arc_delay)
-        self._required = self._propagate_required(arc_delay)
-
-        self.last_update_stats = TimingUpdateStats(
-            mode="full",
-            num_dirty_nets=int(self.wire_model.num_nets),
-            num_dirty_arcs=int(graph.num_arcs),
-            num_forward_pins=int(graph.num_pins),
-            num_backward_pins=int(graph.num_pins),
-        )
-
-    def _update_incremental(self, x: np.ndarray, y: np.ndarray) -> bool:
-        """Dirty-frontier update; returns ``False`` to request a full rebuild.
-
-        Movement detection, the dirty-net set, the wire geometry pass and
-        the level worklist are shared by all corners (they depend only on
-        positions); only the RC combine, the delay refresh and the
-        re-propagation arithmetic run once per corner row.
-        """
-        design = self.design
-        graph = self.graph
-        arrays = design.arrays
-        tol = self.move_tolerance
-
-        moved = (np.abs(x - self._ref_x) > tol) | (np.abs(y - self._ref_y) > tol)
-        num_moved = int(moved.sum())
-        if num_moved == 0:
-            self.last_update_stats = TimingUpdateStats(
-                mode="incremental", num_moved_instances=0
-            )
-            return True
-
-        # Nets touching any moved instance must have their RC re-evaluated.
-        moved_pin_mask = moved[arrays.pin_instance]
-        dirty_net_ids = arrays.pin_net[moved_pin_mask]
-        dirty_net_ids = dirty_net_ids[dirty_net_ids >= 0]
-        net_mask = np.zeros(self.wire_model.num_nets, dtype=bool)
-        net_mask[dirty_net_ids] = True
-        num_dirty_nets = int(net_mask.sum())
-        if num_dirty_nets > self.incremental_rebuild_fraction * max(net_mask.size, 1):
-            return False  # most of the design moved; a full pass is cheaper
-
-        # Copy-on-write: results handed out by previous updates must never
-        # change after the fact, so each mutating update works on fresh
-        # copies of the caches (the no-motion path above stays copy-free).
-        self._arrival = self._arrival.copy()
-        self._required = self._required.copy()
-        self._arc_delay = self._arc_delay.copy()
-        self._net_load = self._net_load.copy()
-        self._sink_delay = self._sink_delay.copy()
-
-        pin_x, pin_y = design.pin_positions(x, y)
-        wire = self.wire_model.evaluate_stacked(
-            pin_x, pin_y, self._rc_scales, net_mask=net_mask
-        )
-        dirty_pins = self.wire_model.pins_of_nets(net_mask)
-        # Refresh delays of every arc tied to a dirty net: net arcs inside
-        # the net, and cell arcs whose output drives the net.
-        net_arc_dirty = (graph.arc_kind == int(ArcKind.NET)) & net_mask[
-            np.maximum(graph.arc_net, 0)
-        ] & (graph.arc_net >= 0)
-        net_arc_sinks = graph.arc_to[net_arc_dirty]
-        for index in range(self.num_corners):
-            net_load = self._net_load[index]
-            sink_delay = self._sink_delay[index]
-            arc_delay = self._arc_delay[index]
-            net_load[net_mask] = wire.net_load[index][net_mask]
-            sink_delay[dirty_pins] = wire.sink_delay[index][dirty_pins]
-            arc_delay[net_arc_dirty] = sink_delay[net_arc_sinks]
-            # The dirty cell-arc set depends only on the net mask, so every
-            # corner returns the same indices; values differ per corner.
-            cell_arcs = self.cell_model.update_subset(
-                arc_delay, net_load, net_mask, derate=self._derates[index]
-            )
-        dirty_arcs = np.concatenate([np.nonzero(net_arc_dirty)[0], cell_arcs])
-
-        forward_pins = self._incremental_forward(dirty_arcs)
-        backward_pins = self._incremental_backward(dirty_arcs)
-
-        # Only the reference positions of moved instances advance; instances
-        # drifting below the tolerance keep accumulating against their last
-        # evaluated position, which bounds the approximation error.
-        self._ref_x[moved] = x[moved]
-        self._ref_y[moved] = y[moved]
-
-        self.last_update_stats = TimingUpdateStats(
-            mode="incremental",
-            num_moved_instances=num_moved,
-            num_dirty_nets=num_dirty_nets,
-            num_dirty_arcs=int(dirty_arcs.size),
-            num_forward_pins=forward_pins,
-            num_backward_pins=backward_pins,
-        )
-        return True
-
-    def _incremental_forward(self, dirty_arcs: np.ndarray) -> int:
-        """Recompute arrivals downstream of dirty arcs, for every corner row.
-
-        The frontier is the union over corners: a pin whose arrival changed
-        in *any* corner re-enters the worklist for all of them.  Recomputing
-        a corner whose value did not change replays the full-fanin formula
-        and reproduces the same bits, so the union costs nothing in
-        exactness (and keeps the worklist bookkeeping single-track).
-        """
-        graph = self.graph
-        worklist = _LevelWorklist(graph.level, graph.num_pins)
-        if dirty_arcs.size:
-            worklist.mark(graph.arc_to[dirty_arcs])
-        recomputed = 0
-        for lvl in range(1, graph.max_level + 1):
-            idx = worklist.pop(lvl)
-            if idx is None:
-                continue
-            recomputed += int(idx.size)
-            flat, lengths = _csr_gather(graph.fanin_offsets, graph.fanin_arcs, idx)
-            nonzero = lengths > 0
-            starts = np.cumsum(lengths[nonzero]) - lengths[nonzero]
-            sources = graph.arc_from[flat]
-            changed = np.zeros(idx.size, dtype=bool)
-            for row, base, delay in zip(self._arrival, self._base_arrival, self._arc_delay):
-                new = base[idx]
-                if flat.size:
-                    reduced = np.maximum.reduceat(row[sources] + delay[flat], starts)
-                    new[nonzero] = np.maximum(new[nonzero], reduced)
-                changed |= new != row[idx]
-                row[idx] = new
-            if changed.any():
-                out, _ = _csr_gather(graph.fanout_offsets, graph.fanout_arcs, idx[changed])
-                if out.size:
-                    worklist.mark(graph.arc_to[out])
-        return recomputed
-
-    def _incremental_backward(self, dirty_arcs: np.ndarray) -> int:
-        """Recompute required times upstream of dirty arcs, for every corner row."""
-        graph = self.graph
-        worklist = _LevelWorklist(graph.level, graph.num_pins)
-        if dirty_arcs.size:
-            worklist.mark(graph.arc_from[dirty_arcs])
-        recomputed = 0
-        for lvl in range(graph.max_level - 1, -1, -1):
-            idx = worklist.pop(lvl)
-            if idx is None:
-                continue
-            recomputed += int(idx.size)
-            flat, lengths = _csr_gather(graph.fanout_offsets, graph.fanout_arcs, idx)
-            nonzero = lengths > 0
-            starts = np.cumsum(lengths[nonzero]) - lengths[nonzero]
-            sinks = graph.arc_to[flat]
-            changed = np.zeros(idx.size, dtype=bool)
-            for row, base, delay in zip(self._required, self._base_required, self._arc_delay):
-                new = base[idx]
-                if flat.size:
-                    reduced = np.minimum.reduceat(row[sinks] - delay[flat], starts)
-                    new[nonzero] = np.minimum(new[nonzero], reduced)
-                changed |= new != row[idx]
-                row[idx] = new
-            if changed.any():
-                inc, _ = _csr_gather(graph.fanin_offsets, graph.fanin_arcs, idx[changed])
-                if inc.size:
-                    worklist.mark(graph.arc_from[inc])
-        return recomputed
 
     # ------------------------------------------------------------------
     # Full level-by-level sweeps, one contiguous corner row at a time
@@ -602,9 +308,8 @@ class _CornerStackedSTA:
     def _assemble(self) -> tuple:
         """``(slack, endpoint_slack, corner_wns, corner_tns)``, corner axis first.
 
-        Mutating updates always start from fresh cache copies (full updates
-        allocate, incremental ones copy-on-write), so results may hand the
-        cached arrays over directly: no later update rewrites them.
+        Every update allocates fresh arrays, so results may hand them over
+        directly: no later update rewrites them.
         """
         arrival = self._arrival
         slack = self._required - arrival
@@ -649,14 +354,8 @@ class STAEngine(_CornerStackedSTA):
         *,
         graph: Optional[TimingGraph] = None,
         wire_model: Optional[WireRCModel] = None,
-        incremental: bool = False,
-        move_tolerance: float = 0.0,
-        incremental_rebuild_fraction: float = 0.5,
     ) -> None:
-        self._init_engine(
-            design, graph, wire_model, incremental, move_tolerance,
-            incremental_rebuild_fraction,
-        )
+        self._init_engine(design, graph, wire_model)
         self.set_constraints(
             constraints if constraints is not None else TimingConstraints.from_design(design)
         )
@@ -672,9 +371,8 @@ class STAEngine(_CornerStackedSTA):
     def set_constraints(self, constraints: TimingConstraints) -> None:
         """Swap the analysis constraints and invalidate everything they touch.
 
-        Boundary conditions are rebuilt immediately and every cached
-        annotation is dropped, so the next ``update_timing`` runs a full
-        pass under the new constraints.
+        Boundary conditions are rebuilt immediately and the last result is
+        dropped; the next ``update_timing`` runs under the new constraints.
         """
         self._configure((constraints,), (1.0,), (1.0,))
 
@@ -682,17 +380,12 @@ class STAEngine(_CornerStackedSTA):
         self,
         x: Optional[np.ndarray] = None,
         y: Optional[np.ndarray] = None,
-        *,
-        incremental: Optional[bool] = None,
     ) -> STAResult:
         """Run an STA pass for instance positions ``(x, y)``.
 
         When positions are omitted the design's stored positions are used.
-        ``incremental`` overrides the engine-level setting for this call;
-        ``incremental=False`` is the exact fallback that forces a full
-        recompute and refreshes every incremental cache.
         """
-        return self._update(x, y, incremental)
+        return self._update(x, y)
 
     def _result(self) -> STAResult:
         slack, endpoint_slack, corner_wns, corner_tns = self._assemble()
@@ -725,8 +418,8 @@ class MultiCornerSTA(_CornerStackedSTA):
     """Corner-stacked arrival/required/slack propagation on a shared graph.
 
     Mirrors the :class:`STAEngine` interface (``update_timing``, ``wns``,
-    ``tns``, ``summary``, incremental mode with ``move_tolerance``) but every
-    annotation carries a leading corner axis and ``update_timing`` returns a
+    ``tns``, ``summary``) but every annotation carries a leading corner axis
+    and ``update_timing`` returns a
     :class:`~repro.timing.mcmm.MultiCornerResult`.
     """
 
@@ -738,14 +431,8 @@ class MultiCornerSTA(_CornerStackedSTA):
         default_constraints: Optional[TimingConstraints] = None,
         graph: Optional[TimingGraph] = None,
         wire_model: Optional[WireRCModel] = None,
-        incremental: bool = False,
-        move_tolerance: float = 0.0,
-        incremental_rebuild_fraction: float = 0.5,
     ) -> None:
-        self._init_engine(
-            design, graph, wire_model, incremental, move_tolerance,
-            incremental_rebuild_fraction,
-        )
+        self._init_engine(design, graph, wire_model)
         self.set_corners(corners, default_constraints=default_constraints)
 
     def set_corners(
@@ -758,10 +445,10 @@ class MultiCornerSTA(_CornerStackedSTA):
 
         The corner-swap analogue of :meth:`STAEngine.set_constraints`:
         boundary conditions and propagation bases are rebuilt for the new
-        corner set, and every cached annotation is dropped so the next
-        ``update_timing`` runs a full pass.  ``corners`` and ``constraints``
-        are read-only properties for the same reason — rebinding them
-        directly would leave the stacked caches silently stale.
+        corner set, and the last result is dropped.  ``corners`` and
+        ``constraints`` are read-only properties for the same reason —
+        rebinding them directly would leave the boundary conditions and
+        propagation bases silently stale.
         """
         from repro.timing.mcmm import resolve_corners
 
@@ -799,11 +486,9 @@ class MultiCornerSTA(_CornerStackedSTA):
         self,
         x: Optional[np.ndarray] = None,
         y: Optional[np.ndarray] = None,
-        *,
-        incremental: Optional[bool] = None,
     ) -> "MultiCornerResult":
         """Run one stacked STA pass over every corner at positions ``(x, y)``."""
-        return self._update(x, y, incremental)
+        return self._update(x, y)
 
     def _result(self) -> "MultiCornerResult":
         from repro.timing.mcmm import MultiCornerResult

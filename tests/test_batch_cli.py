@@ -121,6 +121,20 @@ class TestRunBatch:
         assert report.num_ok == 1
         assert report.items[0].summary["seed"] == 7
 
+    @pytest.mark.parametrize("scale", [0.0, float("nan")])
+    def test_bad_scale_rejected_before_dispatch(self, scale, monkeypatch):
+        import repro.flow.batch as batch
+
+        def no_dispatch(*args, **kwargs):
+            raise AssertionError("a job was dispatched")
+
+        monkeypatch.setattr(batch, "_build_payloads", no_dispatch)
+        monkeypatch.setattr(batch, "_make_executor", no_dispatch)
+        jobs = _fast_jobs(preset="dreamplace")[:1]
+        jobs.append(BatchJob("sb_mini_4", preset="dreamplace", scale=scale))
+        with pytest.raises(ValueError, match="sb_mini_4.*scale must be finite and positive"):
+            run_batch(jobs, max_workers=1)
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             run_batch([])
@@ -219,6 +233,28 @@ class TestCLICommands:
         # A string SystemExit code is printed and exits with status 1.
         with pytest.raises(SystemExit, match="scale must be finite and positive, got 0.0"):
             main(["run", "sb_mini_18", "--scale", "0"])
+
+    @pytest.mark.parametrize("ship", ["generate", "compiled"])
+    @pytest.mark.parametrize("scale", ["0", "nan"])
+    def test_batch_bad_scale_exits_with_one_line(self, scale, ship):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "sb_mini_18", "--scale", scale, "--preset", "dreamplace",
+                  "--ship", ship])
+        assert exc.value.code == (
+            f"repro batch: scale must be finite and positive, got {float(scale)!r}"
+        )
+
+    def test_removed_incremental_sta_knob_exits(self):
+        """STA has one update path; the old mode switch is an unknown field."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "sb_mini_18", "--preset", "efficient_tdp", "--scale", "0.15",
+                "--set", "incremental_sta=true",
+            ])
+        assert exc.value.code == (
+            "repro run: EfficientTDPConfig has no field 'incremental_sta' "
+            "(preset 'efficient_tdp')"
+        )
 
     def test_corners_via_set_rejected(self):
         with pytest.raises(SystemExit, match="--corners"):

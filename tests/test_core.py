@@ -260,34 +260,6 @@ class TestSinglePathOptimizer:
             outcome.slack_after - outcome.slack_before
         )
 
-    def test_full_vs_incremental_parity(self, small_spec):
-        """Acceptance: the incremental-STA path (the default) produces the
-        bitwise-identical optimizer result to the full-recompute path."""
-        from repro.benchgen import generate_circuit
-
-        results = {}
-        for incremental in (False, True):
-            design = self._scatter(generate_circuit(small_spec))
-            optimizer = SinglePathOptimizer(design, incremental=incremental)
-            results[incremental] = optimizer.compare_losses(max_iterations=80)
-        for full, inc in zip(results[False], results[True]):
-            assert full.loss_name == inc.loss_name
-            assert full.slack_before == inc.slack_before
-            assert full.slack_after == inc.slack_after
-            assert full.path_length_before == inc.path_length_before
-            assert full.path_length_after == inc.path_length_after
-            assert full.iterations == inc.iterations
-            np.testing.assert_array_equal(full.positions[0], inc.positions[0])
-            np.testing.assert_array_equal(full.positions[1], inc.positions[1])
-
-    def test_incremental_engine_used_between_queries(self, fresh_small_design):
-        """After the seeding pass, optimizer STA updates run incrementally."""
-        optimizer = SinglePathOptimizer(self._scatter(fresh_small_design))
-        path = optimizer.worst_path()
-        optimizer.optimize(path, "quadratic", max_iterations=30)
-        stats = optimizer.engine.last_update_stats
-        assert stats is not None and stats.mode == "incremental"
-
     def test_slack_history_tracking(self, fresh_small_design):
         optimizer = SinglePathOptimizer(self._scatter(fresh_small_design))
         path = optimizer.worst_path()

@@ -58,10 +58,9 @@ _PRESET_CONFIG_KEYS = {
     },
     "efficient_tdp": {
         "beta", "beta_auto_ratio", "beta_mode", "corners", "extraction",
-        "history_every", "incremental_sta", "kernel_workers", "legalize", "loss",
-        "max_iterations", "min_timing_iterations", "seed", "sta_move_tolerance",
-        "stop_overflow", "target_density", "timing_start_iteration",
-        "timing_update_interval", "verbose", "w0", "w1",
+        "history_every", "kernel_workers", "legalize", "loss", "max_iterations",
+        "min_timing_iterations", "seed", "stop_overflow", "target_density",
+        "timing_start_iteration", "timing_update_interval", "verbose", "w0", "w1",
     },
     "routability": {
         "congestion", "corners", "history_every", "inflate", "inflation",
@@ -240,18 +239,6 @@ class TestFlowRunner:
         assert pipeline.evaluation.wns == hand.evaluation.wns
         np.testing.assert_array_equal(pipeline.x, hand.x)
         np.testing.assert_array_equal(pipeline.y, hand.y)
-
-    def test_incremental_sta_flow_matches_full(self, small_spec):
-        """The pipelined flow with incremental STA reproduces the exact flow."""
-        from repro.benchgen import generate_circuit
-
-        base = build_flow("efficient_tdp", **FAST).run(generate_circuit(small_spec))
-        inc = build_flow("efficient_tdp", incremental_sta=True, **FAST).run(
-            generate_circuit(small_spec)
-        )
-        assert inc.evaluation.tns == pytest.approx(base.evaluation.tns, abs=1e-9)
-        assert inc.evaluation.wns == pytest.approx(base.evaluation.wns, abs=1e-9)
-        assert inc.evaluation.hpwl == pytest.approx(base.evaluation.hpwl, rel=1e-12)
 
     def test_second_feedback_stage_rejected(self, fresh_small_design):
         """The run has one feedback scheduler; a second feedback stage would

@@ -1,5 +1,5 @@
 """Multi-corner/multi-mode STA: corner resolution, single-corner bitwise
-parity, merged-metric semantics, incremental-mode exactness, flow threading,
+parity, merged-metric semantics, corner swaps, flow threading,
 and the hypothesis property that merged slack equals the element-wise min
 over independently-run single-corner engines."""
 
@@ -91,20 +91,6 @@ class TestSingleCornerBitwiseParity:
         assert result.tns == reference.tns
         # The merged view of one corner is that corner.
         np.testing.assert_array_equal(result.merged.slack, reference.slack)
-
-    def test_identity_corner_incremental(self, fresh_small_design):
-        design = fresh_small_design
-        reference = STAEngine(design, incremental=True, move_tolerance=0.0)
-        engine = MultiCornerSTA(design, incremental=True, move_tolerance=0.0)
-        rng = np.random.default_rng(5)
-        x, y = design.positions()
-        x, y = x.copy(), y.copy()
-        for _ in range(4):
-            _perturb(design, rng, x, y)
-            r_ref = reference.update_timing(x, y)
-            r_mc = engine.update_timing(x, y)
-            _assert_corner_matches_engine(r_mc, 0, r_ref)
-        assert engine.last_update_stats.mode == "incremental"
 
     def test_derated_corner_matches_corner_engine(self, fresh_small_design):
         """A one-corner engine is the reference for each stacked lane,
@@ -212,7 +198,7 @@ class TestCornerSwap:
         the swap are bitwise those of a fresh engine (mirrors the STAEngine
         set_constraints contract)."""
         design = fresh_small_design
-        engine = MultiCornerSTA(design, "typ", incremental=True, move_tolerance=0.0)
+        engine = MultiCornerSTA(design, "typ")
         rng = np.random.default_rng(31)
         x, y = design.positions()
         x, y = x.copy(), y.copy()
@@ -222,11 +208,9 @@ class TestCornerSwap:
 
         engine.set_corners("fast,slow")
         assert [c.name for c in engine.corners] == ["fast", "slow"]
+        assert engine.last_result is None
         result = engine.update_timing(x, y)
-        assert engine.last_update_stats.mode == "full"
-        fresh = MultiCornerSTA(
-            design, "fast,slow", incremental=True, move_tolerance=0.0
-        ).update_timing(x, y)
+        fresh = MultiCornerSTA(design, "fast,slow").update_timing(x, y)
         for name in _RESULT_FIELDS:
             np.testing.assert_array_equal(
                 getattr(result, name), getattr(fresh, name), err_msg=name
@@ -240,64 +224,6 @@ class TestCornerSwap:
             engine.corners = resolve_corners("fast,slow")
         with pytest.raises(AttributeError):
             engine.constraints = ()
-
-
-class TestIncrementalMultiCorner:
-    def test_incremental_matches_standalone_engines(self, fresh_small_design):
-        design = fresh_small_design
-        corners = resolve_corners("fast,typ,slow")
-        engine = MultiCornerSTA(design, corners, incremental=True, move_tolerance=0.0)
-        references = [
-            MultiCornerSTA(design, c, incremental=True, move_tolerance=0.0)
-            for c in corners
-        ]
-        rng = np.random.default_rng(17)
-        x, y = design.positions()
-        x, y = x.copy(), y.copy()
-        saw_incremental = False
-        for _ in range(5):
-            _perturb(design, rng, x, y, max_cells=25)
-            result = engine.update_timing(x, y)
-            saw_incremental |= engine.last_update_stats.mode == "incremental"
-            for index, reference in enumerate(references):
-                _assert_corner_matches_engine(
-                    result, index, reference.update_timing(x, y).corner_result(0)
-                )
-        assert saw_incremental
-
-    def test_incremental_equals_full_stacked(self, fresh_small_design):
-        design = fresh_small_design
-        corners = resolve_corners("fast,slow")
-        inc = MultiCornerSTA(design, corners, incremental=True, move_tolerance=0.0)
-        full = MultiCornerSTA(design, corners)
-        rng = np.random.default_rng(23)
-        x, y = design.positions()
-        x, y = x.copy(), y.copy()
-        for _ in range(4):
-            _perturb(design, rng, x, y)
-            r_inc = inc.update_timing(x, y)
-            r_full = full.update_timing(x, y)
-            for name in _RESULT_FIELDS:
-                np.testing.assert_array_equal(
-                    getattr(r_inc, name), getattr(r_full, name), err_msg=name
-                )
-
-    def test_dirty_detection_shared_across_corners(self, fresh_small_design):
-        """The dirty frontier is position-driven, so a 3-corner update must
-        report the same dirty-net count as a single-corner one."""
-        design = fresh_small_design
-        mc = MultiCornerSTA(design, resolve_corners("fast,typ,slow"), incremental=True)
-        single = STAEngine(design, incremental=True)
-        x, y = design.positions()
-        x, y = x.copy(), y.copy()
-        mc.update_timing(x, y)
-        single.update_timing(x, y)
-        x[design.arrays.movable_index[:3]] += 6.0
-        mc.update_timing(x, y)
-        single.update_timing(x, y)
-        assert mc.last_update_stats.mode == "incremental"
-        assert mc.last_update_stats.num_dirty_nets == single.last_update_stats.num_dirty_nets
-        assert mc.last_update_stats.num_dirty_arcs == single.last_update_stats.num_dirty_arcs
 
 
 # ----------------------------------------------------------------------
@@ -340,21 +266,15 @@ def _corner_list(draw):
 @given(
     corners=_corner_list(),
     seed=st.integers(min_value=0, max_value=2**16),
-    incremental=st.booleans(),
 )
-def test_merged_slack_equals_min_over_single_corner_engines(corners, seed, incremental):
-    """Across random corner derates and both full/incremental modes, the
-    stacked engine's merged slack must equal the element-wise minimum over
-    independently-run single-corner engines (bitwise — every corner lane is
-    exact, and min is order-insensitive)."""
+def test_merged_slack_equals_min_over_single_corner_engines(corners, seed):
+    """Across random corner derates, the stacked engine's merged slack must
+    equal the element-wise minimum over independently-run single-corner
+    engines (bitwise — every corner lane is exact, and min is
+    order-insensitive)."""
     design = _property_design()
-    engine = MultiCornerSTA(
-        design, tuple(corners), incremental=incremental, move_tolerance=0.0
-    )
-    singles = [
-        MultiCornerSTA(design, c, incremental=incremental, move_tolerance=0.0)
-        for c in corners
-    ]
+    engine = MultiCornerSTA(design, tuple(corners))
+    singles = [MultiCornerSTA(design, c) for c in corners]
     rng = np.random.default_rng(seed)
     x, y = design.positions()
     x, y = x.copy(), y.copy()

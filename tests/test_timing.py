@@ -285,3 +285,101 @@ class TestSTA:
     def test_bad_constraints_rejected(self, tiny_design):
         with pytest.raises(ValueError):
             STAEngine(tiny_design, TimingConstraints(clock_period=-5.0))
+
+
+_RESULT_FIELDS = ("arrival", "required", "slack", "arc_delay", "net_load", "endpoint_slack")
+
+
+def _assert_results_identical(expected, actual):
+    for name in _RESULT_FIELDS:
+        np.testing.assert_array_equal(
+            getattr(actual, name), getattr(expected, name), err_msg=name
+        )
+    assert actual.wns == expected.wns
+    assert actual.tns == expected.tns
+
+
+def _perturb(design, rng, x, y, max_cells=40, sigma=25.0):
+    movable = design.arrays.movable_index
+    k = int(rng.integers(1, min(max_cells, movable.size)))
+    idx = rng.choice(movable, size=k, replace=False)
+    x[idx] += rng.normal(0.0, sigma, size=k)
+    y[idx] += rng.normal(0.0, sigma, size=k)
+
+
+class TestSTAUpdates:
+    def test_results_do_not_alias_between_updates(self, fresh_small_design):
+        """A later update must not rewrite a result handed out earlier."""
+        design = fresh_small_design
+        engine = STAEngine(design)
+        x, y = design.positions()
+        x, y = x.copy(), y.copy()
+        first = engine.update_timing(x, y)
+        snapshot = {name: getattr(first, name).copy() for name in _RESULT_FIELDS}
+        _perturb(design, np.random.default_rng(1), x, y)
+        engine.update_timing(x, y)
+        for name, values in snapshot.items():
+            np.testing.assert_array_equal(getattr(first, name), values, err_msg=name)
+
+    def test_constraints_swap_matches_fresh_engine(self, fresh_small_design):
+        """Flipping constraints mid-session must be bitwise identical to a
+        fresh engine built with the new constraints, and stay so over later
+        updates."""
+        design = fresh_small_design
+        engine = STAEngine(design)
+        rng = np.random.default_rng(11)
+        x, y = design.positions()
+        x, y = x.copy(), y.copy()
+        engine.update_timing(x, y)
+        _perturb(design, rng, x, y)
+        engine.update_timing(x, y)
+
+        tightened = TimingConstraints.from_design(design)
+        tightened.clock_period = tightened.clock_period * 0.6
+        engine.constraints = tightened  # property routes through set_constraints
+        assert engine.last_result is None
+
+        fresh = STAEngine(design, tightened)
+        _assert_results_identical(fresh.update_timing(x, y), engine.update_timing(x, y))
+        for _ in range(3):
+            _perturb(design, rng, x, y)
+            _assert_results_identical(fresh.update_timing(x, y), engine.update_timing(x, y))
+
+    def test_constraints_swap_via_setter_equals_method(self, fresh_small_design):
+        design = fresh_small_design
+        a = STAEngine(design)
+        b = STAEngine(design)
+        new = TimingConstraints.from_design(design)
+        new.clock_period *= 0.5
+        a.constraints = new
+        b.set_constraints(new)
+        _assert_results_identical(b.update_timing(), a.update_timing())
+        assert a.constraints is new
+
+
+class TestSTAResultMemoization:
+    def test_failing_endpoints_worst_slack_first(self, fresh_small_design):
+        result = STAEngine(fresh_small_design).update_timing()
+        failing = result.failing_endpoints
+        slacks = [result.endpoint_slack_of(int(p)) for p in failing]
+        assert slacks == sorted(slacks), "endpoints must come back worst-slack-first"
+        assert all(s < 0 for s in slacks)
+
+    def test_failing_endpoints_cached(self, fresh_small_design):
+        result = STAEngine(fresh_small_design).update_timing()
+        assert result.failing_endpoints is result.failing_endpoints
+
+    def test_endpoint_slack_of_matches_arrays(self, fresh_small_design):
+        result = STAEngine(fresh_small_design).update_timing()
+        for position, pin in enumerate(result.endpoint_pins):
+            assert result.endpoint_slack_of(int(pin)) == pytest.approx(
+                float(result.endpoint_slack[position])
+            )
+
+    def test_endpoint_slack_of_raises_for_non_endpoint(self, fresh_small_design):
+        result = STAEngine(fresh_small_design).update_timing()
+        non_endpoint = set(range(fresh_small_design.num_pins)) - set(
+            int(p) for p in result.endpoint_pins
+        )
+        with pytest.raises(KeyError):
+            result.endpoint_slack_of(next(iter(non_endpoint)))
