@@ -105,6 +105,7 @@ class FlowResult:
         if "routability_repair" in self.context.metadata:
             repair = self.context.metadata["routability_repair"]
             out["inflation_rounds"] = len(repair["rounds"]) - 1
+            out["inflation_stop"] = repair["stop_reason"]
             out["congestion_initial_peak"] = repair["initial_peak_overflow"]
             out["congestion_final_peak"] = repair["final_peak_overflow"]
         feedback = self.context.metadata.get("feedback")

@@ -226,10 +226,10 @@ class RoutabilityRepairStage:
     """Congestion-driven cell-inflation loop (routability repair).
 
     Re-runs global placement with inflated cell areas until the RUDY peak
-    overflow converges (see :mod:`repro.route.inflation`).  Must run after a
-    global-placement stage and before legalization; the refine placements
-    warm-start from the current positions with the placement stage's config
-    (fewer iterations).  When the starting placement is already under the
+    overflow converges, stalls, or a round breaks the HPWL budget (see
+    :mod:`repro.route.inflation`).  Must run after a global-placement stage
+    and before legalization; the refine placements warm-start from the
+    current positions with the placement stage's config (fewer iterations).  When the starting placement is already under the
     overflow target this stage is a no-op.
     """
 
@@ -316,10 +316,11 @@ class RoutabilityRepairStage:
         ctx.metadata["routability_repair"] = outcome.as_dict()
         if len(outcome.rounds) > 1:
             logger.info(
-                "routability repair: peak overflow %.4f -> %.4f in %d rounds",
+                "routability repair: peak overflow %.4f -> %.4f in %d rounds (%s)",
                 outcome.initial_peak_overflow,
                 outcome.final_peak_overflow,
                 len(outcome.rounds) - 1,
+                outcome.stop_reason,
             )
 
 

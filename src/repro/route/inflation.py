@@ -8,10 +8,13 @@ trading a little wirelength for routing headroom.  The loop is::
 
     place -> estimate congestion -> inflate hot cells -> re-place -> ...
 
-until the peak overflow drops below target, stops improving, or the
-wirelength budget is exhausted.  Inflation factors grow multiplicatively
-with clamped per-round steps and decay back toward 1 where congestion has
-cleared, so repeated rounds converge instead of ratcheting every cell up.
+until the peak overflow drops below target, stops improving, or a round
+breaks the wirelength budget.  An over-budget round is rejected and ends
+the loop: the next round could only warm-start from that rejected
+placement and inflate its cells again.  Inflation factors grow
+multiplicatively with clamped per-round steps and decay back toward 1 where
+congestion has cleared, so repeated rounds converge instead of ratcheting
+every cell up.
 
 :class:`CellInflation` owns the per-instance factors; :func:`run_inflation_
 loop` drives the iteration against any placement callback, which keeps this
@@ -22,6 +25,7 @@ with the inflated areas).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -59,10 +63,10 @@ class InflationConfig:
     max_rounds: int = 3
     overflow_target: float = 0.05     # stop once peak overflow is below this
     min_improvement: float = 0.01     # stop when a round improves less than this
-    # HPWL budget on the *raw* (pre-legalization) wirelength.  Legalization
-    # typically refunds most of it on congested designs — the inflated
-    # placement spreads better, so it legalizes with less displacement —
-    # which is why the raw budget is looser than a final-HPWL budget.
+    # HPWL budget relative to the starting placement, measured on the same
+    # geometry rounds are scored on: the legalized copies under
+    # score_legalized (the default), the raw placements otherwise.  A round
+    # over budget is rejected and ends the loop.
     max_hpwl_growth: float = 0.04     # reject rounds costing more wirelength
     # Per-cell factor dynamics.
     gamma: float = 1.0                # inflation = ratio ** gamma in hot bins
@@ -81,17 +85,21 @@ class InflationConfig:
     def validate(self) -> None:
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
-        if self.max_step < 1.0:
-            # A cap below 1 would clip every hot cell's growth to <1 and the
-            # [1, max_total] clamp would then silently erase it — rounds
-            # would re-run placement with zero inflation applied.
-            raise ValueError("max_step must be at least 1")
-        if self.max_total < 1.0:
-            raise ValueError("max_total must be at least 1")
+        for name in ("overflow_target", "min_improvement", "max_hpwl_growth"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
+        # A cap below 1 would clip every hot cell's growth to <1 and the
+        # [1, max_total] clamp would then silently erase it — rounds would
+        # re-run placement with zero inflation applied.
+        for name in ("max_step", "max_total"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 1.0):
+                raise ValueError(f"{name} must be finite and at least 1, got {value!r}")
         if not 0.0 <= self.decay <= 1.0:
             raise ValueError("decay must be in [0, 1]")
-        if self.max_hpwl_growth < 0.0:
-            raise ValueError("max_hpwl_growth must be non-negative")
 
 
 class CellInflation:
@@ -184,6 +192,9 @@ class InflationOutcome:
     rounds: List[InflationRound] = field(default_factory=list)
     converged: bool = False
     accepted_round: int = 0
+    # Why the loop ended: "converged", "no_hot_cells", "over_budget",
+    # "stalled" or "max_rounds".
+    stop_reason: str = "max_rounds"
 
     @property
     def initial_peak_overflow(self) -> float:
@@ -198,6 +209,7 @@ class InflationOutcome:
             "rounds": [r.as_dict() for r in self.rounds],
             "converged": self.converged,
             "accepted_round": self.accepted_round,
+            "stop_reason": self.stop_reason,
             "initial_peak_overflow": round(self.initial_peak_overflow, 6),
             "final_peak_overflow": round(self.final_peak_overflow, 6),
         }
@@ -221,7 +233,8 @@ def run_inflation_loop(
     placement seen: lowest peak overflow among rounds whose HPWL stays
     within ``config.max_hpwl_growth`` of the starting placement (the
     starting placement itself is always admissible, so a fruitless loop
-    degrades nothing).
+    degrades nothing).  A round over that budget is recorded, rejected and
+    ends the loop; the outcome's ``stop_reason`` names which exit was taken.
 
     With ``legalize_fn`` and ``config.score_legalized`` (the default), every
     candidate — including the starting placement — is *scored* (congestion +
@@ -261,15 +274,16 @@ def run_inflation_loop(
     best = (x, y, result)
     best_peak = result.peak_overflow
     accepted_round = 0
-    converged = best_peak <= config.overflow_target
+    stop_reason = "converged" if best_peak <= config.overflow_target else "max_rounds"
 
     for round_index in range(1, config.max_rounds + 1):
-        if converged:
+        if stop_reason == "converged":
             break
         # Inflate against the scored (possibly legalized) geometry so the
         # factors target the congestion that survives legalization.
         num_inflated = inflation.update(estimator, result, sx, sy)
         if num_inflated == 0:
+            stop_reason = "no_hot_cells"
             break
         x, y = place_fn(x, y, inflation.scale)
         result, hpwl, sx, sy = score(x, y)
@@ -302,10 +316,16 @@ def run_inflation_loop(
             num_inflated,
         )
         if best_peak <= config.overflow_target:
-            converged = True
+            stop_reason = "converged"
+        elif not within_budget:
+            # The next round could only warm-start from this rejected
+            # placement and inflate its cells again.
+            stop_reason = "over_budget"
+            break
         elif not improved and round_index >= 2:
             # Two rounds without meaningful progress: the congestion left is
             # structural (capacity, not placement) — stop burning runtime.
+            stop_reason = "stalled"
             break
 
     x, y, result = best
@@ -314,6 +334,7 @@ def run_inflation_loop(
         y=y,
         result=result,
         rounds=rounds,
-        converged=converged or best_peak <= config.overflow_target,
+        converged=stop_reason == "converged",
         accepted_round=accepted_round,
+        stop_reason=stop_reason,
     )

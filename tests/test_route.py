@@ -12,6 +12,8 @@ Covers the PR 4 acceptance criteria:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,11 @@ from repro.route import (
     run_inflation_loop,
 )
 from repro.route.flow import add_routability
+
+# SHA-256 of the final x then y positions of routability-gp on sb_cong_1 at
+# scale 2, seed 0, recorded when the inflation loop still ran a second
+# refine after an over-budget round (both refines were rejected).
+_SB_CONG_1_X2_GP_DIGEST = "71f3b18284804b76f0b475eb6122ebe88eef1a78667701fa084dc9d05291434b"
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +242,123 @@ class TestCellInflation:
         np.testing.assert_array_equal(outcome.y, y)
         assert outcome.accepted_round == 0
 
+    def test_over_budget_round_ends_loop(self, fresh_small_design):
+        """A rejected over-budget round is the last one: the next round
+        could only warm-start from the scattered placement."""
+        design = fresh_small_design
+        x, y = initial_placement(design, seed=0)
+        est = CongestionEstimator(design)
+        rng = np.random.default_rng(0)
+        die = design.die
+        calls = []
+
+        def scatter_place_fn(x0, y0, scale):
+            calls.append(scale.copy())
+            return (
+                rng.uniform(die.xl, die.xh, size=x0.size),
+                rng.uniform(die.yl, die.yh, size=y0.size),
+            )
+
+        config = InflationConfig(overflow_target=0.0, max_rounds=3)
+        outcome = run_inflation_loop(
+            design, scatter_place_fn, x, y, estimator=est, config=config
+        )
+        assert len(calls) == 1
+        assert [r.round for r in outcome.rounds] == [0, 1]
+        budget = outcome.rounds[0].hpwl * (1.0 + config.max_hpwl_growth)
+        assert outcome.rounds[1].hpwl > budget
+        assert not outcome.rounds[1].accepted
+        assert outcome.stop_reason == "over_budget"
+        assert outcome.as_dict()["stop_reason"] == "over_budget"
+        assert not outcome.converged
+        np.testing.assert_array_equal(outcome.x, x)
+        np.testing.assert_array_equal(outcome.y, y)
+
+    def test_stalled_round_within_budget_gets_second_round(self, fresh_small_design):
+        """The over-budget exit is narrow: a round that stays within budget
+        but does not improve still gets the stall rule's second round."""
+        design = fresh_small_design
+        x, y = initial_placement(design, seed=0)
+        est = CongestionEstimator(design)
+        calls = []
+
+        def idle_place_fn(x0, y0, scale):
+            calls.append(scale.copy())
+            return x0.copy(), y0.copy()
+
+        outcome = run_inflation_loop(
+            design, idle_place_fn, x, y,
+            estimator=est,
+            config=InflationConfig(overflow_target=0.0, max_rounds=3),
+        )
+        assert len(calls) == 2
+        assert [r.round for r in outcome.rounds] == [0, 1, 2]
+        assert outcome.stop_reason == "stalled"
+        assert outcome.accepted_round == 0
+
+    def test_stop_reason_names_the_exit(self, fresh_small_design):
+        design = fresh_small_design
+        x, y = initial_placement(design, seed=0)
+        est = CongestionEstimator(design)
+        peak = est.estimate(x, y).peak_overflow
+
+        def idle_place_fn(x0, y0, scale):
+            return x0.copy(), y0.copy()
+
+        def run(**config):
+            return run_inflation_loop(
+                design, idle_place_fn, x, y,
+                estimator=est, config=InflationConfig(**config),
+            ).stop_reason
+
+        assert run(overflow_target=peak + 1.0) == "converged"
+        assert run(overflow_target=0.0, max_rounds=1) == "max_rounds"
+        assert run(overflow_target=0.0, max_rounds=0) == "max_rounds"
+        # Huge min_improvement keeps every round "unimproved": stall at 2.
+        assert run(overflow_target=0.0, min_improvement=1e9) == "stalled"
+
+
+class TestInflationConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_hpwl_growth", float("nan"), "max_hpwl_growth must be finite and non-negative, got nan"),
+            ("overflow_target", float("nan"), "overflow_target must be finite and non-negative, got nan"),
+            ("overflow_target", -1.0, "overflow_target must be finite and non-negative, got -1.0"),
+            ("min_improvement", float("nan"), "min_improvement must be finite and non-negative, got nan"),
+            ("min_improvement", -0.5, "min_improvement must be finite and non-negative, got -0.5"),
+            ("gamma", -1.0, "gamma must be finite and positive, got -1.0"),
+            ("gamma", float("nan"), "gamma must be finite and positive, got nan"),
+            ("max_total", float("inf"), "max_total must be finite and at least 1, got inf"),
+            ("max_step", float("inf"), "max_step must be finite and at least 1, got inf"),
+        ],
+    )
+    def test_rejects_bad_value(self, field, value, message):
+        with pytest.raises(ValueError) as exc:
+            InflationConfig(**{field: value}).validate()
+        assert str(exc.value) == message
+
+    def test_defaults_and_edges_pass(self):
+        InflationConfig().validate()
+        InflationConfig(
+            overflow_target=0.0, min_improvement=0.0, max_hpwl_growth=0.0,
+            max_step=1.0, max_total=1.0,
+        ).validate()
+
+    def test_cli_rejects_nan_budget(self):
+        from repro.flow.cli import main
+
+        # A string SystemExit code is printed and exits with status 1.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "sb_cong_1", "--preset", "routability", "--scale", "0.3",
+                "--set", "max_iterations=60", "--set", "refine_iterations=30",
+                "--set", "max_hpwl_growth=nan",
+            ])
+        assert exc.value.code == (
+            "repro run: max_hpwl_growth must be finite and non-negative, got nan"
+        )
+
 
 class TestDensityAreaScale:
     def test_unit_scale_is_bit_identical(self, fresh_small_design):
@@ -394,3 +518,18 @@ class TestCongestionStressedDesign:
         peak = routed.evaluation.congestion_peak_overflow
         assert peak <= 0.7 * base_congestion.peak_overflow
         assert routed.evaluation.hpwl <= 1.02 * baseline.evaluation.hpwl
+
+    def test_over_budget_refine_ends_repair(self):
+        """routability-gp on sb_cong_1 x2: the first refine breaks the HPWL
+        budget, so the loop stops after it.  The final positions match the
+        digest recorded while the loop still ran a second refine, which was
+        rejected as well."""
+        design = load_benchmark("sb_cong_1", scale=2.0)
+        result = build_flow("routability-gp", seed=0).run(design)
+        repair = result.context.metadata["routability_repair"]
+        assert [r["round"] for r in repair["rounds"]] == [0, 1]
+        assert repair["stop_reason"] == "over_budget"
+        assert repair["accepted_round"] == 0
+        assert result.summary()["inflation_stop"] == "over_budget"
+        digest = hashlib.sha256(result.x.tobytes() + result.y.tobytes()).hexdigest()
+        assert digest == _SB_CONG_1_X2_GP_DIGEST
