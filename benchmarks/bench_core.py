@@ -4,7 +4,7 @@ Measures, for a few sb_mini designs:
 
 * design build time (synthetic generation + finalize);
 * ``CompiledDesign`` snapshot: compile time, pickle size/time versus pickling
-  the full object graph, and worker-side rebuild (``to_design``) time;
+  the full object graph, and rebuild (``to_design``) time;
 * STA update cost: one full pass on the generated placement;
 * multi-corner (MCMM) STA wall time for 1/2/4 corners — engine construction
   plus the first full update, i.e. what a flow pays to stand the analysis

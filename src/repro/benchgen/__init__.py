@@ -18,7 +18,6 @@ from repro.benchgen.suite import (
     benchmark_names,
     congestion_benchmark_names,
     load_benchmark,
-    load_compiled,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "benchmark_names",
     "congestion_benchmark_names",
     "load_benchmark",
-    "load_compiled",
 ]

@@ -23,7 +23,6 @@ import math
 from typing import Dict, List, Optional
 
 from repro.benchgen.synthetic import CircuitSpec, generate_circuit
-from repro.netlist.compiled import CompiledDesign, compile_design
 from repro.netlist.design import Design
 from repro.netlist.library import Library
 
@@ -142,17 +141,3 @@ def load_benchmark(
         return generate_xl_circuit(spec, library=library)
     return generate_circuit(spec, library=library)
 
-
-def load_compiled(
-    name: str,
-    *,
-    library: Optional[Library] = None,
-    scale: float = 1.0,
-) -> CompiledDesign:
-    """Generate one sb_mini design and snapshot it for shipping/caching.
-
-    The snapshot is array-only and cheaply picklable;
-    ``load_compiled(name).to_design()`` is index-for-index identical to
-    ``load_benchmark(name)``.
-    """
-    return compile_design(load_benchmark(name, library=library, scale=scale))

@@ -2,21 +2,14 @@
 
 A :class:`BatchJob` names a benchmark, a flow preset, a seed, and optional
 config overrides; :func:`run_batch` fans the jobs out over a
-``concurrent.futures`` pool and folds the per-design summaries into a
-:class:`BatchReport`.  Failures are contained: a job that raises is reported
-with its error string instead of aborting the batch.
-
-How the design reaches each worker is controlled by ``ship``:
-
-* ``"generate"`` (default) — every worker regenerates its benchmark from the
-  spec.  No transfer cost, but the generation work is repeated per job.
-* ``"compiled"`` — the parent builds each unique (design, scale) once,
-  snapshots it into a :class:`repro.netlist.CompiledDesign` (array-only, no
-  object graph, ~10-30x smaller than pickling the design), and ships the
-  snapshot; workers rebuild the design index-for-index identical.
-
-Results are identical across both ship modes and both executors — the
-snapshot round-trip is exact, and every flow is deterministic given its seed.
+``ProcessPoolExecutor`` and folds the per-design summaries into a
+:class:`BatchReport`.  Each worker regenerates its design from the spec
+through :func:`repro.benchgen.load_benchmark`, so only the small job
+crosses the process boundary, and workers do not contend for one GIL on
+the Python-heavy parts of a flow.  Failures are contained: a job that
+raises is reported with its error string instead of aborting the batch.
+Results equal an in-process run of the same job, since every flow is
+deterministic given its design, config and seed.
 """
 
 from __future__ import annotations
@@ -24,12 +17,11 @@ from __future__ import annotations
 import json
 import os
 import traceback
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.benchgen.suite import check_scale, load_benchmark
-from repro.netlist.compiled import CompiledDesign, compile_design
+from repro.benchgen.suite import available_design_names, check_scale, load_benchmark
 from repro.obs import (
     active_tracer,
     adopt_spans,
@@ -41,8 +33,6 @@ from repro.obs import (
 from repro.utils.logging import get_logger
 
 logger = get_logger("flow.batch")
-
-SHIP_MODES = ("generate", "compiled")
 
 
 @dataclass
@@ -77,7 +67,7 @@ class BatchItemResult:
     runtime_seconds: float
     summary: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
-    # Serialized span payload shipped back from a process-executor worker
+    # Serialized span payload shipped back from a worker process
     # (see repro.obs.remote); consumed and cleared by run_batch when it
     # re-parents the spans under its own dispatch span.  Never part of
     # as_dict() — traces are exported separately from the JSON report.
@@ -107,8 +97,6 @@ class BatchReport:
     items: List[BatchItemResult]
     total_runtime_seconds: float
     max_workers: int
-    executor: str
-    ship: str = "generate"
     # How max_workers was resolved: "explicit" (caller passed it) or
     # "auto" (affinity-aware CPU count).
     workers_source: str = "explicit"
@@ -153,8 +141,6 @@ class BatchReport:
         return {
             "max_workers": self.max_workers,
             "workers_source": self.workers_source,
-            "executor": self.executor,
-            "ship": self.ship,
             "aggregate": self.aggregate(),
             "items": [item.as_dict() for item in self.items],
         }
@@ -184,49 +170,31 @@ class BatchReport:
             rows,
             title=f"Batch: {self.num_ok}/{len(self.items)} ok, "
             f"wall {self.total_runtime_seconds:.1f}s "
-            f"({self.executor} x{self.max_workers})",
+            f"({self.max_workers} workers)",
         )
 
 
-def _materialize_design(job: BatchJob, payload: Optional[CompiledDesign]):
-    """Rebuild the job's shipped snapshot, or regenerate its benchmark."""
-    if payload is None:
-        return load_benchmark(job.design, scale=job.scale)
-    return payload.to_design()
+def run_job(job: BatchJob, traced: bool = False) -> BatchItemResult:
+    """Execute one batch job in the current process.
 
-
-def run_job(
-    job: BatchJob, payload: Optional[CompiledDesign] = None, trace_parent=None
-) -> BatchItemResult:
-    """Execute one batch job in the current process/thread.
-
-    ``payload`` optionally carries the design as a :class:`CompiledDesign`
-    snapshot; without it the benchmark is regenerated from its spec.
-
-    ``trace_parent`` is the dispatching ``batch.run`` span id when the batch
-    is being traced.  Thread-executor workers share the parent's tracer and
-    record a ``batch.job`` span directly under it; process-executor workers
-    (no tracer of their own) record into a fresh local tracer and ship the
-    serialized spans back on ``BatchItemResult.trace`` for re-parenting.
+    ``traced`` is set when the dispatching batch is being traced.  The job
+    then records into a fresh local tracer and ships the serialized spans
+    back on ``BatchItemResult.trace``, where :func:`run_batch` re-parents
+    them under its ``batch.run`` span.
     """
     from repro.flow.presets import build_flow
 
     label = job.resolved_label()
-    tracer = active_tracer()
-    if tracer is not None and tracer.pid != os.getpid():
-        # Fork-started process worker: the inherited tracer global belongs
-        # to the parent and can never ship back — replace it with a local
-        # tracer (trace_parent set) or drop it (tracing disabled mid-fork).
+    inherited = active_tracer()
+    if inherited is not None and inherited.pid != os.getpid():
+        # Fork-started worker: the inherited tracer global belongs to the
+        # parent and can never ship back, so drop it.
         stop_tracing()
-        tracer = None
-    child_tracer = None
-    if tracer is None and trace_parent is not None:
-        child_tracer = tracer = start_tracing()
-    handle = None
-    if tracer is not None:
+    tracer = handle = None
+    if traced:
+        tracer = start_tracing()
         handle = tracer.begin(
             "batch.job",
-            parent=trace_parent if child_tracer is None else None,
             label=label,
             design=job.design,
             preset=job.preset,
@@ -235,7 +203,7 @@ def run_job(
     start = clock()
     try:
         _check_job_seed(job)
-        design = _materialize_design(job, payload)
+        design = load_benchmark(job.design, scale=job.scale)
         overrides = dict(job.overrides)
         overrides["seed"] = job.seed
         runner = build_flow(job.preset, **overrides)
@@ -263,9 +231,8 @@ def run_job(
         )
     if tracer is not None:
         tracer.end(handle)
-    if child_tracer is not None:
         stop_tracing()
-        item.trace = serialize_trace(child_tracer)
+        item.trace = serialize_trace(tracer)
     return item
 
 
@@ -300,57 +267,34 @@ def resolve_worker_count() -> int:
     return int(count or os.cpu_count() or 1)
 
 
-def _make_executor(kind: str, max_workers: int) -> Executor:
-    if kind == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers)
-    if kind == "process":
-        return ProcessPoolExecutor(max_workers=max_workers)
-    raise ValueError(f"executor must be 'thread' or 'process', got {kind!r}")
-
-
-def _build_payloads(
-    jobs: Sequence[BatchJob], ship: str
-) -> List[Optional[CompiledDesign]]:
-    """Compile each unique (design, scale) once and map it onto the jobs."""
-    payloads: List[Optional[CompiledDesign]] = [None] * len(jobs)
-    if ship == "generate":
-        return payloads
-    compiled_cache: Dict[Tuple[str, float], CompiledDesign] = {}
-    for position, job in enumerate(jobs):
-        key = (job.design, job.scale)
-        payload = compiled_cache.get(key)
-        if payload is None:
-            payload = compile_design(load_benchmark(job.design, scale=job.scale))
-            compiled_cache[key] = payload
-        payloads[position] = payload
-    return payloads
-
-
 def run_batch(
     jobs: Sequence[BatchJob],
     *,
     max_workers: Optional[int] = None,
-    executor: str = "thread",
-    ship: str = "generate",
 ) -> BatchReport:
-    """Run every job concurrently and aggregate a :class:`BatchReport`.
+    """Run every job in worker processes and aggregate a :class:`BatchReport`.
 
-    ``executor="thread"`` (default) shares the process; ``"process"`` forks
-    workers (jobs are plain dataclasses, so they pickle cleanly).  ``ship``
-    selects how designs reach workers (see the module docstring): with
-    ``"compiled"`` each unique design is built once in the parent and shipped
-    as an array-only snapshot.
+    Jobs are plain dataclasses, so they pickle cleanly; each worker
+    regenerates its design (see the module docstring).  ``max_workers``
+    defaults to the usable CPU count, capped at the number of jobs.
+    Malformed jobs (unknown design, bad scale, conflicting seed) raise
+    ``ValueError`` before any worker starts.
     """
     jobs = list(jobs)
     workers_source = "auto" if max_workers is None else "explicit"
     if not jobs:
         raise ValueError("run_batch needs at least one job")
-    if ship not in SHIP_MODES:
-        raise ValueError(f"ship must be one of {', '.join(SHIP_MODES)}, got {ship!r}")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    known = set(available_design_names())
     for job in jobs:
         # Validate up front: a malformed job should fail the batch before
         # any compute is spent, not after every other job has finished.
         _check_job_seed(job)
+        if job.design not in known:
+            raise ValueError(
+                f"BatchJob {job.resolved_label()}: unknown benchmark {job.design!r}"
+            )
         try:
             check_scale(job.scale)
         except ValueError as exc:
@@ -359,29 +303,21 @@ def run_batch(
         # Affinity-aware: honors cgroup/sched_setaffinity CPU limits
         # (os.process_cpu_count where available) instead of raw cpu_count.
         max_workers = min(len(jobs), resolve_worker_count())
-    max_workers = max(1, int(max_workers))
+    max_workers = int(max_workers)
     start = clock()
     tracer = active_tracer()
     batch_handle = None
     if tracer is not None:
-        batch_handle = tracer.begin(
-            "batch.run",
-            jobs=len(jobs),
-            executor=executor,
-            ship=ship,
-            workers=max_workers,
-        )
-    parents = [None if batch_handle is None else batch_handle.span_id] * len(jobs)
+        batch_handle = tracer.begin("batch.run", jobs=len(jobs), workers=max_workers)
     try:
-        payloads = _build_payloads(jobs, ship)
-        with _make_executor(executor, max_workers) as pool:
-            items = list(pool.map(run_job, jobs, payloads, parents))
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            items = list(pool.map(run_job, jobs, [tracer is not None] * len(jobs)))
     finally:
         if tracer is not None:
             tracer.end(batch_handle)
     if tracer is not None:
-        # Process-executor workers shipped their spans back on the items;
-        # replay them under the batch.run span, one lane per job.
+        # Workers shipped their spans back on the items; replay them under
+        # the batch.run span, one lane per job.
         for index, item in enumerate(items):
             if item.trace:
                 adopt_spans(
@@ -396,7 +332,5 @@ def run_batch(
         items=items,
         total_runtime_seconds=clock() - start,
         max_workers=max_workers,
-        executor=executor,
-        ship=ship,
         workers_source=workers_source,
     )

@@ -6,10 +6,9 @@ Five subcommands over the flow pipeline:
   (``--profile`` writes a per-stage runtime breakdown JSON next to the
   result; ``--routability`` adds the congestion-driven inflation loop and
   congestion metrics to any preset);
-* ``repro batch D1 D2 ...`` — run many designs concurrently (``--all`` for
-  the whole sb_mini suite, ``--seeds N`` for seed replicates,
-  ``--ship compiled`` to build each design once and ship an array
-  snapshot to the workers);
+* ``repro batch D1 D2 ...`` — run many designs in worker processes
+  (``--all`` for the whole sb_mini suite, ``--seeds N`` for seed
+  replicates, ``--jobs N`` for the worker count, default the usable CPUs);
 * ``repro compare DESIGN``  — run every preset on one design, side by side;
 * ``repro sweep DESIGN --param loss --values quadratic,linear`` — sweep one
   config field of a preset;
@@ -31,7 +30,7 @@ Examples::
 
     repro run sb_mini_18 --preset efficient_tdp --set max_iterations=300
     repro run sb_cong_1 --preset routability
-    repro batch --all --preset dreamplace4 --jobs 4 --json batch.json
+    repro batch --all --preset dreamplace4 --json batch.json
     repro compare sb_mini_1 --scale 0.5
     repro sweep sb_mini_4 --param w0 --values 5,10,20
     repro congestion sb_cong_1 --preset dreamplace --routability
@@ -45,7 +44,7 @@ import sys
 from typing import Any, Dict, Optional, Sequence
 
 from repro.benchgen.suite import available_design_names, benchmark_names, check_scale
-from repro.flow.batch import SHIP_MODES, BatchJob, run_batch
+from repro.flow.batch import BatchJob, run_batch
 from repro.flow.presets import preset_names
 from repro.obs import start_tracing, stop_tracing, write_chrome_trace
 
@@ -149,6 +148,22 @@ def _trace_destination(args: argparse.Namespace, default_stem: str) -> Optional[
     return f"{default_stem}.trace.json"
 
 
+def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker processes (default: the usable CPU count, at most one "
+        "per job)",
+    )
+
+
+def _check_count(command: str, flag: str, value: Optional[int]) -> None:
+    if value is not None and value < 1:
+        raise SystemExit(f"repro {command}: {flag} must be >= 1, got {value}")
+
+
 def _add_common(parser: argparse.ArgumentParser, *, preset: bool = True) -> None:
     if preset:
         parser.add_argument(
@@ -222,28 +237,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_trace_flag(run_p)
     _add_common(run_p)
 
-    batch_p = sub.add_parser("batch", help="run many designs concurrently")
+    batch_p = sub.add_parser("batch", help="run many designs in worker processes")
     batch_p.add_argument("designs", nargs="*", help="benchmark names")
     batch_p.add_argument("--all", action="store_true", help="use the full sb_mini suite")
-    batch_p.add_argument("--jobs", type=int, default=4, help="worker count (default 4)")
-    batch_p.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process"],
-        help="concurrency backend (default: thread)",
-    )
+    _add_jobs_flag(batch_p)
     batch_p.add_argument(
         "--seeds",
         type=int,
         default=1,
         help="seed replicates per design (seeds seed..seed+N-1)",
-    )
-    batch_p.add_argument(
-        "--ship",
-        default="generate",
-        choices=list(SHIP_MODES),
-        help="how designs reach workers: regenerate per worker (default) "
-        "or ship a compiled array snapshot",
     )
     _add_trace_flag(batch_p)
     _add_common(batch_p)
@@ -270,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmp_p = sub.add_parser("compare", help="run every preset on one benchmark")
     cmp_p.add_argument("design", help="benchmark name")
-    cmp_p.add_argument("--jobs", type=int, default=4, help="worker count (default 4)")
+    _add_jobs_flag(cmp_p)
     _add_common(cmp_p, preset=False)
 
     sweep_p = sub.add_parser("sweep", help="sweep one config field of a preset")
@@ -279,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--values", required=True, help="comma-separated values for --param"
     )
-    sweep_p.add_argument("--jobs", type=int, default=4, help="worker count (default 4)")
+    _add_jobs_flag(sweep_p)
     _add_common(sweep_p)
 
     cong_p = sub.add_parser(
@@ -462,6 +464,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise SystemExit("repro batch: name at least one design or pass --all")
     _check_designs(designs)
     _check_scale("batch", args.scale)
+    _check_count("batch", "--jobs", args.jobs)
+    _check_count("batch", "--seeds", args.seeds)
     overrides = _apply_corners(args, _parse_overrides(args.overrides))
     jobs = [
         BatchJob(
@@ -472,14 +476,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             overrides=dict(overrides),
         )
         for design in designs
-        for replicate in range(max(1, args.seeds))
+        for replicate in range(args.seeds)
     ]
     trace_path = _trace_destination(args, f"batch_{args.preset}")
     tracer = start_tracing() if trace_path else None
     try:
-        report = run_batch(
-            jobs, max_workers=args.jobs, executor=args.executor, ship=args.ship
-        )
+        report = run_batch(jobs, max_workers=args.jobs)
     finally:
         if tracer is not None:
             stop_tracing()
@@ -496,6 +498,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     _check_designs([args.design])
     _check_scale("compare", args.scale)
+    _check_count("compare", "--jobs", args.jobs)
     overrides = _apply_corners(args, _parse_overrides(args.overrides))
     jobs = []
     applied_keys = set()
@@ -535,6 +538,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     _check_designs([args.design])
     _check_scale("sweep", args.scale)
+    _check_count("sweep", "--jobs", args.jobs)
     overrides = _apply_corners(args, _parse_overrides(args.overrides))
     default_config = get_preset(args.preset).default_config()
     if args.param != "seed" and not hasattr(default_config, args.param):

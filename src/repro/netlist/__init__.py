@@ -9,8 +9,8 @@ Public API:
 * :class:`DesignCore` — the array-first core every compute layer reads
   (``Instance``/``Net`` are index-backed views onto it after ``finalize()``;
   on array-built designs they are created on first use).
-* :class:`CompiledDesign` / :func:`compile_design` — frozen, picklable,
-  array-only snapshots for shipping designs across processes.
+* :class:`CompiledDesign` / :func:`compile_design` — frozen, array-only
+  snapshots: a design's fingerprint, and the tables generators build from.
 * :func:`make_generic_library` — small generic library used by the synthetic
   benchmarks and tests.
 * Parsers/writers for simplified LEF/DEF/Verilog/Liberty/SDC/Bookshelf views

@@ -1,11 +1,11 @@
-"""Frozen, array-only design snapshots for process-scale batching.
+"""Frozen, array-only design snapshots.
 
-A :class:`CompiledDesign` is a picklable snapshot of a finalized
+A :class:`CompiledDesign` is a snapshot of a finalized
 :class:`repro.netlist.design.Design`: flat NumPy arrays plus name tables and
 the (small) cell library — no ``Instance``/``PinRef``/``Net`` object graph,
-no circular references.  Pickling a snapshot is an order of magnitude
-smaller and faster than pickling the full object graph, so the batch runner
-can build a design once in the parent and fan it out to process workers.
+no circular references.  :func:`compile_design` takes one from any design,
+which makes it the design's fingerprint (hash its fields to compare two
+designs); a snapshot pickles as a plain dataclass.
 
 Reconstruction (:meth:`CompiledDesign.to_design`) builds the
 :class:`repro.netlist.core.DesignCore` straight from the snapshot's tables
@@ -19,7 +19,7 @@ their designs the same way: they fill a snapshot and call ``to_design``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclasses_fields
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -29,36 +29,10 @@ from repro.netlist.design import Design
 from repro.netlist.library import CellType, Library
 from repro.utils.geometry import Rect
 
-# Snapshot attributes holding NumPy arrays.
-_ARRAY_FIELDS: Tuple[str, ...] = (
-    "x",
-    "y",
-    "inst_cell_id",
-    "inst_fixed",
-    "inst_is_port",
-    "inst_pin_offsets",
-    "net_pin_offsets",
-    "net_pin_index",
-    "net_weight",
-)
-
-
-def _rebuild_compiled(blob: bytes) -> "CompiledDesign":
-    """Inverse of :meth:`CompiledDesign.__reduce__`."""
-    import pickle
-    import zlib
-
-    state = pickle.loads(zlib.decompress(blob))
-    for name in _ARRAY_FIELDS:
-        arr = state[name]
-        if arr.dtype == np.int32:
-            state[name] = arr.astype(np.int64)
-    return CompiledDesign(**state)
-
 
 @dataclass(frozen=True, eq=False)
 class CompiledDesign:
-    """Array-only snapshot of a finalized design (picklable, no object graph)."""
+    """Array-only snapshot of a finalized design (no object graph)."""
 
     name: str
     die: Tuple[float, float, float, float]
@@ -70,7 +44,7 @@ class CompiledDesign:
     input_delays: Dict[str, float]
     output_delays: Dict[str, float]
     # MCMM corner specs (tuple of repro.timing Corner objects or None);
-    # carried so batch workers rebuild the same analysis setup.
+    # carried so a rebuilt design keeps the same analysis setup.
     corners: Optional[Tuple[object, ...]]
     library: Library
     cell_types: Tuple[CellType, ...]
@@ -86,30 +60,6 @@ class CompiledDesign:
     net_pin_offsets: np.ndarray
     net_pin_index: np.ndarray
     net_weight: np.ndarray
-
-    def __reduce__(self):
-        """Compact wire format: index arrays downcast to int32, state deflated.
-
-        The in-memory layout is untouched (int64 indices, plain tuples); only
-        the pickle payload shrinks — connectivity and name tables are highly
-        repetitive, so this is where the >=10x size win over pickling the
-        object graph comes from.
-        """
-        import pickle
-        import zlib
-
-        state = {
-            f.name: getattr(self, f.name) for f in dataclasses_fields(type(self))
-        }
-        for name in _ARRAY_FIELDS:
-            arr = state[name]
-            if arr.dtype == np.int64 and (
-                arr.size == 0
-                or (arr.min() >= np.iinfo(np.int32).min and arr.max() <= np.iinfo(np.int32).max)
-            ):
-                state[name] = arr.astype(np.int32)
-        blob = zlib.compress(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL), 6)
-        return (_rebuild_compiled, (blob,))
 
     @property
     def num_instances(self) -> int:
@@ -131,8 +81,8 @@ class CompiledDesign:
 
         Every array is copied, so the design never aliases the snapshot:
         :func:`compile_design` shares the source design's index arrays, and
-        thread-executor batch jobs all rebuild from one snapshot, so a
-        placement run must not write through to either.
+        one snapshot may be rebuilt many times, so a placement run must not
+        write through to either.
         """
         core = DesignCore.from_tables(
             name=self.name,

@@ -306,7 +306,7 @@ class Design:
         self.output_delays: Dict[str, float] = {}
         # Optional MCMM analysis corners (tuple of repro.timing Corner
         # objects, or a preset spec string).  Carried by CompiledDesign
-        # snapshots so batch workers rebuild the same analysis setup; flows
+        # snapshots so a rebuilt design keeps the same analysis setup; flows
         # fall back to these when no corners are configured explicitly.
         self.corners: Optional[Tuple[object, ...]] = None
 

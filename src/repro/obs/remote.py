@@ -1,7 +1,7 @@
 """Cross-process span collection: record locally, ship, re-parent.
 
-Process-executor batch jobs cannot write into the dispatching process's
-tracer, and their ``perf_counter`` epochs are
+Batch jobs run in worker processes, so they cannot write into the
+dispatching process's tracer, and their ``perf_counter`` epochs are
 unrelated to the parent's.  The protocol here keeps the hot path simple:
 
 * the child records spans into its own tracer (absolute local clock

@@ -136,9 +136,8 @@ class Tracer:
     """Hierarchical span recorder with aggregate metrics.
 
     Thread-safe: spans opened on different threads nest independently
-    (per-thread parent stacks) and finalization takes a lock, so batch
-    jobs running on a thread executor can all record into the flow's
-    tracer.
+    (per-thread parent stacks) and finalization takes a lock, so
+    concurrent flow runs in one process can all record into it.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:

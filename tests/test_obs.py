@@ -4,7 +4,7 @@ Covers the span core (nesting, parent links, ring-buffer loss accounting),
 the per-run tracers every flow run records into (thread binding,
 forwarding to the process tracer, separate totals for concurrent runs),
 the Chrome-trace exporter and its validator, the cross-process shipping
-protocol (process-executor batch jobs re-parented under their dispatch
+protocol (batch jobs in worker processes re-parented under their dispatch
 spans), failure cleanup (a traced stage raising must
 not leak /dev/shm segments or a stuck global tracer), bitwise invariance
 of placement under tracing, and the CLI ``--trace`` / ``trace`` wiring.
@@ -343,7 +343,7 @@ class TestSpanAdoption:
 
 
 # ----------------------------------------------------------------------
-# Batch: thread jobs share the tracer; process jobs ship their spans
+# Batch: worker processes ship their spans back for re-parenting
 # ----------------------------------------------------------------------
 def _tiny_jobs():
     return [
@@ -359,28 +359,10 @@ def _tiny_jobs():
 
 
 class TestBatchTracing:
-    def test_thread_executor_jobs_parent_under_batch_run(self):
-        tracer = start_tracing()
-        try:
-            result = run_batch(_tiny_jobs(), max_workers=2)
-        finally:
-            stop_tracing()
-        spans = _by_name(tracer)
-        batch_run = spans["batch.run"][0]
-        jobs = spans["batch.job"]
-        assert len(jobs) == 2
-        assert all(r.parent_id == batch_run.span_id for r in jobs)
-        # The shipping field never leaks into the JSON artifact.
-        for item in result.items:
-            assert item.trace is None
-            assert "trace" not in item.as_dict()
-
     def test_process_executor_ships_and_adopts_onto_job_lanes(self):
         tracer = start_tracing()
         try:
-            result = run_batch(
-                _tiny_jobs(), max_workers=2, executor="process", ship="compiled"
-            )
+            result = run_batch(_tiny_jobs(), max_workers=2)
         finally:
             stop_tracing()
         spans = _by_name(tracer)
