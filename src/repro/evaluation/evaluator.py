@@ -95,13 +95,17 @@ class Evaluator:
         *,
         corners: CornersSpec = None,
         congestion: Optional[CongestionConfig] = None,
+        sta: "STAEngine | MultiCornerSTA | None" = None,
     ) -> None:
         self.design = design
         self.constraints = (
             constraints if constraints is not None else TimingConstraints.from_design(design)
         )
-        if corners is not None:
-            self._engine: "STAEngine | MultiCornerSTA" = MultiCornerSTA(
+        # ``sta``: an engine already built for these constraints and corners.
+        if sta is not None:
+            self._engine: "STAEngine | MultiCornerSTA" = sta
+        elif corners is not None:
+            self._engine = MultiCornerSTA(
                 design, corners, default_constraints=self.constraints
             )
         else:
@@ -166,11 +170,6 @@ class Evaluator:
             report.congestion_hotspots = congestion.num_hotspots
             report.congestion_weighted = congestion.weighted_congestion()
         return report
-
-    @property
-    def engine(self) -> "STAEngine | MultiCornerSTA":
-        """The underlying STA engine (shared with reporting utilities)."""
-        return self._engine
 
 
 def evaluate_placement(

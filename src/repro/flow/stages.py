@@ -90,7 +90,7 @@ class FeedbackWeightStage:
         self.corners = corners
 
     def run(self, ctx: FlowContext) -> None:
-        if ctx.placer is not None:
+        if ctx.placement is not None:
             raise ValueError(
                 "feedback_weight must come before global_place in the stage "
                 "list: the placer adopts the feedback scheduler it builds"
@@ -123,8 +123,10 @@ class GlobalPlaceStage:
     def run(self, ctx: FlowContext) -> None:
         with span("profile.io"):
             placer = GlobalPlacer(ctx.design, self.config, feedback=ctx.feedback)
-        ctx.placer = placer
         placement = placer.run()
+        # Keep what later stages read, not the placer: its working set dies here.
+        ctx.placement_config = placer.config
+        ctx.net_weights = placer.net_weights
         ctx.placement = placement
         ctx.history = placement.history
         ctx.x = placement.x
@@ -143,7 +145,12 @@ class LegalizeStage:
     def run(self, ctx: FlowContext) -> None:
         x, y = ctx.positions()
         with span("profile.legalization"):
-            legal = AbacusLegalizer(ctx.design).legalize(x, y)
+            # Reuse the repair stage's Abacus run on exactly these arrays.
+            scored = ctx.scored_legalization
+            if scored is not None and scored[0] is x and scored[1] is y:
+                legal = scored[2]
+            else:
+                legal = AbacusLegalizer(ctx.design).legalize(x, y)
             used_fallback = False
             if not legal.success and self.fallback:
                 logger.warning(
@@ -253,9 +260,7 @@ class RoutabilityRepairStage:
     def _refine_config(self, ctx: FlowContext) -> PlacementConfig:
         import copy
 
-        base = self.placement_config
-        if base is None and ctx.placer is not None:
-            base = ctx.placer.config
+        base = self.placement_config if self.placement_config is not None else ctx.placement_config
         config = copy.deepcopy(base) if base is not None else PlacementConfig()
         config.max_iterations = self.refine_iterations
         # Warm starts begin spread out; a long mandatory tail would only
@@ -285,11 +290,15 @@ class RoutabilityRepairStage:
             result = placer.run(x0, y0)
             return result.x, result.y
 
+        scored = {}
+
         def legalize_fn(lx: np.ndarray, ly: np.ndarray):
             # Same engine/fallback policy as LegalizeStage, so the loop
             # scores exactly what the flow will later commit to.
             legal = AbacusLegalizer(design).legalize(lx, ly)
-            if not legal.success:
+            if legal.success:
+                scored[id(lx)] = (lx, ly, legal)
+            else:
                 legal = GreedyLegalizer(design).legalize(lx, ly)
             return legal.x, legal.y
 
@@ -306,6 +315,7 @@ class RoutabilityRepairStage:
             )
         ctx.x, ctx.y = outcome.x, outcome.y
         design.set_positions(outcome.x, outcome.y)
+        ctx.scored_legalization = scored.get(id(outcome.x))
         ctx.congestion = outcome.result
         # With legalized scoring the kept CongestionResult describes the
         # legalized copy, not these raw positions: leave congestion_xy unset
@@ -370,8 +380,10 @@ class EvaluateStage:
                 and ctx.congestion_xy[1] is y
             ):
                 precomputed = ctx.congestion
+            # The run's engine was built for ctx.constraints and ctx.corners.
+            sta = ctx.sta if corners is ctx.corners else None
             ctx.evaluation = Evaluator(
-                ctx.design, ctx.constraints, corners=corners, congestion=congestion
+                ctx.design, ctx.constraints, corners=corners, congestion=congestion, sta=sta
             ).evaluate(x, y, congestion_result=precomputed)
             # Attach the run's feedback trajectory (per-update WNS / peak
             # overflow / weight-norm rows) so one report carries both the

@@ -194,7 +194,6 @@ class GlobalPlacer:
 
         self.density_weight = 0.0
         self._gamma_bin = max(self.density.bin_w, self.density.bin_h)
-        self._last_overflow = 1.0
         self._optimizer: Optional[NesterovOptimizer] = None
         self.feedback.start(self)
 

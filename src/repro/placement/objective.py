@@ -56,9 +56,6 @@ class PlacementObjective:
     def add_term(self, term: ObjectiveTerm) -> None:
         self.extra_terms.append(term)
 
-    def remove_term(self, term: ObjectiveTerm) -> None:
-        self.extra_terms.remove(term)
-
     def evaluate_extra(
         self,
         x: np.ndarray,

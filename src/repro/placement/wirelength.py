@@ -148,11 +148,8 @@ class WeightedAverageWirelength:
         self._valid_nets = np.nonzero(counts >= 2)[0]
         valid_mask = counts[core.csr_net] >= 2
         self._csr_pins = core.net_pin_index[valid_mask]
-        self._csr_net = core.csr_net[valid_mask]
-        self._pin_instance = core.pin_instance
         self._num_nets = core.num_nets
         self._num_instances = core.num_instances
-        self._movable_mask = core.movable_mask
         self._fixed_mask = ~core.movable_mask
         # CSR-ordered pin→instance targets of the gradient fold.
         self._pin_inst = core.pin_instance[self._csr_pins]
@@ -213,10 +210,10 @@ class WeightedAverageWirelength:
         slot_order = np.concatenate((row_slots, tail_pins))
         self._slot_inverse = np.empty_like(slot_order)
         self._slot_inverse[slot_order] = np.arange(slot_order.size, dtype=np.int64)
-        self._slot_pins = self._csr_pins[slot_order]
+        slot_pins = self._csr_pins[slot_order]
         self._slot_inst = self._pin_inst[slot_order]
-        self._slot_off_x = self.core.pin_offset_x[self._slot_pins]
-        self._slot_off_y = self.core.pin_offset_y[self._slot_pins]
+        self._slot_off_x = self.core.pin_offset_x[slot_pins]
+        self._slot_off_y = self.core.pin_offset_y[slot_pins]
         self._slot_nets = self._valid_nets[np.concatenate((row_nets, tail_nets))]
         # (pin slots, per-net prefix) of every row, and of the tail.
         self._rows = tuple(
@@ -257,7 +254,7 @@ class WeightedAverageWirelength:
         One arena buffer for all of them: a row view costs less than an
         arena lookup, and the kernel runs on small designs too.
         """
-        return self._buffer("wl_pins", (7, self._slot_pins.size))
+        return self._buffer("wl_pins", (7, self._slot_inst.size))
 
     def evaluate(
         self,
@@ -265,15 +262,8 @@ class WeightedAverageWirelength:
         y: np.ndarray,
         *,
         net_weights: Optional[np.ndarray] = None,
-        pin_x: Optional[np.ndarray] = None,
-        pin_y: Optional[np.ndarray] = None,
     ) -> WirelengthResult:
-        """Smoothed wirelength and its gradient w.r.t. instance positions.
-
-        ``pin_x``/``pin_y`` may carry precomputed absolute pin coordinates;
-        when omitted the model gathers the slot-ordered pins directly from
-        the instance positions.
-        """
+        """Smoothed wirelength and its gradient w.r.t. instance positions."""
         weights = (
             self.unit_weights
             if net_weights is None
@@ -281,23 +271,17 @@ class WeightedAverageWirelength:
         )
         weighted = weights is not self.unit_weights
         c = self._pin_block()[0]
-        self._gather(c, x, pin_x, self._slot_off_x)
+        self._gather(c, x, self._slot_off_x)
         value_x, pin_grad = self._directional(c, weights, weighted=weighted)
         grad_x = self._to_instances(pin_grad)
-        self._gather(c, y, pin_y, self._slot_off_y)
+        self._gather(c, y, self._slot_off_y)
         value_y, pin_grad = self._directional(c, weights, weighted=weighted)
         grad_y = self._to_instances(pin_grad)
         grad_x[self._fixed_mask] = 0.0
         grad_y[self._fixed_mask] = 0.0
         return WirelengthResult(value=value_x + value_y, grad_x=grad_x, grad_y=grad_y)
 
-    def _gather(
-        self,
-        out: np.ndarray,
-        pos: np.ndarray,
-        pin_pos: Optional[np.ndarray],
-        offsets: np.ndarray,
-    ) -> None:
+    def _gather(self, out: np.ndarray, pos: np.ndarray, offsets: np.ndarray) -> None:
         """Slot-ordered pin coordinates along one axis into ``out``.
 
         The direct form ``pos[slot_inst] + offset[slot_pins]`` adds the same
@@ -305,11 +289,8 @@ class WeightedAverageWirelength:
         are in range by construction; ``mode="clip"`` only stops NumPy from
         buffering ``out=`` (the default ``mode="raise"`` always does).
         """
-        if pin_pos is None:
-            np.take(pos, self._slot_inst, out=out, mode="clip")
-            out += offsets
-        else:
-            np.take(pin_pos, self._slot_pins, out=out, mode="clip")
+        np.take(pos, self._slot_inst, out=out, mode="clip")
+        out += offsets
 
     def _to_instances(self, pin_grad: np.ndarray) -> np.ndarray:
         """Slot-ordered pin gradients summed onto instances in CSR pin order.
@@ -482,12 +463,9 @@ class WeightedAverageWirelength:
         y: np.ndarray,
         *,
         net_weights: Optional[np.ndarray] = None,
-        pin_x: Optional[np.ndarray] = None,
-        pin_y: Optional[np.ndarray] = None,
     ) -> WirelengthResult:
         """The same formula in plain CSR order with ``np.add.at`` (slow)."""
-        if pin_x is None or pin_y is None:
-            pin_x, pin_y = self.core.pin_positions(x, y)
+        pin_x, pin_y = self.core.pin_positions(x, y)
         weights = (
             np.ones(self._num_nets, dtype=np.float64)
             if net_weights is None
@@ -499,10 +477,10 @@ class WeightedAverageWirelength:
 
         grad_x = np.zeros(self._num_instances, dtype=np.float64)
         grad_y = np.zeros(self._num_instances, dtype=np.float64)
-        np.add.at(grad_x, self._pin_instance[self._csr_pins], pin_grad_x)
-        np.add.at(grad_y, self._pin_instance[self._csr_pins], pin_grad_y)
-        grad_x[~self._movable_mask] = 0.0
-        grad_y[~self._movable_mask] = 0.0
+        np.add.at(grad_x, self._pin_inst, pin_grad_x)
+        np.add.at(grad_y, self._pin_inst, pin_grad_y)
+        grad_x[self._fixed_mask] = 0.0
+        grad_y[self._fixed_mask] = 0.0
         return WirelengthResult(value=value_x + value_y, grad_x=grad_x, grad_y=grad_y)
 
     def _reference_directional(
@@ -511,8 +489,9 @@ class WeightedAverageWirelength:
         """WA value and per-CSR-pin gradient along one axis (allocating)."""
         gamma = self.gamma
         valid = self._valid_nets
-        # Compact per-net ids: the valid nets in net order.
-        seg = np.searchsorted(valid, self._csr_net)
+        # Compact per-net ids of the CSR pins: the valid nets in net order.
+        degree = np.diff(self.core.net_pin_offsets)[valid]
+        seg = np.repeat(np.arange(valid.size), degree)
         c = coord[self._csr_pins]
         w = net_weights[valid]
 

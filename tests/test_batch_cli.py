@@ -1,6 +1,10 @@
 """The multi-design batch runner and the ``repro`` CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from repro.benchgen.suite import load_benchmark
 from repro.flow.batch import BatchJob, resolve_worker_count, run_batch
 from repro.flow.cli import _build_parser, _parse_overrides, _parse_value, main
 from repro.flow.presets import build_flow
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Keep the designs tiny so the whole module stays fast.
 FAST_SET = [
@@ -366,6 +372,26 @@ class TestCLICommands:
         payload = json.loads(out.read_text())
         labels = [item["label"] for item in payload["items"]]
         assert labels == ["max_iterations=30", "max_iterations=60"]
+
+    def test_sweep_into_closed_pipe_exits_quietly(self):
+        # ``repro sweep ... | true``: the reader is gone before the table is
+        # printed.  The CLI exits as SIGPIPE would, with nothing on stderr.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.flow.cli", "sweep", "sb_mini_18",
+                 "--param", "w0", "--values", "5,10", "--scale", "0.15",
+                 "--set", "max_iterations=40", "--jobs", "1"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
     def test_compare_runs_all_presets(self, tmp_path):
         out = tmp_path / "compare.json"

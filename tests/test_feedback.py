@@ -428,7 +428,7 @@ class TestFeedbackFlowIntegration:
         timing_rows = [row for row in record["trajectory"] if "timing" in row["fired"]]
         assert timing_rows and "wns" in timing_rows[0]
         # Composed weights stay within the composer clamp.
-        weights = ctx.placer.net_weights
+        weights = ctx.net_weights
         assert weights.min() >= 1.0 - 1e-12
         assert weights.max() <= 6.0 + 1e-12
         # The evaluation report carries the trajectory; the summary counts it.

@@ -252,6 +252,18 @@ class TestFlowRunner:
         with pytest.raises(ValueError, match="one feedback_weight stage"):
             FlowRunner(stages).run(fresh_small_design)
 
+    def test_feedback_stage_after_global_place_rejected(self, fresh_small_design):
+        """The placer adopts the scheduler when it is built, so a feedback
+        stage after global placement could never reach it."""
+        from repro.placement.global_placer import PlacementConfig
+
+        stages = [
+            GlobalPlaceStage(PlacementConfig(max_iterations=5)),
+            FeedbackWeightStage([(MomentumNetWeighting(), FeedbackCadence())]),
+        ]
+        with pytest.raises(ValueError, match="must come before global_place"):
+            FlowRunner(stages).run(fresh_small_design)
+
 
 _TDP_WINDOW = dict(
     max_iterations=60,
@@ -261,25 +273,28 @@ _TDP_WINDOW = dict(
 )
 
 
+_ROUTABILITY_GP_RUN = (
+    "routability-gp",
+    "sb_cong_1",
+    0.3,
+    dict(
+        max_iterations=60,
+        refine_iterations=20,
+        congestion_start=10,
+        congestion_interval=10,
+        timing_start=20,
+        timing_interval=20,
+    ),
+)
+
+
 @pytest.mark.parametrize(
     "preset, design_name, scale, overrides",
     [
         ("efficient_tdp", "sb_mini_18", 0.25, _TDP_WINDOW),
         ("efficient_tdp", "sb_mini_18", 0.25, dict(_TDP_WINDOW, corners="fast,slow")),
         ("dreamplace4", "sb_mini_18", 0.15, _TDP_WINDOW),
-        (
-            "routability-gp",
-            "sb_cong_1",
-            0.3,
-            dict(
-                max_iterations=60,
-                refine_iterations=20,
-                congestion_start=10,
-                congestion_interval=10,
-                timing_start=20,
-                timing_interval=20,
-            ),
-        ),
+        _ROUTABILITY_GP_RUN,
     ],
     ids=["efficient_tdp", "efficient_tdp-mcmm", "dreamplace4", "routability-gp"],
 )
@@ -311,6 +326,144 @@ def test_finished_run_is_freed_by_refcount(preset, design_name, scale, overrides
         assert sta() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "preset, design_name, scale, overrides",
+    [("efficient_tdp", "sb_mini_18", 0.25, _TDP_WINDOW), _ROUTABILITY_GP_RUN],
+    ids=["efficient_tdp", "routability-gp"],
+)
+def test_no_placer_outlives_its_stage(preset, design_name, scale, overrides, monkeypatch):
+    """Every placer of a run (the refine placers of the repair loop too) is
+    freed by refcount when its stage returns, while the result lives on:
+    the context keeps only the placement config and final net weights."""
+    import gc
+    import weakref
+
+    from repro.benchgen import load_benchmark
+    from repro.placement.global_placer import GlobalPlacer
+
+    placers = []
+    original = GlobalPlacer.run
+
+    def run(self, *args, **kwargs):
+        placers.append(weakref.ref(self))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GlobalPlacer, "run", run)
+    design = load_benchmark(design_name, scale=scale)
+    gc.collect()
+    gc.disable()
+    try:
+        result = build_flow(preset, **overrides).run(design)
+        ctx = result.context
+        assert len(placers) == 1 + result.summary().get("inflation_rounds", 0)
+        assert all(placer() is None for placer in placers)
+        assert ctx.placement_config is not None
+        assert ctx.net_weights.shape == (design.arrays.num_nets,)
+    finally:
+        gc.enable()
+
+
+def _count_sta_engines(monkeypatch):
+    """Record every STA engine construction: the entry points the flow
+    benchmark's ``timing.sta_init`` layer counts."""
+    from repro.timing.sta import MultiCornerSTA, STAEngine
+
+    built = []
+    for cls in (STAEngine, MultiCornerSTA):
+        original = cls.__init__
+
+        def init(self, *args, _original=original, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return built
+
+
+class TestSharedTimingEngine:
+    def test_timing_flow_builds_one_engine(self, monkeypatch):
+        """The evaluation scores with the run's STA engine: one timing graph
+        per run, and the same TNS/WNS as a fresh evaluation, bit for bit."""
+        from repro.benchgen import load_benchmark
+        from repro.evaluation import evaluate_placement
+
+        design = load_benchmark("sb_mini_18", scale=0.25)
+        built = _count_sta_engines(monkeypatch)
+        result = build_flow("efficient_tdp", **_TDP_WINDOW).run(design)
+        assert built == ["STAEngine"]
+        monkeypatch.undo()
+        ctx = result.context
+        fresh = evaluate_placement(design, result.x, result.y, constraints=ctx.constraints)
+        assert result.evaluation.tns == fresh.tns
+        assert result.evaluation.wns == fresh.wns
+        assert result.evaluation.num_failing_endpoints == fresh.num_failing_endpoints
+
+    def test_evaluation_with_other_corners_builds_its_own_engine(self, monkeypatch):
+        from repro.benchgen import load_benchmark
+        from repro.flow.context import FlowContext
+        from repro.timing import TimingConstraints
+
+        design = load_benchmark("sb_mini_18", scale=0.15)
+        ctx = FlowContext(design=design, constraints=TimingConstraints.from_design(design))
+        single = ctx.require_sta()
+        built = _count_sta_engines(monkeypatch)
+        EvaluateStage().run(ctx)
+        assert built == []
+        EvaluateStage(corners="fast,slow").run(ctx)
+        assert built == ["MultiCornerSTA"]
+        assert set(ctx.evaluation.per_corner) == {"fast", "slow"}
+        assert ctx.sta is single
+
+
+class TestRepairLegalizationReuse:
+    def test_kept_placement_is_legalized_once(self, monkeypatch):
+        """LegalizeStage reuses the repair loop's Abacus result of the kept
+        placement; a fresh legalization of those positions matches it."""
+        from repro.benchgen import load_benchmark
+        from repro.placement.legalization.abacus import AbacusLegalizer
+
+        calls = []
+        original = AbacusLegalizer.legalize
+
+        def legalize(self, x, y, *args, **kwargs):
+            calls.append(x)
+            return original(self, x, y, *args, **kwargs)
+
+        monkeypatch.setattr(AbacusLegalizer, "legalize", legalize)
+        preset, design_name, scale, overrides = _ROUTABILITY_GP_RUN
+        design = load_benchmark(design_name, scale=scale)
+        result = build_flow(preset, **overrides).run(design)
+        ctx = result.context
+        rounds = result.summary()["inflation_rounds"]
+        # One scoring legalization per round plus the starting placement;
+        # the legalize stage added none.
+        assert len(calls) == rounds + 1
+        raw_x, raw_y, legal = ctx.scored_legalization
+        assert result.x is legal.x and result.y is legal.y
+        assert ctx.metadata["legalization"]["engine"] == "abacus"
+        monkeypatch.undo()
+        fresh = AbacusLegalizer(design).legalize(raw_x, raw_y)
+        assert np.array_equal(fresh.x, result.x)
+        assert np.array_equal(fresh.y, result.y)
+
+    def test_stale_scored_legalization_is_recomputed(self, monkeypatch):
+        from repro.benchgen import load_benchmark
+        from repro.flow.context import FlowContext
+        from repro.placement.legalization.abacus import AbacusLegalizer
+        from repro.timing import TimingConstraints
+
+        design = load_benchmark("sb_mini_18", scale=0.15)
+        x, y = design.positions()
+        scored = AbacusLegalizer(design).legalize(x, y)
+        ctx = FlowContext(design=design, constraints=TimingConstraints.from_design(design))
+        # Equal values, other arrays: the tag does not match, Abacus reruns.
+        ctx.x, ctx.y = x.copy(), y.copy()
+        ctx.scored_legalization = (x, y, scored)
+        LegalizeStage().run(ctx)
+        assert ctx.x is not scored.x
+        assert np.array_equal(ctx.x, scored.x)
 
 
 def _overfull_design():

@@ -35,6 +35,11 @@ def _design(name="sb_mini_18", scale=0.5):
     return load_benchmark(name, scale=scale)
 
 
+def _slot_pins(model):
+    """The pin of every slot: the plan stores its inverse permutation only."""
+    return model._csr_pins[np.argsort(model._slot_inverse)]
+
+
 def _positions(design, seed):
     rng = np.random.default_rng(seed)
     x, y = initial_placement(design, seed=seed)
@@ -78,7 +83,6 @@ class TestWirelengthPlan:
         # O(P log N) np.isin filter selected.
         isin_mask = np.isin(core.csr_net, valid_nets)
         assert np.array_equal(model._csr_pins, core.net_pin_index[isin_mask])
-        assert np.array_equal(model._csr_net, core.csr_net[isin_mask])
         assert np.array_equal(model._valid_nets, valid_nets)
 
     def test_directional_matches_reference_directional_bitwise(self, monkeypatch):
@@ -93,7 +97,7 @@ class TestWirelengthPlan:
         weights = np.random.default_rng(7).uniform(0.25, 4.0, design.num_nets)
         pin_x, pin_y = design.arrays.pin_positions(x, y)
         for coord in (pin_x, pin_y):
-            c = coord[model._slot_pins]
+            c = coord[_slot_pins(model)]
             value, grad = model._directional(c, weights)
             ref_value, ref_grad = model._reference_directional(coord, weights)
             assert value == ref_value
@@ -115,17 +119,6 @@ class TestWirelengthPlan:
         steady = pooled.arena.allocations
         pooled.evaluate(x, y)
         assert pooled.arena.allocations == steady
-
-    def test_precomputed_pin_positions_match_internal_gather(self):
-        design = _design("sb_mini_18", 0.4)
-        x, y = _positions(design, 11)
-        model = WeightedAverageWirelength(design, gamma=4.0)
-        pin_x, pin_y = design.arrays.pin_positions(x, y)
-        a = model.evaluate(x, y)
-        b = model.evaluate(x, y, pin_x=pin_x, pin_y=pin_y)
-        assert a.value == b.value
-        assert np.array_equal(a.grad_x, b.grad_x)
-        assert np.array_equal(a.grad_y, b.grad_y)
 
     @pytest.mark.parametrize("name", DESIGNS)
     def test_unit_weights_skip_is_bitwise_neutral(self, name):
@@ -209,7 +202,7 @@ def _dac11_evaluate(model, x, y, net_weights):
     core = model.core
     gamma = model.gamma
     pins = model._csr_pins
-    nets = model._csr_net
+    nets = core.pin_net[pins]
     num_nets = core.num_nets
     value = 0.0
     grads = []
@@ -247,11 +240,17 @@ class TestSlotPlan:
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     @pytest.mark.parametrize("name", DESIGNS)
     def test_every_valid_pin_appears_once(self, name, regime):
-        model = _regime_model(_design(name, 0.5), regime)
-        slot_pins = model._slot_pins
-        assert np.unique(slot_pins).size == slot_pins.size
-        assert np.array_equal(np.sort(slot_pins), np.sort(model._csr_pins))
-        assert np.array_equal(slot_pins[model._slot_inverse], model._csr_pins)
+        design = _design(name, 0.5)
+        core = design.arrays
+        model = _regime_model(design, regime)
+        # The inverse permutation covers every filtered CSR pin once, and
+        # the gather operands are those of each slot's pin.
+        inverse = model._slot_inverse
+        assert np.array_equal(np.sort(inverse), np.arange(model._csr_pins.size))
+        slot_pins = _slot_pins(model)
+        assert np.array_equal(model._slot_inst, core.pin_instance[slot_pins])
+        assert np.array_equal(model._slot_off_x, core.pin_offset_x[slot_pins])
+        assert np.array_equal(model._slot_off_y, core.pin_offset_y[slot_pins])
         assert np.array_equal(np.sort(model._slot_nets), model._valid_nets)
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
@@ -270,7 +269,7 @@ class TestSlotPlan:
             assert pins.start == start
             assert nets == slice(0, np.count_nonzero(row_degree > k))
             first = core.net_pin_offsets[model._slot_nets[nets]]
-            assert np.array_equal(model._slot_pins[pins], core.net_pin_index[first + k])
+            assert np.array_equal(_slot_pins(model)[pins], core.net_pin_index[first + k])
             start = pins.stop
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
@@ -301,7 +300,7 @@ class TestSlotPlan:
         assert np.all(degree[model._slot_nets[: nets.start]] <= num_rows)
         # Tail pins keep CSR order: each tail net's pins, in net order.
         want = np.concatenate([core.net_pins(int(n)) for n in tail_nets])
-        assert np.array_equal(model._slot_pins[pins], want)
+        assert np.array_equal(_slot_pins(model)[pins], want)
 
     def test_design_with_few_nets_has_no_rows(self):
         # A row holds at most one pin per net, so it cannot pay for itself
@@ -363,7 +362,7 @@ class TestSlotPlan:
         model = WeightedAverageWirelength(design, gamma=4.0)
         model.arena = IterationArena()
         assert len(model._rows) >= 2 and model._tail is not None
-        assert model._tail[0].start > 0.5 * model._slot_pins.size  # row pins
+        assert model._tail[0].start > 0.5 * model._slot_inst.size  # row pins
         for net_weights in (None, weights):
             ref = model._reference_evaluate(x, y, net_weights=net_weights)
             for _ in range(2):
