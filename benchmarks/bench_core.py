@@ -3,8 +3,8 @@
 Measures, for a few sb_mini designs:
 
 * design build time (synthetic generation + finalize);
-* ``CompiledDesign`` snapshot: compile time, pickle size/time versus pickling
-  the full object graph, and rebuild (``to_design``) time;
+* ``CompiledDesign`` snapshot: compile time and rebuild time (unpickle plus
+  ``to_design``);
 * STA update cost: one full pass on the generated placement;
 * multi-corner (MCMM) STA wall time for 1/2/4 corners — engine construction
   plus the first full update, i.e. what a flow pays to stand the analysis
@@ -273,9 +273,7 @@ def bench_design(name: str) -> dict:
     build_seconds, design = _time(lambda: load_benchmark(name))
 
     compile_seconds, compiled = _time(lambda: compile_design(design))
-    snapshot_pickle_seconds, snapshot_blob = _time(lambda: pickle.dumps(compiled))
-    design.instances  # noqa: B018 - build the lazy object graph that this row pickles
-    design_pickle_seconds, design_blob = _time(lambda: pickle.dumps(design))
+    snapshot_blob = pickle.dumps(compiled)
     rebuild_seconds, _ = _time(lambda: pickle.loads(snapshot_blob).to_design())
 
     engine = STAEngine(design)
@@ -378,11 +376,6 @@ def bench_design(name: str) -> dict:
         "num_pins": design.num_pins,
         "build_ms": round(build_seconds * 1e3, 3),
         "compile_ms": round(compile_seconds * 1e3, 3),
-        "snapshot_pickle_ms": round(snapshot_pickle_seconds * 1e3, 3),
-        "snapshot_pickle_bytes": len(snapshot_blob),
-        "design_pickle_ms": round(design_pickle_seconds * 1e3, 3),
-        "design_pickle_bytes": len(design_blob),
-        "pickle_size_ratio": round(len(design_blob) / len(snapshot_blob), 2),
         "snapshot_rebuild_ms": round(rebuild_seconds * 1e3, 3),
         "sta_full_ms": round(full_seconds * 1e3, 3),
         "sta_single_wall_ms": round(single_wall_seconds * 1e3, 3),
@@ -790,8 +783,8 @@ def main(argv=None) -> int:
         print()
 
     header = (
-        f"{'design':<12} {'build':>8} {'compile':>8} {'pickle':>8} {'rebuild':>8} "
-        f"{'ratio':>6} {'sta full':>9} {'mcmm 1/2/4c':>20} {'4c/1c':>6} "
+        f"{'design':<12} {'build':>8} {'compile':>8} {'rebuild':>8} "
+        f"{'sta full':>9} {'mcmm 1/2/4c':>20} {'4c/1c':>6} "
         f"{'rudy map':>9} {'gp+cong':>8} {'trace':>7} {'lg ms':>7} {'lg x':>6} "
         f"{'dp ms':>7} {'dp x':>6}"
     )
@@ -801,8 +794,7 @@ def main(argv=None) -> int:
         mcmm_text = "/".join(f"{mcmm[str(count)]:.1f}" for count in MCMM_CORNER_COUNTS)
         print(
             f"{row['design']:<12} {row['build_ms']:>7.1f}m {row['compile_ms']:>7.2f}m "
-            f"{row['snapshot_pickle_ms']:>7.2f}m {row['snapshot_rebuild_ms']:>7.1f}m "
-            f"{row['pickle_size_ratio']:>5.1f}x {row['sta_full_ms']:>8.2f}m "
+            f"{row['snapshot_rebuild_ms']:>7.1f}m {row['sta_full_ms']:>8.2f}m "
             f"{mcmm_text:>19}m "
             f"{row['mcmm_4c_over_1c']:>5.2f}x {row['congestion_map_ms']:>8.2f}m "
             f"{row['gp_weighting_overhead']:>7.1%} {row['gp_tracing_overhead']:>6.1%} "

@@ -2,13 +2,14 @@
 
 :class:`DesignCore` owns every per-instance / per-pin / per-net quantity as a
 contiguous NumPy array.  :meth:`DesignCore.from_tables` is its one
-constructor from the instance and net tables; it serves both array-built
-designs (generators, :meth:`repro.netlist.compiled.CompiledDesign.to_design`)
-and :meth:`DesignCore.from_design` (incrementally built designs).  The
-Python objects (``Instance``, ``PinRef``, ``Net``) are thin index-backed
-*views* onto these arrays — writing ``inst.x`` writes ``core.x[inst.index]``
-and vice versa — so every compute layer (placement, STA, evaluation) reads
-and writes flat arrays with no object-graph traffic.
+constructor from the instance and net tables; every design is built through
+it, whether its tables come as arrays (generators,
+:meth:`repro.netlist.compiled.CompiledDesign.to_design`) or as the rows
+``Design.add_*`` appends before ``Design.finalize()``.  The Python objects
+(``Instance``, ``PinRef``, ``Net``) are thin index-backed *views* onto these
+arrays — writing ``inst.x`` writes ``core.x[inst.index]`` and vice versa —
+so every compute layer (placement, STA, evaluation) reads and writes flat
+arrays with no object-graph traffic.
 
 The core is deliberately object-free on the hot paths: positions, pin
 positions, HPWL, and utilization are O(1) views or single vectorized kernels.
@@ -39,7 +40,6 @@ import numpy as np
 from repro.utils.geometry import Rect
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.netlist.design import Design
     from repro.netlist.library import CellType
 
 
@@ -278,52 +278,6 @@ class DesignCore:
         )
         core._csr_net = csr_net
         return core
-
-    @classmethod
-    def from_design(cls, design: "Design") -> "DesignCore":
-        """Collect an incrementally built design's instance and net tables.
-
-        Only the cell master, position, fixedness and port flag of every
-        instance and the pin list and weight of every net are read from the
-        objects; :meth:`from_tables` derives everything else.
-        """
-        insts = design.instances
-        nets = design.nets
-
-        cell_ids: dict = {}
-        cell_types: List["CellType"] = []
-        inst_cell_id = np.zeros(len(insts), dtype=np.int64)
-        for i, inst in enumerate(insts):
-            key = id(inst.cell)
-            cid = cell_ids.get(key)
-            if cid is None:
-                cid = len(cell_types)
-                cell_ids[key] = cid
-                cell_types.append(inst.cell)
-            inst_cell_id[i] = cid
-
-        offsets = np.zeros(len(nets) + 1, dtype=np.int64)
-        np.cumsum(np.array([len(net.pins) for net in nets], dtype=np.int64), out=offsets[1:])
-
-        return cls.from_tables(
-            name=design.name,
-            die=design.die,
-            row_height=design.row_height,
-            site_width=design.site_width,
-            wire_resistance_per_unit=design.library.wire_resistance_per_unit,
-            wire_capacitance_per_unit=design.library.wire_capacitance_per_unit,
-            cell_types=tuple(cell_types),
-            inst_cell_id=inst_cell_id,
-            x=np.array([i.x for i in insts], dtype=np.float64),
-            y=np.array([i.y for i in insts], dtype=np.float64),
-            inst_fixed=np.array([i.fixed for i in insts], dtype=bool),
-            inst_is_port=np.array([i.is_port for i in insts], dtype=bool),
-            net_pin_offsets=offsets,
-            net_pin_index=np.array(
-                [pin.index for net in nets for pin in net.pins], dtype=np.int64
-            ),
-            net_weight=np.array([n.weight for n in nets], dtype=np.float64),
-        )
 
     # ------------------------------------------------------------------
     # Positions

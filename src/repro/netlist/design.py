@@ -9,26 +9,27 @@ subsystem:
   library timing arcs;
 * parsers/writers translate between on-disk formats and this model.
 
-The :class:`repro.netlist.core.DesignCore` is the array-first single source
-of truth.  A design gets one in either of two ways:
+Every finalized design is one thing: a
+:class:`repro.netlist.core.DesignCore` (the array-first single source of
+truth for floorplan, positions, net weights and topology), its instance and
+net name tables, and object views built on first use.  There is one
+construction path into that state.  The benchmark generators and
+:meth:`repro.netlist.compiled.CompiledDesign.to_design` fill the tables as
+arrays and call :meth:`Design.from_core`; the parsers, the examples and the
+tests append table rows with ``add_instance`` / ``add_port`` / ``add_net`` /
+``connect``, and :meth:`Design.finalize` turns those rows into the same
+arrays and adopts the core the same way.  Before ``finalize()`` a design has
+only those rows, so every read of its floorplan, positions, counts, views or
+core needs ``finalize()`` first.
 
-* **incrementally** (parsers, tests): ``add_instance`` / ``add_net`` /
-  ``connect`` build the object graph, and :meth:`Design.finalize` validates
-  connectivity, freezes the topology and collects the core from it;
-* **from arrays** (the benchmark generators and
-  :meth:`repro.netlist.compiled.CompiledDesign.to_design`):
-  :meth:`Design.from_core` wraps a ready core plus its name tables.  No
-  ``Instance`` / ``PinRef`` / ``Net`` object exists until code asks for
-  ``instances``, ``nets``, ``pins``, a name lookup or ``pin()``; the first
-  such access builds all of them at once and caches them.
-
-Either way, after finalization ``Instance``/``PinRef``/``Net`` are thin
+No ``Instance`` / ``PinRef`` / ``Net`` object exists until code asks for
+``instances``, ``nets``, ``pins``, a name lookup or ``pin()``; the first
+such access builds all of them at once and caches them.  They are thin
 index-backed views: reading or writing ``inst.x`` reads or writes
-``core.x[inst.index]``, so bulk operations (``positions``, ``set_positions``,
-``total_hpwl``, pin positions) are O(1) views or single vectorized kernels
-with no per-object Python loops.  Counts, :meth:`Design.summary` and the
-name tables (:attr:`Design.instance_names`, :attr:`Design.net_names`) read
-the arrays and never build the views.  Cell positions remain
+``core.x[inst.index]``.  Bulk operations (``positions``, ``set_positions``,
+``total_hpwl``, pin positions), counts, :meth:`Design.summary` and the name
+tables (:attr:`Design.instance_names`, :attr:`Design.net_names`) read the
+arrays and never build the views.  Cell positions and net weights remain
 mutable after finalization (placement would be pointless otherwise) but the
 netlist topology does not.
 """
@@ -39,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.netlist.core import DesignCore, Row, build_rows
+from repro.netlist.core import DesignCore, Row
 from repro.netlist.library import CellType, Library, LibraryPin, PinDirection
 from repro.utils.geometry import Rect
 
@@ -47,6 +48,7 @@ __all__ = [
     "Design",
     "DesignCore",
     "Instance",
+    "MultipleDriversError",
     "Net",
     "PinRef",
     "Row",
@@ -68,76 +70,75 @@ def port_cell(direction: PinDirection) -> CellType:
     return _PORT_INPUT if direction is PinDirection.INPUT else _PORT_OUTPUT
 
 
+class MultipleDriversError(ValueError):
+    """A net with more than one driver pin, rejected when a design is finalized.
+
+    ``net`` is the net's name and ``drivers`` the full names of its driver
+    pins in connection order.
+    """
+
+    def __init__(self, net: str, drivers: Tuple[str, ...]) -> None:
+        super().__init__(net, drivers)
+        self.net = net
+        self.drivers = drivers
+
+    def __str__(self) -> str:
+        return f"Net {self.net} has multiple drivers: {', '.join(self.drivers)}"
+
+
 class Instance:
     """A placed occurrence of a library cell (or a top-level IO port).
 
-    Before finalize, position and fixedness live on the instance; afterwards
-    they are views into the design core's arrays (``core.x[index]`` etc.), so
-    per-instance access and bulk array access always agree.
+    A view of row ``index`` of the design core: position and fixedness are
+    ``core.x[index]`` etc., so per-instance access and bulk array access
+    always agree.
     """
 
-    __slots__ = ("name", "cell", "orientation", "index", "is_port", "_x", "_y", "_fixed", "_core")
+    __slots__ = ("name", "cell", "orientation", "index", "is_port", "_core")
 
     def __init__(
         self,
         name: str,
         cell: CellType,
+        index: int,
+        core: DesignCore,
         *,
-        x: float = 0.0,
-        y: float = 0.0,
-        fixed: bool = False,
         orientation: str = "N",
         is_port: bool = False,
     ) -> None:
         self.name = name
         self.cell = cell
-        self._x = float(x)
-        self._y = float(y)
-        self._fixed = bool(fixed)
         self.orientation = orientation
-        self.index = -1
+        self.index = index
         self.is_port = is_port
-        self._core: Optional[DesignCore] = None
+        self._core = core
 
     @property
     def x(self) -> float:
-        core = self._core
-        return float(core.x[self.index]) if core is not None else self._x
+        return float(self._core.x[self.index])
 
     @x.setter
     def x(self, value: float) -> None:
-        core = self._core
-        if core is not None:
-            core.x[self.index] = value
-        else:
-            self._x = float(value)
+        self._core.x[self.index] = value
 
     @property
     def y(self) -> float:
-        core = self._core
-        return float(core.y[self.index]) if core is not None else self._y
+        return float(self._core.y[self.index])
 
     @y.setter
     def y(self, value: float) -> None:
-        core = self._core
-        if core is not None:
-            core.y[self.index] = value
-        else:
-            self._y = float(value)
+        self._core.y[self.index] = value
 
     @property
     def fixed(self) -> bool:
-        core = self._core
-        return bool(core.inst_fixed[self.index]) if core is not None else self._fixed
+        return bool(self._core.inst_fixed[self.index])
 
     @fixed.setter
     def fixed(self, value: bool) -> None:
-        if self._core is not None:
-            raise RuntimeError(
-                "Instance fixedness is frozen after finalize() (the movable "
-                "mask is part of the design core)"
-            )
-        self._fixed = bool(value)
+        raise RuntimeError(
+            "Instance fixedness is frozen after finalize() (the movable "
+            "mask is part of the design core)"
+        )
 
     @property
     def width(self) -> float:
@@ -148,16 +149,8 @@ class Instance:
         return self.cell.height
 
     @property
-    def area(self) -> float:
-        return self.cell.area
-
-    @property
     def is_sequential(self) -> bool:
         return self.cell.is_sequential
-
-    @property
-    def center(self) -> Tuple[float, float]:
-        return (self.x + 0.5 * self.width, self.y + 0.5 * self.height)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "port" if self.is_port else self.cell.name
@@ -186,10 +179,6 @@ class PinRef:
         return f"{self.instance.name}/{self.lib_pin.name}"
 
     @property
-    def direction(self) -> PinDirection:
-        return self.lib_pin.direction
-
-    @property
     def is_driver(self) -> bool:
         """True when this pin drives its net (cell output or input port)."""
         return self.lib_pin.is_output
@@ -197,10 +186,6 @@ class PinRef:
     @property
     def capacitance(self) -> float:
         return self.lib_pin.capacitance
-
-    @property
-    def offset(self) -> Tuple[float, float]:
-        return (self.lib_pin.offset_x, self.lib_pin.offset_y)
 
     def position(self) -> Tuple[float, float]:
         """Current absolute location of the pin."""
@@ -214,29 +199,27 @@ class PinRef:
 
 
 class Net:
-    """A signal net connecting one driver pin to zero or more sink pins."""
+    """A signal net connecting one driver pin to zero or more sink pins.
 
-    __slots__ = ("name", "index", "pins", "_weight", "_core")
+    A view of row ``index`` of the design core: ``weight`` is
+    ``core.net_weight[index]``.
+    """
 
-    def __init__(self, name: str) -> None:
+    __slots__ = ("name", "index", "pins", "_core")
+
+    def __init__(self, name: str, index: int, core: DesignCore) -> None:
         self.name = name
-        self.index = -1
+        self.index = index
         self.pins: List[PinRef] = []
-        self._weight = 1.0
-        self._core: Optional[DesignCore] = None
+        self._core = core
 
     @property
     def weight(self) -> float:
-        core = self._core
-        return float(core.net_weight[self.index]) if core is not None else self._weight
+        return float(self._core.net_weight[self.index])
 
     @weight.setter
     def weight(self, value: float) -> None:
-        core = self._core
-        if core is not None:
-            core.net_weight[self.index] = value
-        else:
-            self._weight = float(value)
+        self._core.net_weight[self.index] = value
 
     @property
     def driver(self) -> Optional[PinRef]:
@@ -249,10 +232,6 @@ class Net:
     def sinks(self) -> List[PinRef]:
         return [p for p in self.pins if not p.is_driver]
 
-    @property
-    def degree(self) -> int:
-        return len(self.pins)
-
     def hpwl(self) -> float:
         """Half-perimeter wirelength of the net at current pin positions."""
         if len(self.pins) < 2:
@@ -261,7 +240,26 @@ class Net:
         return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Net({self.name}, degree={self.degree})"
+        return f"Net({self.name}, degree={len(self.pins)})"
+
+
+def _check_single_drivers(
+    core: DesignCore, instance_names: Sequence[str], net_names: Sequence[str]
+) -> None:
+    """Reject nets of ``core`` with more than one driver pin, naming them."""
+    driven = core.csr_net[core.pin_is_driver[core.net_pin_index]]
+    bad = np.flatnonzero(np.bincount(driven, minlength=core.num_nets) > 1)
+    if bad.size:
+        pins = core.net_pins(int(bad[0]))
+        drivers = []
+        for pin in pins[core.pin_is_driver[pins]].tolist():
+            inst = int(core.pin_instance[pin])
+            name = instance_names[inst]
+            if not core.inst_is_port[inst]:
+                cell = core.cell_types[core.inst_cell_id[inst]]
+                name += "/" + list(cell.pins)[pin - core.inst_pin_offsets[inst]]
+            drivers.append(name)
+        raise MultipleDriversError(net_names[int(bad[0])], tuple(drivers))
 
 
 class Design:
@@ -277,25 +275,32 @@ class Design:
         site_width: float = 1.0,
     ) -> None:
         self.name = name
-        self._die = die if isinstance(die, Rect) else Rect(*die)
         self.library = library
-        self._row_height = float(row_height)
-        self._site_width = float(site_width)
+        # The floorplan and the table rows that add_* appends, until
+        # finalize() hands them to the core: per instance
+        # (master, x, y, fixed, is_port, orientation, first pin row), per net
+        # its pin rows in connection order, and the net of every connected pin.
+        self._floorplan = (die if isinstance(die, Rect) else Rect(*die), row_height, site_width)
+        self._inst_rows: Dict[str, tuple] = {}
+        self._net_rows: Dict[str, List[int]] = {}
+        self._pin_nets: Dict[int, str] = {}
+        self._num_pins = 0
+        self._core: Optional[DesignCore] = None
+        self._finalized = False
 
-        # Object views.  None on an array-built design until first use; the
-        # name tables below then hold the names (see from_core).
-        self._instances: Optional[List[Instance]] = []
-        self._nets: Optional[List[Net]] = []
-        self._pins: Optional[List[PinRef]] = []
+        # Name tables of the finalized design; handed to the views (and
+        # emptied) when those are built.
         self._instance_names: Tuple[str, ...] = ()
         self._net_names: Tuple[str, ...] = ()
         self._orientations: Optional[Tuple[str, ...]] = None
 
+        # Object views: None until first use.
+        self._instances: Optional[List[Instance]] = None
+        self._nets: Optional[List[Net]] = None
+        self._pins: Optional[List[PinRef]] = None
         self._instance_by_name: Dict[str, Instance] = {}
         self._net_by_name: Dict[str, Net] = {}
         self._pins_by_instance: Dict[str, Dict[str, PinRef]] = {}
-        self._finalized = False
-        self._core: Optional[DesignCore] = None
 
         # Timing constraints are attached by the SDC parser / benchmark
         # generator; kept here so a design file is self-contained.
@@ -338,48 +343,52 @@ class Design:
             row_height=core.row_height,
             site_width=core.site_width,
         )
-        design._instances = design._nets = design._pins = None
-        design._instance_names = tuple(instance_names)
-        design._net_names = tuple(net_names)
-        design._orientations = orientations
-        design._core = core
-        design._check_single_drivers(core)
-        design._finalized = True
+        design._adopt(core, tuple(instance_names), tuple(net_names), orientations)
         return design
 
+    def _adopt(
+        self,
+        core: DesignCore,
+        instance_names: Tuple[str, ...],
+        net_names: Tuple[str, ...],
+        orientations: Optional[Tuple[str, ...]],
+    ) -> None:
+        """Make ``core`` and its name tables this design's finalized state."""
+        _check_single_drivers(core, instance_names, net_names)
+        self._core = core
+        self._instance_names = instance_names
+        self._net_names = net_names
+        self._orientations = orientations
+        self._inst_rows, self._net_rows, self._pin_nets = {}, {}, {}
+        self._finalized = True
+
     # ------------------------------------------------------------------
-    # Floorplan parameters (synced to the core so its rows cache can
-    # invalidate itself when the floorplan changes)
+    # Floorplan parameters (held by the core, whose rows cache invalidates
+    # itself when the floorplan changes)
     # ------------------------------------------------------------------
     @property
     def die(self) -> Rect:
-        return self._die
+        return self.core.die
 
     @die.setter
     def die(self, value: Rect | Tuple[float, float, float, float]) -> None:
-        self._die = value if isinstance(value, Rect) else Rect(*value)
-        if self._core is not None:
-            self._core.set_floorplan(die=self._die)
+        self.core.set_floorplan(die=value)
 
     @property
     def row_height(self) -> float:
-        return self._row_height
+        return self.core.row_height
 
     @row_height.setter
     def row_height(self, value: float) -> None:
-        self._row_height = float(value)
-        if self._core is not None:
-            self._core.set_floorplan(row_height=self._row_height)
+        self.core.set_floorplan(row_height=value)
 
     @property
     def site_width(self) -> float:
-        return self._site_width
+        return self.core.site_width
 
     @site_width.setter
     def site_width(self, value: float) -> None:
-        self._site_width = float(value)
-        if self._core is not None:
-            self._core.set_floorplan(site_width=self._site_width)
+        self.core.set_floorplan(site_width=value)
 
     # ------------------------------------------------------------------
     # Object views
@@ -405,43 +414,65 @@ class Design:
         return self._instances is not None
 
     def _ensure_views(self) -> None:
-        """Create every index-backed view of an array-built design, once."""
+        """Create every index-backed view of the finalized design, once."""
         if self._instances is not None:
             return
-        core = self._core
-        self._instances, self._nets, self._pins = [], [], []
+        core = self.core
+        instances: List[Instance] = []
+        pins: List[PinRef] = []
         cell_types = core.cell_types
         orientations = self._orientations or ("N",) * core.num_instances
-        for name, cell_id, is_port, orientation in zip(
-            self._instance_names,
-            core.inst_cell_id.tolist(),
-            core.inst_is_port.tolist(),
-            orientations,
+        for index, (name, cell_id, is_port, orientation) in enumerate(
+            zip(
+                self._instance_names,
+                core.inst_cell_id.tolist(),
+                core.inst_is_port.tolist(),
+                orientations,
+            )
         ):
-            inst = Instance(name, cell_types[cell_id], orientation=orientation, is_port=is_port)
-            inst._core = core
-            self._register_instance(inst)
-        pins = self._pins
+            inst = Instance(
+                name, cell_types[cell_id], index, core, orientation=orientation, is_port=is_port
+            )
+            instances.append(inst)
+            self._instance_by_name[name] = inst
+            pin_map: Dict[str, PinRef] = {}
+            for lib_pin in inst.cell.pins.values():
+                pin = PinRef(inst, lib_pin)
+                pin.index = len(pins)
+                pins.append(pin)
+                pin_map[lib_pin.name] = pin
+            self._pins_by_instance[name] = pin_map
+        nets: List[Net] = []
         pin_index = core.net_pin_index.tolist()
         bounds = core.net_pin_offsets.tolist()
         for index, name in enumerate(self._net_names):
-            net = Net(name)
-            net.index = index
-            net._core = core
+            net = Net(name, index, core)
             net.pins = [pins[p] for p in pin_index[bounds[index]:bounds[index + 1]]]
             for pin in net.pins:
                 pin.net = net
-            self._nets.append(net)
+            nets.append(net)
             self._net_by_name[name] = net
+        self._instances, self._nets, self._pins = instances, nets, pins
         self._instance_names = self._net_names = ()
         self._orientations = None
 
     # ------------------------------------------------------------------
-    # Construction
+    # Construction (appends table rows; finalize() builds the core)
     # ------------------------------------------------------------------
     def _check_mutable(self) -> None:
         if self._finalized:
             raise RuntimeError("Design topology is frozen after finalize()")
+
+    def _new_row(self, name: str, rows: dict, kind: str) -> None:
+        self._check_mutable()
+        if name in rows:
+            raise ValueError(f"Duplicate {kind} name {name!r}")
+
+    def _add_row(self, name, cell, x, y, fixed, is_port, orientation) -> str:
+        row = (cell, float(x), float(y), bool(fixed), is_port, orientation, self._num_pins)
+        self._inst_rows[name] = row
+        self._num_pins += len(cell.pins)
+        return name
 
     def add_instance(
         self,
@@ -452,15 +483,11 @@ class Design:
         y: float = 0.0,
         fixed: bool = False,
         orientation: str = "N",
-    ) -> Instance:
-        """Create an instance of ``cell`` named ``name``."""
-        self._check_mutable()
-        if name in self._instance_by_name:
-            raise ValueError(f"Duplicate instance name {name!r}")
+    ) -> str:
+        """Add an instance of ``cell`` named ``name``; returns ``name``."""
+        self._new_row(name, self._inst_rows, "instance")
         master = self.library.cell(cell) if isinstance(cell, str) else cell
-        inst = Instance(name, master, x=x, y=y, fixed=fixed, orientation=orientation)
-        self._register_instance(inst)
-        return inst
+        return self._add_row(name, master, x, y, fixed, False, orientation)
 
     def add_port(
         self,
@@ -469,71 +496,45 @@ class Design:
         *,
         x: float = 0.0,
         y: float = 0.0,
-    ) -> Instance:
-        """Create a top-level IO port, modeled as a fixed zero-area instance."""
-        self._check_mutable()
-        if name in self._instance_by_name:
-            raise ValueError(f"Duplicate instance/port name {name!r}")
-        direction = (
-            direction
-            if isinstance(direction, PinDirection)
-            else PinDirection.from_string(direction)
-        )
-        inst = Instance(name, port_cell(direction), x=x, y=y, fixed=True, is_port=True)
-        self._register_instance(inst)
-        return inst
+    ) -> str:
+        """Add a top-level IO port, modeled as a fixed zero-area instance."""
+        self._new_row(name, self._inst_rows, "instance/port")
+        if not isinstance(direction, PinDirection):
+            direction = PinDirection.from_string(direction)
+        return self._add_row(name, port_cell(direction), x, y, True, True, "N")
 
-    def _register_instance(self, inst: Instance) -> None:
-        inst.index = len(self._instances)
-        self._instances.append(inst)
-        self._instance_by_name[inst.name] = inst
-        pin_map: Dict[str, PinRef] = {}
-        for lib_pin in inst.cell.pins.values():
-            pin = PinRef(inst, lib_pin)
-            pin.index = len(self._pins)
-            self._pins.append(pin)
-            pin_map[lib_pin.name] = pin
-        self._pins_by_instance[inst.name] = pin_map
+    def add_net(self, name: str) -> str:
+        """Add an unconnected net named ``name``; returns ``name``."""
+        self._new_row(name, self._net_rows, "net")
+        self._net_rows[name] = []
+        return name
 
-    def add_net(self, name: str) -> Net:
-        self._check_mutable()
-        if name in self._net_by_name:
-            raise ValueError(f"Duplicate net name {name!r}")
-        net = Net(name)
-        net.index = len(self._nets)
-        self._nets.append(net)
-        self._net_by_name[name] = net
-        return net
+    def connect(self, net: str, instance: str, pin_name: str | None = None) -> str:
+        """Attach ``instance``'s pin ``pin_name`` to ``net``; returns the pin's name.
 
-    def connect(self, net: Net | str, instance: Instance | str, pin_name: str | None = None) -> PinRef:
-        """Attach ``instance``'s pin ``pin_name`` to ``net``.
-
-        For ports (single-pin instances) ``pin_name`` may be omitted.
+        For ports (single-pin instances) ``pin_name`` may be omitted.  The
+        returned ``inst/pin`` name (the port's name for a port) is the one
+        :meth:`pin` looks up after :meth:`finalize`.
         """
         self._check_mutable()
-        net_obj = self._net_by_name[net] if isinstance(net, str) else net
-        inst_obj = (
-            self._instance_by_name[instance] if isinstance(instance, str) else instance
-        )
-        pin_map = self._pins_by_instance[inst_obj.name]
+        if net not in self._net_rows:
+            raise KeyError(f"Design {self.name} has no net {net!r}")
+        if instance not in self._inst_rows:
+            raise KeyError(f"Design {self.name} has no instance {instance!r}")
+        cell, _, _, _, is_port, _, first_pin = self._inst_rows[instance]
         if pin_name is None:
-            if len(pin_map) != 1:
-                raise ValueError(
-                    f"pin_name required for multi-pin instance {inst_obj.name}"
-                )
-            pin = next(iter(pin_map.values()))
-        else:
-            try:
-                pin = pin_map[pin_name]
-            except KeyError as exc:
-                raise KeyError(
-                    f"Instance {inst_obj.name} ({inst_obj.cell.name}) has no pin {pin_name!r}"
-                ) from exc
-        if pin.net is not None:
-            raise ValueError(f"Pin {pin.full_name} is already connected to {pin.net.name}")
-        pin.net = net_obj
-        net_obj.pins.append(pin)
-        return pin
+            if len(cell.pins) != 1:
+                raise ValueError(f"pin_name required for multi-pin instance {instance}")
+            pin_name = next(iter(cell.pins))
+        elif pin_name not in cell.pins:
+            raise KeyError(f"Instance {instance} ({cell.name}) has no pin {pin_name!r}")
+        full_name = instance if is_port else f"{instance}/{pin_name}"
+        pin = first_pin + list(cell.pins).index(pin_name)
+        if pin in self._pin_nets:
+            raise ValueError(f"Pin {full_name} is already connected to {self._pin_nets[pin]}")
+        self._pin_nets[pin] = net
+        self._net_rows[net].append(pin)
+        return full_name
 
     # ------------------------------------------------------------------
     # Lookup
@@ -569,10 +570,6 @@ class Design:
         self._ensure_views()
         return name in self._instance_by_name
 
-    def has_net(self, name: str) -> bool:
-        self._ensure_views()
-        return name in self._net_by_name
-
     @property
     def instance_names(self) -> Tuple[str, ...]:
         """Instance names in index order (never builds the views)."""
@@ -605,26 +602,16 @@ class Design:
         return [i for i in self.instances if not i.is_port]
 
     @property
-    def movable_instances(self) -> List[Instance]:
-        return [i for i in self.instances if not i.fixed]
-
-    @property
     def num_instances(self) -> int:
-        return self._core.num_instances if self._core is not None else len(self._instances)
-
-    @property
-    def num_movable(self) -> int:
-        if self._core is not None:
-            return int(self._core.movable_index.size)
-        return sum(1 for i in self._instances if not i.fixed)
+        return self.core.num_instances
 
     @property
     def num_nets(self) -> int:
-        return self._core.num_nets if self._core is not None else len(self._nets)
+        return self.core.num_nets
 
     @property
     def num_pins(self) -> int:
-        return self._core.num_pins if self._core is not None else len(self._pins)
+        return self.core.num_pins
 
     # ------------------------------------------------------------------
     # Finalization and the array core
@@ -632,32 +619,44 @@ class Design:
     def finalize(self) -> "Design":
         """Validate connectivity, freeze the topology, and build the core.
 
-        After this call the NumPy arrays in :attr:`core` are the single
-        source of truth for positions and net weights; the Python objects
-        become index-backed views onto them.
+        The appended rows become a :class:`DesignCore` through
+        :meth:`DesignCore.from_tables`, adopted exactly as
+        :meth:`from_core` adopts one.  A multi-driver net raises
+        :class:`MultipleDriversError` and leaves the design unfinalized.
         """
         if self._finalized:
             return self
-        core = DesignCore.from_design(self)
-        self._check_single_drivers(core)
-        self._core = core
-        self._finalized = True
-        # Flip the objects into view mode (one-time pass at finalize).
-        for inst in self._instances:
-            inst._core = core
-        for net in self._nets:
-            net._core = core
+        columns = tuple(zip(*self._inst_rows.values())) or ((),) * 7
+        cells, x, y, fixed, is_port, orientations, _ = columns
+        cell_types = tuple({id(cell): cell for cell in cells}.values())
+        cell_id = {id(cell): index for index, cell in enumerate(cell_types)}
+        nets = self._net_rows.values()
+        die, row_height, site_width = self._floorplan
+        core = DesignCore.from_tables(
+            name=self.name,
+            die=die,
+            row_height=row_height,
+            site_width=site_width,
+            wire_resistance_per_unit=self.library.wire_resistance_per_unit,
+            wire_capacitance_per_unit=self.library.wire_capacitance_per_unit,
+            cell_types=cell_types,
+            inst_cell_id=np.array([cell_id[id(cell)] for cell in cells], dtype=np.int64),
+            x=np.array(x, dtype=np.float64),
+            y=np.array(y, dtype=np.float64),
+            inst_fixed=np.array(fixed, dtype=bool),
+            inst_is_port=np.array(is_port, dtype=bool),
+            net_pin_offsets=np.cumsum([0] + [len(pins) for pins in nets], dtype=np.int64),
+            net_pin_index=np.array([pin for pins in nets for pin in pins], dtype=np.int64),
+            net_weight=np.ones(len(nets), dtype=np.float64),
+        )
+        all_north = all(o == "N" for o in orientations)
+        self._adopt(
+            core,
+            tuple(self._inst_rows),
+            tuple(self._net_rows),
+            None if all_north else orientations,
+        )
         return self
-
-    def _check_single_drivers(self, core: DesignCore) -> None:
-        """Reject nets of ``core`` with more than one driver pin."""
-        driven = core.csr_net[core.pin_is_driver[core.net_pin_index]]
-        bad = np.flatnonzero(np.bincount(driven, minlength=core.num_nets) > 1)
-        if bad.size:
-            self._ensure_views()  # error path: name the pins through the views
-            net = self._nets[int(bad[0])]
-            names = ", ".join(p.full_name for p in net.pins if p.is_driver)
-            raise ValueError(f"Net {net.name} has multiple drivers: {names}")
 
     @property
     def finalized(self) -> bool:
@@ -666,7 +665,7 @@ class Design:
     @property
     def core(self) -> DesignCore:
         """The array-first design core (requires ``finalize()``)."""
-        if not self._finalized or self._core is None:
+        if not self._finalized:
             raise RuntimeError("Design must be finalized before accessing the core")
         return self._core
 
@@ -677,27 +676,11 @@ class Design:
 
     def positions(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return instance lower-left coordinates as two float arrays."""
-        if self._core is not None:
-            return self._core.positions()
-        x = np.array([i.x for i in self._instances], dtype=np.float64)
-        y = np.array([i.y for i in self._instances], dtype=np.float64)
-        return x, y
+        return self.core.positions()
 
     def set_positions(self, x: Sequence[float], y: Sequence[float]) -> None:
         """Write instance positions back from flat arrays (fixed cells kept)."""
-        if self._core is not None:
-            self._core.set_positions(
-                np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-            )
-            return
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.shape != (len(self._instances),) or y.shape != (len(self._instances),):
-            raise ValueError("Position arrays must have one entry per instance")
-        for inst, xi, yi in zip(self._instances, x, y):
-            if not inst.fixed:
-                inst.x = float(xi)
-                inst.y = float(yi)
+        self.core.set_positions(x, y)
 
     def pin_positions(
         self,
@@ -716,25 +699,18 @@ class Design:
     def rows(self) -> List[Row]:
         """Placement rows filling the die from bottom to top.
 
-        Cached on the core after finalize; the cache invalidates itself when
-        the floorplan (die, row height, site width) changes.
+        Cached on the core; the cache invalidates itself when the floorplan
+        (die, row height, site width) changes.
         """
-        if self._core is not None:
-            return self._core.rows()
-        return build_rows(self._die, self._row_height, self._site_width)
+        return self.core.rows()
 
     def utilization(self) -> float:
         """Total movable + fixed cell area divided by die area."""
-        if self._core is not None:
-            return self._core.utilization()
-        total_area = sum(i.area for i in self._instances if not i.is_port)
-        return total_area / self._die.area if self._die.area > 0 else 0.0
+        return self.core.utilization()
 
     def total_hpwl(self) -> float:
         """Half-perimeter wirelength summed over all nets at current positions."""
-        if self._core is not None:
-            return self._core.total_hpwl()
-        return sum(net.hpwl() for net in self._nets)
+        return self.core.total_hpwl()
 
     # ------------------------------------------------------------------
     # Misc
@@ -759,6 +735,8 @@ class Design:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        if not self._finalized:
+            return f"Design({self.name}, not finalized)"
         return (
             f"Design({self.name}, instances={self.num_instances}, nets={self.num_nets}, "
             f"pins={self.num_pins})"

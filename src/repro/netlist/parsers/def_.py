@@ -19,22 +19,21 @@ Supported subset (matching :func:`repro.netlist.writers.write_def`)::
     END NETS
     END DESIGN
 
-The parser needs a :class:`Library` that declares every referenced cell.
+The parser needs a :class:`Library` that declares every referenced cell.  A
+statement that is truncated or names an unknown cell, instance or pin, a pin
+on two nets, and a net with two drivers raise a
+:class:`~repro.netlist.parsers.errors.ParseError` naming the statement's line.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.netlist.design import Design
+from repro.netlist.design import Design, MultipleDriversError
 from repro.netlist.library import Library
+from repro.netlist.parsers.errors import ParseError, located
 from repro.utils.geometry import Rect
-
-
-def parse_def_file(path: str, library: Library) -> Design:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_def(handle.read(), library)
 
 
 def parse_def(text: str, library: Library) -> Design:
@@ -44,12 +43,11 @@ def parse_def(text: str, library: Library) -> Design:
     die: Optional[Rect] = None
     row_height = 12.0
     site_width = 1.0
-    components: List[Tuple[str, str, float, float, bool]] = []
-    pins: List[Tuple[str, str, str, float, float]] = []
-    nets: List[Tuple[str, List[Tuple[str, Optional[str]]]]] = []
+    # Section entries, each with the line of its statement.
+    entries: Dict[str, List[Tuple[int, tuple]]] = {section: [] for section in _SECTIONS}
 
     section: Optional[str] = None
-    for stmt in statements:
+    for line, stmt in statements:
         tokens = stmt.split()
         if not tokens:
             continue
@@ -80,14 +78,12 @@ def parse_def(text: str, library: Library) -> Design:
         elif head == "END":
             if len(tokens) >= 2 and tokens[1].upper() in {"COMPONENTS", "PINS", "NETS", "DESIGN"}:
                 section = None
-        elif head == "-" or stmt.startswith("-"):
+        elif (head == "-" or stmt.startswith("-")) and section is not None:
             body = stmt[1:].strip()
-            if section == "COMPONENTS":
-                components.append(_parse_component(body))
-            elif section == "PINS":
-                pins.append(_parse_pin(body))
-            elif section == "NETS":
-                nets.append(_parse_net(body))
+            try:
+                entries[section].append((line, _SECTIONS[section](body)))
+            except IndexError:
+                raise ParseError(line, f"{section}: truncated statement '{stmt}'") from None
 
     if die is None:
         die = Rect(0.0, 0.0, 1000.0, 1000.0)
@@ -99,25 +95,38 @@ def parse_def(text: str, library: Library) -> Design:
         row_height = max(set(core_heights), key=core_heights.count)
 
     design = Design(name, die=die, library=library, row_height=row_height, site_width=site_width)
-    for inst_name, cell_name, x, y, fixed in components:
-        design.add_instance(inst_name, cell_name, x=x, y=y, fixed=fixed)
-    for port_name, _net_name, direction, x, y in pins:
-        design.add_port(port_name, direction, x=x, y=y)
-    for net_name, connections in nets:
-        net = design.add_net(net_name)
+    for line, (inst_name, cell_name, x, y, fixed) in entries["COMPONENTS"]:
+        located(line, design.add_instance, inst_name, cell_name, x=x, y=y, fixed=fixed)
+    for line, (port_name, _net_name, direction, x, y) in entries["PINS"]:
+        located(line, design.add_port, port_name, direction, x=x, y=y)
+    net_lines: Dict[str, int] = {}
+    for line, (net_name, connections) in entries["NETS"]:
+        located(line, design.add_net, net_name)
+        net_lines[net_name] = line
         for inst_name, pin_name in connections:
-            design.connect(net, inst_name, pin_name)
-    return design.finalize()
+            located(line, design.connect, net_name, inst_name, pin_name)
+    try:
+        return design.finalize()
+    except MultipleDriversError as exc:
+        raise ParseError(net_lines[exc.net], str(exc)) from exc
 
 
-def _split_statements(text: str) -> List[str]:
+def _split_statements(text: str) -> List[Tuple[int, str]]:
+    """Non-empty statements with the 1-based line each one starts on."""
     # DEF statements terminate with ';'. Remove comments first.  Section
     # terminators ("END COMPONENTS" etc.) carry no semicolon in DEF, so give
     # them one to keep the statement split uniform.
     text = re.sub(r"#[^\n]*", " ", text)
     text = re.sub(r"\bEND\s+(COMPONENTS|PINS|NETS|DESIGN)\b", r" ; END \1 ; ", text)
-    parts = [p.strip() for p in text.split(";")]
-    return [p for p in parts if p]
+    statements: List[Tuple[int, str]] = []
+    line = 1
+    for part in text.split(";"):
+        stmt = part.strip()
+        if stmt:
+            lead = len(part) - len(part.lstrip())
+            statements.append((line + part.count("\n", 0, lead), stmt))
+        line += part.count("\n")
+    return statements
 
 
 def _extract_numbers(stmt: str) -> List[float]:
@@ -163,3 +172,7 @@ def _parse_net(body: str) -> Tuple[str, List[Tuple[str, Optional[str]]]]:
         elif len(parts) >= 2:
             connections.append((parts[0], parts[1]))
     return net_name, connections
+
+
+# Entry parser of every section, by section keyword.
+_SECTIONS = {"COMPONENTS": _parse_component, "PINS": _parse_pin, "NETS": _parse_net}

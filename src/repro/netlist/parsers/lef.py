@@ -29,12 +29,6 @@ from typing import List, Optional, Tuple
 from repro.netlist.library import CellType, Library, LibraryPin, PinDirection
 
 
-def parse_lef_file(path: str, library: Optional[Library] = None) -> Library:
-    """Parse a LEF file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_lef(handle.read(), library)
-
-
 def parse_lef(text: str, library: Optional[Library] = None) -> Library:
     """Parse LEF text into a :class:`Library` (a new one unless provided)."""
     lib = library if library is not None else Library("lef")

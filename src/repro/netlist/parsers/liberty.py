@@ -51,11 +51,6 @@ from repro.netlist.library import (
 )
 
 
-def parse_liberty_file(path: str, library: Optional[Library] = None) -> Library:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_liberty(handle.read(), library)
-
-
 def parse_liberty(text: str, library: Optional[Library] = None) -> Library:
     """Parse Liberty text into a :class:`Library`."""
     text = _strip_comments(text)

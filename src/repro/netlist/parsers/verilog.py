@@ -14,7 +14,11 @@ Supported subset::
 Only named port connections are supported for instances (the style the
 library's own Verilog writer produces).  The parser returns an *unplaced*
 :class:`Design`: ports are placed on the die boundary evenly and instances at
-the die center; run a placer to obtain real locations.
+the die center; run a placer to obtain real locations.  An instance statement
+that repeats an instance name, names an unknown pin, connects a pin twice or
+adds a second driver to a net raises a
+:class:`~repro.netlist.parsers.errors.ParseError` naming the statement's line;
+instances of cells the library lacks are skipped.
 """
 
 from __future__ import annotations
@@ -22,24 +26,15 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.netlist.design import Design
+from repro.netlist.design import Design, MultipleDriversError
 from repro.netlist.library import Library
+from repro.netlist.parsers.errors import ParseError, located
 from repro.utils.geometry import Rect
 
 _MODULE_RE = re.compile(r"module\s+(\w+)\s*\(([^)]*)\)\s*;", re.DOTALL)
 _DECL_RE = re.compile(r"(input|output|inout|wire)\s+([^;]+);")
 _INSTANCE_RE = re.compile(r"(\w+)\s+(\w+)\s*\(([^;]*)\)\s*;", re.DOTALL)
 _CONNECTION_RE = re.compile(r"\.(\w+)\s*\(\s*([\w\[\]]+)\s*\)")
-
-
-def parse_verilog_file(
-    path: str,
-    library: Library,
-    *,
-    die: Optional[Tuple[float, float, float, float]] = None,
-) -> Design:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_verilog(handle.read(), library, die=die)
 
 
 def parse_verilog(
@@ -67,20 +62,21 @@ def parse_verilog(
             else:
                 directions[signal] = kind
 
-    instances: List[Tuple[str, str, List[Tuple[str, str]]]] = []
-    body = text[module.end():]
-    for inst_match in _INSTANCE_RE.finditer(body):
+    # (line, instance, cell, connections) of every instance statement.
+    instances: List[Tuple[int, str, str, List[Tuple[str, str]]]] = []
+    for inst_match in _INSTANCE_RE.finditer(text, module.end()):
         cell_name, inst_name, conn_text = inst_match.groups()
         if cell_name in {"module", "endmodule", "input", "output", "wire", "assign"}:
             continue
         if cell_name not in library:
             continue
         connections = _CONNECTION_RE.findall(conn_text)
-        instances.append((inst_name, cell_name, connections))
+        line = text.count("\n", 0, inst_match.start()) + 1
+        instances.append((line, inst_name, cell_name, connections))
 
     if die is None:
         # Size the die for ~70% utilization of the parsed cells.
-        total_area = sum(library.cell(c).area for _, c, _ in instances) or 100.0
+        total_area = sum(library.cell(c).area for _, _, c, _ in instances) or 100.0
         side = max(100.0, (total_area / 0.7) ** 0.5)
         die = (0.0, 0.0, side, side)
     die_rect = Rect(*die)
@@ -96,25 +92,34 @@ def parse_verilog(
 
     center_x = die_rect.xl + 0.5 * die_rect.width
     center_y = die_rect.yl + 0.5 * die_rect.height
-    for inst_name, cell_name, _ in instances:
-        design.add_instance(inst_name, cell_name, x=center_x, y=center_y)
+    for line, inst_name, cell_name, _ in instances:
+        located(line, design.add_instance, inst_name, cell_name, x=center_x, y=center_y)
 
     # Signals become nets; the port of the same name joins its net.
     signals = set(wires) | set(directions)
-    for _, _, connections in instances:
+    for _, _, _, connections in instances:
         signals.update(sig for _, sig in connections)
     for signal in sorted(signals):
-        net = design.add_net(signal)
+        design.add_net(signal)
         if signal in directions:
-            design.connect(net, signal)
-    for inst_name, _, connections in instances:
+            design.connect(signal, signal)
+    for line, inst_name, _, connections in instances:
         for pin_name, signal in connections:
-            design.connect(signal, inst_name, pin_name)
-    return design.finalize()
+            located(line, design.connect, signal, inst_name, pin_name)
+    try:
+        return design.finalize()
+    except MultipleDriversError as exc:
+        # Ports connect first, so the second driver is an instance pin.
+        second = exc.drivers[1].rsplit("/", 1)[0]
+        line = next(ln for ln, name, _, _ in instances if name == second)
+        raise ParseError(line, str(exc)) from exc
 
 
 def _strip_comments(text: str) -> str:
-    text = re.sub(r"/\*.*?\*/", " ", text, flags=re.DOTALL)
+    """Blank out comments, keeping their line breaks so line numbers hold."""
+    text = re.sub(
+        r"/\*.*?\*/", lambda m: " " + "\n" * m.group().count("\n"), text, flags=re.DOTALL
+    )
     text = re.sub(r"//[^\n]*", " ", text)
     return text
 

@@ -1,15 +1,16 @@
-"""Writers for the simplified DEF / Verilog / Bookshelf / SDC views.
+"""Writers for the simplified LEF / DEF / Verilog / SDC views.
 
-Each writer emits exactly the subset the corresponding parser in
-:mod:`repro.netlist.parsers` understands, so a design round-trips through
-disk.  The DEF writer mirrors the ".def Output" step in Fig. 1 of the paper.
+Each writer returns the text of exactly the subset the corresponding parser
+in :mod:`repro.netlist.parsers` understands, so a design round-trips through
+those parsers.  The DEF writer mirrors the ".def Output" step in Fig. 1 of
+the paper.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.netlist.design import Design, Instance
+from repro.netlist.design import Design
 from repro.netlist.library import Library
 
 
@@ -42,9 +43,9 @@ def write_def(design: Design) -> str:
     ports = design.ports
     lines.append(f"PINS {len(ports)} ;")
     for port in ports:
-        pin = next(iter(port.cell.pins.values()))
-        direction = "INPUT" if pin.is_output else "OUTPUT"
-        net_name = _port_net_name(design, port)
+        pin = design.pin(port.name)
+        direction = "INPUT" if pin.is_driver else "OUTPUT"
+        net_name = pin.net.name if pin.net is not None else port.name
         lines.append(
             f"  - {port.name} + NET {net_name} + DIRECTION {direction} "
             f"+ PLACED ( {_fmt(port.x)} {_fmt(port.y)} ) N ;"
@@ -63,11 +64,6 @@ def write_def(design: Design) -> str:
     lines.append("END NETS")
     lines.append("END DESIGN")
     return "\n".join(lines) + "\n"
-
-
-def write_def_file(design: Design, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(write_def(design))
 
 
 def write_verilog(design: Design) -> str:
@@ -102,42 +98,10 @@ def write_verilog(design: Design) -> str:
         lines.append(f"  wire {', '.join(wires)};")
     lines.append("")
     for inst in design.cells:
-        connections = []
-        for pin in design.pins:
-            if pin.instance is inst and pin.net is not None:
-                connections.append(f".{pin.lib_pin.name}({signal_name[pin.net.name]})")
+        pins = (design.pin(inst.name, name) for name in inst.cell.pins)
+        connections = [f".{p.name}({signal_name[p.net.name]})" for p in pins if p.net is not None]
         lines.append(f"  {inst.cell.name} {inst.name} ({', '.join(connections)});")
     lines.append("endmodule")
-    return "\n".join(lines) + "\n"
-
-
-def write_verilog_file(design: Design, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(write_verilog(design))
-
-
-def write_bookshelf_pl(design: Design) -> str:
-    """Serialize current instance positions as a Bookshelf ``.pl`` file."""
-    lines = ["UCLA pl 1.0", ""]
-    for inst in design.instances:
-        suffix = " /FIXED" if inst.fixed else ""
-        lines.append(f"{inst.name}\t{_fmt(inst.x)}\t{_fmt(inst.y)}\t: N{suffix}")
-    return "\n".join(lines) + "\n"
-
-
-def write_bookshelf_nodes(design: Design) -> str:
-    """Serialize instance footprints as a Bookshelf ``.nodes`` file."""
-    cells = design.instances
-    terminals = [i for i in cells if i.fixed]
-    lines = [
-        "UCLA nodes 1.0",
-        "",
-        f"NumNodes : {len(cells)}",
-        f"NumTerminals : {len(terminals)}",
-    ]
-    for inst in cells:
-        suffix = " terminal" if inst.fixed else ""
-        lines.append(f"{inst.name}\t{_fmt(inst.width)}\t{_fmt(inst.height)}{suffix}")
     return "\n".join(lines) + "\n"
 
 
@@ -186,13 +150,6 @@ def write_lef(library: Library, *, site_width: float = 1.0, row_height: float = 
             lines.append(f"  END {pin.name}")
         lines.append(f"END {cell.name}")
     return "\n".join(lines) + "\n"
-
-
-def _port_net_name(design: Design, port: Instance) -> str:
-    for pin in design.pins:
-        if pin.instance is port and pin.net is not None:
-            return pin.net.name
-    return port.name
 
 
 def _fmt(value: float) -> str:

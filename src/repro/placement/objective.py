@@ -10,7 +10,6 @@ to the :class:`GlobalPlacer`'s objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Protocol, Tuple
 
 import numpy as np
@@ -30,16 +29,6 @@ class ObjectiveTerm(Protocol):
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
         """Return ``(value, grad_x, grad_y)`` for instance positions ``x, y``."""
         ...
-
-
-@dataclass
-class ObjectiveBreakdown:
-    """Per-term values of one objective evaluation (for logging/tests)."""
-
-    wirelength: float
-    density: float
-    extra: List[float]
-    total: float
 
 
 class PlacementObjective:

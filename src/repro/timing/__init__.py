@@ -5,8 +5,7 @@ The package provides:
 * :class:`TimingGraph` — pin-level timing DAG (net arcs + cell arcs) with
   levelization and clock-network handling.
 * :class:`CellDelayModel` / :class:`WireRCModel` — NLDM-like cell delays and
-  Elmore wire delays on star or Steiner RC topologies.
-* :class:`RCTree` — explicit RC tree with exact Elmore delay evaluation.
+  Elmore wire delays on a star RC model of every net.
 * :class:`STAEngine` — arrival/required/slack propagation, WNS/TNS.
 * :func:`report_timing` / :func:`report_timing_endpoint` — critical path
   enumeration, including the paper's O(n*k) endpoint-centric extraction.
@@ -14,8 +13,6 @@ The package provides:
 
 from repro.timing.graph import Arc, ArcKind, TimingGraph
 from repro.timing.delay_model import CellDelayModel, WireRCModel
-from repro.timing.rc_tree import RCTree
-from repro.timing.steiner import star_topology, mst_topology, NetTopology
 from repro.timing.sta import STAEngine, STAResult
 from repro.timing.mcmm import (
     CORNER_PRESETS,
@@ -39,10 +36,6 @@ __all__ = [
     "TimingGraph",
     "CellDelayModel",
     "WireRCModel",
-    "RCTree",
-    "star_topology",
-    "mst_topology",
-    "NetTopology",
     "STAEngine",
     "STAResult",
     "CORNER_PRESETS",

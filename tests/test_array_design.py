@@ -7,9 +7,10 @@ that never builds them.
   generators now emit arrays and finish through
   :meth:`CompiledDesign.to_design`; the digests pin that every name, cell
   id, position and CSR entry is unchanged, also after a pickle round trip.
-* Lazy-view parity: the ``Instance`` / ``PinRef`` / ``Net`` objects an
-  array-built design creates on first use match a design rebuilt through
-  the public construction API, pin for pin.
+* One construction path: a design built through ``add_*`` and
+  ``finalize()`` has the same core and snapshot as the array-built one,
+  and neither builds its views until asked; the views either creates on
+  first use match pin for pin.
 * The timing-driven, wirelength-driven and routability flows, plus
   ``compile_design()``, run on a generated design without building its
   object graph.
@@ -125,6 +126,11 @@ def _rebuild_through_api(compiled: CompiledDesign) -> Design:
             local = int(compiled.net_pin_index[k] - compiled.inst_pin_offsets[inst])
             design.connect(net_name, compiled.instance_names[inst], list(cell.pins)[local])
     design.clock_period = compiled.clock_period
+    design.clock_name = compiled.clock_name
+    design.clock_port = compiled.clock_port
+    design.input_delays = dict(compiled.input_delays)
+    design.output_delays = dict(compiled.output_delays)
+    design.corners = compiled.corners
     return design.finalize()
 
 
@@ -153,12 +159,34 @@ class TestLazyViews:
         ]
         assert lazy.summary() == eager.summary()
 
-    def test_from_design_and_to_design_build_the_same_core(self, pair):
-        lazy, eager = pair
+    def test_api_build_and_to_design_build_the_same_core(self, pair):
+        lazy, _ = pair
+        eager = _rebuild_through_api(compile_design(lazy))
+        assert not eager.views_built
         for field in vars(eager.core):
             value = getattr(eager.core, field)
             if isinstance(value, np.ndarray):
                 np.testing.assert_array_equal(getattr(lazy.core, field), value, err_msg=field)
+        assert snapshot_digest(compile_design(eager)) == snapshot_digest(compile_design(lazy))
+        assert not eager.views_built
+
+    def test_hand_built_snapshot_survives_to_design(self, library):
+        design = Design("hand", die=(0, 0, 60, 48), library=library)
+        design.add_port("in0", "input", x=0, y=24)
+        design.add_instance("u1", "INV_X1", x=12, y=12, fixed=True)
+        design.add_instance("u2", "BUF_X1", x=30, y=24, orientation="FS")
+        design.add_net("n0")
+        design.connect("n0", "in0")
+        design.connect("n0", "u1", "a")
+        design.add_net("n1")
+        design.connect("n1", "u1", "o")
+        design.connect("n1", "u2", "a")
+        compiled = compile_design(design.finalize())
+        assert compiled.orientations == ("N", "N", "FS")
+        assert compiled.inst_fixed.tolist() == [True, True, False]
+        rebuilt = compiled.to_design()
+        assert snapshot_digest(compile_design(rebuilt)) == snapshot_digest(compiled)
+        assert rebuilt.instance("u1").fixed and rebuilt.instance("u2").orientation == "FS"
 
     def test_lookups_and_view_writes(self):
         design = load_benchmark("sb_mini_4", scale=0.2)

@@ -9,9 +9,11 @@ from repro.netlist import Design
 class TestConstruction:
     def test_add_instance_and_lookup(self, library):
         design = Design("d", die=(0, 0, 100, 96), library=library)
-        inst = design.add_instance("u1", "INV_X1", x=10, y=12)
-        assert design.instance("u1") is inst
+        assert design.add_instance("u1", "INV_X1", x=10, y=12) == "u1"
+        design.finalize()
+        inst = design.instance("u1")
         assert design.has_instance("u1")
+        assert (inst.x, inst.y, inst.fixed) == (10.0, 12.0, False)
         assert inst.width == library.cell("INV_X1").width
 
     def test_duplicate_instance_raises(self, library):
@@ -27,8 +29,10 @@ class TestConstruction:
 
     def test_add_port_direction(self, library):
         design = Design("d", die=(0, 0, 100, 96), library=library)
-        pi = design.add_port("in0", "input", x=0, y=5)
-        po = design.add_port("out0", "output", x=100, y=5)
+        design.add_port("in0", "input", x=0, y=5)
+        design.add_port("out0", "output", x=100, y=5)
+        design.finalize()
+        pi, po = design.instance("in0"), design.instance("out0")
         assert pi.is_port and pi.fixed
         # An input port drives a net: its single pin is an output pin.
         assert next(iter(pi.cell.pins.values())).is_output
@@ -38,7 +42,9 @@ class TestConstruction:
         design = Design("d", die=(0, 0, 100, 96), library=library)
         design.add_instance("u1", "INV_X1")
         design.add_net("n1")
-        pin = design.connect("n1", "u1", "a")
+        assert design.connect("n1", "u1", "a") == "u1/a"
+        design.finalize()
+        pin = design.pin("u1/a")
         assert pin.net is design.net("n1")
         assert pin in design.net("n1").pins
 
@@ -48,7 +54,7 @@ class TestConstruction:
         design.add_net("n1")
         design.add_net("n2")
         design.connect("n1", "u1", "a")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Pin u1/a is already connected to n1"):
             design.connect("n2", "u1", "a")
 
     def test_finalize_rejects_multi_driver_net(self, library):
@@ -82,6 +88,13 @@ class TestConstruction:
     def test_mutation_after_finalize_raises(self, tiny_design):
         with pytest.raises(RuntimeError):
             tiny_design.add_net("late")
+
+    def test_reads_before_finalize_raise(self, library):
+        design = Design("d", die=(0, 0, 100, 96), library=library)
+        design.add_instance("u1", "INV_X1")
+        for read in (lambda: design.num_instances, lambda: design.instances, design.positions):
+            with pytest.raises(RuntimeError, match="must be finalized"):
+                read()
 
 
 class TestQueries:

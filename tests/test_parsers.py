@@ -1,4 +1,4 @@
-"""Tests for the LEF/Liberty/DEF/Verilog/SDC/Bookshelf parsers and writers."""
+"""Tests for the LEF/Liberty/DEF/Verilog/SDC parsers and writers."""
 
 import pytest
 
@@ -9,15 +9,10 @@ from repro.netlist.parsers import (
     parse_lef,
     parse_liberty,
     parse_sdc,
+    parse_sdc_file,
     parse_verilog,
-    parse_bookshelf_pl,
-    parse_bookshelf_nodes,
 )
-from repro.netlist.parsers.bookshelf import apply_bookshelf_pl, parse_bookshelf_pl_file
-from repro.netlist.parsers.sdc import parse_sdc_file
 from repro.netlist.writers import (
-    write_bookshelf_nodes,
-    write_bookshelf_pl,
     write_def,
     write_lef,
     write_sdc,
@@ -217,41 +212,64 @@ class TestSdc:
         assert parsed.output_delays["out0"] == 30.0
 
 
-class TestBookshelf:
-    def test_pl_roundtrip(self, tiny_design):
-        placements = parse_bookshelf_pl(write_bookshelf_pl(tiny_design))
-        assert placements["u1"][0] == pytest.approx(tiny_design.instance("u1").x)
-        assert placements["in0"][2] is True  # fixed
-
-    def test_nodes_roundtrip(self, tiny_design):
-        rows = parse_bookshelf_nodes(write_bookshelf_nodes(tiny_design))
-        names = {r[0] for r in rows}
-        assert "u1" in names and "ff1" in names
-
-    def test_apply_pl(self, tiny_design):
-        placements = {"u1": (42.0, 48.0, False), "missing": (0, 0, False)}
-        applied = apply_bookshelf_pl(tiny_design, placements)
-        assert applied == 1
-        assert tiny_design.instance("u1").x == 42.0
-
-
 class TestMalformedInput:
     """Malformed rows raise a located ParseError instead of being dropped."""
 
-    def test_pl_non_numeric_coordinate(self):
-        text = "UCLA pl 1.0\n\nu1 10 20 : N\nu2 1O 20 : N\n"
-        with pytest.raises(ParseError, match="non-numeric x y") as exc:
-            parse_bookshelf_pl(text)
-        assert exc.value.line == 4
+    @pytest.mark.parametrize(
+        "components, nets, line, message",
+        [
+            (["- u9 NOPE_X1 + PLACED ( 0 0 ) N"], [], 4, "no cell 'NOPE_X1'"),
+            (["- u1 ;"], [], 4, "COMPONENTS: truncated statement"),
+            ([], ["- n1 ( zz9 a ) ( u1 a )"], 9, "no instance 'zz9'"),
+            ([], ["- n1 ( u1 zz )"], 9, "INV_X1\\) has no pin 'zz'"),
+            ([], ["- n1 ( u1 o )", "- n2 ( u2 o ) ( u1 o )"], 10, "u1/o is already connected to n1"),
+            ([], ["- n1 ( u1 a )", "- n2 ( u1 o ) ( u2 o )"], 10, "Net n2 has multiple drivers: u1/o, u2/o"),
+        ],
+    )
+    def test_def_statement_errors_name_the_line(self, library, components, nets, line, message):
+        text = "\n".join(
+            [
+                "DESIGN bad ;",
+                "DIEAREA ( 0 0 ) ( 100 96 ) ;",
+                "COMPONENTS 3 ;",
+                *(components or ["- u1 INV_X1 + PLACED ( 0 0 ) N ;"]),
+                "- u2 INV_X1 + PLACED ( 10 0 ) N ;",
+                "END COMPONENTS",
+                "",
+                "NETS 2 ;",
+                *(f"{net} ;" for net in nets),
+                "END NETS",
+                "END DESIGN",
+            ]
+        )
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_def(text, library)
+        assert exc.value.line == line
 
-    def test_nodes_short_and_non_numeric_rows(self):
-        header = "UCLA nodes 1.0\nNumNodes : 2\n"
-        with pytest.raises(ParseError, match="expected 'name width height'") as exc:
-            parse_bookshelf_nodes(header + "u1 2 12\nu2 2\n")
-        assert exc.value.line == 4
-        with pytest.raises(ParseError, match="non-numeric width height") as exc:
-            parse_bookshelf_nodes(header + "u1 2 twelve\n")
-        assert exc.value.line == 3
+    @pytest.mark.parametrize(
+        "instances, line, message",
+        [
+            (["INV_X1 u2 (.a(n1), .zz(y));"], 6, "INV_X1\\) has no pin 'zz'"),
+            (["INV_X1 u1 (.a(n1), .o(y));"], 6, "Duplicate instance name 'u1'"),
+            (["/* a comment\n   over two lines */ INV_X1 u2 (.a(n1), .a(y));"], 7, "u2/a is already connected"),
+            (["INV_X1 u2 (.a(a), .o(n1));"], 6, "Net n1 has multiple drivers: u1/o, u2/o"),
+        ],
+    )
+    def test_verilog_statement_errors_name_the_line(self, library, instances, line, message):
+        text = "\n".join(
+            [
+                "module top (a, y);",
+                "  input a;",
+                "  output y;",
+                "  wire n1;",
+                "  INV_X1 u1 (.a(a), .o(n1));",
+                *instances,
+                "endmodule",
+            ]
+        )
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_verilog(text, library)
+        assert exc.value.line == line
 
     def test_sdc_non_numeric_delay(self):
         text = "create_clock -name clk -period 800\nset_input_delay 5O -clock clk [get_ports in0]\n"
@@ -267,12 +285,6 @@ class TestMalformedInput:
         assert isinstance(exc.value, ValueError)
 
     def test_file_entry_points_name_the_file(self, tmp_path):
-        pl = tmp_path / "bad.pl"
-        pl.write_text("UCLA pl 1.0\nu1 10 20 : N\nu2 1O 20 : N\n")
-        with pytest.raises(ParseError, match="non-numeric x y") as exc:
-            parse_bookshelf_pl_file(str(pl))
-        assert exc.value.path == str(pl)
-        assert str(exc.value).startswith(f"{pl}:3: ")
         sdc = tmp_path / "bad.sdc"
         sdc.write_text("create_clock -name clk -period 800\nset_output_delay x -clock clk [all_outputs]\n")
         with pytest.raises(ParseError, match="set_output_delay") as exc:

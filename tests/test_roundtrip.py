@@ -1,9 +1,9 @@
 """Writer ↔ parser round-trips: a design survives a save/load cycle.
 
-Covers DEF (floorplan + placement + connectivity), Bookshelf (.pl / .nodes),
-and SDC (constraints).  Positions are snapped to 1/8 units before writing:
-binary fractions with three decimal places print exactly under the writers'
-``%.3f`` formatting, so "survives" means *bit-exact*, not approximately.
+Covers DEF (floorplan + placement + connectivity) and SDC (constraints).
+Positions are snapped to 1/8 units before writing: binary fractions with
+three decimal places print exactly under the writers' ``%.3f`` formatting,
+so "survives" means *bit-exact*, not approximately.
 
 Parsers rebuild instances in a different order (components before ports),
 so the comparison is by name — which is also what any external tool consuming
@@ -16,19 +16,9 @@ import numpy as np
 import pytest
 
 from repro.benchgen import CircuitSpec, generate_circuit
-from repro.netlist.parsers.bookshelf import (
-    apply_bookshelf_pl,
-    parse_bookshelf_nodes,
-    parse_bookshelf_pl,
-)
 from repro.netlist.parsers.def_ import parse_def
 from repro.netlist.parsers.sdc import apply_sdc, parse_sdc
-from repro.netlist.writers import (
-    write_bookshelf_nodes,
-    write_bookshelf_pl,
-    write_def,
-    write_sdc,
-)
+from repro.netlist.writers import write_def, write_sdc
 from repro.placement.initial import initial_placement
 
 
@@ -108,51 +98,6 @@ class TestDefRoundTrip:
     def test_hpwl_preserved(self, placed_design, library):
         parsed = parse_def(write_def(placed_design), library)
         assert parsed.total_hpwl() == placed_design.total_hpwl()
-
-
-class TestBookshelfRoundTrip:
-    def test_pl_positions_survive(self, placed_design, library):
-        placements = parse_bookshelf_pl(write_bookshelf_pl(placed_design))
-        assert len(placements) == placed_design.num_instances
-        for inst in placed_design.instances:
-            x, y, fixed = placements[inst.name]
-            assert x == inst.x
-            assert y == inst.y
-            assert fixed == inst.fixed
-
-    def test_pl_applies_onto_fresh_copy(self, placed_design, library):
-        text = write_bookshelf_pl(placed_design)
-        fresh = generate_circuit(
-            CircuitSpec(
-                name="roundtrip",
-                num_cells=120,
-                sequential_fraction=0.2,
-                logic_depth=5,
-                num_primary_inputs=6,
-                num_primary_outputs=6,
-                seed=42,
-            ),
-            library=library,
-        )
-        applied = apply_bookshelf_pl(fresh, parse_bookshelf_pl(text))
-        assert applied == fresh.num_movable
-        # Fixed instances (ports) are deliberately skipped by apply, so the
-        # comparison covers the movable cells.
-        movable = fresh.core.movable_index
-        fx, fy = fresh.positions()
-        px, py = placed_design.positions()
-        np.testing.assert_array_equal(fx[movable], px[movable])
-        np.testing.assert_array_equal(fy[movable], py[movable])
-
-    def test_nodes_footprints_survive(self, placed_design):
-        rows = parse_bookshelf_nodes(write_bookshelf_nodes(placed_design))
-        assert len(rows) == placed_design.num_instances
-        by_name = {name: (w, h, term) for name, w, h, term in rows}
-        for inst in placed_design.instances:
-            width, height, terminal = by_name[inst.name]
-            assert width == inst.width
-            assert height == inst.height
-            assert terminal == inst.fixed
 
 
 class TestSdcRoundTrip:

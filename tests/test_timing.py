@@ -1,122 +1,10 @@
-"""Tests for the timing substrate: topologies, RC trees, delay models, graph, STA."""
+"""Tests for the timing substrate: delay models, graph, STA."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.timing import (
-    RCTree,
-    STAEngine,
-    TimingConstraints,
-    TimingGraph,
-    mst_topology,
-    star_topology,
-)
+from repro.timing import STAEngine, TimingConstraints, TimingGraph
 from repro.timing.delay_model import WireRCModel
-from repro.timing.steiner import half_perimeter
-
-coords = st.floats(0, 1000, allow_nan=False)
-
-
-class TestTopologies:
-    def test_two_pin_star_is_direct_edge(self):
-        topo = star_topology([0, 10], [0, 0], driver_index=0)
-        assert len(topo.edges) == 1
-        assert topo.total_length == pytest.approx(10.0)
-
-    def test_star_center_is_centroid(self):
-        topo = star_topology([0, 10, 20], [0, 0, 0], driver_index=0)
-        assert topo.node_xy[-1][0] == pytest.approx(10.0)
-        assert len(topo.edges) == 3
-
-    def test_single_pin_net(self):
-        topo = star_topology([5], [5])
-        assert topo.edges == []
-
-    def test_mst_is_a_tree(self):
-        xs = [0, 10, 20, 10]
-        ys = [0, 0, 0, 10]
-        topo = mst_topology(xs, ys, driver_index=0)
-        assert len(topo.edges) == 3
-
-    def test_mst_reaches_all_pins(self):
-        rng = np.random.default_rng(0)
-        xs = rng.uniform(0, 100, 12)
-        ys = rng.uniform(0, 100, 12)
-        topo = mst_topology(xs, ys, driver_index=3)
-        children = {c for _, c, _ in topo.edges}
-        assert children | {3} == set(range(12))
-
-    def test_mst_fallback_to_star_for_large_nets(self):
-        xs = list(range(100))
-        ys = [0] * 100
-        topo = mst_topology(xs, ys, max_pins_exact=50)
-        # Star adds a virtual center node.
-        assert topo.node_xy.shape[0] == 101
-
-    @given(st.lists(st.tuples(coords, coords), min_size=2, max_size=12))
-    @settings(max_examples=40, deadline=None)
-    def test_mst_length_at_least_half_perimeter(self, points):
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        topo = mst_topology(xs, ys)
-        # The rectilinear MST is never shorter than the HPWL lower bound.
-        assert topo.total_length >= half_perimeter(xs, ys) - 1e-6
-
-    @given(st.lists(st.tuples(coords, coords), min_size=2, max_size=12))
-    @settings(max_examples=40, deadline=None)
-    def test_star_length_at_least_half_perimeter(self, points):
-        # Sum of centroid distances covers the full x and y spans, so the star
-        # length is also lower-bounded by the HPWL (the star center may act as
-        # a Steiner point, so it is NOT necessarily longer than the MST).
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        star = star_topology(xs, ys)
-        assert star.total_length >= half_perimeter(xs, ys) - 1e-6
-
-
-class TestRCTree:
-    def test_two_pin_elmore_formula(self):
-        r, c = 0.002, 0.00016
-        length = 100.0
-        pin_cap = 0.005
-        topo = star_topology([0, length], [0, 0], driver_index=0)
-        tree = RCTree(topo, resistance_per_unit=r, capacitance_per_unit=c,
-                      pin_caps=[0.0, pin_cap])
-        expected = r * length * (c * length / 2 + pin_cap)
-        assert tree.elmore_delay(1) == pytest.approx(expected, rel=1e-9)
-
-    def test_delay_is_quadratic_in_length(self):
-        r, c = 0.002, 0.00016
-
-        def delay(length):
-            topo = star_topology([0, length], [0, 0], driver_index=0)
-            return RCTree(topo, resistance_per_unit=r, capacitance_per_unit=c,
-                          pin_caps=[0.0, 0.0]).elmore_delay(1)
-
-        # With no pin load the delay is purely r*c*L^2/2: doubling the length
-        # quadruples the delay.
-        assert delay(200.0) == pytest.approx(4.0 * delay(100.0), rel=1e-9)
-
-    def test_root_delay_zero(self):
-        topo = star_topology([0, 50, 80], [0, 10, -5], driver_index=0)
-        tree = RCTree(topo, resistance_per_unit=1e-3, capacitance_per_unit=1e-4)
-        assert tree.elmore_delays_to_pins()[0] == 0.0
-
-    def test_farther_sink_has_larger_delay(self):
-        topo = star_topology([0, 50, 300], [0, 0, 0], driver_index=0)
-        tree = RCTree(topo, resistance_per_unit=1e-3, capacitance_per_unit=1e-4,
-                      pin_caps=[0.0, 0.01, 0.01])
-        delays = tree.elmore_delays_to_pins()
-        assert delays[2] > delays[1] > 0
-
-    def test_total_capacitance_increases_with_length(self):
-        short = RCTree(star_topology([0, 10], [0, 0]), resistance_per_unit=1e-3,
-                       capacitance_per_unit=1e-4)
-        long = RCTree(star_topology([0, 100], [0, 0]), resistance_per_unit=1e-3,
-                      capacitance_per_unit=1e-4)
-        assert long.total_capacitance > short.total_capacitance
-
 
 class TestWireRCModel:
     def test_matches_rc_tree_for_two_pin_net(self, tiny_design):
