@@ -325,8 +325,8 @@ def bench_design(name: str) -> dict:
         return placer, result
 
     # Tracing overhead: the identical plain run with the unified tracer
-    # active.  The span ring sees every gp.iteration / gradient-term /
-    # profile span the run produces, so this is the real steady-state cost
+    # active.  The span ring sees every placement.* layer span (Nesterov
+    # step, gradient terms) the run produces, so this is the real steady-state cost
     # being budgeted, and the final positions must stay bitwise identical.
     # The two walls are measured *interleaved* (plain, traced, plain, ...)
     # because back-to-back best-of-N pairs pick up machine drift between

@@ -51,12 +51,15 @@ def main() -> None:
     for label, a, b in rows:
         print(f"{label:>22} {a:>15.3f} {b:>15.3f}")
 
-    # Every feedback firing is a ``feedback.<name>`` span of the run.
+    # Every firing of a scheduled feedback is a ``feedback.<name>`` span of
+    # the run (``feedback.dispatch`` and ``feedback.compose`` are the
+    # scheduler's own spans, not feedbacks).
     spans = gp.context.metadata["trace_metrics"]["spans"]
     print("\nper-feedback runtime (seconds across main + refine placements):")
-    for span_name, stats in spans.items():
-        if span_name.startswith("feedback."):
-            name = span_name[len("feedback."):]
+    for slot in gp.context.feedback.slots:
+        name = slot.feedback.name
+        stats = spans.get(f"feedback.{name}")
+        if stats is not None:
             print(f"  {name:<12} {stats['seconds']:8.3f}s over {stats['count']:>3d} updates")
 
     record = gp.context.metadata["feedback"]

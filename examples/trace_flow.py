@@ -5,15 +5,16 @@ Enables the process-wide tracer of the unified tracing subsystem
 (`repro.obs`), runs the paper's Efficient-TDP flow on a synthetic design,
 and shows everything the subsystem produces:
 
-* hierarchical spans — ``flow.run`` > ``stage.*`` > ``gp.iteration`` >
-  ``profile.gradient``;
+* hierarchical spans, one per layer entry point — ``flow`` > ``stage.*`` >
+  ``placement.gp`` > ``placement.nesterov`` > ``placement.wirelength``;
 * user spans — wrap any region with ``span("name", key=value)``;
 * a live listener — a callback invoked as each span finalizes;
 * counters/gauges — aggregated exactly even when the ring buffer drops;
 * a Chrome trace-event JSON file that loads in https://ui.perfetto.dev;
 * the run's own metrics — every flow run records into its own run tracer
   (traced or not), so ``result.stage_seconds`` and ``result.breakdown()``
-  are available on any run.
+  (the Fig. 4 components: span self seconds summed per component) are
+  available on any run.
 
 Tracing performs no array arithmetic, so the placement is bitwise
 identical to an untraced run (asserted at the end).
@@ -85,13 +86,13 @@ def main() -> None:
           f"{len(problems)} validation problems)  -> open in ui.perfetto.dev")
     print(f"spans recorded: {sum(s['count'] for s in metrics['spans'].values())} "
           f"(dropped: {metrics['dropped']})")
-    print(f"{'span':<24}{'count':>8}{'total ms':>12}")
-    for span_name in ("flow.run", "stage.global_place", "gp.iteration",
-                      "profile.gradient"):
+    print(f"{'span':<24}{'count':>8}{'total ms':>12}{'self ms':>10}")
+    for span_name in ("flow", "stage.global_place", "placement.gp",
+                      "placement.nesterov", "placement.wirelength"):
         stats = metrics["spans"].get(span_name)
         if stats:
             print(f"{span_name:<24}{stats['count']:>8}"
-                  f"{stats['seconds'] * 1e3:>12.2f}")
+                  f"{stats['seconds'] * 1e3:>12.2f}{stats['self_seconds'] * 1e3:>10.2f}")
     print(f"stage walls seen by listener: "
           f"{ {k: round(v, 3) for k, v in sorted(stage_walls.items())} }")
     if metrics["gauges"]:

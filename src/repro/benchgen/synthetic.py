@@ -65,6 +65,7 @@ import numpy as np
 from repro.netlist.compiled import CompiledDesign
 from repro.netlist.design import Design, port_cell
 from repro.netlist.library import CellType, Library, PinDirection, make_generic_library
+from repro.obs import traced
 from repro.utils.geometry import Rect
 from repro.utils.rng import make_rng
 
@@ -131,6 +132,7 @@ class CircuitSpec:
             raise ValueError("hub_count must be at least 1")
 
 
+@traced("benchgen.generate")
 def generate_circuit(
     spec: CircuitSpec,
     *,

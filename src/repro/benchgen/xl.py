@@ -44,6 +44,7 @@ from repro.benchgen.synthetic import (
 )
 from repro.netlist.design import Design
 from repro.netlist.library import Library, make_generic_library
+from repro.obs import traced
 from repro.utils.rng import make_rng
 
 __all__ = ["XL_SUITE", "generate_xl_circuit", "xl_benchmark_names"]
@@ -68,6 +69,7 @@ def xl_benchmark_names() -> List[str]:
     return list(XL_SUITE.keys())
 
 
+@traced("benchgen.generate")
 def generate_xl_circuit(
     spec: CircuitSpec,
     *,

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.obs import traced
 from repro.timing.report import (
     PathBatch,
     PathExtractionStats,
@@ -61,6 +62,7 @@ class CriticalPathExtractor:
         self.engine = engine
         self.config = config if config is not None else ExtractionConfig()
 
+    @traced("core.extract")
     def extract(
         self,
         result: Optional[STAResult] = None,

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.netlist.core import as_core
 from repro.core.losses import PairLoss, QuadraticLoss
+from repro.obs import traced
 from repro.timing.graph import TimingGraph
 from repro.timing.report import PathBatch, TimingPath, pair_keys, split_pair_keys
 
@@ -99,6 +100,7 @@ class PinPairSet:
         self._version += 1
 
     # ------------------------------------------------------------------
+    @traced("core.pair_update")
     def update_from_paths(
         self,
         paths: Sequence[TimingPath],
@@ -267,6 +269,7 @@ class PinAttractionObjective:
             self._cached_version = self.pairs.version
         return self._pin_i, self._pin_j, self._pair_w
 
+    @traced("core.attraction")
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
         """Raw PP value and its gradient with respect to instance positions."""
         pin_i, pin_j, weights = self._pair_arrays()

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.netlist.core import as_core
 from repro.netlist.design import Design
+from repro.obs import traced
 from repro.placement.wirelength import total_hpwl
 from repro.route.rudy import CongestionConfig, CongestionEstimator
 from repro.timing.constraints import TimingConstraints
@@ -117,6 +118,7 @@ class Evaluator:
         self._congestion_config = congestion
         self._congestion: Optional[CongestionEstimator] = None
 
+    @traced("evaluation.evaluate")
     def evaluate(
         self,
         x: Optional[np.ndarray] = None,

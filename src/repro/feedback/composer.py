@@ -40,6 +40,8 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
+from repro.obs import traced
+
 __all__ = ["WeightComposerConfig", "WeightComposer"]
 
 
@@ -111,6 +113,7 @@ class WeightComposer:
                 log_target[over] = log_cap
         return np.exp(log_target)
 
+    @traced("feedback.compose")
     def compose(self, proposals: Mapping[str, np.ndarray]) -> np.ndarray:
         """Fold the proposals into the momentum state; return the new weights.
 

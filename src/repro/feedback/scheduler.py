@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.feedback.base import FeedbackCadence, PlacementFeedback
 from repro.feedback.composer import WeightComposer
-from repro.obs import span
+from repro.obs import span, traced
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.placement.global_placer import GlobalPlacer
@@ -90,6 +90,7 @@ class FeedbackScheduler:
     # ------------------------------------------------------------------
     # Per-iteration dispatch
     # ------------------------------------------------------------------
+    @traced("feedback.dispatch")
     def dispatch(
         self,
         placer: "GlobalPlacer",

@@ -155,7 +155,9 @@ def calibrate_attraction_weight(
     comparison is about *which* pins are attracted, not about force
     magnitudes.  Returns True once calibrated.
     """
-    wl = placer.wirelength.evaluate(x, y, net_weights=placer.net_weights, with_value=False)
+    # Every wirelength evaluation is a span; the GP loop times its own.
+    with span("placement.wirelength"):
+        wl = placer.wirelength.evaluate(x, y, net_weights=placer.net_weights, with_value=False)
     wl_norm = float(np.abs(wl.grad_x).sum() + np.abs(wl.grad_y).sum())
     num_movable = max(int(placer.design.arrays.movable_mask.sum()), 1)
     pp_norm = attraction.gradient_norm(x, y)
@@ -187,8 +189,7 @@ class _TimingFeedback(PlacementFeedback):
         # owns this feedback (through its scheduler), and a reference back
         # would keep every finished run alive until a cyclic collection.
         self.design = ctx.design
-        with span("profile.io"):
-            self.sta = ctx.require_sta()
+        self.sta = ctx.require_sta()
 
     def analyze(self, x: np.ndarray, y: np.ndarray) -> "STAResult | MultiCornerResult":
         return self.sta.update_timing(x, y)
@@ -215,10 +216,8 @@ class _TimingFeedback(PlacementFeedback):
                 f"{type(self).__name__}.update before prepare(): the feedback "
                 "needs the flow's shared STA engine"
             )
-        with span("profile.timing_analysis"):
-            result = self.analyze(x, y)
-        with span("profile.weighting"):
-            proposal = self.respond(placer, result, x, y)
+        result = self.analyze(x, y)
+        proposal = self.respond(placer, result, x, y)
         if proposal is None and self.resets_momentum:
             placer.reset_optimizer_momentum()
         placer.history.record_extra("tns", iteration, result.tns)
@@ -267,22 +266,21 @@ class PinPairAttraction(_TimingFeedback):
 
     def prepare(self, ctx: Any) -> None:
         super().prepare(ctx)
-        with span("profile.io"):
-            # One extractor per corner: critical paths are corner-specific
-            # (a path failing only at the slow corner must still attract its
-            # pins), so MCMM extraction walks every corner's annotations and
-            # pools the pin pairs.  Single-corner flows keep one extractor.
-            if isinstance(self.sta, MultiCornerSTA):
-                self.extractors = [
-                    CriticalPathExtractor(self.sta.corner_view(index), self.extraction)
-                    for index in range(self.sta.num_corners)
-                ]
-            else:
-                self.extractors = [CriticalPathExtractor(self.sta, self.extraction)]
-            self.pairs = PinPairSet(w0=self.w0, w1=self.w1)
-            self.attraction = PinAttractionObjective(
-                ctx.design, self.pairs, loss=make_loss(self.loss), beta=self.beta
-            )
+        # One extractor per corner: critical paths are corner-specific
+        # (a path failing only at the slow corner must still attract its
+        # pins), so MCMM extraction walks every corner's annotations and
+        # pools the pin pairs.  Single-corner flows keep one extractor.
+        if isinstance(self.sta, MultiCornerSTA):
+            self.extractors = [
+                CriticalPathExtractor(self.sta.corner_view(index), self.extraction)
+                for index in range(self.sta.num_corners)
+            ]
+        else:
+            self.extractors = [CriticalPathExtractor(self.sta, self.extraction)]
+        self.pairs = PinPairSet(w0=self.w0, w1=self.w1)
+        self.attraction = PinAttractionObjective(
+            ctx.design, self.pairs, loss=make_loss(self.loss), beta=self.beta
+        )
         ctx.pin_pairs = self.pairs
         self.extraction_stats = ctx.extraction_stats
         self.beta_calibrated = self.beta_mode != "auto"

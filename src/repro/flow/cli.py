@@ -424,26 +424,24 @@ def _profile_payload(
             name: round(seconds, 6) for name, seconds in result.breakdown().items()
         },
     }
-    # Every scheduled placement feedback (timing feedbacks, congestion
-    # weighting) fires inside a ``feedback.<name>`` span,
-    # across the main placement and any refine placements.
-    feedback = {
-        name[len("feedback."):]: entry
-        for name, entry in spans.items()
-        if name.startswith("feedback.")
-    }
+    # Every firing of a scheduled placement feedback (timing feedbacks,
+    # congestion weighting) is a ``feedback.<name>`` span, across the main
+    # placement and any refine placements.
+    scheduler = result.context.feedback
+    names = [slot.feedback.name for slot in scheduler.slots] if scheduler is not None else []
+    feedback = {name: spans[f"feedback.{name}"] for name in names if f"feedback.{name}" in spans}
     if feedback:
         payload["feedback"] = {
             "seconds": {name: round(e["seconds"], 6) for name, e in feedback.items()},
             "calls": {name: e["count"] for name, e in feedback.items()},
             "updates": len(result.context.metadata.get("feedback", {}).get("trajectory", [])),
         }
-    # Per-term gradient walls (the ``gp.*`` spans inside the placer's
+    # Per-term gradient walls (the ``placement.<term>`` spans of the placer's
     # gradient evaluations) keep regressions in any one term attributable.
-    if "gp.wirelength" in spans:
+    if "placement.wirelength" in spans:
         payload["gradient_terms"] = {
-            term: round(spans[f"gp.{term}"]["seconds"], 6)
-            for term in ("wirelength", "density", "extra", "scatter")
+            term: round(spans[f"placement.{term}"]["seconds"], 6)
+            for term in ("wirelength", "density", "extra")
         }
     payload["trace"] = metrics
     return payload

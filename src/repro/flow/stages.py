@@ -30,7 +30,6 @@ from repro.feedback.composer import WeightComposer, WeightComposerConfig
 from repro.feedback.scheduler import FeedbackScheduler
 from repro.flow.context import FlowContext
 from repro.flow.stage import register_stage
-from repro.obs import span
 from repro.placement.detailed import DetailedPlacer
 from repro.placement.global_placer import GlobalPlacer, PlacementConfig
 from repro.placement.legalization.abacus import AbacusLegalizer
@@ -121,8 +120,7 @@ class GlobalPlaceStage:
         self.config = config if config is not None else PlacementConfig()
 
     def run(self, ctx: FlowContext) -> None:
-        with span("profile.io"):
-            placer = GlobalPlacer(ctx.design, self.config, feedback=ctx.feedback)
+        placer = GlobalPlacer(ctx.design, self.config, feedback=ctx.feedback)
         placement = placer.run()
         # Keep what later stages read, not the placer: its working set dies here.
         ctx.placement_config = placer.config
@@ -144,25 +142,24 @@ class LegalizeStage:
 
     def run(self, ctx: FlowContext) -> None:
         x, y = ctx.positions()
-        with span("profile.legalization"):
-            # Reuse the repair stage's Abacus run on exactly these arrays.
-            scored = ctx.scored_legalization
-            if scored is not None and scored[0] is x and scored[1] is y:
-                legal = scored[2]
-            else:
-                legal = AbacusLegalizer(ctx.design).legalize(x, y)
-            used_fallback = False
-            if not legal.success and self.fallback:
-                logger.warning(
-                    "Abacus failed (%d unplaced cells, %d overfull rows); "
-                    "falling back to greedy",
-                    legal.num_failed,
-                    legal.num_overfull_rows,
-                )
-                legal = GreedyLegalizer(ctx.design).legalize(x, y)
-                used_fallback = True
-            ctx.x, ctx.y = legal.x, legal.y
-            ctx.design.set_positions(ctx.x, ctx.y)
+        # Reuse the repair stage's Abacus run on exactly these arrays.
+        scored = ctx.scored_legalization
+        if scored is not None and scored[0] is x and scored[1] is y:
+            legal = scored[2]
+        else:
+            legal = AbacusLegalizer(ctx.design).legalize(x, y)
+        used_fallback = False
+        if not legal.success and self.fallback:
+            logger.warning(
+                "Abacus failed (%d unplaced cells, %d overfull rows); "
+                "falling back to greedy",
+                legal.num_failed,
+                legal.num_overfull_rows,
+            )
+            legal = GreedyLegalizer(ctx.design).legalize(x, y)
+            used_fallback = True
+        ctx.x, ctx.y = legal.x, legal.y
+        ctx.design.set_positions(ctx.x, ctx.y)
         ctx.metadata["legalization"] = {
             "engine": "greedy" if used_fallback else "abacus",
             "fallback": used_fallback,
@@ -190,11 +187,10 @@ class DetailedPlaceStage:
 
     def run(self, ctx: FlowContext) -> None:
         x, y = ctx.positions()
-        with span("profile.detailed_place"):
-            placer = DetailedPlacer(ctx.design, max_passes=self.max_passes)
-            rx, ry, accepted = placer.refine(x, y)
-            ctx.x, ctx.y = rx, ry
-            ctx.design.set_positions(rx, ry)
+        placer = DetailedPlacer(ctx.design, max_passes=self.max_passes)
+        rx, ry, accepted = placer.refine(x, y)
+        ctx.x, ctx.y = rx, ry
+        ctx.design.set_positions(rx, ry)
         ctx.metadata["detailed_place"] = {
             "accepted_swaps": int(accepted),
             "max_passes": int(self.max_passes),
@@ -217,15 +213,14 @@ class CongestionStage:
         self.config = config
 
     def run(self, ctx: FlowContext) -> None:
-        with span("profile.congestion"):
-            estimator = CongestionEstimator(ctx.design, self.config)
-            x, y = ctx.positions()
-            result = estimator.estimate(x, y)
-            ctx.congestion = result
-            ctx.congestion_xy = (x, y)
-            summary = result.summary()
-            summary["hotspots"] = result.hotspots(estimator.config.top_k_hotspots)
-            ctx.metadata["congestion"] = summary
+        estimator = CongestionEstimator(ctx.design, self.config)
+        x, y = ctx.positions()
+        result = estimator.estimate(x, y)
+        ctx.congestion = result
+        ctx.congestion_xy = (x, y)
+        summary = result.summary()
+        summary["hotspots"] = result.hotspots(estimator.config.top_k_hotspots)
+        ctx.metadata["congestion"] = summary
 
 
 @register_stage("routability_repair")
@@ -303,16 +298,15 @@ class RoutabilityRepairStage:
             return legal.x, legal.y
 
         x, y = ctx.positions()
-        with span("profile.routability"):
-            outcome = run_inflation_loop(
-                design,
-                place_fn,
-                x,
-                y,
-                estimator=estimator,
-                config=self.inflation,
-                legalize_fn=legalize_fn,
-            )
+        outcome = run_inflation_loop(
+            design,
+            place_fn,
+            x,
+            y,
+            estimator=estimator,
+            config=self.inflation,
+            legalize_fn=legalize_fn,
+        )
         ctx.x, ctx.y = outcome.x, outcome.y
         design.set_positions(outcome.x, outcome.y)
         ctx.scored_legalization = scored.get(id(outcome.x))
@@ -357,37 +351,36 @@ class EvaluateStage:
         self.congestion = congestion
 
     def run(self, ctx: FlowContext) -> None:
-        with span("profile.io"):
-            corners = ctx.corners
-            if corners is None and self.corners is not None:
-                corners = resolve_corners(self.corners)
-            congestion = self.congestion
-            if congestion is True:
-                congestion = CongestionConfig()
-            elif congestion is False:
-                congestion = None
-            x, y = ctx.positions()
-            # Reuse the congestion stage's maps when they were estimated at
-            # exactly these position arrays (stages rebind, never mutate, so
-            # identity implies currency); otherwise the evaluator builds its
-            # own estimate.
-            precomputed = None
-            if (
-                congestion is not None
-                and ctx.congestion is not None
-                and ctx.congestion_xy is not None
-                and ctx.congestion_xy[0] is x
-                and ctx.congestion_xy[1] is y
-            ):
-                precomputed = ctx.congestion
-            # The run's engine was built for ctx.constraints and ctx.corners.
-            sta = ctx.sta if corners is ctx.corners else None
-            ctx.evaluation = Evaluator(
-                ctx.design, ctx.constraints, corners=corners, congestion=congestion, sta=sta
-            ).evaluate(x, y, congestion_result=precomputed)
-            # Attach the run's feedback trajectory (per-update WNS / peak
-            # overflow / weight-norm rows) so one report carries both the
-            # final scores and how the feedback loop got there.
-            record = ctx.metadata.get("feedback")
-            if record and record.get("trajectory"):
-                ctx.evaluation.feedback_trajectory = list(record["trajectory"])
+        corners = ctx.corners
+        if corners is None and self.corners is not None:
+            corners = resolve_corners(self.corners)
+        congestion = self.congestion
+        if congestion is True:
+            congestion = CongestionConfig()
+        elif congestion is False:
+            congestion = None
+        x, y = ctx.positions()
+        # Reuse the congestion stage's maps when they were estimated at
+        # exactly these position arrays (stages rebind, never mutate, so
+        # identity implies currency); otherwise the evaluator builds its
+        # own estimate.
+        precomputed = None
+        if (
+            congestion is not None
+            and ctx.congestion is not None
+            and ctx.congestion_xy is not None
+            and ctx.congestion_xy[0] is x
+            and ctx.congestion_xy[1] is y
+        ):
+            precomputed = ctx.congestion
+        # The run's engine was built for ctx.constraints and ctx.corners.
+        sta = ctx.sta if corners is ctx.corners else None
+        ctx.evaluation = Evaluator(
+            ctx.design, ctx.constraints, corners=corners, congestion=congestion, sta=sta
+        ).evaluate(x, y, congestion_result=precomputed)
+        # Attach the run's feedback trajectory (per-update WNS / peak
+        # overflow / weight-norm rows) so one report carries both the
+        # final scores and how the feedback loop got there.
+        record = ctx.metadata.get("feedback")
+        if record and record.get("trajectory"):
+            ctx.evaluation.feedback_trajectory = list(record["trajectory"])

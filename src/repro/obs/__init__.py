@@ -6,19 +6,23 @@ Quick start::
 
     tracer = start_tracing()
     try:
-        with span("flow.run", design="sb_mini_18"):
+        with span("my.region", design="sb_mini_18"):
             ...
     finally:
         stop_tracing()
     write_chrome_trace("trace.json", tracer)   # load in ui.perfetto.dev
 
 ``span(...)`` is free when no tracer is active, so instrumentation stays
-inline in hot loops.  Every ``FlowRunner.run`` records into its own
-:func:`run_tracer`, which forwards to the process tracer above when one is
-active; stage walls, the Fig. 4 breakdown and ``--profile`` are projections
-of that run tracer's ``metrics()``.  ``clock()`` is the repo's blessed
-monotonic clock (the ``raw-timing`` contract rule bans direct
-``time.perf_counter`` use outside this package).
+inline in hot loops.  Each layer's entry point records one span per call
+(``@traced(name)`` or an inline ``span``; the README's observability
+section lists the names), and ``metrics()`` gives each name its total and
+self seconds (the total minus its direct children's).  Every
+``FlowRunner.run`` records into its own :func:`run_tracer`, which forwards
+to the process tracer above when one is active; stage walls, the Fig. 4
+breakdown (:data:`repro.flow.runner.FIG4_COMPONENTS`) and ``--profile``
+are projections of that run tracer's ``metrics()``.  ``clock()`` is the
+repo's blessed monotonic clock (the ``raw-timing`` contract rule bans
+direct ``time.perf_counter`` use outside this package).
 """
 
 from .export import chrome_trace, validate_chrome_trace, write_chrome_trace
@@ -33,6 +37,7 @@ from .tracer import (
     span,
     start_tracing,
     stop_tracing,
+    traced,
     tracing_enabled,
 )
 
@@ -49,6 +54,7 @@ __all__ = [
     "span",
     "start_tracing",
     "stop_tracing",
+    "traced",
     "tracing_enabled",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -16,8 +16,9 @@ Design constraints, in order:
   shared no-op context manager without allocating; ``active_tracer()`` is
   a thread-local and a module-global read.  The global-placement inner
   loop calls both every iteration.
-* **Enabled means cheap.**  One span is two ``perf_counter`` calls, one
-  dict merge, and an append — no I/O, no string formatting.  The
+* **Enabled means cheap.**  One span is two ``perf_counter`` calls, two
+  small dict updates (its name's totals, its parent's child time) and an
+  append — no I/O, no string formatting.  The
   ≤3% traced-GP-iteration budget in ``benchmarks/bench_core.py`` gates
   this.
 * **Never lossy about *that* it lost data.**  The ring buffer drops the
@@ -30,6 +31,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
@@ -47,6 +49,7 @@ __all__ = [
     "span",
     "start_tracing",
     "stop_tracing",
+    "traced",
     "tracing_enabled",
 ]
 
@@ -154,8 +157,11 @@ class Tracer:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._stacks = threading.local()
-        self._span_seconds: Dict[str, float] = {}
-        self._span_counts: Dict[str, int] = {}
+        # Per span name: [seconds, self seconds, count].
+        self._span_totals: Dict[str, List[float]] = {}
+        # Summed durations of the finalized children of each span not yet
+        # finalized itself, keyed by span id.
+        self._child_seconds: Dict[int, float] = {}
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._listeners: List[Callable[[SpanRecord], None]] = []
@@ -257,10 +263,20 @@ class Tracer:
         return record
 
     def _finalize(self, record: SpanRecord) -> None:
-        name = record.name
+        # Self time is the duration minus the finalized children's.  Every
+        # arrival path finalizes children before their parent; a record whose
+        # parent already finalized (an adopted worker root under batch.run)
+        # ran on another lane and leaves the parent's self time alone.
+        dur, parent, child_seconds = record.dur, record.parent_id, self._child_seconds
         with self._lock:
-            self._span_seconds[name] = self._span_seconds.get(name, 0.0) + record.dur
-            self._span_counts[name] = self._span_counts.get(name, 0) + 1
+            totals = self._span_totals.get(record.name)
+            if totals is None:
+                totals = self._span_totals[record.name] = [0.0, 0.0, 0]
+            totals[0] += dur
+            totals[1] += dur - child_seconds.pop(record.span_id, 0.0)
+            totals[2] += 1
+            if parent is not None:
+                child_seconds[parent] = child_seconds.get(parent, 0.0) + dur
             if len(self._records) < self.capacity:
                 self._records.append(record)
             else:
@@ -301,14 +317,16 @@ class Tracer:
             self.dropped += int(dropped)
 
     def metrics(self) -> Dict[str, Any]:
-        """Flat aggregate snapshot (merged into EvaluationReport/--profile)."""
+        """Flat aggregate snapshot (merged into EvaluationReport/--profile).
+
+        Each span name carries its total ``seconds``, its ``self_seconds``
+        (the total minus the time of its direct children) and ``count``;
+        the self seconds of a run's spans partition the run's root span.
+        """
         with self._lock:
             spans = {
-                name: {
-                    "seconds": self._span_seconds[name],
-                    "count": self._span_counts[name],
-                }
-                for name in sorted(self._span_seconds)
+                name: {"seconds": seconds, "self_seconds": self_seconds, "count": count}
+                for name, (seconds, self_seconds, count) in sorted(self._span_totals.items())
             }
             return {
                 "spans": spans,
@@ -420,3 +438,26 @@ def span(name: str, **attrs: Any) -> Union[_ActiveSpan, _NoopSpan]:
     if tracer is None:
         return _NOOP_SPAN
     return _ActiveSpan(tracer, name, attrs or None)
+
+
+def traced(name: str) -> Callable[[Callable], Callable]:
+    """Decorator recording a ``name`` span around every call of a function
+    (a layer's entry point).  With no active tracer a call costs the
+    ``active_tracer()`` lookup; with one it skips :func:`span`'s context
+    manager object, because some entry points run every GP iteration."""
+
+    def decorate(fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            tracer = active_tracer()
+            if tracer is None:
+                return fn(*args, **kwargs)
+            handle = tracer.begin(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                tracer.end(handle)
+
+        return wrapper
+
+    return decorate

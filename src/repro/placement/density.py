@@ -288,13 +288,11 @@ class BinGeometry(NamedTuple):
 
 @dataclass
 class DensityResult:
-    """Energy, gradient, and overflow of one density evaluation."""
+    """Gradient and overflow of one density evaluation."""
 
-    energy: float
     grad_x: np.ndarray
     grad_y: np.ndarray
     overflow: float
-    max_density: float
 
 
 class ElectrostaticDensity:
@@ -545,9 +543,7 @@ class ElectrostaticDensity:
         # Electric field E = -grad(psi); central differences on the bin grid
         # (np.gradient's edge_order=1 stencil, staged into the reused field
         # buffers — bitwise identical to the allocating np.gradient call).
-        if self.num_bins_x < 2 or self.num_bins_y < 2:
-            grad_u, grad_v = np.gradient(psi, self.bin_w, self.bin_h)
-            return psi, -grad_u, -grad_v
+        # They need two bins per axis, which GlobalPlacer checks.
         eu = self._field_u
         ev = self._field_v
         np.subtract(psi[2:, :], psi[:-2, :], out=eu[1:-1, :])
@@ -625,7 +621,7 @@ class ElectrostaticDensity:
 
     # ------------------------------------------------------------------
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> DensityResult:
-        """Density energy, per-instance gradient, and overflow at ``(x, y)``.
+        """Per-instance density gradient and overflow at ``(x, y)``.
 
         With an arena attached the gradient arrays in the result are reused
         buffers, invalidated by the next ``evaluate`` — the placer consumes
@@ -641,9 +637,7 @@ class ElectrostaticDensity:
         geometry, self._geometry = self._geometry, None
         if geometry is None:
             geometry = self._stage_geometry(x, y)
-        psi, ex, ey = self._solve_field(density)
-
-        energy = 0.5 * float(np.sum(density / self.bin_area * psi))
+        _, ex, ey = self._solve_field(density)
 
         num_instances = self.core.num_instances
         grad_x = self._buffer("density_grad_x", num_instances)
@@ -663,14 +657,7 @@ class ElectrostaticDensity:
         np.subtract(density, capacity, out=over)
         np.maximum(over, 0.0, out=over)
         overflow = float(over.sum() / max(self._total_movable_area, 1e-12))
-        max_density = float(density.max() / self.bin_area) if density.size else 0.0
-        return DensityResult(
-            energy=energy,
-            grad_x=grad_x,
-            grad_y=grad_y,
-            overflow=overflow,
-            max_density=max_density,
-        )
+        return DensityResult(grad_x=grad_x, grad_y=grad_y, overflow=overflow)
 
     def overflow(self, x: np.ndarray, y: np.ndarray) -> float:
         """Density overflow only (cheaper than a full evaluate when no solve is needed)."""

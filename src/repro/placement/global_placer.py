@@ -32,7 +32,7 @@ import numpy as np
 from repro.feedback.base import FeedbackCadence, PlacementFeedback
 from repro.feedback.scheduler import FeedbackScheduler, FeedbackSlot
 from repro.netlist.design import Design
-from repro.obs import active_tracer, clock, span
+from repro.obs import active_tracer, clock, span, traced
 from repro.placement.arena import IterationArena
 from repro.placement.density import ElectrostaticDensity
 from repro.placement.initial import clamp_to_die, initial_placement
@@ -147,6 +147,13 @@ class GlobalPlacer:
         self.config = config if config is not None else PlacementConfig()
         arrays = design.arrays
 
+        for knob in ("num_bins_x", "num_bins_y"):
+            bins = getattr(self.config, knob)
+            if bins is not None and bins < 2:
+                raise ValueError(
+                    f"{knob} must be at least 2 (the density field's central "
+                    f"differences need two bins per axis), got {bins}"
+                )
         self.wirelength = WeightedAverageWirelength(design)
         self.density = ElectrostaticDensity(
             design,
@@ -259,29 +266,34 @@ class GlobalPlacer:
         Returns arena-owned buffers that are reused on the next call; the
         optimizer copies what it keeps.  The staged in-place combine is
         bitwise identical to the allocating sum it replaced (IEEE ``+`` and
-        ``*`` are commutative bit for bit).  The evaluation is a
-        ``profile.gradient`` span holding one ``gp.*`` span per term, all
-        recorded from one clock read per boundary.  A non-finite gradient
-        raises :class:`PlacementDiverged` before it can move a cell.
+        ``*`` are commutative bit for bit).  The wirelength and density
+        spans are recorded from one clock read per boundary; the extra
+        terms run in a ``placement.extra`` span, so the pin-attraction span
+        nests inside it.  What no term span covers (the combine) is the
+        enclosing ``placement.nesterov`` span's self time.  A non-finite
+        gradient raises :class:`PlacementDiverged` before it can move a cell.
         """
         tracer = active_tracer()
-        with span("profile.gradient"):
-            t0 = clock()
-            wl = self.wirelength.evaluate(
-                x, y, net_weights=self.net_weights, with_value=False
-            )
-            t1 = clock()
-            dens = self.density.evaluate(x, y)
-            t2 = clock()
-            if self._density_weight_pending:
-                # Folded first-iteration bootstrap: derive the initial
-                # density multiplier from this evaluation instead of running
-                # a duplicate evaluate before the loop (same positions, same
-                # gamma — bitwise identical weight).
-                self.density_weight = self._derive_density_weight(wl, dens)
-                self._density_weight_pending = False
-            arena = self.arena
-            num_instances = self.design.arrays.num_instances
+        t0 = clock()
+        wl = self.wirelength.evaluate(
+            x, y, net_weights=self.net_weights, with_value=False
+        )
+        t1 = clock()
+        dens = self.density.evaluate(x, y)
+        t2 = clock()
+        if tracer is not None:
+            tracer.record_complete("placement.wirelength", t0, t1 - t0)
+            tracer.record_complete("placement.density", t1, t2 - t1)
+        if self._density_weight_pending:
+            # Folded first-iteration bootstrap: derive the initial
+            # density multiplier from this evaluation instead of running
+            # a duplicate evaluate before the loop (same positions, same
+            # gamma — bitwise identical weight).
+            self.density_weight = self._derive_density_weight(wl, dens)
+            self._density_weight_pending = False
+        arena = self.arena
+        num_instances = self.design.arrays.num_instances
+        with span("placement.extra"):
             _, extra_gx, extra_gy = self.objective.evaluate_extra(
                 x,
                 y,
@@ -289,29 +301,22 @@ class GlobalPlacer:
                 out_x=arena.array("extra_gx", num_instances),
                 out_y=arena.array("extra_gy", num_instances),
             )
-            t3 = clock()
-            grad_x = arena.array("grad_x", num_instances)
-            grad_y = arena.array("grad_y", num_instances)
-            np.multiply(dens.grad_x, self.density_weight, out=grad_x)
-            grad_x += wl.grad_x
-            grad_x += extra_gx
-            np.multiply(dens.grad_y, self.density_weight, out=grad_y)
-            grad_y += wl.grad_y
-            grad_y += extra_gy
-            precond = arena.array("precond", num_instances)
-            np.multiply(self._inst_area, self.density_weight, out=precond)
-            precond += self._pins_per_instance
-            np.maximum(precond, 1.0, out=precond)
-            grad_x /= precond
-            grad_y /= precond
-            grad_x[self._fixed_mask] = 0.0
-            grad_y[self._fixed_mask] = 0.0
-            t4 = clock()
-            if tracer is not None:
-                tracer.record_complete("gp.wirelength", t0, t1 - t0)
-                tracer.record_complete("gp.density", t1, t2 - t1)
-                tracer.record_complete("gp.extra", t2, t3 - t2)
-                tracer.record_complete("gp.scatter", t3, t4 - t3)
+        grad_x = arena.array("grad_x", num_instances)
+        grad_y = arena.array("grad_y", num_instances)
+        np.multiply(dens.grad_x, self.density_weight, out=grad_x)
+        grad_x += wl.grad_x
+        grad_x += extra_gx
+        np.multiply(dens.grad_y, self.density_weight, out=grad_y)
+        grad_y += wl.grad_y
+        grad_y += extra_gy
+        precond = arena.array("precond", num_instances)
+        np.multiply(self._inst_area, self.density_weight, out=precond)
+        precond += self._pins_per_instance
+        np.maximum(precond, 1.0, out=precond)
+        grad_x /= precond
+        grad_y /= precond
+        grad_x[self._fixed_mask] = 0.0
+        grad_y[self._fixed_mask] = 0.0
         if not math.isfinite(grad_x.sum() + grad_y.sum()):
             raise self._diverged(
                 (
@@ -361,6 +366,7 @@ class GlobalPlacer:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
+    @traced("placement.gp")
     def run(
         self,
         x0: Optional[np.ndarray] = None,
@@ -404,43 +410,43 @@ class GlobalPlacer:
         converged = False
         iteration = 0
         for iteration in range(1, config.max_iterations + 1):
-            with span("gp.iteration", i=iteration):
-                self._iteration = iteration
+            self._iteration = iteration
+            with span("placement.nesterov", i=iteration):
                 x, y = optimizer.step_once(self._gradient)
-                # In-place clamp: the returned arrays are the optimizer's
-                # major solution, freshly allocated this iteration, so
-                # clipping them directly keeps optimizer state and loop state
-                # in sync without a copy.
-                self._clip_to_die(x, y)
+            # In-place clamp: the returned arrays are the optimizer's
+            # major solution, freshly allocated this iteration, so
+            # clipping them directly keeps optimizer state and loop state
+            # in sync without a copy.
+            self._clip_to_die(x, y)
 
-                dens = self._last_density_result
-                overflow = dens.overflow
-                self._update_gamma(overflow)
-                # Grow the density multiplier only while the spreading target
-                # has not been met.  Once the target is reached the multiplier
-                # is frozen so flows that keep iterating (timing optimization)
-                # can refine wirelength/timing without the density term
-                # eventually dominating; if timing forces re-cluster cells and
-                # overflow rises above the target again, growth resumes
-                # automatically.
-                if overflow > config.stop_overflow:
-                    self.density_weight = min(
-                        self.density_weight * config.density_weight_growth,
-                        config.density_weight_max,
-                    )
+            dens = self._last_density_result
+            overflow = dens.overflow
+            self._update_gamma(overflow)
+            # Grow the density multiplier only while the spreading target
+            # has not been met.  Once the target is reached the multiplier
+            # is frozen so flows that keep iterating (timing optimization)
+            # can refine wirelength/timing without the density term
+            # eventually dominating; if timing forces re-cluster cells and
+            # overflow rises above the target again, growth resumes
+            # automatically.
+            if overflow > config.stop_overflow:
+                self.density_weight = min(
+                    self.density_weight * config.density_weight_growth,
+                    config.density_weight_max,
+                )
 
-                # Nothing in the loop reads HPWL (the stopping rule, gamma
-                # and the density schedule read overflow), so it is computed
-                # only for the history and the log line.
-                recorded = iteration % config.history_every == 0
-                if recorded:
-                    hpwl = self._hpwl(x, y)
-                    self.history.iterations.append(iteration)
-                    self.history.hpwl.append(hpwl)
-                    self.history.overflow.append(overflow)
-                    self.history.density_weight.append(self.density_weight)
+            # Nothing in the loop reads HPWL (the stopping rule, gamma
+            # and the density schedule read overflow), so it is computed
+            # only for the history and the log line.
+            recorded = iteration % config.history_every == 0
+            if recorded:
+                hpwl = self._hpwl(x, y)
+                self.history.iterations.append(iteration)
+                self.history.hpwl.append(hpwl)
+                self.history.overflow.append(overflow)
+                self.history.density_weight.append(self.density_weight)
 
-                self.feedback.dispatch(self, iteration, x, y)
+            self.feedback.dispatch(self, iteration, x, y)
 
             if config.verbose and iteration % config.log_every == 0:
                 logger.info(

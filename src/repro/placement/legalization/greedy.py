@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from repro.netlist.core import as_core
+from repro.obs import traced
 from repro.placement.legalization.abacus import LegalizationResult
 
 
@@ -25,6 +26,7 @@ class GreedyLegalizer:
         if not self.rows:
             raise ValueError("Design has no placement rows (die too short?)")
 
+    @traced("legalize.greedy")
     def legalize(
         self,
         x: Optional[np.ndarray] = None,

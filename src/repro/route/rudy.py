@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.netlist.core import DesignCore, as_core
-from repro.obs import span
+from repro.obs import traced
 
 __all__ = [
     "CongestionConfig",
@@ -367,6 +367,7 @@ class CongestionEstimator:
         return np.ascontiguousarray(grid[:nbx, :nby])
 
     # ------------------------------------------------------------------
+    @traced("route.congestion")
     def estimate(
         self,
         x: Optional[np.ndarray] = None,
@@ -376,11 +377,6 @@ class CongestionEstimator:
         core = self.core
         if x is None or y is None:
             x, y = core.x, core.y
-        with span("congestion.estimate"):
-            return self._estimate(x, y)
-
-    def _estimate(self, x: np.ndarray, y: np.ndarray) -> CongestionResult:
-        core = self.core
         die = core.die
         shape = (self.num_bins_x, self.num_bins_y)
 

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.netlist.design import Design
-from repro.obs import span
+from repro.obs import span, traced
 from repro.timing.constraints import Corner, TimingConstraints
 from repro.timing.delay_model import CellDelayModel, WireRCModel, stack_corner_rows
 from repro.timing.graph import ArcKind, TimingGraph
@@ -258,7 +258,7 @@ class _CornerStackedSTA:
             x, y = self.design.positions()
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        with span("sta.update_timing", corners=self.num_corners):
+        with span("timing.sta", corners=self.num_corners):
             pin_x, pin_y = self.design.pin_positions(x, y)
             wire = self.wire_model.evaluate_stacked(pin_x, pin_y, self._rc_scales)
             self._net_load = wire.net_load
@@ -347,6 +347,7 @@ class _CornerStackedSTA:
 class STAEngine(_CornerStackedSTA):
     """Single-corner arrival/required/slack propagation over a :class:`TimingGraph`."""
 
+    @traced("timing.sta_init")
     def __init__(
         self,
         design: Design,
@@ -423,6 +424,7 @@ class MultiCornerSTA(_CornerStackedSTA):
     :class:`~repro.timing.mcmm.MultiCornerResult`.
     """
 
+    @traced("timing.sta_init")
     def __init__(
         self,
         design: Design,

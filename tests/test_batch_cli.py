@@ -565,9 +565,9 @@ class TestCLICommands:
         # runtime_sec is rounded to 3 decimals, the parts to 6.
         assert sum(profile["stage_seconds"].values()) <= profile["runtime_sec"] + 5e-4
         gradient_terms = profile["gradient_terms"]
-        assert set(gradient_terms) == {"wirelength", "density", "extra", "scatter"}
+        assert set(gradient_terms) == {"wirelength", "density", "extra"}
         assert sum(gradient_terms.values()) <= profile["components"]["gradient"] + 1e-5
-        assert profile["trace"]["spans"]["gp.iteration"]["count"] == 40
+        assert profile["trace"]["spans"]["placement.nesterov"]["count"] == 40
 
     def test_profile_with_json_stdout_names_profile_after_run(
         self, tmp_path, capsys, monkeypatch

@@ -685,6 +685,13 @@ class TestInnerLoopBitwise:
         with pytest.raises(ValueError, match="history_every"):
             placer.run()
 
+    @pytest.mark.parametrize("knob", ["num_bins_x", "num_bins_y"])
+    def test_grid_narrower_than_two_bins_is_rejected(self, knob):
+        # The density field's central differences need two bins per axis.
+        design = load_benchmark("sb_mini_4", scale=0.3)
+        with pytest.raises(ValueError, match=f"{knob} must be at least 2"):
+            GlobalPlacer(design, PlacementConfig(max_iterations=1, **{knob: 1}))
+
     def test_steady_state_arena_allocations_stop_growing(self):
         placer = GlobalPlacer(
             load_benchmark("sb_mini_4", scale=0.4),
@@ -706,15 +713,15 @@ class TestInnerLoopBitwise:
         with run_tracer() as tracer:
             placer.run()
         spans = tracer.metrics()["spans"]
-        terms = ("wirelength", "density", "extra", "scatter")
-        assert all(spans[f"gp.{term}"]["count"] == 3 for term in terms)
-        assert all(spans[f"gp.{term}"]["seconds"] >= 0.0 for term in terms)
-        assert spans["gp.wirelength"]["seconds"] > 0.0
-        # The terms nest inside each gradient evaluation's span.
-        assert spans["profile.gradient"]["count"] == 3
+        terms = ("wirelength", "density", "extra")
+        assert all(spans[f"placement.{term}"]["count"] == 3 for term in terms)
+        assert all(spans[f"placement.{term}"]["seconds"] >= 0.0 for term in terms)
+        assert spans["placement.wirelength"]["seconds"] > 0.0
+        # The terms nest inside each iteration's Nesterov step span.
+        assert spans["placement.nesterov"]["count"] == 3
         assert (
-            sum(spans[f"gp.{term}"]["seconds"] for term in terms)
-            <= spans["profile.gradient"]["seconds"]
+            sum(spans[f"placement.{term}"]["seconds"] for term in terms)
+            <= spans["placement.nesterov"]["seconds"]
         )
 
     def test_optimizer_does_not_alias_reused_gradient_buffers(self):

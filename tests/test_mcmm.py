@@ -181,7 +181,7 @@ class TestMultiCornerSemantics:
 
 def test_multi_corner_update_opens_one_sta_span(fresh_small_design):
     """Both engines go through the one traced update: a three-corner pass
-    shows up as exactly one ``sta.update_timing`` span."""
+    shows up as exactly one ``timing.sta`` span."""
     engine = MultiCornerSTA(fresh_small_design, "fast,typ,slow")
     tracer = start_tracing()
     try:
@@ -189,7 +189,7 @@ def test_multi_corner_update_opens_one_sta_span(fresh_small_design):
     finally:
         stop_tracing()
     names = [record.name for record in tracer.records()]
-    assert names.count("sta.update_timing") == 1
+    assert names.count("timing.sta") == 1
 
 
 class TestCornerSwap:

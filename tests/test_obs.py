@@ -118,6 +118,33 @@ class TestTracerCore:
         assert metrics["events"] == 2
         assert metrics["dropped"] == 3
 
+    def test_self_seconds_subtract_direct_children(self):
+        """Every way a record arrives (stack span, record_complete on the
+        stack or with an explicit parent, adoption) counts toward its
+        parent's children, so the self seconds partition the root span."""
+        tracer = Tracer()
+        root = tracer.begin("root")
+        tracer.record_complete("term", root.start, 0.25)
+        with tracer.span("step"):
+            tracer.record_complete("term", root.start, 0.5)
+        worker = Tracer()
+        worker.record_complete("job", worker.epoch, 0.125)
+        adopt_spans(
+            tracer, serialize_trace(worker), parent_id=root.span_id, base=root.start, track="lane"
+        )
+        tracer.record_complete("term", root.start, 1.0, parent=root)
+        tracer.end(root)
+        spans = tracer.metrics()["spans"]
+        assert spans["term"]["self_seconds"] == spans["term"]["seconds"] == 1.75
+        assert spans["job"]["self_seconds"] == 0.125
+        step = spans["step"]["seconds"]
+        assert spans["step"]["self_seconds"] == pytest.approx(step - 0.5)
+        assert spans["root"]["self_seconds"] == pytest.approx(
+            root.dur - (0.25 + step + 0.125 + 1.0)
+        )
+        total = sum(entry["self_seconds"] for entry in spans.values())
+        assert total == pytest.approx(root.dur)
+
     def test_counters_gauges_and_merge(self):
         tracer = Tracer()
         tracer.counter("dispatches")
@@ -148,7 +175,7 @@ class TestTracerCore:
     def test_module_level_lifecycle(self):
         assert not tracing_enabled()
         # Disabled means free: the same shared no-op CM, no allocation.
-        assert span("gp.iteration", i=1) is _NOOP_SPAN
+        assert span("placement.nesterov", i=1) is _NOOP_SPAN
         tracer = start_tracing()
         assert active_tracer() is tracer
         with pytest.raises(RuntimeError):
@@ -239,8 +266,116 @@ class TestRunTracer:
             short, long = pool.map(run, (10, 20))
         for result, iterations in ((short, 10), (long, 20)):
             spans = result.evaluation.trace_metrics["spans"]
-            assert spans["gp.iteration"]["count"] == iterations
-            assert spans["flow.run"]["count"] == 1
+            assert spans["placement.nesterov"]["count"] == iterations
+            assert spans["flow"]["count"] == 1
+
+
+# ----------------------------------------------------------------------
+# Layer spans: each layer's entry point records one span per call
+# ----------------------------------------------------------------------
+def _layer_entry_points():
+    """Span name -> the entry points whose every call it records."""
+    from repro.benchgen import suite, xl
+    from repro.core.path_extraction import CriticalPathExtractor
+    from repro.core.pin_attraction import PinAttractionObjective, PinPairSet
+    from repro.evaluation import Evaluator
+    from repro.feedback.composer import WeightComposer
+    from repro.feedback.scheduler import FeedbackScheduler
+    from repro.placement import AbacusLegalizer, GlobalPlacer
+    from repro.placement.density import ElectrostaticDensity
+    from repro.placement.legalization.greedy import GreedyLegalizer
+    from repro.placement.nesterov import NesterovOptimizer
+    from repro.placement.objective import PlacementObjective
+    from repro.placement.wirelength import WeightedAverageWirelength
+    from repro.route import CongestionEstimator
+    from repro.timing import STAEngine
+    from repro.timing.mcmm import MultiCornerSTA
+
+    return {
+        # load_benchmark calls the classic generator through suite's import.
+        "benchgen.generate": ((suite, "generate_circuit"), (xl, "generate_xl_circuit")),
+        "flow": ((FlowRunner, "run"),),
+        "placement.gp": ((GlobalPlacer, "run"),),
+        "placement.nesterov": ((NesterovOptimizer, "step_once"),),
+        "placement.wirelength": ((WeightedAverageWirelength, "evaluate"),),
+        "placement.density": ((ElectrostaticDensity, "evaluate"),),
+        "placement.extra": ((PlacementObjective, "evaluate_extra"),),
+        "core.attraction": ((PinAttractionObjective, "evaluate"),),
+        "core.extract": ((CriticalPathExtractor, "extract"),),
+        "core.pair_update": ((PinPairSet, "update_from_paths"),),
+        "timing.sta_init": ((STAEngine, "__init__"), (MultiCornerSTA, "__init__")),
+        "timing.sta": ((STAEngine, "update_timing"), (MultiCornerSTA, "update_timing")),
+        "feedback.dispatch": ((FeedbackScheduler, "dispatch"),),
+        "feedback.compose": ((WeightComposer, "compose"),),
+        "route.congestion": ((CongestionEstimator, "estimate"),),
+        "legalize.abacus": ((AbacusLegalizer, "legalize"),),
+        "legalize.greedy": ((GreedyLegalizer, "legalize"),),
+        "evaluation.evaluate": ((Evaluator, "evaluate"),),
+    }
+
+
+class TestLayerSpans:
+    @pytest.mark.parametrize(
+        "preset, design_name, scale, overrides",
+        [
+            (
+                "efficient_tdp",
+                "sb_mini_18",
+                0.25,
+                dict(
+                    max_iterations=60,
+                    timing_start_iteration=20,
+                    min_timing_iterations=20,
+                    timing_update_interval=10,
+                    corners="fast,slow",
+                ),
+            ),
+            (
+                "routability-gp",
+                "sb_cong_1",
+                0.3,
+                dict(
+                    max_iterations=60,
+                    refine_iterations=20,
+                    congestion_start=10,
+                    congestion_interval=10,
+                    timing_start=20,
+                    timing_interval=20,
+                ),
+            ),
+        ],
+        ids=["efficient_tdp-mcmm", "routability-gp"],
+    )
+    def test_span_count_is_entry_point_calls(
+        self, monkeypatch, preset, design_name, scale, overrides
+    ):
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        entry_points = _layer_entry_points()
+        for name, targets in entry_points.items():
+            for owner, attribute in targets:
+                monkeypatch.setattr(owner, attribute, counting(name, getattr(owner, attribute)))
+        tracer = start_tracing()
+        try:
+            build_flow(preset, **overrides).run(load_benchmark(design_name, scale=scale))
+        finally:
+            stop_tracing()
+        spans = tracer.metrics()["spans"]
+        counts = {name: spans[name]["count"] for name in entry_points if name in spans}
+        assert counts == calls
+        # Every layer the paper's flow and the routability flow reach ran.
+        assert calls["placement.nesterov"] > 0 and calls["timing.sta"] > 0
+        if preset == "efficient_tdp":
+            assert calls["core.extract"] == 2 * calls["core.pair_update"]  # two corners
+        else:
+            assert calls["route.congestion"] > 0 and calls["feedback.compose"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -373,12 +508,14 @@ class TestBatchTracing:
         assert {r.track for r in jobs} == {"batch-job-0", "batch-job-1"}
         # The whole child flow shipped back: flow + GP spans on the lanes,
         # with the child's internal nesting intact after id remapping.
-        flow_runs = spans["flow.run"]
+        flow_runs = spans["flow"]
         assert {r.track for r in flow_runs} == {"batch-job-0", "batch-job-1"}
         job_ids = {r.span_id for r in jobs}
         assert all(r.parent_id in job_ids for r in flow_runs)
         stage_ids = {r.span_id for r in spans["stage.global_place"]}
-        assert all(r.parent_id in stage_ids for r in spans["gp.iteration"])
+        assert all(r.parent_id in stage_ids for r in spans["placement.gp"])
+        gp_ids = {r.span_id for r in spans["placement.gp"]}
+        assert all(r.parent_id in gp_ids for r in spans["placement.nesterov"])
         for item in result.items:
             assert item.trace is None
             assert "trace" not in item.as_dict()
@@ -412,7 +549,7 @@ class TestTracedFailureCleanup:
         # The span CMs unwound with the exception: everything is finalized.
         assert all(r.dur >= 0.0 for r in tracer.records())
         assert "stage.boom" in spans
-        assert "flow.run" in spans
+        assert "flow" in spans
 
 
 # ----------------------------------------------------------------------
@@ -434,11 +571,11 @@ class TestBitwiseInvariance:
         assert np.array_equal(plain.y, traced.y)
         assert plain.evaluation.hpwl == traced.evaluation.hpwl
         # Both runs carry their own run tracer's aggregate snapshot.
-        assert plain.evaluation.trace_metrics["spans"]["gp.iteration"]["count"] == 15
+        assert plain.evaluation.trace_metrics["spans"]["placement.nesterov"]["count"] == 15
         snapshot = traced.evaluation.trace_metrics
         assert snapshot is not None
-        assert "gp.iteration" in snapshot["spans"]
-        assert snapshot["spans"]["gp.iteration"]["count"] == 15
+        assert "placement.nesterov" in snapshot["spans"]
+        assert snapshot["spans"]["placement.nesterov"]["count"] == 15
         assert "gp.hpwl" in snapshot["gauges"]
         assert "trace_metrics" in traced.context.metadata
         assert "trace_metrics" in traced.evaluation.as_dict()
@@ -466,7 +603,7 @@ class TestCliTracing:
         payload = json.loads(out.read_text())
         assert validate_chrome_trace(payload) == []
         names = {e["name"] for e in payload["traceEvents"]}
-        assert {"flow.run", "stage.global_place", "gp.iteration"} <= names
+        assert {"flow", "stage.global_place", "placement.nesterov"} <= names
         # The CLI tore its tracer down again.
         assert not tracing_enabled()
 
@@ -500,5 +637,5 @@ class TestCliTracing:
         payload = json.loads(out.read_text())
         assert validate_chrome_trace(payload) == []
         names = {e["name"] for e in payload["traceEvents"]}
-        assert {"batch.run", "batch.job", "flow.run"} <= names
+        assert {"batch.run", "batch.job", "flow"} <= names
         assert not tracing_enabled()

@@ -369,7 +369,6 @@ class TestDensityAreaScale:
         scaled = ElectrostaticDensity(design)
         scaled.set_area_scale(np.ones(design.num_instances))
         got = scaled.evaluate(x, y)
-        assert got.energy == ref.energy
         np.testing.assert_array_equal(got.grad_x, ref.grad_x)
         assert got.overflow == ref.overflow
 

@@ -203,7 +203,7 @@ class TestPresetRegressionTraced:
             golden["x_dot"], rel=1e-9
         )
         # The run actually traced: the GP loop produced iteration spans.
-        assert "gp.iteration" in tracer.metrics()["spans"]
+        assert "placement.nesterov" in tracer.metrics()["spans"]
 
 
 def _assert_matches(result, golden) -> None:
