@@ -35,9 +35,7 @@ from repro.flow import (
     FlowContext,
     FlowResult,
     FlowRunner,
-    available_stages,
     build_flow,
-    create_stage,
     preset_names,
     run_batch,
 )
@@ -72,9 +70,7 @@ __all__ = [
     "FlowContext",
     "FlowResult",
     "FlowRunner",
-    "available_stages",
     "build_flow",
-    "create_stage",
     "preset_names",
     "run_batch",
     "Design",

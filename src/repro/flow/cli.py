@@ -362,7 +362,11 @@ def _build_run(args: argparse.Namespace, command: str):
             stages = add_congestion_weighting(stages)
     except (AttributeError, ValueError) as exc:
         raise SystemExit(f"repro {command}: {exc}") from exc
-    return design, FlowRunner(stages, name=runner.name), int(overrides["seed"])
+    return (
+        design,
+        FlowRunner(stages, name=runner.name, corners=runner.corners),
+        int(overrides["seed"]),
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -4,10 +4,9 @@ A :class:`FlowContext` is created once per :meth:`FlowRunner.run` and handed
 to every stage in order.  Stages communicate exclusively through it: the
 ``feedback_weight`` stage publishes the run's feedback scheduler, and its
 timing feedbacks the shared STA engine, pin-pair set and extraction
-statistics; the global placement stage publishes positions, history, its
-config and final net weights, legalization rewrites the positions, and
-evaluation attaches the final report.  Anything not worth a dedicated field
-goes into ``metadata``.
+statistics; the global placement stage publishes its result, positions and
+config, legalization rewrites the positions, and evaluation attaches the
+final report.  Anything not worth a dedicated field goes into ``metadata``.
 
 A finished run keeps its results, the run's STA engine and the feedback
 scheduler, never a placer: a placer's working set is freed by reference
@@ -31,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.pin_attraction import PinPairSet
     from repro.evaluation.evaluator import EvaluationReport
     from repro.feedback.scheduler import FeedbackScheduler
-    from repro.placement.global_placer import PlacementConfig, PlacementHistory, PlacementResult
+    from repro.placement.global_placer import PlacementConfig, PlacementResult
     from repro.placement.legalization.abacus import LegalizationResult
     from repro.route.rudy import CongestionResult
     from repro.timing.report import PathExtractionStats
@@ -44,18 +43,16 @@ class FlowContext:
     design: Design
     constraints: TimingConstraints
     seed: int = 0
-    # MCMM: analysis corners shared by timing and evaluation stages
-    # (``None`` = plain single-corner analysis, today's behavior).
+    # MCMM analysis corners of the run (set by the runner), shared by timing
+    # feedback and evaluation; ``None`` = plain single-corner analysis.
     corners: Optional[Tuple[Corner, ...]] = None
     # Positions (set by placement, rewritten by legalization).
     x: Optional[np.ndarray] = None
     y: Optional[np.ndarray] = None
     # Stage products.
     placement: Optional["PlacementResult"] = None
-    history: Optional["PlacementHistory"] = None
-    # Global placement's config (refine runs start from it) and net weights.
+    # Global placement's config (refine runs start from it).
     placement_config: Optional["PlacementConfig"] = None
-    net_weights: Optional[np.ndarray] = None
     evaluation: Optional["EvaluationReport"] = None
     sta: Optional[Union[STAEngine, MultiCornerSTA]] = None
     # Routability: the most recent congestion estimate of the placement

@@ -16,7 +16,8 @@ the routability workload:
 
 ``build_flow("efficient_tdp", max_iterations=300, seed=7)`` returns a ready
 :class:`FlowRunner`; unknown override keys raise immediately, which is what
-makes the CLI's ``--set key=value`` safe.
+makes the CLI's ``--set key=value`` safe.  A preset config's ``corners``
+become the runner's corners, which timing feedback and evaluation share.
 """
 
 from __future__ import annotations
@@ -60,16 +61,6 @@ class FlowPreset:
         return self.config_factory()
 
 
-_PRESETS: Dict[str, FlowPreset] = {}
-
-
-def register_preset(preset: FlowPreset) -> FlowPreset:
-    if preset.name in _PRESETS:
-        raise ValueError(f"Preset {preset.name!r} is already registered")
-    _PRESETS[preset.name] = preset
-    return preset
-
-
 def get_preset(name: str) -> FlowPreset:
     try:
         return _PRESETS[name]
@@ -107,7 +98,7 @@ def build_flow(preset_name: str, config: Any = None, **overrides: Any) -> FlowRu
     """Build a ready-to-run :class:`FlowRunner` from a preset."""
     preset = get_preset(preset_name)
     cfg = make_config(preset_name, config, **overrides)
-    return FlowRunner(preset.stage_factory(cfg), name=preset_name)
+    return FlowRunner(preset.stage_factory(cfg), name=preset_name, corners=cfg.corners)
 
 
 # ----------------------------------------------------------------------
@@ -125,9 +116,10 @@ class TimingScheduleConfig(ScheduleConfig):
     timing_start_iteration: int = 150
     min_timing_iterations: int = 120
     timing_update_interval: int = 15
-    # MCMM analysis corners: None (single-corner), a preset string such as
-    # "fast,typ,slow", or a sequence of Corner objects.  Timing feedback
-    # then optimizes against the merged (worst-over-corners) slack.
+    # MCMM analysis corners of the run: None (single-corner), a preset
+    # string such as "fast,typ,slow", or a sequence of Corner objects.
+    # Timing feedback then optimizes against the merged (worst-over-corners)
+    # slack.
     corners: Optional[object] = None
 
     def placement_config(self) -> PlacementConfig:
@@ -193,8 +185,8 @@ class DreamPlaceConfig(PlacementConfig):
     # users keep PlacementConfig's every-iteration default).
     history_every: int = 10
     record_timing_every: Optional[int] = None
-    # MCMM corners spec (None, "fast,typ,slow", or Corner objects); affects
-    # timing recording and evaluation (placement itself is timing-free).
+    # MCMM corners of the run (None, "fast,typ,slow", or Corner objects);
+    # affects timing recording and evaluation (placement is timing-free).
     corners: Optional[object] = None
     # Accepted and ignored, as in ScheduleConfig.
     kernel_workers: int = 0
@@ -211,12 +203,12 @@ def _timing_stages(
         start=config.timing_start_iteration, interval=config.timing_update_interval
     )
     stages: List[FlowStage] = [
-        FeedbackWeightStage([(feedback, cadence)], corners=config.corners),
+        FeedbackWeightStage([(feedback, cadence)]),
         GlobalPlaceStage(config.placement_config()),
     ]
     if legalize:
         stages.append(LegalizeStage())
-    stages.append(EvaluateStage(corners=config.corners))
+    stages.append(EvaluateStage())
     return stages
 
 
@@ -235,12 +227,11 @@ def _efficient_tdp_stages(config: EfficientTDPConfig) -> List[FlowStage]:
 
 
 def _dreamplace_stages(config: DreamPlaceConfig) -> List[FlowStage]:
-    corners = getattr(config, "corners", None)
     stages: List[FlowStage] = []
-    if getattr(config, "record_timing_every", None):
+    if config.record_timing_every:
         cadence = FeedbackCadence(start=0, interval=config.record_timing_every)
-        stages.append(FeedbackWeightStage([(TimingRecorder(), cadence)], corners=corners))
-    stages.extend([GlobalPlaceStage(config), LegalizeStage(), EvaluateStage(corners=corners)])
+        stages.append(FeedbackWeightStage([(TimingRecorder(), cadence)]))
+    stages.extend([GlobalPlaceStage(config), LegalizeStage(), EvaluateStage()])
     return stages
 
 
@@ -263,21 +254,19 @@ def _differentiable_tdp_stages(config: DifferentiableTDPConfig) -> List[FlowStag
 
 
 def _routability_stages(config: RoutabilityConfig) -> List[FlowStage]:
-    placement_config = config.placement_config()
-    stages: List[FlowStage] = [GlobalPlaceStage(placement_config)]
+    stages: List[FlowStage] = [GlobalPlaceStage(config.placement_config())]
     if config.inflate:
         stages.append(
             RoutabilityRepairStage(
                 congestion=config.congestion,
                 inflation=config.inflation_config(),
                 refine_iterations=config.refine_iterations,
-                placement_config=placement_config,
             )
         )
     if config.legalize:
         stages.append(LegalizeStage())
     stages.append(CongestionStage(config=config.congestion))
-    stages.append(EvaluateStage(corners=config.corners, congestion=config.congestion))
+    stages.append(EvaluateStage(congestion=config.congestion))
     return stages
 
 
@@ -286,58 +275,51 @@ def _routability_gp_stages(config: RoutabilityGPConfig) -> List[FlowStage]:
     return [weighting, *_routability_stages(config)]
 
 
-register_preset(
-    FlowPreset(
-        name="efficient_tdp",
-        description="Efficient-TDP (ours): critical path extraction + pin-pair attraction",
-        config_factory=EfficientTDPConfig,
-        stage_factory=_efficient_tdp_stages,
-    )
-)
-register_preset(
-    FlowPreset(
-        name="dreamplace",
-        description="DREAMPlace-style wirelength/density placement (no timing feedback)",
-        config_factory=DreamPlaceConfig,
-        stage_factory=_dreamplace_stages,
-    )
-)
-register_preset(
-    FlowPreset(
-        name="dreamplace4",
-        description="DREAMPlace 4.0-style momentum net weighting",
-        config_factory=DreamPlace4Config,
-        stage_factory=_dreamplace4_stages,
-    )
-)
-register_preset(
-    FlowPreset(
-        name="differentiable_tdp",
-        description="Differentiable-TDP-style smoothed pin attraction",
-        config_factory=DifferentiableTDPConfig,
-        stage_factory=_differentiable_tdp_stages,
-    )
-)
-register_preset(
-    FlowPreset(
-        name="routability",
-        description=(
-            "Routability-driven placement: RUDY congestion maps feeding a "
-            "congestion-driven cell-inflation loop"
+_PRESETS: Dict[str, FlowPreset] = {
+    preset.name: preset
+    for preset in (
+        FlowPreset(
+            name="efficient_tdp",
+            description="Efficient-TDP (ours): critical path extraction + pin-pair attraction",
+            config_factory=EfficientTDPConfig,
+            stage_factory=_efficient_tdp_stages,
         ),
-        config_factory=RoutabilityConfig,
-        stage_factory=_routability_stages,
-    )
-)
-register_preset(
-    FlowPreset(
-        name="routability-gp",
-        description=(
-            "Routability-driven global placement: congestion + timing net "
-            "weighting composed inside the placement loop, inflation as "
-            "post-place cleanup"
+        FlowPreset(
+            name="dreamplace",
+            description="DREAMPlace-style wirelength/density placement (no timing feedback)",
+            config_factory=DreamPlaceConfig,
+            stage_factory=_dreamplace_stages,
         ),
-        config_factory=RoutabilityGPConfig,
-        stage_factory=_routability_gp_stages,
+        FlowPreset(
+            name="dreamplace4",
+            description="DREAMPlace 4.0-style momentum net weighting",
+            config_factory=DreamPlace4Config,
+            stage_factory=_dreamplace4_stages,
+        ),
+        FlowPreset(
+            name="differentiable_tdp",
+            description="Differentiable-TDP-style smoothed pin attraction",
+            config_factory=DifferentiableTDPConfig,
+            stage_factory=_differentiable_tdp_stages,
+        ),
+        FlowPreset(
+            name="routability",
+            description=(
+                "Routability-driven placement: RUDY congestion maps feeding a "
+                "congestion-driven cell-inflation loop"
+            ),
+            config_factory=RoutabilityConfig,
+            stage_factory=_routability_stages,
+        ),
+        FlowPreset(
+            name="routability-gp",
+            description=(
+                "Routability-driven global placement: congestion + timing net "
+                "weighting composed inside the placement loop, inflation as "
+                "post-place cleanup"
+            ),
+            config_factory=RoutabilityGPConfig,
+            stage_factory=_routability_gp_stages,
+        ),
     )
-)
+}

@@ -12,6 +12,7 @@ from repro.flow.stage import FlowStage
 from repro.netlist.design import Design
 from repro.obs import run_tracer, span
 from repro.timing.constraints import TimingConstraints
+from repro.timing.mcmm import CornersSpec, resolve_corners
 from repro.utils.logging import get_logger
 
 logger = get_logger("flow.runner")
@@ -49,7 +50,6 @@ class FlowResult:
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     flow_name: str = "custom"
 
-    # Convenience accessors mirroring the legacy result objects.
     @property
     def x(self) -> np.ndarray:
         x, _ = self.context.positions()
@@ -70,7 +70,8 @@ class FlowResult:
 
     @property
     def history(self):
-        return self.context.history
+        placement = self.context.placement
+        return placement.history if placement is not None else None
 
     def breakdown(self) -> Dict[str, float]:
         """Fig. 4 runtime components in seconds.
@@ -137,6 +138,14 @@ class FlowRunner:
     :class:`FlowContext` and executes each stage in order, recording the
     run into its own tracer (:func:`repro.obs.run_tracer`).
     Compose stages directly or via :mod:`repro.flow.presets`.
+
+    ``corners`` selects the MCMM analysis corners of every run (a preset
+    string such as ``"fast,slow"`` or :class:`~repro.timing.Corner`
+    objects).  It is the one place a flow's corners are set: timing
+    feedback and evaluation share the run's one STA engine built for them.
+    Unset, a run takes the corners the design carries (e.g. restored from
+    a :class:`repro.netlist.CompiledDesign` snapshot), else analyzes a
+    single corner.
     """
 
     def __init__(
@@ -144,9 +153,11 @@ class FlowRunner:
         stages: Sequence[FlowStage],
         *,
         name: str = "custom",
+        corners: CornersSpec = None,
     ) -> None:
         self.stages: List[FlowStage] = list(stages)
         self.name = name
+        self.corners = corners
         if not self.stages:
             raise ValueError("A flow needs at least one stage")
 
@@ -157,14 +168,7 @@ class FlowRunner:
                 return int(config.seed)
         return None
 
-    def run(
-        self,
-        design: Design,
-        *,
-        constraints: Optional[TimingConstraints] = None,
-        corners=None,
-        seed: Optional[int] = None,
-    ) -> FlowResult:
+    def run(self, design: Design, *, seed: Optional[int] = None) -> FlowResult:
         """Execute every stage and return the accumulated result.
 
         The RNG seed lives in the stage configs (the placement stage reads
@@ -173,12 +177,6 @@ class FlowRunner:
         explicitly is a cross-check: a value disagreeing with the stage
         config raises instead of silently labeling the run with a seed that
         never seeded anything.
-
-        ``corners`` selects the MCMM analysis corners for the whole run
-        (timing feedback and evaluation).  Resolution order: this argument,
-        then corner specs carried by the design (e.g. restored from a
-        :class:`repro.netlist.CompiledDesign` snapshot), then any
-        ``corners=`` the stages were built with.
         """
         config_seed = self._stage_config_seed()
         if seed is None:
@@ -189,22 +187,12 @@ class FlowRunner:
                 f"config.seed={config_seed}; set the seed through the "
                 "stage/preset config (e.g. build_flow(..., seed=...))"
             )
-        if corners is None:
-            corners = getattr(design, "corners", None)
-        resolved_corners = None
-        if corners is not None:
-            from repro.timing.mcmm import resolve_corners
-
-            resolved_corners = resolve_corners(corners)
+        corners = self.corners if self.corners is not None else design.corners
         ctx = FlowContext(
             design=design,
-            constraints=(
-                constraints
-                if constraints is not None
-                else TimingConstraints.from_design(design)
-            ),
+            constraints=TimingConstraints.from_design(design),
             seed=seed,
-            corners=resolved_corners,
+            corners=resolve_corners(corners) if corners is not None else None,
         )
         with run_tracer() as tracer:
             with span("flow", flow=self.name, design=design.name, seed=seed):

@@ -1,18 +1,15 @@
-"""The :class:`FlowStage` protocol and the global stage registry.
+"""The :class:`FlowStage` protocol.
 
 A stage is any object with a ``name`` and a ``run(ctx)`` method; stages are
 instantiated with their configuration and then executed in sequence by a
-:class:`repro.flow.runner.FlowRunner`.  The registry maps stable string names
-to stage factories so flows can be described declaratively (CLI, config
-files, saved experiment manifests) instead of only in Python code::
+:class:`repro.flow.runner.FlowRunner`::
 
-    stage = create_stage("legalize")
-    runner = FlowRunner([create_stage("global_place", config=cfg), stage, ...])
+    runner = FlowRunner([GlobalPlaceStage(config), LegalizeStage(), EvaluateStage()])
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.flow.context import FlowContext
 
@@ -26,34 +23,3 @@ class FlowStage(Protocol):
     def run(self, ctx: FlowContext) -> None:
         """Execute the stage, reading and writing the shared context."""
         ...  # pragma: no cover - protocol body
-
-
-_STAGE_REGISTRY: Dict[str, Callable[..., FlowStage]] = {}
-
-
-def register_stage(name: str) -> Callable[[Callable[..., FlowStage]], Callable[..., FlowStage]]:
-    """Class decorator registering a stage factory under ``name``."""
-
-    def decorator(factory: Callable[..., FlowStage]) -> Callable[..., FlowStage]:
-        if name in _STAGE_REGISTRY:
-            raise ValueError(f"Stage {name!r} is already registered")
-        _STAGE_REGISTRY[name] = factory
-        return factory
-
-    return decorator
-
-
-def create_stage(name: str, **kwargs: object) -> FlowStage:
-    """Instantiate a registered stage by name."""
-    try:
-        factory = _STAGE_REGISTRY[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"Unknown stage {name!r}; available: {', '.join(sorted(_STAGE_REGISTRY))}"
-        ) from exc
-    return factory(**kwargs)
-
-
-def available_stages() -> List[str]:
-    """Names of every registered stage, sorted."""
-    return sorted(_STAGE_REGISTRY)

@@ -14,8 +14,8 @@ baselines as composable steps:
 * :class:`LegalizeStage` — Abacus with automatic greedy fallback.
 * :class:`EvaluateStage` — shared HPWL/TNS/WNS scoring.
 
-Every stage is registered in the stage registry, so flows can be assembled
-by name (see :mod:`repro.flow.presets` and the ``repro`` CLI).
+Named compositions of these stages are the presets of
+:mod:`repro.flow.presets`.
 """
 
 from __future__ import annotations
@@ -29,20 +29,17 @@ from repro.feedback.base import FeedbackCadence, PlacementFeedback
 from repro.feedback.composer import WeightComposer, WeightComposerConfig
 from repro.feedback.scheduler import FeedbackScheduler
 from repro.flow.context import FlowContext
-from repro.flow.stage import register_stage
 from repro.placement.detailed import DetailedPlacer
 from repro.placement.global_placer import GlobalPlacer, PlacementConfig
 from repro.placement.legalization.abacus import AbacusLegalizer
 from repro.placement.legalization.greedy import GreedyLegalizer
 from repro.route.inflation import InflationConfig, run_inflation_loop
 from repro.route.rudy import CongestionConfig, CongestionEstimator
-from repro.timing.mcmm import CornersSpec, resolve_corners
 from repro.utils.logging import get_logger
 
 logger = get_logger("flow.stages")
 
 
-@register_stage("feedback_weight")
 class FeedbackWeightStage:
     """Composable in-loop net weighting: scheduled feedbacks + one composer.
 
@@ -60,12 +57,9 @@ class FeedbackWeightStage:
     penalty, and any future signal (density, IR drop, ECO deltas) ride the
     same scheduler and merge through the same composer.  Self-applying
     timing feedbacks (pin pairs, momentum net weighting) ride the same
-    scheduler without proposing, so the composer never sees them.
-
-    ``corners`` publishes MCMM analysis corners to the context before the
-    feedbacks build their STA engine, so every later timing consumer
-    (shared engine, evaluation) sees the same set; a runner-level
-    ``corners=`` wins when both are given.
+    scheduler without proposing, so the composer never sees them.  Timing
+    feedbacks analyze the run's corners (``ctx.corners``) through its one
+    STA engine, the engine the evaluation scores with.
     """
 
     name = "feedback_weight"
@@ -75,7 +69,6 @@ class FeedbackWeightStage:
         slots: "list[tuple[PlacementFeedback, FeedbackCadence | None]]",
         *,
         composer: Optional[WeightComposerConfig] = None,
-        corners: CornersSpec = None,
     ) -> None:
         if not slots:
             raise ValueError("feedback_weight needs at least one feedback slot")
@@ -86,7 +79,6 @@ class FeedbackWeightStage:
         self.composer_config = (
             composer if composer is not None else WeightComposerConfig()
         )
-        self.corners = corners
 
     def run(self, ctx: FlowContext) -> None:
         if ctx.placement is not None:
@@ -99,8 +91,6 @@ class FeedbackWeightStage:
                 "a flow takes one feedback_weight stage: schedule every "
                 "feedback as a slot of it"
             )
-        if self.corners is not None and ctx.corners is None:
-            ctx.corners = resolve_corners(self.corners)
         for feedback, _ in self.slots:
             feedback.prepare(ctx)
         scheduler = FeedbackScheduler(WeightComposer(config=self.composer_config))
@@ -110,7 +100,6 @@ class FeedbackWeightStage:
         ctx.metadata["feedback"] = {"trajectory": scheduler.trajectory}
 
 
-@register_stage("global_place")
 class GlobalPlaceStage:
     """Nonlinear global placement (wirelength + density + extra terms)."""
 
@@ -124,21 +113,15 @@ class GlobalPlaceStage:
         placement = placer.run()
         # Keep what later stages read, not the placer: its working set dies here.
         ctx.placement_config = placer.config
-        ctx.net_weights = placer.net_weights
         ctx.placement = placement
-        ctx.history = placement.history
         ctx.x = placement.x
         ctx.y = placement.y
 
 
-@register_stage("legalize")
 class LegalizeStage:
     """Abacus legalization with automatic greedy fallback."""
 
     name = "legalize"
-
-    def __init__(self, *, fallback: bool = True) -> None:
-        self.fallback = fallback
 
     def run(self, ctx: FlowContext) -> None:
         x, y = ctx.positions()
@@ -148,8 +131,8 @@ class LegalizeStage:
             legal = scored[2]
         else:
             legal = AbacusLegalizer(ctx.design).legalize(x, y)
-        used_fallback = False
-        if not legal.success and self.fallback:
+        used_fallback = not legal.success
+        if used_fallback:
             logger.warning(
                 "Abacus failed (%d unplaced cells, %d overfull rows); "
                 "falling back to greedy",
@@ -157,7 +140,6 @@ class LegalizeStage:
                 legal.num_overfull_rows,
             )
             legal = GreedyLegalizer(ctx.design).legalize(x, y)
-            used_fallback = True
         ctx.x, ctx.y = legal.x, legal.y
         ctx.design.set_positions(ctx.x, ctx.y)
         ctx.metadata["legalization"] = {
@@ -170,34 +152,29 @@ class LegalizeStage:
         }
 
 
-@register_stage("detailed_place")
 class DetailedPlaceStage:
     """Delta-HPWL adjacent-swap refinement of a legalized placement.
 
     Runs after :class:`LegalizeStage`; positions stay legal (swaps exchange
     abutting cells within a row).  Not part of the shipped presets — the
-    paper's evaluation is about global placement — but available by name
-    for flows that want the extra HPWL squeeze (see ``examples/``).
+    paper's evaluation is about global placement — but available for flows
+    that want the extra HPWL squeeze (see ``examples/``).
     """
 
     name = "detailed_place"
 
-    def __init__(self, *, max_passes: int = 2) -> None:
-        self.max_passes = max_passes
-
     def run(self, ctx: FlowContext) -> None:
         x, y = ctx.positions()
-        placer = DetailedPlacer(ctx.design, max_passes=self.max_passes)
+        placer = DetailedPlacer(ctx.design)
         rx, ry, accepted = placer.refine(x, y)
         ctx.x, ctx.y = rx, ry
         ctx.design.set_positions(rx, ry)
         ctx.metadata["detailed_place"] = {
             "accepted_swaps": int(accepted),
-            "max_passes": int(self.max_passes),
+            "max_passes": int(placer.max_passes),
         }
 
 
-@register_stage("congestion")
 class CongestionStage:
     """Estimate routing congestion (RUDY + pin density) of the placement.
 
@@ -223,7 +200,6 @@ class CongestionStage:
         ctx.metadata["congestion"] = summary
 
 
-@register_stage("routability_repair")
 class RoutabilityRepairStage:
     """Congestion-driven cell-inflation loop (routability repair).
 
@@ -231,8 +207,9 @@ class RoutabilityRepairStage:
     overflow converges, stalls, or a round breaks the HPWL budget (see
     :mod:`repro.route.inflation`).  Must run after a global-placement stage
     and before legalization; the refine placements warm-start from the
-    current positions with the placement stage's config (fewer iterations).  When the starting placement is already under the
-    overflow target this stage is a no-op.
+    current positions with the placement stage's config
+    (``ctx.placement_config``, fewer iterations).  When the starting
+    placement is already under the overflow target this stage is a no-op.
     """
 
     name = "routability_repair"
@@ -243,19 +220,15 @@ class RoutabilityRepairStage:
         congestion: "CongestionConfig | None" = None,
         inflation: "InflationConfig | None" = None,
         refine_iterations: int = 150,
-        refine_density_init_ratio: float = 1.0,
-        placement_config: Optional[PlacementConfig] = None,
     ) -> None:
         self.congestion = congestion
         self.inflation = inflation if inflation is not None else InflationConfig()
         self.refine_iterations = int(refine_iterations)
-        self.refine_density_init_ratio = float(refine_density_init_ratio)
-        self.placement_config = placement_config
 
     def _refine_config(self, ctx: FlowContext) -> PlacementConfig:
         import copy
 
-        base = self.placement_config if self.placement_config is not None else ctx.placement_config
+        base = ctx.placement_config
         config = copy.deepcopy(base) if base is not None else PlacementConfig()
         config.max_iterations = self.refine_iterations
         # Warm starts begin spread out; a long mandatory tail would only
@@ -266,7 +239,7 @@ class RoutabilityRepairStage:
         # the cold-start ratio (1e-3) wirelength would re-cluster the cells
         # long before the growth schedule catches up, and the warm start
         # would end *worse* than it began.
-        config.density_weight_init_ratio = self.refine_density_init_ratio
+        config.density_weight_init_ratio = 1.0
         return config
 
     def run(self, ctx: FlowContext) -> None:
@@ -328,32 +301,23 @@ class RoutabilityRepairStage:
             )
 
 
-@register_stage("evaluate")
 class EvaluateStage:
     """Score the placement with the shared evaluator (HPWL/TNS/WNS/legality).
 
-    With corners configured (on the stage or the context) the evaluation
-    reports merged TNS/WNS as the headline metrics plus a per-corner
-    breakdown.  With ``congestion`` set (``True`` for the default model or a
-    :class:`~repro.route.rudy.CongestionConfig`), RUDY congestion metrics
-    (peak/average overflow, hotspot count) are reported alongside.
+    Timing is scored at the run's corners (``ctx.corners``) with the run's
+    STA engine when a timing feedback built one; with corners set the
+    evaluation reports merged TNS/WNS as the headline metrics plus a
+    per-corner breakdown.  With ``congestion`` set (``True`` for the default
+    model or a :class:`~repro.route.rudy.CongestionConfig`), RUDY congestion
+    metrics (peak/average overflow, hotspot count) are reported alongside.
     """
 
     name = "evaluate"
 
-    def __init__(
-        self,
-        *,
-        corners: CornersSpec = None,
-        congestion: "bool | CongestionConfig" = False,
-    ) -> None:
-        self.corners = corners
+    def __init__(self, *, congestion: "bool | CongestionConfig" = False) -> None:
         self.congestion = congestion
 
     def run(self, ctx: FlowContext) -> None:
-        corners = ctx.corners
-        if corners is None and self.corners is not None:
-            corners = resolve_corners(self.corners)
         congestion = self.congestion
         if congestion is True:
             congestion = CongestionConfig()
@@ -373,10 +337,14 @@ class EvaluateStage:
             and ctx.congestion_xy[1] is y
         ):
             precomputed = ctx.congestion
-        # The run's engine was built for ctx.constraints and ctx.corners.
-        sta = ctx.sta if corners is ctx.corners else None
+        # A run without timing feedback has no engine yet: the evaluator
+        # builds one for these corners and frees it when the stage returns.
         ctx.evaluation = Evaluator(
-            ctx.design, ctx.constraints, corners=corners, congestion=congestion, sta=sta
+            ctx.design,
+            ctx.constraints,
+            corners=ctx.corners,
+            congestion=congestion,
+            sta=ctx.sta,
         ).evaluate(x, y, congestion_result=precomputed)
         # Attach the run's feedback trajectory (per-update WNS / peak
         # overflow / weight-norm rows) so one report carries both the

@@ -320,11 +320,6 @@ class DesignCore:
         end = self.net_pin_offsets[net_index + 1]
         return self.net_pin_index[start:end]
 
-    def instance_pins(self, inst_index: int) -> np.ndarray:
-        start = self.inst_pin_offsets[inst_index]
-        end = self.inst_pin_offsets[inst_index + 1]
-        return np.arange(start, end, dtype=np.int64)
-
     @property
     def csr_net(self) -> np.ndarray:
         """Net id of every ``net_pin_index`` entry (net-major CSR expansion).

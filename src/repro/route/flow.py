@@ -63,7 +63,8 @@ class RoutabilityConfig(ScheduleConfig):
     # Congestion model.
     congestion: CongestionConfig = field(default_factory=CongestionConfig)
     inflation: InflationConfig = field(default_factory=InflationConfig)
-    # MCMM analysis corners for the evaluation stage (None = single corner).
+    # MCMM analysis corners of the run, shared by timing feedback and
+    # evaluation (None = single corner).
     corners: Optional[object] = None
     # Post-processing.
     legalize: bool = True

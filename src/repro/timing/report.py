@@ -72,10 +72,6 @@ class TimingPath:
     def slack(self) -> float:
         return self.required - self.arrival
 
-    @property
-    def num_stages(self) -> int:
-        return len(self.arcs)
-
     def pin_pairs(self, graph: TimingGraph) -> List[Tuple[int, int]]:
         """Driver/sink pin pairs of the net arcs along the path.
 

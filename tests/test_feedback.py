@@ -37,7 +37,6 @@ from repro.feedback import (
 )
 from repro.flow.presets import build_flow, build_stages, get_preset
 from repro.flow.runner import FlowRunner
-from repro.flow.stage import create_stage
 from repro.flow.stages import FeedbackWeightStage
 from repro.obs import run_tracer
 from repro.placement.global_placer import GlobalPlacer, PlacementConfig
@@ -381,11 +380,11 @@ class TestTimingCriticalityWeighting:
 # ----------------------------------------------------------------------
 class TestFeedbackFlowIntegration:
     def test_stage_registered(self):
-        stage = create_stage(
-            "feedback_weight",
+        stage = FeedbackWeightStage(
             slots=[(CongestionNetWeighting(), FeedbackCadence(start=5, interval=5))],
         )
-        assert isinstance(stage, FeedbackWeightStage)
+        assert stage.name == "feedback_weight"
+        assert stage.slots[0][1].interval == 5
 
     def test_stage_requires_slots(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -428,7 +427,7 @@ class TestFeedbackFlowIntegration:
         timing_rows = [row for row in record["trajectory"] if "timing" in row["fired"]]
         assert timing_rows and "wns" in timing_rows[0]
         # Composed weights stay within the composer clamp.
-        weights = ctx.net_weights
+        weights = ctx.feedback.composer.weights
         assert weights.min() >= 1.0 - 1e-12
         assert weights.max() <= 6.0 + 1e-12
         # The evaluation report carries the trajectory; the summary counts it.

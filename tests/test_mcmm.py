@@ -349,8 +349,10 @@ class TestFlowThreading:
 
     def test_runner_corners_argument_overrides(self):
         design = load_benchmark("sb_mini_18", scale=0.25)
+        design.corners = "typ"
         runner = build_flow("dreamplace", max_iterations=40)
-        result = runner.run(design, corners="fast,slow")
+        runner.corners = "fast,slow"
+        result = runner.run(design)
         assert set(result.evaluation.per_corner) == {"fast", "slow"}
 
     def test_design_carried_corners_are_picked_up(self):
