@@ -23,12 +23,10 @@ Measures, for a few sb_mini designs:
   identical in-bench, and the traced/plain wall ratio is gated at <= 3%
   (``--max-tracing-overhead``); both numbers come from the same run, so
   the gate holds on any host;
-* back-end walls: Abacus legalization (array-backed path versus the
+* back-end wall: Abacus legalization (array-backed path versus the
   object-based ``_reference_legalize`` twin, bitwise-asserted in-bench)
-  and delta-HPWL detailed placement versus the full-recompute
-  ``_reference_refine`` twin, both run from the same seed-0 initial
-  placement.  The XL tier hard-asserts the sb_xl_1 full-scale speedups
-  (legalization >= 5x, detailed placement >= 20x per candidate);
+  from the seed-0 initial placement.  The XL tier hard-asserts the sb_xl_1
+  full-scale legalization speedup (>= 5x);
 * critical-path extraction and the Eq. 9 pair update, on both tiers:
   ``report_timing_endpoint(n, 1)`` over every failing endpoint (the
   vectorized k=1 chase) versus the per-endpoint heap search, and the
@@ -91,17 +89,9 @@ MCMM_CORNER_COUNTS = (1, 2, 4)
 # iterations) with the routability-gp preset's default weighting cadence.
 GP_ITERATIONS = 150
 GP_CADENCE = dict(start=100, interval=10)
-# Candidate budget for the XL detailed-placement pair: the full-recompute
-# reference costs a whole-design hpwl_per_net per candidate, so an uncapped
-# reference run at 100k cells would take minutes.  Both paths see the
-# identical cap, so the recorded speedup is the honest per-candidate ratio
-# (the delta path's uncapped wall is recorded separately).
-DETAILED_XL_CANDIDATES = 2000
-# Hard floors for the sb_xl_1 full-scale back-end speedups (the PR-10
-# acceptance gates): array-backed legalization vs the object-based
-# reference, and per-candidate delta-HPWL refine vs full recompute.
+# Hard floor for the sb_xl_1 full-scale legalization speedup: array-backed
+# Abacus vs the object-based reference.
 LEGALIZE_XL_MIN_SPEEDUP = 5.0
-DETAILED_XL_MIN_SPEEDUP = 20.0
 
 
 def _time(fn, repeat: int = 3):
@@ -121,18 +111,14 @@ def _bench_backend(
     cx: np.ndarray,
     cy: np.ndarray,
     *,
-    max_candidates=None,
     legalize_repeat: int = 1,
-    detailed_repeat: int = 1,
 ) -> dict:
-    """Legalization + detailed-placement rows (shared by both tiers).
+    """Legalization rows (shared by both tiers).
 
-    Every variant is bitwise-compared in-bench: the array-backed legalizer
-    against its object-based reference twin, and the delta-HPWL refine
-    against the full-recompute reference.  The reference sides run once — they are the
-    slow paths being retired, and best-of-N would only shrink the fast side.
+    The array-backed legalizer is bitwise-compared in-bench against its
+    object-based reference twin.  The reference side runs once: it is the
+    slow path, and best-of-N would only shrink the fast side.
     """
-    from repro.placement.detailed import DetailedPlacer
     from repro.placement.legalization.abacus import AbacusLegalizer
 
     fields: dict = {}
@@ -157,40 +143,6 @@ def _bench_backend(
     fields["legalize_speedup"] = round(
         reference_seconds / max(legalize_seconds, 1e-9), 3
     )
-
-    placer = DetailedPlacer(design)
-    detailed_seconds, (dx, dy, accepted) = _time(
-        lambda: placer.refine(legal.x, legal.y, max_candidates=max_candidates),
-        repeat=detailed_repeat,
-    )
-    reference_seconds, (rx, ry, reference_accepted) = _time(
-        lambda: placer._reference_refine(
-            legal.x, legal.y, max_candidates=max_candidates
-        ),
-        repeat=1,
-    )
-    if not (
-        np.array_equal(dx, rx)
-        and np.array_equal(dy, ry)
-        and accepted == reference_accepted
-    ):
-        raise AssertionError(f"{name}: delta-HPWL refine differs from reference")
-    fields["detailed_ms"] = round(detailed_seconds * 1e3, 3)
-    fields["detailed_reference_ms"] = round(reference_seconds * 1e3, 3)
-    fields["detailed_speedup"] = round(
-        reference_seconds / max(detailed_seconds, 1e-9), 3
-    )
-    fields["detailed_accepted_swaps"] = int(accepted)
-    if max_candidates is not None:
-        # The capped pair above is the honest per-candidate comparison; the
-        # uncapped delta wall shows what a real full refinement pass costs
-        # (the reference could not afford one at XL sizes at all).
-        fields["detailed_candidates"] = int(max_candidates)
-        seconds, (_fx, _fy, full_accepted) = _time(
-            lambda: placer.refine(legal.x, legal.y), repeat=1
-        )
-        fields["detailed_full_ms"] = round(seconds * 1e3, 3)
-        fields["detailed_full_accepted_swaps"] = int(full_accepted)
     return fields
 
 
@@ -363,10 +315,8 @@ def bench_design(name: str) -> dict:
     gp_updates = int(congestion.get("count", 0))
     gp_update_seconds = congestion.get("seconds", 0.0)
 
-    # Back-end walls from the same seed-0 initial placement (uncapped
-    # detailed refinement: mini designs can afford the full-recompute
-    # reference end to end).
-    backend = _bench_backend(name, design, cx, cy, legalize_repeat=3, detailed_repeat=3)
+    # Back-end wall from the same seed-0 initial placement.
+    backend = _bench_backend(name, design, cx, cy, legalize_repeat=3)
     extraction = _bench_extraction(name, design, cx, cy, repeat=15)
 
     return {
@@ -485,29 +435,14 @@ def bench_xl_design(name: str, *, scale: float = 1.0) -> dict:
     ):
         raise AssertionError(f"{name}: plan-based GP differs from legacy path")
 
-    # Back-end walls: array-backed Abacus vs the object-based reference,
-    # and the capped delta-HPWL refine pair (see DETAILED_XL_CANDIDATES).  sb_xl_1 at full scale is
-    # the PR-10 acceptance gate and hard-asserts its speedup floors.
-    row.update(
-        _bench_backend(
-            name,
-            design,
-            cx,
-            cy,
-            max_candidates=DETAILED_XL_CANDIDATES,
-        )
-    )
+    # Back-end wall: array-backed Abacus vs the object-based reference.
+    # sb_xl_1 at full scale hard-asserts the speedup floor.
+    row.update(_bench_backend(name, design, cx, cy))
     if name == "sb_xl_1" and scale >= 1.0:
         if row["legalize_speedup"] < LEGALIZE_XL_MIN_SPEEDUP:
             raise AssertionError(
                 f"{name}: legalization speedup {row['legalize_speedup']:.2f}x "
                 f"below the {LEGALIZE_XL_MIN_SPEEDUP:.0f}x floor"
-            )
-        if row["detailed_speedup"] < DETAILED_XL_MIN_SPEEDUP:
-            raise AssertionError(
-                f"{name}: detailed-placement speedup "
-                f"{row['detailed_speedup']:.2f}x below the "
-                f"{DETAILED_XL_MIN_SPEEDUP:.0f}x floor"
             )
 
     # Table I at XL: report_timing_endpoint(n, 1) over every failing
@@ -765,28 +700,25 @@ def main(argv=None) -> int:
         xl_header = (
             f"{'xl design':<12} {'cells':>8} {'build':>8} {'rudy':>8} "
             f"{'sta':>8} {'splat':>8} {'gp it p/l':>12} "
-            f"{'gp x':>6} {'lg a/r':>12} {'lg x':>6} {'dp d/r':>14} {'dp x':>6}"
+            f"{'gp x':>6} {'lg a/r':>12} {'lg x':>6}"
         )
         print(xl_header)
         for row in xl_rows:
             gp = f"{row['gp_iter_ms']:.0f}/{row['gp_iter_legacy_ms']:.0f}"
             legalize = f"{row['legalize_ms']:.0f}/{row['legalize_reference_ms']:.0f}"
-            detailed = f"{row['detailed_ms']:.0f}/{row['detailed_reference_ms']:.0f}"
             print(
                 f"{row['design']:<12} {row['num_instances']:>8} "
                 f"{row['build_ms']:>7.0f}m {row['congestion_map_ms']:>7.0f}m "
                 f"{row['sta_full_ms']:>7.0f}m {row['density_splat_ms']:>7.0f}m "
                 f"{gp:>11}m {row['gp_plan_speedup']:>5.2f}x {legalize:>11}m "
-                f"{row['legalize_speedup']:>5.2f}x {detailed:>13}m "
-                f"{row['detailed_speedup']:>5.1f}x"
+                f"{row['legalize_speedup']:>5.2f}x"
             )
         print()
 
     header = (
         f"{'design':<12} {'build':>8} {'compile':>8} {'rebuild':>8} "
         f"{'sta full':>9} {'mcmm 1/2/4c':>20} {'4c/1c':>6} "
-        f"{'rudy map':>9} {'gp+cong':>8} {'trace':>7} {'lg ms':>7} {'lg x':>6} "
-        f"{'dp ms':>7} {'dp x':>6}"
+        f"{'rudy map':>9} {'gp+cong':>8} {'trace':>7} {'lg ms':>7} {'lg x':>6}"
     )
     print(header)
     for row in rows:
@@ -798,8 +730,7 @@ def main(argv=None) -> int:
             f"{mcmm_text:>19}m "
             f"{row['mcmm_4c_over_1c']:>5.2f}x {row['congestion_map_ms']:>8.2f}m "
             f"{row['gp_weighting_overhead']:>7.1%} {row['gp_tracing_overhead']:>6.1%} "
-            f"{row['legalize_ms']:>6.2f}m {row['legalize_speedup']:>5.1f}x "
-            f"{row['detailed_ms']:>6.1f}m {row['detailed_speedup']:>5.1f}x"
+            f"{row['legalize_ms']:>6.2f}m {row['legalize_speedup']:>5.1f}x"
         )
     if not args.check:
         print(f"wrote {out}")

@@ -13,9 +13,7 @@ Gated rows are the wall-clock numbers the perf gates care about:
 * ``gp_plain_ms`` / ``gp_congestion_weighted_ms`` — fixed-length global
   placement without / with in-loop congestion weighting;
 * ``snapshot_rebuild_ms`` — worker-side CompiledDesign rebuild;
-* ``legalize_ms`` / ``detailed_ms`` — back-end walls: array-backed Abacus
-  legalization and the delta-HPWL detailed-placement pass (capped at the
-  XL tier; see ``bench_core.DETAILED_XL_CANDIDATES``);
+* ``legalize_ms`` — back-end wall: array-backed Abacus legalization;
 * ``extract_ms`` / ``pair_update_ms`` — ``report_timing_endpoint(n, 1)``
   over every failing endpoint and the Eq. 9 pin-pair update (both tiers).
 
@@ -55,7 +53,6 @@ GATED_FIELDS = (
     "gp_congestion_weighted_ms",
     "snapshot_rebuild_ms",
     "legalize_ms",
-    "detailed_ms",
     "extract_ms",
     "pair_update_ms",
 )
@@ -67,14 +64,12 @@ XL_GATED_FIELDS = (
     "sta_full_ms",
     "gp_iter_ms",
     "legalize_ms",
-    "detailed_ms",
     "extract_ms",
     "pair_update_ms",
 )
 XL_INFO_FIELDS = (
     "gp_plan_speedup",
     "legalize_speedup",
-    "detailed_speedup",
     "extract_speedup",
     "pair_update_speedup",
 )

@@ -4,6 +4,13 @@ Runs DREAMPlace (wirelength only), DREAMPlace 4.0 (momentum net weighting),
 Differentiable-TDP (smoothed path-free attraction), and Efficient-TDP (ours)
 on the eight sb_mini designs, then reports per-design TNS/WNS/HPWL plus the
 paper's "Average Ratio" row (every method's metric normalized by ours).
+
+What does not transfer from the paper (committed seed-0 results): against
+ours, DREAMPlace 4.0 averages TNS 0.45, WNS 0.59 and HPWL 1.01, with the
+better TNS on 8 of 8 designs.  The likely cause, unproven, is the delay
+model: net-arc Elmore delay is about 0% of path delay, so a pin pair's
+distance acts only through its net's load.  The shape checks below assert
+only the findings that do transfer.
 """
 
 from __future__ import annotations

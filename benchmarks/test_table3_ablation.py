@@ -12,6 +12,13 @@ Six arms, mirroring the paper:
 Reported per design: TNS and WNS, plus average ratios normalized by ours.
 To keep the harness laptop-fast the ablation uses four of the eight designs;
 pass ``--full-ablation`` via the REPRO_FULL_ABLATION env var to use all.
+
+What does not transfer from the paper (committed seed-0 results): the
+``w/o Path Extraction`` arm beats ``Our Method`` at an average TNS ratio of
+0.42.  It is the DREAMPlace 4.0 configuration, so its values equal Table
+II's DREAMPlace 4.0 column.  The likely cause, unproven, is the delay
+model: net-arc Elmore delay is about 0% of path delay.  The other arms
+are worse than ours, as in the paper.
 """
 
 from __future__ import annotations

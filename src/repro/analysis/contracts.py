@@ -83,11 +83,9 @@ STEADY_STATE_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         {"GlobalPlacer._gradient", "GlobalPlacer._derive_density_weight"}
     ),
     "core/pin_attraction.py": frozenset({"PinAttractionObjective.evaluate"}),
-    # Back-end hot loops (PR 10): the per-cell Abacus cluster collapse runs
-    # once per movable cell per legalization, and the delta-HPWL swap
-    # evaluation once per candidate pair per detailed-placement pass.
+    # Back-end hot loop: the per-cell Abacus cluster collapse runs once per
+    # movable cell per legalization.
     "placement/legalization/abacus.py": frozenset({"AbacusLegalizer._insert_cell"}),
-    "placement/detailed.py": frozenset({"DetailedPlacer._try_swap"}),
 }
 
 # Allocating NumPy constructors (``np.<name>(...)``) banned in steady-state

@@ -32,7 +32,6 @@ FIG4_COMPONENTS: Dict[str, str] = {
     "feedback.": "weighting",
     "route.congestion": "congestion",
     "legalize.": "legalization",
-    "detailed.refine": "legalization",
 }
 
 

@@ -29,7 +29,6 @@ from repro.feedback.base import FeedbackCadence, PlacementFeedback
 from repro.feedback.composer import WeightComposer, WeightComposerConfig
 from repro.feedback.scheduler import FeedbackScheduler
 from repro.flow.context import FlowContext
-from repro.placement.detailed import DetailedPlacer
 from repro.placement.global_placer import GlobalPlacer, PlacementConfig
 from repro.placement.legalization.abacus import AbacusLegalizer
 from repro.placement.legalization.greedy import GreedyLegalizer
@@ -149,29 +148,6 @@ class LegalizeStage:
             "num_overfull_rows": int(legal.num_overfull_rows),
             "total_displacement": float(legal.total_displacement),
             "max_displacement": float(legal.max_displacement),
-        }
-
-
-class DetailedPlaceStage:
-    """Delta-HPWL adjacent-swap refinement of a legalized placement.
-
-    Runs after :class:`LegalizeStage`; positions stay legal (swaps exchange
-    abutting cells within a row).  Not part of the shipped presets — the
-    paper's evaluation is about global placement — but available for flows
-    that want the extra HPWL squeeze (see ``examples/``).
-    """
-
-    name = "detailed_place"
-
-    def run(self, ctx: FlowContext) -> None:
-        x, y = ctx.positions()
-        placer = DetailedPlacer(ctx.design)
-        rx, ry, accepted = placer.refine(x, y)
-        ctx.x, ctx.y = rx, ry
-        ctx.design.set_positions(rx, ry)
-        ctx.metadata["detailed_place"] = {
-            "accepted_swaps": int(accepted),
-            "max_passes": int(placer.max_passes),
         }
 
 

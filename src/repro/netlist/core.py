@@ -180,7 +180,6 @@ class DesignCore:
         self._csr_net: Optional[np.ndarray] = None
         self._net_driver_pin: Optional[np.ndarray] = None
         self._hpwl_plan: Optional[Tuple[np.ndarray, ...]] = None
-        self._inst_net_plan: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -346,39 +345,6 @@ class DesignCore:
             driver[self.csr_net[mask]] = self.net_pin_index[mask]
             self._net_driver_pin = driver
         return self._net_driver_pin
-
-    def instance_nets_plan(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached instance→net CSR: the distinct nets touching each instance.
-
-        Returns ``(offsets, nets)`` where instance ``i``'s nets are the
-        sorted, de-duplicated range ``nets[offsets[i]:offsets[i+1]]`` (an
-        instance with several pins on one net lists that net once).  Built
-        vectorized from the pin tables — the topology is frozen, so like
-        :meth:`_hpwl_scatter_plan` this is computed once and shared; the
-        detailed placer's delta-HPWL swap evaluation walks it per candidate.
-        """
-        if self._inst_net_plan is None:
-            connected = self.pin_net >= 0
-            inst = self.pin_instance[connected]
-            net = self.pin_net[connected]
-            order = np.lexsort((net, inst))
-            inst = inst[order]
-            net = net[order]
-            if inst.size:
-                keep = np.empty(inst.size, dtype=bool)
-                keep[0] = True
-                np.logical_or(
-                    inst[1:] != inst[:-1], net[1:] != net[:-1], out=keep[1:]
-                )
-                inst = inst[keep]
-                net = net[keep]
-            offsets = np.zeros(self.num_instances + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(inst, minlength=self.num_instances),
-                out=offsets[1:],
-            )
-            self._inst_net_plan = (offsets, np.ascontiguousarray(net))
-        return self._inst_net_plan
 
     # ------------------------------------------------------------------
     # Geometry kernels

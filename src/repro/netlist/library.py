@@ -152,12 +152,6 @@ class CellType:
     def area(self) -> float:
         return self.width * self.height
 
-    def arcs_to(self, output_pin: str) -> List[TimingArcSpec]:
-        return [a for a in self.arcs if a.to_pin == output_pin]
-
-    def arcs_from(self, input_pin: str) -> List[TimingArcSpec]:
-        return [a for a in self.arcs if a.from_pin == input_pin]
-
 
 class Library:
     """A named collection of :class:`CellType` masters."""

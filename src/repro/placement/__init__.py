@@ -20,7 +20,6 @@ from repro.placement.objective import ObjectiveTerm, PlacementObjective
 from repro.placement.global_placer import GlobalPlacer, PlacementConfig, PlacementDiverged, PlacementHistory
 from repro.placement.legalization.abacus import AbacusLegalizer
 from repro.placement.legalization.greedy import GreedyLegalizer
-from repro.placement.detailed import DetailedPlacer
 
 __all__ = [
     "hpwl_per_net",
@@ -38,5 +37,4 @@ __all__ = [
     "PlacementHistory",
     "AbacusLegalizer",
     "GreedyLegalizer",
-    "DetailedPlacer",
 ]

@@ -129,11 +129,8 @@ class STAResult:
     endpoint_slack: np.ndarray    # [num_endpoints] slack per endpoint
     wns: float
     tns: float
-    # Memoized views (endpoint lookups are hot inside path extraction).
+    # Memoized view (endpoint lookups are hot inside path extraction).
     _failing_cache: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _endpoint_pos: Optional[Dict[int, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -150,20 +147,6 @@ class STAResult:
     @property
     def num_failing_endpoints(self) -> int:
         return int(np.sum(self.endpoint_slack < 0))
-
-    def endpoint_slack_of(self, pin_index: int) -> float:
-        """Slack of one endpoint pin, O(1) after the first lookup."""
-        if self._endpoint_pos is None:
-            # Keep the *first* position for any duplicate, matching the
-            # linear scan this replaces (endpoints are unique in practice).
-            pos_map: Dict[int, int] = {}
-            for position, pin in enumerate(self.endpoint_pins):
-                pos_map.setdefault(int(pin), position)
-            self._endpoint_pos = pos_map
-        position = self._endpoint_pos.get(int(pin_index))
-        if position is None:
-            raise KeyError(f"Pin {pin_index} is not an endpoint")
-        return float(self.endpoint_slack[position])
 
 
 class _CornerStackedSTA:

@@ -1,17 +1,14 @@
 """Geometric primitives shared by the netlist, placement, and timing packages.
 
-The placement engine works on flat NumPy arrays, but a small number of
-geometric abstractions (rectangles, bounding boxes) keep the higher level
-code readable.  All coordinates are in database units (DBU); the library
-does not enforce a particular physical unit so long as the design is
-self-consistent.
+The placement engine works on flat NumPy arrays; the die outline is the one
+rectangle kept as an object.  All coordinates are in database units (DBU);
+the library does not enforce a particular physical unit so long as the
+design is self-consistent.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
 
 
 @dataclass(frozen=True)
@@ -40,117 +37,3 @@ class Rect:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def center(self) -> Tuple[float, float]:
-        return (0.5 * (self.xl + self.xh), 0.5 * (self.yl + self.yh))
-
-    def contains_point(self, x: float, y: float, *, tol: float = 0.0) -> bool:
-        """Return True if (x, y) lies inside the rectangle (inclusive)."""
-        return (
-            self.xl - tol <= x <= self.xh + tol
-            and self.yl - tol <= y <= self.yh + tol
-        )
-
-    def contains_rect(self, other: "Rect", *, tol: float = 0.0) -> bool:
-        """Return True if ``other`` lies entirely inside this rectangle."""
-        return (
-            self.xl - tol <= other.xl
-            and self.yl - tol <= other.yl
-            and other.xh <= self.xh + tol
-            and other.yh <= self.yh + tol
-        )
-
-    def intersects(self, other: "Rect") -> bool:
-        """Return True if the two rectangles overlap (touching edges count)."""
-        return not (
-            other.xl > self.xh
-            or other.xh < self.xl
-            or other.yl > self.yh
-            or other.yh < self.yl
-        )
-
-    def intersection(self, other: "Rect") -> "Rect | None":
-        """Return the overlapping rectangle, or None when disjoint."""
-        xl = max(self.xl, other.xl)
-        yl = max(self.yl, other.yl)
-        xh = min(self.xh, other.xh)
-        yh = min(self.yh, other.yh)
-        if xh < xl or yh < yl:
-            return None
-        return Rect(xl, yl, xh, yh)
-
-    def expanded(self, margin: float) -> "Rect":
-        """Return a copy grown by ``margin`` on every side."""
-        return Rect(self.xl - margin, self.yl - margin, self.xh + margin, self.yh + margin)
-
-    def as_tuple(self) -> Tuple[float, float, float, float]:
-        return (self.xl, self.yl, self.xh, self.yh)
-
-
-class BoundingBox:
-    """Incrementally built bounding box over a stream of points."""
-
-    __slots__ = ("xl", "yl", "xh", "yh", "_count")
-
-    def __init__(self) -> None:
-        self.xl = math.inf
-        self.yl = math.inf
-        self.xh = -math.inf
-        self.yh = -math.inf
-        self._count = 0
-
-    def add(self, x: float, y: float) -> None:
-        if x < self.xl:
-            self.xl = x
-        if x > self.xh:
-            self.xh = x
-        if y < self.yl:
-            self.yl = y
-        if y > self.yh:
-            self.yh = y
-        self._count += 1
-
-    def add_points(self, points: Iterable[Tuple[float, float]]) -> None:
-        for x, y in points:
-            self.add(x, y)
-
-    @property
-    def empty(self) -> bool:
-        return self._count == 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def half_perimeter(self) -> float:
-        """Half-perimeter wirelength of the box; 0 for fewer than two points."""
-        if self._count < 2:
-            return 0.0
-        return (self.xh - self.xl) + (self.yh - self.yl)
-
-    def to_rect(self) -> Rect:
-        if self.empty:
-            raise ValueError("Cannot convert an empty bounding box to a Rect")
-        return Rect(self.xl, self.yl, self.xh, self.yh)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter((self.xl, self.yl, self.xh, self.yh))
-
-
-def manhattan_distance(x1: float, y1: float, x2: float, y2: float) -> float:
-    """Rectilinear (L1) distance between two points."""
-    return abs(x1 - x2) + abs(y1 - y2)
-
-
-def euclidean_distance(x1: float, y1: float, x2: float, y2: float) -> float:
-    """Euclidean (L2) distance between two points."""
-    return math.hypot(x1 - x2, y1 - y2)
-
-
-def squared_distance(x1: float, y1: float, x2: float, y2: float) -> float:
-    """Squared Euclidean distance; the paper's quadratic pin-to-pin metric."""
-    dx = x1 - x2
-    dy = y1 - y2
-    return dx * dx + dy * dy

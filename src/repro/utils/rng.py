@@ -25,16 +25,3 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``rng``."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def derive_seed(rng: np.random.Generator) -> int:
-    """Draw a fresh integer seed from ``rng`` (useful for logging/repro)."""
-    return int(rng.integers(0, 2**31 - 1))

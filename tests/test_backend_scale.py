@@ -1,12 +1,9 @@
-"""Back-end scale tests: array Abacus, delta-HPWL detailed place, row bands.
+"""Back-end scale tests: array Abacus legalization and its row bands.
 
-PR 10's contract mirrors PR 7's: every back-end rewrite is *bitwise*
-neutral.  The array-backed ``AbacusLegalizer.legalize`` must match the
-object-based ``_reference_legalize`` twin bit for bit, the nearest-row
-candidate bands must follow the stable-argsort row order, and the delta-HPWL
-``DetailedPlacer.refine`` must take exactly the decisions of the
-full-recompute ``_reference_refine`` twin.  The row-overflow bugfix and the
-stale-order detailed-placement fix are pinned here too.
+The array-backed ``AbacusLegalizer.legalize`` must match the object-based
+``_reference_legalize`` twin bit for bit, and the nearest-row candidate
+bands must follow the stable-argsort row order.  The row-overflow bugfix is
+pinned here too.
 """
 
 from __future__ import annotations
@@ -16,13 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchgen.suite import load_benchmark
-from repro.flow.runner import FlowRunner
-from repro.flow.stages import DetailedPlaceStage, LegalizeStage
 from repro.netlist import Design, make_generic_library
-from repro.placement.detailed import DetailedPlacer
 from repro.placement.initial import initial_placement
 from repro.placement.legalization.abacus import AbacusLegalizer, _legalize_rowband
-from repro.placement.wirelength import total_hpwl
 
 DESIGNS = ("sb_mini_18", "sb_mini_4", "sb_cong_1")
 
@@ -163,90 +156,3 @@ class TestRowOverflow:
         legal = AbacusLegalizer(design).legalize(x, y)
         assert legal.num_overfull_rows == 0
         assert legal.success
-
-
-# ----------------------------------------------------------------------
-# Delta-HPWL detailed placement ≡ full-recompute reference, bitwise
-# ----------------------------------------------------------------------
-class TestDetailedParity:
-    @settings(max_examples=6, deadline=None)
-    @given(
-        name=st.sampled_from(DESIGNS),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_refine_matches_reference_bitwise(self, name, seed):
-        design = _design(name, 0.35)
-        x, y = _positions(design, seed)
-        legal = AbacusLegalizer(design).legalize(x, y)
-        placer = DetailedPlacer(design)
-        # The cap keeps the full-recompute reference affordable; both paths
-        # apply it identically so the comparison covers real accept chains.
-        dx, dy, dacc = placer.refine(legal.x, legal.y, max_candidates=250)
-        rx, ry, racc = placer._reference_refine(legal.x, legal.y, max_candidates=250)
-        assert dacc == racc
-        assert np.array_equal(dx, rx)
-        assert np.array_equal(dy, ry)
-
-    def test_uncapped_refine_matches_reference(self):
-        design = _design("sb_mini_18", 0.3)
-        x, y = _positions(design, 2)
-        legal = AbacusLegalizer(design).legalize(x, y)
-        placer = DetailedPlacer(design, max_passes=2)
-        dx, dy, dacc = placer.refine(legal.x, legal.y)
-        rx, ry, racc = placer._reference_refine(legal.x, legal.y)
-        assert dacc == racc
-        assert np.array_equal(dx, rx)
-        assert np.array_equal(dy, ry)
-
-    def test_refine_never_raises_hpwl(self):
-        design = _design("sb_mini_18", 0.4)
-        x, y = _positions(design, 0)
-        legal = AbacusLegalizer(design).legalize(x, y)
-        before = total_hpwl(design, legal.x, legal.y)
-        rx, ry, accepted = DetailedPlacer(design).refine(legal.x, legal.y)
-        after = total_hpwl(design, rx, ry)
-        assert accepted > 0
-        assert after < before
-
-    def test_stale_order_fix_golden(self):
-        # Golden pin for the stale-order bugfix (pairs re-derived from the
-        # maintained row order, ascending-y/x visitation, left-to-right net
-        # sums).  The old implementation iterated a pair list frozen per
-        # row pass and summed set-ordered gathers pairwise; this accepted-
-        # swap count documents the new deterministic behavior.
-        design = _design("sb_mini_18", 0.4)
-        x, y = initial_placement(design, seed=0)
-        legal = AbacusLegalizer(design).legalize(x, y)
-        rx, ry, accepted = DetailedPlacer(design).refine(legal.x, legal.y)
-        assert accepted == 355
-        assert np.array_equal(ry, legal.y)
-
-    def test_swapped_cells_keep_row_order_invariant(self):
-        design = _design("sb_mini_4", 0.4)
-        x, y = _positions(design, 9)
-        legal = AbacusLegalizer(design).legalize(x, y)
-        rx, ry, _ = DetailedPlacer(design).refine(legal.x, legal.y)
-        core = design.arrays
-        movable = core.movable_index
-        for row_y in np.unique(ry[movable]):
-            cells = movable[ry[movable] == row_y]
-            order = np.argsort(rx[cells], kind="stable")
-            xs = rx[cells][order]
-            widths = core.inst_width[cells][order]
-            # Adjacent cells may abut but never overlap.
-            assert np.all(xs[1:] >= xs[:-1] + widths[:-1] - 1e-6)
-
-
-# ----------------------------------------------------------------------
-# Flow integration
-# ----------------------------------------------------------------------
-class TestBackendStages:
-    def test_detailed_place_stage_runs_after_legalize(self):
-        design = _design("sb_mini_18", 0.4)
-        x, y = initial_placement(design, seed=0)
-        design.set_positions(x, y)
-        runner = FlowRunner([LegalizeStage(), DetailedPlaceStage()])
-        result = runner.run(design)
-        meta = result.context.metadata["detailed_place"]
-        assert meta["accepted_swaps"] > 0
-        assert result.context.metadata["legalization"]["num_overfull_rows"] == 0

@@ -1,19 +1,8 @@
 """Unit tests for repro.utils.geometry."""
 
-import math
-
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.utils.geometry import (
-    BoundingBox,
-    Rect,
-    euclidean_distance,
-    manhattan_distance,
-    squared_distance,
-)
-
-coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+from repro.utils.geometry import Rect
 
 
 class TestRect:
@@ -22,7 +11,6 @@ class TestRect:
         assert r.width == 10
         assert r.height == 4
         assert r.area == 40
-        assert r.center == (5.0, 2.0)
 
     def test_malformed_raises(self):
         with pytest.raises(ValueError):
@@ -33,104 +21,3 @@ class TestRect:
     def test_zero_area_allowed(self):
         r = Rect(1, 1, 1, 1)
         assert r.area == 0
-
-    def test_contains_point(self):
-        r = Rect(0, 0, 10, 10)
-        assert r.contains_point(5, 5)
-        assert r.contains_point(0, 0)
-        assert r.contains_point(10, 10)
-        assert not r.contains_point(10.1, 5)
-        assert r.contains_point(10.05, 5, tol=0.1)
-
-    def test_contains_rect(self):
-        outer = Rect(0, 0, 10, 10)
-        assert outer.contains_rect(Rect(1, 1, 9, 9))
-        assert outer.contains_rect(outer)
-        assert not outer.contains_rect(Rect(1, 1, 11, 9))
-
-    def test_intersects_and_intersection(self):
-        a = Rect(0, 0, 10, 10)
-        b = Rect(5, 5, 15, 15)
-        assert a.intersects(b)
-        inter = a.intersection(b)
-        assert inter == Rect(5, 5, 10, 10)
-
-    def test_disjoint_intersection_is_none(self):
-        a = Rect(0, 0, 1, 1)
-        b = Rect(2, 2, 3, 3)
-        assert not a.intersects(b)
-        assert a.intersection(b) is None
-
-    def test_touching_rects_intersect(self):
-        a = Rect(0, 0, 1, 1)
-        b = Rect(1, 0, 2, 1)
-        assert a.intersects(b)
-        assert a.intersection(b).area == 0
-
-    def test_expanded(self):
-        r = Rect(2, 2, 4, 4).expanded(1)
-        assert r == Rect(1, 1, 5, 5)
-
-    def test_as_tuple(self):
-        assert Rect(1, 2, 3, 4).as_tuple() == (1, 2, 3, 4)
-
-
-class TestBoundingBox:
-    def test_empty(self):
-        box = BoundingBox()
-        assert box.empty
-        assert box.half_perimeter == 0.0
-        with pytest.raises(ValueError):
-            box.to_rect()
-
-    def test_single_point(self):
-        box = BoundingBox()
-        box.add(3, 4)
-        assert not box.empty
-        assert box.half_perimeter == 0.0
-        assert box.count == 1
-
-    def test_two_points(self):
-        box = BoundingBox()
-        box.add_points([(0, 0), (3, 4)])
-        assert box.half_perimeter == 7.0
-        assert box.to_rect() == Rect(0, 0, 3, 4)
-
-    def test_iter(self):
-        box = BoundingBox()
-        box.add_points([(1, 2), (3, 5)])
-        assert tuple(box) == (1, 2, 3, 5)
-
-    @given(st.lists(st.tuples(coords, coords), min_size=2, max_size=30))
-    def test_half_perimeter_matches_minmax(self, points):
-        box = BoundingBox()
-        box.add_points(points)
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        expected = (max(xs) - min(xs)) + (max(ys) - min(ys))
-        assert math.isclose(box.half_perimeter, expected, rel_tol=1e-9, abs_tol=1e-9)
-
-
-class TestDistances:
-    def test_manhattan(self):
-        assert manhattan_distance(0, 0, 3, 4) == 7
-
-    def test_euclidean(self):
-        assert euclidean_distance(0, 0, 3, 4) == 5
-
-    def test_squared(self):
-        assert squared_distance(0, 0, 3, 4) == 25
-
-    @given(coords, coords, coords, coords)
-    def test_euclidean_le_manhattan(self, x1, y1, x2, y2):
-        assert euclidean_distance(x1, y1, x2, y2) <= manhattan_distance(x1, y1, x2, y2) + 1e-6
-
-    @given(coords, coords, coords, coords)
-    def test_squared_is_euclidean_squared(self, x1, y1, x2, y2):
-        d = euclidean_distance(x1, y1, x2, y2)
-        assert math.isclose(squared_distance(x1, y1, x2, y2), d * d, rel_tol=1e-6, abs_tol=1e-6)
-
-    @given(coords, coords)
-    def test_zero_distance_to_self(self, x, y):
-        assert manhattan_distance(x, y, x, y) == 0
-        assert euclidean_distance(x, y, x, y) == 0

@@ -12,6 +12,7 @@ of placement under tracing, and the CLI ``--trace`` / ``trace`` wiring.
 
 from __future__ import annotations
 
+import ast
 import json
 import sys
 import threading
@@ -21,11 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.benchgen.suite import load_benchmark
 from repro.flow.batch import BatchJob, run_batch
 from repro.flow.cli import main as cli_main
 from repro.flow.presets import build_flow
-from repro.flow.runner import FlowRunner
+from repro.flow.runner import FIG4_COMPONENTS, FlowRunner
 from repro.obs import (
     Tracer,
     active_tracer,
@@ -376,6 +378,48 @@ class TestLayerSpans:
             assert calls["core.extract"] == 2 * calls["core.pair_update"]  # two corners
         else:
             assert calls["route.congestion"] > 0 and calls["feedback.compose"] > 0
+
+
+    def test_fig4_keys_name_recorded_spans(self):
+        # A key no span records (say, of a deleted layer) would silently
+        # count nothing; a key ending in "." needs one name under it.
+        exact, prefixes = _recorded_span_names()
+        names = exact | prefixes
+        stale = [
+            key
+            for key in FIG4_COMPONENTS
+            if not (
+                any(name.startswith(key) for name in names)
+                if key.endswith(".")
+                else key in exact
+            )
+        ]
+        assert stale == []
+
+
+def _recorded_span_names():
+    """Span names recorded in ``src/repro``: the literal first argument of
+    every ``span(`` / ``traced(`` / ``record_complete(`` call, and the
+    literal prefix of an f-string one (``stage.``, ``feedback.``)."""
+    exact, prefixes = set(), set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if callee not in ("span", "traced", "record_complete"):
+                continue
+            first = node.args[0]
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                exact.add(first.value)
+            elif (
+                isinstance(first, ast.JoinedStr)
+                and first.values
+                and isinstance(first.values[0], ast.Constant)
+            ):
+                prefixes.add(first.values[0].value)
+    return exact, prefixes
 
 
 # ----------------------------------------------------------------------

@@ -320,6 +320,73 @@ class TestMalformedInput:
             parse_lef(text)
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize(
+        "statement, line, message",
+        [
+            ("capacitance : -1 ;", 5, "capacitance must be >= 0, got -1"),
+            ("capacitance : abc ;", 5, "capacitance 'abc' is not a number"),
+        ],
+    )
+    def test_liberty_pin_statement_names_the_broken_bound(self, statement, line, message):
+        text = "\n".join(
+            [
+                "library (bad) {",
+                "  cell (INV_X1) {",
+                "    area : 2.0 ;",
+                "    pin (a) {   /* a comment",
+                f"      over two lines */ {statement}",
+                "    }",
+                "  }",
+                "}",
+            ]
+        )
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_liberty(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [
+            ("intrinsic : inf ;", "intrinsic must be finite, got inf"),
+            ('cell_delay (lut) { index_1 ("0.01, 0.1") ; values ("1.0, nan") ; }',
+             "values entry must be finite, got nan"),
+        ],
+    )
+    def test_liberty_timing_statement_must_be_finite(self, statement, message):
+        text = "\n".join(
+            [
+                "library (bad) {",
+                "  cell (INV_X1) {",
+                "    pin (a) { direction : input ; }",
+                "    pin (o) {",
+                "      direction : output ;",
+                '      timing () { related_pin : "a" ;',
+                f"        {statement}",
+                "      }",
+                "    }",
+                "  }",
+                "}",
+            ]
+        )
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_liberty(text)
+        assert exc.value.line == 7
+
+    @pytest.mark.parametrize(
+        "area, message", [("nan", "area must be finite, got nan"), ("0", "area must be > 0, got 0")]
+    )
+    def test_liberty_area_must_be_positive(self, area, message):
+        text = f"library (bad) {{\n  cell (INV_X1) {{\n    area : {area} ;\n  }}\n}}\n"
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_liberty(text)
+        assert exc.value.line == 3
+
+    def test_liberty_truncated_group(self):
+        text = "library (cut) {\n  cell (INV_X1) {\n    area : 2.0 ;\n    pin (a) {\n      direction : input ;\n"
+        with pytest.raises(ParseError, match=re.escape("pin (a) is not closed by '}'")) as exc:
+            parse_liberty(text)
+        assert exc.value.line == 4
+
     def test_sdc_non_numeric_delay(self):
         text = "create_clock -name clk -period 800\nset_input_delay 5O -clock clk [get_ports in0]\n"
         with pytest.raises(ParseError, match="set_input_delay: delay '5O' is not a number") as exc:

@@ -6,7 +6,6 @@ import pytest
 from repro.feedback import PlacementFeedback
 from repro.placement import (
     AbacusLegalizer,
-    DetailedPlacer,
     ElectrostaticDensity,
     GlobalPlacer,
     GreedyLegalizer,
@@ -275,16 +274,6 @@ class TestLegalization:
         legalizer.apply(legal)
         x, y = design.positions()
         assert np.allclose(x, legal.x)
-
-    def test_detailed_placement_does_not_increase_hpwl(self, globally_placed):
-        design, result = globally_placed
-        legal = AbacusLegalizer(design).legalize(result.x, result.y)
-        design.set_positions(legal.x, legal.y)
-        before = total_hpwl(design)
-        detailed = DetailedPlacer(design, max_passes=1)
-        x, y, swaps = detailed.refine()
-        after = total_hpwl(design, x, y)
-        assert after <= before + 1e-6
 
 
 class TestGlobalPlacer:

@@ -153,8 +153,8 @@ class TestSTA:
     def test_failing_endpoints_sorted_worst_first(self, small_design):
         engine = STAEngine(small_design)
         result = engine.update_timing()
-        failing = result.failing_endpoints
-        slacks = [result.endpoint_slack_of(int(p)) for p in failing]
+        by_pin = dict(zip(result.endpoint_pins.tolist(), result.endpoint_slack.tolist()))
+        slacks = [by_pin[int(p)] for p in result.failing_endpoints]
         assert slacks == sorted(slacks)
 
     def test_wns_is_min_endpoint_slack(self, small_design):
@@ -248,26 +248,11 @@ class TestSTAUpdates:
 class TestSTAResultMemoization:
     def test_failing_endpoints_worst_slack_first(self, fresh_small_design):
         result = STAEngine(fresh_small_design).update_timing()
-        failing = result.failing_endpoints
-        slacks = [result.endpoint_slack_of(int(p)) for p in failing]
+        by_pin = dict(zip(result.endpoint_pins.tolist(), result.endpoint_slack.tolist()))
+        slacks = [by_pin[int(p)] for p in result.failing_endpoints]
         assert slacks == sorted(slacks), "endpoints must come back worst-slack-first"
         assert all(s < 0 for s in slacks)
 
     def test_failing_endpoints_cached(self, fresh_small_design):
         result = STAEngine(fresh_small_design).update_timing()
         assert result.failing_endpoints is result.failing_endpoints
-
-    def test_endpoint_slack_of_matches_arrays(self, fresh_small_design):
-        result = STAEngine(fresh_small_design).update_timing()
-        for position, pin in enumerate(result.endpoint_pins):
-            assert result.endpoint_slack_of(int(pin)) == pytest.approx(
-                float(result.endpoint_slack[position])
-            )
-
-    def test_endpoint_slack_of_raises_for_non_endpoint(self, fresh_small_design):
-        result = STAEngine(fresh_small_design).update_timing()
-        non_endpoint = set(range(fresh_small_design.num_pins)) - set(
-            int(p) for p in result.endpoint_pins
-        )
-        with pytest.raises(KeyError):
-            result.endpoint_slack_of(next(iter(non_endpoint)))

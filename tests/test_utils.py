@@ -3,10 +3,9 @@
 import logging
 
 import numpy as np
-import pytest
 
 from repro.utils.logging import get_logger, set_verbosity
-from repro.utils.rng import derive_seed, make_rng, spawn_rng
+from repro.utils.rng import make_rng
 
 
 class TestRng:
@@ -24,20 +23,6 @@ class TestRng:
 
     def test_none_gives_generator(self):
         assert isinstance(make_rng(None), np.random.Generator)
-
-    def test_spawn_count(self):
-        children = spawn_rng(make_rng(0), 4)
-        assert len(children) == 4
-        values = [c.random() for c in children]
-        assert len(set(values)) == 4
-
-    def test_spawn_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rng(make_rng(0), -1)
-
-    def test_derive_seed_range(self):
-        seed = derive_seed(make_rng(5))
-        assert 0 <= seed < 2**31
 
 
 class TestLogging:
